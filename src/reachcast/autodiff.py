@@ -6,6 +6,16 @@ and ``Graph.backward`` replays the tape once in reverse. Graphs are
 rebuilt on every forward pass, which keeps recursive loops (the state
 transition, the autoregressive emission) trivially correct.
 
+Besides the built-in ops, ``custom(out_data, inputs, backward)`` records
+an op whose forward the caller has already run in numpy and whose
+backward it writes by hand: ``backward(g)`` returns one gradient (or None)
+per input, and the engine validates and accumulates them. A long
+recurrence fused this way costs one tape record instead of dozens per
+step. Callers use ``is_recording(inputs)`` to save activations for the
+backward only when a tape will replay it. The numpy kernels of softmax
+and layer norm are public so fused ops compute them exactly as the taped
+ops do.
+
 A graph and its tensors belong to one thread; weight tensors may be
 shared read-only across threads running independent graphs.
 """
@@ -129,13 +139,45 @@ def _accum_new(t, g):
         t.grad += g
 
 
+def is_recording(inputs):
+    """True when an op over ``inputs`` would be recorded on the active tape."""
+    return _tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(out_data, inputs, bwd):
     out = Tensor(out_data)
-    tape = _tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if is_recording(inputs):
         out.requires_grad = True
-        tape._records.append((out, inputs, bwd))
+        _tape()._records.append((out, inputs, bwd))
     return out
+
+
+def custom(out_data, inputs, backward):
+    """Record a caller-computed op as one tape entry.
+
+    ``out_data`` is the op's output array, already computed from the
+    ``inputs`` tensors. ``backward(g)`` receives the output gradient and
+    returns one entry per input: a gradient array of that input's shape,
+    or None for no contribution. The engine checks the count and shapes,
+    skips None entries and inputs that need no gradient, and accumulates
+    the rest (copying on first use, so entries may alias saved arrays).
+    ``backward`` runs at most once per ``Graph.backward`` and only when the
+    output received a gradient.
+    """
+    inputs = tuple(inputs)
+
+    def bwd(g):
+        grads = tuple(backward(g))
+        if len(grads) != len(inputs):
+            raise GraphError(f"custom: backward returned {len(grads)} gradients for {len(inputs)} inputs")
+        for t, gt in zip(inputs, grads):
+            if gt is None or not t.requires_grad:
+                continue
+            if gt.shape != t.data.shape:
+                raise ShapeError(f"custom: gradient {gt.shape} does not match input {t.data.shape}")
+            _accum(t, gt)
+
+    return _record(out_data, inputs, bwd)
 
 
 def _reduce_to_shape(g, shape):
@@ -369,6 +411,43 @@ def mean(a, axis=None, keepdims=False):
 
 
 # ---------------------------------------------------------------------------
+# numpy kernels, shared by the taped ops below and by custom ops
+
+
+def softmax_fwd(x):
+    """Row-wise softmax of an array over its last axis, max-subtracted."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_bwd(g, s):
+    """Input gradient of softmax_fwd, given its output s."""
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
+def layer_norm_fwd(x, gain, bias, eps=1e-5):
+    """Layer norm of an array over its last axis; returns (out, xhat, inv)
+    where xhat is the standardized input and inv the per-row 1/std."""
+    d = x.shape[-1]  # sum / d is bit-identical to mean and cheaper to dispatch
+    mu = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_bwd(g, gain, xhat, inv):
+    """Input gradient of layer_norm_fwd from its saved xhat and inv."""
+    gx = g * gain
+    d = g.shape[-1]
+    m1 = gx.sum(axis=-1, keepdims=True) / d
+    m2 = (gx * xhat).sum(axis=-1, keepdims=True) / d
+    return inv * (gx - m1 - xhat * m2)
+
+
+# ---------------------------------------------------------------------------
 # nonlinearities
 
 
@@ -376,13 +455,10 @@ def softmax_lastdim(x):
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
     if x.data.shape[-1] < 1:
         raise ShapeError("softmax_lastdim: last extent must be >= 1")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = softmax_fwd(x.data)
 
     def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _accum_new(x, s * (g - dot))
+        _accum_new(x, softmax_bwd(g, s))
 
     return _record(s, (x,), bwd)
 
@@ -394,12 +470,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    out, xhat, inv = layer_norm_fwd(x.data, gain.data, bias.data, eps)
 
     def bwd(g):
         lead = g.reshape(-1, d)
@@ -408,10 +479,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
         if bias.requires_grad:
             _accum_new(bias, lead.sum(axis=0))
         if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum_new(x, inv * (gx - m1 - xhat * m2))
+            _accum_new(x, layer_norm_bwd(g, gain.data, xhat, inv))
 
     return _record(out, (x, gain, bias), bwd)
 

@@ -173,6 +173,12 @@ def _write_history_csv(path, rows):
             f.write(f"{e},{t:.9g},{l:.9g},{v:.9g}\n")
 
 
+def _adam_path(ckpt):
+    """Optimizer state beside a checkpoint base path: <base>_adam.{bin,json}."""
+    base = Path(ckpt).with_suffix("")
+    return base.with_name(base.name + "_adam")
+
+
 def cmd_train(args):
     doc = load_run_config(args.config)
     out = Path(_out_override(args.out or doc.get("out") or "run"))
@@ -197,6 +203,7 @@ def cmd_train(args):
 
     start_epoch = 0
     history = []
+    optimizer = None
     if args.resume:
         params, cfg, extra = model.load_checkpoint(args.resume)
         start_epoch = int(extra.get("epoch", 0))
@@ -204,18 +211,25 @@ def cmd_train(args):
         curve = out / "loss_curve.csv"
         if curve.exists():
             history = _read_history_csv(curve)
+        adam = _adam_path(args.resume)
+        if adam.with_suffix(".json").exists():
+            optimizer = trainer.Adam.load(params, adam)
+        else:
+            print(f"warning: no optimizer state at {adam}; resuming with fresh Adam moments",
+                  file=sys.stderr)
         print(f"resuming at epoch {start_epoch + 1}")
     else:
         params = model.init_params(cfg, seed=train_cfg.seed)
 
-    new_rows, _ = trainer.fit(params, cfg, train_samples, norm, train_cfg, loss_cfg,
-                              start_epoch=start_epoch)
+    new_rows, optimizer = trainer.fit(params, cfg, train_samples, norm, train_cfg, loss_cfg,
+                                      start_epoch=start_epoch, optimizer=optimizer)
     history.extend(new_rows)
     extra = {"epoch": train_cfg.epochs,
              "norm": {"min": norm[0].tolist(), "max": norm[1].tolist()},
              "train": dataclasses.asdict(train_cfg),
              "loss": dataclasses.asdict(loss_cfg)}
     model.save_checkpoint(params, cfg, out / "ckpt", extra=extra)
+    optimizer.save(_adam_path(out / "ckpt"), cfg)
     _write_history_csv(out / "loss_curve.csv", history)
     final = history[-1]
     print(f"trained to epoch {final[0]}; final loss {final[1]:.6f}; checkpoint: {out / 'ckpt'}")
@@ -271,12 +285,7 @@ def _dump_rows(params, cfg, samples, norm, ratio, split):
     for s, observed, mean in trainer._forecast_batch(params, cfg,
                                                      sorted(samples, key=lambda x: x.id),
                                                      norm, ratio):
-        if cfg.coordinate_mode == "2d":
-            pred = ((mean + 1.0) / 2.0).tolist()
-            gt = ((trainer.sample_targets(s, cfg, norm) + 1.0) / 2.0).tolist()
-        else:
-            pred = trainer.denormalize(mean, *norm).tolist()
-            gt = s.points_global.tolist()
+        pred, gt = (a.tolist() for a in trainer.decode_prediction(mean, s, cfg, norm))
         rows.append({
             "id": s.id, "split": split, "ratio": ratio, "observed_count": observed,
             "observed": gt[:observed], "future_gt": gt[observed:],
@@ -300,12 +309,7 @@ def cmd_forecast(args):
     observed = trainer.observation_count(s.horizon, fixed)
     frames, points, obs, lengths, _ = trainer.assemble_batch([s], cfg, norm, [observed])
     fc = model.forecast(params, cfg, frames[0, : s.horizon], points[0, : s.horizon], observed)
-    if cfg.coordinate_mode == "2d":
-        pred = ((fc.mean + 1.0) / 2.0).tolist()
-        gt = ((trainer.sample_targets(s, cfg, norm) + 1.0) / 2.0).tolist()
-    else:
-        pred = trainer.denormalize(fc.mean, *norm).tolist()
-        gt = s.points_global.tolist()
+    pred, gt = (a.tolist() for a in trainer.decode_prediction(fc.mean, s, cfg, norm))
     doc = {
         "id": s.id, "scene": s.scene, "observed_count": observed, "horizon": s.horizon,
         "observed": gt[:observed], "future_gt": gt[observed:], "predicted": pred[observed:],

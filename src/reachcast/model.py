@@ -10,6 +10,16 @@ receive gradients. Observed steps are the first C of the horizon; all
 embeddings past C are zeroed and attention keys past C carry an additive
 -1e9 logit, which underflows to exact zero weight, so forecasts are
 exactly independent of future inputs.
+
+The state transition is one fused tape op (``transition``, built with
+``ad.custom``) rather than dozens of taped ops per step. Its forward runs
+in numpy on a preallocated self-attention K/V cache and repeats the
+arithmetic of the taped composition op for op, with the same operand
+shapes and BLAS calls, so its output is bit-identical to it (tested on the
+``desk`` preset; within 1e-12 elsewhere). Its backward is hand-written
+back-propagation through time; it sums in a different order, and its
+gradients agree with the taped composition to rtol 1e-9 and atol 1e-12.
+The taped composition is kept in tests/test_transition.py as the reference.
 """
 
 from __future__ import annotations
@@ -300,24 +310,16 @@ def masked_attention(q, k, v, observed_count, scale_dim=None):
     return ad.matmul(ad.softmax_lastdim(ad.add(logits, ad.constant(mask))), v)
 
 
-def _split_heads(x, heads):
-    return ad.split_heads(x, heads)
-
-
-def _merge_heads(x):
-    return ad.merge_heads(x)
-
-
 def _mha(params, name, q_in, kv_in, heads, key_mask=None):
     """Multi-head attention; key_mask is an additive (N,h,Tq,Tk) constant."""
-    q = _split_heads(_linear(params, f"{name}.wq", q_in), heads)
-    k = _split_heads(ad.matmul(kv_in, params[f"{name}.wk.w"]), heads)
-    v = _split_heads(_linear(params, f"{name}.wv", kv_in), heads)
+    q = ad.split_heads(_linear(params, f"{name}.wq", q_in), heads)
+    k = ad.split_heads(ad.matmul(kv_in, params[f"{name}.wk.w"]), heads)
+    v = ad.split_heads(_linear(params, f"{name}.wv", kv_in), heads)
     dh = q.shape[-1]
     logits = ad.scale(ad.matmul(q, ad.swap_last2(k)), 1.0 / np.sqrt(dh))
     if key_mask is not None:
         logits = ad.add(logits, ad.constant(key_mask))
-    ctx = _merge_heads(ad.matmul(ad.softmax_lastdim(logits), v))
+    ctx = ad.merge_heads(ad.matmul(ad.softmax_lastdim(logits), v))
     return _linear(params, f"{name}.wo", ctx)
 
 
@@ -376,61 +378,187 @@ def temporal_encode(params, cfg, x, observed, branch):
     return u
 
 
-def _broadcast_param(t, n):
-    """(d,) parameter -> (N,1,d) tensor, summing gradients over the batch."""
-    d = t.shape[0]
-    ones = ad.constant(np.ones((n, 1, 1)))
-    return ad.matmul(ones, ad.reshape(t, (1, 1, d)))
+# Parameters of the fused transition, in the order of its gradients after h.
+_TRANSITION_PARAMS = (
+    "self.wq.w", "self.wq.b", "self.wk.w", "self.wv.w", "self.wv.b", "self.wo.w", "self.wo.b",
+    "ln_wbar.g", "ln_wbar.b",
+    "cross.wq.w", "cross.wq.b", "cross.wk.w", "cross.wv.w", "cross.wv.b", "cross.wo.w",
+    "cross.wo.b", "ln_what.g", "ln_what.b",
+    "inner.fc1.w", "inner.fc1.b", "inner.fc2.w", "inner.fc2.b",
+    "outer.fc1.w", "outer.fc1.b", "outer.fc2.w", "outer.fc2.b",
+    "ln_z.g", "ln_z.b", "z0",
+)
 
 
 def transition(params, cfg, h, observed, horizon=None):
-    """Recursive latent rollout over the full horizon.
+    """Recursive latent rollout over the full horizon, as one taped op.
 
     h: (N,T_enc,d_z) encoded observations (keys masked to < observed);
     returns z: (N,horizon,d_z). Each step attends over its own latent
     history (seeded with the learnable initial latent) and over the
-    observation encoding.
+    observation encoding. The forward runs in numpy on a preallocated
+    self-attention K/V cache; the backward is hand-written BPTT.
     """
     n, t_enc, dz = h.shape
     t = t_enc if horizon is None else int(horizon)
-    pe = positional_encoding(t, dz)
-    hmask = _key_mask(observed, cfg.heads, 1, t_enc)
-    k_h = _split_heads(ad.matmul(h, params["trans.cross.wk.w"]), cfg.heads)
-    v_h = _split_heads(_linear(params, "trans.cross.wv", h), cfg.heads)
-    dh = dz // cfg.heads
-    heads = cfg.heads
+    inputs = (h,) + tuple(params[f"trans.{k}"] for k in _TRANSITION_PARAMS)
+    roll = _Rollout({k: params[f"trans.{k}"].data for k in _TRANSITION_PARAMS}, h.data,
+                    _key_mask(observed, cfg.heads, 1, t_enc), positional_encoding(t, dz),
+                    cfg.heads, save=ad.is_recording(inputs))
+    return ad.custom(roll.z, inputs, roll.backward)
 
-    def self_kv(z_t):
-        return (_split_heads(ad.matmul(z_t, params["trans.self.wk.w"]), heads),
-                _split_heads(_linear(params, "trans.self.wv", z_t), heads))
 
-    z0 = _broadcast_param(params["trans.z0"], n)
-    z_hist = [z0]
-    k_s, v_s = self_kv(z0)
-    for i in range(t):
-        z_prev = z_hist[-1]
-        if i > 0:
-            k_new, v_new = self_kv(z_prev)
-            k_s = ad.concat([k_s, k_new], axis=2)
-            v_s = ad.concat([v_s, v_new], axis=2)
-        q = _split_heads(_linear(params, "trans.self.wq", z_prev), heads)
-        logits = ad.scale(ad.matmul(q, ad.swap_last2(k_s)), 1.0 / np.sqrt(dh))
-        attn = _merge_heads(ad.matmul(ad.softmax_lastdim(logits), v_s))
-        attn = _linear(params, "trans.self.wo", attn)
-        wbar = _layer_norm(params, "trans.ln_wbar", ad.concat([z_prev, attn], axis=2))
+def _split(x, heads):
+    """(N,T,D) array -> (N,heads,T,D/heads), as ad.split_heads lays it out."""
+    n, t, d = x.shape
+    return np.ascontiguousarray(x.reshape(n, t, heads, d // heads).transpose(0, 2, 1, 3))
 
-        qc = _split_heads(_linear(params, "trans.cross.wq", wbar), heads)
-        logits = ad.scale(ad.matmul(qc, ad.swap_last2(k_h)), 1.0 / np.sqrt(dh))
-        ctx = _merge_heads(ad.matmul(ad.softmax_lastdim(ad.add(logits, ad.constant(hmask))), v_h))
-        ctx = _linear(params, "trans.cross.wo", ctx)
-        what = _layer_norm(params, "trans.ln_what", ad.concat([wbar, ctx], axis=2))
 
-        inner = _mlp2(params, "trans.inner", what)
-        feats = _mlp2(params, "trans.outer", ad.concat([what, inner], axis=2))
-        pe_i = ad.constant(np.broadcast_to(pe[i], (n, 1, dz)).copy())
-        z_t = _layer_norm(params, "trans.ln_z", ad.add(feats, pe_i))
-        z_hist.append(z_t)
-    return ad.concat(z_hist[1:], axis=1)
+def _merge(x):
+    """(N,heads,T,dh) array -> (N,T,heads*dh)."""
+    n, heads, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(n, t, heads * dh)
+
+
+class _Rollout:
+    """Numpy forward and hand-written backward of the transition.
+
+    Every step mirrors the taped composition op for op, with the same
+    (N,1,d) operand shapes, so the forward is bit-identical to it. Step i
+    writes the self-attention key/value of its input latent z_i into slot
+    i of (N,heads,T,dh) caches and attends over slots 0..i. Activations
+    are kept per step only when ``save`` is set (a tape will replay them).
+    """
+
+    def __init__(self, w, h, hmask, pe, heads, save):
+        n, _, dz = h.shape
+        t = pe.shape[0]
+        dh = dz // heads
+        self.w, self.h, self.heads = w, h, heads
+        self.scale = float(1.0 / np.sqrt(dh))
+        self.kh = _split(h @ w["cross.wk.w"], heads)
+        self.vh = _split(h @ w["cross.wv.w"] + w["cross.wv.b"], heads)
+        self.k = np.empty((n, heads, t, dh))
+        self.v = np.empty((n, heads, t, dh))
+        self.z = np.empty((n, t, dz))
+        self.saved = []
+        z_prev = np.broadcast_to(w["z0"], (n, 1, dz)).copy()
+        for i in range(t):
+            self.k[:, :, i] = (z_prev @ w["self.wk.w"]).reshape(n, heads, dh)
+            self.v[:, :, i] = (z_prev @ w["self.wv.w"] + w["self.wv.b"]).reshape(n, heads, dh)
+            q = (z_prev @ w["self.wq.w"] + w["self.wq.b"]).reshape(n, heads, 1, dh)
+            ps = ad.softmax_fwd((q @ np.swapaxes(self.k[:, :, : i + 1], -1, -2)) * self.scale)
+            ctx = (ps @ self.v[:, :, : i + 1]).reshape(n, 1, dz)
+            attn = ctx @ w["self.wo.w"] + w["self.wo.b"]
+            wbar, xhat1, inv1 = ad.layer_norm_fwd(np.concatenate([z_prev, attn], axis=2),
+                                                  w["ln_wbar.g"], w["ln_wbar.b"])
+            qc = (wbar @ w["cross.wq.w"] + w["cross.wq.b"]).reshape(n, heads, 1, dh)
+            pc = ad.softmax_fwd((qc @ np.swapaxes(self.kh, -1, -2)) * self.scale + hmask)
+            ctxc = (pc @ self.vh).reshape(n, 1, dz)
+            cproj = ctxc @ w["cross.wo.w"] + w["cross.wo.b"]
+            what, xhat2, inv2 = ad.layer_norm_fwd(np.concatenate([wbar, cproj], axis=2),
+                                                  w["ln_what.g"], w["ln_what.b"])
+            a1 = np.tanh(what @ w["inner.fc1.w"] + w["inner.fc1.b"])
+            u = np.concatenate([what, a1 @ w["inner.fc2.w"] + w["inner.fc2.b"]], axis=2)
+            a2 = np.tanh(u @ w["outer.fc1.w"] + w["outer.fc1.b"])
+            feats = a2 @ w["outer.fc2.w"] + w["outer.fc2.b"]
+            z_next, xhat3, inv3 = ad.layer_norm_fwd(feats + pe[i], w["ln_z.g"], w["ln_z.b"])
+            if save:
+                self.saved.append(dict(zin=z_prev, q=q, ps=ps, ctx=ctx, xhat1=xhat1, inv1=inv1,
+                                       wbar=wbar, qc=qc, pc=pc, ctxc=ctxc, xhat2=xhat2,
+                                       inv2=inv2, u=u, a1=a1, a2=a2, xhat3=xhat3, inv3=inv3))
+            self.z[:, i] = z_next[:, 0]
+            z_prev = z_next
+
+    def backward(self, g):
+        """BPTT over the saved steps: gradients of h, then of each parameter
+        in _TRANSITION_PARAMS order.
+
+        Rows are (N,d) here: the backward has no bit-identity to keep, and
+        2-D products are the cheaper ones. Weight gradients accumulate step
+        by step while the step's activations are still in cache; bias and
+        layer-norm terms accumulate per sample and are summed once.
+        """
+        w, heads, scale = self.w, self.heads, self.scale
+        n, t, dz = self.z.shape
+        dh = dz // heads
+        wqkv = np.concatenate([w["self.wq.w"], w["self.wk.w"], w["self.wv.w"]], axis=1)
+        grads = {k: np.zeros_like(w[k]) for k in _TRANSITION_PARAMS if k.endswith(".w")}
+        grads["self.wqkv.w"] = np.zeros_like(wqkv)
+        rows = {k: np.zeros((n, w[k].shape[-1])) for k in _TRANSITION_PARAMS
+                if k.endswith((".b", ".g"))}
+        rows["self.wqkv.b"] = np.zeros((n, 3 * dz))
+        dk = np.zeros_like(self.k)  # slot j sums over the steps i >= j that read it
+        dv = np.zeros_like(self.v)
+        dkh = np.zeros_like(self.kh)
+        dvh = np.zeros_like(self.vh)
+
+        def linear(name, x, dy):
+            grads[f"{name}.w"] += x.T @ dy
+            rows[f"{name}.b"] += dy
+
+        def norm(name, xhat, dy):
+            rows[f"{name}.g"] += dy * xhat
+            rows[f"{name}.b"] += dy
+
+        dz_ = 0.0  # gradient of z_{i+1} from step i+1: residual, query, cache slot
+        for i in reversed(range(t)):
+            f = self.saved[i]
+            dout = g[:, i] + dz_
+            xhat3 = f["xhat3"][:, 0]
+            norm("ln_z", xhat3, dout)
+            dfeats = ad.layer_norm_bwd(dout, w["ln_z.g"], xhat3, f["inv3"][:, 0])
+            a2, a1, u = f["a2"][:, 0], f["a1"][:, 0], f["u"][:, 0]
+            linear("outer.fc2", a2, dfeats)
+            da2 = (dfeats @ w["outer.fc2.w"].T) * (1.0 - a2 * a2)
+            linear("outer.fc1", u, da2)
+            du = da2 @ w["outer.fc1.w"].T
+            dinner = du[:, 3 * dz :]
+            linear("inner.fc2", a1, dinner)
+            da1 = (dinner @ w["inner.fc2.w"].T) * (1.0 - a1 * a1)
+            linear("inner.fc1", u[:, : 3 * dz], da1)
+            dwhat = du[:, : 3 * dz] + da1 @ w["inner.fc1.w"].T
+            xhat2 = f["xhat2"][:, 0]
+            norm("ln_what", xhat2, dwhat)
+            dcat2 = ad.layer_norm_bwd(dwhat, w["ln_what.g"], xhat2, f["inv2"][:, 0])
+            dcproj = dcat2[:, 2 * dz :]
+            linear("cross.wo", f["ctxc"][:, 0], dcproj)
+            dctxc = (dcproj @ w["cross.wo.w"].T).reshape(n, heads, 1, dh)
+            dvh += np.swapaxes(f["pc"], -1, -2) * dctxc
+            dlogc = ad.softmax_bwd(dctxc @ np.swapaxes(self.vh, -1, -2), f["pc"]) * scale
+            dkh += np.swapaxes(dlogc, -1, -2) * f["qc"]
+            dqc = (dlogc @ self.kh).reshape(n, dz)
+            linear("cross.wq", f["wbar"][:, 0], dqc)
+            dwbar = dcat2[:, : 2 * dz] + dqc @ w["cross.wq.w"].T
+            xhat1 = f["xhat1"][:, 0]
+            norm("ln_wbar", xhat1, dwbar)
+            dcat1 = ad.layer_norm_bwd(dwbar, w["ln_wbar.g"], xhat1, f["inv1"][:, 0])
+            dattn = dcat1[:, dz:]
+            linear("self.wo", f["ctx"][:, 0], dattn)
+            dctx = (dattn @ w["self.wo.w"].T).reshape(n, heads, 1, dh)
+            ps = f["ps"]
+            dv[:, :, : i + 1] += np.swapaxes(ps, -1, -2) * dctx
+            dlog = ad.softmax_bwd(dctx @ np.swapaxes(self.v[:, :, : i + 1], -1, -2), ps) * scale
+            dk[:, :, : i + 1] += np.swapaxes(dlog, -1, -2) * f["q"]
+            # slot i (holding z_i) is complete: its readers are steps i..t-1
+            dqkv = np.concatenate([(dlog @ self.k[:, :, : i + 1]).reshape(n, dz),
+                                   dk[:, :, i].reshape(n, dz), dv[:, :, i].reshape(n, dz)],
+                                  axis=1)
+            linear("self.wqkv", f["zin"][:, 0], dqkv)
+            dz_ = dcat1[:, :dz] + dqkv @ wqkv.T
+
+        dkh, dvh = _merge(dkh).reshape(-1, dz), _merge(dvh).reshape(-1, dz)
+        h = self.h.reshape(-1, dz)
+        grads["cross.wk.w"] += h.T @ dkh
+        grads["cross.wv.w"] += h.T @ dvh
+        rows["cross.wv.b"] = dvh
+        for k, name in enumerate(("self.wq", "self.wk", "self.wv")):
+            grads[f"{name}.w"] = grads["self.wqkv.w"][:, k * dz : (k + 1) * dz]
+            rows[f"{name}.b"] = rows["self.wqkv.b"][:, k * dz : (k + 1) * dz]
+        grads.update((k, v.sum(axis=0)) for k, v in rows.items())
+        grads["z0"] = dz_.sum(axis=0)
+        dh_in = (dkh @ w["cross.wk.w"].T + dvh @ w["cross.wv.w"].T).reshape(self.h.shape)
+        return (dh_in,) + tuple(grads[k] for k in _TRANSITION_PARAMS)
 
 
 def _emit_heads(params, cfg, inp):

@@ -125,7 +125,11 @@ def assemble_batch(samples, cfg, norm, observed):
 
 
 class Adam:
-    """Adaptive-moment optimizer over a parameter store's trainable tensors."""
+    """Adaptive-moment optimizer over a parameter store's trainable tensors.
+
+    ``save``/``load`` keep the moments and step count beside a model
+    checkpoint, so a resumed run continues exactly where it stopped.
+    """
 
     def __init__(self, params, betas=(0.9, 0.999), eps=1e-8):
         self.params = params
@@ -151,6 +155,27 @@ class Adam:
             self.m[n] = self.beta1 * self.m[n] + (1 - self.beta1) * g
             self.v[n] = self.beta2 * self.v[n] + (1 - self.beta2) * g * g
             p.data -= lr * (self.m[n] / b1c) / (np.sqrt(self.v[n] / b2c) + self.eps)
+
+    def save(self, path, cfg):
+        """Write the moments and step count in the checkpoint format at ``path``."""
+        store = M.Params()
+        for n in self.m:
+            store.add(f"m.{n}", self.m[n])
+            store.add(f"v.{n}", self.v[n])
+        M.save_checkpoint(store, cfg, path, extra={"t": self.t})
+
+    @classmethod
+    def load(cls, params, path):
+        """Restore an optimizer written by ``save`` for the same parameters."""
+        store, _, extra = M.load_checkpoint(path)
+        expected = {f"{k}.{n}": p.shape for n, p in params.trainable_items() for k in "mv"}
+        if {n: t.shape for n, t in store.items()} != expected:
+            raise ValueError(f"optimizer state at {path} does not match the model's parameters")
+        opt = cls(params)
+        opt.m = {n: store[f"m.{n}"].data for n in opt.m}
+        opt.v = {n: store[f"v.{n}"].data for n in opt.v}
+        opt.t = int(extra["t"])
+        return opt
 
 
 def lr_at(epoch, cfg):
@@ -224,6 +249,23 @@ def _to_normalized_2d(points_global, sample):
     return normalize_pixel(project(local, sample.intrinsics), sample.intrinsics)
 
 
+def decode_prediction(mean, sample, cfg, norm):
+    """Map the model's normalized per-step means for one sample into the
+    space its metrics use; returns (pred, gt) over the sample's steps.
+
+    3D modes give world-frame meters (local-3d predictions are carried to
+    the world frame through the sample's poses); 2d mode gives normalized
+    frame units in [0, 1].
+    """
+    if cfg.coordinate_mode == "2d":
+        return (mean + 1.0) / 2.0, (sample_targets(sample, cfg, norm) + 1.0) / 2.0
+    pred = denormalize(mean, *norm)
+    if cfg.coordinate_mode == "local-3d":
+        pred = np.stack([sample.poses.local_to_global(pred[i], i + 1)
+                         for i in range(sample.horizon)])
+    return pred, sample.points_global
+
+
 def _forecast_batch(params, cfg, samples, norm, ratio, batch_size=256):
     """Run the model over samples at one observation ratio; yields per-sample
     (sample, observed, mean ndarray)."""
@@ -250,28 +292,21 @@ def evaluate(params, cfg, samples, norm, ratio, split="test", batch_size=256):
     if not samples:
         raise ValueError(f"no samples in split {split!r}")
     samples = sorted(samples, key=lambda s: s.id)
-    lo_n, hi_n = norm
     per = {"ade3d": [], "fde3d": [], "ade2d_from3d": [], "fde2d_from3d": [],
            "ade2d": [], "fde2d": []}
     for s, observed, mean in _forecast_batch(params, cfg, samples, norm, ratio, batch_size):
         t = s.horizon
+        pred, gt = decode_prediction(mean, s, cfg, norm)
         if cfg.coordinate_mode == "2d":
-            pred = (mean + 1.0) / 2.0
-            gt = (sample_targets(s, cfg, norm) + 1.0) / 2.0
             d = np.linalg.norm(pred[observed:t] - gt[observed:t], axis=-1)
             per["ade2d"].append(float(d.mean()))
             per["fde2d"].append(float(d[-1]))
             continue
-        pred_global = denormalize(mean, lo_n, hi_n)
-        if cfg.coordinate_mode == "local-3d":
-            pred_local = pred_global
-            pred_global = np.stack([s.poses.local_to_global(pred_local[i], i + 1)
-                                    for i in range(t)])
-        ade, fde = _future_errors_3d(pred_global, s.points_global, observed, t)
+        ade, fde = _future_errors_3d(pred, gt, observed, t)
         per["ade3d"].append(ade)
         per["fde3d"].append(fde)
-        uv_pred = _to_normalized_2d(pred_global, s)
-        uv_gt = _to_normalized_2d(s.points_global, s)
+        uv_pred = _to_normalized_2d(pred, s)
+        uv_gt = _to_normalized_2d(gt, s)
         d2 = np.linalg.norm(uv_pred[observed:t] - uv_gt[observed:t], axis=-1)
         per["ade2d_from3d"].append(float(d2.mean()))
         per["fde2d_from3d"].append(float(d2[-1]))

@@ -403,3 +403,62 @@ class TestCheckGradients:
         r2 = ad.check_gradients(build, {"x": x}, max_checks_per_tensor=5, seed=9)
         assert r1.entries[0].max_rel_err == r2.entries[0].max_rel_err
         assert r1.entries[0].n_checked == 5
+
+
+class TestCustom:
+    @staticmethod
+    def _mul(a, b):
+        return ad.custom(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+    def test_matches_mul(self):
+        rng = np.random.default_rng(4)
+        a_np, b_np, w = (rng.standard_normal((3, 4)) for _ in range(3))
+        grads = []
+        for op in (ad.mul, self._mul):
+            a = ad.tensor(a_np, requires_grad=True)
+            b = ad.tensor(b_np, requires_grad=True)
+            with ad.Graph() as g:
+                out = op(a, b)
+                g.backward(ad.reduce_sum(ad.mul(out, ad.constant(w))))
+            assert len(g) == 3
+            grads.append((out.data, a.grad, b.grad))
+        for ref, got in zip(*grads):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_none_and_constant_inputs_skipped(self):
+        a = ad.tensor(np.ones(3), requires_grad=True)
+        b = ad.constant(np.ones(3))
+        c = ad.tensor(np.ones(3), requires_grad=True)
+        seen = []
+
+        def backward(g):
+            seen.append(g.copy())
+            # b needs no gradient, so even a malformed entry for it is ignored
+            return g * 2.0, np.full(7, np.nan), None
+
+        with ad.Graph() as g:
+            out = ad.custom(2.0 * a.data + b.data + c.data, (a, b, c), backward)
+            g.backward(ad.reduce_sum(out))
+        assert len(seen) == 1
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        assert b.grad is None and c.grad is None
+
+    def test_gradient_count_and_shape_checked(self):
+        a = ad.tensor(np.ones(3), requires_grad=True)
+        with ad.Graph() as g:
+            out = ad.custom(a.data.copy(), (a,), lambda grad: (grad, grad))
+            with pytest.raises(ad.GraphError):
+                g.backward(ad.reduce_sum(out))
+        with ad.Graph() as g:
+            out = ad.custom(a.data.copy(), (a,), lambda grad: (grad[:2],))
+            with pytest.raises(ad.ShapeError):
+                g.backward(ad.reduce_sum(out))
+
+    def test_not_recorded_without_tape(self):
+        a = ad.tensor(np.ones(3), requires_grad=True)
+        assert not ad.is_recording((a,))
+        out = ad.custom(a.data * 3.0, (a,), lambda g: (g * 3.0,))
+        assert not out.requires_grad
+        with ad.Graph():
+            assert ad.is_recording((a,))
+            assert not ad.is_recording((ad.constant(1.0),))

@@ -1,0 +1,66 @@
+import json
+
+import numpy as np
+import pytest
+
+from reachcast import cli, trainer
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data")
+    argv = ["gen", "--n", "16", "--seed", "5", "--out", str(out), "--frame", "8",
+            "--t-min", "6", "--t-max", "8", "--split", "8,2,3,3"]
+    assert cli.main(argv) == 0
+    return out
+
+
+def _train(dataset, out, epochs, *extra):
+    argv = ["train", "--preset", "tiny", "--data", str(dataset), "--out", str(out),
+            "--epochs", str(epochs), "--batch-size", "4", "--seed", "3", *extra]
+    assert cli.main(argv) == 0
+
+
+def test_gradcheck_passes():
+    assert cli.main(["gradcheck"]) == 0
+
+
+def test_resume_is_exact(dataset, tmp_path):
+    straight, split = tmp_path / "straight", tmp_path / "split"
+    _train(dataset, straight, 4)
+    _train(dataset, split, 2)
+    _train(dataset, split, 4, "--resume", str(split / "ckpt"))
+    for name in ("loss_curve.csv", "ckpt.bin", "ckpt.json", "ckpt_adam.bin", "ckpt_adam.json"):
+        assert (split / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatch):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"preset": "tiny", "coordinate_mode": "local-3d"}}))
+    _train(dataset, tmp_path / "run", 1, "--config", str(config))
+    ckpt = str(tmp_path / "run" / "ckpt")
+
+    scored = []
+    errors_3d = trainer._future_errors_3d
+
+    def record(pred_global, gt_global, observed, length):
+        scored.append((pred_global.copy(), observed))
+        return errors_3d(pred_global, gt_global, observed, length)
+
+    monkeypatch.setattr(trainer, "_future_errors_3d", record)
+    dump = tmp_path / "dump.json"
+    assert cli.main(["eval", "--ckpt", ckpt, "--data", str(dataset), "--splits", "test_seen",
+                     "--ratios", "0.6", "--out", str(tmp_path / "m.csv"),
+                     "--dump", str(dump), "--dump-limit", "100"]) == 0
+    rows = json.loads(dump.read_text())
+    assert len(rows) == len(scored) == 3
+    for row, (pred, observed) in zip(rows, scored):
+        assert row["observed_count"] == observed
+        np.testing.assert_array_equal(np.array(row["predicted"]), pred[observed:])
+
+    out = tmp_path / "fc.json"
+    assert cli.main(["forecast", "--ckpt", ckpt, "--data", str(dataset), "--id", rows[0]["id"],
+                     "--ratio", "0.6", "--out", str(out)]) == 0
+    fc = json.loads(out.read_text())
+    assert fc["future_gt"] == rows[0]["future_gt"]
+    np.testing.assert_allclose(fc["predicted"], rows[0]["predicted"], rtol=0, atol=1e-12)

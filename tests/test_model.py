@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachcast import autodiff as ad
 from reachcast import losses as L
@@ -10,6 +12,12 @@ from reachcast.model import ModelConfig
 @pytest.fixture(scope="module")
 def desk():
     cfg = ModelConfig.desk()
+    return cfg, M.init_params(cfg, seed=0)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    cfg = ModelConfig.tiny()
     return cfg, M.init_params(cfg, seed=0)
 
 
@@ -289,6 +297,34 @@ class TestForecast:
         np.testing.assert_array_equal(base.beta, moved.beta)
         np.testing.assert_array_equal(base.velocity, moved.velocity)
 
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_batched_causality_with_mixed_counts_and_padding(self, tiny, data):
+        # every sample's outputs ignore its own inputs at steps >= C_i, for any
+        # batch size, per-sample C and padded length, perturbed or not
+        cfg, params = tiny
+        t = cfg.horizon
+        n = data.draw(st.integers(1, 3), label="n")
+        lengths = data.draw(st.lists(st.integers(2, t), min_size=n, max_size=n), label="lengths")
+        observed = [data.draw(st.integers(1, length - 1), label="C") for length in lengths]
+        perturb = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="perturb")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        frames = np.zeros((n, t, cfg.frame_h, cfg.frame_w))
+        points = np.zeros((n, t, cfg.point_dim))
+        for i, length in enumerate(lengths):
+            frames[i, :length] = rng.uniform(0, 1, (length, cfg.frame_h, cfg.frame_w))
+            points[i, :length] = rng.uniform(-0.8, 0.8, (length, cfg.point_dim))
+        frames2, points2 = frames.copy(), points.copy()
+        for i, c in enumerate(observed):
+            if perturb[i]:
+                frames2[i, c:] = rng.uniform(0, 1, frames2[i, c:].shape)
+                points2[i, c:] = rng.uniform(-1, 1, points2[i, c:].shape)
+        observed, lengths = np.array(observed), np.array(lengths)
+        base = M.forward_batch(params, cfg, frames, points, observed, lengths)
+        moved = M.forward_batch(params, cfg, frames2, points2, observed, lengths)
+        for key in ("mean", "alpha", "beta", "velocity"):
+            np.testing.assert_array_equal(base[key].data, moved[key].data, err_msg=key)
+
     def test_observed_count_bounds(self, desk):
         cfg, params = desk
         frames, points, _ = random_batch(cfg, 1)
@@ -327,3 +363,19 @@ class TestGradientFlow:
         silent = [n for n, t in params.trainable_items()
                   if t.grad is None or not np.any(t.grad)]
         assert silent == [], f"no gradient reached: {silent}"
+
+    def test_finite_differences_with_mixed_observed_counts(self, tiny):
+        cfg, params = tiny
+        frames, points, obs = random_batch(cfg, 2, seed=23, observed=[2, 5])
+        valid = np.ones((2, cfg.horizon), bool)
+        w = L.depth_stability_weights(points[..., 2], valid)
+
+        def build():
+            out = M.forward_batch(params, cfg, frames, points, obs)
+            total, _, _ = L.total_batch(out["mean"], out["alpha"], out["beta"], out["velocity"],
+                                        points, w, obs, valid, L.LossConfig())
+            return total
+
+        report = ad.check_gradients(build, dict(params.trainable_items()), step=1e-4,
+                                    tolerance=1e-3, max_checks_per_tensor=4, seed=1)
+        assert report.passed, "\n".join(report.lines())

@@ -142,6 +142,20 @@ class TestAdamAndFit:
         opt.step(lr=0.1)
         assert params["enc.conv1.k"].grad is None
 
+    def test_adam_state_rejected_for_other_model(self, tiny_setup, tmp_path):
+        cfg = tiny_setup[0]
+        params = M.init_params(cfg, seed=0)
+        opt = Adam(params)
+        for _, p in params.trainable_items():
+            p.grad = np.ones_like(p.data)
+        opt.step(lr=0.1)
+        opt.save(tmp_path / "adam", cfg)
+        back = Adam.load(params, tmp_path / "adam")
+        assert back.t == 1 and back.m.keys() == opt.m.keys()
+        other = M.init_params(M.ModelConfig.tiny(coordinate_mode="2d"), seed=0)
+        with pytest.raises(ValueError):
+            Adam.load(other, tmp_path / "adam")
+
 
 class TestMetrics:
     def test_future_errors_constant_offset(self):

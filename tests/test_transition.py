@@ -1,0 +1,133 @@
+"""The fused transition op against the tape-composed rollout it replaced.
+
+``reference_transition`` builds the state transition from taped
+primitives, one record per op and step, with the self-attention K/V grown
+by ``concat``. The fused ``model.transition`` must reproduce its forward
+(bit for bit on ``desk``) and its gradients for ``h`` and every
+``trans.*`` parameter.
+"""
+
+import numpy as np
+import pytest
+
+from reachcast import autodiff as ad
+from reachcast import model as M
+from reachcast.model import ModelConfig
+
+
+def reference_transition(params, cfg, h, observed, horizon=None):
+    n, t_enc, dz = h.shape
+    t = t_enc if horizon is None else int(horizon)
+    pe = M.positional_encoding(t, dz)
+    hmask = M._key_mask(observed, cfg.heads, 1, t_enc)
+    heads = cfg.heads
+    dh = dz // heads
+    k_h = ad.split_heads(ad.matmul(h, params["trans.cross.wk.w"]), heads)
+    v_h = ad.split_heads(M._linear(params, "trans.cross.wv", h), heads)
+
+    def self_kv(z_t):
+        return (ad.split_heads(ad.matmul(z_t, params["trans.self.wk.w"]), heads),
+                ad.split_heads(M._linear(params, "trans.self.wv", z_t), heads))
+
+    ones = ad.constant(np.ones((n, 1, 1)))
+    z0 = ad.matmul(ones, ad.reshape(params["trans.z0"], (1, 1, dz)))
+    z_hist = [z0]
+    k_s, v_s = self_kv(z0)
+    for i in range(t):
+        z_prev = z_hist[-1]
+        if i > 0:
+            k_new, v_new = self_kv(z_prev)
+            k_s = ad.concat([k_s, k_new], axis=2)
+            v_s = ad.concat([v_s, v_new], axis=2)
+        q = ad.split_heads(M._linear(params, "trans.self.wq", z_prev), heads)
+        logits = ad.scale(ad.matmul(q, ad.swap_last2(k_s)), 1.0 / np.sqrt(dh))
+        attn = ad.merge_heads(ad.matmul(ad.softmax_lastdim(logits), v_s))
+        attn = M._linear(params, "trans.self.wo", attn)
+        wbar = M._layer_norm(params, "trans.ln_wbar", ad.concat([z_prev, attn], axis=2))
+
+        qc = ad.split_heads(M._linear(params, "trans.cross.wq", wbar), heads)
+        logits = ad.scale(ad.matmul(qc, ad.swap_last2(k_h)), 1.0 / np.sqrt(dh))
+        ctx = ad.merge_heads(ad.matmul(ad.softmax_lastdim(ad.add(logits, ad.constant(hmask))), v_h))
+        ctx = M._linear(params, "trans.cross.wo", ctx)
+        what = M._layer_norm(params, "trans.ln_what", ad.concat([wbar, ctx], axis=2))
+
+        inner = M._mlp2(params, "trans.inner", what)
+        feats = M._mlp2(params, "trans.outer", ad.concat([what, inner], axis=2))
+        pe_i = ad.constant(np.broadcast_to(pe[i], (n, 1, dz)).copy())
+        z_t = M._layer_norm(params, "trans.ln_z", ad.add(feats, pe_i))
+        z_hist.append(z_t)
+    return ad.concat(z_hist[1:], axis=1)
+
+
+PRESETS = {"tiny": ModelConfig.tiny, "desk": ModelConfig.desk}
+
+
+@pytest.fixture(scope="module", params=sorted(PRESETS))
+def preset(request):
+    cfg = PRESETS[request.param]()
+    return request.param, cfg, M.init_params(cfg, seed=3)
+
+
+def _case(cfg, n, seed):
+    """Encoder output h and mixed observed counts for n samples."""
+    rng = np.random.default_rng(seed)
+    observed = rng.integers(1, cfg.horizon, size=n)
+    if n > 1:
+        observed[0], observed[-1] = 2, cfg.horizon - 1
+    h = rng.standard_normal((n, int(observed.max()), cfg.d_z))
+    weight = rng.standard_normal((n, cfg.horizon, cfg.d_z))
+    return h, observed, weight
+
+
+def _grads(fn, params, cfg, h_np, observed, weight):
+    params.zero_grads()
+    h = ad.Tensor(h_np.copy(), requires_grad=True)
+    with ad.Graph() as g:
+        z = fn(params, cfg, h, observed, horizon=cfg.horizon)
+        g.backward(ad.reduce_sum(ad.mul(z, ad.constant(weight))))
+    grads = {name: t.grad_or_zeros().copy() for name, t in params.items()
+             if name.startswith("trans.")}
+    grads["h"] = h.grad.copy()
+    params.zero_grads()
+    return z.data, grads
+
+
+class TestFusedMatchesReference:
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_forward(self, preset, n):
+        name, cfg, params = preset
+        h_np, observed, _ = _case(cfg, n, seed=10 + n)
+        fused = M.transition(params, cfg, ad.constant(h_np), observed, horizon=cfg.horizon).data
+        ref = reference_transition(params, cfg, ad.constant(h_np), observed,
+                                   horizon=cfg.horizon).data
+        assert fused.shape == (n, cfg.horizon, cfg.d_z)
+        assert np.max(np.abs(fused - ref)) <= 1e-12
+        if name == "desk":
+            np.testing.assert_array_equal(fused, ref)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gradients(self, preset, n):
+        _, cfg, params = preset
+        h_np, observed, weight = _case(cfg, n, seed=20 + n)
+        z_f, g_f = _grads(M.transition, params, cfg, h_np, observed, weight)
+        z_r, g_r = _grads(reference_transition, params, cfg, h_np, observed, weight)
+        assert np.max(np.abs(z_f - z_r)) <= 1e-12
+        for key in g_r:
+            np.testing.assert_allclose(g_f[key], g_r[key], rtol=1e-9, atol=1e-12, err_msg=key)
+        assert np.any(g_f["trans.z0"] != 0) and np.any(g_f["h"] != 0)
+
+    def test_forward_without_tape_matches_taped(self, preset):
+        _, cfg, params = preset
+        h_np, observed, weight = _case(cfg, 3, seed=31)
+        untaped = M.transition(params, cfg, ad.constant(h_np), observed, horizon=cfg.horizon)
+        taped, _ = _grads(M.transition, params, cfg, h_np, observed, weight)
+        assert not untaped.requires_grad
+        np.testing.assert_array_equal(untaped.data, taped)
+
+    def test_one_tape_record(self, preset):
+        _, cfg, params = preset
+        h_np, observed, _ = _case(cfg, 2, seed=41)
+        with ad.Graph() as g:
+            M.transition(params, cfg, ad.Tensor(h_np, requires_grad=True), observed,
+                         horizon=cfg.horizon)
+        assert len(g) == 1
