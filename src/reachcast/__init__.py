@@ -4,7 +4,7 @@ Subpackages:
 
 - ``autodiff``   dense float64 tensors with reverse-mode differentiation
 - ``geometry``   pinhole projection and camera pose chains
-- ``annotate``   trajectory fusion and least-squares depth repair
+- ``annotate``   least-squares depth repair
 - ``model``      the masked state-space transformer forecaster
 - ``losses``     uncertainty-aware and velocity training losses
 - ``datagen``    synthetic egocentric-reach dataset generator and wire format

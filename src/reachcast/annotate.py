@@ -1,4 +1,4 @@
-"""Trajectory annotation utilities: clip bounds, two-pass fusion, depth repair.
+"""Depth repair of trajectory annotations.
 
 Depth repair fits z(t) = a1*t^3 + a2*t^2 + a3*t + a4 + a5*sin(a6*t) to the
 valid depth samples of a track and fills the invalid ones from the fitted
@@ -20,70 +20,8 @@ GRID_SIZE = 200
 RIDGE = 1e-9
 
 
-class EmptyClipError(ValueError):
-    """Manual and landmark bounds do not intersect."""
-
-
 class InsufficientDataError(ValueError):
     """Fewer valid depth samples than the fitting minimum."""
-
-
-def clip_bounds(s_m, e_m, t_s, t_e):
-    """Intersect manual bounds with landmark bounds.
-
-    Returns (max(s_m, t_s), min(e_m, t_e)); raises EmptyClipError when the
-    intersection is empty.
-    """
-    if s_m > e_m or t_s > t_e:
-        raise ValueError(f"bounds must be ordered: ({s_m},{e_m}) / ({t_s},{t_e})")
-    start, end = max(s_m, t_s), min(e_m, t_e)
-    if start > end:
-        raise EmptyClipError(f"clip bounds ({s_m},{e_m}) and ({t_s},{t_e}) do not intersect")
-    return start, end
-
-
-def fusion_weight(t, horizon, floor=0.3):
-    """Forward-pass weight at step t: floor + (1 - floor) / (1 + exp(t - T/2)).
-
-    Decreases from ~1 at the start of the clip to ~floor at the end, so the
-    fused track trusts the forward pass early and the backward pass late.
-    """
-    if not 0 <= floor < 1:
-        raise ValueError(f"floor must be in [0, 1), got {floor}")
-    t = np.asarray(t, dtype=np.float64)
-    # sigmoid(T/2 - t) computed via tanh for overflow safety
-    sig = 0.5 * (1.0 + np.tanh(0.5 * (horizon / 2.0 - t)))
-    return floor + (1.0 - floor) * sig
-
-
-def fuse_trajectories(forward, backward, floor=0.3):
-    """Temporally weighted sum of forward- and backward-tracked 2D points."""
-    fwd = np.asarray(forward, dtype=np.float64)
-    bwd = np.asarray(backward, dtype=np.float64)
-    if fwd.shape != bwd.shape:
-        raise ValueError(f"forward/backward lengths differ: {fwd.shape} vs {bwd.shape}")
-    horizon = fwd.shape[0]
-    t = np.arange(1, horizon + 1, dtype=np.float64)
-    w = fusion_weight(t, horizon, floor)[:, None]
-    return w * fwd + (1.0 - w) * bwd
-
-
-@dataclass(frozen=True)
-class RawTrack:
-    """One clip's raw annotation inputs."""
-
-    forward_2d: np.ndarray
-    backward_2d: np.ndarray
-    depths: np.ndarray
-    valid: np.ndarray
-    manual_bounds: tuple = (0, 0)
-    landmark_bounds: tuple = (0, 0)
-
-    def __post_init__(self):
-        if self.forward_2d.shape != self.backward_2d.shape:
-            raise ValueError("forward/backward lengths differ")
-        if len(self.depths) != len(self.valid):
-            raise ValueError("depths/validity lengths differ")
 
 
 @dataclass(frozen=True)
@@ -160,21 +98,6 @@ def fit_depth_model(times, depths, valid):
     return DepthCurve(coeffs=(*(float(c) for c in coef), a6), t_lo=t_lo, t_hi=t_hi, rmse=rmse)
 
 
-def repair_depth(track):
-    """Replace invalid depth entries with the fitted curve's values.
-
-    Valid entries are returned untouched. Returns (repaired depths, curve).
-    """
-    depths = np.asarray(track.depths, dtype=np.float64)
-    valid = np.asarray(track.valid, dtype=bool)
-    times = np.arange(len(depths), dtype=np.float64)
-    curve = fit_depth_model(times, depths, valid)
-    repaired = depths.copy()
-    if not valid.all():
-        repaired[~valid] = curve.evaluate(times[~valid])
-    return repaired, curve
-
-
 @dataclass
 class RepairRow:
     """One line of the repair report CSV."""
@@ -201,13 +124,8 @@ def repair_sample_depths(sample):
     n_invalid = int((~valid).sum())
     if n_invalid == 0:
         return sample.points_local.copy(), valid.copy(), RepairRow(sample.id, n_valid, 0, 0.0)
-    track = RawTrack(
-        forward_2d=np.zeros((len(depths), 2)),
-        backward_2d=np.zeros((len(depths), 2)),
-        depths=depths,
-        valid=valid,
-    )
-    repaired, curve = repair_depth(track)
+    times = np.arange(len(depths), dtype=np.float64)
+    curve = fit_depth_model(times, depths, valid)
     points = sample.points_local.copy()
-    points[:, 2] = repaired
+    points[~valid, 2] = curve.evaluate(times[~valid])
     return points, np.ones_like(valid), RepairRow(sample.id, n_valid, n_invalid, curve.rmse)

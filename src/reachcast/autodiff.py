@@ -70,10 +70,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def constant(data):
     return Tensor(data, requires_grad=False)
 

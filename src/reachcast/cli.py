@@ -32,7 +32,7 @@ class ConfigError(ValueError):
     pass
 
 
-MODEL_PRESETS = {"paper": model.ModelConfig.paper, "desk": model.ModelConfig.desk,
+MODEL_PRESETS = {"paper": model.ModelConfig, "desk": model.ModelConfig.desk,
                  "tiny": model.ModelConfig.tiny}
 
 
@@ -206,9 +206,15 @@ def cmd_train(args):
     optimizer = None
     if args.resume:
         params, cfg, extra = model.load_checkpoint(args.resume)
+        saved = extra.get("train", {})
+        changed = [k for k, v in dataclasses.asdict(train_cfg).items()
+                   if k != "epochs" and saved.get(k) != v]
+        if changed:
+            raise ConfigError(f"--resume: train config differs from the checkpoint's in "
+                              f"{', '.join(changed)}")
         start_epoch = int(extra.get("epoch", 0))
         norm = (np.array(extra["norm"]["min"]), np.array(extra["norm"]["max"]))
-        curve = out / "loss_curve.csv"
+        curve = Path(args.resume).parent / "loss_curve.csv"
         if curve.exists():
             history = _read_history_csv(curve)
         adam = _adam_path(args.resume)
@@ -334,7 +340,7 @@ def cmd_gradcheck(args):
     n, t = 2, cfg.horizon
     frames = rng.uniform(0, 1, (n, t, cfg.frame_h, cfg.frame_w))
     points = rng.uniform(-0.8, 0.8, (n, t, cfg.point_dim))
-    observed = np.full(n, args.observed)
+    observed = np.array([args.observed, max(args.observed - 2, 1)])
     valid = np.ones((n, t), bool)
     weights = (losses.depth_stability_weights(points[..., 2], valid)
                if cfg.point_dim == 3 else None)

@@ -35,14 +35,6 @@ class CameraIntrinsics:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"frame extents must be positive, got ({self.width}, {self.height})")
 
-    def scaled(self, factor):
-        """Intrinsics after down-scaling the image by ``factor`` (e.g. 0.25)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return CameraIntrinsics(self.fx * factor, self.fy * factor,
-                                self.ox * factor, self.oy * factor,
-                                self.width * factor, self.height * factor)
-
     def to_dict(self):
         return {"fx": self.fx, "fy": self.fy, "ox": self.ox, "oy": self.oy,
                 "w": self.width, "h": self.height}
@@ -74,26 +66,10 @@ def project(p, intrinsics):
     return np.stack([u, v], axis=-1)
 
 
-def backproject(uv, z, intrinsics):
-    """Lift pixel coordinates plus depth (meters) back to local 3D points."""
-    uv = np.asarray(uv, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0):
-        raise BehindCameraError(f"depth must be positive, got min z = {np.min(z)}")
-    x = (uv[..., 0] - intrinsics.ox) * z / intrinsics.fx
-    y = (uv[..., 1] - intrinsics.oy) * z / intrinsics.fy
-    return np.stack([x, y, np.broadcast_to(z, x.shape)], axis=-1)
-
-
 def normalize_pixel(uv, intrinsics):
     """Map pixel coordinates to unit-square coordinates (u/W, v/H)."""
     uv = np.asarray(uv, dtype=np.float64)
     return np.stack([uv[..., 0] / intrinsics.width, uv[..., 1] / intrinsics.height], axis=-1)
-
-
-def denormalize_pixel(st, intrinsics):
-    st = np.asarray(st, dtype=np.float64)
-    return np.stack([st[..., 0] * intrinsics.width, st[..., 1] * intrinsics.height], axis=-1)
 
 
 def _check_pose(m, tol=1e-6):
@@ -135,14 +111,6 @@ class Pose:
 
     def to_flat(self):
         return [float(v) for v in self.matrix.reshape(-1)]
-
-    def inverse_matrix(self):
-        r = self.matrix[:3, :3]
-        t = self.matrix[:3, 3]
-        inv = np.eye(4)
-        inv[:3, :3] = r.T
-        inv[:3, 3] = -r.T @ t
-        return inv
 
 
 class PoseChain:
@@ -202,11 +170,3 @@ class PoseChain:
     @classmethod
     def from_flat(cls, rows):
         return cls([Pose.from_flat(row) for row in rows])
-
-
-def local_to_global(p, chain, t):
-    return chain.local_to_global(p, t)
-
-
-def global_to_local(p, chain, t):
-    return chain.global_to_local(p, t)

@@ -8,9 +8,8 @@ per-step stability weights derived from the ground truth. A velocity head
 is supervised by first-order differences and by warping accumulated
 velocities against predicted positions.
 
-Batched variants consume autodiff tensors shaped (N, T, ...) plus numpy
-target/mask constants; single-sample wrappers match the operation
-contracts directly.
+Every loss is batched: it consumes autodiff tensors shaped (N, T, ...) plus
+numpy target/mask constants, and a single trajectory is the N=1 case.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ class LossConfig:
             raise ValueError("loss weights must be >= 0")
 
 
-def _as_tensor(x):
-    return x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
-
-
 def residual_lastdim(diff, kind="squared", delta=1e-5):
     """Reduce a (..., d) difference tensor to a (..., 1) residual."""
     if kind == "squared":
@@ -56,25 +51,9 @@ def residual_lastdim(diff, kind="squared", delta=1e-5):
     return ad.reduce_sum(per, axis=-1, keepdims=True)
 
 
-def residual(p, p_hat, kind="squared", delta=1e-5):
-    """Scalar residual between two equal-width coordinate vectors."""
-    p = _as_tensor(p)
-    p_hat = _as_tensor(p_hat)
-    if p.shape != p_hat.shape:
-        raise ad.ShapeError(f"residual: widths differ, {p.shape} vs {p_hat.shape}")
-    return ad.reduce_sum(residual_lastdim(ad.sub(p, p_hat), kind, delta))
-
-
 def attenuated(alpha, resid):
     """exp(-alpha) * resid + alpha, elementwise."""
     return ad.add(ad.mul(ad.neg_exp(alpha), resid), alpha)
-
-
-def aleatoric_loss(alpha, p_hat, p, cfg=None):
-    """Uncertainty-attenuated location loss for one prediction."""
-    cfg = cfg or LossConfig()
-    alpha = ad.reshape(_as_tensor(alpha), ())
-    return attenuated(alpha, residual(p, p_hat, cfg.residual_kind, cfg.huber_delta))
 
 
 def depth_stability_weights(depths, valid=None):
@@ -134,22 +113,6 @@ def planar_batch(mean, alpha, targets, valid, cfg):
     return ad.mean(ad.mul(per_sample, inv_count))
 
 
-def drau_loss(mean, alpha, beta, targets, weights=None, cfg=None):
-    """Single-trajectory depth-decoupled loss; mean (T,3), alpha/beta (T,) or (T,1)."""
-    cfg = cfg or LossConfig()
-    mean = _as_tensor(mean)
-    if mean.shape[-1] != 3:
-        raise ValueError("depth-decoupled loss needs 3D predictions; use aleatoric_loss in 2d mode")
-    t = mean.shape[0]
-    if weights is None:
-        weights = depth_stability_weights(np.asarray(targets)[:, 2])
-    mean3 = ad.reshape(mean, (1, t, mean.shape[-1]))
-    a3 = ad.reshape(_as_tensor(alpha), (1, t, 1))
-    b3 = ad.reshape(_as_tensor(beta), (1, t, 1))
-    return drau_batch(mean3, a3, b3, np.asarray(targets, float).reshape(1, t, -1),
-                      np.asarray(weights, float).reshape(1, t), np.ones((1, t), bool), cfg)
-
-
 def velocity_batch(vel, mean, targets, first_future, valid, gamma):
     """Velocity supervision plus warped-position constraint, batch-averaged.
 
@@ -180,23 +143,6 @@ def velocity_batch(vel, mean, targets, first_future, valid, gamma):
     term2 = ad.reduce_sum(ad.mul(werr, werr), axis=(1, 2))
 
     return ad.mean(ad.add(term1, ad.scale(term2, gamma)))
-
-
-def velocity_loss(v_hat, p_hat, p, observed_count, gamma=0.1):
-    """Single-trajectory velocity constraint.
-
-    v_hat (T,d) and p_hat (T,d) may be tensors; p (T,d) is ground truth.
-    The first term supervises every step's first-order difference (p_0 is
-    the zero point); the second warps accumulated future velocities from
-    p_C against the predicted positions.
-    """
-    v_hat = _as_tensor(v_hat)
-    p_hat = _as_tensor(p_hat)
-    t, d = v_hat.shape
-    v3 = ad.reshape(v_hat, (1, t, d))
-    m3 = ad.reshape(p_hat, (1, t, d))
-    return velocity_batch(v3, m3, np.asarray(p, float).reshape(1, t, d),
-                          np.array([observed_count]), np.ones((1, t), bool), gamma)
 
 
 def total_batch(mean, alpha, beta, vel, targets, weights, first_future, valid, cfg):

@@ -53,7 +53,6 @@ class ModelConfig:
     vis_hidden: int = 512
     head_hidden: int = 128
     enc_channels: tuple = (8, 16)
-    softplus_uncertainty: bool = True
 
     def __post_init__(self):
         if self.d_obs % self.heads or self.d_z % self.heads:
@@ -86,10 +85,6 @@ class ModelConfig:
     def n_prompt_params(self):
         hp, wp = self.padded_hw()
         return self.frame_ch * (hp * wp - self.frame_h * self.frame_w)
-
-    @classmethod
-    def paper(cls, **overrides):
-        return cls(**overrides)
 
     @classmethod
     def desk(cls, **overrides):
@@ -144,9 +139,6 @@ class Params:
 
     def items(self):
         return self._tensors.items()
-
-    def names(self):
-        return list(self._tensors)
 
     def trainable_items(self):
         return [(n, t) for n, t in self._tensors.items() if n not in self.frozen]
@@ -294,20 +286,6 @@ def _mlp2(params, name, x, act="tanh"):
 
 def _layer_norm(params, name, x):
     return ad.layer_norm(x, params[f"{name}.g"], params[f"{name}.b"])
-
-
-def masked_attention(q, k, v, observed_count, scale_dim=None):
-    """Scaled dot-product attention with the observation mask of the
-    forecasting problem: key columns at positions >= observed_count get an
-    additive -1e9 logit. Operands are (T, d) (or (N, T, d)) tensors."""
-    t_keys = k.shape[-2]
-    if not 1 <= observed_count <= t_keys:
-        raise ValueError(f"observed_count {observed_count} outside [1, {t_keys}]")
-    d = q.shape[-1] if scale_dim is None else scale_dim
-    logits = ad.scale(ad.matmul(q, ad.swap_last2(k)), 1.0 / np.sqrt(d))
-    mask_row = np.where(np.arange(t_keys) < observed_count, 0.0, MASK_LOGIT)
-    mask = np.broadcast_to(mask_row, logits.shape).copy()
-    return ad.matmul(ad.softmax_lastdim(ad.add(logits, ad.constant(mask))), v)
 
 
 def _mha(params, name, q_in, kv_in, heads, key_mask=None):
@@ -561,21 +539,14 @@ class _Rollout:
         return (dh_in,) + tuple(grads[k] for k in _TRANSITION_PARAMS)
 
 
-def _emit_heads(params, cfg, inp):
-    mean = ad.tanh(_mlp2(params, "emit.mean", inp))
-    if cfg.softplus_uncertainty:
-        alpha = ad.softplus(_mlp2(params, "emit.alpha", inp))
-        beta = ad.softplus(_mlp2(params, "emit.beta", inp)) if cfg.point_dim == 3 else None
-    else:
-        alpha = _mlp2(params, "emit.alpha", inp)
-        beta = _mlp2(params, "emit.beta", inp) if cfg.point_dim == 3 else None
-    return mean, alpha, beta
-
-
 def emit(params, cfg, z_t, prev_traj_feature):
     """One emission step: (N,1,d_z) latent + (N,1,d_obs) previous-trajectory
     feature -> (mean, alpha, beta)."""
-    return _emit_heads(params, cfg, ad.concat([z_t, prev_traj_feature], axis=2))
+    inp = ad.concat([z_t, prev_traj_feature], axis=2)
+    mean = ad.tanh(_mlp2(params, "emit.mean", inp))
+    alpha = ad.softplus(_mlp2(params, "emit.alpha", inp))
+    beta = ad.softplus(_mlp2(params, "emit.beta", inp)) if cfg.point_dim == 3 else None
+    return mean, alpha, beta
 
 
 def velocity_head(params, cfg, z):

@@ -109,7 +109,11 @@ def sample_targets(sample, cfg, norm):
 
 
 def assemble_batch(samples, cfg, norm, observed):
-    """Pad samples to the horizon; returns (frames, points, C, lengths, valid)."""
+    """Pad samples to the horizon; returns (frames, points, C, lengths, valid).
+
+    Refuses samples with depth-less steps: their z=0 sentinel would be
+    lifted through the pose chain into wrong world points.
+    """
     n, t = len(samples), cfg.horizon
     frames = np.zeros((n, t, cfg.frame_h, cfg.frame_w))
     points = np.zeros((n, t, cfg.point_dim))
@@ -117,6 +121,10 @@ def assemble_batch(samples, cfg, norm, observed):
     for i, s in enumerate(samples):
         if s.horizon > t:
             raise ValueError(f"sample {s.id} longer ({s.horizon}) than horizon {t}")
+        missing = s.horizon - int(np.count_nonzero(s.valid_depth))
+        if missing:
+            raise ValueError(f"sample {s.id} has {missing} steps without depth; "
+                             "run `reachcast repair` on the dataset first")
         frames[i, : s.horizon] = s.frames
         points[i, : s.horizon] = sample_targets(s, cfg, norm)
         lengths[i] = s.horizon

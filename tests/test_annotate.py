@@ -1,18 +1,14 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from reachcast.annotate import (
     DepthCurve,
-    EmptyClipError,
     InsufficientDataError,
-    RawTrack,
-    clip_bounds,
     fit_depth_model,
-    fuse_trajectories,
-    fusion_weight,
-    repair_depth,
+    repair_sample_depths,
 )
 
 PLANTED = (0.001, -0.01, 0.05, 0.4, 0.02, 0.7)
@@ -30,72 +26,6 @@ def planted_track(n=30, noise=0.0, invalid_idx=(), seed=0):
         valid[i] = False
         z_obs[i] = 0.0
     return times, z_obs, valid, curve.evaluate(times)
-
-
-class TestClipBounds:
-    def test_formula(self):
-        assert clip_bounds(5, 50, 8, 60) == (8, 50)
-
-    def test_identity(self):
-        assert clip_bounds(5, 50, 5, 50) == (5, 50)
-
-    def test_disjoint(self):
-        with pytest.raises(EmptyClipError):
-            clip_bounds(5, 10, 20, 30)
-
-    def test_unordered(self):
-        with pytest.raises(ValueError):
-            clip_bounds(50, 5, 8, 60)
-
-
-class TestFusionWeight:
-    def test_midpoint(self):
-        assert abs(fusion_weight(20, 40) - 0.65) < 1e-12
-
-    def test_start_is_nearly_one(self):
-        assert abs(fusion_weight(1, 40) - 1.0) < 1e-8
-
-    def test_end_is_nearly_floor(self):
-        assert abs(fusion_weight(40, 40) - 0.3) < 1e-8
-
-    def test_strictly_decreasing_and_bounded(self):
-        t = np.arange(1, 41, dtype=float)
-        w = fusion_weight(t, 40)
-        assert np.all(np.diff(w) < 0)
-        assert np.all(w > 0.3) and np.all(w < 1.0)
-
-    def test_floor_validation(self):
-        with pytest.raises(ValueError):
-            fusion_weight(1, 10, floor=1.0)
-
-
-class TestFuseTrajectories:
-    def test_equal_tracks_fixed_point(self):
-        rng = np.random.default_rng(1)
-        fwd = rng.uniform(0, 100, size=(20, 2))
-        fused = fuse_trajectories(fwd, fwd)
-        np.testing.assert_allclose(fused, fwd, atol=1e-12)
-
-    def test_midpoint_weighting(self):
-        horizon = 40
-        fwd = np.zeros((horizon, 2))
-        bwd = np.ones((horizon, 2))
-        fused = fuse_trajectories(fwd, bwd)
-        # at t = T/2 the weight is 0.65, so the fused point is 0.35
-        np.testing.assert_allclose(fused[horizon // 2 - 1], [0.35, 0.35], atol=1e-12)
-
-    def test_matches_per_step_weights(self):
-        rng = np.random.default_rng(2)
-        fwd = rng.uniform(0, 50, size=(17, 2))
-        bwd = rng.uniform(0, 50, size=(17, 2))
-        fused = fuse_trajectories(fwd, bwd)
-        for i in range(17):
-            w = fusion_weight(i + 1, 17)
-            np.testing.assert_allclose(fused[i], w * fwd[i] + (1 - w) * bwd[i], atol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            fuse_trajectories(np.zeros((5, 2)), np.zeros((6, 2)))
 
 
 class TestFitDepthModel:
@@ -128,14 +58,20 @@ class TestFitDepthModel:
 
 class TestRepairDepth:
     @staticmethod
-    def _track(z, valid):
-        n = len(z)
-        return RawTrack(np.zeros((n, 2)), np.zeros((n, 2)), np.asarray(z, float),
-                        np.asarray(valid, bool))
+    def _repair(z, valid):
+        """Repaired depths of a sample whose local depth track is z."""
+        valid = np.asarray(valid, bool)
+        points = np.random.default_rng(0).uniform(-1, 1, (len(z), 3))
+        points[:, 2] = z
+        sample = SimpleNamespace(id="s0", points_local=points, valid_depth=valid)
+        out, out_valid, row = repair_sample_depths(sample)
+        np.testing.assert_array_equal(out[:, :2], points[:, :2])
+        assert out_valid.all() and (row.n_valid, row.n_repaired) == (valid.sum(), (~valid).sum())
+        return out[:, 2]
 
     def test_no_invalid_entries_is_identity(self):
         times, z, valid, _ = planted_track(20)
-        repaired, _ = repair_depth(self._track(z, valid))
+        repaired = self._repair(z, valid)
         np.testing.assert_array_equal(repaired, z)
 
     def test_constant_track_with_holes(self):
@@ -143,13 +79,13 @@ class TestRepairDepth:
         valid = np.ones(15, dtype=bool)
         for i in (3, 7, 11):
             z[i], valid[i] = 0.0, False
-        repaired, _ = repair_depth(self._track(z, valid))
+        repaired = self._repair(z, valid)
         np.testing.assert_allclose(repaired, 0.42, atol=1e-6)
 
     def test_never_modifies_valid_entries(self):
         rng = np.random.default_rng(5)
         times, z, valid, _ = planted_track(30, noise=0.01, invalid_idx=(2, 9, 17), seed=3)
-        repaired, _ = repair_depth(self._track(z, valid))
+        repaired = self._repair(z, valid)
         np.testing.assert_array_equal(repaired[valid], z[valid])
 
     def test_plant_corrupt_repair(self):
@@ -157,12 +93,12 @@ class TestRepairDepth:
         rng = np.random.default_rng(8)
         invalid = rng.choice(n, size=6, replace=False)  # 20% corrupted
         times, z, valid, truth = planted_track(n, noise=0.005, invalid_idx=invalid, seed=8)
-        repaired, _ = repair_depth(self._track(z, valid))
+        repaired = self._repair(z, valid)
         assert np.max(np.abs(repaired[~valid] - truth[~valid])) < 2e-2
 
     def test_noiseless_repair_is_tight(self):
         times, z, valid, truth = planted_track(30, invalid_idx=(4, 12, 21))
-        repaired, _ = repair_depth(self._track(z, valid))
+        repaired = self._repair(z, valid)
         assert np.max(np.abs(repaired - truth)) < 1e-3
 
 

@@ -36,26 +36,26 @@ def rel_err(a, b):
 
 class TestMatmul:
     def test_identity(self):
-        a = ad.tensor(np.eye(2))
-        b = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
+        a = ad.Tensor(np.eye(2))
+        b = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
         out = ad.matmul(a, b)
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_2x2_by_2x1(self):
-        a = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = ad.tensor([[0.0], [1.0]])
+        a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+        b = ad.Tensor([[0.0], [1.0]])
         np.testing.assert_array_equal(ad.matmul(a, b).data, [[2.0], [4.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            ad.matmul(ad.tensor(np.ones((2, 3))), ad.tensor(np.ones((2, 3))))
+            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(7)
         a_np = rng.standard_normal((3, 3))
         b_np = rng.standard_normal((3, 3))
-        a = ad.tensor(a_np, requires_grad=True)
-        b = ad.tensor(b_np, requires_grad=True)
+        a = ad.Tensor(a_np, requires_grad=True)
+        b = ad.Tensor(b_np, requires_grad=True)
         with ad.Graph() as g:
             loss = ad.reduce_sum(ad.matmul(a, b))
             g.backward(loss)
@@ -67,8 +67,8 @@ class TestMatmul:
         rng = np.random.default_rng(3)
         a_np = rng.standard_normal((4, 4))
         b_np = rng.standard_normal((2, 4, 3))
-        a = ad.tensor(a_np, requires_grad=True)
-        b = ad.tensor(b_np, requires_grad=True)
+        a = ad.Tensor(a_np, requires_grad=True)
+        b = ad.Tensor(b_np, requires_grad=True)
         with ad.Graph() as g:
             g.backward(ad.reduce_sum(ad.matmul(a, b)))
         f = lambda x, y: float((x @ y).sum())
@@ -78,36 +78,36 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = ad.softmax_lastdim(ad.tensor([0.0, 0.0]))
+        out = ad.softmax_lastdim(ad.Tensor([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5], atol=0)
 
     def test_masked_logit_absorbed(self):
-        out = ad.softmax_lastdim(ad.tensor([-1e9, 0.0]))
+        out = ad.softmax_lastdim(ad.Tensor([-1e9, 0.0]))
         np.testing.assert_array_equal(out.data, [0.0, 1.0])
 
     def test_forced_exponentials(self):
-        x = ad.tensor([math.log(1), math.log(2), math.log(3)])
+        x = ad.Tensor([math.log(1), math.log(2), math.log(3)])
         np.testing.assert_allclose(ad.softmax_lastdim(x).data, [1 / 6, 2 / 6, 3 / 6], rtol=1e-14)
 
     def test_rows_sum_to_one_and_shift_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal((5, 7)) * 3
-            s = ad.softmax_lastdim(ad.tensor(x)).data
+            s = ad.softmax_lastdim(ad.Tensor(x)).data
             np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
-            s2 = ad.softmax_lastdim(ad.tensor(x + 13.7)).data
+            s2 = ad.softmax_lastdim(ad.Tensor(x + 13.7)).data
             np.testing.assert_allclose(s, s2, atol=1e-12)
 
 
 class TestLayerNorm:
     def test_constant_row(self):
-        x = ad.tensor([5.0, 5.0, 5.0])
-        out = ad.layer_norm(x, ad.tensor(np.ones(3)), ad.tensor(np.zeros(3)))
+        x = ad.Tensor([5.0, 5.0, 5.0])
+        out = ad.layer_norm(x, ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, [0.0, 0.0, 0.0], atol=1e-12)
 
     def test_already_standardized(self):
-        x = ad.tensor([1.0, -1.0])
-        out = ad.layer_norm(x, ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)), eps=1e-14)
+        x = ad.Tensor([1.0, -1.0])
+        out = ad.layer_norm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), eps=1e-14)
         np.testing.assert_allclose(out.data, [1.0, -1.0], atol=1e-6)
 
     def test_grad_vs_finite_differences(self):
@@ -121,9 +121,9 @@ class TestLayerNorm:
             var = ((xv - mu) ** 2).mean()
             return float((((xv - mu) / np.sqrt(var + 1e-5)) * gv + bv).sum() ** 2)
 
-        x = ad.tensor(x_np, requires_grad=True)
-        gn = ad.tensor(gn_np, requires_grad=True)
-        bs = ad.tensor(bs_np, requires_grad=True)
+        x = ad.Tensor(x_np, requires_grad=True)
+        gn = ad.Tensor(gn_np, requires_grad=True)
+        bs = ad.Tensor(bs_np, requires_grad=True)
         with ad.Graph() as g:
             y = ad.reduce_sum(ad.layer_norm(x, gn, bs))
             g.backward(ad.mul(y, y))
@@ -134,38 +134,38 @@ class TestLayerNorm:
 
 class TestPointwise:
     def test_softplus_at_zero(self):
-        assert abs(float(ad.softplus(ad.tensor(0.0)).data) - math.log(2)) < 1e-12
+        assert abs(float(ad.softplus(ad.Tensor(0.0)).data) - math.log(2)) < 1e-12
 
     def test_tanh_at_zero(self):
-        assert float(ad.tanh(ad.tensor(0.0)).data) == 0.0
+        assert float(ad.tanh(ad.Tensor(0.0)).data) == 0.0
 
     def test_softplus_derivative_at_zero(self):
-        x = ad.tensor(np.zeros(1), requires_grad=True)
+        x = ad.Tensor(np.zeros(1), requires_grad=True)
         with ad.Graph() as g:
             g.backward(ad.reduce_sum(ad.softplus(x)))
         assert abs(x.grad[0] - 0.5) < 1e-12
 
     def test_softplus_overflow_safe(self):
-        big = ad.softplus(ad.tensor([800.0])).data
+        big = ad.softplus(ad.Tensor([800.0])).data
         assert np.isfinite(big).all() and abs(big[0] - 800.0) < 1e-9
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            ad.pointwise(ad.tensor(1.0), "sinh")
+            ad.pointwise(ad.Tensor(1.0), "sinh")
 
 
 class TestConcat:
     def test_basic(self):
-        out = ad.concat([ad.tensor([1.0, 2.0]), ad.tensor([3.0])], axis=0)
+        out = ad.concat([ad.Tensor([1.0, 2.0]), ad.Tensor([3.0])], axis=0)
         np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
 
     def test_empty_identity(self):
-        out = ad.concat([ad.tensor(np.zeros(0)), ad.tensor([3.0])], axis=0)
+        out = ad.concat([ad.Tensor(np.zeros(0)), ad.Tensor([3.0])], axis=0)
         np.testing.assert_array_equal(out.data, [3.0])
 
     def test_grad_splits_at_seam(self):
-        a = ad.tensor([1.0, 2.0], requires_grad=True)
-        b = ad.tensor([3.0], requires_grad=True)
+        a = ad.Tensor([1.0, 2.0], requires_grad=True)
+        b = ad.Tensor([3.0], requires_grad=True)
         with ad.Graph() as g:
             g.backward(ad.reduce_sum(ad.concat([a, b], axis=0)))
         np.testing.assert_array_equal(a.grad, [1.0, 1.0])
@@ -173,12 +173,12 @@ class TestConcat:
 
     def test_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            ad.concat([ad.tensor(np.ones((2, 2))), ad.tensor(np.ones((3, 3)))], axis=0)
+            ad.concat([ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones((3, 3)))], axis=0)
 
     def test_concat_slice_round_trip(self):
         rng = np.random.default_rng(2)
-        a = ad.tensor(rng.standard_normal((2, 3)))
-        b = ad.tensor(rng.standard_normal((2, 5)))
+        a = ad.Tensor(rng.standard_normal((2, 3)))
+        b = ad.Tensor(rng.standard_normal((2, 5)))
         cat = ad.concat([a, b], axis=1)
         np.testing.assert_array_equal(ad.slice_axis(cat, 1, 0, 3).data, a.data)
         np.testing.assert_array_equal(ad.slice_axis(cat, 1, 3, 8).data, b.data)
@@ -187,21 +187,21 @@ class TestConcat:
 class TestBackward:
     def test_sum_of_squares(self):
         x_np = np.array([1.0, -2.0, 3.0])
-        x = ad.tensor(x_np, requires_grad=True)
+        x = ad.Tensor(x_np, requires_grad=True)
         with ad.Graph() as g:
             g.backward(ad.reduce_sum(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x_np, atol=1e-14)
 
     def test_constant_only_loss_leaves_params_untouched(self):
-        w = ad.tensor(np.ones(3), requires_grad=True)
-        c = ad.tensor(np.ones(1), requires_grad=True)
+        w = ad.Tensor(np.ones(3), requires_grad=True)
+        c = ad.Tensor(np.ones(1), requires_grad=True)
         with ad.Graph() as g:
             g.backward(ad.reduce_sum(c))
         np.testing.assert_array_equal(w.grad_or_zeros(), np.zeros(3))
         np.testing.assert_array_equal(c.grad, [1.0])
 
     def test_non_scalar_loss_rejected(self):
-        x = ad.tensor(np.ones(2), requires_grad=True)
+        x = ad.Tensor(np.ones(2), requires_grad=True)
         with ad.Graph() as g:
             y = ad.mul(x, x)
             with pytest.raises(ad.GraphError):
@@ -209,8 +209,8 @@ class TestBackward:
 
     def test_two_passes_bit_identical(self):
         rng = np.random.default_rng(11)
-        x = ad.tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        w = ad.tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         with ad.Graph() as g:
             h = ad.tanh(ad.matmul(x, w))
             loss = ad.reduce_sum(ad.mul(h, h))
@@ -223,10 +223,10 @@ class TestBackward:
 
     def test_no_finite_breakage_on_finite_inputs(self):
         rng = np.random.default_rng(4)
-        x = ad.tensor(rng.standard_normal((8, 8)) * 5, requires_grad=True)
+        x = ad.Tensor(rng.standard_normal((8, 8)) * 5, requires_grad=True)
         with ad.Graph() as g:
             y = ad.softmax_lastdim(x)
-            z = ad.layer_norm(y, ad.tensor(np.ones(8)), ad.tensor(np.zeros(8)))
+            z = ad.layer_norm(y, ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8)))
             loss = ad.reduce_sum(ad.softplus(z))
             g.backward(loss)
         assert np.isfinite(loss.data).all()
@@ -270,14 +270,14 @@ class TestPrimitiveGradients:
             rng = np.random.default_rng(seed)
             a_np = rng.standard_normal((4, 4))
             b_np = rng.standard_normal((4, 4))
-            a = ad.tensor(a_np, requires_grad=True)
-            b = ad.tensor(b_np, requires_grad=True)
+            a = ad.Tensor(a_np, requires_grad=True)
+            b = ad.Tensor(b_np, requires_grad=True)
             w = None
 
             def f(x, y):
-                return float((op(ad.tensor(x), ad.tensor(y)).data * w).sum())
+                return float((op(ad.Tensor(x), ad.Tensor(y)).data * w).sum())
 
-            w = self._weights(rng, op(ad.tensor(a_np), ad.tensor(b_np)).data.shape)
+            w = self._weights(rng, op(ad.Tensor(a_np), ad.Tensor(b_np)).data.shape)
             with ad.Graph() as g:
                 g.backward(ad.reduce_sum(ad.mul(op(a, b), ad.constant(w))))
             np.testing.assert_allclose(a.grad, fd_grad(f, [a_np, b_np], 0, step=1e-5),
@@ -296,13 +296,13 @@ class TestPrimitiveGradients:
                 x_np = np.where(np.abs(x_np) < 0.05, 0.2, x_np)
                 if name == "huber":
                     x_np = np.where(np.abs(np.abs(x_np) - 0.5) < 0.05, 0.2, x_np)
-            w = self._weights(rng, op(ad.tensor(x_np)).data.shape)
-            x = ad.tensor(x_np, requires_grad=True)
+            w = self._weights(rng, op(ad.Tensor(x_np)).data.shape)
+            x = ad.Tensor(x_np, requires_grad=True)
             with ad.Graph() as g:
                 g.backward(ad.reduce_sum(ad.mul(op(x), ad.constant(w))))
 
             def f(v):
-                return float((op(ad.tensor(v)).data * w).sum())
+                return float((op(ad.Tensor(v)).data * w).sum())
 
             np.testing.assert_allclose(x.grad, fd_grad(f, [x_np], 0, step=1e-5),
                                        rtol=1e-5, atol=2e-9, err_msg=f"{name} seed {seed}")
@@ -316,12 +316,12 @@ class TestPrimitiveGradients:
             w = self._weights(rng, (3, 6))
 
             def f(xv, gv, bv):
-                o = ad.add_bias(ad.layer_norm(ad.tensor(xv), ad.tensor(gv), ad.tensor(bv)), ad.tensor(bv)).data
+                o = ad.add_bias(ad.layer_norm(ad.Tensor(xv), ad.Tensor(gv), ad.Tensor(bv)), ad.Tensor(bv)).data
                 return float((o * w).sum())
 
-            x = ad.tensor(x_np, requires_grad=True)
-            gn = ad.tensor(g_np, requires_grad=True)
-            bs = ad.tensor(b_np, requires_grad=True)
+            x = ad.Tensor(x_np, requires_grad=True)
+            gn = ad.Tensor(g_np, requires_grad=True)
+            bs = ad.Tensor(b_np, requires_grad=True)
             with ad.Graph() as t:
                 out = ad.add_bias(ad.layer_norm(x, gn, bs), bs)
                 t.backward(ad.reduce_sum(ad.mul(out, ad.constant(w))))
@@ -337,14 +337,14 @@ class TestPrimitiveGradients:
             p_np = rng.standard_normal((1, 8 * 8 - 6 * 6))
 
             def f(xv, kv, pv):
-                o = ad.conv2d(ad.embed_border(ad.tensor(xv), ad.tensor(pv), 1), ad.tensor(kv), 2).data
+                o = ad.conv2d(ad.embed_border(ad.Tensor(xv), ad.Tensor(pv), 1), ad.Tensor(kv), 2).data
                 return float((o * w).sum())
 
-            w = self._weights(rng, ad.conv2d(ad.embed_border(ad.tensor(x_np), ad.tensor(p_np), 1),
-                                             ad.tensor(k_np), 2).data.shape)
-            x = ad.tensor(x_np, requires_grad=True)
-            k = ad.tensor(k_np, requires_grad=True)
-            p = ad.tensor(p_np, requires_grad=True)
+            w = self._weights(rng, ad.conv2d(ad.embed_border(ad.Tensor(x_np), ad.Tensor(p_np), 1),
+                                             ad.Tensor(k_np), 2).data.shape)
+            x = ad.Tensor(x_np, requires_grad=True)
+            k = ad.Tensor(k_np, requires_grad=True)
+            p = ad.Tensor(p_np, requires_grad=True)
             with ad.Graph() as g:
                 out = ad.conv2d(ad.embed_border(x, p, 1), k, stride=2)
                 g.backward(ad.reduce_sum(ad.mul(out, ad.constant(w))))
@@ -356,8 +356,8 @@ class TestPrimitiveGradients:
 class TestCheckGradients:
     def test_matmul_chain_passes(self):
         rng = np.random.default_rng(1)
-        a = ad.tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        b = ad.tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        a = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
 
         def build():
             return ad.reduce_sum(ad.tanh(ad.matmul(a, b)))
@@ -366,8 +366,8 @@ class TestCheckGradients:
         assert report.passed
 
     def test_constant_function_passes(self):
-        x = ad.tensor(np.ones(3), requires_grad=True)
-        c = ad.tensor([2.0])
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        c = ad.Tensor([2.0])
 
         def build():
             return ad.reduce_sum(ad.mul(c, c))
@@ -376,7 +376,7 @@ class TestCheckGradients:
         assert report.passed
 
     def test_corrupted_backward_rule_fails(self):
-        x = ad.tensor(np.ones(3) * 0.7, requires_grad=True)
+        x = ad.Tensor(np.ones(3) * 0.7, requires_grad=True)
 
         def bad_square(t):
             def bwd(g):
@@ -391,13 +391,13 @@ class TestCheckGradients:
         assert not report.passed
 
     def test_report_lines_format(self):
-        x = ad.tensor(np.ones(2), requires_grad=True)
+        x = ad.Tensor(np.ones(2), requires_grad=True)
         report = ad.check_gradients(lambda: ad.reduce_sum(ad.mul(x, x)), {"x": x})
         lines = report.lines()
         assert len(lines) == 1 and "max_rel_err" in lines[0]
 
     def test_subsampling_is_deterministic(self):
-        x = ad.tensor(np.linspace(0.1, 1.0, 50), requires_grad=True)
+        x = ad.Tensor(np.linspace(0.1, 1.0, 50), requires_grad=True)
         build = lambda: ad.reduce_sum(ad.mul(x, x))
         r1 = ad.check_gradients(build, {"x": x}, max_checks_per_tensor=5, seed=9)
         r2 = ad.check_gradients(build, {"x": x}, max_checks_per_tensor=5, seed=9)
@@ -415,8 +415,8 @@ class TestCustom:
         a_np, b_np, w = (rng.standard_normal((3, 4)) for _ in range(3))
         grads = []
         for op in (ad.mul, self._mul):
-            a = ad.tensor(a_np, requires_grad=True)
-            b = ad.tensor(b_np, requires_grad=True)
+            a = ad.Tensor(a_np, requires_grad=True)
+            b = ad.Tensor(b_np, requires_grad=True)
             with ad.Graph() as g:
                 out = op(a, b)
                 g.backward(ad.reduce_sum(ad.mul(out, ad.constant(w))))
@@ -426,9 +426,9 @@ class TestCustom:
             np.testing.assert_array_equal(got, ref)
 
     def test_none_and_constant_inputs_skipped(self):
-        a = ad.tensor(np.ones(3), requires_grad=True)
+        a = ad.Tensor(np.ones(3), requires_grad=True)
         b = ad.constant(np.ones(3))
-        c = ad.tensor(np.ones(3), requires_grad=True)
+        c = ad.Tensor(np.ones(3), requires_grad=True)
         seen = []
 
         def backward(g):
@@ -444,7 +444,7 @@ class TestCustom:
         assert b.grad is None and c.grad is None
 
     def test_gradient_count_and_shape_checked(self):
-        a = ad.tensor(np.ones(3), requires_grad=True)
+        a = ad.Tensor(np.ones(3), requires_grad=True)
         with ad.Graph() as g:
             out = ad.custom(a.data.copy(), (a,), lambda grad: (grad, grad))
             with pytest.raises(ad.GraphError):
@@ -455,7 +455,7 @@ class TestCustom:
                 g.backward(ad.reduce_sum(out))
 
     def test_not_recorded_without_tape(self):
-        a = ad.tensor(np.ones(3), requires_grad=True)
+        a = ad.Tensor(np.ones(3), requires_grad=True)
         assert not ad.is_recording((a,))
         out = ad.custom(a.data * 3.0, (a,), lambda g: (g * 3.0,))
         assert not out.requires_grad

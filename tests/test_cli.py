@@ -34,6 +34,22 @@ def test_resume_is_exact(dataset, tmp_path):
         assert (split / name).read_bytes() == (straight / name).read_bytes(), name
 
 
+def test_resume_into_new_out_keeps_curve(dataset, tmp_path):
+    _train(dataset, tmp_path / "a", 2)
+    _train(dataset, tmp_path / "b", 4, "--resume", str(tmp_path / "a" / "ckpt"))
+    rows = (tmp_path / "b" / "loss_curve.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [1, 2, 3, 4]
+
+
+def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
+    _train(dataset, tmp_path / "a", 2)
+    argv = ["train", "--preset", "tiny", "--data", str(dataset), "--out", str(tmp_path / "b"),
+            "--epochs", "4", "--batch-size", "4", "--seed", "3", "--lr", "0.5",
+            "--resume", str(tmp_path / "a" / "ckpt")]
+    assert cli.main(argv) == 2
+    assert "differs from the checkpoint's in lr" in capsys.readouterr().err
+
+
 def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatch):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"model": {"preset": "tiny", "coordinate_mode": "local-3d"}}))

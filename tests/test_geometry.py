@@ -8,9 +8,6 @@ from reachcast.geometry import (
     CameraIntrinsics,
     Pose,
     PoseChain,
-    backproject,
-    global_to_local,
-    local_to_global,
     normalize_pixel,
     project,
 )
@@ -44,9 +41,13 @@ class TestIntrinsics:
             CameraIntrinsics(fx=1, fy=1, ox=0, oy=0, width=0, height=10)
 
     def test_scaling(self):
-        k = EGOPAT3D_INTRINSICS.scaled(0.25)
-        assert k.width == 960 and k.height == 540
-        assert abs(k.fx - 1808.203 * 0.25) < 1e-12
+        # intrinsics of a frame scaled by 0.25 (what `gen --frame` builds)
+        k = EGOPAT3D_INTRINSICS
+        small = CameraIntrinsics(k.fx / 4, k.fy / 4, k.ox / 4, k.oy / 4, k.width / 4, k.height / 4)
+        p = [0.1, -0.05, 0.8]
+        np.testing.assert_allclose(project(p, small), project(p, k) / 4, rtol=1e-12)
+        np.testing.assert_allclose(normalize_pixel(project(p, small), small),
+                                   normalize_pixel(project(p, k), k), rtol=1e-12)
 
     def test_round_trip_dict(self):
         k = CameraIntrinsics.from_dict(H2O_INTRINSICS.to_dict())
@@ -65,21 +66,6 @@ class TestProjection:
     def test_behind_camera(self):
         with pytest.raises(BehindCameraError):
             project([0.0, 0.0, -1.0], EGOPAT3D_INTRINSICS)
-
-    def test_backproject_principal_point(self):
-        p = backproject([EGOPAT3D_INTRINSICS.ox, EGOPAT3D_INTRINSICS.oy], 2.0, EGOPAT3D_INTRINSICS)
-        np.testing.assert_array_equal(p, [0.0, 0.0, 2.0])
-
-    def test_backproject_zero_depth(self):
-        with pytest.raises(BehindCameraError):
-            backproject([10.0, 10.0], 0.0, H2O_INTRINSICS)
-
-    def test_project_backproject_round_trip(self):
-        rng = np.random.default_rng(42)
-        uv = rng.uniform([0, 0], [1280, 720], size=(100, 2))
-        z = rng.uniform(0.1, 5.0, size=100)
-        uv2 = project(backproject(uv, z, H2O_INTRINSICS), H2O_INTRINSICS)
-        assert np.max(np.abs(uv2 - uv)) < 1e-9
 
     def test_normalize_pixel(self):
         k = H2O_INTRINSICS
@@ -110,28 +96,31 @@ class TestPose:
     def test_inverse(self):
         rng = np.random.default_rng(1)
         p = Pose.from_rt(random_rotation(rng), rng.standard_normal(3))
-        np.testing.assert_allclose(p.matrix @ p.inverse_matrix(), np.eye(4), atol=1e-12)
+        inv = np.linalg.inv(p.matrix)
+        pts = rng.standard_normal((5, 3))
+        np.testing.assert_allclose(PoseChain([p]).global_to_local(pts, 1),
+                                   pts @ inv[:3, :3].T + inv[:3, 3], atol=1e-12)
 
 
 class TestPoseChain:
     def test_identity_chain(self):
         chain = PoseChain([Pose.identity()] * 3)
         p = np.array([0.3, -0.2, 0.9])
-        np.testing.assert_array_equal(local_to_global(p, chain, 2), p)
-        np.testing.assert_array_equal(global_to_local(p, chain, 3), p)
+        np.testing.assert_array_equal(chain.local_to_global(p, 2), p)
+        np.testing.assert_array_equal(chain.global_to_local(p, 3), p)
 
     def test_translation_composition(self):
         step = np.eye(4)
         step[2, 3] = 0.1
         chain = PoseChain([step, step])
-        out = local_to_global([0.0, 0.0, 0.0], chain, 2)
+        out = chain.local_to_global([0.0, 0.0, 0.0], 2)
         np.testing.assert_allclose(out, [0.0, 0.0, 0.2], atol=1e-15)
 
     def test_translation_inverse_is_negated_cumulative(self):
         step = np.eye(4)
         step[:3, 3] = [0.1, -0.2, 0.3]
         chain = PoseChain([step, step, step])
-        out = global_to_local([0.0, 0.0, 0.0], chain, 3)
+        out = chain.global_to_local([0.0, 0.0, 0.0], 3)
         np.testing.assert_allclose(out, [-0.3, 0.6, -0.9], atol=1e-12)
 
     def test_round_trip_random_chain(self):
@@ -139,7 +128,7 @@ class TestPoseChain:
         chain = random_chain(rng, 10)
         for t in (1, 5, 10):
             p = rng.standard_normal((50, 3))
-            back = global_to_local(local_to_global(p, chain, t), chain, t)
+            back = chain.global_to_local(chain.local_to_global(p, t), t)
             assert np.max(np.abs(back - p)) < 1e-9
 
     def test_cumulative_consistency(self):

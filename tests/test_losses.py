@@ -5,15 +5,14 @@ import pytest
 from scipy import optimize
 
 from reachcast import autodiff as ad
-from reachcast import losses
 from reachcast.losses import (
     LossConfig,
-    aleatoric_loss,
+    attenuated,
     depth_stability_weights,
-    drau_loss,
-    residual,
+    drau_batch,
+    residual_lastdim,
     total_batch,
-    velocity_loss,
+    velocity_batch,
 )
 
 SQ = LossConfig(residual_kind="squared")
@@ -23,32 +22,68 @@ def scalar(t):
     return float(np.asarray(t.data).reshape(()))
 
 
+def one(x):
+    """One trajectory, (T,) or (T, d), as an N=1 batch constant (1, T, d)."""
+    x = np.asarray(x, dtype=np.float64)
+    return ad.constant(x.reshape(1, len(x), -1))
+
+
+def residual1(p, p_hat, kind="squared", delta=1e-5):
+    """Residual of one coordinate vector: the N=1, T=1 case."""
+    return residual_lastdim(ad.sub(one([p]), one([p_hat])), kind, delta)
+
+
+def aleatoric1(alpha, p_hat, p, cfg):
+    """Attenuated location loss of one prediction: the N=1, T=1 case."""
+    return attenuated(one([alpha]), residual1(p, p_hat, cfg.residual_kind, cfg.huber_delta))
+
+
+def drau1(p_hat, alpha, beta, p, weights=None, cfg=SQ):
+    """drau_batch over one trajectory with every step valid."""
+    p = np.asarray(p, dtype=np.float64)
+    t = len(p)
+    if weights is None:
+        weights = depth_stability_weights(p[:, 2])
+    return drau_batch(one(p_hat), one(alpha), one(beta), p.reshape(1, t, -1),
+                      np.asarray(weights, dtype=np.float64).reshape(1, t),
+                      np.ones((1, t), bool), cfg)
+
+
+def velocity1(v_hat, p_hat, p, observed_count, gamma):
+    """velocity_batch over one trajectory with every step valid."""
+    p = np.asarray(p, dtype=np.float64)
+    t = len(p)
+    return velocity_batch(one(v_hat), one(p_hat), p.reshape(1, t, -1),
+                          np.array([observed_count]), np.ones((1, t), bool), gamma)
+
+
 class TestResidual:
     def test_zero_at_equality(self):
         p = np.array([0.1, 0.2, 0.3])
-        assert scalar(residual(p, p, "squared")) == 0.0
-        assert scalar(residual(p, p, "huber", 1e-5)) == 0.0
+        assert scalar(residual1(p, p, "squared")) == 0.0
+        assert scalar(residual1(p, p, "huber", 1e-5)) == 0.0
 
     def test_unit_squared(self):
-        assert scalar(residual([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], "squared")) == 1.0
+        assert scalar(residual1([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], "squared")) == 1.0
 
     def test_huber_linear_branch(self):
         delta = 1e-5
-        got = scalar(residual([1.0], [0.0], "huber", delta))
+        got = scalar(residual1([1.0], [0.0], "huber", delta))
         assert abs(got - delta * (1 - delta / 2)) < 1e-18
 
     def test_width_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            residual([1.0, 2.0], [1.0, 2.0, 3.0])
+            drau_batch(one(np.zeros((1, 3))), one([0.0]), one([0.0]), np.zeros((1, 1, 2)),
+                       np.ones((1, 1)), np.ones((1, 1), bool), SQ)
 
 
 class TestAleatoricLoss:
     def test_zero_alpha_perfect_prediction(self):
         p = np.array([0.3, -0.1, 0.5])
-        assert scalar(aleatoric_loss(np.zeros(1), p, p, SQ)) == 0.0
+        assert scalar(aleatoric1(0.0, p, p, SQ)) == 0.0
 
     def test_zero_alpha_unit_residual(self):
-        got = scalar(aleatoric_loss(np.zeros(1), [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], SQ))
+        got = scalar(aleatoric1(0.0, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], SQ))
         assert got == 1.0
 
     def test_minimizer_is_log_residual(self):
@@ -61,9 +96,9 @@ class TestAleatoricLoss:
 
     def test_stationary_point_beats_grid(self):
         for s in (0.1, 1.0, 10.0):
-            star = aleatoric_loss([math.log(s)], np.zeros(3), [math.sqrt(s), 0, 0], SQ)
+            star = aleatoric1(math.log(s), np.zeros(3), [math.sqrt(s), 0, 0], SQ)
             for a in np.linspace(-5, 5, 101):
-                trial = aleatoric_loss([a], np.zeros(3), [math.sqrt(s), 0, 0], SQ)
+                trial = aleatoric1(a, np.zeros(3), [math.sqrt(s), 0, 0], SQ)
                 assert scalar(star) <= scalar(trial) + 1e-12
 
 
@@ -111,14 +146,14 @@ class TestDepthWeights:
 class TestDrauLoss:
     def test_perfect_prediction_zero(self):
         p = np.array([[0.1, 0.2, 0.5], [0.2, 0.1, 0.6], [0.0, 0.0, 0.7]])
-        got = drau_loss(p, np.zeros(3), np.zeros(3), p, cfg=SQ)
+        got = drau1(p, np.zeros(3), np.zeros(3), p, cfg=SQ)
         assert scalar(got) == 0.0
 
     def test_zero_weight_removes_depth_term(self):
         p = np.array([[0.1, 0.2, 0.5], [0.2, 0.1, 0.9]])
         p_hat = p + np.array([0.0, 0.0, 0.3])
-        w_on = drau_loss(p_hat, np.zeros(2), np.zeros(2), p, weights=np.array([0.5, 0.5]), cfg=SQ)
-        w_off = drau_loss(p_hat, np.zeros(2), np.zeros(2), p, weights=np.array([0.0, 0.0]), cfg=SQ)
+        w_on = drau1(p_hat, np.zeros(2), np.zeros(2), p, weights=np.array([0.5, 0.5]), cfg=SQ)
+        w_off = drau1(p_hat, np.zeros(2), np.zeros(2), p, weights=np.array([0.0, 0.0]), cfg=SQ)
         assert scalar(w_off) == 0.0 and scalar(w_on) > 0.0
 
     def test_matches_hand_composition(self):
@@ -129,7 +164,7 @@ class TestDrauLoss:
         alpha = rng.normal(0, 0.5, t)
         beta = rng.normal(0, 0.5, t)
         w = depth_stability_weights(p[:, 2])
-        got = scalar(drau_loss(p_hat, alpha, beta, p, weights=w, cfg=SQ))
+        got = scalar(drau1(p_hat, alpha, beta, p, weights=w, cfg=SQ))
         expected = 0.0
         for i in range(t):
             s_xy = float(np.sum((p[i, :2] - p_hat[i, :2]) ** 2))
@@ -141,7 +176,8 @@ class TestDrauLoss:
 
     def test_2d_mode_rejected(self):
         with pytest.raises(ValueError):
-            drau_loss(np.zeros((3, 2)), np.zeros(3), np.zeros(3), np.zeros((3, 2)), cfg=SQ)
+            drau1(np.zeros((3, 2)), np.zeros(3), np.zeros(3), np.zeros((3, 2)),
+                  weights=np.ones(3), cfg=SQ)
 
 
 class TestVelocityLoss:
@@ -151,12 +187,12 @@ class TestVelocityLoss:
         p = np.arange(1, t + 1)[:, None] * u
         v = np.tile(u, (t, 1))
         v[0] = p[0]  # first step covers the jump from the zero origin
-        got = velocity_loss(v, p, p, observed_count=3, gamma=0.1)
+        got = velocity1(v, p, p, observed_count=3, gamma=0.1)
         assert scalar(got) < 1e-24
 
     def test_static_points_zero_velocity(self):
         p = np.tile([0.2, -0.1, 0.4], (5, 1))
-        got = velocity_loss(np.zeros((5, 3)), p, p, observed_count=2, gamma=0.0)
+        got = velocity1(np.zeros((5, 3)), p, p, observed_count=2, gamma=0.0)
         assert abs(scalar(got) - float(np.sum(p[0] ** 2))) < 1e-12
 
     def test_gamma_zero_removes_warp_term(self):
@@ -164,7 +200,7 @@ class TestVelocityLoss:
         p = rng.uniform(-0.5, 0.5, (5, 3))
         p_hat = rng.uniform(-0.5, 0.5, (5, 3))
         v = rng.uniform(-0.2, 0.2, (5, 3))
-        g0 = scalar(velocity_loss(v, p_hat, p, 2, gamma=0.0))
+        g0 = scalar(velocity1(v, p_hat, p, 2, gamma=0.0))
         prev = np.vstack([np.zeros(3), p[:-1]])
         expected = float(np.sum((p - prev - v) ** 2))
         assert abs(g0 - expected) < 1e-12
@@ -176,7 +212,7 @@ class TestVelocityLoss:
             p = rng.uniform(-1, 1, (t, 3))
             v = rng.uniform(-1, 1, (t, 3))
             ph = rng.uniform(-1, 1, (t, 3))
-            val = scalar(velocity_loss(v, ph, p, 1, gamma=0.3))
+            val = scalar(velocity1(v, ph, p, 1, gamma=0.3))
             assert val >= 0.0
 
     def test_warp_term_value(self):
@@ -187,17 +223,17 @@ class TestVelocityLoss:
         v[1:] = [0.1, 0, 0]
         p_hat = p.copy()
         p_hat[3] = [0.5, 0, 0]  # warp predicts 0.3, mean says 0.5
-        got = scalar(velocity_loss(v, p_hat, p, observed_count=2, gamma=0.5))
+        got = scalar(velocity1(v, p_hat, p, observed_count=2, gamma=0.5))
         assert abs(got - 0.5 * 0.2**2) < 1e-12
 
 
 class TestTotalLoss:
     @staticmethod
     def _batch(rng, n=2, t=4, d=3):
-        mean = ad.tensor(rng.uniform(-0.5, 0.5, (n, t, d)), requires_grad=True)
-        alpha = ad.tensor(rng.normal(0, 0.3, (n, t, 1)), requires_grad=True)
-        beta = ad.tensor(rng.normal(0, 0.3, (n, t, 1)), requires_grad=True)
-        vel = ad.tensor(rng.uniform(-0.2, 0.2, (n, t, d)), requires_grad=True)
+        mean = ad.Tensor(rng.uniform(-0.5, 0.5, (n, t, d)), requires_grad=True)
+        alpha = ad.Tensor(rng.normal(0, 0.3, (n, t, 1)), requires_grad=True)
+        beta = ad.Tensor(rng.normal(0, 0.3, (n, t, 1)), requires_grad=True)
+        vel = ad.Tensor(rng.uniform(-0.2, 0.2, (n, t, d)), requires_grad=True)
         targets = rng.uniform(-0.5, 0.5, (n, t, d))
         valid = np.ones((n, t), dtype=bool)
         weights = depth_stability_weights(targets[..., 2], valid)
@@ -250,9 +286,9 @@ class TestTotalLoss:
     def test_2d_mode_uses_planar_loss(self):
         rng = np.random.default_rng(19)
         n, t = 2, 4
-        mean = ad.tensor(rng.uniform(-0.5, 0.5, (n, t, 2)), requires_grad=True)
-        alpha = ad.tensor(rng.normal(0, 0.3, (n, t, 1)), requires_grad=True)
-        vel = ad.tensor(rng.uniform(-0.2, 0.2, (n, t, 2)), requires_grad=True)
+        mean = ad.Tensor(rng.uniform(-0.5, 0.5, (n, t, 2)), requires_grad=True)
+        alpha = ad.Tensor(rng.normal(0, 0.3, (n, t, 1)), requires_grad=True)
+        vel = ad.Tensor(rng.uniform(-0.2, 0.2, (n, t, 2)), requires_grad=True)
         targets = rng.uniform(-0.5, 0.5, (n, t, 2))
         valid = np.ones((n, t), bool)
         total, loc, velo = total_batch(mean, alpha, None, vel, targets, None,

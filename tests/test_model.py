@@ -51,7 +51,7 @@ class TestConfig:
 
 class TestParams:
     def test_counts_match_closed_form(self):
-        for cfg in (ModelConfig.desk(), ModelConfig.tiny(), ModelConfig.paper(),
+        for cfg in (ModelConfig.desk(), ModelConfig.tiny(), ModelConfig(),
                     ModelConfig.desk(coordinate_mode="2d")):
             params = M.init_params(cfg, seed=1)
             expected = M.expected_param_count(cfg)
@@ -139,37 +139,52 @@ class TestEmbedPoint:
         np.testing.assert_array_equal(out, 0.0)
 
 
+def attend(q, kv, observed, value_bias=None):
+    """``_mha`` with one head, identity projections and the per-sample key
+    mask: masked scaled dot-product attention over (N, T, d) inputs. A
+    value_bias replaces every value row with that constant."""
+    d = kv.shape[-1]
+    params = M.Params()
+    for proj in ("wq", "wv", "wo"):
+        params.add(f"a.{proj}.w", np.eye(d))
+        params.add(f"a.{proj}.b", np.zeros(d))
+    params.add("a.wk.w", np.eye(d))
+    if value_bias is not None:
+        params["a.wv.w"].data[...] = 0.0
+        params["a.wv.b"].data[...] = value_bias
+    mask = M._key_mask(np.asarray(observed), 1, q.shape[1], kv.shape[1])
+    return M._mha(params, "a", ad.constant(q), ad.constant(kv), 1, mask).data
+
+
 class TestMaskedAttention:
     def test_masked_position_has_no_influence(self):
         rng = np.random.default_rng(0)
-        q = ad.tensor(rng.standard_normal((2, 4)))
-        k = ad.tensor(rng.standard_normal((2, 4)))
-        v = ad.tensor(rng.standard_normal((2, 4)))
-        base = M.masked_attention(q, k, v, observed_count=1).data
-        k2, v2 = k.data.copy(), v.data.copy()
-        k2[1] += 100.0
-        v2[1] -= 42.0
-        moved = M.masked_attention(q, ad.tensor(k2), ad.tensor(v2), observed_count=1).data
+        q = rng.standard_normal((2, 2, 4))
+        kv = rng.standard_normal((2, 2, 4))
+        base = attend(q, kv, [1, 2])
+        kv2 = kv.copy()
+        kv2[:, 1] += 100.0
+        moved = attend(q, kv2, [1, 2])
         np.testing.assert_array_equal(base[0], moved[0])
+        assert np.max(np.abs(base[1] - moved[1])) > 0
 
     def test_equal_values_give_value(self):
         rng = np.random.default_rng(1)
-        q = ad.tensor(rng.standard_normal((3, 4)))
-        k = ad.tensor(rng.standard_normal((3, 4)))
-        v = ad.tensor(np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)))
-        out = M.masked_attention(q, k, v, observed_count=3).data
-        np.testing.assert_allclose(out, np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)), atol=1e-12)
+        q = rng.standard_normal((1, 3, 4))
+        kv = rng.standard_normal((1, 3, 4))
+        out = attend(q, kv, [3], value_bias=[1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_allclose(out[0], np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)), atol=1e-12)
 
     def test_single_key_returns_value(self):
-        q = ad.tensor([[0.7]])
-        k = ad.tensor([[-0.3]])
-        v = ad.tensor([[2.5]])
-        np.testing.assert_array_equal(M.masked_attention(q, k, v, 1).data, [[2.5]])
+        np.testing.assert_array_equal(attend(np.array([[[0.7]]]), np.array([[[-0.3]]]), [1]),
+                                      [[[-0.3]]])
 
-    def test_count_out_of_range(self):
-        q = ad.tensor(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            M.masked_attention(q, q, q, observed_count=3)
+    def test_count_out_of_range(self, tiny):
+        cfg, params = tiny
+        for observed in ([3, cfg.horizon], [0, 3]):
+            frames, points, obs = random_batch(cfg, 2, observed=observed)
+            with pytest.raises(ValueError):
+                M.forward_batch(params, cfg, frames, points, obs)
 
 
 class TestTemporalEncode:

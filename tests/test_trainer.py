@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from reachcast import cli
 from reachcast import losses as L
 from reachcast import model as M
 from reachcast import trainer as T
-from reachcast.datagen import GenOptions, gen_dataset, split_samples
+from reachcast.datagen import GenOptions, gen_dataset, read_dataset, split_samples, write_dataset
 from reachcast.trainer import (
     Adam,
     MetricsRow,
@@ -155,6 +156,32 @@ class TestAdamAndFit:
         other = M.init_params(M.ModelConfig.tiny(coordinate_mode="2d"), seed=0)
         with pytest.raises(ValueError):
             Adam.load(other, tmp_path / "adam")
+
+
+class TestDepthValidity:
+    def test_depthless_samples_refused_until_repaired(self, tmp_path):
+        cfg = M.ModelConfig.tiny(horizon=16)  # gen drops depth only on tracks over 10 steps
+        opts = GenOptions(t_min=14, t_max=16, depth_dropout=0.3, split_counts=(8, 0, 4, 0),
+                          intrinsics=_tiny_intrinsics())
+        samples, manifest = gen_dataset(12, master_seed=4, options=opts)
+        norm = (np.array(manifest["norm"]["min"]), np.array(manifest["norm"]["max"]))
+        train = split_samples(samples, manifest, "train")
+        test = split_samples(samples, manifest, "test_seen")
+        tc = TrainConfig(epochs=1, batch_size=8)
+        params = M.init_params(cfg, seed=0)
+        with pytest.raises(ValueError, match=r"steps without depth; run `reachcast repair`"):
+            fit(params, cfg, train, norm, tc)
+        with pytest.raises(ValueError, match=r"steps without depth"):
+            evaluate(params, cfg, test, norm, 0.6)
+
+        write_dataset(samples, manifest, tmp_path / "raw")
+        assert cli.main(["repair", "--data", str(tmp_path / "raw"),
+                         "--out", str(tmp_path / "fixed")]) == 0
+        samples, manifest = read_dataset(tmp_path / "fixed")
+        history, _ = fit(params, cfg, split_samples(samples, manifest, "train"), norm, tc)
+        assert np.isfinite(history[0][1])
+        row = evaluate(params, cfg, split_samples(samples, manifest, "test_seen"), norm, 0.6)
+        assert np.isfinite(row.ade3d)
 
 
 class TestMetrics:
