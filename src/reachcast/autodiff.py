@@ -16,6 +16,10 @@ backward only when a tape will replay it. The numpy kernels of softmax
 and layer norm are public so fused ops compute them exactly as the taped
 ops do.
 
+Ragged batches keep one packed row per real step, so row-wise ops skip
+padding; ``scatter_rows``, ``split_heads`` and ``merge_heads`` move rows
+to and from the padded (N, T) grid that attention runs on.
+
 A graph and its tensors belong to one thread; weight tensors may be
 shared read-only across threads running independent graphs.
 """
@@ -104,12 +108,6 @@ class Graph:
         for out, _inputs, bwd in reversed(self._records):
             if out.grad is not None:
                 bwd(out.grad)
-
-    def zero_grads(self):
-        for out, inputs, _bwd in self._records:
-            out.grad = None
-            for t in inputs:
-                t.grad = None
 
     def __len__(self):
         return len(self._records)
@@ -316,27 +314,59 @@ def swap_last2(a):
     return transpose(a, axes)
 
 
-def split_heads(x, heads):
-    """(N, T, D) -> (N, heads, T, D/heads) in one op."""
-    n, t, d = x.data.shape
-    if d % heads:
-        raise ShapeError(f"split_heads: {d} not divisible by {heads}")
-    dh = d // heads
-    out = np.ascontiguousarray(x.data.reshape(n, t, heads, dh).transpose(0, 2, 1, 3))
+def _unpack(a, rows, shape):
+    """(R, D) rows -> an array of ``shape`` (n, t, ...) holding row r at flat
+    grid index rows[r] and zero where no row lands; a view when R = n*t."""
+    if len(rows) == shape[0] * shape[1]:
+        return a.reshape(shape)
+    out = np.zeros((shape[0] * shape[1], a.shape[1]))
+    out[rows] = a
+    return out.reshape(shape)
+
+
+def _pack(a, rows):
+    """(n, t, ...) -> the (R, D) rows at flat grid indices ``rows``; inverse of _unpack."""
+    flat = a.reshape(a.shape[0] * a.shape[1], -1)
+    return flat if len(rows) == len(flat) else flat[rows]
+
+
+def scatter_rows(x, rows, n, t):
+    """Packed rows (R, D) -> (n, t, D) in one op.
+
+    ``rows`` holds each row's flat index into the n*t grid, sample-major;
+    grid cells that no row fills are zero and pass no gradient back.
+    """
+    out = _unpack(x.data, rows, (n, t, x.data.shape[1]))
 
     def bwd(g):
-        _accum_new(x, np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(n, t, d))
+        _accum(x, _pack(g, rows))
 
     return _record(out, (x,), bwd)
 
 
-def merge_heads(x):
-    """(N, heads, T, dh) -> (N, T, heads*dh) in one op."""
-    n, h, t, dh = x.data.shape
-    out = np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)).reshape(n, t, h * dh)
+def split_heads(x, heads, rows, n, t):
+    """Packed rows (R, D) -> (n, heads, t, D/heads) in one op, scattering the
+    rows as ``scatter_rows`` does (zero at cells no row fills)."""
+    _, d = x.data.shape
+    if d % heads:
+        raise ShapeError(f"split_heads: {d} not divisible by {heads}")
+    dh = d // heads
+    out = np.ascontiguousarray(_unpack(x.data, rows, (n, t, heads, dh)).transpose(0, 2, 1, 3))
 
     def bwd(g):
-        _accum_new(x, np.ascontiguousarray(g.reshape(n, t, h, dh).transpose(0, 2, 1, 3)))
+        _accum_new(x, _pack(np.ascontiguousarray(g.transpose(0, 2, 1, 3)), rows))
+
+    return _record(out, (x,), bwd)
+
+
+def merge_heads(x, rows):
+    """(N, heads, T, dh) -> packed rows (R, heads*dh) in one op: the inverse of
+    ``split_heads``, keeping only the grid cells listed in ``rows``."""
+    n, h, t, dh = x.data.shape
+    out = _pack(np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)), rows)
+
+    def bwd(g):
+        _accum_new(x, np.ascontiguousarray(_unpack(g, rows, (n, t, h, dh)).transpose(0, 2, 1, 3)))
 
     return _record(out, (x,), bwd)
 
@@ -516,14 +546,6 @@ def tanh(x):
 
 def softplus(x):
     return pointwise(x, "softplus")
-
-
-def exp(x):
-    return pointwise(x, "exp")
-
-
-def relu(x):
-    return pointwise(x, "relu")
 
 
 def neg_exp(x):

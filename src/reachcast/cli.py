@@ -335,6 +335,9 @@ def cmd_forecast(args):
 def cmd_gradcheck(args):
     cfg = _model_config({"preset": args.preset, "horizon": args.horizon,
                          "frame_h": args.frame, "frame_w": args.frame})
+    if not 1 <= args.observed < cfg.horizon:
+        raise ConfigError(f"--observed must be in [1, {cfg.horizon - 1}] for horizon "
+                          f"{cfg.horizon}, got {args.observed}")
     params = model.init_params(cfg, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     n, t = 2, cfg.horizon

@@ -60,25 +60,16 @@ def depth_stability_weights(depths, valid=None):
     """Per-step simplex weights favoring stable ground-truth depth.
 
     weights = softmax(-|z_t - z_{t-1}|) over the horizon, with the first
-    difference defined as zero. Accepts (T,) or (N, T); an optional valid
+    difference defined as zero. depths is (N, T); an optional (N, T) valid
     mask restricts the softmax support (padded steps get weight 0).
     """
     z = np.asarray(depths, dtype=np.float64)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[None, :]
-    if valid is None:
-        valid = np.ones_like(z, dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        if squeeze and valid.ndim == 1:
-            valid = valid[None, :]
+    valid = np.ones_like(z, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
     dz = np.abs(np.diff(z, axis=1, prepend=z[:, :1]))
     logits = np.where(valid, -dz, -np.inf)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    w = e / e.sum(axis=1, keepdims=True)
-    return w[0] if squeeze else w
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def drau_batch(mean, alpha, beta, targets, weights, valid, cfg):

@@ -6,10 +6,13 @@ velocity head.
 The visual branch applies prompt tuning to a frozen convolutional
 encoder: a border of learnable pixels is embedded around each frame, the
 frozen encoder runs unchanged, and only the border and a small MLP head
-receive gradients. Observed steps are the first C of the horizon; all
-embeddings past C are zeroed and attention keys past C carry an additive
--1e9 logit, which underflows to exact zero weight, so forecasts are
-exactly independent of future inputs.
+receive gradients. Observed steps are the first C of the horizon, and C
+differs per sample. The frame, point and temporal encoders run on packed
+rows, one per observed step (sum of C rows, not N x max C): inputs past
+C are never read. Attention scatters the rows onto the (N, max C) grid,
+where empty cells are zero and keys past C carry an additive -1e9 logit,
+which underflows to exact zero weight, so forecasts are exactly
+independent of future inputs.
 
 The state transition is one fused tape op (``transition``, built with
 ``ad.custom``) rather than dozens of taped ops per step. Its forward runs
@@ -288,16 +291,18 @@ def _layer_norm(params, name, x):
     return ad.layer_norm(x, params[f"{name}.g"], params[f"{name}.b"])
 
 
-def _mha(params, name, q_in, kv_in, heads, key_mask=None):
-    """Multi-head attention; key_mask is an additive (N,h,Tq,Tk) constant."""
-    q = ad.split_heads(_linear(params, f"{name}.wq", q_in), heads)
-    k = ad.split_heads(ad.matmul(kv_in, params[f"{name}.wk.w"]), heads)
-    v = ad.split_heads(_linear(params, f"{name}.wv", kv_in), heads)
+def _mha(params, name, q_in, kv_in, heads, rows, key_mask):
+    """Multi-head attention over packed rows: q_in and kv_in are (R,d) rows
+    at the flat indices ``rows`` of the (N,T) grid of the additive
+    (N,h,T,T) key_mask. Attention runs on that grid; the output is (R,d)."""
+    n, _, t, _ = key_mask.shape
+    q = ad.split_heads(_linear(params, f"{name}.wq", q_in), heads, rows, n, t)
+    k = ad.split_heads(ad.matmul(kv_in, params[f"{name}.wk.w"]), heads, rows, n, t)
+    v = ad.split_heads(_linear(params, f"{name}.wv", kv_in), heads, rows, n, t)
     dh = q.shape[-1]
     logits = ad.scale(ad.matmul(q, ad.swap_last2(k)), 1.0 / np.sqrt(dh))
-    if key_mask is not None:
-        logits = ad.add(logits, ad.constant(key_mask))
-    ctx = ad.merge_heads(ad.matmul(ad.softmax_lastdim(logits), v))
+    logits = ad.add(logits, ad.constant(key_mask))
+    ctx = ad.merge_heads(ad.matmul(ad.softmax_lastdim(logits), v), rows)
     return _linear(params, f"{name}.wo", ctx)
 
 
@@ -309,23 +314,28 @@ def _key_mask(observed, heads, t_query, t_key):
     return np.broadcast_to(m[:, None, None, :], (n, heads, t_query, t_key)).copy()
 
 
+def observed_cells(observed):
+    """(sample, step) index arrays of every observed step, sample-major: the
+    packed row layout of the encoders over the (N, max C) grid."""
+    return np.nonzero(np.arange(observed.max()) < observed[:, None])
+
+
 def encode_frames(params, cfg, frames):
-    """Prompted frozen encoder plus learnable head: (N,T,H,W[,C]) -> (N,T,d_obs)."""
+    """Prompted frozen encoder plus learnable head: (...,H,W) frames, or
+    (...,C,H,W) when frame_ch > 1 -> (...,d_obs)."""
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim == 4:
-        frames = frames[:, :, None, :, :]
-    n, t, ch, h, w = frames.shape
-    if (ch, h, w) != (cfg.frame_ch, cfg.frame_h, cfg.frame_w):
-        raise ad.ShapeError(
-            f"frames {(ch, h, w)} do not match configured {(cfg.frame_ch, cfg.frame_h, cfg.frame_w)}"
-        )
-    x = ad.constant(frames.reshape(n * t, ch, h, w))
+    ch, h, w = cfg.frame_ch, cfg.frame_h, cfg.frame_w
+    tail = (h, w) if ch == 1 else (ch, h, w)
+    lead = frames.shape[: frames.ndim - len(tail)]
+    if frames.shape[len(lead) :] != tail:
+        raise ad.ShapeError(f"frames {frames.shape[len(lead):]} do not match configured {tail}")
+    x = ad.constant(frames.reshape(-1, ch, h, w))
     x = ad.embed_border(x, params["prompt"], cfg.prompt_width)
     x = ad.tanh(ad.conv2d(x, params["enc.conv1.k"], stride=2))
     x = ad.tanh(ad.conv2d(x, params["enc.conv2.k"], stride=2))
-    x = ad.reshape(x, (n * t, cfg.flat_dim()))
+    x = ad.reshape(x, (-1, cfg.flat_dim()))
     x = _mlp2(params, "vis", x)
-    return ad.reshape(x, (n, t, cfg.d_obs))
+    return ad.reshape(x, lead + (cfg.d_obs,))
 
 
 def embed_points(params, cfg, points):
@@ -339,17 +349,20 @@ def embed_points(params, cfg, points):
 def temporal_encode(params, cfg, x, observed, branch):
     """Stack of masked post-norm encoder blocks over one branch.
 
-    x: (N,T,d_obs) embeddings (already zeroed past each sample's observed
-    count); observed: (N,) ints. Sinusoidal positions are added at the
-    input; every block masks attention keys to the observed prefix.
+    x: (R,d_obs) packed embeddings, one row per observed step in the order
+    of ``observed_cells`` (R = sum of C); observed: (N,) ints. Each row gets
+    the sinusoidal position of its step. Every row-wise op runs on the R
+    rows only; attention scatters them onto the (N, max C) grid, where keys
+    past each sample's C are masked. Returns (R,d_obs).
     """
-    n, t, d = x.shape
-    pe = np.broadcast_to(positional_encoding(t, d), (n, t, d)).copy()
-    u = ad.add(x, ad.constant(pe))
+    samples, steps = observed_cells(observed)
+    t = int(observed.max())
+    rows = samples * t + steps
+    u = ad.add(x, ad.constant(positional_encoding(t, x.shape[-1]).take(steps, axis=0)))
     mask = _key_mask(observed, cfg.heads, t, t)
     for b in range(cfg.blocks):
         base = f"{branch}.{b}"
-        attn = _mha(params, f"{base}.attn", u, u, cfg.heads, mask)
+        attn = _mha(params, f"{base}.attn", u, u, cfg.heads, rows, mask)
         u = _layer_norm(params, f"{base}.ln1", ad.add(u, attn))
         m = _mlp2(params, f"{base}.mlp", u)
         u = _layer_norm(params, f"{base}.ln2", ad.add(u, m))
@@ -559,10 +572,11 @@ def velocity_head(params, cfg, z):
 def forward_batch(params, cfg, frames, points, observed, lengths=None):
     """Full forward pass over a padded batch.
 
-    frames (N,T,H,W[,C]) and points (N,T,point_dim) are numpy inputs padded
-    to the configured horizon; observed (N,) int gives each sample's C.
-    Returns dict of graph tensors: mean (N,T,pd), alpha/beta (N,T,1),
-    velocity (N,T,pd).
+    frames (N,T,H,W) (or (N,T,C,H,W)) and points (N,T,point_dim) are numpy
+    inputs padded to the horizon; observed (N,) int gives each sample's C.
+    Only the C observed steps of each sample reach the encoders, as packed
+    rows. Returns dict of graph tensors: mean (N,T,pd), alpha/beta
+    (N,T,1), velocity (N,T,pd).
     """
     frames = np.asarray(frames, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -571,26 +585,31 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     if np.any(observed < 1) or np.any(observed >= (lengths if lengths is not None else t)):
         raise ValueError("observed counts must satisfy 1 <= C < T")
 
-    # Only the first max(C) steps feed the encoders: embeddings past each
-    # sample's C are zeroed and attention keys there are masked to exact
-    # zero weight, so later positions can never be consumed downstream.
+    # The encoders see only observed steps, packed into one row each
+    # (R = sum of C rows, sample-major); inputs past each sample's C are
+    # never read. Their outputs are scattered onto the (N, max C) grid,
+    # zero past C, for the transition and the emission, which mask those
+    # cells out (attention keys) or select around them.
     t_enc = int(observed.max())
-    obs_keep = (np.arange(t_enc)[None, :] < observed[:, None]).astype(np.float64)
+    samples, steps = observed_cells(observed)
+    rows = samples * t_enc + steps
 
-    x_v = encode_frames(params, cfg, frames[:, :t_enc])
-    x_t = embed_points(params, cfg, points[:, :t_enc])
-    keep_d = ad.constant(np.broadcast_to(obs_keep[:, :, None], (n, t_enc, cfg.d_obs)).copy())
-    x_v = ad.mul(x_v, keep_d)  # zero-pad unobserved slots
-    x_t = ad.mul(x_t, keep_d)
+    def observed_rows(a):  # (N,T,...) -> (R,...), a view when every cell is observed
+        if len(rows) == n * t_enc:
+            return a[:, :t_enc].reshape((len(rows),) + a.shape[2:])
+        return a[samples, steps]
 
-    o_v = temporal_encode(params, cfg, x_v, observed, "enc_v")
-    o_t = temporal_encode(params, cfg, x_t, observed, "enc_t")
+    o_v = temporal_encode(params, cfg, encode_frames(params, cfg, observed_rows(frames)),
+                          observed, "enc_v")
+    o_t = temporal_encode(params, cfg, embed_points(params, cfg, observed_rows(points)),
+                          observed, "enc_t")
 
-    o = ad.concat([o_v, o_t], axis=2)
-    pe_z = np.broadcast_to(positional_encoding(t, cfg.d_z)[:t_enc], (n, t_enc, cfg.d_z)).copy()
+    o = ad.concat([o_v, o_t], axis=1)
+    pe_z = positional_encoding(t, cfg.d_z).take(steps, axis=0)
     h = _layer_norm(params, "trans.h.ln", ad.add(_mlp2(params, "trans.h", o), ad.constant(pe_z)))
 
-    z = transition(params, cfg, h, observed, horizon=t)
+    z = transition(params, cfg, ad.scatter_rows(h, rows, n, t_enc), observed, horizon=t)
+    o_t = ad.scatter_rows(o_t, rows, n, t_enc)
 
     # Emission: steps up to min(C) use encoder trajectory features for every
     # sample, so they batch into one call; later steps are autoregressive in

@@ -211,15 +211,15 @@ class TestBackward:
         rng = np.random.default_rng(11)
         x = ad.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         w = ad.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        with ad.Graph() as g:
-            h = ad.tanh(ad.matmul(x, w))
-            loss = ad.reduce_sum(ad.mul(h, h))
-            g.backward(loss)
-            gx1, gw1 = x.grad.copy(), w.grad.copy()
-            g.zero_grads()
-            g.backward(loss)
-        np.testing.assert_array_equal(gx1, x.grad)
-        np.testing.assert_array_equal(gw1, w.grad)
+        grads = []
+        for _ in range(2):
+            x.grad = w.grad = None
+            with ad.Graph() as g:
+                h = ad.tanh(ad.matmul(x, w))
+                g.backward(ad.reduce_sum(ad.mul(h, h)))
+            grads.append((x.grad, w.grad))
+        np.testing.assert_array_equal(grads[0][0], grads[1][0])
+        np.testing.assert_array_equal(grads[0][1], grads[1][1])
 
     def test_no_finite_breakage_on_finite_inputs(self):
         rng = np.random.default_rng(4)
@@ -246,8 +246,8 @@ class TestPrimitiveGradients:
     UNARY = {
         "tanh": ad.tanh,
         "softplus": ad.softplus,
-        "exp": ad.exp,
-        "relu": ad.relu,
+        "exp": lambda x: ad.pointwise(x, "exp"),
+        "relu": lambda x: ad.pointwise(x, "relu"),
         "neg-exp": ad.neg_exp,
         "softmax": ad.softmax_lastdim,
         "reshape": lambda x: ad.reshape(x, (2, 8)),
@@ -351,6 +351,63 @@ class TestPrimitiveGradients:
             for i, t_ in enumerate([x, k, p]):
                 np.testing.assert_allclose(t_.grad, fd_grad(f, [x_np, k_np, p_np], i, step=1e-5),
                                            rtol=1e-5, atol=2e-9)
+
+
+class TestPackedRows:
+    """split_heads / merge_heads / scatter_rows over packed rows: row r of the
+    (R, D) input lands in cell rows[r] of a sample-major (n, t) grid."""
+
+    N, T, HEADS, D = 3, 4, 2, 6
+    ROWS = np.array([0, 1, 2, 4, 8, 9, 10, 11])  # counts 3, 1, 4 of t = 4
+    DROPPED = ([0, 1, 1, 1], [3, 1, 2, 3])  # (sample, step) cells no row fills
+
+    def _x(self, rows, seed=0):
+        return np.random.default_rng(seed).standard_normal((len(rows), self.D))
+
+    def test_all_rows_bit_equal_to_grid_layout(self):
+        n, t, h, d = self.N, self.T, self.HEADS, self.D
+        rows = np.arange(n * t)
+        x = self._x(rows)
+        split = ad.split_heads(ad.constant(x), h, rows, n, t).data
+        np.testing.assert_array_equal(split, x.reshape(n, t, h, d // h).transpose(0, 2, 1, 3))
+        np.testing.assert_array_equal(ad.merge_heads(ad.constant(split), rows).data, x)
+        np.testing.assert_array_equal(ad.scatter_rows(ad.constant(x), rows, n, t).data,
+                                      x.reshape(n, t, d))
+
+    def test_dropped_cells_are_zero_and_rows_round_trip(self):
+        n, t, h = self.N, self.T, self.HEADS
+        x = self._x(self.ROWS, seed=1)
+        split = ad.split_heads(ad.constant(x), h, self.ROWS, n, t).data
+        grid = ad.scatter_rows(ad.constant(x), self.ROWS, n, t).data
+        samples, steps = self.DROPPED
+        np.testing.assert_array_equal(split[samples, :, steps], 0.0)
+        np.testing.assert_array_equal(grid[samples, steps], 0.0)
+        np.testing.assert_array_equal(grid.reshape(n * t, -1)[self.ROWS], x)
+        np.testing.assert_array_equal(ad.merge_heads(ad.constant(split), self.ROWS).data, x)
+
+    def test_gradients(self):
+        n, t, h = self.N, self.T, self.HEADS
+        rng = np.random.default_rng(2)
+        x = ad.Tensor(self._x(self.ROWS, seed=3), requires_grad=True)
+        mix = ad.constant(rng.standard_normal((n, h, t, t)))
+        w = ad.constant(rng.standard_normal((n, t, self.D)))
+
+        def build():
+            # attention-like mixing across the grid, so dropped cells are read
+            heads = ad.matmul(mix, ad.split_heads(x, h, self.ROWS, n, t))
+            back = ad.merge_heads(ad.tanh(heads), self.ROWS)
+            return ad.reduce_sum(ad.mul(ad.scatter_rows(back, self.ROWS, n, t), w))
+
+        report = ad.check_gradients(build, {"x": x}, step=1e-6, tolerance=1e-6)
+        assert report.passed, "\n".join(report.lines())
+
+    def test_scatter_passes_back_only_its_rows(self):
+        n, t = self.N, self.T
+        x = ad.Tensor(self._x(self.ROWS), requires_grad=True)
+        w = np.random.default_rng(4).standard_normal((n, t, self.D))
+        with ad.Graph() as g:
+            g.backward(ad.reduce_sum(ad.mul(ad.scatter_rows(x, self.ROWS, n, t), ad.constant(w))))
+        np.testing.assert_array_equal(x.grad, w.reshape(n * t, -1)[self.ROWS])
 
 
 class TestCheckGradients:

@@ -25,6 +25,12 @@ def test_gradcheck_passes():
     assert cli.main(["gradcheck"]) == 0
 
 
+@pytest.mark.parametrize("observed", ["0", "8"])
+def test_gradcheck_observed_out_of_range_refused(observed, capsys):
+    assert cli.main(["gradcheck", "--observed", observed]) == 2
+    assert "--observed must be in [1, 7]" in capsys.readouterr().err
+
+
 def test_resume_is_exact(dataset, tmp_path):
     straight, split = tmp_path / "straight", tmp_path / "split"
     _train(dataset, straight, 4)

@@ -38,12 +38,17 @@ def aleatoric1(alpha, p_hat, p, cfg):
     return attenuated(one([alpha]), residual1(p, p_hat, cfg.residual_kind, cfg.huber_delta))
 
 
+def weights1(depths):
+    """depth_stability_weights of one trajectory: the N=1 case."""
+    return depth_stability_weights(np.asarray(depths, dtype=np.float64)[None, :])[0]
+
+
 def drau1(p_hat, alpha, beta, p, weights=None, cfg=SQ):
     """drau_batch over one trajectory with every step valid."""
     p = np.asarray(p, dtype=np.float64)
     t = len(p)
     if weights is None:
-        weights = depth_stability_weights(p[:, 2])
+        weights = weights1(p[:, 2])
     return drau_batch(one(p_hat), one(alpha), one(beta), p.reshape(1, t, -1),
                       np.asarray(weights, dtype=np.float64).reshape(1, t),
                       np.ones((1, t), bool), cfg)
@@ -104,11 +109,11 @@ class TestAleatoricLoss:
 
 class TestDepthWeights:
     def test_constant_depth_uniform(self):
-        w = depth_stability_weights(np.full(7, 0.4))
+        w = weights1(np.full(7, 0.4))
         np.testing.assert_array_equal(w, np.full(7, 1.0 / 7))
 
     def test_two_step_forced_values(self):
-        w = depth_stability_weights(np.array([1.0, 1.2]))
+        w = weights1([1.0, 1.2])
         # softmax of logits (0, -0.2), evaluated directly
         e = np.exp([0.0, -0.2])
         np.testing.assert_allclose(w, e / e.sum(), atol=1e-15)
@@ -118,13 +123,13 @@ class TestDepthWeights:
         rng = np.random.default_rng(0)
         for _ in range(100):
             z = rng.uniform(0.2, 1.5, size=rng.integers(1, 40))
-            w = depth_stability_weights(z)
+            w = weights1(z)
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w > 0)
 
     def test_shift_invariance_of_differences(self):
         z = np.array([0.5, 0.52, 0.6, 0.61])
-        base = depth_stability_weights(z)
+        base = weights1(z)
         # adding a constant to every |dz| shifts all logits equally
         dz = np.abs(np.diff(z, prepend=z[0]))
         shifted = np.exp(-(dz + 0.37))
@@ -132,8 +137,7 @@ class TestDepthWeights:
 
     def test_palindrome_reversal(self):
         z = np.array([0.4, 0.5, 0.7, 0.5, 0.4])
-        np.testing.assert_array_equal(depth_stability_weights(z),
-                                      depth_stability_weights(z[::-1]))
+        np.testing.assert_array_equal(weights1(z), weights1(z[::-1]))
 
     def test_masked_padding(self):
         z = np.array([[0.4, 0.5, 0.0, 0.0]])
@@ -163,7 +167,7 @@ class TestDrauLoss:
         p_hat = p + rng.normal(0, 0.1, (t, 3))
         alpha = rng.normal(0, 0.5, t)
         beta = rng.normal(0, 0.5, t)
-        w = depth_stability_weights(p[:, 2])
+        w = weights1(p[:, 2])
         got = scalar(drau1(p_hat, alpha, beta, p, weights=w, cfg=SQ))
         expected = 0.0
         for i in range(t):

@@ -31,6 +31,11 @@ def random_batch(cfg, n, seed=0, observed=None):
     return frames, points, np.asarray(observed)
 
 
+def pack(x, observed):
+    """Rows of a padded (N, T, ...) array at each sample's observed steps."""
+    return x[M.observed_cells(np.asarray(observed))]
+
+
 class TestConfig:
     def test_heads_must_divide(self):
         with pytest.raises(ValueError):
@@ -141,9 +146,10 @@ class TestEmbedPoint:
 
 def attend(q, kv, observed, value_bias=None):
     """``_mha`` with one head, identity projections and the per-sample key
-    mask: masked scaled dot-product attention over (N, T, d) inputs. A
-    value_bias replaces every value row with that constant."""
-    d = kv.shape[-1]
+    mask: masked scaled dot-product attention over (N, T, d) inputs, every
+    grid cell a packed row. A value_bias replaces every value row with
+    that constant."""
+    n, t, d = kv.shape
     params = M.Params()
     for proj in ("wq", "wv", "wo"):
         params.add(f"a.{proj}.w", np.eye(d))
@@ -152,8 +158,10 @@ def attend(q, kv, observed, value_bias=None):
     if value_bias is not None:
         params["a.wv.w"].data[...] = 0.0
         params["a.wv.b"].data[...] = value_bias
-    mask = M._key_mask(np.asarray(observed), 1, q.shape[1], kv.shape[1])
-    return M._mha(params, "a", ad.constant(q), ad.constant(kv), 1, mask).data
+    mask = M._key_mask(np.asarray(observed), 1, t, t)
+    out = M._mha(params, "a", ad.constant(q.reshape(n * t, d)), ad.constant(kv.reshape(n * t, d)),
+                 1, np.arange(n * t), mask)
+    return out.data.reshape(n, t, d)
 
 
 class TestMaskedAttention:
@@ -189,32 +197,33 @@ class TestMaskedAttention:
 
 class TestTemporalEncode:
     def test_future_slots_do_not_leak(self, desk):
+        # with C = [5, 7], sample 0's steps 5 and 6 are empty grid cells inside
+        # attention; its rows must equal those of sample 0 encoded alone
         cfg, params = desk
         rng = np.random.default_rng(3)
-        n, t = 2, cfg.horizon
         obs = np.array([5, 7])
-        x = rng.standard_normal((n, t, cfg.d_obs))
-        keep = np.arange(t)[None, :, None] < obs[:, None, None]
-        x = np.where(keep, x, 0.0)
+        x = rng.standard_normal((obs.sum(), cfg.d_obs))
         base = M.temporal_encode(params, cfg, ad.constant(x), obs, "enc_v").data
-        x2 = np.where(keep, x, rng.standard_normal((n, t, cfg.d_obs)))
-        x2 = np.where(keep, x2, 77.0)
-        out = M.temporal_encode(params, cfg, ad.constant(x2), obs, "enc_v").data
-        for i in range(n):
-            np.testing.assert_array_equal(base[i, : obs[i]], out[i, : obs[i]])
+        bounds = np.cumsum([0, *obs])
+        for i in range(len(obs)):
+            rows = slice(bounds[i], bounds[i + 1])
+            alone = M.temporal_encode(params, cfg, ad.constant(x[rows]), obs[i : i + 1], "enc_v")
+            np.testing.assert_array_equal(base[rows], alone.data)
 
     def test_output_width(self, desk):
         cfg, params = desk
-        x = ad.constant(np.zeros((1, cfg.horizon, cfg.d_obs)))
-        out = M.temporal_encode(params, cfg, x, np.array([4]), "enc_t")
-        assert out.shape == (1, cfg.horizon, cfg.d_obs)
+        x = ad.constant(np.zeros((6, cfg.d_obs)))
+        out = M.temporal_encode(params, cfg, x, np.array([4, 2]), "enc_t")
+        assert out.shape == (6, cfg.d_obs)
 
     def test_zero_blocks_degenerates_to_input_plus_pe(self):
         cfg = ModelConfig.tiny(blocks=0)
         params = M.init_params(cfg, seed=0)
-        x = np.random.default_rng(0).standard_normal((1, cfg.horizon, cfg.d_obs))
-        out = M.temporal_encode(params, cfg, ad.constant(x), np.array([4]), "enc_v").data
-        np.testing.assert_array_equal(out, x + M.positional_encoding(cfg.horizon, cfg.d_obs))
+        obs = np.array([4, 2])
+        x = np.random.default_rng(0).standard_normal((6, cfg.d_obs))
+        out = M.temporal_encode(params, cfg, ad.constant(x), obs, "enc_v").data
+        _, steps = M.observed_cells(obs)
+        np.testing.assert_array_equal(out, x + M.positional_encoding(4, cfg.d_obs)[steps])
 
 
 class TestTransition:
@@ -340,6 +349,29 @@ class TestForecast:
         for key in ("mean", "alpha", "beta", "velocity"):
             np.testing.assert_array_equal(base[key].data, moved[key].data, err_msg=key)
 
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_batch_rows_equal_single_sample_forecasts(self, tiny, data):
+        # packing depends on the batch; each sample's outputs must not
+        cfg, params = tiny
+        t = cfg.horizon
+        n = data.draw(st.integers(1, 3), label="n")
+        lengths = data.draw(st.lists(st.integers(2, t), min_size=n, max_size=n), label="lengths")
+        observed = [data.draw(st.integers(1, length - 1), label="C") for length in lengths]
+        frames, points, _ = random_batch(cfg, n, seed=data.draw(st.integers(0, 2**32 - 1)))
+        for i, length in enumerate(lengths):
+            frames[i, length:], points[i, length:] = 0.0, 0.0
+        out = M.forward_batch(params, cfg, frames, points, np.array(observed), np.array(lengths))
+        for i, (length, c) in enumerate(zip(lengths, observed)):
+            one = M.forecast(params, cfg, frames[i, :length], points[i, :length], c)
+            np.testing.assert_allclose(out["mean"].data[i, :length], one.mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out["alpha"].data[i, :length, 0], one.alpha, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(out["beta"].data[i, :length, 0], one.beta, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(out["velocity"].data[i, :length], one.velocity, rtol=0,
+                                       atol=1e-12)
+
     def test_observed_count_bounds(self, desk):
         cfg, params = desk
         frames, points, _ = random_batch(cfg, 1)
@@ -351,8 +383,8 @@ class TestForecast:
     def test_frame_scaling_leaves_trajectory_branch_alone(self, desk):
         cfg, params = desk
         frames, points, obs = random_batch(cfg, 1, seed=17)
-        x_t1 = M.embed_points(params, cfg, points).data
-        x_t2 = M.embed_points(params, cfg, points).data
+        x_t1 = M.embed_points(params, cfg, pack(points, obs)).data
+        x_t2 = M.embed_points(params, cfg, pack(points, obs)).data
         np.testing.assert_array_equal(x_t1, x_t2)
         o1 = M.temporal_encode(params, cfg, ad.constant(x_t1), obs, "enc_t").data
         # scaling pixels only affects the visual branch
@@ -394,3 +426,19 @@ class TestGradientFlow:
         report = ad.check_gradients(build, dict(params.trainable_items()), step=1e-4,
                                     tolerance=1e-3, max_checks_per_tensor=4, seed=1)
         assert report.passed, "\n".join(report.lines())
+
+
+def test_desk_training_step_tape_budget(desk):
+    # one fixed desk step (C from 2 to 13) may not grow past its 449 tape
+    # records; the desk target is under 400
+    cfg, params = desk
+    observed = np.random.default_rng(0).integers(2, 14, size=32)
+    assert (observed.min(), observed.max()) == (2, 13)
+    frames, points, obs = random_batch(cfg, 32, seed=29, observed=observed)
+    valid = np.ones((32, cfg.horizon), bool)
+    w = L.depth_stability_weights(points[..., 2], valid)
+    with ad.Graph() as g:
+        out = M.forward_batch(params, cfg, frames, points, obs)
+        total, _, _ = L.total_batch(out["mean"], out["alpha"], out["beta"], out["velocity"],
+                                    points, w, obs, valid, L.LossConfig())
+    assert len(g) <= 449

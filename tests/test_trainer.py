@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachcast import cli
 from reachcast import losses as L
@@ -52,6 +54,24 @@ class TestNormalize:
         pts = rng.uniform(self.LO, self.HI, size=(50, 3))
         back = denormalize(normalize(pts, self.LO, self.HI), self.LO, self.HI)
         assert np.max(np.abs(back - pts)) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        # denormalize inverts normalize for any non-degenerate range, inside it or not
+        coord = st.floats(-10.0, 10.0)
+        lo = np.array(data.draw(st.lists(coord, min_size=3, max_size=3), label="lo"))
+        span = np.array(data.draw(st.lists(st.floats(1e-3, 10.0), min_size=3, max_size=3),
+                                  label="span"))
+        hi = lo + span
+        pts = np.array(data.draw(st.lists(st.lists(st.floats(-20.0, 20.0), min_size=3,
+                                                   max_size=3), min_size=1, max_size=8),
+                                 label="points"))
+        np.testing.assert_allclose(denormalize(normalize(pts, lo, hi), lo, hi), pts,
+                                   rtol=0, atol=1e-12)
+        unit = np.clip(pts / 20.0, -1.0, 1.0)
+        np.testing.assert_allclose(normalize(denormalize(unit, lo, hi), lo, hi), unit,
+                                   rtol=0, atol=1e-9)
 
     def test_degenerate_range(self):
         with pytest.raises(ValueError):
@@ -220,6 +240,19 @@ class TestMetrics:
         a = evaluate(params, cfg, test, norm, 0.5)
         b = evaluate(params, cfg, list(reversed(test)), norm, 0.5)
         assert a == b
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_order_invariance_property(self, tiny_setup, data):
+        # the encoders pack each batch's observed steps, so the rows depend on
+        # batch composition; evaluate's sort must make any input order agree
+        cfg, samples, manifest, norm = tiny_setup
+        test = split_samples(samples, manifest, "test_seen")
+        params = M.init_params(cfg, seed=0)
+        shuffled = data.draw(st.permutations(test), label="order")
+        batch_size = data.draw(st.sampled_from([3, 256]), label="batch_size")
+        assert (evaluate(params, cfg, shuffled, norm, 0.5, batch_size=batch_size)
+                == evaluate(params, cfg, test, norm, 0.5, batch_size=batch_size))
 
     def test_normalization_is_metric_transparent(self, tiny_setup):
         cfg, samples, manifest, norm = tiny_setup

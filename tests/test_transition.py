@@ -15,6 +15,18 @@ from reachcast import model as M
 from reachcast.model import ModelConfig
 
 
+def split_heads(x, heads):
+    """(N, T, D) tensor -> (N, heads, T, D/heads): every grid cell a packed row."""
+    n, t, d = x.shape
+    return ad.split_heads(ad.reshape(x, (n * t, d)), heads, np.arange(n * t), n, t)
+
+
+def merge_heads(x):
+    """(N, heads, T, dh) tensor -> (N, T, heads*dh)."""
+    n, heads, t, dh = x.shape
+    return ad.reshape(ad.merge_heads(x, np.arange(n * t)), (n, t, heads * dh))
+
+
 def reference_transition(params, cfg, h, observed, horizon=None):
     n, t_enc, dz = h.shape
     t = t_enc if horizon is None else int(horizon)
@@ -22,12 +34,12 @@ def reference_transition(params, cfg, h, observed, horizon=None):
     hmask = M._key_mask(observed, cfg.heads, 1, t_enc)
     heads = cfg.heads
     dh = dz // heads
-    k_h = ad.split_heads(ad.matmul(h, params["trans.cross.wk.w"]), heads)
-    v_h = ad.split_heads(M._linear(params, "trans.cross.wv", h), heads)
+    k_h = split_heads(ad.matmul(h, params["trans.cross.wk.w"]), heads)
+    v_h = split_heads(M._linear(params, "trans.cross.wv", h), heads)
 
     def self_kv(z_t):
-        return (ad.split_heads(ad.matmul(z_t, params["trans.self.wk.w"]), heads),
-                ad.split_heads(M._linear(params, "trans.self.wv", z_t), heads))
+        return (split_heads(ad.matmul(z_t, params["trans.self.wk.w"]), heads),
+                split_heads(M._linear(params, "trans.self.wv", z_t), heads))
 
     ones = ad.constant(np.ones((n, 1, 1)))
     z0 = ad.matmul(ones, ad.reshape(params["trans.z0"], (1, 1, dz)))
@@ -39,15 +51,15 @@ def reference_transition(params, cfg, h, observed, horizon=None):
             k_new, v_new = self_kv(z_prev)
             k_s = ad.concat([k_s, k_new], axis=2)
             v_s = ad.concat([v_s, v_new], axis=2)
-        q = ad.split_heads(M._linear(params, "trans.self.wq", z_prev), heads)
+        q = split_heads(M._linear(params, "trans.self.wq", z_prev), heads)
         logits = ad.scale(ad.matmul(q, ad.swap_last2(k_s)), 1.0 / np.sqrt(dh))
-        attn = ad.merge_heads(ad.matmul(ad.softmax_lastdim(logits), v_s))
+        attn = merge_heads(ad.matmul(ad.softmax_lastdim(logits), v_s))
         attn = M._linear(params, "trans.self.wo", attn)
         wbar = M._layer_norm(params, "trans.ln_wbar", ad.concat([z_prev, attn], axis=2))
 
-        qc = ad.split_heads(M._linear(params, "trans.cross.wq", wbar), heads)
+        qc = split_heads(M._linear(params, "trans.cross.wq", wbar), heads)
         logits = ad.scale(ad.matmul(qc, ad.swap_last2(k_h)), 1.0 / np.sqrt(dh))
-        ctx = ad.merge_heads(ad.matmul(ad.softmax_lastdim(ad.add(logits, ad.constant(hmask))), v_h))
+        ctx = merge_heads(ad.matmul(ad.softmax_lastdim(ad.add(logits, ad.constant(hmask))), v_h))
         ctx = M._linear(params, "trans.cross.wo", ctx)
         what = M._layer_norm(params, "trans.ln_what", ad.concat([wbar, ctx], axis=2))
 
