@@ -30,7 +30,7 @@ import threading
 
 import numpy as np
 
-_POINTWISE_KINDS = ("tanh", "softplus", "exp", "relu", "neg-exp")
+_POINTWISE_KINDS = ("tanh", "softplus", "neg-exp")
 
 _state = threading.local()
 
@@ -515,19 +515,13 @@ def _sigmoid(x):
 
 
 def pointwise(x, kind):
-    """Elementwise map; one of tanh | softplus | exp | relu | neg-exp."""
+    """Elementwise map; one of tanh | softplus | neg-exp."""
     if kind == "tanh":
         out = np.tanh(x.data)
         dfn = lambda: 1.0 - out * out
     elif kind == "softplus":
         out = np.logaddexp(0.0, x.data)
         dfn = lambda: _sigmoid(x.data)
-    elif kind == "exp":
-        out = np.exp(x.data)
-        dfn = lambda: out
-    elif kind == "relu":
-        out = np.maximum(0.0, x.data)
-        dfn = lambda: (x.data > 0).astype(np.float64)
     elif kind == "neg-exp":
         out = np.exp(-x.data)
         dfn = lambda: -out

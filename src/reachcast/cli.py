@@ -90,13 +90,14 @@ def _out_override(value):
     return os.environ.get("REACHCAST_OUT", value)
 
 
-def _load_split(data_dir, split):
+def _load_splits(data_dir, splits):
+    """Read a dataset once; returns the samples of each split ("all" takes
+    every sample) and the manifest."""
     samples, manifest = datagen.read_dataset(data_dir)
     if manifest is None:
         raise ConfigError(f"dataset {data_dir} has no manifest.json")
-    if split == "all":
-        return samples, manifest
-    return datagen.split_samples(samples, manifest, split), manifest
+    return [samples if split == "all" else datagen.split_samples(samples, manifest, split)
+            for split in splits], manifest
 
 
 def _norm_from(manifest):
@@ -198,7 +199,7 @@ def cmd_train(args):
     train_cfg = _train_config(doc.get("train", {}), overrides)
     loss_cfg = _loss_config(doc.get("loss", {}))
 
-    train_samples, manifest = _load_split(data_dir, "train")
+    (train_samples,), manifest = _load_splits(data_dir, ["train"])
     norm = _norm_from(manifest)
 
     start_epoch = 0
@@ -261,8 +262,7 @@ def cmd_eval(args):
 
     rows = []
     dumps = []
-    for split in splits:
-        samples, _ = _load_split(args.data, split)
+    for split, samples in zip(splits, _load_splits(args.data, splits)[0]):
         for ratio in ratios:
             row = trainer.evaluate(params, cfg, samples, norm, ratio, split=split)
             rows.append(row)
@@ -286,18 +286,18 @@ def cmd_eval(args):
     return 0
 
 
+def _trajectory_doc(s, observed, mean, cfg, norm):
+    """The fields a dump row and a forecast share: the sample's observed
+    steps, its future ground truth and the decoded prediction."""
+    pred, gt = (a.tolist() for a in trainer.decode_prediction(mean, s, cfg, norm))
+    return {"id": s.id, "observed_count": observed, "observed": gt[:observed],
+            "future_gt": gt[observed:], "predicted": pred[observed:]}
+
+
 def _dump_rows(params, cfg, samples, norm, ratio, split):
-    rows = []
-    for s, observed, mean in trainer._forecast_batch(params, cfg,
-                                                     sorted(samples, key=lambda x: x.id),
-                                                     norm, ratio):
-        pred, gt = (a.tolist() for a in trainer.decode_prediction(mean, s, cfg, norm))
-        rows.append({
-            "id": s.id, "split": split, "ratio": ratio, "observed_count": observed,
-            "observed": gt[:observed], "future_gt": gt[observed:],
-            "predicted": pred[observed:],
-        })
-    return rows
+    return [{**_trajectory_doc(s, observed, mean, cfg, norm), "split": split, "ratio": ratio}
+            for s, observed, mean in trainer._forecast_batch(
+                params, cfg, sorted(samples, key=lambda x: x.id), norm, ratio)]
 
 
 def cmd_forecast(args):
@@ -306,7 +306,7 @@ def cmd_forecast(args):
         raise ConfigError(f"missing checkpoint: {ckpt}")
     params, cfg, extra = model.load_checkpoint(ckpt)
     norm = (np.array(extra["norm"]["min"]), np.array(extra["norm"]["max"]))
-    samples, _ = _load_split(args.data, "all")
+    (samples,), _ = _load_splits(args.data, ["all"])
     by_id = {s.id: s for s in samples}
     if args.id not in by_id:
         raise ConfigError(f"sample {args.id!r} not in dataset")
@@ -315,10 +315,9 @@ def cmd_forecast(args):
     observed = trainer.observation_count(s.horizon, fixed)
     frames, points, obs, lengths, _ = trainer.assemble_batch([s], cfg, norm, [observed])
     fc = model.forecast(params, cfg, frames[0, : s.horizon], points[0, : s.horizon], observed)
-    pred, gt = (a.tolist() for a in trainer.decode_prediction(fc.mean, s, cfg, norm))
     doc = {
-        "id": s.id, "scene": s.scene, "observed_count": observed, "horizon": s.horizon,
-        "observed": gt[:observed], "future_gt": gt[observed:], "predicted": pred[observed:],
+        **_trajectory_doc(s, observed, fc.mean, cfg, norm),
+        "scene": s.scene, "horizon": s.horizon,
         "alpha": fc.alpha.tolist(),
         "beta": None if fc.beta is None else fc.beta.tolist(),
         "velocity": fc.velocity.tolist(),

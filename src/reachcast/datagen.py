@@ -194,7 +194,7 @@ def gen_sample(spec, sample_id):
         world = world + spec.bow * arc[:, None] * spec.bow_dir
     chain = gen_camera_path(spec, steps, rng)
 
-    local = np.stack([chain.global_to_local(world[t], t + 1) for t in range(steps)])
+    local = chain.global_to_local(world, np.arange(1, steps + 1))
     if np.any(local[:, 2] <= 0):
         raise ValueError(f"sample {sample_id}: hand behind camera; check scene geometry")
     size = (int(spec.intrinsics.height), int(spec.intrinsics.width))
@@ -367,7 +367,7 @@ def _sample_from_json(doc, line_no):
     frames = np.asarray(doc["frames"], dtype=np.float64).reshape(t, h, w)
     if local.shape != (t, 3) or len(chain) != t or valid.shape != (t,):
         raise ParseError(line_no, f"inconsistent lengths for sample {doc['id']!r}")
-    world = np.stack([chain.local_to_global(local[i], i + 1) for i in range(t)])
+    world = chain.local_to_global(local, np.arange(1, t + 1))
     return TrajectorySample(
         id=doc["id"], scene=doc["scene"], frames=frames, points_local=local,
         points_global=world, poses=chain, intrinsics=intr, valid_depth=valid,

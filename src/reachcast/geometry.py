@@ -44,13 +44,6 @@ class CameraIntrinsics:
         return cls(d["fx"], d["fy"], d["ox"], d["oy"], d["w"], d["h"])
 
 
-# Fixed-camera intrinsics of the two head-mounted recording setups.
-EGOPAT3D_INTRINSICS = CameraIntrinsics(fx=1808.203, fy=1807.946, ox=1942.287, oy=1123.822,
-                                       width=3840, height=2160)
-H2O_INTRINSICS = CameraIntrinsics(fx=636.659, fy=636.252, ox=635.284, oy=366.874,
-                                  width=1280, height=720)
-
-
 def project(p, intrinsics):
     """Project local 3D points (meters) to pixel coordinates.
 
@@ -116,53 +109,46 @@ class Pose:
 class PoseChain:
     """Ordered per-frame poses M_1..M_T with cached cumulative products.
 
-    cumulative[0] is the identity, cumulative[t] = cumulative[t-1] @ M_t,
-    and cumulative[t] maps frame-t local coordinates to the world (first
-    camera) frame.
+    The products form one (T+1, 4, 4) array: [0] is the identity,
+    [t] = [t-1] @ M_t, and [t] maps frame-t local coordinates to the world
+    (first camera) frame.
+
+    Lifting and lowering take a 1-based step ``t``: one step for all
+    points, or an array of steps, one per point (``p[i]`` at ``t[i]``).
+    Each point is one (1,3) @ (3,3) product either way, so a whole
+    trajectory at once is bit-identical to a loop over its steps.
     """
 
     __slots__ = ("poses", "_cumulative")
 
     def __init__(self, poses):
         self.poses = tuple(p if isinstance(p, Pose) else Pose(p) for p in poses)
-        cum = [np.eye(4)]
-        for p in self.poses:
-            cum.append(cum[-1] @ p.matrix)
+        cum = np.empty((len(self.poses) + 1, 4, 4))
+        cum[0] = np.eye(4)
+        for t, p in enumerate(self.poses, start=1):
+            cum[t] = cum[t - 1] @ p.matrix
         self._cumulative = cum
 
     def __len__(self):
         return len(self.poses)
 
-    def cumulative(self, t):
-        """Product M_1..M_t; t is 1-based, t=0 gives the identity."""
-        if not 0 <= t <= len(self.poses):
+    def _products(self, t):
+        t = np.asarray(t)
+        if np.any(t < 1) or np.any(t > len(self.poses)):
             raise IndexError(f"step {t} outside chain of length {len(self.poses)}")
         return self._cumulative[t]
 
     def local_to_global(self, p, t):
-        """Carry a frame-t local point into the world frame (t is 1-based)."""
-        if not 1 <= t <= len(self.poses):
-            raise IndexError(f"step {t} outside chain of length {len(self.poses)}")
-        m = self._cumulative[t]
-        p = np.asarray(p, dtype=np.float64)
-        return p @ m[:3, :3].T + m[:3, 3]
+        """Carry frame-t local points into the world frame."""
+        m = self._products(t)
+        p = np.asarray(p, dtype=np.float64)[..., None, :]
+        return (p @ np.swapaxes(m[..., :3, :3], -1, -2))[..., 0, :] + m[..., :3, 3]
 
     def global_to_local(self, p, t):
-        """Inverse of local_to_global at step t."""
-        if not 1 <= t <= len(self.poses):
-            raise IndexError(f"step {t} outside chain of length {len(self.poses)}")
-        m = self._cumulative[t]
-        r, trans = m[:3, :3], m[:3, 3]
-        p = np.asarray(p, dtype=np.float64)
-        return (p - trans) @ r
-
-    def max_rotation_drift(self):
-        """Worst orthonormality defect over all cumulative rotations."""
-        worst = 0.0
-        for m in self._cumulative:
-            r = m[:3, :3]
-            worst = max(worst, float(np.max(np.abs(r.T @ r - np.eye(3)))))
-        return worst
+        """Inverse of local_to_global at the same steps."""
+        m = self._products(t)
+        p = np.asarray(p, dtype=np.float64) - m[..., :3, 3]
+        return (p[..., None, :] @ m[..., :3, :3])[..., 0, :]
 
     def to_flat(self):
         return [p.to_flat() for p in self.poses]

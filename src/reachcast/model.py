@@ -49,7 +49,6 @@ class ModelConfig:
     mlp_ratio: int = 4
     frame_h: int = 64
     frame_w: int = 64
-    frame_ch: int = 1
     prompt_width: int = 5
     coordinate_mode: str = "global-3d"
     traj_hidden: int = 128
@@ -87,7 +86,7 @@ class ModelConfig:
 
     def n_prompt_params(self):
         hp, wp = self.padded_hw()
-        return self.frame_ch * (hp * wp - self.frame_h * self.frame_w)
+        return hp * wp - self.frame_h * self.frame_w
 
     @classmethod
     def desk(cls, **overrides):
@@ -137,18 +136,11 @@ class Params:
     def __getitem__(self, name):
         return self._tensors[name]
 
-    def __contains__(self, name):
-        return name in self._tensors
-
     def items(self):
         return self._tensors.items()
 
     def trainable_items(self):
         return [(n, t) for n, t in self._tensors.items() if n not in self.frozen]
-
-    def n_params(self, trainable_only=False):
-        return sum(t.size for n, t in self._tensors.items()
-                   if not (trainable_only and n in self.frozen))
 
     def zero_grads(self):
         for t in self._tensors.values():
@@ -187,11 +179,11 @@ def init_params(cfg, seed=0):
     frozen_rng = np.random.default_rng(FROZEN_ENCODER_SEED)
     p = Params()
     c1, c2 = cfg.enc_channels
-    ch, pdim = cfg.frame_ch, cfg.point_dim
+    pdim = cfg.point_dim
 
-    p.add("enc.conv1.k", frozen_rng.normal(0, np.sqrt(2.0 / (ch * 9)), (c1, ch, 3, 3)), frozen=True)
+    p.add("enc.conv1.k", frozen_rng.normal(0, np.sqrt(2.0 / 9), (c1, 1, 3, 3)), frozen=True)
     p.add("enc.conv2.k", frozen_rng.normal(0, np.sqrt(2.0 / (c1 * 9)), (c2, c1, 3, 3)), frozen=True)
-    p.add("prompt", np.zeros((ch, cfg.n_prompt_params() // ch)) if cfg.prompt_width else np.zeros((ch, 0)))
+    p.add("prompt", np.zeros((1, cfg.n_prompt_params())))
 
     _add_linear(p, rng, "vis.fc1", cfg.flat_dim(), cfg.vis_hidden)
     _add_linear(p, rng, "vis.fc2", cfg.vis_hidden, cfg.d_obs)
@@ -237,36 +229,6 @@ def init_params(cfg, seed=0):
     return p
 
 
-def expected_param_count(cfg):
-    """Closed-form parameter counts implied by the configuration.
-
-    Kept as explicit arithmetic, independent of init_params, so the two
-    can cross-check each other.
-    """
-    c1, c2 = cfg.enc_channels
-    ch, pdim, d, dz, hh = cfg.frame_ch, cfg.point_dim, cfg.d_obs, cfg.d_z, cfg.head_hidden
-    lin = lambda i, o: i * o + o
-    frozen = c1 * ch * 9 + c2 * c1 * 9
-    n = cfg.n_prompt_params()
-    n += lin(cfg.flat_dim(), cfg.vis_hidden) + lin(cfg.vis_hidden, d)
-    n += lin(pdim, cfg.traj_hidden) + lin(cfg.traj_hidden, d)
-    per_block = 3 * lin(d, d) + d * d + 2 * 2 * d + lin(d, cfg.mlp_ratio * d) + lin(cfg.mlp_ratio * d, d)
-    n += 2 * cfg.blocks * per_block
-    n += lin(2 * d, d) + lin(d, dz) + 2 * dz          # h embedding + LN
-    n += 3 * lin(dz, dz) + dz * dz + 2 * 2 * dz       # self attention + LN(wbar)
-    n += lin(2 * dz, dz) + dz * dz + 2 * lin(dz, dz) + 2 * 3 * dz  # cross attention + LN(what)
-    n += lin(3 * dz, dz) + lin(dz, dz)                # inner MLP
-    n += lin(4 * dz, 2 * dz) + lin(2 * dz, dz) + 2 * dz  # outer MLP + LN(z)
-    n += dz                                           # initial latent
-    n += lin(d, d)                                    # re-embedding projection
-    n += lin(dz + d, hh) + lin(hh, pdim)              # mean head
-    n += lin(dz + d, hh) + lin(hh, 1)                 # xy uncertainty head
-    if pdim == 3:
-        n += lin(dz + d, hh) + lin(hh, 1)             # depth uncertainty head
-    n += lin(dz, hh) + 2 * hh + lin(hh, pdim)         # velocity head
-    return {"trainable": n, "frozen": frozen, "total": n + frozen}
-
-
 # ---------------------------------------------------------------------------
 # building blocks
 
@@ -283,8 +245,8 @@ def _linear(params, name, x):
     return ad.affine(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
-def _mlp2(params, name, x, act="tanh"):
-    return _linear(params, f"{name}.fc2", ad.pointwise(_linear(params, f"{name}.fc1", x), act))
+def _mlp2(params, name, x):
+    return _linear(params, f"{name}.fc2", ad.tanh(_linear(params, f"{name}.fc1", x)))
 
 
 def _layer_norm(params, name, x):
@@ -321,15 +283,14 @@ def observed_cells(observed):
 
 
 def encode_frames(params, cfg, frames):
-    """Prompted frozen encoder plus learnable head: (...,H,W) frames, or
-    (...,C,H,W) when frame_ch > 1 -> (...,d_obs)."""
+    """Prompted frozen encoder plus learnable head: (...,H,W) grayscale
+    frames -> (...,d_obs)."""
     frames = np.asarray(frames, dtype=np.float64)
-    ch, h, w = cfg.frame_ch, cfg.frame_h, cfg.frame_w
-    tail = (h, w) if ch == 1 else (ch, h, w)
-    lead = frames.shape[: frames.ndim - len(tail)]
-    if frames.shape[len(lead) :] != tail:
-        raise ad.ShapeError(f"frames {frames.shape[len(lead):]} do not match configured {tail}")
-    x = ad.constant(frames.reshape(-1, ch, h, w))
+    h, w = cfg.frame_h, cfg.frame_w
+    lead = frames.shape[:-2]
+    if frames.shape[-2:] != (h, w):
+        raise ad.ShapeError(f"frames {frames.shape[-2:]} do not match configured {(h, w)}")
+    x = ad.constant(frames.reshape(-1, 1, h, w))
     x = ad.embed_border(x, params["prompt"], cfg.prompt_width)
     x = ad.tanh(ad.conv2d(x, params["enc.conv1.k"], stride=2))
     x = ad.tanh(ad.conv2d(x, params["enc.conv2.k"], stride=2))
@@ -381,7 +342,7 @@ _TRANSITION_PARAMS = (
 )
 
 
-def transition(params, cfg, h, observed, horizon=None):
+def transition(params, cfg, h, observed, horizon):
     """Recursive latent rollout over the full horizon, as one taped op.
 
     h: (N,T_enc,d_z) encoded observations (keys masked to < observed);
@@ -391,7 +352,7 @@ def transition(params, cfg, h, observed, horizon=None):
     self-attention K/V cache; the backward is hand-written BPTT.
     """
     n, t_enc, dz = h.shape
-    t = t_enc if horizon is None else int(horizon)
+    t = int(horizon)
     inputs = (h,) + tuple(params[f"trans.{k}"] for k in _TRANSITION_PARAMS)
     roll = _Rollout({k: params[f"trans.{k}"].data for k in _TRANSITION_PARAMS}, h.data,
                     _key_mask(observed, cfg.heads, 1, t_enc), positional_encoding(t, dz),
@@ -572,7 +533,7 @@ def velocity_head(params, cfg, z):
 def forward_batch(params, cfg, frames, points, observed, lengths=None):
     """Full forward pass over a padded batch.
 
-    frames (N,T,H,W) (or (N,T,C,H,W)) and points (N,T,point_dim) are numpy
+    frames (N,T,H,W) and points (N,T,point_dim) are numpy
     inputs padded to the horizon; observed (N,) int gives each sample's C.
     Only the C observed steps of each sample reach the encoders, as packed
     rows. Returns dict of graph tensors: mean (N,T,pd), alpha/beta
@@ -648,7 +609,7 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
 
 
 def forecast(params, cfg, frames, points, observed_count):
-    """Single-sample inference. frames (T,H,W[,C]), points (T,point_dim)
+    """Single-sample inference. frames (T,H,W), points (T,point_dim)
     with at least the first C entries filled; returns a ForecastOutput
     covering the sample's full horizon."""
     frames = np.asarray(frames, dtype=np.float64)

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from . import model as M
-from .geometry import normalize_pixel, project
+from .geometry import BehindCameraError, normalize_pixel, project
 
 OBSERVATION_MODES = ("fixed", "random")
 
@@ -57,12 +57,12 @@ class MetricsRow:
     fde2d: float | None = None
     model: str = "model"
 
-    CSV_HEADER = "model,split,ratio,ade3d,fde3d,ade2d_from3d,fde2d_from3d,ade2d,fde2d"
+    METRICS = ("ade3d", "fde3d", "ade2d_from3d", "fde2d_from3d", "ade2d", "fde2d")
+    CSV_HEADER = "model,split,ratio," + ",".join(METRICS)
 
     def as_csv(self):
         cells = [self.model, self.split, f"{self.ratio:g}"]
-        for v in (self.ade3d, self.fde3d, self.ade2d_from3d, self.fde2d_from3d,
-                  self.ade2d, self.fde2d):
+        for v in (getattr(self, k) for k in self.METRICS):
             cells.append("" if v is None else f"{v:.9g}")
         return ",".join(cells)
 
@@ -246,14 +246,8 @@ def fit(params, cfg, samples, norm, train_cfg, loss_cfg=None, start_epoch=0, opt
 # evaluation
 
 
-def _future_errors_3d(pred_global, gt_global, observed, length):
-    diffs = np.linalg.norm(pred_global[observed:length] - gt_global[observed:length], axis=-1)
-    return float(diffs.mean()), float(diffs[-1])
-
-
 def _to_normalized_2d(points_global, sample):
-    local = np.stack([sample.poses.global_to_local(points_global[t], t + 1)
-                      for t in range(len(points_global))])
+    local = sample.poses.global_to_local(points_global, np.arange(1, len(points_global) + 1))
     return normalize_pixel(project(local, sample.intrinsics), sample.intrinsics)
 
 
@@ -269,14 +263,13 @@ def decode_prediction(mean, sample, cfg, norm):
         return (mean + 1.0) / 2.0, (sample_targets(sample, cfg, norm) + 1.0) / 2.0
     pred = denormalize(mean, *norm)
     if cfg.coordinate_mode == "local-3d":
-        pred = np.stack([sample.poses.local_to_global(pred[i], i + 1)
-                         for i in range(sample.horizon)])
+        pred = sample.poses.local_to_global(pred, np.arange(1, sample.horizon + 1))
     return pred, sample.points_global
 
 
 def _forecast_batch(params, cfg, samples, norm, ratio, batch_size=256):
-    """Run the model over samples at one observation ratio; yields per-sample
-    (sample, observed, mean ndarray)."""
+    """Run the model over samples at one observation ratio; returns a list
+    of per-sample (sample, observed, mean ndarray)."""
     fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
     results = []
     for lo in range(0, len(samples), batch_size):
@@ -290,6 +283,41 @@ def _forecast_batch(params, cfg, samples, norm, ratio, batch_size=256):
     return results
 
 
+def _future_errors(pred, gt, observed):
+    """(ADE, FDE) over the steps after the first ``observed``."""
+    d = np.linalg.norm(pred[observed:] - gt[observed:], axis=-1)
+    return float(d.mean()), float(d[-1])
+
+
+def _score(cases, split, ratio, model):
+    """One MetricsRow from (sample, observed, pred, gt) cases.
+
+    pred and gt cover each sample's steps. 3D cases are world-frame meters;
+    they score ADE/FDE in 3D and, lowered through the sample's poses and
+    projected, in normalized frame units. A case whose projection falls
+    behind the camera drops out of those 2D-from-3D metrics only. 2D cases
+    (2d-mode forecasts) are normalized frame units and score ade2d/fde2d.
+    """
+    per = {k: [] for k in MetricsRow.METRICS}
+
+    def add(ade_key, fde_key, errors):
+        per[ade_key].append(errors[0])
+        per[fde_key].append(errors[1])
+
+    for s, observed, pred, gt in cases:
+        if pred.shape[-1] == 2:
+            add("ade2d", "fde2d", _future_errors(pred, gt, observed))
+            continue
+        add("ade3d", "fde3d", _future_errors(pred, gt, observed))
+        try:
+            uv = _to_normalized_2d(pred, s), _to_normalized_2d(gt, s)
+        except BehindCameraError:
+            continue
+        add("ade2d_from3d", "fde2d_from3d", _future_errors(*uv, observed))
+    return MetricsRow(split=split, ratio=ratio, model=model,
+                      **{k: float(np.mean(v)) if v else None for k, v in per.items()})
+
+
 def evaluate(params, cfg, samples, norm, ratio, split="test", batch_size=256):
     """ADE/FDE over future steps at a fixed observation ratio.
 
@@ -300,32 +328,10 @@ def evaluate(params, cfg, samples, norm, ratio, split="test", batch_size=256):
     if not samples:
         raise ValueError(f"no samples in split {split!r}")
     samples = sorted(samples, key=lambda s: s.id)
-    per = {"ade3d": [], "fde3d": [], "ade2d_from3d": [], "fde2d_from3d": [],
-           "ade2d": [], "fde2d": []}
-    for s, observed, mean in _forecast_batch(params, cfg, samples, norm, ratio, batch_size):
-        t = s.horizon
-        pred, gt = decode_prediction(mean, s, cfg, norm)
-        if cfg.coordinate_mode == "2d":
-            d = np.linalg.norm(pred[observed:t] - gt[observed:t], axis=-1)
-            per["ade2d"].append(float(d.mean()))
-            per["fde2d"].append(float(d[-1]))
-            continue
-        ade, fde = _future_errors_3d(pred, gt, observed, t)
-        per["ade3d"].append(ade)
-        per["fde3d"].append(fde)
-        uv_pred = _to_normalized_2d(pred, s)
-        uv_gt = _to_normalized_2d(gt, s)
-        d2 = np.linalg.norm(uv_pred[observed:t] - uv_gt[observed:t], axis=-1)
-        per["ade2d_from3d"].append(float(d2.mean()))
-        per["fde2d_from3d"].append(float(d2[-1]))
-
-    def agg(key):
-        return float(np.mean(per[key])) if per[key] else None
-
-    return MetricsRow(split=split, ratio=ratio,
-                      ade3d=agg("ade3d"), fde3d=agg("fde3d"),
-                      ade2d_from3d=agg("ade2d_from3d"), fde2d_from3d=agg("fde2d_from3d"),
-                      ade2d=agg("ade2d"), fde2d=agg("fde2d"))
+    cases = [(s, observed, *decode_prediction(mean, s, cfg, norm))
+             for s, observed, mean in _forecast_batch(params, cfg, samples, norm, ratio,
+                                                      batch_size)]
+    return _score(cases, split, ratio, "model")
 
 
 def constant_velocity_baseline(sample, observed):
@@ -341,30 +347,14 @@ def constant_velocity_baseline(sample, observed):
 
 
 def evaluate_baseline(samples, ratio, split="test"):
-    """Constant-velocity ADE/FDE rows; samples with C < 2 are skipped."""
-    samples = sorted(samples, key=lambda s: s.id)
+    """Constant-velocity ADE/FDE rows, scored like the model's; samples with
+    C < 2 cannot be extrapolated and are skipped."""
     fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
-    per3, perf, per2, perf2 = [], [], [], []
-    for s in samples:
+    cases = []
+    for s in sorted(samples, key=lambda x: x.id):
         observed = observation_count(s.horizon, fixed)
-        if observed < 2:
-            continue
-        pred_future = constant_velocity_baseline(s, observed)
-        pred_global = np.concatenate([s.points_global[:observed], pred_future])
-        ade, fde = _future_errors_3d(pred_global, s.points_global, observed, s.horizon)
-        per3.append(ade)
-        perf.append(fde)
-        # projection can fail if the extrapolation leaves the camera frustum
-        try:
-            uv_pred = _to_normalized_2d(pred_global, s)
-            uv_gt = _to_normalized_2d(s.points_global, s)
-            d2 = np.linalg.norm(uv_pred[observed:] - uv_gt[observed:], axis=-1)
-            per2.append(float(d2.mean()))
-            perf2.append(float(d2[-1]))
-        except ValueError:
-            pass
-    return MetricsRow(split=split, ratio=ratio, model="cv-baseline",
-                      ade3d=float(np.mean(per3)) if per3 else None,
-                      fde3d=float(np.mean(perf)) if perf else None,
-                      ade2d_from3d=float(np.mean(per2)) if per2 else None,
-                      fde2d_from3d=float(np.mean(perf2)) if perf2 else None)
+        if observed >= 2:
+            pred = np.concatenate([s.points_global[:observed],
+                                   constant_velocity_baseline(s, observed)])
+            cases.append((s, observed, pred, s.points_global))
+    return _score(cases, split, ratio, "cv-baseline")

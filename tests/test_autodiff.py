@@ -246,8 +246,6 @@ class TestPrimitiveGradients:
     UNARY = {
         "tanh": ad.tanh,
         "softplus": ad.softplus,
-        "exp": lambda x: ad.pointwise(x, "exp"),
-        "relu": lambda x: ad.pointwise(x, "relu"),
         "neg-exp": ad.neg_exp,
         "softmax": ad.softmax_lastdim,
         "reshape": lambda x: ad.reshape(x, (2, 8)),
@@ -291,11 +289,10 @@ class TestPrimitiveGradients:
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             x_np = rng.standard_normal((4, 4))
-            if name in ("relu", "huber"):
-                # keep probes away from the kink
+            if name == "huber":
+                # keep probes away from 0 and from the kink at |x| = delta
                 x_np = np.where(np.abs(x_np) < 0.05, 0.2, x_np)
-                if name == "huber":
-                    x_np = np.where(np.abs(np.abs(x_np) - 0.5) < 0.05, 0.2, x_np)
+                x_np = np.where(np.abs(np.abs(x_np) - 0.5) < 0.05, 0.2, x_np)
             w = self._weights(rng, op(ad.Tensor(x_np)).data.shape)
             x = ad.Tensor(x_np, requires_grad=True)
             with ad.Graph() as g:

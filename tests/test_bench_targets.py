@@ -1,8 +1,13 @@
-"""The traced benchmark run wraps package attributes by name; each must exist,
-so a deleted or renamed function fails here rather than in a traced run."""
+"""The benchmark reaches into the package by name: the traced run wraps
+attributes, and the data checks read sample fields. A deleted or renamed
+name, or a changed field type, fails here rather than in a benchmark run,
+where an error outside the checks ends the run without a result line."""
 
+import dataclasses
 import importlib
 from pathlib import Path
+
+from reachcast import cli, datagen
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "reachbench"
 
@@ -15,3 +20,17 @@ def test_every_traced_attribute_exists(monkeypatch):
     missing = [f"{getattr(t.owner, '__name__', t.owner)}.{t.attr}" for t in targets
                if t.attr not in t.owner.__dict__]
     assert not missing, f"traced attributes missing: {missing}"
+
+
+def test_data_checks_hold_on_a_desk_shard(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    session = importlib.import_module("session")
+    w = dataclasses.replace(session.WORKLOADS["train-desk"], shard=4)
+    seed = 1001
+    raw, repaired = tmp_path / "raw", tmp_path / "repaired"
+    assert cli.main(w.gen_argv(w.shard, seed, raw)) == 0
+    assert cli.main(["repair", "--data", str(raw), "--out", str(repaired)]) == 0
+    rec = session.Recorder()
+    wrong = session.check_data(w, seed, raw, datagen.read_dataset(repaired)[0], rec)
+    assert rec.failures == []
+    assert wrong > 0  # the raw set's dropout sentinels lift to wrong world points

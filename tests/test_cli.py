@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from reachcast import cli, trainer
+from reachcast import cli, datagen, trainer
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,22 @@ def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
     assert "differs from the checkpoint's in lr" in capsys.readouterr().err
 
 
+def test_eval_reads_the_dataset_once(dataset, tmp_path, monkeypatch):
+    _train(dataset, tmp_path / "run", 1)
+    reads = []
+    read = datagen.read_dataset
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(datagen, "read_dataset", counted)
+    assert cli.main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt"), "--data", str(dataset),
+                     "--splits", "test_seen,test_unseen", "--out", str(tmp_path / "m.csv")]) == 0
+    assert len(reads) == 1
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 3
+
+
 def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatch):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"model": {"preset": "tiny", "coordinate_mode": "local-3d"}}))
@@ -63,13 +79,14 @@ def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatc
     ckpt = str(tmp_path / "run" / "ckpt")
 
     scored = []
-    errors_3d = trainer._future_errors_3d
+    score = trainer._score
 
-    def record(pred_global, gt_global, observed, length):
-        scored.append((pred_global.copy(), observed))
-        return errors_3d(pred_global, gt_global, observed, length)
+    def record(cases, *args):
+        cases = list(cases)
+        scored.extend((pred.copy(), observed) for _, observed, pred, _ in cases)
+        return score(cases, *args)
 
-    monkeypatch.setattr(trainer, "_future_errors_3d", record)
+    monkeypatch.setattr(trainer, "_score", record)
     dump = tmp_path / "dump.json"
     assert cli.main(["eval", "--ckpt", ckpt, "--data", str(dataset), "--splits", "test_seen",
                      "--ratios", "0.6", "--out", str(tmp_path / "m.csv"),

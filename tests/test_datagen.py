@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachcast import datagen as dg
 from reachcast.datagen import (
@@ -51,8 +53,10 @@ class TestCameraPath:
     def test_zero_amplitudes_identity(self):
         spec = make_spec(rot_amplitude=0.0, trans_amplitude=0.0)
         chain = gen_camera_path(spec, 8, np.random.default_rng(0))
-        for t in range(9):
-            np.testing.assert_array_equal(chain.cumulative(t), np.eye(4))
+        p = np.random.default_rng(1).standard_normal((8, 3))
+        steps = np.arange(1, 9)
+        np.testing.assert_array_equal(chain.local_to_global(p, steps), p)
+        np.testing.assert_array_equal(chain.global_to_local(p, steps), p)
 
     def test_seeded_reproducibility(self):
         spec = make_spec()
@@ -66,8 +70,13 @@ class TestCameraPath:
         np.testing.assert_array_equal(chain.poses[0].matrix, np.eye(4))
 
     def test_orthonormal_at_64_steps(self):
+        # the lifted unit axes, taken from the lifted origin, are each
+        # step's cumulative rotation: it must stay orthonormal
         chain = gen_camera_path(make_spec(), 64, np.random.default_rng(7))
-        assert chain.max_rotation_drift() < 1e-9
+        basis = np.tile(np.vstack([np.zeros(3), np.eye(3)]), (64, 1))
+        img = chain.local_to_global(basis, np.repeat(np.arange(1, 65), 4)).reshape(64, 4, 3)
+        axes = img[:, 1:] - img[:, :1]
+        assert np.max(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3))) < 1e-9
 
 
 class TestRenderFrame:
@@ -181,6 +190,31 @@ class TestWireFormat:
             np.testing.assert_allclose(a.points_global, b.points_global, atol=1e-9)
             for pa, pb in zip(a.poses.poses, b.poses.poses):
                 np.testing.assert_array_equal(pa.matrix, pb.matrix)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 6),
+           dropout=st.sampled_from([0.0, 0.3, 0.9]))
+    def test_round_trip_property(self, tmp_path_factory, seed, n, dropout):
+        # every stored field reads back exactly, depth-dropout sentinels included
+        samples, manifest = gen_dataset(n, seed, GenOptions(t_min=11, t_max=14,
+                                                            depth_dropout=dropout,
+                                                            split_counts=(n, 0, 0, 0)))
+        out = tmp_path_factory.mktemp("wire")
+        write_dataset(samples, manifest, out)
+        loaded, manifest2 = read_dataset(out)
+        assert manifest2 == manifest
+        assert [s.id for s in loaded] == [s.id for s in samples]
+        for a, b in zip(samples, loaded):
+            assert a.scene == b.scene and a.intrinsics == b.intrinsics
+            np.testing.assert_array_equal(a.points_local, b.points_local)
+            np.testing.assert_array_equal(a.valid_depth, b.valid_depth)
+            np.testing.assert_array_equal(a.frames, b.frames)
+            assert len(a.poses) == len(b.poses)
+            for pa, pb in zip(a.poses.poses, b.poses.poses):
+                np.testing.assert_array_equal(pa.matrix, pb.matrix)
+            ok = b.valid_depth
+            np.testing.assert_allclose(b.points_global[ok], a.points_global[ok], rtol=0,
+                                       atol=1e-9)
 
     def test_empty_file(self, tmp_path):
         (tmp_path / "data.jsonl").write_text("")

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachcast.geometry import (
-    EGOPAT3D_INTRINSICS,
-    H2O_INTRINSICS,
     BehindCameraError,
     CameraIntrinsics,
     Pose,
@@ -11,6 +11,12 @@ from reachcast.geometry import (
     normalize_pixel,
     project,
 )
+
+# Fixed-camera intrinsics of two head-mounted recording setups (EgoPAT3D, H2O).
+EGOPAT3D_INTRINSICS = CameraIntrinsics(fx=1808.203, fy=1807.946, ox=1942.287, oy=1123.822,
+                                       width=3840, height=2160)
+H2O_INTRINSICS = CameraIntrinsics(fx=636.659, fy=636.252, ox=635.284, oy=366.874,
+                                  width=1280, height=720)
 
 
 def random_rotation(rng):
@@ -22,6 +28,19 @@ def random_rotation(rng):
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
         [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def rotation_drift(chain):
+    """Worst orthonormality defect of the lifts' rotations over every step,
+    read through the public lift: the images of the unit axes minus the
+    image of the origin are the rotation's columns."""
+    basis = np.vstack([np.zeros(3), np.eye(3)])
+    worst = 0.0
+    for t in range(1, len(chain) + 1):
+        img = chain.local_to_global(basis, t)
+        r = (img[1:] - img[0]).T
+        worst = max(worst, float(np.max(np.abs(r.T @ r - np.eye(3)))))
+    return worst
 
 
 def random_chain(rng, n, rot_scale=1.0, trans_scale=0.5):
@@ -132,12 +151,15 @@ class TestPoseChain:
             assert np.max(np.abs(back - p)) < 1e-9
 
     def test_cumulative_consistency(self):
+        # lifting from frame t equals stepping into frame t-1 with M_t, then lifting
         rng = np.random.default_rng(9)
         chain = random_chain(rng, 6)
-        for t in range(1, 7):
-            np.testing.assert_allclose(
-                chain.cumulative(t), chain.cumulative(t - 1) @ chain.poses[t - 1].matrix, atol=1e-12
-            )
+        p = rng.standard_normal((5, 3))
+        for t in range(2, 7):
+            m = chain.poses[t - 1].matrix
+            np.testing.assert_allclose(chain.local_to_global(p, t),
+                                       chain.local_to_global(p @ m[:3, :3].T + m[:3, 3], t - 1),
+                                       atol=1e-12)
 
     def test_index_bounds(self):
         chain = random_chain(np.random.default_rng(3), 4)
@@ -149,7 +171,27 @@ class TestPoseChain:
     def test_orthonormality_drift_over_64_steps(self):
         rng = np.random.default_rng(11)
         chain = random_chain(rng, 64)
-        assert chain.max_rotation_drift() < 1e-6
+        assert rotation_drift(chain) < 1e-6
+
+    def test_step_array_bounds(self):
+        chain = random_chain(np.random.default_rng(3), 4)
+        with pytest.raises(IndexError):
+            chain.global_to_local(np.zeros((2, 3)), np.array([1, 5]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 20))
+    def test_step_array_matches_per_step_calls(self, seed, length):
+        # one call over a trajectory is the loop over its steps, bit for bit
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, length)
+        steps = rng.integers(1, length + 1, size=rng.integers(1, 30))
+        p = rng.standard_normal((len(steps), 3))
+        lifted = chain.local_to_global(p, steps)
+        lowered = chain.global_to_local(p, steps)
+        for i, t in enumerate(steps):
+            np.testing.assert_array_equal(lifted[i], chain.local_to_global(p[i], int(t)))
+            np.testing.assert_array_equal(lowered[i], chain.global_to_local(p[i], int(t)))
+        assert np.max(np.abs(chain.global_to_local(lifted, steps) - p)) < 1e-9
 
     def test_flat_round_trip(self):
         rng = np.random.default_rng(13)

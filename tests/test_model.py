@@ -46,7 +46,7 @@ class TestConfig:
             ModelConfig(coordinate_mode="4d")
 
     def test_prompt_param_formula(self):
-        cfg = ModelConfig(frame_h=64, frame_w=64, prompt_width=5, frame_ch=1)
+        cfg = ModelConfig(frame_h=64, frame_w=64, prompt_width=5)
         assert cfg.n_prompt_params() == (64 + 10) ** 2 - 64 ** 2 == 1380
 
     def test_point_dim(self):
@@ -55,13 +55,16 @@ class TestConfig:
 
 
 class TestParams:
-    def test_counts_match_closed_form(self):
-        for cfg in (ModelConfig.desk(), ModelConfig.tiny(), ModelConfig(),
-                    ModelConfig.desk(coordinate_mode="2d")):
+    def test_counts_per_preset(self):
+        expected = {"paper": (ModelConfig(), 12324124, 1224),
+                    "desk": (ModelConfig.desk(), 106168, 324),
+                    "tiny": (ModelConfig.tiny(), 4612, 90),
+                    "desk-2d": (ModelConfig.desk(coordinate_mode="2d"), 101781, 324)}
+        for name, (cfg, trainable, frozen) in expected.items():
             params = M.init_params(cfg, seed=1)
-            expected = M.expected_param_count(cfg)
-            assert params.n_params(trainable_only=True) == expected["trainable"]
-            assert params.n_params() - params.n_params(trainable_only=True) == expected["frozen"]
+            sizes = {n: t.size for n, t in params.items()}
+            assert sum(v for n, v in sizes.items() if n not in params.frozen) == trainable, name
+            assert sum(sizes[n] for n in params.frozen) == frozen, name
 
     def test_frozen_set(self):
         cfg = ModelConfig.tiny()

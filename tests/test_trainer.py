@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from reachcast import losses as L
 from reachcast import model as M
 from reachcast import trainer as T
 from reachcast.datagen import GenOptions, gen_dataset, read_dataset, split_samples, write_dataset
+from reachcast.geometry import Pose, PoseChain
 from reachcast.trainer import (
     Adam,
     MetricsRow,
@@ -204,19 +207,79 @@ class TestDepthValidity:
         assert np.isfinite(row.ade3d)
 
 
+def _fixed_camera_case(gt, pred, observed):
+    """A scorer case on a camera that never moves (world frame = every local frame)."""
+    s = SimpleNamespace(id="a", poses=PoseChain([Pose.identity()] * len(gt)),
+                        intrinsics=_tiny_intrinsics())
+    return s, observed, pred, gt
+
+
+def _cv_forecasts(behind=()):
+    """A ``_forecast_batch`` stand-in returning constant-velocity forecasts as
+    normalized means; samples whose id is in ``behind`` get their future
+    mirrored behind the camera."""
+    def forecast(params, cfg, samples, norm, ratio, batch_size=256):
+        fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
+        out = []
+        for s in samples:
+            c = observation_count(s.horizon, fixed)
+            future = constant_velocity_baseline(s, c)
+            if s.id in behind:
+                future = future * [1.0, 1.0, -1.0]
+            out.append((s, c, normalize(np.concatenate([s.points_global[:c], future]), *norm)))
+        return out
+    return forecast
+
+
 class TestMetrics:
     def test_future_errors_constant_offset(self):
-        gt = np.zeros((10, 3))
+        gt = np.tile([0.0, 0.0, 1.0], (10, 1))
         pred = gt + np.array([0.3, 0.0, 0.4])
-        ade, fde = T._future_errors_3d(pred, gt, observed=4, length=10)
-        assert ade == pytest.approx(0.5) and fde == pytest.approx(0.5)
+        row = T._score([_fixed_camera_case(gt, pred, observed=4)], "test", 0.6, "model")
+        assert row.ade3d == pytest.approx(0.5) and row.fde3d == pytest.approx(0.5)
+        # projected: u moves by fx * 0.3 / 1.4 pixels of a frame fx wide
+        assert row.ade2d_from3d == pytest.approx(0.3 / 1.4)
+        assert row.ade2d is None and row.model == "model"
 
     def test_single_future_step_fde(self):
-        gt = np.zeros((5, 3))
+        gt = np.tile([0.0, 0.0, 1.0], (5, 1))
         pred = gt.copy()
-        pred[4] = [1.0, 1.0, 1.0]
-        ade, fde = T._future_errors_3d(pred, gt, observed=4, length=5)
-        assert fde == pytest.approx(np.sqrt(3)) and ade == pytest.approx(np.sqrt(3))
+        pred[4] = [1.0, 1.0, 2.0]
+        row = T._score([_fixed_camera_case(gt, pred, observed=4)], "test", 0.6, "model")
+        assert row.fde3d == pytest.approx(np.sqrt(3)) and row.ade3d == pytest.approx(np.sqrt(3))
+
+    def test_cv_forecasts_score_like_the_baseline(self, tiny_setup, monkeypatch):
+        # the model rows and the CV rows share one scorer: the same forecasts
+        # give the same numbers whichever evaluator reads them
+        cfg, samples, manifest, norm = tiny_setup
+        test = split_samples(samples, manifest, "test_seen")
+        monkeypatch.setattr(T, "_forecast_batch", _cv_forecasts())
+        model_row = evaluate(None, cfg, test, norm, ratio=0.6)
+        cv_row = evaluate_baseline(test, ratio=0.6)
+        assert cv_row.model == "cv-baseline"
+        for key in ("ade3d", "fde3d", "ade2d_from3d", "fde2d_from3d"):
+            assert getattr(model_row, key) == pytest.approx(getattr(cv_row, key), rel=1e-12), key
+        assert model_row.ade2d is None and cv_row.ade2d is None
+
+    def test_baseline_skips_samples_it_cannot_extrapolate(self, tiny_setup):
+        _, samples, _, _ = tiny_setup
+        fixed = TrainConfig(observation_ratio=0.15)
+        short = [s for s in samples if observation_count(s.horizon, fixed) < 2]
+        long = [s for s in samples if observation_count(s.horizon, fixed) >= 2]
+        assert short and long
+        assert evaluate_baseline(short + long, 0.15) == evaluate_baseline(long, 0.15)
+        empty = evaluate_baseline(short, 0.15)
+        assert all(getattr(empty, k) is None for k in MetricsRow.METRICS)
+
+    def test_behind_camera_drops_out_of_2d_only(self, tiny_setup, monkeypatch):
+        cfg, samples, manifest, norm = tiny_setup
+        test = sorted(split_samples(samples, manifest, "test_seen"), key=lambda s: s.id)
+        monkeypatch.setattr(T, "_forecast_batch", _cv_forecasts(behind={test[0].id}))
+        row = evaluate(None, cfg, test, norm, ratio=0.6)
+        rest = evaluate(None, cfg, test[1:], norm, ratio=0.6)
+        assert row.ade2d_from3d == rest.ade2d_from3d and row.fde2d_from3d == rest.fde2d_from3d
+        # the mirrored forecast still counts, and dominates, in 3D
+        assert row.ade3d > rest.ade3d and row.fde3d > rest.fde3d
 
     def test_perfect_prediction_all_zero(self, tiny_setup, monkeypatch):
         cfg, samples, manifest, norm = tiny_setup

@@ -27,9 +27,9 @@ def merge_heads(x):
     return ad.reshape(ad.merge_heads(x, np.arange(n * t)), (n, t, heads * dh))
 
 
-def reference_transition(params, cfg, h, observed, horizon=None):
+def reference_transition(params, cfg, h, observed, horizon):
     n, t_enc, dz = h.shape
-    t = t_enc if horizon is None else int(horizon)
+    t = int(horizon)
     pe = M.positional_encoding(t, dz)
     hmask = M._key_mask(observed, cfg.heads, 1, t_enc)
     heads = cfg.heads
