@@ -4,8 +4,10 @@ Depth repair fits z(t) = a1*t^3 + a2*t^2 + a3*t + a4 + a5*sin(a6*t) to the
 valid depth samples of a track and fills the invalid ones from the fitted
 curve. The model is linear in a1..a5 given a6, so the single nonlinear
 parameter is found by a coarse log-grid scan followed by golden-section
-refinement, with an exact (damped) linear solve at every candidate. Time
-is normalized to [0, 1] before fitting to keep the cubic terms conditioned.
+refinement. The grid's exact (damped) linear solves run as one stacked
+solve per track; each refinement candidate and the final fit get their own.
+Time is normalized to [0, 1] before fitting to keep the cubic terms
+conditioned.
 """
 
 from __future__ import annotations
@@ -44,17 +46,26 @@ class DepthCurve:
         return a1 * tau**3 + a2 * tau**2 + a3 * tau + a4 + a5 * np.sin(a6 * tau)
 
 
-def _basis(tau, a6):
-    return np.stack([tau**3, tau**2, tau, np.ones_like(tau), np.sin(a6 * tau)], axis=1)
-
-
 def _linear_solve(tau, z, a6):
-    """Damped least squares for a1..a5 at fixed a6; returns (coeffs, sse)."""
-    b = _basis(tau, a6)
-    gram = b.T @ b + RIDGE * np.eye(5)
-    coef = np.linalg.solve(gram, b.T @ z)
-    resid = z - b @ coef
-    return coef, float(resid @ resid)
+    """Damped least squares for a1..a5 at fixed a6; returns (coeffs, sse).
+
+    ``a6`` is one frequency, or an array of them solved as one stack: the
+    results then carry a6's shape in front (coeffs (..., 5), sse (...)).
+    Each stacked solve runs the same BLAS and LAPACK calls as a solve on
+    its own, so its coefficients and SSE are bit-identical to one.
+    """
+    a6 = np.asarray(a6, dtype=np.float64)
+    b = np.empty(a6.shape + (len(tau), 5))
+    b[..., 0] = tau**3
+    b[..., 1] = tau**2
+    b[..., 2] = tau
+    b[..., 3] = 1.0
+    b[..., 4] = np.sin(a6[..., None] * tau)
+    bt = np.swapaxes(b, -1, -2)
+    gram = bt @ b + RIDGE * np.eye(5)
+    coef = np.linalg.solve(gram, (bt @ z)[..., None])
+    resid = z - (b @ coef)[..., 0]
+    return coef[..., 0], (resid[..., None, :] @ resid[..., None])[..., 0, 0]
 
 
 def fit_depth_model(times, depths, valid):
@@ -79,7 +90,7 @@ def fit_depth_model(times, depths, valid):
 
     rate = max(len(times) - 1, 4)
     grid = np.geomspace(1e-3, np.pi * rate, GRID_SIZE)
-    sses = np.array([_linear_solve(tau, z, a6)[1] for a6 in grid])
+    sses = _linear_solve(tau, z, grid)[1]
     best = int(np.argmin(sses))
 
     lo = grid[max(best - 1, 0)]

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, PoseChain, project
+from .geometry import CameraIntrinsics, PoseChain, project
 
 DESK_INTRINSICS = CameraIntrinsics(fx=16.0, fy=16.0, ox=8.0, oy=8.0, width=16, height=16)
 
@@ -136,22 +136,25 @@ def linear_path(start, target, steps):
 def _smooth_noise(rng, steps, width=5):
     raw = rng.standard_normal((steps, 3))
     kernel = np.ones(width) / width
-    return np.stack([np.convolve(raw[:, i], kernel, mode="same") for i in range(3)], axis=1)
+    # "same" keeps max(steps, width) rows; only the first `steps` are steps
+    smooth = [np.convolve(raw[:, i], kernel, mode="same")[:steps] for i in range(3)]
+    return np.stack(smooth, axis=1)
 
 
-def _small_rotation(omega):
-    wx, wy, wz = omega
-    r = np.array([
-        [1.0, -wz, wy],
-        [wz, 1.0, -wx],
-        [-wy, wx, 1.0],
-    ])
+def _small_rotations(omega):
+    """Nearest rotations to I + [w]x, one per row w of the (K, 3) omega.
+
+    det(I + [w]x) = 1 + |w|^2 > 0, so each U V^T is a proper rotation.
+    """
+    wx, wy, wz = omega.T
+    one = np.ones_like(wx)
+    r = np.stack([
+        np.stack([one, -wz, wy], axis=-1),
+        np.stack([wz, one, -wx], axis=-1),
+        np.stack([-wy, wx, one], axis=-1),
+    ], axis=-2)
     u, _, vt = np.linalg.svd(r)
-    out = u @ vt
-    if np.linalg.det(out) < 0:
-        u[:, -1] *= -1
-        out = u @ vt
-    return out
+    return u @ vt
 
 
 def gen_camera_path(spec, steps, rng):
@@ -159,12 +162,10 @@ def gen_camera_path(spec, steps, rng):
     rotations/translations, orthonormalized per step."""
     rots = _smooth_noise(rng, steps) * spec.rot_amplitude
     trans = _smooth_noise(rng, steps) * spec.trans_amplitude
-    poses = [Pose.identity()]
-    for t in range(1, steps):
-        if spec.rot_amplitude == 0 and spec.trans_amplitude == 0:
-            poses.append(Pose.identity())
-        else:
-            poses.append(Pose.from_rt(_small_rotation(rots[t]), trans[t]))
+    poses = np.tile(np.eye(4), (steps, 1, 1))
+    if spec.rot_amplitude != 0 or spec.trans_amplitude != 0:
+        poses[1:, :3, :3] = _small_rotations(rots[1:])
+        poses[1:, :3, 3] = trans[1:]
     return PoseChain(poses)
 
 
@@ -408,7 +409,13 @@ def read_dataset(path):
                 doc = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(line_no, f"invalid JSON: {e}") from e
-            samples.append(_sample_from_json(doc, line_no))
+            try:
+                samples.append(_sample_from_json(doc, line_no))
+            except ParseError:
+                raise
+            except (ValueError, TypeError, KeyError) as e:
+                sid = doc.get("id") if isinstance(doc, dict) else None
+                raise ParseError(line_no, f"sample {sid!r}: {e}") from e
     manifest = None
     if manifest_path.exists():
         with open(manifest_path) as f:

@@ -65,14 +65,35 @@ def normalize_pixel(uv, intrinsics):
     return np.stack([uv[..., 0] / intrinsics.width, uv[..., 1] / intrinsics.height], axis=-1)
 
 
-def _check_pose(m, tol=1e-6):
-    if m.shape != (4, 4):
-        raise ValueError(f"pose must be 4x4, got {m.shape}")
-    if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=tol):
-        raise ValueError(f"pose bottom row must be [0,0,0,1], got {m[3]}")
-    r = m[:3, :3]
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
-        raise ValueError("pose rotation block is not orthonormal within 1e-6")
+_BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+
+
+def _checked_poses(m, tol=1e-6):
+    """Validate a (T, 4, 4) stack of rigid transforms and make it read-only.
+
+    Each pose must be finite, have the bottom row [0, 0, 0, 1] and an
+    orthonormal rotation block, both within ``tol``. The error names the
+    first failing 1-based step.
+    """
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError(f"poses must be a stack of 4x4 matrices, got shape {m.shape}")
+    r = m[:, :3, :3]
+    finite = np.isfinite(m).all(axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        bottom = (np.abs(m[:, 3] - _BOTTOM_ROW) <= tol).all(axis=1)
+        ortho = (np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)) <= tol).all(axis=(1, 2))
+    bad = np.flatnonzero(~(finite & bottom & ortho))
+    if len(bad):
+        i = bad[0]
+        if not finite[i]:
+            reason = "has a non-finite entry"
+        elif not bottom[i]:
+            reason = f"bottom row must be [0,0,0,1], got {m[i, 3]}"
+        else:
+            reason = f"rotation block is not orthonormal within {tol:g}"
+        raise ValueError(f"pose at step {i + 1} {reason}")
+    m.setflags(write=False)
+    return m
 
 
 class Pose:
@@ -81,37 +102,28 @@ class Pose:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=np.float64).reshape(4, 4)
-        _check_pose(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        m = np.array(matrix, dtype=np.float64).reshape(1, 4, 4)
+        object.__setattr__(self, "matrix", _checked_poses(m)[0])
+
+    @classmethod
+    def _of_checked(cls, matrix):
+        """Wrap a (4, 4) row of an already checked, read-only stack."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "matrix", matrix)
+        return pose
 
     @classmethod
     def identity(cls):
         return cls(np.eye(4))
 
-    @classmethod
-    def from_rt(cls, rotation, translation):
-        m = np.eye(4)
-        m[:3, :3] = rotation
-        m[:3, 3] = translation
-        return cls(m)
-
-    @classmethod
-    def from_flat(cls, values):
-        """16 row-major doubles, the serialized form."""
-        return cls(np.asarray(values, dtype=np.float64).reshape(4, 4))
-
-    def to_flat(self):
-        return [float(v) for v in self.matrix.reshape(-1)]
-
 
 class PoseChain:
     """Ordered per-frame poses M_1..M_T with cached cumulative products.
 
-    The products form one (T+1, 4, 4) array: [0] is the identity,
-    [t] = [t-1] @ M_t, and [t] maps frame-t local coordinates to the world
-    (first camera) frame.
+    The poses are one read-only (T, 4, 4) array, validated as a whole;
+    each ``poses[i].matrix`` is a view of its row. The products form one
+    (T+1, 4, 4) array: [0] is the identity, [t] = [t-1] @ M_t, and [t]
+    maps frame-t local coordinates to the world (first camera) frame.
 
     Lifting and lowering take a 1-based step ``t``: one step for all
     points, or an array of steps, one per point (``p[i]`` at ``t[i]``).
@@ -119,14 +131,18 @@ class PoseChain:
     trajectory at once is bit-identical to a loop over its steps.
     """
 
-    __slots__ = ("poses", "_cumulative")
+    __slots__ = ("poses", "_matrices", "_cumulative")
 
     def __init__(self, poses):
-        self.poses = tuple(p if isinstance(p, Pose) else Pose(p) for p in poses)
-        cum = np.empty((len(self.poses) + 1, 4, 4))
+        """``poses``: Pose objects or 4x4 arrays, or one (T, 4, 4) array."""
+        m = _checked_poses(np.array([p.matrix if isinstance(p, Pose) else p for p in poses],
+                                    dtype=np.float64))
+        self._matrices = m
+        self.poses = tuple(Pose._of_checked(row) for row in m)
+        cum = np.empty((len(m) + 1, 4, 4))
         cum[0] = np.eye(4)
-        for t, p in enumerate(self.poses, start=1):
-            cum[t] = cum[t - 1] @ p.matrix
+        for t in range(1, len(m) + 1):
+            cum[t] = cum[t - 1] @ m[t - 1]
         self._cumulative = cum
 
     def __len__(self):
@@ -151,8 +167,12 @@ class PoseChain:
         return (p[..., None, :] @ m[..., :3, :3])[..., 0, :]
 
     def to_flat(self):
-        return [p.to_flat() for p in self.poses]
+        """One list of 16 row-major doubles per pose, the serialized form."""
+        return self._matrices.reshape(len(self), 16).tolist()
 
     @classmethod
     def from_flat(cls, rows):
-        return cls([Pose.from_flat(row) for row in rows])
+        m = np.asarray(rows, dtype=np.float64)
+        if m.ndim != 2 or m.shape[1] != 16:
+            raise ValueError(f"poses must be rows of 16 values, got shape {m.shape}")
+        return cls(m.reshape(-1, 4, 4))

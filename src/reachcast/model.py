@@ -27,6 +27,7 @@ The taped composition is kept in tests/test_transition.py as the reference.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -233,11 +234,14 @@ def init_params(cfg, seed=0):
 # building blocks
 
 
+@functools.lru_cache(maxsize=64)
 def positional_encoding(horizon, d):
+    """The (horizon, d) sin/cos table, built once per shape and read-only."""
     pos = np.arange(horizon)[:, None]
     i = np.arange(d)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
     pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    pe.setflags(write=False)
     return pe
 
 

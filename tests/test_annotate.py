@@ -1,9 +1,13 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reachcast import annotate
 from reachcast.annotate import (
     DepthCurve,
     InsufficientDataError,
@@ -26,6 +30,50 @@ def planted_track(n=30, noise=0.0, invalid_idx=(), seed=0):
         valid[i] = False
         z_obs[i] = 0.0
     return times, z_obs, valid, curve.evaluate(times)
+
+
+def reference_linear_solve(tau, z, a6):
+    """The per-candidate solve: a loop over a6 when it is an array."""
+    if np.ndim(a6):
+        out = [reference_linear_solve(tau, z, f) for f in a6]
+        return np.array([c for c, _ in out]), np.array([e for _, e in out])
+    b = np.stack([tau**3, tau**2, tau, np.ones_like(tau), np.sin(a6 * tau)], axis=1)
+    gram = b.T @ b + annotate.RIDGE * np.eye(5)
+    coef = np.linalg.solve(gram, b.T @ z)
+    resid = z - b @ coef
+    return coef, float(resid @ resid)
+
+
+@st.composite
+def random_tracks(draw):
+    """A length-10..40 track of a random cubic-plus-sine curve with noise and dropout."""
+    n = draw(st.integers(10, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = (*rng.normal(0, [0.05, 0.05, 0.05]), rng.uniform(0.2, 0.6),
+              rng.normal(0, 0.03), rng.uniform(0, 3 * n))
+    times = np.arange(n, dtype=np.float64)
+    z = DepthCurve(coeffs, 0.0, n - 1.0).evaluate(times) + rng.normal(0, 0.003, n)
+    valid = rng.random(n) >= draw(st.sampled_from([0.0, 0.2, 0.5]))
+    valid[rng.permutation(n)[:annotate.MIN_VALID_POINTS]] = True
+    z[~valid] = 0.0
+    return times, z, valid
+
+
+class TestStackedSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(track=random_tracks())
+    def test_matches_per_candidate_solves_bit_for_bit(self, track):
+        times, z, valid = track
+        tau = times[valid] / times[-1]
+        grid = np.geomspace(1e-3, np.pi * (len(times) - 1), annotate.GRID_SIZE)
+        coef, sse = annotate._linear_solve(tau, z[valid], grid)
+        ref_coef, ref_sse = reference_linear_solve(tau, z[valid], grid)
+        np.testing.assert_array_equal(sse, ref_sse)
+        np.testing.assert_array_equal(coef, ref_coef)
+        with mock.patch.object(annotate, "_linear_solve", reference_linear_solve):
+            ref = fit_depth_model(times, z, valid)
+        curve = fit_depth_model(times, z, valid)
+        assert curve.coeffs == ref.coeffs and curve.rmse == ref.rmse
 
 
 class TestFitDepthModel:

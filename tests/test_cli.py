@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,13 @@ def _train(dataset, out, epochs, *extra):
     argv = ["train", "--preset", "tiny", "--data", str(dataset), "--out", str(out),
             "--epochs", str(epochs), "--batch-size", "4", "--seed", "3", *extra]
     assert cli.main(argv) == 0
+
+
+def test_blas_pinned_before_numpy_loads():
+    # bit-identity tests must see the single-threaded BLAS the CLI pins
+    conftest = sys.modules["conftest"]
+    assert not conftest.NUMPY_LOADED_FIRST
+    assert conftest.BLAS_ENV == dict.fromkeys(conftest.BLAS_THREAD_VARS, "1")
 
 
 def test_gradcheck_passes():

@@ -18,7 +18,19 @@ from reachcast.datagen import (
     split_samples,
     write_dataset,
 )
-from reachcast.geometry import project
+from reachcast.geometry import PoseChain, project
+
+
+def reference_small_rotation(omega):
+    """Nearest rotation to I + [w]x for one w, the per-step form."""
+    wx, wy, wz = omega
+    r = np.array([[1.0, -wz, wy], [wz, 1.0, -wx], [-wy, wx, 1.0]])
+    u, _, vt = np.linalg.svd(r)
+    out = u @ vt
+    if np.linalg.det(out) < 0:
+        u[:, -1] *= -1
+        out = u @ vt
+    return out
 
 
 def make_spec(**kw):
@@ -77,6 +89,25 @@ class TestCameraPath:
         img = chain.local_to_global(basis, np.repeat(np.arange(1, 65), 4)).reshape(64, 4, 3)
         axes = img[:, 1:] - img[:, :1]
         assert np.max(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3))) < 1e-9
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 64),
+           rot=st.sampled_from([0.0, 0.004, 0.05, 0.5]),
+           trans=st.sampled_from([0.0, 0.003, 0.1]))
+    def test_every_generated_chain_passes_the_check(self, seed, steps, rot, trans):
+        # each step is the per-step rotation bit for bit, and the written
+        # chain reads back through the stacked validity check
+        rng = np.random.default_rng(seed)
+        chain = gen_camera_path(make_spec(rot_amplitude=rot, trans_amplitude=trans),
+                                steps, rng)
+        again = PoseChain.from_flat(chain.to_flat())
+        omega = dg._smooth_noise(np.random.default_rng(seed), steps) * rot
+        for t, (a, b) in enumerate(zip(chain.poses, again.poses)):
+            np.testing.assert_array_equal(a.matrix, b.matrix)
+            if t and (rot or trans):
+                np.testing.assert_array_equal(a.matrix[:3, :3],
+                                              reference_small_rotation(omega[t]))
 
 
 class TestRenderFrame:
@@ -241,6 +272,47 @@ class TestWireFormat:
         (tmp_path / "data.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 1"):
             read_dataset(tmp_path)
+
+
+    @staticmethod
+    def _corrupt(doc, case):
+        if case == "15-value pose":
+            doc["poses"][1] = doc["poses"][1][:15]
+        elif case == "15-value poses":
+            doc["poses"] = [row[:15] for row in doc["poses"]]
+        elif case == "non-rigid pose":
+            doc["poses"][2][0] = 1.5
+        elif case == "bad bottom row":
+            doc["poses"][2][12] = 0.5
+        elif case == "nan rotation":
+            doc["poses"][2][1] = float("nan")
+        elif case == "inf translation":
+            doc["poses"][2][3] = float("inf")
+        elif case == "2-wide point":
+            doc["points_local"][4] = doc["points_local"][4][:2]
+        elif case == "short frame row":
+            doc["frames"][5] = doc["frames"][5][:-1]
+        elif case == "null T":
+            doc["T"] = None
+
+    @pytest.mark.parametrize("case", [
+        "15-value pose", "15-value poses", "non-rigid pose", "bad bottom row",
+        "nan rotation", "inf translation", "2-wide point", "short frame row", "null T",
+    ])
+    def test_malformed_sample_reports_line_and_id(self, tmp_path, case):
+        import json
+        samples, manifest = gen_dataset(3, master_seed=2, options=GenOptions(split_counts=(1, 1, 1, 0)))
+        write_dataset(samples, manifest, tmp_path)
+        lines = (tmp_path / "data.jsonl").read_text().splitlines()
+        doc = json.loads(lines[1])
+        self._corrupt(doc, case)
+        lines[1] = json.dumps(doc)
+        (tmp_path / "data.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 2: sample 's00001'") as err:
+            read_dataset(tmp_path)
+        assert err.value.line_no == 2
+        if case in ("non-rigid pose", "bad bottom row", "nan rotation", "inf translation"):
+            assert "pose at step 3 " in str(err.value)
 
 
 class TestSeedMixing:

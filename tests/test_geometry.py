@@ -30,6 +30,13 @@ def random_rotation(rng):
     ])
 
 
+def rigid(rotation, translation):
+    m = np.eye(4)
+    m[:3, :3] = rotation
+    m[:3, 3] = translation
+    return m
+
+
 def rotation_drift(chain):
     """Worst orthonormality defect of the lifts' rotations over every step,
     read through the public lift: the images of the unit axes minus the
@@ -48,7 +55,7 @@ def random_chain(rng, n, rot_scale=1.0, trans_scale=0.5):
     for _ in range(n):
         r = random_rotation(rng) if rot_scale else np.eye(3)
         t = rng.standard_normal(3) * trans_scale
-        poses.append(Pose.from_rt(r, t))
+        poses.append(rigid(r, t))
     return PoseChain(poses)
 
 
@@ -108,13 +115,22 @@ class TestPose:
 
     def test_flat_round_trip(self):
         rng = np.random.default_rng(0)
-        p = Pose.from_rt(random_rotation(rng), rng.standard_normal(3))
-        p2 = Pose.from_flat(p.to_flat())
+        p = Pose(rigid(random_rotation(rng), rng.standard_normal(3)))
+        p2 = PoseChain.from_flat(PoseChain([p]).to_flat()).poses[0]
         np.testing.assert_array_equal(p.matrix, p2.matrix)
+
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 3)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_entry_rejected(self, entry, value):
+        # rotation block (0, 1) and translation column (2, 3)
+        m = np.eye(4)
+        m[entry] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Pose(m)
 
     def test_inverse(self):
         rng = np.random.default_rng(1)
-        p = Pose.from_rt(random_rotation(rng), rng.standard_normal(3))
+        p = Pose(rigid(random_rotation(rng), rng.standard_normal(3)))
         inv = np.linalg.inv(p.matrix)
         pts = rng.standard_normal((5, 3))
         np.testing.assert_allclose(PoseChain([p]).global_to_local(pts, 1),
@@ -199,3 +215,31 @@ class TestPoseChain:
         chain2 = PoseChain.from_flat(chain.to_flat())
         for a, b in zip(chain.poses, chain2.poses):
             np.testing.assert_array_equal(a.matrix, b.matrix)
+
+    def test_pose_views_are_stored_rows_and_read_only(self):
+        rows = random_chain(np.random.default_rng(17), 5).to_flat()
+        chain = PoseChain.from_flat(rows)
+        for pose, row in zip(chain.poses, rows):
+            assert pose.matrix.shape == (4, 4)
+            np.testing.assert_array_equal(pose.matrix.reshape(-1), row)
+            with pytest.raises(ValueError, match="read-only"):
+                pose.matrix[0, 3] = 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 12), data=st.data(),
+           fault=st.sampled_from(["nan", "inf", "skew", "bottom"]))
+    def test_bad_pose_is_named_by_step(self, seed, length, data, fault):
+        k = data.draw(st.integers(1, length))
+        m = np.array([p.matrix for p in random_chain(np.random.default_rng(seed), length).poses])
+        if fault == "nan":
+            m[k - 1, 1, 2] = np.nan
+        elif fault == "inf":
+            m[k - 1, 0, 3] = np.inf
+        elif fault == "skew":
+            m[k - 1, 0, 0] += 1e-4
+        else:
+            m[k - 1, 3, 1] = 1e-4
+        with pytest.raises(ValueError, match=f"pose at step {k} "):
+            PoseChain(m)
+        with pytest.raises(ValueError, match=f"pose at step {k} "):
+            PoseChain.from_flat(m.reshape(length, 16).tolist())

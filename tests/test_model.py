@@ -229,6 +229,17 @@ class TestTemporalEncode:
         np.testing.assert_array_equal(out, x + M.positional_encoding(4, cfg.d_obs)[steps])
 
 
+class TestPositionalEncoding:
+    def test_cached_read_only_table(self):
+        pe = M.positional_encoding(7, 6)
+        assert M.positional_encoding(7, 6) is pe
+        i = np.arange(6)
+        angle = np.arange(7)[:, None] / np.power(10000.0, (2 * (i // 2)) / 6)
+        np.testing.assert_array_equal(pe, np.where(i % 2 == 0, np.sin(angle), np.cos(angle)))
+        with pytest.raises(ValueError, match="read-only"):
+            pe[0, 0] = 1.0
+
+
 class TestTransition:
     def test_shape_and_determinism(self, desk):
         cfg, params = desk
