@@ -263,14 +263,16 @@ def cmd_eval(args):
     rows = []
     dumps = []
     for split, samples in zip(splits, _load_splits(args.data, splits)[0]):
+        if not samples:
+            raise ValueError(f"no samples in split {split!r}")
+        dumped = {s.id for s in samples[: args.dump_limit]} if args.dump else set()
         for ratio in ratios:
-            row = trainer.evaluate(params, cfg, samples, norm, ratio, split=split)
-            rows.append(row)
+            cases = trainer.forecast_cases(params, cfg, samples, norm, ratio)
+            rows.append(trainer.score(cases, split, ratio, "model"))
             if args.baseline == "cv":
                 rows.append(trainer.evaluate_baseline(samples, ratio, split=split))
-            if args.dump:
-                dumps.extend(_dump_rows(params, cfg, samples[: args.dump_limit], norm,
-                                        ratio, split))
+            dumps.extend({**_trajectory_doc(s, observed, pred, gt), "split": split, "ratio": ratio}
+                         for s, observed, pred, gt in cases if s.id in dumped)
     out = Path(_out_override(args.out))
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as f:
@@ -286,18 +288,12 @@ def cmd_eval(args):
     return 0
 
 
-def _trajectory_doc(s, observed, mean, cfg, norm):
+def _trajectory_doc(s, observed, pred, gt):
     """The fields a dump row and a forecast share: the sample's observed
     steps, its future ground truth and the decoded prediction."""
-    pred, gt = (a.tolist() for a in trainer.decode_prediction(mean, s, cfg, norm))
+    pred, gt = pred.tolist(), gt.tolist()
     return {"id": s.id, "observed_count": observed, "observed": gt[:observed],
             "future_gt": gt[observed:], "predicted": pred[observed:]}
-
-
-def _dump_rows(params, cfg, samples, norm, ratio, split):
-    return [{**_trajectory_doc(s, observed, mean, cfg, norm), "split": split, "ratio": ratio}
-            for s, observed, mean in trainer._forecast_batch(
-                params, cfg, sorted(samples, key=lambda x: x.id), norm, ratio)]
 
 
 def cmd_forecast(args):
@@ -316,7 +312,7 @@ def cmd_forecast(args):
     frames, points, obs, lengths, _ = trainer.assemble_batch([s], cfg, norm, [observed])
     fc = model.forecast(params, cfg, frames[0, : s.horizon], points[0, : s.horizon], observed)
     doc = {
-        **_trajectory_doc(s, observed, fc.mean, cfg, norm),
+        **_trajectory_doc(s, observed, *trainer.decode_prediction(fc.mean, s, cfg, norm)),
         "scene": s.scene, "horizon": s.horizon,
         "alpha": fc.alpha.tolist(),
         "beta": None if fc.beta is None else fc.beta.tolist(),

@@ -131,27 +131,34 @@ class PoseChain:
     trajectory at once is bit-identical to a loop over its steps.
     """
 
-    __slots__ = ("poses", "_matrices", "_cumulative")
+    __slots__ = ("_poses", "_matrices", "_cumulative")
 
     def __init__(self, poses):
         """``poses``: Pose objects or 4x4 arrays, or one (T, 4, 4) array."""
         m = _checked_poses(np.array([p.matrix if isinstance(p, Pose) else p for p in poses],
                                     dtype=np.float64))
         self._matrices = m
-        self.poses = tuple(Pose._of_checked(row) for row in m)
+        self._poses = None
         cum = np.empty((len(m) + 1, 4, 4))
         cum[0] = np.eye(4)
         for t in range(1, len(m) + 1):
             cum[t] = cum[t - 1] @ m[t - 1]
         self._cumulative = cum
 
+    @property
+    def poses(self):
+        """The poses as a tuple of ``Pose`` objects, built on first use."""
+        if self._poses is None:
+            self._poses = tuple(Pose._of_checked(row) for row in self._matrices)
+        return self._poses
+
     def __len__(self):
-        return len(self.poses)
+        return len(self._matrices)
 
     def _products(self, t):
         t = np.asarray(t)
-        if np.any(t < 1) or np.any(t > len(self.poses)):
-            raise IndexError(f"step {t} outside chain of length {len(self.poses)}")
+        if np.any(t < 1) or np.any(t > len(self)):
+            raise IndexError(f"step {t} outside chain of length {len(self)}")
         return self._cumulative[t]
 
     def local_to_global(self, p, t):

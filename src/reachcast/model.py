@@ -14,15 +14,18 @@ where empty cells are zero and keys past C carry an additive -1e9 logit,
 which underflows to exact zero weight, so forecasts are exactly
 independent of future inputs.
 
-The state transition is one fused tape op (``transition``, built with
-``ad.custom``) rather than dozens of taped ops per step. Its forward runs
-in numpy on a preallocated self-attention K/V cache and repeats the
-arithmetic of the taped composition op for op, with the same operand
-shapes and BLAS calls, so its output is bit-identical to it (tested on the
-``desk`` preset; within 1e-12 elsewhere). Its backward is hand-written
-back-propagation through time; it sums in a different order, and its
-gradients agree with the taped composition to rtol 1e-9 and atol 1e-12.
-The taped composition is kept in tests/test_transition.py as the reference.
+The two recurrences are fused tape ops, each one ``ad.custom`` record
+rather than dozens of taped ops per step: the state transition
+(``transition``) and the autoregressive emission (``emit``), whose every
+step after the observed prefix reads the re-embedded previous mean. Each
+forward runs in numpy and repeats the arithmetic of the taped composition
+op for op, with the same operand shapes and BLAS calls, so its output is
+bit-identical to it (the transition's on the ``desk`` preset and within
+1e-12 elsewhere; the emission's on ``tiny`` and ``desk``, 3D and 2d).
+Each backward is hand-written back-propagation through time; it sums in a
+different order, and its gradients agree with the taped composition to
+rtol 1e-9 and atol 1e-12. The taped compositions are kept as references in
+tests/test_transition.py and tests/test_emission.py.
 """
 
 from __future__ import annotations
@@ -444,10 +447,21 @@ class _Rollout:
         rows = {k: np.zeros((n, w[k].shape[-1])) for k in _TRANSITION_PARAMS
                 if k.endswith((".b", ".g"))}
         rows["self.wqkv.b"] = np.zeros((n, 3 * dz))
-        dk = np.zeros_like(self.k)  # slot j sums over the steps i >= j that read it
-        dv = np.zeros_like(self.v)
-        dkh = np.zeros_like(self.kh)
-        dvh = np.zeros_like(self.vh)
+        # Attention terms of every step, so that each key/value gradient is
+        # one product over the steps that read it: row i holds step i's
+        # weights, query, d(logits) and d(context); self-attention rows are
+        # zero past slot i.
+        ps = np.zeros((n, heads, t, t))
+        q = np.empty((n, heads, t, dh))
+        for i, f in enumerate(self.saved):
+            ps[:, :, i, : i + 1] = f["ps"][:, :, 0]
+            q[:, :, i] = f["q"][:, :, 0]
+        dlog = np.zeros_like(ps)
+        dctx = np.empty_like(q)
+        pc = np.concatenate([f["pc"] for f in self.saved], axis=2)
+        qc = np.concatenate([f["qc"] for f in self.saved], axis=2)
+        dlogc = np.empty_like(pc)
+        dctxc = np.empty_like(q)
 
         def linear(name, x, dy):
             grads[f"{name}.w"] += x.T @ dy
@@ -479,11 +493,10 @@ class _Rollout:
             dcat2 = ad.layer_norm_bwd(dwhat, w["ln_what.g"], xhat2, f["inv2"][:, 0])
             dcproj = dcat2[:, 2 * dz :]
             linear("cross.wo", f["ctxc"][:, 0], dcproj)
-            dctxc = (dcproj @ w["cross.wo.w"].T).reshape(n, heads, 1, dh)
-            dvh += np.swapaxes(f["pc"], -1, -2) * dctxc
-            dlogc = ad.softmax_bwd(dctxc @ np.swapaxes(self.vh, -1, -2), f["pc"]) * scale
-            dkh += np.swapaxes(dlogc, -1, -2) * f["qc"]
-            dqc = (dlogc @ self.kh).reshape(n, dz)
+            dctxc[:, :, i] = (dcproj @ w["cross.wo.w"].T).reshape(n, heads, dh)
+            dlogc[:, :, i] = ad.softmax_bwd(dctxc[:, :, i, None] @ np.swapaxes(self.vh, -1, -2),
+                                            f["pc"])[:, :, 0] * scale
+            dqc = (dlogc[:, :, i, None] @ self.kh).reshape(n, dz)
             linear("cross.wq", f["wbar"][:, 0], dqc)
             dwbar = dcat2[:, : 2 * dz] + dqc @ w["cross.wq.w"].T
             xhat1 = f["xhat1"][:, 0]
@@ -491,19 +504,20 @@ class _Rollout:
             dcat1 = ad.layer_norm_bwd(dwbar, w["ln_wbar.g"], xhat1, f["inv1"][:, 0])
             dattn = dcat1[:, dz:]
             linear("self.wo", f["ctx"][:, 0], dattn)
-            dctx = (dattn @ w["self.wo.w"].T).reshape(n, heads, 1, dh)
-            ps = f["ps"]
-            dv[:, :, : i + 1] += np.swapaxes(ps, -1, -2) * dctx
-            dlog = ad.softmax_bwd(dctx @ np.swapaxes(self.v[:, :, : i + 1], -1, -2), ps) * scale
-            dk[:, :, : i + 1] += np.swapaxes(dlog, -1, -2) * f["q"]
+            dctx[:, :, i] = (dattn @ w["self.wo.w"].T).reshape(n, heads, dh)
+            v_t = np.swapaxes(self.v[:, :, : i + 1], -1, -2)
+            dlog_i = ad.softmax_bwd(dctx[:, :, i, None] @ v_t, f["ps"]) * scale
+            dlog[:, :, i, : i + 1] = dlog_i[:, :, 0]
             # slot i (holding z_i) is complete: its readers are steps i..t-1
-            dqkv = np.concatenate([(dlog @ self.k[:, :, : i + 1]).reshape(n, dz),
-                                   dk[:, :, i].reshape(n, dz), dv[:, :, i].reshape(n, dz)],
-                                  axis=1)
+            dk = np.swapaxes(dlog[:, :, i:, i, None], -1, -2) @ q[:, :, i:]
+            dv = np.swapaxes(ps[:, :, i:, i, None], -1, -2) @ dctx[:, :, i:]
+            dqkv = np.concatenate([(dlog_i @ self.k[:, :, : i + 1]).reshape(n, dz),
+                                   dk.reshape(n, dz), dv.reshape(n, dz)], axis=1)
             linear("self.wqkv", f["zin"][:, 0], dqkv)
             dz_ = dcat1[:, :dz] + dqkv @ wqkv.T
 
-        dkh, dvh = _merge(dkh).reshape(-1, dz), _merge(dvh).reshape(-1, dz)
+        dkh = _merge(np.swapaxes(dlogc, -1, -2) @ qc).reshape(-1, dz)
+        dvh = _merge(np.swapaxes(pc, -1, -2) @ dctxc).reshape(-1, dz)
         h = self.h.reshape(-1, dz)
         grads["cross.wk.w"] += h.T @ dkh
         grads["cross.wv.w"] += h.T @ dvh
@@ -517,14 +531,172 @@ class _Rollout:
         return (dh_in,) + tuple(grads[k] for k in _TRANSITION_PARAMS)
 
 
-def emit(params, cfg, z_t, prev_traj_feature):
-    """One emission step: (N,1,d_z) latent + (N,1,d_obs) previous-trajectory
-    feature -> (mean, alpha, beta)."""
-    inp = ad.concat([z_t, prev_traj_feature], axis=2)
-    mean = ad.tanh(_mlp2(params, "emit.mean", inp))
-    alpha = ad.softplus(_mlp2(params, "emit.alpha", inp))
-    beta = ad.softplus(_mlp2(params, "emit.beta", inp)) if cfg.point_dim == 3 else None
-    return mean, alpha, beta
+def _emission_params(cfg):
+    """Parameters of the fused emission, in the order of its gradients after
+    z and o_t: the heads' two layers, then the re-embedding of the previous
+    mean (``embed_points`` followed by ``emit.reembed``)."""
+    heads = ("mean", "alpha", "beta") if cfg.point_dim == 3 else ("mean", "alpha")
+    return tuple(f"emit.{h}.{fc}.{k}" for h in heads for fc in ("fc1", "fc2") for k in "wb") + (
+        "emit.reembed.w", "emit.reembed.b", "traj.fc1.w", "traj.fc1.b", "traj.fc2.w", "traj.fc2.b")
+
+
+def emit(params, cfg, z, o_t, observed):
+    """Probabilistic emission over the whole horizon, as one taped op.
+
+    z: (N,T,d_z) latents; o_t: (N,max C,d_obs) trajectory-encoder features,
+    zero past each sample's C; observed: (N,) ints. Step i reads z_i and a
+    previous-trajectory feature: zero at step 0, the encoder feature of
+    step i-1 through step C, and after that the previous predicted mean,
+    re-embedded by ``embed_points`` and ``emit.reembed``. Returns mean
+    (N,T,point_dim) under tanh and alpha, beta (N,T,1) under softplus; beta
+    is None in 2d mode. The forward runs in numpy; the backward is
+    hand-written BPTT through the previous-mean recurrence.
+    """
+    names = _emission_params(cfg)
+    inputs = (z, o_t) + tuple(params[k] for k in names)
+    em = _Emission({k: params[k].data for k in names}, z.data, o_t.data,
+                   np.asarray(observed), save=ad.is_recording(inputs))
+    out = ad.custom(em.out, inputs, em.backward)
+    pd = cfg.point_dim
+    beta = ad.slice_axis(out, 2, pd + 1, pd + 2) if pd == 3 else None
+    return ad.slice_axis(out, 2, 0, pd), ad.slice_axis(out, 2, pd, pd + 1), beta
+
+
+class _Emission:
+    """Numpy forward and hand-written backward of the emission.
+
+    The forward mirrors the taped composition op for op: steps 0..min C
+    run as one (N, min C + 1, d) block, since every sample reads encoder
+    features there, and each later step runs on (N,1,d) operands, so the
+    output is bit-identical to it. ``out`` packs mean, alpha and beta
+    (N,T,point_dim+2; +1 without beta). Activations are kept per step only
+    when ``save`` is set (a tape will replay them); the backward stacks
+    them over the horizon.
+    """
+
+    def __init__(self, w, z, o, observed, save):
+        n, t, dz = z.shape
+        d = o.shape[2]
+        heads = [h for h in ("mean", "alpha", "beta") if f"emit.{h}.fc1.w" in w]
+        pd = w["emit.mean.fc2.w"].shape[1]
+        m0 = int(observed.min())  # steps 0..m0 lie in every sample's observed prefix
+        self.w, self.heads, self.pd, self.m0 = w, heads, pd, m0
+        # row i-1: which samples still read the encoder feature at step i (i <= C)
+        self.sel = (np.arange(1, o.shape[1] + 1)[:, None] <= observed).astype(np.float64)[..., None]
+        keep_re = 1.0 - self.sel
+        self.out = out = np.empty((n, t, pd + len(heads) - 1))
+        # per-step activations by name, in step order; the re-embedding
+        # lists start empty so that they stack when no step re-embeds
+        saved = {"e1": [np.empty((n, 0, w["traj.fc1.w"].shape[1]))], "e2": [np.empty((n, 0, d))]}
+
+        def keep(name, a):
+            if save:
+                saved.setdefault(name, []).append(a)
+
+        def emit_steps(steps, feat):
+            """Run the heads on z and the previous-trajectory feature at
+            ``steps``; returns the mean."""
+            x = np.concatenate([z[:, steps], feat], axis=2)
+            keep("inp", x)
+            hid = {}
+            for h in heads:
+                hid[h] = np.tanh(x @ w[f"emit.{h}.fc1.w"] + w[f"emit.{h}.fc1.b"])
+                keep(h, hid[h])
+            mean = np.tanh(hid["mean"] @ w["emit.mean.fc2.w"] + w["emit.mean.fc2.b"])
+            out[:, steps, :pd] = mean
+            for k, h in enumerate(heads[1:], start=pd):
+                pre = hid[h] @ w[f"emit.{h}.fc2.w"] + w[f"emit.{h}.fc2.b"]
+                keep(f"{h}.pre", pre)
+                out[:, steps, k : k + 1] = np.logaddexp(0.0, pre)
+            return mean
+
+        feat = np.concatenate([np.zeros((n, 1, d)), o[:, :m0]], axis=1)
+        prev = emit_steps(slice(0, m0 + 1), feat)[:, m0:].copy()
+        for i in range(m0 + 1, t):
+            e1 = np.tanh(prev @ w["traj.fc1.w"] + w["traj.fc1.b"])
+            e2 = e1 @ w["traj.fc2.w"] + w["traj.fc2.b"]
+            keep("e1", e1)
+            keep("e2", e2)
+            feat = e2 @ w["emit.reembed.w"] + w["emit.reembed.b"]
+            if i <= len(self.sel):  # encoder feature through step C, then the re-embedding
+                feat = o[:, i - 1 : i] * self.sel[i - 1, :, None] + feat * keep_re[i - 1, :, None]
+            prev = emit_steps(slice(i, i + 1), feat)
+        if save:
+            self.saved = saved
+
+    def backward(self, g):
+        """BPTT over the saved steps: gradients of z, o_t, then of each
+        parameter in _emission_params order.
+
+        Rows are 2-D here: the backward has no bit-identity to keep. Alpha
+        and beta do not feed the recurrence, so their gradients run for
+        every step at once; the loop walks only the mean head and the
+        re-embedding, from the last step back to min C + 1, carrying the
+        gradient of each step's previous mean. Weight gradients are one
+        product per weight over all steps.
+        """
+        w, pd, m0, heads = self.w, self.pd, self.m0, self.heads
+        act = {k: np.concatenate(v, axis=1) for k, v in self.saved.items()}
+        n, t, d_in = act["inp"].shape
+        dz = d_in - act["e2"].shape[2]
+        mean = self.out[..., :pd]
+
+        def rows(a):
+            return a.reshape(-1, a.shape[-1])
+
+        dpre, dhid = {}, {}
+        for k, h in enumerate(heads[1:], start=pd):
+            dpre[h] = g[..., k : k + 1] * (0.5 * (1.0 + np.tanh(0.5 * act[f"{h}.pre"])))
+            dhid[h] = dpre[h] * w[f"emit.{h}.fc2.w"][:, 0] * (1.0 - act[h] ** 2)
+        dinp = sum(rows(dhid[h]) @ w[f"emit.{h}.fc1.w"].T for h in heads[1:]).reshape(n, t, d_in)
+
+        hm = act["mean"]
+        dmean_act, dhm_act = 1.0 - mean * mean, 1.0 - hm * hm
+        w2m_t = w["emit.mean.fc2.w"].T
+        w1m_feat_t = w["emit.mean.fc1.w"][dz:].T
+        re_t = (w["traj.fc2.w"] @ w["emit.reembed.w"]).T  # feature -> traj.fc1 output
+        w1t_t = w["traj.fc1.w"].T
+        e1_act = 1.0 - act["e1"] ** 2
+        dpm = np.empty_like(mean)
+        dhm = np.empty_like(hm)
+        dre = np.empty((n, t - m0 - 1, d_in - dz))
+        d1 = np.empty_like(e1_act)
+        t_enc = len(self.sel)
+        keep_re = 1.0 - self.sel
+        do = np.zeros((n, t_enc, d_in - dz))
+        carry = 0.0  # gradient of mean_i from step i+1's re-embedding
+        for i in range(t - 1, m0, -1):
+            j = i - m0 - 1
+            dpm[:, i] = (g[:, i, :pd] + carry) * dmean_act[:, i]
+            dhm[:, i] = (dpm[:, i] @ w2m_t) * dhm_act[:, i]
+            dfeat = dinp[:, i, dz:] + dhm[:, i] @ w1m_feat_t
+            if i <= t_enc:
+                do[:, i - 1] = dfeat * self.sel[i - 1]
+                dfeat = dfeat * keep_re[i - 1]
+            dre[:, j] = dfeat
+            d1[:, j] = (dfeat @ re_t) * e1_act[:, j]
+            carry = d1[:, j] @ w1t_t
+        dpm[:, : m0 + 1] = g[:, : m0 + 1, :pd] * dmean_act[:, : m0 + 1]
+        dpm[:, m0] += carry * dmean_act[:, m0]
+        dhm[:, : m0 + 1] = (dpm[:, : m0 + 1] @ w2m_t) * dhm_act[:, : m0 + 1]
+        dinp += (rows(dhm) @ w["emit.mean.fc1.w"].T).reshape(n, t, d_in)
+        do[:, :m0] = dinp[:, 1 : m0 + 1, dz:]
+
+        grads = {}
+
+        def linear(name, x, dy):
+            grads[f"{name}.w"] = rows(x).T @ rows(dy)
+            grads[f"{name}.b"] = rows(dy).sum(axis=0)
+
+        linear("emit.mean.fc2", hm, dpm)
+        linear("emit.mean.fc1", act["inp"], dhm)
+        for h in heads[1:]:
+            linear(f"emit.{h}.fc2", act[h], dpre[h])
+            linear(f"emit.{h}.fc1", act["inp"], dhid[h])
+        linear("emit.reembed", act["e2"], dre)
+        linear("traj.fc2", act["e1"], rows(dre) @ w["emit.reembed.w"].T)
+        linear("traj.fc1", mean[:, m0 : t - 1], d1)
+        return (dinp[..., :dz], do) + tuple(grads[k] for k in w)
 
 
 def velocity_head(params, cfg, z):
@@ -540,8 +712,9 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     frames (N,T,H,W) and points (N,T,point_dim) are numpy
     inputs padded to the horizon; observed (N,) int gives each sample's C.
     Only the C observed steps of each sample reach the encoders, as packed
-    rows. Returns dict of graph tensors: mean (N,T,pd), alpha/beta
-    (N,T,1), velocity (N,T,pd).
+    rows. The transition and the emission then run once each over the
+    whole horizon. Returns dict of graph tensors: mean (N,T,pd),
+    alpha/beta (N,T,1), beta None in 2d mode, velocity (N,T,pd).
     """
     frames = np.asarray(frames, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -574,42 +747,9 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     h = _layer_norm(params, "trans.h.ln", ad.add(_mlp2(params, "trans.h", o), ad.constant(pe_z)))
 
     z = transition(params, cfg, ad.scatter_rows(h, rows, n, t_enc), observed, horizon=t)
-    o_t = ad.scatter_rows(o_t, rows, n, t_enc)
-
-    # Emission: steps up to min(C) use encoder trajectory features for every
-    # sample, so they batch into one call; later steps are autoregressive in
-    # the re-embedded previous prediction for samples past their horizon.
-    zero_feat = ad.constant(np.zeros((n, 1, cfg.d_obs)))
-    m0 = int(observed.min())  # steps 0..m0 are within every sample's observed prefix
-    prefix = [zero_feat] if m0 == 0 else [zero_feat, ad.slice_axis(o_t, 1, 0, m0)]
-    mean_blk, alpha_blk, beta_blk = emit(params, cfg, ad.slice_axis(z, 1, 0, m0 + 1),
-                                         ad.concat(prefix, axis=1) if len(prefix) > 1 else zero_feat)
-    means, alphas = [mean_blk], [alpha_blk]
-    betas = [beta_blk] if beta_blk is not None else []
-    prev_mean = ad.slice_axis(mean_blk, 1, m0, m0 + 1)
-    for i in range(m0 + 1, t):
-        z_i = ad.slice_axis(z, 1, i, i + 1)
-        re = _linear(params, "emit.reembed", embed_points(params, cfg, prev_mean))
-        if i <= t_enc:
-            sel = (i <= observed).astype(np.float64)  # encoder feature through step C+1
-            sel_d = np.broadcast_to(sel[:, None, None], (n, 1, cfg.d_obs)).copy()
-            obs_feat = ad.mul(ad.slice_axis(o_t, 1, i - 1, i), ad.constant(sel_d))
-            prev_feat = ad.add(obs_feat, ad.mul(re, ad.constant(1.0 - sel_d)))
-        else:
-            prev_feat = re  # past every sample's observed prefix
-        m_i, a_i, b_i = emit(params, cfg, z_i, prev_feat)
-        means.append(m_i)
-        alphas.append(a_i)
-        if b_i is not None:
-            betas.append(b_i)
-        prev_mean = m_i
-    out = {
-        "mean": ad.concat(means, axis=1) if len(means) > 1 else means[0],
-        "alpha": ad.concat(alphas, axis=1) if len(alphas) > 1 else alphas[0],
-        "beta": (ad.concat(betas, axis=1) if len(betas) > 1 else betas[0]) if betas else None,
-        "velocity": velocity_head(params, cfg, z),
-    }
-    return out
+    mean, alpha, beta = emit(params, cfg, z, ad.scatter_rows(o_t, rows, n, t_enc), observed)
+    return {"mean": mean, "alpha": alpha, "beta": beta,
+            "velocity": velocity_head(params, cfg, z)}
 
 
 def forecast(params, cfg, frames, points, observed_count):

@@ -135,34 +135,74 @@ def assemble_batch(samples, cfg, norm, observed):
 class Adam:
     """Adaptive-moment optimizer over a parameter store's trainable tensors.
 
+    The moments live in two flat arrays, one element per trainable
+    parameter element; ``m[name]`` and ``v[name]`` are views of them. A
+    step updates that flat range in chunks of ``CHUNK`` elements, which
+    may span several small tensors or part of a large one: small tensors
+    share each numpy call, and temporaries stay small and in cache.
     ``save``/``load`` keep the moments and step count beside a model
     checkpoint, so a resumed run continues exactly where it stopped.
     """
+
+    CHUNK = 1 << 14
 
     def __init__(self, params, betas=(0.9, 0.999), eps=1e-8):
         self.params = params
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in params.trainable_items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in params.trainable_items()}
+        items = params.trainable_items()
+        bounds = np.cumsum([0] + [p.data.size for _, p in items])
+        self._m, self._v = np.zeros(bounds[-1]), np.zeros(bounds[-1])
+        spans = list(zip(items, bounds, bounds[1:]))
+        self.m = {n: self._m[a:b].reshape(p.shape) for (n, p), a, b in spans}
+        self.v = {n: self._v[a:b].reshape(p.shape) for (n, p), a, b in spans}
+        self._chunks = []  # (lo, hi, [(tensor index, first, stop element)]) per chunk
+        for lo in range(0, bounds[-1], self.CHUNK):
+            hi = min(lo + self.CHUNK, bounds[-1])
+            tensors = range(np.searchsorted(bounds, lo, side="right") - 1,
+                            np.searchsorted(bounds, hi))
+            self._chunks.append((lo, hi, [(i, max(lo, bounds[i]) - bounds[i],
+                                           min(hi, bounds[i + 1]) - bounds[i]) for i in tensors]))
 
     def step(self, lr, clip_norm=None):
+        """One update from the parameters' gradients, clipped to a global
+        norm of ``clip_norm``. The moments and parameters are updated in
+        place, with each element's arithmetic that of the per-tensor form."""
         items = self.params.trainable_items()
-        grads = {n: p.grad_or_zeros() for n, p in items}
+        grads = [p.grad_or_zeros().reshape(-1) for _, p in items]
+        scale = None
         if clip_norm is not None:
-            total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
             if total > clip_norm:
                 scale = clip_norm / total
-                grads = {n: g * scale for n, g in grads.items()}
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for n, p in items:
-            g = grads[n]
-            self.m[n] = self.beta1 * self.m[n] + (1 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1 - self.beta2) * g * g
-            p.data -= lr * (self.m[n] / b1c) / (np.sqrt(self.v[n] / b2c) + self.eps)
+        for lo, hi, pieces in self._chunks:
+            g = np.concatenate([grads[i][a:b] for i, a, b in pieces])
+            if scale is not None:
+                g *= scale
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+            # p -= lr (m / b1c) / (sqrt(v / b2c) + eps), op for op
+            m, v = self._m[lo:hi], self._v[lo:hi]
+            tmp = (1 - self.beta1) * g
+            m *= self.beta1
+            m += tmp
+            np.multiply(g, 1 - self.beta2, out=tmp)
+            tmp *= g
+            v *= self.beta2
+            v += tmp
+            np.divide(m, b1c, out=tmp)
+            tmp *= lr
+            denom = np.divide(v, b2c)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            tmp /= denom
+            at = 0
+            for i, a, b in pieces:  # parameter arrays are contiguous: reshape is a view
+                items[i][1].data.reshape(-1)[a:b] -= tmp[at : at + b - a]
+                at += b - a
 
     def save(self, path, cfg):
         """Write the moments and step count in the checkpoint format at ``path``."""
@@ -180,8 +220,9 @@ class Adam:
         if {n: t.shape for n, t in store.items()} != expected:
             raise ValueError(f"optimizer state at {path} does not match the model's parameters")
         opt = cls(params)
-        opt.m = {n: store[f"m.{n}"].data for n in opt.m}
-        opt.v = {n: store[f"v.{n}"].data for n in opt.v}
+        for n in opt.m:
+            opt.m[n][...] = store[f"m.{n}"].data
+            opt.v[n][...] = store[f"v.{n}"].data
         opt.t = int(extra["t"])
         return opt
 
@@ -289,7 +330,7 @@ def _future_errors(pred, gt, observed):
     return float(d.mean()), float(d[-1])
 
 
-def _score(cases, split, ratio, model):
+def score(cases, split, ratio, model):
     """One MetricsRow from (sample, observed, pred, gt) cases.
 
     pred and gt cover each sample's steps. 3D cases are world-frame meters;
@@ -318,6 +359,16 @@ def _score(cases, split, ratio, model):
                       **{k: float(np.mean(v)) if v else None for k, v in per.items()})
 
 
+def forecast_cases(params, cfg, samples, norm, ratio, batch_size=256):
+    """The model's decoded forecasts at a fixed observation ratio, as
+    (sample, observed, pred, gt) cases in sorted-id order (see
+    ``decode_prediction`` for their space)."""
+    samples = sorted(samples, key=lambda s: s.id)
+    return [(s, observed, *decode_prediction(mean, s, cfg, norm))
+            for s, observed, mean in _forecast_batch(params, cfg, samples, norm, ratio,
+                                                     batch_size)]
+
+
 def evaluate(params, cfg, samples, norm, ratio, split="test", batch_size=256):
     """ADE/FDE over future steps at a fixed observation ratio.
 
@@ -327,11 +378,8 @@ def evaluate(params, cfg, samples, norm, ratio, split="test", batch_size=256):
     """
     if not samples:
         raise ValueError(f"no samples in split {split!r}")
-    samples = sorted(samples, key=lambda s: s.id)
-    cases = [(s, observed, *decode_prediction(mean, s, cfg, norm))
-             for s, observed, mean in _forecast_batch(params, cfg, samples, norm, ratio,
-                                                      batch_size)]
-    return _score(cases, split, ratio, "model")
+    return score(forecast_cases(params, cfg, samples, norm, ratio, batch_size),
+                 split, ratio, "model")
 
 
 def constant_velocity_baseline(sample, observed):
@@ -357,4 +405,4 @@ def evaluate_baseline(samples, ratio, split="test"):
             pred = np.concatenate([s.points_global[:observed],
                                    constant_velocity_baseline(s, observed)])
             cases.append((s, observed, pred, s.points_global))
-    return _score(cases, split, ratio, "cv-baseline")
+    return score(cases, split, ratio, "cv-baseline")

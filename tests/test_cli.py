@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from reachcast import cli, datagen, trainer
+from reachcast import cli, datagen, model, trainer
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,36 @@ def test_eval_reads_the_dataset_once(dataset, tmp_path, monkeypatch):
     assert len((tmp_path / "m.csv").read_text().splitlines()) == 3
 
 
+def test_eval_dump_reuses_the_scored_forecasts(tmp_path, monkeypatch):
+    # the dump rows come from the forecasts the metrics were scored on: one
+    # model pass per split x ratio, whatever --dump-limit keeps
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--n", "18", "--seed", "2", "--out", str(data), "--frame", "8",
+                     "--t-min", "6", "--t-max", "8", "--split", "6,0,6,6"]) == 0
+    _train(data, tmp_path / "run", 1, "--batch-size", "6")
+    samples, manifest = datagen.read_dataset(data)
+    calls = []
+    forward = model.forward_batch
+
+    def counted(params, cfg, frames, *args):
+        calls.append(len(frames))
+        return forward(params, cfg, frames, *args)
+
+    monkeypatch.setattr(model, "forward_batch", counted)
+    dump = tmp_path / "dump.json"
+    assert cli.main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt"), "--data", str(data),
+                     "--splits", "test_seen,test_unseen", "--ratios", "0.3,0.6",
+                     "--out", str(tmp_path / "m.csv"), "--dump", str(dump),
+                     "--dump-limit", "3"]) == 0
+    assert calls == [6] * 4
+    rows = json.loads(dump.read_text())
+    expected = []
+    for split in ("test_seen", "test_unseen"):
+        kept = sorted(s.id for s in datagen.split_samples(samples, manifest, split)[:3])
+        expected += [(split, ratio, i) for ratio in (0.3, 0.6) for i in kept]
+    assert [(r["split"], r["ratio"], r["id"]) for r in rows] == expected
+
+
 def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatch):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"model": {"preset": "tiny", "coordinate_mode": "local-3d"}}))
@@ -87,14 +117,14 @@ def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatc
     ckpt = str(tmp_path / "run" / "ckpt")
 
     scored = []
-    score = trainer._score
+    score = trainer.score
 
     def record(cases, *args):
         cases = list(cases)
         scored.extend((pred.copy(), observed) for _, observed, pred, _ in cases)
         return score(cases, *args)
 
-    monkeypatch.setattr(trainer, "_score", record)
+    monkeypatch.setattr(trainer, "score", record)
     dump = tmp_path / "dump.json"
     assert cli.main(["eval", "--ckpt", ckpt, "--data", str(dataset), "--splits", "test_seen",
                      "--ratios", "0.6", "--out", str(tmp_path / "m.csv"),

@@ -271,9 +271,9 @@ class TestEmitAndVelocity:
         for seed in range(3):
             params = M.init_params(cfg, seed=seed)
             rng = np.random.default_rng(seed)
-            z = ad.constant(rng.standard_normal((2, 1, cfg.d_z)) * 3)
-            feat = ad.constant(rng.standard_normal((2, 1, cfg.d_obs)) * 3)
-            mean, alpha, beta = M.emit(params, cfg, z, feat)
+            z = ad.constant(rng.standard_normal((2, cfg.horizon, cfg.d_z)) * 3)
+            feat = ad.constant(rng.standard_normal((2, 5, cfg.d_obs)) * 3)
+            mean, alpha, beta = M.emit(params, cfg, z, feat, np.array([2, 5]))
             assert np.all(alpha.data >= 0) and np.all(beta.data >= 0)
             assert np.all(np.abs(mean.data) < 1.0)
 
@@ -441,10 +441,30 @@ class TestGradientFlow:
                                     tolerance=1e-3, max_checks_per_tensor=4, seed=1)
         assert report.passed, "\n".join(report.lines())
 
+    def test_finite_differences_2d_mode(self):
+        # 2d mode has no depth head and no depth weights
+        cfg = ModelConfig.tiny(coordinate_mode="2d")
+        params = M.init_params(cfg, seed=0)
+        frames, points, obs = random_batch(cfg, 2, seed=24, observed=[2, 5])
+        valid = np.ones((2, cfg.horizon), bool)
+
+        def build():
+            out = M.forward_batch(params, cfg, frames, points, obs)
+            assert out["beta"] is None
+            total, _, _ = L.total_batch(out["mean"], out["alpha"], None, out["velocity"],
+                                        points, None, obs, valid, L.LossConfig())
+            return total
+
+        report = ad.check_gradients(build, dict(params.trainable_items()), step=1e-4,
+                                    tolerance=1e-3, max_checks_per_tensor=4, seed=1)
+        assert report.passed, "\n".join(report.lines())
+        assert {e.name for e in report.entries} >= {"emit.reembed.w", "traj.fc1.w"}
+
 
 def test_desk_training_step_tape_budget(desk):
-    # one fixed desk step (C from 2 to 13) may not grow past its 449 tape
-    # records; the desk target is under 400
+    # one fixed desk step (C from 2 to 13) may not grow past its 155 tape records:
+    # the fused transition and emission are one record each (plus one slice
+    # per emission output); 150 records lie outside the emission
     cfg, params = desk
     observed = np.random.default_rng(0).integers(2, 14, size=32)
     assert (observed.min(), observed.max()) == (2, 13)
@@ -455,4 +475,4 @@ def test_desk_training_step_tape_budget(desk):
         out = M.forward_batch(params, cfg, frames, points, obs)
         total, _, _ = L.total_batch(out["mean"], out["alpha"], out["beta"], out["velocity"],
                                     points, w, obs, valid, L.LossConfig())
-    assert len(g) <= 449
+    assert len(g) <= 155

@@ -166,6 +166,43 @@ class TestAdamAndFit:
         opt.step(lr=0.1)
         assert params["enc.conv1.k"].grad is None
 
+    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    @pytest.mark.parametrize("chunk", [Adam.CHUNK, 1000])
+    def test_adam_in_place_matches_allocating_update(self, clip_norm, chunk, monkeypatch):
+        # the chunked in-place step against the per-tensor allocating form it
+        # replaced, bit for bit; 1000-element chunks split desk's larger
+        # tensors and pack its small ones
+        monkeypatch.setattr(Adam, "CHUNK", chunk)
+        cfg = M.ModelConfig.desk()
+        params = M.init_params(cfg, seed=0)
+        ref = {n: p.data.copy() for n, p in params.trainable_items()}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        opt = Adam(params)
+        covered = [(i, a, b) for lo, hi, pieces in opt._chunks for i, a, b in pieces]
+        assert all(hi - lo <= chunk for lo, hi, _ in opt._chunks)
+        assert sum(b - a for _, a, b in covered) == sum(a.size for a in ref.values())
+        assert any(len(pieces) > 1 for *_, pieces in opt._chunks)
+        rng = np.random.default_rng(4)
+        for t in range(1, 5):
+            grads = {n: rng.standard_normal(a.shape) * 0.1 for n, a in ref.items()}
+            for n, p in params.trainable_items():
+                p.grad = grads[n].copy()
+            opt.step(lr=1e-3 * t, clip_norm=clip_norm)
+            if clip_norm is not None:
+                total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                assert total > clip_norm
+                grads = {n: g * (clip_norm / total) for n, g in grads.items()}
+            for n, g in grads.items():
+                m[n] = 0.9 * m[n] + (1 - 0.9) * g
+                v[n] = 0.999 * v[n] + (1 - 0.999) * g * g
+                ref[n] -= (1e-3 * t) * (m[n] / (1 - 0.9**t)) / (np.sqrt(v[n] / (1 - 0.999**t))
+                                                                + 1e-8)
+        for n, p in params.trainable_items():
+            np.testing.assert_array_equal(p.data, ref[n], err_msg=n)
+            np.testing.assert_array_equal(opt.m[n], m[n], err_msg=n)
+            np.testing.assert_array_equal(opt.v[n], v[n], err_msg=n)
+
     def test_adam_state_rejected_for_other_model(self, tiny_setup, tmp_path):
         cfg = tiny_setup[0]
         params = M.init_params(cfg, seed=0)
@@ -235,7 +272,7 @@ class TestMetrics:
     def test_future_errors_constant_offset(self):
         gt = np.tile([0.0, 0.0, 1.0], (10, 1))
         pred = gt + np.array([0.3, 0.0, 0.4])
-        row = T._score([_fixed_camera_case(gt, pred, observed=4)], "test", 0.6, "model")
+        row = T.score([_fixed_camera_case(gt, pred, observed=4)], "test", 0.6, "model")
         assert row.ade3d == pytest.approx(0.5) and row.fde3d == pytest.approx(0.5)
         # projected: u moves by fx * 0.3 / 1.4 pixels of a frame fx wide
         assert row.ade2d_from3d == pytest.approx(0.3 / 1.4)
@@ -245,7 +282,7 @@ class TestMetrics:
         gt = np.tile([0.0, 0.0, 1.0], (5, 1))
         pred = gt.copy()
         pred[4] = [1.0, 1.0, 2.0]
-        row = T._score([_fixed_camera_case(gt, pred, observed=4)], "test", 0.6, "model")
+        row = T.score([_fixed_camera_case(gt, pred, observed=4)], "test", 0.6, "model")
         assert row.fde3d == pytest.approx(np.sqrt(3)) and row.ade3d == pytest.approx(np.sqrt(3))
 
     def test_cv_forecasts_score_like_the_baseline(self, tiny_setup, monkeypatch):
