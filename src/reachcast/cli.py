@@ -3,12 +3,17 @@
 Config-file-first: ``--config run.json`` supplies {model, train, loss,
 data, out, seed}; command-line flags win over the file. Unknown config
 keys are rejected by name. Every command is deterministic given its
-config and seed; artifacts carry no timestamps. Exit codes: 0 success,
-2 usage or config error, 1 runtime failure.
+config and seed; artifacts carry no timestamps. BLAS thread pools are
+pinned to one thread before numpy loads so runs are single-threaded and
+reproducible.
 
-The environment variable REACHCAST_OUT, when set, replaces any --out
-value (CI override). BLAS thread pools are pinned to one thread before
-numpy loads so runs are single-threaded and reproducible.
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Exit 2
+covers bad flags; a config key or value that its section (model, train,
+loss, gen options) refuses; observation ratios that do not parse, fall
+outside (0, 1) or give an empty range; a missing dataset, manifest,
+checkpoint or optimizer state; and a ``--resume`` whose model, train or
+loss config differs from the checkpoint's. Bad values are refused before
+a command writes anything.
 """
 
 import os
@@ -34,44 +39,32 @@ class ConfigError(ValueError):
 
 MODEL_PRESETS = {"paper": model.ModelConfig, "desk": model.ModelConfig.desk,
                  "tiny": model.ModelConfig.tiny}
+# `gen` flags and the GenOptions fields they set, which document them
+GEN_FLAGS = {"--t-min": "t_min", "--t-max": "t_max", "--dropout": "depth_dropout",
+             "--noise": "pixel_noise", "--profile": "profile", "--rot-amp": "rot_amplitude",
+             "--trans-amp": "trans_amplitude", "--bow": "bow_scale",
+             "--start-jitter": "start_jitter", "--target-jitter": "target_jitter"}
 
 
-def _build_config(cls, doc, label, extra_keys=()):
+def _section(cls, label, doc, overrides=None):
+    """One config section as ``cls``: unknown keys are refused by name,
+    overrides that are not None win over ``doc``, and a value the class
+    refuses is a ConfigError. A model section may name a ``preset``."""
+    doc = {**doc, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    make = cls
+    if cls is model.ModelConfig:
+        preset = doc.pop("preset", "paper")
+        if preset not in MODEL_PRESETS:
+            raise ConfigError(f"unknown model preset: {preset!r}")
+        make = MODEL_PRESETS[preset]
     known = {f.name for f in dataclasses.fields(cls)}
     for key in doc:
-        if key not in known and key not in extra_keys:
+        if key not in known:
             raise ConfigError(f"unknown {label} config key: {key!r}")
-    return doc
-
-
-def _model_config(doc):
-    doc = dict(_build_config(model.ModelConfig, doc, "model", extra_keys=("preset",)))
-    preset = doc.pop("preset", "paper")
-    if preset not in MODEL_PRESETS:
-        raise ConfigError(f"unknown model preset: {preset!r}")
-    if "enc_channels" in doc:
-        doc["enc_channels"] = tuple(doc["enc_channels"])
     try:
-        return MODEL_PRESETS[preset](**doc)
+        return make(**doc)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad model config: {e}") from e
-
-
-def _train_config(doc, overrides):
-    doc = dict(_build_config(trainer.TrainConfig, doc, "train"))
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return trainer.TrainConfig(**doc)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad train config: {e}") from e
-
-
-def _loss_config(doc):
-    doc = dict(_build_config(losses.LossConfig, doc, "loss"))
-    try:
-        return losses.LossConfig(**doc)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad loss config: {e}") from e
+        raise ConfigError(f"bad {label} config: {e}") from e
 
 
 def load_run_config(path):
@@ -86,10 +79,6 @@ def load_run_config(path):
     return doc
 
 
-def _out_override(value):
-    return os.environ.get("REACHCAST_OUT", value)
-
-
 def _load_splits(data_dir, splits):
     """Read a dataset once; returns the samples of each split ("all" takes
     every sample) and the manifest."""
@@ -100,8 +89,17 @@ def _load_splits(data_dir, splits):
             for split in splits], manifest
 
 
-def _norm_from(manifest):
-    return np.array(manifest["norm"]["min"]), np.array(manifest["norm"]["max"])
+def _norm_from(doc):
+    """The normalization range a dataset manifest or checkpoint records."""
+    return np.array(doc["norm"]["min"]), np.array(doc["norm"]["max"])
+
+
+def _open_checkpoint(path):
+    """(params, cfg, extra, norm) of the checkpoint at base path ``path``."""
+    if not Path(path).with_suffix(".json").exists():
+        raise ConfigError(f"missing checkpoint: {path}")
+    params, cfg, extra = model.load_checkpoint(path)
+    return params, cfg, extra, _norm_from(extra)
 
 
 # ---------------------------------------------------------------------------
@@ -109,30 +107,27 @@ def _norm_from(manifest):
 
 
 def cmd_gen(args):
-    out = Path(_out_override(args.out))
     split_counts = None
     if args.split:
-        split_counts = tuple(int(c) for c in args.split.split(","))
+        try:
+            split_counts = tuple(int(c) for c in args.split.split(","))
+        except ValueError:
+            raise ConfigError(f"--split takes comma-separated counts, got {args.split!r}") from None
     from .geometry import CameraIntrinsics
     side = float(args.frame)
     intrinsics = CameraIntrinsics(fx=side, fy=side, ox=side / 2, oy=side / 2,
                                   width=side, height=side)
-    options = datagen.GenOptions(
-        t_min=args.t_min, t_max=args.t_max, depth_dropout=args.dropout,
-        pixel_noise=args.noise, profile=args.profile,
-        rot_amplitude=args.rot_amp, trans_amplitude=args.trans_amp,
-        bow_scale=args.bow, start_jitter=args.start_jitter, target_jitter=args.target_jitter,
-        split_counts=split_counts, intrinsics=intrinsics,
-    )
+    options = _section(datagen.GenOptions, "gen", {f: getattr(args, f) for f in GEN_FLAGS.values()},
+                       {"split_counts": split_counts, "intrinsics": intrinsics})
     samples, manifest = datagen.gen_dataset(args.n, args.seed, options)
-    data_path, manifest_path = datagen.write_dataset(samples, manifest, out)
+    data_path, manifest_path = datagen.write_dataset(samples, manifest, Path(args.out))
     print(f"wrote {len(samples)} samples to {data_path} (+ {manifest_path.name})")
     return 0
 
 
 def cmd_repair(args):
     samples, manifest = datagen.read_dataset(args.data)
-    out = Path(_out_override(args.out))
+    out = Path(args.out)
     rows, skipped = [], 0
     repaired_samples = []
     for s in samples:
@@ -182,22 +177,18 @@ def _adam_path(ckpt):
 
 def cmd_train(args):
     doc = load_run_config(args.config)
-    out = Path(_out_override(args.out or doc.get("out") or "run"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out or doc.get("out") or "run")
     data_dir = args.data or doc.get("data")
     if not data_dir:
         raise ConfigError("no dataset: pass --data or set 'data' in the config")
 
-    model_doc = dict(doc.get("model", {}))
-    if args.preset:
-        model_doc["preset"] = args.preset
-    cfg = _model_config(model_doc)
+    cfg = _section(model.ModelConfig, "model", doc.get("model", {}), {"preset": args.preset})
     overrides = {"epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
                  "seed": args.seed if args.seed is not None else doc.get("seed"),
                  "observation_mode": args.observation_mode,
                  "observation_ratio": args.observation_ratio}
-    train_cfg = _train_config(doc.get("train", {}), overrides)
-    loss_cfg = _loss_config(doc.get("loss", {}))
+    train_cfg = _section(trainer.TrainConfig, "train", doc.get("train", {}), overrides)
+    loss_cfg = _section(losses.LossConfig, "loss", doc.get("loss", {}))
 
     (train_samples,), manifest = _load_splits(data_dir, ["train"])
     norm = _norm_from(manifest)
@@ -206,24 +197,22 @@ def cmd_train(args):
     history = []
     optimizer = None
     if args.resume:
-        params, cfg, extra = model.load_checkpoint(args.resume)
-        saved = extra.get("train", {})
-        changed = [k for k, v in dataclasses.asdict(train_cfg).items()
-                   if k != "epochs" and saved.get(k) != v]
-        if changed:
-            raise ConfigError(f"--resume: train config differs from the checkpoint's in "
-                              f"{', '.join(changed)}")
+        params, saved_cfg, extra, norm = _open_checkpoint(args.resume)
+        saved = {"model": dataclasses.asdict(saved_cfg), **extra}
+        for label, section in (("model", cfg), ("train", train_cfg), ("loss", loss_cfg)):
+            changed = [k for k, v in dataclasses.asdict(section).items()
+                       if k != "epochs" and saved.get(label, {}).get(k) != v]
+            if changed:
+                raise ConfigError(f"--resume: {label} config differs from the checkpoint's in "
+                                  f"{', '.join(changed)}")
         start_epoch = int(extra.get("epoch", 0))
-        norm = (np.array(extra["norm"]["min"]), np.array(extra["norm"]["max"]))
+        if train_cfg.epochs <= start_epoch:
+            raise ConfigError(f"--resume: the checkpoint is at epoch {start_epoch}; "
+                              f"--epochs {train_cfg.epochs} leaves nothing to train")
         curve = Path(args.resume).parent / "loss_curve.csv"
         if curve.exists():
             history = _read_history_csv(curve)
-        adam = _adam_path(args.resume)
-        if adam.with_suffix(".json").exists():
-            optimizer = trainer.Adam.load(params, adam)
-        else:
-            print(f"warning: no optimizer state at {adam}; resuming with fresh Adam moments",
-                  file=sys.stderr)
+        optimizer = trainer.Adam.load(params, _adam_path(args.resume))
         print(f"resuming at epoch {start_epoch + 1}")
     else:
         params = model.init_params(cfg, seed=train_cfg.seed)
@@ -244,19 +233,24 @@ def cmd_train(args):
 
 
 def _parse_ratios(text):
-    if ".." in text:
-        lo, hi = (float(v) for v in text.split(".."))
-        n = int(round((hi - lo) / 0.1)) + 1
-        return [round(lo + 0.1 * i, 10) for i in range(n)]
-    return [float(v) for v in text.split(",")]
+    """'0.6', '0.3,0.6', or the range '0.1..0.9' in steps of 0.1; each in (0, 1)."""
+    span = ".." in text
+    try:
+        values = [float(v) for v in text.split(".." if span else ",")]
+    except ValueError:
+        raise ConfigError(f"--ratios: cannot read {text!r}") from None
+    if span and len(values) == 2 and 0 < values[0] <= values[1] < 1:
+        lo, hi = values
+        values = [round(lo + 0.1 * i, 10) for i in range(int(round((hi - lo) / 0.1)) + 1)]
+    elif span:
+        raise ConfigError(f"--ratios: {text!r} is not a range lo..hi with 0 < lo <= hi < 1")
+    if not all(0 < v < 1 for v in values):
+        raise ConfigError(f"--ratios takes observation ratios in (0, 1), got {text!r}")
+    return values
 
 
 def cmd_eval(args):
-    ckpt = Path(args.ckpt)
-    if not ckpt.with_suffix(".json").exists():
-        raise ConfigError(f"missing checkpoint: {ckpt}")
-    params, cfg, extra = model.load_checkpoint(ckpt)
-    norm = (np.array(extra["norm"]["min"]), np.array(extra["norm"]["max"]))
+    params, cfg, _, norm = _open_checkpoint(args.ckpt)
     ratios = _parse_ratios(args.ratios)
     splits = args.splits.split(",")
 
@@ -273,7 +267,7 @@ def cmd_eval(args):
                 rows.append(trainer.evaluate_baseline(samples, ratio, split=split))
             dumps.extend({**_trajectory_doc(s, observed, pred, gt), "split": split, "ratio": ratio}
                          for s, observed, pred, gt in cases if s.id in dumped)
-    out = Path(_out_override(args.out))
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as f:
         f.write(trainer.MetricsRow.CSV_HEADER + "\n")
@@ -297,17 +291,15 @@ def _trajectory_doc(s, observed, pred, gt):
 
 
 def cmd_forecast(args):
-    ckpt = Path(args.ckpt)
-    if not ckpt.with_suffix(".json").exists():
-        raise ConfigError(f"missing checkpoint: {ckpt}")
-    params, cfg, extra = model.load_checkpoint(ckpt)
-    norm = (np.array(extra["norm"]["min"]), np.array(extra["norm"]["max"]))
+    if not 0 < args.ratio < 1:
+        raise ConfigError(f"--ratio takes an observation ratio in (0, 1), got {args.ratio:g}")
+    params, cfg, _, norm = _open_checkpoint(args.ckpt)
+    fixed = trainer.TrainConfig(observation_mode="fixed", observation_ratio=args.ratio)
     (samples,), _ = _load_splits(args.data, ["all"])
     by_id = {s.id: s for s in samples}
     if args.id not in by_id:
         raise ConfigError(f"sample {args.id!r} not in dataset")
     s = by_id[args.id]
-    fixed = trainer.TrainConfig(observation_mode="fixed", observation_ratio=args.ratio)
     observed = trainer.observation_count(s.horizon, fixed)
     frames, points, obs, lengths, _ = trainer.assemble_batch([s], cfg, norm, [observed])
     fc = model.forecast(params, cfg, frames[0, : s.horizon], points[0, : s.horizon], observed)
@@ -318,7 +310,7 @@ def cmd_forecast(args):
         "beta": None if fc.beta is None else fc.beta.tolist(),
         "velocity": fc.velocity.tolist(),
     }
-    out = Path(_out_override(args.out))
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
@@ -328,8 +320,8 @@ def cmd_forecast(args):
 
 
 def cmd_gradcheck(args):
-    cfg = _model_config({"preset": args.preset, "horizon": args.horizon,
-                         "frame_h": args.frame, "frame_w": args.frame})
+    cfg = _section(model.ModelConfig, "model", {"preset": args.preset, "horizon": args.horizon,
+                                                "frame_h": args.frame, "frame_w": args.frame})
     if not 1 <= args.observed < cfg.horizon:
         raise ConfigError(f"--observed must be in [1, {cfg.horizon - 1}] for horizon "
                           f"{cfg.horizon}, got {args.observed}")
@@ -340,16 +332,11 @@ def cmd_gradcheck(args):
     points = rng.uniform(-0.8, 0.8, (n, t, cfg.point_dim))
     observed = np.array([args.observed, max(args.observed - 2, 1)])
     valid = np.ones((n, t), bool)
-    weights = (losses.depth_stability_weights(points[..., 2], valid)
-               if cfg.point_dim == 3 else None)
     loss_cfg = losses.LossConfig()
 
     def build():
         out = model.forward_batch(params, cfg, frames, points, observed)
-        total, _, _ = losses.total_batch(out["mean"], out["alpha"], out["beta"],
-                                         out["velocity"], points, weights, observed,
-                                         valid, loss_cfg)
-        return total
+        return losses.total_batch(out, points, observed, valid, loss_cfg)[0]
 
     inputs = dict(params.trainable_items())
     report = ad.check_gradients(build, inputs, step=args.step, tolerance=args.tolerance,
@@ -378,17 +365,14 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--t-min", type=int, default=12)
-    p.add_argument("--t-max", type=int, default=16)
-    p.add_argument("--dropout", type=float, default=0.0, help="depth dropout probability")
-    p.add_argument("--noise", type=float, default=0.05, help="frame pixel noise")
-    p.add_argument("--profile", choices=datagen.PROFILES, default="min-jerk")
-    p.add_argument("--rot-amp", type=float, default=0.004)
-    p.add_argument("--trans-amp", type=float, default=0.003)
-    p.add_argument("--frame", type=int, default=16, help="square frame side in pixels")
-    p.add_argument("--bow", type=float, default=0.3, help="peak reach arc as a fraction of length")
-    p.add_argument("--start-jitter", type=float, default=0.03)
-    p.add_argument("--target-jitter", type=float, default=0.04)
+    defaults = datagen.GenOptions()
+    for flag, field in GEN_FLAGS.items():
+        default = getattr(defaults, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default,
+                       choices=datagen.PROFILES if field == "profile" else None,
+                       help=f"GenOptions.{field}")
+    p.add_argument("--frame", type=int, default=int(defaults.intrinsics.width),
+                   help="square frame side in pixels")
     p.add_argument("--split", help="counts train,val,test_seen,test_unseen")
     p.set_defaults(fn=cmd_gen)
 

@@ -67,30 +67,66 @@ def mix_seed(master_seed, index):
 
 
 @dataclass(frozen=True)
-class SceneSpec:
-    """Everything needed to synthesize one reach clip."""
+class GenOptions:
+    """Dataset-level generation knobs (per-sample specs derive from these)."""
 
-    scene: str
-    start: np.ndarray
-    target: np.ndarray
-    duration: int
+    t_min: int = 12
+    t_max: int = 16
     rot_amplitude: float = 0.004     # radians per step
     trans_amplitude: float = 0.003   # meters per step
     pixel_noise: float = 0.05
     depth_dropout: float = 0.0
     profile: str = "min-jerk"
-    bow: float = 0.0                 # peak lateral arc displacement (m)
-    bow_dir: np.ndarray | None = None  # unit vector orthogonal to the reach
-    seed: int = 0
+    bow_scale: float = 0.3  # peak arc as a fraction of the reach length
+    start_jitter: float = 0.03
+    target_jitter: float = 0.04
     intrinsics: CameraIntrinsics = DESK_INTRINSICS
+    split_counts: tuple | None = None  # (train, val, test_seen, test_unseen)
 
     def __post_init__(self):
-        if self.duration < 2:
-            raise ValueError("duration must be >= 2")
+        if not 2 <= self.t_min <= self.t_max:
+            raise ValueError(f"need 2 <= t_min <= t_max, got t_min={self.t_min}, "
+                             f"t_max={self.t_max}")
         if not 0.0 <= self.depth_dropout <= 1.0:
             raise ValueError("depth_dropout must be a probability")
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}")
+        counts = self.split_counts
+        if counts is not None and (len(counts) != 4 or min(counts) < 0):
+            raise ValueError(f"split counts {tuple(counts)} are not four counts >= 0 "
+                             "(train, val, test_seen, test_unseen)")
+
+    def resolve_splits(self, n):
+        if self.split_counts is not None:
+            counts = tuple(int(c) for c in self.split_counts)
+            if sum(counts) != n:
+                raise ValueError(f"split counts {counts} do not sum to n={n}")
+            return counts
+        n_unseen = max(n // 10, 1)
+        n_val = max(n // 10, 1)
+        n_seen_test = max(n // 10, 1)
+        n_train = n - n_unseen - n_val - n_seen_test
+        if n_train < 1:
+            raise ValueError(f"n={n} too small to split")
+        return n_train, n_val, n_seen_test, n_unseen
+
+
+@dataclass(frozen=True)
+class SceneSpec:
+    """One reach clip's own draws, plus the dataset options it renders with."""
+
+    scene: str
+    start: np.ndarray
+    target: np.ndarray
+    duration: int
+    opts: GenOptions
+    bow: float = 0.0                 # peak lateral arc displacement (m)
+    bow_dir: np.ndarray | None = None  # unit vector orthogonal to the reach
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.duration < 2:
+            raise ValueError("duration must be >= 2")
 
 
 @dataclass
@@ -160,10 +196,11 @@ def _small_rotations(omega):
 def gen_camera_path(spec, steps, rng):
     """Per-step camera motion: identity first pose, then smooth small
     rotations/translations, orthonormalized per step."""
-    rots = _smooth_noise(rng, steps) * spec.rot_amplitude
-    trans = _smooth_noise(rng, steps) * spec.trans_amplitude
+    opts = spec.opts
+    rots = _smooth_noise(rng, steps) * opts.rot_amplitude
+    trans = _smooth_noise(rng, steps) * opts.trans_amplitude
     poses = np.tile(np.eye(4), (steps, 1, 1))
-    if spec.rot_amplitude != 0 or spec.trans_amplitude != 0:
+    if opts.rot_amplitude != 0 or opts.trans_amplitude != 0:
         poses[1:, :3, :3] = _small_rotations(rots[1:])
         poses[1:, :3, 3] = trans[1:]
     return PoseChain(poses)
@@ -183,8 +220,8 @@ def render_frame(p_local, intrinsics, size, noise, rng, blob_sigma=1.2):
 def gen_sample(spec, sample_id):
     """Synthesize one TrajectorySample from its spec (self-seeded)."""
     rng = np.random.default_rng([spec.seed, 1])  # distinct stream from sample_spec's
-    steps = spec.duration
-    path_fn = min_jerk if spec.profile == "min-jerk" else linear_path
+    steps, opts = spec.duration, spec.opts
+    path_fn = min_jerk if opts.profile == "min-jerk" else linear_path
     world = path_fn(spec.start, spec.target, steps)
     if spec.bow and spec.bow_dir is not None:
         # arc the reach sideways, peaking late (obstacle-clearing shape); the
@@ -198,15 +235,15 @@ def gen_sample(spec, sample_id):
     local = chain.global_to_local(world, np.arange(1, steps + 1))
     if np.any(local[:, 2] <= 0):
         raise ValueError(f"sample {sample_id}: hand behind camera; check scene geometry")
-    size = (int(spec.intrinsics.height), int(spec.intrinsics.width))
+    size = (int(opts.intrinsics.height), int(opts.intrinsics.width))
     frames = np.stack([
-        render_frame(local[t], spec.intrinsics, size, spec.pixel_noise, rng)
+        render_frame(local[t], opts.intrinsics, size, opts.pixel_noise, rng)
         for t in range(steps)
     ])
 
     valid = np.ones(steps, dtype=bool)
-    if spec.depth_dropout > 0:
-        drop = rng.random(steps) < spec.depth_dropout
+    if opts.depth_dropout > 0:
+        drop = rng.random(steps) < opts.depth_dropout
         allowed = max(steps - 10, 0)  # keep the repair fit feasible
         if drop.sum() > allowed:
             on = np.flatnonzero(drop)
@@ -219,42 +256,8 @@ def gen_sample(spec, sample_id):
     return TrajectorySample(
         id=sample_id, scene=spec.scene, frames=frames,
         points_local=stored_local, points_global=world,
-        poses=chain, intrinsics=spec.intrinsics, valid_depth=valid,
+        poses=chain, intrinsics=opts.intrinsics, valid_depth=valid,
     )
-
-
-@dataclass(frozen=True)
-class GenOptions:
-    """Dataset-level generation knobs (per-sample specs derive from these)."""
-
-    t_min: int = 12
-    t_max: int = 16
-    rot_amplitude: float = 0.004
-    trans_amplitude: float = 0.003
-    pixel_noise: float = 0.05
-    depth_dropout: float = 0.0
-    profile: str = "min-jerk"
-    bow_scale: float = 0.3  # peak arc as a fraction of the reach length
-    start_jitter: float = 0.03
-    target_jitter: float = 0.04
-    scenes_seen: tuple = SCENES_SEEN
-    scenes_unseen: tuple = SCENES_UNSEEN
-    intrinsics: CameraIntrinsics = DESK_INTRINSICS
-    split_counts: tuple | None = None  # (train, val, test_seen, test_unseen)
-
-    def resolve_splits(self, n):
-        if self.split_counts is not None:
-            counts = tuple(int(c) for c in self.split_counts)
-            if sum(counts) != n or len(counts) != 4:
-                raise ValueError(f"split counts {counts} do not sum to n={n}")
-            return counts
-        n_unseen = max(n // 10, 1) if len(self.scenes_unseen) else 0
-        n_val = max(n // 10, 1)
-        n_seen_test = max(n // 10, 1)
-        n_train = n - n_unseen - n_val - n_seen_test
-        if n_train < 1:
-            raise ValueError(f"n={n} too small to split")
-        return n_train, n_val, n_seen_test, n_unseen
 
 
 def _scene_arc_basis(scene):
@@ -287,13 +290,8 @@ def sample_spec(opts, seed, scene):
         if span > 0 and norm > 1e-9:
             bow_dir = raw / norm
             bow = opts.bow_scale * span * amp * rng.uniform(0.85, 1.15)
-    return SceneSpec(
-        scene=scene, start=start, target=target, duration=duration,
-        rot_amplitude=opts.rot_amplitude, trans_amplitude=opts.trans_amplitude,
-        pixel_noise=opts.pixel_noise, depth_dropout=opts.depth_dropout,
-        profile=opts.profile, bow=bow, bow_dir=bow_dir,
-        seed=seed, intrinsics=opts.intrinsics,
-    )
+    return SceneSpec(scene=scene, start=start, target=target, duration=duration,
+                     bow=bow, bow_dir=bow_dir, seed=seed, opts=opts)
 
 
 def gen_dataset(n, master_seed, options=None):
@@ -311,9 +309,9 @@ def gen_dataset(n, master_seed, options=None):
     samples = []
     for i in range(n):
         if i < n_seen:
-            scene = opts.scenes_seen[i % len(opts.scenes_seen)]
+            scene = SCENES_SEEN[i % len(SCENES_SEEN)]
         else:
-            scene = opts.scenes_unseen[(i - n_seen) % len(opts.scenes_unseen)]
+            scene = SCENES_UNSEEN[(i - n_seen) % len(SCENES_UNSEEN)]
         spec = sample_spec(opts, mix_seed(master_seed, i), scene)
         samples.append(gen_sample(spec, f"s{i:05d}"))
 

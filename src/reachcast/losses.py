@@ -1,12 +1,14 @@
-"""Training losses: attenuated-residual regression, depth weighting, velocity.
+"""Training losses: one uncertainty-aware location loss, and velocity.
 
-The regression loss follows the heteroscedastic form exp(-a) * r + a,
-where r is the squared (or Huber) location residual and a the predicted
-log-variance. In 3D modes the uncertainty is split: one scalar for the
-image-plane coordinates, one for depth, with the depth term weighted by
-per-step stability weights derived from the ground truth. A velocity head
-is supervised by first-order differences and by warping accumulated
-velocities against predicted positions.
+The location loss (``drau_batch``) has the heteroscedastic form
+exp(-a) * r + a, where r is the squared (or Huber) location residual and
+a the predicted log-variance. It serves every coordinate mode: in 2d mode
+it is this one term over (x, y); in 3D modes the uncertainty is split, one
+scalar for the image-plane coordinates and one for depth, and the depth
+term is weighted by per-step stability weights that the loss derives from
+the ground-truth depths. A velocity head is supervised by first-order
+differences and by warping accumulated velocities against predicted
+positions.
 
 Every loss is batched: it consumes autodiff tensors shaped (N, T, ...) plus
 numpy target/mask constants, and a single trajectory is the N=1 case.
@@ -72,34 +74,28 @@ def depth_stability_weights(depths, valid=None):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def drau_batch(mean, alpha, beta, targets, weights, valid, cfg):
-    """Depth-decoupled attenuated loss, averaged over valid steps and batch.
+def drau_batch(mean, alpha, beta, targets, valid, cfg):
+    """The location loss, averaged over valid steps and batch.
 
-    mean (N,T,3), alpha/beta (N,T,1) are graph tensors; targets (N,T,3),
-    weights (N,T), valid (N,T) are numpy constants.
+    mean (N,T,d) and alpha/beta (N,T,1) are graph tensors; targets (N,T,d)
+    and valid (N,T) are numpy constants. In 3D (d=3) the depth term is
+    weighted by the depth stability of the targets; in 2d mode (d=2) beta
+    is None and the loss is the single attenuated term over (x, y).
     """
-    if mean.shape[-1] != 3:
-        raise ValueError("depth-decoupled loss needs 3D predictions; use planar_batch in 2d mode")
-    n, t, _ = mean.shape
+    n, t, d = mean.shape
+    if d != (2 if beta is None else 3):
+        raise ValueError(f"a {d}-wide mean with beta {'None' if beta is None else 'given'}: "
+                         "beta is given with 3D means and None with 2d ones")
     diff = ad.sub(mean, ad.constant(targets))
-    s_xy = residual_lastdim(ad.slice_axis(diff, 2, 0, 2), cfg.residual_kind, cfg.huber_delta)
-    s_z = residual_lastdim(ad.slice_axis(diff, 2, 2, 3), cfg.residual_kind, cfg.huber_delta)
-    w = ad.constant(weights.reshape(n, t, 1))
-    per_step = ad.add(attenuated(alpha, s_xy), ad.mul(w, attenuated(beta, s_z)))
+    if beta is None:
+        per_step = attenuated(alpha, residual_lastdim(diff, cfg.residual_kind, cfg.huber_delta))
+    else:
+        s_xy = residual_lastdim(ad.slice_axis(diff, 2, 0, 2), cfg.residual_kind, cfg.huber_delta)
+        s_z = residual_lastdim(ad.slice_axis(diff, 2, 2, 3), cfg.residual_kind, cfg.huber_delta)
+        w = ad.constant(depth_stability_weights(targets[..., 2], valid).reshape(n, t, 1))
+        per_step = ad.add(attenuated(alpha, s_xy), ad.mul(w, attenuated(beta, s_z)))
     vmask = valid.reshape(n, t, 1).astype(np.float64)
     per_sample = ad.reduce_sum(ad.mul(per_step, ad.constant(vmask)), axis=1)  # (N,1)
-    inv_count = ad.constant(1.0 / np.maximum(vmask.sum(axis=1), 1.0))
-    return ad.mean(ad.mul(per_sample, inv_count))
-
-
-def planar_batch(mean, alpha, targets, valid, cfg):
-    """2d-mode counterpart: a single attenuated term over (x, y)."""
-    n, t, _ = mean.shape
-    diff = ad.sub(mean, ad.constant(targets))
-    s = residual_lastdim(diff, cfg.residual_kind, cfg.huber_delta)
-    per_step = attenuated(alpha, s)
-    vmask = valid.reshape(n, t, 1).astype(np.float64)
-    per_sample = ad.reduce_sum(ad.mul(per_step, ad.constant(vmask)), axis=1)
     inv_count = ad.constant(1.0 / np.maximum(vmask.sum(axis=1), 1.0))
     return ad.mean(ad.mul(per_sample, inv_count))
 
@@ -136,12 +132,10 @@ def velocity_batch(vel, mean, targets, first_future, valid, gamma):
     return ad.mean(ad.add(term1, ad.scale(term2, gamma)))
 
 
-def total_batch(mean, alpha, beta, vel, targets, weights, first_future, valid, cfg):
-    """Weighted sum of the location and velocity objectives (batched)."""
-    if mean.shape[-1] == 3:
-        loc = drau_batch(mean, alpha, beta, targets, weights, valid, cfg)
-    else:
-        loc = planar_batch(mean, alpha, targets, valid, cfg)
-    velo = velocity_batch(vel, mean, targets, first_future, valid, cfg.gamma)
+def total_batch(out, targets, first_future, valid, cfg):
+    """Weighted sum of the location and velocity objectives over the
+    outputs of ``model.forward_batch``; returns (total, location, velocity)."""
+    loc = drau_batch(out["mean"], out["alpha"], out["beta"], targets, valid, cfg)
+    velo = velocity_batch(out["velocity"], out["mean"], targets, first_future, valid, cfg.gamma)
     total = ad.add(ad.scale(loc, cfg.location_weight), ad.scale(velo, cfg.velocity_weight))
     return total, loc, velo

@@ -61,6 +61,7 @@ class ModelConfig:
     enc_channels: tuple = (8, 16)
 
     def __post_init__(self):
+        object.__setattr__(self, "enc_channels", tuple(self.enc_channels))  # JSON gives lists
         if self.d_obs % self.heads or self.d_z % self.heads:
             raise ValueError(f"d_obs={self.d_obs} and d_z={self.d_z} must divide heads={self.heads}")
         if self.prompt_width < 0:
@@ -151,9 +152,9 @@ class Params:
             t.grad = None
 
 
-def _glorot(rng, fan_in, fan_out, shape=None):
+def _glorot(rng, fan_in, fan_out):
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
 def _add_linear(params, rng, name, d_in, d_out):
@@ -756,13 +757,8 @@ def forecast(params, cfg, frames, points, observed_count):
     """Single-sample inference. frames (T,H,W), points (T,point_dim)
     with at least the first C entries filled; returns a ForecastOutput
     covering the sample's full horizon."""
-    frames = np.asarray(frames, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    t = points.shape[0]
-    if not 1 <= observed_count < t:
-        raise ValueError(f"observed_count must be in [1, {t - 1}]")
-    out = forward_batch(params, cfg, frames[None], points[None], np.array([observed_count]),
-                        lengths=np.array([t]))
+    out = forward_batch(params, cfg, np.asarray(frames)[None], np.asarray(points)[None],
+                        np.array([observed_count]))
     return ForecastOutput(
         mean=out["mean"].data[0],
         alpha=out["alpha"].data[0, :, 0],
@@ -799,9 +795,7 @@ def load_checkpoint(path):
     base = Path(path)
     with open(base.with_suffix(".json")) as f:
         doc = json.load(f)
-    cfg_dict = dict(doc["config"])
-    cfg_dict["enc_channels"] = tuple(cfg_dict["enc_channels"])
-    cfg = ModelConfig(**cfg_dict)
+    cfg = ModelConfig(**doc["config"])
     raw = np.frombuffer(open(base.with_suffix(".bin"), "rb").read(), dtype=np.float64)
     params = Params()
     for entry in doc["params"]:

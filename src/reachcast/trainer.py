@@ -37,6 +37,10 @@ class TrainConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
         if self.observation_mode not in OBSERVATION_MODES:
             raise ValueError(f"observation_mode must be one of {OBSERVATION_MODES}")
         if not 0 < self.observation_ratio < 1:
@@ -145,11 +149,10 @@ class Adam:
     """
 
     CHUNK = 1 << 14
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params):
         self.params = params
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         items = params.trainable_items()
         bounds = np.cumsum([0] + [p.data.size for _, p in items])
@@ -177,8 +180,8 @@ class Adam:
             if total > clip_norm:
                 scale = clip_norm / total
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for lo, hi, pieces in self._chunks:
             g = np.concatenate([grads[i][a:b] for i, a, b in pieces])
             if scale is not None:
@@ -186,18 +189,18 @@ class Adam:
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
             # p -= lr (m / b1c) / (sqrt(v / b2c) + eps), op for op
             m, v = self._m[lo:hi], self._v[lo:hi]
-            tmp = (1 - self.beta1) * g
-            m *= self.beta1
+            tmp = (1 - self.BETA1) * g
+            m *= self.BETA1
             m += tmp
-            np.multiply(g, 1 - self.beta2, out=tmp)
+            np.multiply(g, 1 - self.BETA2, out=tmp)
             tmp *= g
-            v *= self.beta2
+            v *= self.BETA2
             v += tmp
             np.divide(m, b1c, out=tmp)
             tmp *= lr
             denom = np.divide(v, b2c)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += self.EPS
             tmp /= denom
             at = 0
             for i, a, b in pieces:  # parameter arrays are contiguous: reshape is a view
@@ -264,14 +267,10 @@ def fit(params, cfg, samples, norm, train_cfg, loss_cfg=None, start_epoch=0, opt
             chunk = [samples[i] for i in order[lo_idx : lo_idx + train_cfg.batch_size]]
             observed = np.array([observation_count(s.horizon, train_cfg, rng) for s in chunk])
             frames, points, obs, lengths, valid = assemble_batch(chunk, cfg, norm, observed)
-            weights = (L.depth_stability_weights(points[..., 2], valid)
-                       if cfg.point_dim == 3 else None)
             params.zero_grads()
             with ad.Graph() as g:
                 out = M.forward_batch(params, cfg, frames, points, obs, lengths)
-                total, loc, velo = L.total_batch(out["mean"], out["alpha"], out["beta"],
-                                                 out["velocity"], points, weights, obs,
-                                                 valid, loss_cfg)
+                total, loc, velo = L.total_batch(out, points, obs, valid, loss_cfg)
                 g.backward(total)
             opt.step(lr, clip_norm=train_cfg.clip_norm)
             n = len(chunk)

@@ -16,10 +16,20 @@ def dataset(tmp_path_factory):
     return out
 
 
-def _train(dataset, out, epochs, *extra):
-    argv = ["train", "--preset", "tiny", "--data", str(dataset), "--out", str(out),
+def _train_argv(dataset, out, epochs, *extra):
+    return ["train", "--preset", "tiny", "--data", str(dataset), "--out", str(out),
             "--epochs", str(epochs), "--batch-size", "4", "--seed", "3", *extra]
-    assert cli.main(argv) == 0
+
+
+def _train(dataset, out, epochs, *extra):
+    assert cli.main(_train_argv(dataset, out, epochs, *extra)) == 0
+
+
+@pytest.fixture(scope="module")
+def trained(dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    _train(dataset, out, 1)
+    return out / "ckpt"
 
 
 def test_blas_pinned_before_numpy_loads():
@@ -62,6 +72,93 @@ def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
             "--resume", str(tmp_path / "a" / "ckpt")]
     assert cli.main(argv) == 2
     assert "differs from the checkpoint's in lr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--batch-size", "0"),
+                                         ("--lr", "-1")])
+def test_bad_train_values_refused_before_writing(dataset, tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    assert cli.main(_train_argv(dataset, out, 2, flag, value)) == 2
+    assert "bad train config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_with_other_model_or_loss_config_refused(dataset, tmp_path, capsys):
+    _train(dataset, tmp_path / "a", 2)
+    ckpt = str(tmp_path / "a" / "ckpt")
+    config = tmp_path / "gamma.json"
+    config.write_text(json.dumps({"loss": {"gamma": 0.5}}))
+    out = tmp_path / "b"
+    assert cli.main(_train_argv(dataset, out, 4, "--preset", "desk", "--resume", ckpt)) == 2
+    assert "model config differs from the checkpoint's in horizon" in capsys.readouterr().err
+    assert cli.main(_train_argv(dataset, out, 4, "--config", str(config),
+                                "--resume", ckpt)) == 2
+    assert "loss config differs from the checkpoint's in gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_resume_with_nothing_left_to_train_refused(dataset, tmp_path, capsys, epochs):
+    # the weights are at epoch 2: a checkpoint saying epoch 1 would be wrong
+    _train(dataset, tmp_path / "a", 2)
+    out = tmp_path / "b"
+    assert cli.main(_train_argv(dataset, out, epochs, "--resume",
+                                str(tmp_path / "a" / "ckpt"))) == 2
+    assert "leaves nothing to train" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_without_optimizer_state_refused(dataset, tmp_path, capsys):
+    _train(dataset, tmp_path / "a", 2)
+    for suffix in (".json", ".bin"):
+        (tmp_path / "a" / "ckpt_adam").with_suffix(suffix).unlink()
+    out = tmp_path / "b"
+    assert cli.main(_train_argv(dataset, out, 4, "--resume", str(tmp_path / "a" / "ckpt"))) == 2
+    assert "ckpt_adam.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ratio_ranges_parse():
+    assert cli._parse_ratios("0.1..0.9") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    assert cli._parse_ratios("0.3,0.6") == [0.3, 0.6]
+    assert cli._parse_ratios("0.4..0.4") == [0.4]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--ratios", "abc"), ("eval", "--ratios", "1.5"), ("eval", "--ratios", "0"),
+    ("eval", "--ratios", "0.9..0.1"), ("eval", "--ratios", "0.1..0.5..0.9"),
+    ("eval", "--ratios", "0.5..0.96"),  # the 0.1 steps would reach 1.0
+    ("forecast", "--ratio", "1.2"), ("forecast", "--ratio", "0")])
+def test_bad_ratios_are_usage_errors(dataset, trained, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = [command, "--ckpt", str(trained), "--data", str(dataset), "--out", str(out),
+            flag, value] + (["--id", "s00000"] if command == "forecast" else [])
+    assert cli.main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dropout", "1.5"], "probability"),
+    (["--t-min", "9", "--t-max", "5"], "t_min <= t_max"),
+    (["--split", "10,5,5"], "not four counts"),
+    (["--split", "10,x,3,2"], "--split"),
+])
+def test_bad_gen_options_are_usage_errors(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert cli.main(["gen", "--n", "20", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_command_writes_where_its_flags_say(dataset, trained, tmp_path, monkeypatch):
+    # no environment variable redirects the outputs
+    monkeypatch.setenv("REACHCAST_OUT", str(tmp_path / "elsewhere"))
+    assert cli.main(["gen", "--n", "10", "--out", str(tmp_path / "data")]) == 0
+    assert cli.main(["eval", "--ckpt", str(trained), "--data", str(dataset),
+                     "--out", str(tmp_path / "m.csv")]) == 0
+    assert (tmp_path / "data" / "manifest.json").exists() and (tmp_path / "m.csv").exists()
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_eval_reads_the_dataset_once(dataset, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,10 +36,13 @@ def reference_small_rotation(omega):
 
 
 def make_spec(**kw):
+    """A drawer reach; keywords that are not SceneSpec fields set its GenOptions."""
     base = dict(scene="drawer", start=np.array([0.0, 0.05, 0.30]),
                 target=np.array([0.05, 0.1, 0.45]), duration=12, seed=3)
-    base.update(kw)
-    return SceneSpec(**base)
+    spec_fields = {f.name for f in dataclasses.fields(SceneSpec)}
+    base.update({k: v for k, v in kw.items() if k in spec_fields})
+    opts = GenOptions(**{k: v for k, v in kw.items() if k not in spec_fields})
+    return SceneSpec(**base, opts=opts)
 
 
 class TestMinJerk:
@@ -181,6 +186,19 @@ class TestGenDataset:
         samples, manifest = gen_dataset(20, 1, GenOptions(split_counts=(14, 2, 2, 2)))
         assert [len(manifest["splits"][k]) for k in ("train", "val", "test_seen", "test_unseen")] \
             == [14, 2, 2, 2]
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(t_min=9, t_max=5), "t_min <= t_max"),
+        (dict(t_min=1, t_max=5), "2 <= t_min"),
+        (dict(depth_dropout=1.5), "probability"),
+        (dict(depth_dropout=-0.1), "probability"),
+        (dict(profile="spline"), "profile"),
+        (dict(split_counts=(10, 5, 5)), "not four counts"),
+        (dict(split_counts=(26, -2, -2, -2)), "not four counts"),
+    ])
+    def test_bad_options_refused(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            GenOptions(**kw)
 
     def test_same_seed_identical_bytes(self, tmp_path):
         for run in ("a", "b"):
@@ -326,10 +344,9 @@ class TestSeedMixing:
     def test_subset_regeneration_matches(self):
         # generating sample i alone must equal sample i from the full run
         samples, _ = gen_dataset(8, master_seed=11)
-        opts = GenOptions()
         i = 5
-        scene = opts.scenes_seen[i % len(opts.scenes_seen)]
-        spec = dg.sample_spec(opts, dg.mix_seed(11, i), scene)
+        scene = dg.SCENES_SEEN[i % len(dg.SCENES_SEEN)]
+        spec = dg.sample_spec(GenOptions(), dg.mix_seed(11, i), scene)
         solo = gen_sample(spec, f"s{i:05d}")
         np.testing.assert_array_equal(solo.frames, samples[i].frames)
         np.testing.assert_array_equal(solo.points_local, samples[i].points_local)

@@ -43,15 +43,12 @@ def weights1(depths):
     return depth_stability_weights(np.asarray(depths, dtype=np.float64)[None, :])[0]
 
 
-def drau1(p_hat, alpha, beta, p, weights=None, cfg=SQ):
-    """drau_batch over one trajectory with every step valid."""
+def drau1(p_hat, alpha, beta, p, cfg=SQ):
+    """drau_batch over one trajectory with every step valid; beta None is 2d mode."""
     p = np.asarray(p, dtype=np.float64)
     t = len(p)
-    if weights is None:
-        weights = weights1(p[:, 2])
-    return drau_batch(one(p_hat), one(alpha), one(beta), p.reshape(1, t, -1),
-                      np.asarray(weights, dtype=np.float64).reshape(1, t),
-                      np.ones((1, t), bool), cfg)
+    return drau_batch(one(p_hat), one(alpha), None if beta is None else one(beta),
+                      p.reshape(1, t, -1), np.ones((1, t), bool), cfg)
 
 
 def velocity1(v_hat, p_hat, p, observed_count, gamma):
@@ -79,7 +76,7 @@ class TestResidual:
     def test_width_mismatch(self):
         with pytest.raises(ad.ShapeError):
             drau_batch(one(np.zeros((1, 3))), one([0.0]), one([0.0]), np.zeros((1, 1, 2)),
-                       np.ones((1, 1)), np.ones((1, 1), bool), SQ)
+                       np.ones((1, 1), bool), SQ)
 
 
 class TestAleatoricLoss:
@@ -153,22 +150,18 @@ class TestDrauLoss:
         got = drau1(p, np.zeros(3), np.zeros(3), p, cfg=SQ)
         assert scalar(got) == 0.0
 
-    def test_zero_weight_removes_depth_term(self):
-        p = np.array([[0.1, 0.2, 0.5], [0.2, 0.1, 0.9]])
-        p_hat = p + np.array([0.0, 0.0, 0.3])
-        w_on = drau1(p_hat, np.zeros(2), np.zeros(2), p, weights=np.array([0.5, 0.5]), cfg=SQ)
-        w_off = drau1(p_hat, np.zeros(2), np.zeros(2), p, weights=np.array([0.0, 0.0]), cfg=SQ)
-        assert scalar(w_off) == 0.0 and scalar(w_on) > 0.0
-
     def test_matches_hand_composition(self):
+        # the depth term is weighted by softmax(-|z_t - z_{t-1}|) of the
+        # target depths, written out here rather than called
         rng = np.random.default_rng(3)
         t = 3
         p = rng.uniform(-0.5, 0.5, (t, 3))
         p_hat = p + rng.normal(0, 0.1, (t, 3))
         alpha = rng.normal(0, 0.5, t)
         beta = rng.normal(0, 0.5, t)
-        w = weights1(p[:, 2])
-        got = scalar(drau1(p_hat, alpha, beta, p, weights=w, cfg=SQ))
+        e = [math.exp(-abs(p[i, 2] - p[max(i - 1, 0), 2])) for i in range(t)]
+        w = [x / sum(e) for x in e]
+        got = scalar(drau1(p_hat, alpha, beta, p, cfg=SQ))
         expected = 0.0
         for i in range(t):
             s_xy = float(np.sum((p[i, :2] - p_hat[i, :2]) ** 2))
@@ -178,10 +171,41 @@ class TestDrauLoss:
         expected /= t
         assert abs(got - expected) < 1e-12
 
+    def test_depth_weights_come_from_valid_steps(self):
+        # a padded step's target depth is not part of the weights' softmax
+        p = np.array([[[0.1, 0.2, 0.5], [0.2, 0.1, 0.6], [0.0, 0.0, 0.0]]])
+        p_hat = ad.constant(p + np.array([0.0, 0.0, 0.3]))
+        zeros = ad.constant(np.zeros((1, 3, 1)))
+        valid = np.array([[True, True, False]])
+        got = scalar(drau_batch(p_hat, zeros, zeros, p, valid, SQ))
+        # the two valid steps' weights sum to 1: the mean of w_t * 0.3^2 is 0.09 / 2
+        assert abs(got - 0.09 / 2) < 1e-15
+
     def test_2d_mode_rejected(self):
         with pytest.raises(ValueError):
-            drau1(np.zeros((3, 2)), np.zeros(3), np.zeros(3), np.zeros((3, 2)),
-                  weights=np.ones(3), cfg=SQ)
+            drau1(np.zeros((3, 2)), np.zeros(3), np.zeros(3), np.zeros((3, 2)), cfg=SQ)
+
+    def test_3d_mean_without_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            drau1(np.zeros((3, 3)), np.zeros(3), None, np.zeros((3, 3)), cfg=SQ)
+
+    def test_2d_matches_hand_composition(self):
+        # 2d mode: exp(-alpha) r + alpha over (x, y), averaged over each
+        # sample's valid steps and then over the batch
+        rng = np.random.default_rng(23)
+        n, t = 2, 4
+        p = rng.uniform(-0.5, 0.5, (n, t, 2))
+        p_hat = p + rng.normal(0, 0.1, (n, t, 2))
+        alpha = rng.normal(0, 0.5, (n, t))
+        valid = np.array([[True, True, True, True], [True, True, False, False]])
+        got = scalar(drau_batch(ad.constant(p_hat), ad.constant(alpha[..., None]), None, p,
+                                valid, SQ))
+        per_sample = []
+        for k in range(n):
+            steps = [math.exp(-alpha[k, i]) * float(np.sum((p[k, i] - p_hat[k, i]) ** 2))
+                     + alpha[k, i] for i in range(t) if valid[k, i]]
+            per_sample.append(sum(steps) / len(steps))
+        assert abs(got - sum(per_sample) / n) < 1e-12
 
 
 class TestVelocityLoss:
@@ -240,9 +264,9 @@ class TestTotalLoss:
         vel = ad.Tensor(rng.uniform(-0.2, 0.2, (n, t, d)), requires_grad=True)
         targets = rng.uniform(-0.5, 0.5, (n, t, d))
         valid = np.ones((n, t), dtype=bool)
-        weights = depth_stability_weights(targets[..., 2], valid)
         first_future = np.array([2, 3])
-        return mean, alpha, beta, vel, targets, weights, first_future, valid
+        out = {"mean": mean, "alpha": alpha, "beta": beta, "velocity": vel}
+        return out, targets, first_future, valid
 
     def test_zero_when_parts_zero(self):
         p = np.array([[[0.1, 0.2, 0.5], [0.2, 0.3, 0.5]]])
@@ -253,48 +277,50 @@ class TestTotalLoss:
         v[0, 0] = p[0, 0]
         v[0, 1] = p[0, 1] - p[0, 0]
         valid = np.ones((1, 2), bool)
-        w = depth_stability_weights(p[..., 2], valid)
-        total, loc, velo = total_batch(mean, alpha, beta, ad.constant(v), p, w,
-                                       np.array([1]), valid, SQ)
+        out = {"mean": mean, "alpha": alpha, "beta": beta, "velocity": ad.constant(v)}
+        total, loc, velo = total_batch(out, p, np.array([1]), valid, SQ)
         assert scalar(total) < 1e-24
 
     def test_equals_weighted_parts(self):
         rng = np.random.default_rng(11)
-        mean, alpha, beta, vel, targets, weights, ff, valid = self._batch(rng)
+        out, targets, ff, valid = self._batch(rng)
         cfg = LossConfig(residual_kind="squared", gamma=0.2, velocity_weight=0.7,
                          location_weight=1.3)
-        total, loc, velo = total_batch(mean, alpha, beta, vel, targets, weights, ff, valid, cfg)
+        total, loc, velo = total_batch(out, targets, ff, valid, cfg)
         assert abs(scalar(total) - (1.3 * scalar(loc) + 0.7 * scalar(velo))) < 1e-12
 
     def test_gradients_reach_all_heads(self):
         rng = np.random.default_rng(13)
-        mean, alpha, beta, vel, targets, weights, ff, valid = self._batch(rng)
+        out, targets, ff, valid = self._batch(rng)
         with ad.Graph() as g:
-            total, _, _ = total_batch(mean, alpha, beta, vel, targets, weights, ff, valid, SQ)
+            total, _, _ = total_batch(out, targets, ff, valid, SQ)
             g.backward(total)
-        for t in (mean, alpha, beta, vel):
+        for t in out.values():
             assert t.grad is not None and np.any(t.grad != 0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(17)
-        mean, alpha, beta, vel, targets, weights, ff, valid = self._batch(rng)
+        out, targets, ff, valid = self._batch(rng)
 
         def build():
-            total, _, _ = total_batch(mean, alpha, beta, vel, targets, weights, ff, valid, SQ)
+            total, _, _ = total_batch(out, targets, ff, valid, SQ)
             return total
 
-        report = ad.check_gradients(build, {"mean": mean, "alpha": alpha, "beta": beta, "vel": vel},
-                                    step=1e-5, tolerance=1e-4)
+        report = ad.check_gradients(build, out, step=1e-5, tolerance=1e-4)
         assert report.passed, "\n".join(report.lines())
 
     def test_2d_mode_uses_planar_loss(self):
+        # without beta, the location term is the 2d drau_batch and the
+        # total weighs it with the velocity term as in 3D
         rng = np.random.default_rng(19)
         n, t = 2, 4
-        mean = ad.Tensor(rng.uniform(-0.5, 0.5, (n, t, 2)), requires_grad=True)
-        alpha = ad.Tensor(rng.normal(0, 0.3, (n, t, 1)), requires_grad=True)
-        vel = ad.Tensor(rng.uniform(-0.2, 0.2, (n, t, 2)), requires_grad=True)
+        out = {"mean": ad.constant(rng.uniform(-0.5, 0.5, (n, t, 2))),
+               "alpha": ad.constant(rng.normal(0, 0.3, (n, t, 1))), "beta": None,
+               "velocity": ad.constant(rng.uniform(-0.2, 0.2, (n, t, 2)))}
         targets = rng.uniform(-0.5, 0.5, (n, t, 2))
         valid = np.ones((n, t), bool)
-        total, loc, velo = total_batch(mean, alpha, None, vel, targets, None,
-                                       np.array([2, 2]), valid, SQ)
-        assert np.isfinite(scalar(total))
+        cfg = LossConfig(residual_kind="squared", velocity_weight=0.7, location_weight=1.3)
+        total, loc, velo = total_batch(out, targets, np.array([2, 2]), valid, cfg)
+        assert scalar(loc) == scalar(drau_batch(out["mean"], out["alpha"], None, targets,
+                                                valid, cfg))
+        assert abs(scalar(total) - (1.3 * scalar(loc) + 0.7 * scalar(velo))) < 1e-12

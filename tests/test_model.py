@@ -417,9 +417,7 @@ class TestGradientFlow:
         with ad.Graph() as g:
             out = M.forward_batch(params, cfg, frames, points, obs)
             valid = np.ones((3, cfg.horizon), bool)
-            w = L.depth_stability_weights(points[..., 2], valid)
-            total, _, _ = L.total_batch(out["mean"], out["alpha"], out["beta"], out["velocity"],
-                                        points, w, obs, valid, L.LossConfig())
+            total, _, _ = L.total_batch(out, points, obs, valid, L.LossConfig())
             g.backward(total)
         silent = [n for n, t in params.trainable_items()
                   if t.grad is None or not np.any(t.grad)]
@@ -429,12 +427,10 @@ class TestGradientFlow:
         cfg, params = tiny
         frames, points, obs = random_batch(cfg, 2, seed=23, observed=[2, 5])
         valid = np.ones((2, cfg.horizon), bool)
-        w = L.depth_stability_weights(points[..., 2], valid)
 
         def build():
             out = M.forward_batch(params, cfg, frames, points, obs)
-            total, _, _ = L.total_batch(out["mean"], out["alpha"], out["beta"], out["velocity"],
-                                        points, w, obs, valid, L.LossConfig())
+            total, _, _ = L.total_batch(out, points, obs, valid, L.LossConfig())
             return total
 
         report = ad.check_gradients(build, dict(params.trainable_items()), step=1e-4,
@@ -451,8 +447,7 @@ class TestGradientFlow:
         def build():
             out = M.forward_batch(params, cfg, frames, points, obs)
             assert out["beta"] is None
-            total, _, _ = L.total_batch(out["mean"], out["alpha"], None, out["velocity"],
-                                        points, None, obs, valid, L.LossConfig())
+            total, _, _ = L.total_batch(out, points, obs, valid, L.LossConfig())
             return total
 
         report = ad.check_gradients(build, dict(params.trainable_items()), step=1e-4,
@@ -470,9 +465,7 @@ def test_desk_training_step_tape_budget(desk):
     assert (observed.min(), observed.max()) == (2, 13)
     frames, points, obs = random_batch(cfg, 32, seed=29, observed=observed)
     valid = np.ones((32, cfg.horizon), bool)
-    w = L.depth_stability_weights(points[..., 2], valid)
     with ad.Graph() as g:
         out = M.forward_batch(params, cfg, frames, points, obs)
-        total, _, _ = L.total_batch(out["mean"], out["alpha"], out["beta"], out["velocity"],
-                                    points, w, obs, valid, L.LossConfig())
+        total, _, _ = L.total_batch(out, points, obs, valid, L.LossConfig())
     assert len(g) <= 155

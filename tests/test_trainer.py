@@ -81,6 +81,13 @@ class TestNormalize:
             normalize(self.LO, self.LO, self.LO)
 
 
+@pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0), dict(lr=-1.0),
+                                dict(lr=0.0)])
+def test_train_config_refuses_bad_values(kw):
+    with pytest.raises(ValueError):
+        TrainConfig(**kw)
+
+
 class TestObservationCount:
     def test_fixed_examples(self):
         cfg = TrainConfig(observation_ratio=0.6)
@@ -379,10 +386,10 @@ class TestConstantVelocityBaseline:
     @staticmethod
     def _linear_sample(u=np.array([1.0, 0.0, 0.0]), t=4):
         from reachcast.datagen import SceneSpec, gen_sample
+        opts = GenOptions(rot_amplitude=0.0, trans_amplitude=0.0, pixel_noise=0.0,
+                          profile="linear")
         spec = SceneSpec(scene="drawer", start=np.array([0.0, 0.02, 0.3]),
-                         target=np.array([0.06, 0.05, 0.45]), duration=t,
-                         rot_amplitude=0.0, trans_amplitude=0.0, pixel_noise=0.0,
-                         profile="linear", seed=1)
+                         target=np.array([0.06, 0.05, 0.45]), duration=t, seed=1, opts=opts)
         return gen_sample(spec, "lin0")
 
     def test_forced_extrapolation(self):
