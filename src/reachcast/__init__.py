@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- ``autodiff``   dense float64 tensors with reverse-mode differentiation
+- ``autodiff``   dense tensors, one dtype per graph, with reverse-mode differentiation
 - ``geometry``   pinhole projection and camera pose chains
 - ``annotate``   least-squares depth repair
 - ``model``      the masked state-space transformer forecaster

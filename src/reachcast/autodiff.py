@@ -1,10 +1,16 @@
-"""Dense float64 tensors with define-by-run reverse-mode differentiation.
+"""Dense tensors with define-by-run reverse-mode differentiation, one
+dtype per graph.
 
 The engine is deliberately small: a ``Tensor`` wraps a contiguous numpy
 array, every operation records itself on the active ``Graph`` (a tape),
 and ``Graph.backward`` replays the tape once in reverse. Graphs are
 rebuilt on every forward pass, which keeps recursive loops (the state
 transition, the autoregressive emission) trivially correct.
+
+A graph computes in one floating dtype, float32 or float64. Every tensor
+input of an op must have the same dtype, and the op's output and every
+gradient it passes back have it too; a mismatch raises ``DTypeError``
+rather than promoting a float32 graph to float64.
 
 Besides the built-in ops, ``custom(out_data, inputs, backward)`` records
 an op whose forward the caller has already run in numpy and whose
@@ -43,17 +49,26 @@ class GraphError(RuntimeError):
     """Backward called on an invalid target or outside a graph."""
 
 
+class DTypeError(TypeError):
+    """Operands of one op, or an op and its output, differ in dtype."""
+
+
+_FLOAT_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
+
+
 def _tape():
     return getattr(_state, "tape", None)
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient accumulator."""
+    """A dense float32 or float64 array plus an optional gradient
+    accumulator of the same dtype. Data of any other dtype becomes float64."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOAT_DTYPES else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
 
@@ -118,7 +133,7 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
     else:
         t.grad += g
 
@@ -140,6 +155,10 @@ def is_recording(inputs):
 
 def _record(out_data, inputs, bwd):
     out = Tensor(out_data)
+    dtype = out.data.dtype
+    for t in inputs:
+        if t.data.dtype != dtype:
+            raise DTypeError(f"op mixes dtypes: a {t.data.dtype} input, a {dtype} output")
     if is_recording(inputs):
         out.requires_grad = True
         _tape()._records.append((out, inputs, bwd))
@@ -151,8 +170,9 @@ def custom(out_data, inputs, backward):
 
     ``out_data`` is the op's output array, already computed from the
     ``inputs`` tensors. ``backward(g)`` receives the output gradient and
-    returns one entry per input: a gradient array of that input's shape,
-    or None for no contribution. The engine checks the count and shapes,
+    returns one entry per input: a gradient array of that input's shape
+    and dtype, or None for no contribution. ``out_data`` must have the
+    inputs' dtype. The engine checks the count, shapes and dtypes,
     skips None entries and inputs that need no gradient, and accumulates
     the rest (copying on first use, so entries may alias saved arrays).
     ``backward`` runs at most once per ``Graph.backward`` and only when the
@@ -169,6 +189,8 @@ def custom(out_data, inputs, backward):
                 continue
             if gt.shape != t.data.shape:
                 raise ShapeError(f"custom: gradient {gt.shape} does not match input {t.data.shape}")
+            if gt.dtype != t.data.dtype:
+                raise DTypeError(f"custom: gradient {gt.dtype} does not match input {t.data.dtype}")
             _accum(t, gt)
 
     return _record(out_data, inputs, bwd)
@@ -319,7 +341,7 @@ def _unpack(a, rows, shape):
     grid index rows[r] and zero where no row lands; a view when R = n*t."""
     if len(rows) == shape[0] * shape[1]:
         return a.reshape(shape)
-    out = np.zeros((shape[0] * shape[1], a.shape[1]))
+    out = np.zeros((shape[0] * shape[1], a.shape[1]), dtype=a.dtype)
     out[rows] = a
     return out.reshape(shape)
 
@@ -581,7 +603,7 @@ def conv2d(x, k, stride):
     if oh < 1 or ow < 1:
         raise ShapeError("conv2d: kernel larger than input")
 
-    cols = np.empty((n, oh, ow, c, kh, kw))
+    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.data.dtype)
     for di in range(kh):
         for dj in range(kw):
             patch = x.data[:, :, di : di + stride * oh : stride, dj : dj + stride * ow : stride]
@@ -627,7 +649,7 @@ def embed_border(frames, prompt, pad):
         raise ShapeError(f"embed_border: prompt must be ({c}, {n_border}), got {prompt.data.shape}")
     border = np.ones((hp, wp), dtype=bool)
     border[pad:-pad, pad:-pad] = False
-    out = np.empty((n, c, hp, wp))
+    out = np.empty((n, c, hp, wp), dtype=frames.data.dtype)
     out[:, :, border] = prompt.data
     out[:, :, pad:-pad, pad:-pad] = frames.data
 
@@ -673,12 +695,17 @@ def check_gradients(build, inputs, step=1e-6, tolerance=1e-5, max_checks_per_ten
 
     ``build`` constructs and returns the scalar loss from the given input
     tensors; it is re-run for every finite-difference probe. ``inputs``
-    maps name -> Tensor. When ``max_checks_per_tensor`` is set, a seeded
-    subsample of coordinates is probed in each tensor; otherwise all.
+    maps name -> Tensor, each float64: central differences at float32
+    precision measure rounding, not the gradient. When
+    ``max_checks_per_tensor`` is set, a seeded subsample of coordinates is
+    probed in each tensor; otherwise all.
     """
     if step <= 0:
         raise ValueError("check_gradients: step must be > 0")
     items = list(inputs.items())
+    for name, t in items:
+        if t.data.dtype != np.float64:
+            raise DTypeError(f"check_gradients: input {name!r} is {t.data.dtype}, not float64")
     with Graph() as g:
         loss = build()
         if loss.requires_grad:

@@ -37,7 +37,7 @@ class ConfigError(ValueError):
     pass
 
 
-MODEL_PRESETS = {"paper": model.ModelConfig, "desk": model.ModelConfig.desk,
+MODEL_PRESETS = {"paper": model.ModelConfig.paper, "desk": model.ModelConfig.desk,
                  "tiny": model.ModelConfig.tiny}
 # `gen` flags and the GenOptions fields they set, which document them
 GEN_FLAGS = {"--t-min": "t_min", "--t-max": "t_max", "--dropout": "depth_dropout",
@@ -81,10 +81,16 @@ def load_run_config(path):
 
 def _load_splits(data_dir, splits):
     """Read a dataset once; returns the samples of each split ("all" takes
-    every sample) and the manifest."""
-    samples, manifest = datagen.read_dataset(data_dir)
+    every sample) and the manifest. Split names the manifest does not
+    define are refused before the samples are read."""
+    manifest = datagen.read_manifest(data_dir)
     if manifest is None:
         raise ConfigError(f"dataset {data_dir} has no manifest.json")
+    unknown = [s for s in splits if s != "all" and s not in manifest["splits"]]
+    if unknown:
+        raise ConfigError(f"unknown split {', '.join(map(repr, unknown))}; dataset {data_dir} "
+                          f"has splits {', '.join(manifest['splits'])}")
+    samples = datagen.read_dataset(data_dir)[0]
     return [samples if split == "all" else datagen.split_samples(samples, manifest, split)
             for split in splits], manifest
 
@@ -119,6 +125,10 @@ def cmd_gen(args):
                                   width=side, height=side)
     options = _section(datagen.GenOptions, "gen", {f: getattr(args, f) for f in GEN_FLAGS.values()},
                        {"split_counts": split_counts, "intrinsics": intrinsics})
+    try:
+        options.resolve_splits(args.n)
+    except ValueError as e:
+        raise ConfigError(f"bad gen config: {e}") from e
     samples, manifest = datagen.gen_dataset(args.n, args.seed, options)
     data_path, manifest_path = datagen.write_dataset(samples, manifest, Path(args.out))
     print(f"wrote {len(samples)} samples to {data_path} (+ {manifest_path.name})")
@@ -320,8 +330,10 @@ def cmd_forecast(args):
 
 
 def cmd_gradcheck(args):
+    # float64 whatever the preset: finite differences need it
     cfg = _section(model.ModelConfig, "model", {"preset": args.preset, "horizon": args.horizon,
-                                                "frame_h": args.frame, "frame_w": args.frame})
+                                                "frame_h": args.frame, "frame_w": args.frame,
+                                                "compute_dtype": "float64"})
     if not 1 <= args.observed < cfg.horizon:
         raise ConfigError(f"--observed must be in [1, {cfg.horizon - 1}] for horizon "
                           f"{cfg.horizon}, got {args.observed}")

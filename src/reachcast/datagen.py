@@ -387,17 +387,31 @@ def write_dataset(samples, manifest, out_dir):
     return out / "data.jsonl", out / "manifest.json"
 
 
+def _dataset_paths(path):
+    """(data.jsonl, manifest.json) of a dataset directory or a bare data.jsonl."""
+    path = Path(path)
+    if path.is_dir():
+        return path / "data.jsonl", path / "manifest.json"
+    return path, path.parent / "manifest.json"
+
+
+def read_manifest(path):
+    """The manifest of a dataset directory (or a bare data.jsonl), or None
+    when it has none."""
+    manifest_path = _dataset_paths(path)[1]
+    if not manifest_path.exists():
+        return None
+    with open(manifest_path) as f:
+        return json.load(f)
+
+
 def read_dataset(path):
     """Read a dataset directory (or a bare data.jsonl); returns (samples, manifest).
 
     Global points are recomputed from the stored local points and pose
     chains. Malformed lines raise ParseError with their line number.
     """
-    path = Path(path)
-    if path.is_dir():
-        data_path, manifest_path = path / "data.jsonl", path / "manifest.json"
-    else:
-        data_path, manifest_path = path, path.parent / "manifest.json"
+    data_path = _dataset_paths(path)[0]
     samples = []
     with open(data_path) as f:
         for line_no, line in enumerate(f, start=1):
@@ -414,11 +428,7 @@ def read_dataset(path):
             except (ValueError, TypeError, KeyError) as e:
                 sid = doc.get("id") if isinstance(doc, dict) else None
                 raise ParseError(line_no, f"sample {sid!r}: {e}") from e
-    manifest = None
-    if manifest_path.exists():
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-    return samples, manifest
+    return samples, read_manifest(path)
 
 
 def split_samples(samples, manifest, split):

@@ -11,7 +11,9 @@ differences and by warping accumulated velocities against predicted
 positions.
 
 Every loss is batched: it consumes autodiff tensors shaped (N, T, ...) plus
-numpy target/mask constants, and a single trajectory is the N=1 case.
+numpy target/mask constants, and a single trajectory is the N=1 case. The
+targets must have the model's compute dtype; masks and weights are built
+in it.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ def drau_batch(mean, alpha, beta, targets, valid, cfg):
     is None and the loss is the single attenuated term over (x, y).
     """
     n, t, d = mean.shape
+    dtype = mean.data.dtype
     if d != (2 if beta is None else 3):
         raise ValueError(f"a {d}-wide mean with beta {'None' if beta is None else 'given'}: "
                          "beta is given with 3D means and None with 2d ones")
@@ -92,9 +95,9 @@ def drau_batch(mean, alpha, beta, targets, valid, cfg):
     else:
         s_xy = residual_lastdim(ad.slice_axis(diff, 2, 0, 2), cfg.residual_kind, cfg.huber_delta)
         s_z = residual_lastdim(ad.slice_axis(diff, 2, 2, 3), cfg.residual_kind, cfg.huber_delta)
-        w = ad.constant(depth_stability_weights(targets[..., 2], valid).reshape(n, t, 1))
-        per_step = ad.add(attenuated(alpha, s_xy), ad.mul(w, attenuated(beta, s_z)))
-    vmask = valid.reshape(n, t, 1).astype(np.float64)
+        w = depth_stability_weights(targets[..., 2], valid).astype(dtype).reshape(n, t, 1)
+        per_step = ad.add(attenuated(alpha, s_xy), ad.mul(ad.constant(w), attenuated(beta, s_z)))
+    vmask = valid.reshape(n, t, 1).astype(dtype)
     per_sample = ad.reduce_sum(ad.mul(per_step, ad.constant(vmask)), axis=1)  # (N,1)
     inv_count = ad.constant(1.0 / np.maximum(vmask.sum(axis=1), 1.0))
     return ad.mean(ad.mul(per_sample, inv_count))
@@ -109,17 +112,18 @@ def velocity_batch(vel, mean, targets, first_future, valid, gamma):
     per-step squared norms; only the batch dimension is averaged.
     """
     n, t, d = vel.shape
+    dtype = vel.data.dtype
     steps = np.arange(t)
-    vmask = valid.astype(np.float64).reshape(n, t, 1)
-    fut = ((steps[None, :] >= first_future[:, None]) & valid).astype(np.float64).reshape(n, t, 1)
+    vmask = valid.astype(dtype).reshape(n, t, 1)
+    fut = ((steps[None, :] >= first_future[:, None]) & valid).astype(dtype).reshape(n, t, 1)
 
-    prev = np.concatenate([np.zeros((n, 1, d)), targets[:, :-1]], axis=1)
+    prev = np.concatenate([np.zeros((n, 1, d), dtype=dtype), targets[:, :-1]], axis=1)
     gt_diff = ad.constant((targets - prev) * vmask)
     verr = ad.sub(gt_diff, ad.mul(vel, ad.constant(np.broadcast_to(vmask, (n, t, d)).copy())))
     term1 = ad.reduce_sum(ad.mul(verr, verr), axis=(1, 2))  # (N,)
 
     # p_C + cumulative future velocities, via a lower-triangular matmul
-    lower = np.tril(np.ones((t, t)))
+    lower = np.tril(np.ones((t, t), dtype=dtype))
     fut_d = np.broadcast_to(fut, (n, t, d)).copy()
     cums = ad.matmul(ad.constant(lower), ad.mul(vel, ad.constant(fut_d)))
     anchor_idx = np.clip(first_future - 1, 0, t - 1)

@@ -41,10 +41,21 @@ from . import autodiff as ad
 
 MASK_LOGIT = -1e9
 COORDINATE_MODES = ("global-3d", "local-3d", "2d")
+COMPUTE_DTYPES = ("float64", "float32")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model sizes and the dtype the model computes in.
+
+    The bare defaults are the paper's sizes; ``paper()`` is them computing
+    in float32 (parameters, activations, gradients and Adam moments), and
+    ``desk()`` and ``tiny()`` are smaller models computing in float64.
+    Checkpoints store float64 on disk whatever the compute dtype, which
+    holds float32 values exactly; a checkpoint that names no compute dtype
+    loads as float64.
+    """
+
     horizon: int = 40
     d_obs: int = 256
     d_z: int = 16
@@ -59,6 +70,7 @@ class ModelConfig:
     vis_hidden: int = 512
     head_hidden: int = 128
     enc_channels: tuple = (8, 16)
+    compute_dtype: str = "float64"
 
     def __post_init__(self):
         object.__setattr__(self, "enc_channels", tuple(self.enc_channels))  # JSON gives lists
@@ -68,6 +80,8 @@ class ModelConfig:
             raise ValueError("prompt_width must be >= 0")
         if self.coordinate_mode not in COORDINATE_MODES:
             raise ValueError(f"coordinate_mode must be one of {COORDINATE_MODES}")
+        if self.compute_dtype not in COMPUTE_DTYPES:
+            raise ValueError(f"compute_dtype must be one of {COMPUTE_DTYPES}")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
         if min(self.conv_out_hw()) < 1:
@@ -76,6 +90,10 @@ class ModelConfig:
     @property
     def point_dim(self):
         return 2 if self.coordinate_mode == "2d" else 3
+
+    @property
+    def dtype(self):
+        return np.dtype(self.compute_dtype)
 
     def padded_hw(self):
         return self.frame_h + 2 * self.prompt_width, self.frame_w + 2 * self.prompt_width
@@ -92,6 +110,12 @@ class ModelConfig:
     def n_prompt_params(self):
         hp, wp = self.padded_hw()
         return hp * wp - self.frame_h * self.frame_w
+
+    @classmethod
+    def paper(cls, **overrides):
+        base = dict(compute_dtype="float32")
+        base.update(overrides)
+        return cls(**base)
 
     @classmethod
     def desk(cls, **overrides):
@@ -114,7 +138,8 @@ class ModelConfig:
 
 @dataclass
 class ForecastOutput:
-    """Per-step forecasts over the full horizon (numpy, in normalized units)."""
+    """Per-step forecasts over the full horizon (numpy arrays in the compute
+    dtype, in normalized units)."""
 
     mean: np.ndarray          # (T, point_dim), tanh range
     alpha: np.ndarray         # (T,), xy log-variance head, >= 0 under softplus
@@ -123,16 +148,19 @@ class ForecastOutput:
 
 
 class Params:
-    """Named parameter tensors in fixed insertion order, with frozen flags."""
+    """Named parameter tensors of one dtype in fixed insertion order, with
+    frozen flags."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._tensors = {}
         self.frozen = set()
 
     def add(self, name, array, frozen=False):
+        """Add a tensor holding ``array`` cast to the store's dtype."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter {name}")
-        t = ad.Tensor(np.asarray(array, dtype=np.float64), requires_grad=not frozen)
+        t = ad.Tensor(np.asarray(array, dtype=self.dtype), requires_grad=not frozen)
         self._tensors[name] = t
         if frozen:
             self.frozen.add(name)
@@ -152,13 +180,22 @@ class Params:
             t.grad = None
 
 
-def _glorot(rng, fan_in, fan_out):
+_DRAW_BLOCK = 1 << 15  # weights drawn per call, so each draw stays in cache
+
+
+def _glorot(rng, fan_in, fan_out, dtype):
+    """Glorot-uniform weights: the float64 stream of one draw, rounded to
+    ``dtype``. Drawn in row blocks that are cast as they come."""
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=(fan_in, fan_out))
+    w = np.empty((fan_in, fan_out), dtype=dtype)
+    rows = max(1, _DRAW_BLOCK // fan_out)
+    for lo in range(0, fan_in, rows):
+        w[lo : lo + rows] = rng.uniform(-s, s, size=(min(rows, fan_in - lo), fan_out))
+    return w
 
 
 def _add_linear(params, rng, name, d_in, d_out):
-    params.add(f"{name}.w", _glorot(rng, d_in, d_out))
+    params.add(f"{name}.w", _glorot(rng, d_in, d_out, params.dtype))
     params.add(f"{name}.b", np.zeros(d_out))
 
 
@@ -170,7 +207,7 @@ def _add_layer_norm(params, name, d):
 def _add_mha(params, rng, name, d_q, d_kv, d):
     _add_linear(params, rng, f"{name}.wq", d_q, d)
     # no key bias: a uniform shift of every key cancels inside the softmax
-    params.add(f"{name}.wk.w", _glorot(rng, d_kv, d))
+    params.add(f"{name}.wk.w", _glorot(rng, d_kv, d, params.dtype))
     _add_linear(params, rng, f"{name}.wv", d_kv, d)
     _add_linear(params, rng, f"{name}.wo", d, d)
 
@@ -179,10 +216,12 @@ FROZEN_ENCODER_SEED = 7041  # shared "pretrained" backbone across all runs
 
 
 def init_params(cfg, seed=0):
-    """Build every learnable tensor for the given configuration."""
+    """Build every learnable tensor for the given configuration. Weights
+    are drawn in float64 whatever the compute dtype and rounded once to it,
+    so every dtype starts from the same weights."""
     rng = np.random.default_rng(seed)
     frozen_rng = np.random.default_rng(FROZEN_ENCODER_SEED)
-    p = Params()
+    p = Params(cfg.dtype)
     c1, c2 = cfg.enc_channels
     pdim = cfg.point_dim
 
@@ -239,12 +278,13 @@ def init_params(cfg, seed=0):
 
 
 @functools.lru_cache(maxsize=64)
-def positional_encoding(horizon, d):
-    """The (horizon, d) sin/cos table, built once per shape and read-only."""
+def positional_encoding(horizon, d, dtype=np.float64):
+    """The (horizon, d) sin/cos table in ``dtype``, built once per shape and
+    dtype, and read-only."""
     pos = np.arange(horizon)[:, None]
     i = np.arange(d)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d)
-    pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype, copy=False)
     pe.setflags(write=False)
     return pe
 
@@ -276,11 +316,12 @@ def _mha(params, name, q_in, kv_in, heads, rows, key_mask):
     return _linear(params, f"{name}.wo", ctx)
 
 
-def _key_mask(observed, heads, t_query, t_key):
-    """(N,h,Tq,Tk) additive mask: 0 where key < per-sample observed count."""
+def _key_mask(observed, heads, t_query, t_key, dtype=np.float64):
+    """(N,h,Tq,Tk) additive mask in ``dtype``: 0 where key < per-sample
+    observed count."""
     n = observed.shape[0]
     cols = np.arange(t_key)
-    m = np.where(cols[None, :] < observed[:, None], 0.0, MASK_LOGIT)  # (N,Tk)
+    m = np.where(cols[None, :] < observed[:, None], 0.0, MASK_LOGIT).astype(dtype, copy=False)
     return np.broadcast_to(m[:, None, None, :], (n, heads, t_query, t_key)).copy()
 
 
@@ -293,7 +334,7 @@ def observed_cells(observed):
 def encode_frames(params, cfg, frames):
     """Prompted frozen encoder plus learnable head: (...,H,W) grayscale
     frames -> (...,d_obs)."""
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames, dtype=cfg.dtype)
     h, w = cfg.frame_h, cfg.frame_w
     lead = frames.shape[:-2]
     if frames.shape[-2:] != (h, w):
@@ -309,7 +350,7 @@ def encode_frames(params, cfg, frames):
 
 def embed_points(params, cfg, points):
     """Two-layer MLP point embedding; accepts (.., point_dim) tensor or array."""
-    x = points if isinstance(points, ad.Tensor) else ad.constant(np.asarray(points, dtype=np.float64))
+    x = points if isinstance(points, ad.Tensor) else ad.constant(np.asarray(points, dtype=cfg.dtype))
     if x.shape[-1] != cfg.point_dim:
         raise ad.ShapeError(f"points width {x.shape[-1]} != {cfg.point_dim}")
     return _mlp2(params, "traj", x)
@@ -327,8 +368,8 @@ def temporal_encode(params, cfg, x, observed, branch):
     samples, steps = observed_cells(observed)
     t = int(observed.max())
     rows = samples * t + steps
-    u = ad.add(x, ad.constant(positional_encoding(t, x.shape[-1]).take(steps, axis=0)))
-    mask = _key_mask(observed, cfg.heads, t, t)
+    u = ad.add(x, ad.constant(positional_encoding(t, x.shape[-1], cfg.dtype).take(steps, axis=0)))
+    mask = _key_mask(observed, cfg.heads, t, t, cfg.dtype)
     for b in range(cfg.blocks):
         base = f"{branch}.{b}"
         attn = _mha(params, f"{base}.attn", u, u, cfg.heads, rows, mask)
@@ -363,7 +404,8 @@ def transition(params, cfg, h, observed, horizon):
     t = int(horizon)
     inputs = (h,) + tuple(params[f"trans.{k}"] for k in _TRANSITION_PARAMS)
     roll = _Rollout({k: params[f"trans.{k}"].data for k in _TRANSITION_PARAMS}, h.data,
-                    _key_mask(observed, cfg.heads, 1, t_enc), positional_encoding(t, dz),
+                    _key_mask(observed, cfg.heads, 1, t_enc, cfg.dtype),
+                    positional_encoding(t, dz, cfg.dtype),
                     cfg.heads, save=ad.is_recording(inputs))
     return ad.custom(roll.z, inputs, roll.backward)
 
@@ -388,6 +430,7 @@ class _Rollout:
     writes the self-attention key/value of its input latent z_i into slot
     i of (N,heads,T,dh) caches and attends over slots 0..i. Activations
     are kept per step only when ``save`` is set (a tape will replay them).
+    Every buffer, forward and backward, has the dtype of h.
     """
 
     def __init__(self, w, h, hmask, pe, heads, save):
@@ -398,9 +441,9 @@ class _Rollout:
         self.scale = float(1.0 / np.sqrt(dh))
         self.kh = _split(h @ w["cross.wk.w"], heads)
         self.vh = _split(h @ w["cross.wv.w"] + w["cross.wv.b"], heads)
-        self.k = np.empty((n, heads, t, dh))
-        self.v = np.empty((n, heads, t, dh))
-        self.z = np.empty((n, t, dz))
+        self.k = np.empty((n, heads, t, dh), dtype=h.dtype)
+        self.v = np.empty_like(self.k)
+        self.z = np.empty((n, t, dz), dtype=h.dtype)
         self.saved = []
         z_prev = np.broadcast_to(w["z0"], (n, 1, dz)).copy()
         for i in range(t):
@@ -445,15 +488,16 @@ class _Rollout:
         wqkv = np.concatenate([w["self.wq.w"], w["self.wk.w"], w["self.wv.w"]], axis=1)
         grads = {k: np.zeros_like(w[k]) for k in _TRANSITION_PARAMS if k.endswith(".w")}
         grads["self.wqkv.w"] = np.zeros_like(wqkv)
-        rows = {k: np.zeros((n, w[k].shape[-1])) for k in _TRANSITION_PARAMS
+        dtype = self.z.dtype
+        rows = {k: np.zeros((n, w[k].shape[-1]), dtype=dtype) for k in _TRANSITION_PARAMS
                 if k.endswith((".b", ".g"))}
-        rows["self.wqkv.b"] = np.zeros((n, 3 * dz))
+        rows["self.wqkv.b"] = np.zeros((n, 3 * dz), dtype=dtype)
         # Attention terms of every step, so that each key/value gradient is
         # one product over the steps that read it: row i holds step i's
         # weights, query, d(logits) and d(context); self-attention rows are
         # zero past slot i.
-        ps = np.zeros((n, heads, t, t))
-        q = np.empty((n, heads, t, dh))
+        ps = np.zeros((n, heads, t, t), dtype=dtype)
+        q = np.empty((n, heads, t, dh), dtype=dtype)
         for i, f in enumerate(self.saved):
             ps[:, :, i, : i + 1] = f["ps"][:, :, 0]
             q[:, :, i] = f["q"][:, :, 0]
@@ -572,7 +616,8 @@ class _Emission:
     output is bit-identical to it. ``out`` packs mean, alpha and beta
     (N,T,point_dim+2; +1 without beta). Activations are kept per step only
     when ``save`` is set (a tape will replay them); the backward stacks
-    them over the horizon.
+    them over the horizon. Every buffer, forward and backward, has the
+    dtype of z.
     """
 
     def __init__(self, w, z, o, observed, save):
@@ -583,12 +628,13 @@ class _Emission:
         m0 = int(observed.min())  # steps 0..m0 lie in every sample's observed prefix
         self.w, self.heads, self.pd, self.m0 = w, heads, pd, m0
         # row i-1: which samples still read the encoder feature at step i (i <= C)
-        self.sel = (np.arange(1, o.shape[1] + 1)[:, None] <= observed).astype(np.float64)[..., None]
+        self.sel = (np.arange(1, o.shape[1] + 1)[:, None] <= observed).astype(z.dtype)[..., None]
         keep_re = 1.0 - self.sel
-        self.out = out = np.empty((n, t, pd + len(heads) - 1))
+        self.out = out = np.empty((n, t, pd + len(heads) - 1), dtype=z.dtype)
         # per-step activations by name, in step order; the re-embedding
         # lists start empty so that they stack when no step re-embeds
-        saved = {"e1": [np.empty((n, 0, w["traj.fc1.w"].shape[1]))], "e2": [np.empty((n, 0, d))]}
+        saved = {"e1": [np.empty((n, 0, w["traj.fc1.w"].shape[1]), dtype=z.dtype)],
+                 "e2": [np.empty((n, 0, d), dtype=z.dtype)]}
 
         def keep(name, a):
             if save:
@@ -611,7 +657,7 @@ class _Emission:
                 out[:, steps, k : k + 1] = np.logaddexp(0.0, pre)
             return mean
 
-        feat = np.concatenate([np.zeros((n, 1, d)), o[:, :m0]], axis=1)
+        feat = np.concatenate([np.zeros((n, 1, d), dtype=z.dtype), o[:, :m0]], axis=1)
         prev = emit_steps(slice(0, m0 + 1), feat)[:, m0:].copy()
         for i in range(m0 + 1, t):
             e1 = np.tanh(prev @ w["traj.fc1.w"] + w["traj.fc1.b"])
@@ -660,11 +706,11 @@ class _Emission:
         e1_act = 1.0 - act["e1"] ** 2
         dpm = np.empty_like(mean)
         dhm = np.empty_like(hm)
-        dre = np.empty((n, t - m0 - 1, d_in - dz))
+        dre = np.empty((n, t - m0 - 1, d_in - dz), dtype=mean.dtype)
         d1 = np.empty_like(e1_act)
         t_enc = len(self.sel)
         keep_re = 1.0 - self.sel
-        do = np.zeros((n, t_enc, d_in - dz))
+        do = np.zeros((n, t_enc, d_in - dz), dtype=mean.dtype)
         carry = 0.0  # gradient of mean_i from step i+1's re-embedding
         for i in range(t - 1, m0, -1):
             j = i - m0 - 1
@@ -711,14 +757,15 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     """Full forward pass over a padded batch.
 
     frames (N,T,H,W) and points (N,T,point_dim) are numpy
-    inputs padded to the horizon; observed (N,) int gives each sample's C.
+    inputs padded to the horizon, cast to the compute dtype (no copy when
+    they have it); observed (N,) int gives each sample's C.
     Only the C observed steps of each sample reach the encoders, as packed
     rows. The transition and the emission then run once each over the
     whole horizon. Returns dict of graph tensors: mean (N,T,pd),
     alpha/beta (N,T,1), beta None in 2d mode, velocity (N,T,pd).
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
+    frames = np.asarray(frames, dtype=cfg.dtype)
+    points = np.asarray(points, dtype=cfg.dtype)
     observed = np.asarray(observed, dtype=np.int64)
     n, t = points.shape[:2]
     if np.any(observed < 1) or np.any(observed >= (lengths if lengths is not None else t)):
@@ -744,7 +791,7 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
                           observed, "enc_t")
 
     o = ad.concat([o_v, o_t], axis=1)
-    pe_z = positional_encoding(t, cfg.d_z).take(steps, axis=0)
+    pe_z = positional_encoding(t, cfg.d_z, cfg.dtype).take(steps, axis=0)
     h = _layer_norm(params, "trans.h.ln", ad.add(_mlp2(params, "trans.h", o), ad.constant(pe_z)))
 
     z = transition(params, cfg, ad.scatter_rows(h, rows, n, t_enc), observed, horizon=t)
@@ -772,18 +819,19 @@ def forecast(params, cfg, frames, points, observed_count):
 
 
 def save_checkpoint(params, cfg, path, extra=None):
-    """Write <path>.bin (flat doubles) and <path>.json (manifest)."""
+    """Write <path>.bin (flat doubles, whatever the compute dtype) and
+    <path>.json (manifest). Tensors are written one by one, so at most one
+    tensor's float64 copy is held."""
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
-    manifest, blobs, offset = [], [], 0
-    for name, t in params.items():
-        flat = np.ascontiguousarray(t.data, dtype=np.float64).reshape(-1)
-        manifest.append({"name": name, "offset": offset, "shape": list(t.data.shape),
-                         "frozen": name in params.frozen})
-        blobs.append(flat)
-        offset += flat.size
+    manifest, offset = [], 0
     with open(base.with_suffix(".bin"), "wb") as f:
-        f.write(np.concatenate(blobs).tobytes())
+        for name, t in params.items():
+            flat = np.ascontiguousarray(t.data, dtype=np.float64).reshape(-1)
+            manifest.append({"name": name, "offset": offset, "shape": list(t.data.shape),
+                             "frozen": name in params.frozen})
+            f.write(flat)
+            offset += flat.size
     doc = {"config": asdict(cfg), "params": manifest, "extra": extra or {}}
     with open(base.with_suffix(".json"), "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
@@ -791,15 +839,17 @@ def save_checkpoint(params, cfg, path, extra=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, cfg, extra)."""
+    """Read a checkpoint; returns (params, cfg, extra), the params in the
+    config's compute dtype."""
     base = Path(path)
     with open(base.with_suffix(".json")) as f:
         doc = json.load(f)
     cfg = ModelConfig(**doc["config"])
     raw = np.frombuffer(open(base.with_suffix(".bin"), "rb").read(), dtype=np.float64)
-    params = Params()
+    params = Params(cfg.dtype)
     for entry in doc["params"]:
         size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        data = raw[entry["offset"] : entry["offset"] + size].reshape(entry["shape"]).copy()
+        data = np.array(raw[entry["offset"] : entry["offset"] + size].reshape(entry["shape"]),
+                        dtype=cfg.dtype)
         params.add(entry["name"], data, frozen=entry["frozen"])
     return params, cfg, doc.get("extra", {})

@@ -113,14 +113,15 @@ def sample_targets(sample, cfg, norm):
 
 
 def assemble_batch(samples, cfg, norm, observed):
-    """Pad samples to the horizon; returns (frames, points, C, lengths, valid).
+    """Pad samples to the horizon; returns (frames, points, C, lengths, valid),
+    frames and points in the model's compute dtype.
 
     Refuses samples with depth-less steps: their z=0 sentinel would be
     lifted through the pose chain into wrong world points.
     """
     n, t = len(samples), cfg.horizon
-    frames = np.zeros((n, t, cfg.frame_h, cfg.frame_w))
-    points = np.zeros((n, t, cfg.point_dim))
+    frames = np.zeros((n, t, cfg.frame_h, cfg.frame_w), dtype=cfg.dtype)
+    points = np.zeros((n, t, cfg.point_dim), dtype=cfg.dtype)
     lengths = np.zeros(n, dtype=np.int64)
     for i, s in enumerate(samples):
         if s.horizon > t:
@@ -139,11 +140,12 @@ def assemble_batch(samples, cfg, norm, observed):
 class Adam:
     """Adaptive-moment optimizer over a parameter store's trainable tensors.
 
-    The moments live in two flat arrays, one element per trainable
-    parameter element; ``m[name]`` and ``v[name]`` are views of them. A
-    step updates that flat range in chunks of ``CHUNK`` elements, which
-    may span several small tensors or part of a large one: small tensors
-    share each numpy call, and temporaries stay small and in cache.
+    The moments live in two flat arrays of the parameters' dtype, one
+    element per trainable parameter element; ``m[name]`` and ``v[name]``
+    are views of them. A step updates that flat range in chunks of
+    ``CHUNK`` elements, which may span several small tensors or part of a
+    large one: small tensors share each numpy call, and temporaries stay
+    small and in cache.
     ``save``/``load`` keep the moments and step count beside a model
     checkpoint, so a resumed run continues exactly where it stopped.
     """
@@ -156,7 +158,8 @@ class Adam:
         self.t = 0
         items = params.trainable_items()
         bounds = np.cumsum([0] + [p.data.size for _, p in items])
-        self._m, self._v = np.zeros(bounds[-1]), np.zeros(bounds[-1])
+        self._m = np.zeros(bounds[-1], dtype=params.dtype)
+        self._v = np.zeros(bounds[-1], dtype=params.dtype)
         spans = list(zip(items, bounds, bounds[1:]))
         self.m = {n: self._m[a:b].reshape(p.shape) for (n, p), a, b in spans}
         self.v = {n: self._v[a:b].reshape(p.shape) for (n, p), a, b in spans}
@@ -209,7 +212,7 @@ class Adam:
 
     def save(self, path, cfg):
         """Write the moments and step count in the checkpoint format at ``path``."""
-        store = M.Params()
+        store = M.Params(self._m.dtype)
         for n in self.m:
             store.add(f"m.{n}", self.m[n])
             store.add(f"v.{n}", self.v[n])
@@ -217,7 +220,8 @@ class Adam:
 
     @classmethod
     def load(cls, params, path):
-        """Restore an optimizer written by ``save`` for the same parameters."""
+        """Restore an optimizer written by ``save`` for the same parameters,
+        its moments in their dtype."""
         store, _, extra = M.load_checkpoint(path)
         expected = {f"{k}.{n}": p.shape for n, p in params.trainable_items() for k in "mv"}
         if {n: t.shape for n, t in store.items()} != expected:
@@ -297,8 +301,9 @@ def decode_prediction(mean, sample, cfg, norm):
 
     3D modes give world-frame meters (local-3d predictions are carried to
     the world frame through the sample's poses); 2d mode gives normalized
-    frame units in [0, 1].
+    frame units in [0, 1], all in float64 whatever the compute dtype.
     """
+    mean = np.asarray(mean, dtype=np.float64)
     if cfg.coordinate_mode == "2d":
         return (mean + 1.0) / 2.0, (sample_targets(sample, cfg, norm) + 1.0) / 2.0
     pred = denormalize(mean, *norm)

@@ -516,3 +516,68 @@ class TestCustom:
         with ad.Graph():
             assert ad.is_recording((a,))
             assert not ad.is_recording((ad.constant(1.0),))
+
+
+class TestDtypes:
+    """One dtype per graph: float32 stays float32 through every op and its
+    gradients, and mixing dtypes fails instead of promoting."""
+
+    ROWS = np.array([0, 1, 2, 3, 5])  # packed cells of a (2, 3) grid; cell 4 is empty
+    CASES = {
+        **{name: (op, ((4, 4), (4, 4))) for name, op in TestPrimitiveGradients.CASES.items()},
+        **{name: (op, ((4, 4),)) for name, op in TestPrimitiveGradients.UNARY.items()},
+        "affine": (ad.affine, ((3, 4), (4, 2), (2,))),
+        "scale+reduce_sum": (lambda x: ad.reduce_sum(ad.scale(x, 0.5), axis=0), ((3, 4),)),
+        "layer_norm+add_bias": (lambda x, g, b: ad.add_bias(ad.layer_norm(x, g, b), b),
+                                ((3, 6), (6,), (6,))),
+        "conv2d+embed_border": (lambda x, k, p: ad.conv2d(ad.embed_border(x, p, 1), k, 2),
+                                ((2, 1, 6, 6), (2, 1, 3, 3), (1, 28))),
+        "split+merge_heads": (lambda x: ad.merge_heads(
+            ad.split_heads(x, 2, TestDtypes.ROWS, 2, 3), TestDtypes.ROWS), ((5, 4),)),
+        "scatter_rows": (lambda x: ad.scatter_rows(x, TestDtypes.ROWS, 2, 3), ((5, 4),)),
+    }
+
+    def test_float32_kept_and_other_dtypes_become_float64(self):
+        assert ad.Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+        for data in (np.ones(2, np.float16), np.arange(2), [1, 2], 1.0):
+            assert ad.Tensor(data).data.dtype == np.float64
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_op_keeps_float32(self, name):
+        op, shapes = self.CASES[name]
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        results = {}
+        for dtype in (np.float32, np.float64):
+            inputs = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            with ad.Graph() as g:
+                out = op(*inputs)
+                w = ad.constant(np.linspace(-1, 1, out.size).reshape(out.shape).astype(dtype))
+                g.backward(ad.reduce_sum(ad.mul(out, w)))
+            assert out.data.dtype == dtype
+            assert all(t.grad.dtype == dtype for t in inputs)
+            results[dtype] = [out.data] + [t.grad for t in inputs]
+        for got, ref in zip(results[np.float32], results[np.float64]):
+            np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-5)
+
+    def test_mixed_inputs_raise(self):
+        a = ad.Tensor(np.ones(3, np.float32))
+        with pytest.raises(ad.DTypeError):
+            ad.add(a, ad.Tensor(np.ones(3)))
+        with pytest.raises(ad.DTypeError):
+            ad.affine(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2), np.float32)),
+                      ad.Tensor(np.ones(2, np.float32)))
+
+    def test_custom_output_and_gradient_dtypes_checked(self):
+        a = ad.Tensor(np.ones(3, np.float32), requires_grad=True)
+        with pytest.raises(ad.DTypeError):
+            ad.custom(a.data.astype(np.float64), (a,), lambda g: (g,))
+        with ad.Graph() as g:
+            out = ad.custom(a.data.copy(), (a,), lambda grad: (grad.astype(np.float64),))
+            with pytest.raises(ad.DTypeError):
+                g.backward(ad.reduce_sum(out))
+
+    def test_check_gradients_refuses_float32_inputs_by_name(self):
+        x = ad.Tensor(np.ones(2, np.float32), requires_grad=True)
+        with pytest.raises(ad.DTypeError, match="'x'"):
+            ad.check_gradients(lambda: ad.reduce_sum(ad.mul(x, x)), {"x": x})

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from reachcast import autodiff as ad
 from reachcast import cli, datagen, model, trainer
 
 
@@ -43,6 +44,20 @@ def test_gradcheck_passes():
     assert cli.main(["gradcheck"]) == 0
 
 
+def test_gradcheck_builds_float64_whatever_the_preset(monkeypatch):
+    # finite differences need float64, so the float32 paper preset is checked in it
+    seen = {}
+
+    def record(build, inputs, **kwargs):
+        seen[preset] = {t.data.dtype for t in inputs.values()}
+        return ad.GradCheckReport([ad.GradCheckEntry("w", 0.0, 1, True)], 1e-3)
+
+    monkeypatch.setattr(ad, "check_gradients", record)
+    for preset in cli.MODEL_PRESETS:
+        assert cli.main(["gradcheck", "--preset", preset]) == 0
+    assert seen == dict.fromkeys(cli.MODEL_PRESETS, {np.dtype(np.float64)})
+
+
 @pytest.mark.parametrize("observed", ["0", "8"])
 def test_gradcheck_observed_out_of_range_refused(observed, capsys):
     assert cli.main(["gradcheck", "--observed", observed]) == 2
@@ -56,6 +71,38 @@ def test_resume_is_exact(dataset, tmp_path):
     _train(dataset, split, 4, "--resume", str(split / "ckpt"))
     for name in ("loss_curve.csv", "ckpt.bin", "ckpt.json", "ckpt_adam.bin", "ckpt_adam.json"):
         assert (split / name).read_bytes() == (straight / name).read_bytes(), name
+
+
+def test_float32_resume_is_exact(dataset, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"preset": "tiny", "compute_dtype": "float32"}}))
+    straight, split = tmp_path / "straight", tmp_path / "split"
+    _train(dataset, straight, 4, "--config", str(config))
+    _train(dataset, split, 2, "--config", str(config))
+    _train(dataset, split, 4, "--config", str(config), "--resume", str(split / "ckpt"))
+    for name in ("loss_curve.csv", "ckpt.bin", "ckpt.json", "ckpt_adam.bin", "ckpt_adam.json"):
+        assert (split / name).read_bytes() == (straight / name).read_bytes(), name
+    params, cfg, _ = model.load_checkpoint(split / "ckpt")
+    assert cfg.compute_dtype == "float32"
+    assert {t.data.dtype for _, t in params.items()} == {np.dtype(np.float32)}
+
+
+def test_unsupported_compute_dtype_refused(dataset, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"preset": "tiny", "compute_dtype": "float16"}}))
+    out = tmp_path / "run"
+    assert cli.main(_train_argv(dataset, out, 1, "--config", str(config))) == 2
+    assert "compute_dtype must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_eval_split_refused(dataset, trained, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert cli.main(["eval", "--ckpt", str(trained), "--data", str(dataset),
+                     "--splits", "test_seen,bogus", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "has splits test_seen, test_unseen, train, val" in err
+    assert not out.exists()
 
 
 def test_resume_into_new_out_keeps_curve(dataset, tmp_path):
@@ -143,6 +190,7 @@ def test_bad_ratios_are_usage_errors(dataset, trained, tmp_path, capsys, command
     (["--t-min", "9", "--t-max", "5"], "t_min <= t_max"),
     (["--split", "10,5,5"], "not four counts"),
     (["--split", "10,x,3,2"], "--split"),
+    (["--split", "10,5,4,2"], "do not sum to n=20"),
 ])
 def test_bad_gen_options_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "data"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -469,3 +471,101 @@ def test_desk_training_step_tape_budget(desk):
         out = M.forward_batch(params, cfg, frames, points, obs)
         total, _, _ = L.total_batch(out, points, obs, valid, L.LossConfig())
     assert len(g) <= 155
+
+
+@pytest.fixture(scope="module", params=["tiny", "desk"])
+def float32_pair(request):
+    """A float32 model and a float64 model holding the same (rounded) weights."""
+    make = getattr(ModelConfig, request.param)
+    cfg32, cfg64 = make(compute_dtype="float32"), make()
+    p32, p64 = M.init_params(cfg32, seed=0), M.init_params(cfg64, seed=0)
+    for (_, a), (_, b) in zip(p32.items(), p64.items()):
+        np.testing.assert_array_equal(a.data, b.data.astype(np.float32))  # rounded once
+        b.data[...] = a.data
+    return cfg32, p32, cfg64, p64
+
+
+def _step(params, cfg, seed=31):
+    """Forward, loss and backward of one batch with mixed observed counts, in
+    the config's dtype; returns (outputs, tape records, gradients by name)."""
+    frames, points, obs = random_batch(cfg, 3, seed=seed,
+                                       observed=[1, cfg.horizon // 2, cfg.horizon - 1])
+    frames, points = frames.astype(cfg.dtype), points.astype(cfg.dtype)
+    params.zero_grads()
+    with ad.Graph() as g:
+        out = M.forward_batch(params, cfg, frames, points, obs)
+        total, _, _ = L.total_batch(out, points, obs, np.ones((3, cfg.horizon), bool),
+                                    L.LossConfig())
+        g.backward(total)
+    return out, g._records, {n: t.grad for n, t in params.trainable_items()}
+
+
+class TestComputeDtype:
+    def test_presets(self):
+        assert ModelConfig.paper().dtype == np.float32
+        for cfg in (ModelConfig(), ModelConfig.desk(), ModelConfig.tiny()):
+            assert cfg.dtype == np.float64
+        with pytest.raises(ValueError, match="compute_dtype"):
+            ModelConfig.tiny(compute_dtype="float16")
+
+    def test_every_record_and_gradient_is_float32(self, float32_pair):
+        cfg, params, _, _ = float32_pair
+        _, records, grads = _step(params, cfg)
+        assert {out.data.dtype for out, _, _ in records} == {np.dtype(np.float32)}
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+
+    def test_float32_agrees_with_float64_at_the_same_weights(self, float32_pair):
+        # measured on tiny and desk: outputs within 8e-7, gradients within
+        # 2.2e-6 of their norm; the bounds leave a margin of 10x or more
+        cfg32, p32, cfg64, p64 = float32_pair
+        out32, _, g32 = _step(p32, cfg32)
+        out64, _, g64 = _step(p64, cfg64)
+        for k in ("mean", "alpha", "beta", "velocity"):
+            assert np.max(np.abs(out32[k].data - out64[k].data)) <= 1e-5, k
+        for n in g64:
+            err = np.linalg.norm(g32[n] - g64[n]) / np.linalg.norm(g64[n])
+            assert err <= 1e-4, n
+
+    def test_float32_forecast_ignores_inputs_past_c(self, float32_pair):
+        # float64 inputs are cast at entry; the -1e9 key mask still gives
+        # exactly zero weight in float32
+        cfg, params, _, _ = float32_pair
+        frames, points, _ = random_batch(cfg, 1, seed=13)
+        c = cfg.horizon // 2
+        base = M.forecast(params, cfg, frames[0], points[0], c)
+        frames[0, c:], points[0, c:] = 0.5, -0.5
+        moved = M.forecast(params, cfg, frames[0], points[0], c)
+        assert base.mean.dtype == np.float32
+        for k in ("mean", "alpha", "beta", "velocity"):
+            np.testing.assert_array_equal(getattr(base, k), getattr(moved, k))
+
+    def test_mixed_dtype_inputs_fail_loudly(self, float32_pair):
+        # float64 masks and tables must not promote a float32 graph
+        cfg32, p32, cfg64, _ = float32_pair
+        frames, points, obs = random_batch(cfg64, 2)
+        with pytest.raises(ad.DTypeError):
+            M.forward_batch(p32, cfg64, frames, points, obs)
+
+    def test_checkpoint_round_trip_is_bit_exact(self, tmp_path, float32_pair):
+        cfg, params, _, _ = float32_pair
+        path = tmp_path / "ckpt"
+        M.save_checkpoint(params, cfg, path)
+        assert (tmp_path / "ckpt.bin").stat().st_size == 8 * sum(t.size for _, t in params.items())
+        loaded, cfg2, _ = M.load_checkpoint(path)
+        assert cfg2 == cfg
+        for (_, a), (_, b) in zip(params.items(), loaded.items()):
+            assert b.data.dtype == np.float32
+            np.testing.assert_array_equal(a.data, b.data)
+
+    def test_checkpoint_without_compute_dtype_loads_float64(self, tmp_path, float32_pair):
+        cfg, params, _, _ = float32_pair
+        path = tmp_path / "ckpt"
+        M.save_checkpoint(params, cfg, path)
+        doc = json.loads(path.with_suffix(".json").read_text())
+        del doc["config"]["compute_dtype"]
+        path.with_suffix(".json").write_text(json.dumps(doc))
+        loaded, cfg2, _ = M.load_checkpoint(path)
+        assert cfg2.compute_dtype == "float64"
+        for (_, a), (_, b) in zip(params.items(), loaded.items()):
+            assert b.data.dtype == np.float64
+            np.testing.assert_array_equal(a.data, b.data)

@@ -224,6 +224,28 @@ class TestAdamAndFit:
         with pytest.raises(ValueError):
             Adam.load(other, tmp_path / "adam")
 
+    def test_float32_model_trains_and_resumes_in_float32(self, tiny_setup, tmp_path):
+        cfg, samples, manifest, norm = tiny_setup
+        cfg = M.ModelConfig.tiny(horizon=cfg.horizon, compute_dtype="float32")
+        train = split_samples(samples, manifest, "train")[:12]
+        frames, points, *_ = T.assemble_batch(train[:2], cfg, norm, [3, 4])
+        assert frames.dtype == points.dtype == np.float32
+        params = M.init_params(cfg, seed=0)
+        _, opt = fit(params, cfg, train, norm, TrainConfig(lr=1e-3, warmup_epochs=1, epochs=2,
+                                                           batch_size=6, seed=0))
+        assert {p.data.dtype for _, p in params.items()} == {np.dtype(np.float32)}
+        assert opt._m.dtype == opt._v.dtype == np.float32
+        opt.save(tmp_path / "adam", cfg)
+        back = Adam.load(params, tmp_path / "adam")
+        for n in opt.m:
+            assert back.m[n].dtype == back.v[n].dtype == np.float32
+            np.testing.assert_array_equal(back.m[n], opt.m[n])
+            np.testing.assert_array_equal(back.v[n], opt.v[n])
+        # decoding and metrics stay float64
+        cases = T.forecast_cases(params, cfg, split_samples(samples, manifest, "test_seen"),
+                                 norm, 0.6)
+        assert {pred.dtype for _, _, pred, _ in cases} == {np.dtype(np.float64)}
+
 
 class TestDepthValidity:
     def test_depthless_samples_refused_until_repaired(self, tmp_path):
