@@ -22,6 +22,10 @@ backward only when a tape will replay it. The numpy kernels of softmax
 and layer norm are public so fused ops compute them exactly as the taped
 ops do.
 
+``conv2d`` and ``embed_border`` are the taped form of the prompted frame
+encoder. The model runs that encoder as one fused op; these two stay as
+its tested reference and as names the benchmark's tracer wraps.
+
 Ragged batches keep one packed row per real step, so row-wise ops skip
 padding; ``scatter_rows``, ``split_heads`` and ``merge_heads`` move rows
 to and from the padded (N, T) grid that attention runs on.

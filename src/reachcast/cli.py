@@ -274,7 +274,8 @@ def cmd_eval(args):
             cases = trainer.forecast_cases(params, cfg, samples, norm, ratio)
             rows.append(trainer.score(cases, split, ratio, "model"))
             if args.baseline == "cv":
-                rows.append(trainer.evaluate_baseline(samples, ratio, split=split))
+                rows.append(trainer.evaluate_baseline(samples, ratio, split=split,
+                                                      image_plane=cfg.coordinate_mode == "2d"))
             dumps.extend({**_trajectory_doc(s, observed, pred, gt), "split": split, "ratio": ratio}
                          for s, observed, pred, gt in cases if s.id in dumped)
     out = Path(args.out)
@@ -413,7 +414,8 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--splits", default="test_seen,test_unseen")
     p.add_argument("--ratios", default="0.6", help="'0.6', '0.3,0.6', or '0.1..0.9'")
-    p.add_argument("--baseline", choices=["cv"], help="add constant-velocity rows")
+    p.add_argument("--baseline", choices=["cv"],
+                   help="add constant-velocity rows (in 2d mode, also in the image plane)")
     p.add_argument("--out", default="metrics.csv")
     p.add_argument("--dump", help="write per-sample trajectory JSON here")
     p.add_argument("--dump-limit", type=int, default=8)

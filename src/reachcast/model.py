@@ -14,18 +14,27 @@ where empty cells are zero and keys past C carry an additive -1e9 logit,
 which underflows to exact zero weight, so forecasts are exactly
 independent of future inputs.
 
-The two recurrences are fused tape ops, each one ``ad.custom`` record
-rather than dozens of taped ops per step: the state transition
-(``transition``) and the autoregressive emission (``emit``), whose every
-step after the observed prefix reads the re-embedded previous mean. Each
-forward runs in numpy and repeats the arithmetic of the taped composition
-op for op, with the same operand shapes and BLAS calls, so its output is
-bit-identical to it (the transition's on the ``desk`` preset and within
-1e-12 elsewhere; the emission's on ``tiny`` and ``desk``, 3D and 2d).
-Each backward is hand-written back-propagation through time; it sums in a
-different order, and its gradients agree with the taped composition to
-rtol 1e-9 and atol 1e-12. The taped compositions are kept as references in
-tests/test_transition.py and tests/test_emission.py.
+Three stages are fused tape ops, each one ``ad.custom`` record rather
+than a chain of taped ops: the frozen frame encoder (``frozen_encoder``),
+the state transition (``transition``) and the autoregressive emission
+(``emit``), whose every step after the observed prefix reads the
+re-embedded previous mean. Each forward runs in numpy and repeats the
+arithmetic of the taped composition op for op, with the same operand
+shapes and BLAS calls, so its output is bit-identical to it, and each
+backward is hand-written and sums in a different order:
+
+- the frame encoder's forward is bit-identical on every preset and
+  dtype. Its backward computes only the prompt's gradient, which agrees
+  with the taped ``embed_border``/``conv2d`` composition to rtol 1e-9 and
+  atol 1e-12 in float64 and to 2e-6 of the largest entry in float32;
+- the transition's forward is bit-identical on ``desk`` and within 1e-12
+  elsewhere, the emission's on ``tiny`` and ``desk``, 3D and 2d. Their
+  backwards are back-propagation through time, and their gradients agree
+  with the taped composition to rtol 1e-9 and atol 1e-12.
+
+The taped compositions are kept as references in
+tests/test_frame_encoder.py, tests/test_transition.py and
+tests/test_emission.py.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import autodiff as ad
 
@@ -339,13 +349,150 @@ def encode_frames(params, cfg, frames):
     lead = frames.shape[:-2]
     if frames.shape[-2:] != (h, w):
         raise ad.ShapeError(f"frames {frames.shape[-2:]} do not match configured {(h, w)}")
-    x = ad.constant(frames.reshape(-1, 1, h, w))
-    x = ad.embed_border(x, params["prompt"], cfg.prompt_width)
-    x = ad.tanh(ad.conv2d(x, params["enc.conv1.k"], stride=2))
-    x = ad.tanh(ad.conv2d(x, params["enc.conv2.k"], stride=2))
-    x = ad.reshape(x, (-1, cfg.flat_dim()))
+    x = frozen_encoder(params, cfg, frames.reshape(-1, h, w))
     x = _mlp2(params, "vis", x)
     return ad.reshape(x, lead + (cfg.d_obs,))
+
+
+def frozen_encoder(params, cfg, frames):
+    """The prompted frozen backbone as one taped op: (R,H,W) frames ->
+    (R, flat_dim) features, laid out as the taped composition
+    ``embed_border -> conv2d -> tanh -> conv2d -> tanh -> reshape`` lays
+    them out (channel-major per frame).
+
+    Only the prompt learns, so the backward computes the prompt's gradient
+    alone, through the conv outputs whose windows reach the border. A conv
+    kernel that requires a gradient is refused rather than left without one.
+    """
+    for name in ("enc.conv1.k", "enc.conv2.k"):
+        if params[name].requires_grad:
+            raise ad.GraphError(f"frozen_encoder: {name} requires a gradient, but the "
+                                "fused encoder computes only the prompt's")
+    prompt = params["prompt"]
+    enc = _FrameEncoder(params["enc.conv1.k"].data, params["enc.conv2.k"].data, prompt.data,
+                        frames, cfg.prompt_width, save=ad.is_recording((prompt,)))
+    return ad.custom(enc.out, (prompt,), enc.backward)
+
+
+def _conv_tanh(x, k):
+    """tanh of the 3x3, stride-2 valid convolution of channels-last x
+    (N,H,W,C) with k (O,C,3,3), channels-last (N,OH,OW,O). It multiplies
+    the im2col matrix of ``ad.conv2d``, patch rows in (c, di, dj) column
+    order, by the same kernel matrix; the matrix is one gather through a
+    cached index and is freed before the tanh, which runs in place."""
+    n, h, w, c = x.shape
+    oh, ow = (h - 3) // 2 + 1, (w - 3) // 2 + 1
+    cols = np.take(x.reshape(n, -1), _patch_index(h, w, c), axis=1)
+    y = cols.reshape(n * oh * ow, 9 * c) @ k.reshape(k.shape[0], -1).T
+    del cols
+    return np.tanh(y, out=y).reshape(n, oh, ow, -1)
+
+
+@functools.lru_cache(maxsize=16)
+def _patch_index(h, w, c):
+    """The im2col matrix of a 3x3, stride-2 valid convolution as flat
+    indices into one channels-last (h, w, c) image: rows (oh, ow), columns
+    (c, di, dj). One ``np.take`` through it copies whole patches at once,
+    where a copy from a strided window view moves 3 values per inner loop.
+    The cached index is shared and read-only."""
+    oh, ow = (h - 3) // 2 + 1, (w - 3) // 2 + 1
+    d = np.arange(3)
+    i = 2 * np.arange(oh)[:, None, None, None, None] + d[:, None]  # (oh, 1, 1, di, 1)
+    j = 2 * np.arange(ow)[:, None, None, None] + d  # (ow, 1, 1, dj)
+    idx = ((i * w + j) * c + np.arange(c)[:, None, None]).reshape(-1)
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=16)
+def _border_plan(hp, wp, pad, dtype):
+    """The prompt's backward on an (hp, wp) padded frame, as index plans.
+
+    Returns (border, b1, b2, col2im2, col2im1): the border mask; the flat
+    indices of the conv1 outputs whose window reads a border pixel (b1) and
+    of the conv2 outputs whose window reads one of those (b2); and the two
+    col2im sums as sparse 0/1 matrices in ``dtype``. col2im2 maps conv2's
+    patch rows (b2 row, tap) to b1 rows, and col2im1 maps conv1's patch
+    rows (b1 row, tap) to the border pixels in prompt order; a tap is
+    di * 3 + dj, the column order of ``ad.conv2d``'s kernel. The cached
+    plan is shared by every caller and must not be modified.
+    """
+    border = np.ones((hp, wp), dtype=bool)
+    border[pad : hp - pad, pad : wp - pad] = False
+
+    def reach(mask):  # outputs of a 3x3 stride-2 valid conv whose window meets mask
+        return np.lib.stride_tricks.sliding_window_view(mask, (3, 3))[::2, ::2].any(axis=(2, 3))
+
+    def col2im(out_mask, in_mask):
+        """Sums the patch entry (9 * rank of its output in out_mask + tap)
+        into the rank of the input cell it reads in in_mask; entries that
+        read a cell outside in_mask are dropped."""
+        rank = np.full(in_mask.size, -1)
+        rank[in_mask.reshape(-1)] = np.arange(np.count_nonzero(in_mask))
+        patches = _patch_index(*in_mask.shape, 1).reshape(-1, 9)
+        target = rank[patches[out_mask.reshape(-1)]]  # (outputs, 9)
+        cols = np.flatnonzero(target >= 0)
+        data = np.ones(len(cols), dtype=dtype)
+        return sparse.csr_array((data, (target.reshape(-1)[cols], cols)),
+                                shape=(np.count_nonzero(in_mask), target.size))
+
+    m1 = reach(border)
+    m2 = reach(m1)
+    b1, b2 = np.flatnonzero(m1), np.flatnonzero(m2)
+    for a in (border, b1, b2):
+        a.setflags(write=False)
+    return border, b1, b2, col2im(m2, m1), col2im(m1, border)
+
+
+class _FrameEncoder:
+    """Numpy forward and prompt-only backward of the frozen encoder.
+
+    The forward builds the same im2col matrices as ``ad.conv2d`` and runs
+    the same GEMMs on them, so its output is bit-identical to the taped
+    composition; activations stay channels-last between the convolutions.
+    The two tanh activations, at the b1 and b2 outputs only, are kept only
+    when ``save`` is set (a tape will replay them). Every buffer has the
+    dtype of the frames.
+    """
+
+    def __init__(self, k1, k2, prompt, frames, pad, save):
+        n, h, w = frames.shape
+        hp, wp = h + 2 * pad, w + 2 * pad
+        self.plan = _border_plan(hp, wp, pad, frames.dtype)
+        border = self.plan[0]
+        self.k1, self.k2 = k1, k2
+        xp = np.empty((n, hp, wp, 1), dtype=frames.dtype)
+        xp[:, border, 0] = prompt[0]
+        xp[:, pad : hp - pad, pad : wp - pad, 0] = frames
+        a1 = _conv_tanh(xp, k1)
+        del xp  # each large temporary is freed as soon as it is read
+        a2 = _conv_tanh(a1, k2)
+        a1, a2 = a1.reshape(n, -1, a1.shape[3]), a2.reshape(n, -1, a2.shape[3])
+        self.out = np.ascontiguousarray(a2.transpose(0, 2, 1)).reshape(n, -1)
+        if save:  # the backward reads only the outputs that reach the border
+            _, b1, b2 = self.plan[:3]
+            self.a1, self.a2 = np.take(a1, b1, axis=1), np.take(a2, b2, axis=1)
+        self.prompt_shape = prompt.shape
+
+    def backward(self, g):
+        """The prompt's gradient, through the b2 and b1 outputs only.
+
+        Rows are output positions and columns (channel, frame), so each
+        col2im is one sparse product over every frame at once. The map from
+        conv1 output to border pixel is linear and shared by every frame,
+        so the frames are summed before it.
+        """
+        _, b1, b2, col2im2, col2im1 = self.plan
+        n, _, c2 = self.a2.shape
+        c1 = self.a1.shape[2]
+        a2 = self.a2.transpose(1, 2, 0)  # (b2, c2, frame)
+        dy2 = np.take(g.reshape(n, c2, -1), b2, axis=2).transpose(2, 1, 0) * (1.0 - a2 * a2)
+        k2 = self.k2.reshape(c2, c1, 9).transpose(2, 1, 0).reshape(9 * c1, c2)
+        dcols2 = k2 @ dy2  # (b2, tap x c1, frame)
+        da1 = (col2im2 @ dcols2.reshape(len(b2) * 9, c1 * n)).reshape(len(b1), c1, n)
+        dy1 = np.einsum("qcn,nqc->qc", da1, 1.0 - self.a1 * self.a1)  # summed over frames
+        dcols1 = dy1 @ self.k1.reshape(c1, 9)
+        return ((col2im1 @ dcols1.reshape(-1)).reshape(self.prompt_shape),)
 
 
 def embed_points(params, cfg, points):

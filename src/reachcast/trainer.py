@@ -108,8 +108,12 @@ def sample_targets(sample, cfg, norm):
         return normalize(sample.points_global, lo, hi)
     if cfg.coordinate_mode == "local-3d":
         return normalize(sample.points_local, lo, hi)
-    uv = project(sample.points_local, sample.intrinsics)
-    return 2.0 * normalize_pixel(uv, sample.intrinsics) - 1.0
+    return 2.0 * image_track(sample) - 1.0
+
+
+def image_track(sample):
+    """The sample's per-step projection in normalized frame units (u/W, v/H)."""
+    return normalize_pixel(project(sample.points_local, sample.intrinsics), sample.intrinsics)
 
 
 def assemble_batch(samples, cfg, norm, observed):
@@ -179,7 +183,7 @@ class Adam:
         grads = [p.grad_or_zeros().reshape(-1) for _, p in items]
         scale = None
         if clip_norm is not None:
-            total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            total = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
             if total > clip_norm:
                 scale = clip_norm / total
         self.t += 1
@@ -386,27 +390,35 @@ def evaluate(params, cfg, samples, norm, ratio, split="test", batch_size=256):
                  split, ratio, "model")
 
 
-def constant_velocity_baseline(sample, observed):
-    """Extrapolate the last observed step's velocity: p_{C+k} = p_C + k (p_C - p_{C-1})."""
+def constant_velocity_baseline(sample, observed, track=None):
+    """Extrapolate the last observed step's velocity: p_{C+k} = p_C + k (p_C - p_{C-1}),
+    over ``track`` (one row per step; the sample's world points by default)."""
     if observed < 2:
         raise ValueError("constant-velocity baseline needs at least 2 observed steps")
     if observed >= sample.horizon:
         raise ValueError("nothing to forecast")
-    pts = sample.points_global
+    pts = sample.points_global if track is None else track
     v = pts[observed - 1] - pts[observed - 2]
     k = np.arange(1, sample.horizon - observed + 1)[:, None]
     return pts[observed - 1] + k * v
 
 
-def evaluate_baseline(samples, ratio, split="test"):
+def evaluate_baseline(samples, ratio, split="test", image_plane=False):
     """Constant-velocity ADE/FDE rows, scored like the model's; samples with
-    C < 2 cannot be extrapolated and are skipped."""
+    C < 2 cannot be extrapolated and are skipped.
+
+    The world-point track scores the 3D and 2D-from-3D metrics. With
+    ``image_plane`` (2d mode), the normalized (u, v) track is extrapolated
+    too and scores ade2d/fde2d, as a 2d-mode model's forecasts do.
+    """
     fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
     cases = []
     for s in sorted(samples, key=lambda x: x.id):
         observed = observation_count(s.horizon, fixed)
-        if observed >= 2:
-            pred = np.concatenate([s.points_global[:observed],
-                                   constant_velocity_baseline(s, observed)])
-            cases.append((s, observed, pred, s.points_global))
+        if observed < 2:
+            continue
+        tracks = [s.points_global, image_track(s)] if image_plane else [s.points_global]
+        for gt in tracks:
+            pred = np.concatenate([gt[:observed], constant_velocity_baseline(s, observed, gt)])
+            cases.append((s, observed, pred, gt))
     return score(cases, split, ratio, "cv-baseline")

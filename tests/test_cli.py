@@ -286,3 +286,23 @@ def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatc
     fc = json.loads(out.read_text())
     assert fc["future_gt"] == rows[0]["future_gt"]
     np.testing.assert_allclose(fc["predicted"], rows[0]["predicted"], rtol=0, atol=1e-12)
+
+
+def test_cv_rows_of_a_2d_checkpoint_fill_the_image_plane(dataset, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"preset": "tiny", "coordinate_mode": "2d"}}))
+    _train(dataset, tmp_path / "run", 1, "--config", str(config))
+    out = tmp_path / "m.csv"
+    assert cli.main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt"), "--data", str(dataset),
+                     "--splits", "test_seen", "--ratios", "0.6", "--baseline", "cv",
+                     "--out", str(out)]) == 0
+    header, model_line, cv_line = out.read_text().splitlines()
+    model_row = dict(zip(header.split(","), model_line.split(",")))
+    cv_row = dict(zip(header.split(","), cv_line.split(",")))
+    assert cv_row["model"] == "cv-baseline"
+    assert model_row["ade3d"] == "" and model_row["ade2d"] != ""
+    samples, manifest = datagen.read_dataset(dataset)
+    expected = trainer.evaluate_baseline(datagen.split_samples(samples, manifest, "test_seen"),
+                                         0.6, split="test_seen", image_plane=True)
+    assert cv_line == expected.as_csv()
+    assert all(cv_row[k] != "" for k in trainer.MetricsRow.METRICS)

@@ -327,6 +327,34 @@ class TestMetrics:
             assert getattr(model_row, key) == pytest.approx(getattr(cv_row, key), rel=1e-12), key
         assert model_row.ade2d is None and cv_row.ade2d is None
 
+    def test_image_plane_cv_scores_like_a_2d_model(self, tiny_setup, monkeypatch):
+        # a 2d-mode model that forecasts constant velocity in (u, v) scores
+        # exactly the image-plane CV columns
+        _, samples, manifest, norm = tiny_setup
+        cfg = M.ModelConfig.tiny(horizon=10, coordinate_mode="2d")
+        test = split_samples(samples, manifest, "test_seen")
+
+        def forecast(params, cfg_, chunk, norm_, ratio, batch_size=256):
+            fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
+            out = []
+            for s in chunk:
+                c = observation_count(s.horizon, fixed)
+                uv = T.image_track(s)
+                track = np.concatenate([uv[:c], constant_velocity_baseline(s, c, uv)])
+                out.append((s, c, 2.0 * track - 1.0))
+            return out
+
+        monkeypatch.setattr(T, "_forecast_batch", forecast)
+        model_row = evaluate(None, cfg, test, norm, ratio=0.6)
+        cv_row = evaluate_baseline(test, ratio=0.6, image_plane=True)
+        for key in ("ade2d", "fde2d"):
+            assert getattr(cv_row, key) > 0
+            assert getattr(cv_row, key) == pytest.approx(getattr(model_row, key), rel=1e-12), key
+        world_row = evaluate_baseline(test, ratio=0.6)
+        assert world_row.ade2d is None and world_row.fde2d is None
+        for key in ("ade3d", "fde3d", "ade2d_from3d", "fde2d_from3d"):
+            assert getattr(cv_row, key) == getattr(world_row, key), key
+
     def test_baseline_skips_samples_it_cannot_extrapolate(self, tiny_setup):
         _, samples, _, _ = tiny_setup
         fixed = TrainConfig(observation_ratio=0.15)
