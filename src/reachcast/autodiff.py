@@ -20,7 +20,8 @@ recurrence fused this way costs one tape record instead of dozens per
 step. Callers use ``is_recording(inputs)`` to save activations for the
 backward only when a tape will replay it. The numpy kernels of softmax
 and layer norm are public so fused ops compute them exactly as the taped
-ops do.
+ops do; layer norm's epsilon is one constant, ``LAYER_NORM_EPS``, for
+both.
 
 ``conv2d`` and ``embed_border`` are the taped form of the prompted frame
 encoder. The model runs that encoder as one fused op; these two stay as
@@ -41,6 +42,7 @@ import threading
 import numpy as np
 
 _POINTWISE_KINDS = ("tanh", "softplus", "neg-exp")
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 _state = threading.local()
 
@@ -333,13 +335,6 @@ def transpose(a, axes):
     return _record(a.data.transpose(axes), (a,), bwd)
 
 
-def swap_last2(a):
-    ndim = a.data.ndim
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return transpose(a, axes)
-
-
 def _unpack(a, rows, shape):
     """(R, D) rows -> an array of ``shape`` (n, t, ...) holding row r at flat
     grid index rows[r] and zero where no row lands; a view when R = n*t."""
@@ -452,14 +447,9 @@ def reduce_sum(a, axis=None, keepdims=False):
     return _record(out_data, (a,), bwd)
 
 
-def mean(a, axis=None, keepdims=False):
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, int):
-        n = a.data.shape[axis]
-    else:
-        n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def mean(a):
+    """The mean of every element, as a scalar tensor."""
+    return scale(reduce_sum(a), 1.0 / a.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +468,14 @@ def softmax_bwd(g, s):
     return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
 
-def layer_norm_fwd(x, gain, bias, eps=1e-5):
+def layer_norm_fwd(x, gain, bias):
     """Layer norm of an array over its last axis; returns (out, xhat, inv)
     where xhat is the standardized input and inv the per-row 1/std."""
     d = x.shape[-1]  # sum / d is bit-identical to mean and cheaper to dispatch
     mu = x.sum(axis=-1, keepdims=True) / d
     centered = x - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     return xhat * gain + bias, xhat, inv
 
@@ -515,14 +505,12 @@ def softmax_lastdim(x):
     return _record(s, (x,), bwd)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be > 0")
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the last axis")
-    out, xhat, inv = layer_norm_fwd(x.data, gain.data, bias.data, eps)
+    out, xhat, inv = layer_norm_fwd(x.data, gain.data, bias.data)
 
     def bwd(g):
         lead = g.reshape(-1, d)
@@ -701,11 +689,13 @@ def check_gradients(build, inputs, step=1e-6, tolerance=1e-5, max_checks_per_ten
     tensors; it is re-run for every finite-difference probe. ``inputs``
     maps name -> Tensor, each float64: central differences at float32
     precision measure rounding, not the gradient. When
-    ``max_checks_per_tensor`` is set, a seeded subsample of coordinates is
-    probed in each tensor; otherwise all.
+    ``max_checks_per_tensor`` is set (>= 1), a seeded subsample of
+    coordinates is probed in each tensor; otherwise all.
     """
     if step <= 0:
         raise ValueError("check_gradients: step must be > 0")
+    if max_checks_per_tensor is not None and max_checks_per_tensor < 1:
+        raise ValueError("check_gradients: max_checks_per_tensor must be >= 1")
     items = list(inputs.items())
     for name, t in items:
         if t.data.dtype != np.float64:

@@ -9,11 +9,13 @@ reproducible.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Exit 2
 covers bad flags; a config key or value that its section (model, train,
-loss, gen options) refuses; observation ratios that do not parse, fall
-outside (0, 1) or give an empty range; a missing dataset, manifest,
-checkpoint or optimizer state; and a ``--resume`` whose model, train or
-loss config differs from the checkpoint's. Bad values are refused before
-a command writes anything.
+loss, gen options, the ``gen --frame`` intrinsics) refuses; observation
+ratios that do not parse, fall outside (0, 1) or give an empty range; a
+negative ``eval --dump-limit``; a ``gradcheck --max-checks`` below 1 or
+``--step`` not above 0; a missing dataset, manifest, checkpoint or
+optimizer state; and a ``--resume`` whose model, train or loss config
+differs from the checkpoint's. Bad values are refused before a command
+writes anything, and every output's directory is created as needed.
 """
 
 import os
@@ -95,6 +97,15 @@ def _load_splits(data_dir, splits):
             for split in splits], manifest
 
 
+def _write_json(path, doc):
+    """Write ``doc`` as indented JSON with sorted keys, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+
+
 def _norm_from(doc):
     """The normalization range a dataset manifest or checkpoint records."""
     return np.array(doc["norm"]["min"]), np.array(doc["norm"]["max"])
@@ -121,8 +132,8 @@ def cmd_gen(args):
             raise ConfigError(f"--split takes comma-separated counts, got {args.split!r}") from None
     from .geometry import CameraIntrinsics
     side = float(args.frame)
-    intrinsics = CameraIntrinsics(fx=side, fy=side, ox=side / 2, oy=side / 2,
-                                  width=side, height=side)
+    intrinsics = _section(CameraIntrinsics, "--frame", dict(fx=side, fy=side, ox=side / 2,
+                                                           oy=side / 2, width=side, height=side))
     options = _section(datagen.GenOptions, "gen", {f: getattr(args, f) for f in GEN_FLAGS.values()},
                        {"split_counts": split_counts, "intrinsics": intrinsics})
     try:
@@ -152,6 +163,7 @@ def cmd_repair(args):
         repaired_samples.append(dataclasses.replace(s, points_local=points, valid_depth=valid))
     datagen.write_dataset(repaired_samples, manifest, out)
     report = Path(args.report) if args.report else out / "repair_report.csv"
+    report.parent.mkdir(parents=True, exist_ok=True)
     with open(report, "w") as f:
         f.write("track_id,n_valid,n_repaired,rmse\n")
         for row in rows:
@@ -260,6 +272,8 @@ def _parse_ratios(text):
 
 
 def cmd_eval(args):
+    if args.dump_limit < 0:
+        raise ConfigError(f"--dump-limit takes a count >= 0, got {args.dump_limit}")
     params, cfg, _, norm = _open_checkpoint(args.ckpt)
     ratios = _parse_ratios(args.ratios)
     splits = args.splits.split(",")
@@ -286,9 +300,7 @@ def cmd_eval(args):
             f.write(row.as_csv() + "\n")
     print(f"wrote {len(rows)} metric rows to {out}")
     if args.dump:
-        with open(args.dump, "w") as f:
-            json.dump(dumps, f, indent=1, sort_keys=True)
-            f.write("\n")
+        _write_json(args.dump, dumps)
         print(f"wrote {len(dumps)} trajectory dumps to {args.dump}")
     return 0
 
@@ -321,16 +333,16 @@ def cmd_forecast(args):
         "beta": None if fc.beta is None else fc.beta.tolist(),
         "velocity": fc.velocity.tolist(),
     }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(f"wrote forecast for {s.id} (C={observed}) to {out}")
+    _write_json(args.out, doc)
+    print(f"wrote forecast for {s.id} (C={observed}) to {args.out}")
     return 0
 
 
 def cmd_gradcheck(args):
+    if args.max_checks < 1:
+        raise ConfigError(f"--max-checks takes a count >= 1, got {args.max_checks}")
+    if args.step <= 0:
+        raise ConfigError(f"--step must be > 0, got {args.step:g}")
     # float64 whatever the preset: finite differences need it
     cfg = _section(model.ModelConfig, "model", {"preset": args.preset, "horizon": args.horizon,
                                                 "frame_h": args.frame, "frame_w": args.frame,

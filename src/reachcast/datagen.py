@@ -44,6 +44,7 @@ SCENES_UNSEEN = ("lamp", "monitor")
 
 PROFILES = ("min-jerk", "linear")
 NORM_MARGIN = 0.05  # keep normalized targets inside the open tanh range
+BLOB_SIGMA = 1.2  # pixels
 
 
 class ParseError(ValueError):
@@ -149,30 +150,23 @@ class TrajectorySample:
             raise ValueError("frame/point/validity lengths differ")
 
 
-def min_jerk(start, target, steps):
-    """Minimum-jerk position profile from start to target over `steps` points."""
+def reach_path(start, target, steps, profile):
+    """Positions from start to target over `steps` points along a profile
+    in PROFILES: minimum jerk, or constant speed ("linear")."""
     if steps < 2:
         raise ValueError("need at least 2 steps")
     s0 = np.asarray(start, dtype=np.float64)
     s1 = np.asarray(target, dtype=np.float64)
     tau = np.arange(steps, dtype=np.float64)[:, None] / (steps - 1)
-    shape = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
-    return s0 + (s1 - s0) * shape
-
-
-def linear_path(start, target, steps):
-    if steps < 2:
-        raise ValueError("need at least 2 steps")
-    s0 = np.asarray(start, dtype=np.float64)
-    s1 = np.asarray(target, dtype=np.float64)
-    tau = np.arange(steps, dtype=np.float64)[:, None] / (steps - 1)
+    if profile == "min-jerk":
+        tau = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
     return s0 + (s1 - s0) * tau
 
 
-def _smooth_noise(rng, steps, width=5):
+def _smooth_noise(rng, steps):
     raw = rng.standard_normal((steps, 3))
-    kernel = np.ones(width) / width
-    # "same" keeps max(steps, width) rows; only the first `steps` are steps
+    kernel = np.ones(5) / 5
+    # "same" keeps max(steps, 5) rows; only the first `steps` are steps
     smooth = [np.convolve(raw[:, i], kernel, mode="same")[:steps] for i in range(3)]
     return np.stack(smooth, axis=1)
 
@@ -206,13 +200,14 @@ def gen_camera_path(spec, steps, rng):
     return PoseChain(poses)
 
 
-def render_frame(p_local, intrinsics, size, noise, rng, blob_sigma=1.2):
-    """Grayscale frame with a Gaussian blob at the projected hand position."""
+def render_frame(p_local, intrinsics, size, noise, rng):
+    """Grayscale frame with a Gaussian blob of std ``BLOB_SIGMA`` pixels at
+    the projected hand position."""
     h, w = size
     uv = project(p_local, intrinsics)
     cols = np.arange(w, dtype=np.float64)[None, :]
     rows = np.arange(h, dtype=np.float64)[:, None]
-    blob = np.exp(-((cols - uv[0]) ** 2 + (rows - uv[1]) ** 2) / (2 * blob_sigma**2))
+    blob = np.exp(-((cols - uv[0]) ** 2 + (rows - uv[1]) ** 2) / (2 * BLOB_SIGMA**2))
     frame = blob + noise * rng.standard_normal((h, w)) if noise else blob
     return np.round(np.clip(frame, 0.0, 1.0), 6)
 
@@ -221,8 +216,7 @@ def gen_sample(spec, sample_id):
     """Synthesize one TrajectorySample from its spec (self-seeded)."""
     rng = np.random.default_rng([spec.seed, 1])  # distinct stream from sample_spec's
     steps, opts = spec.duration, spec.opts
-    path_fn = min_jerk if opts.profile == "min-jerk" else linear_path
-    world = path_fn(spec.start, spec.target, steps)
+    world = reach_path(spec.start, spec.target, steps, opts.profile)
     if spec.bow and spec.bow_dir is not None:
         # arc the reach sideways, peaking late (obstacle-clearing shape); the
         # progress-shaping keeps endpoint velocities at zero

@@ -44,7 +44,7 @@ class LossConfig:
             raise ValueError("loss weights must be >= 0")
 
 
-def residual_lastdim(diff, kind="squared", delta=1e-5):
+def residual_lastdim(diff, kind, delta):
     """Reduce a (..., d) difference tensor to a (..., 1) residual."""
     if kind == "squared":
         per = ad.mul(diff, diff)
@@ -60,15 +60,15 @@ def attenuated(alpha, resid):
     return ad.add(ad.mul(ad.neg_exp(alpha), resid), alpha)
 
 
-def depth_stability_weights(depths, valid=None):
+def depth_stability_weights(depths, valid):
     """Per-step simplex weights favoring stable ground-truth depth.
 
     weights = softmax(-|z_t - z_{t-1}|) over the horizon, with the first
-    difference defined as zero. depths is (N, T); an optional (N, T) valid
-    mask restricts the softmax support (padded steps get weight 0).
+    difference defined as zero. depths is (N, T); the (N, T) valid mask
+    restricts the softmax support (padded steps get weight 0).
     """
     z = np.asarray(depths, dtype=np.float64)
-    valid = np.ones_like(z, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    valid = np.asarray(valid, dtype=bool)
     dz = np.abs(np.diff(z, axis=1, prepend=z[:, :1]))
     logits = np.where(valid, -dz, -np.inf)
     shifted = logits - logits.max(axis=1, keepdims=True)

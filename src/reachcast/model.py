@@ -158,13 +158,12 @@ class ForecastOutput:
 
 
 class Params:
-    """Named parameter tensors of one dtype in fixed insertion order, with
-    frozen flags."""
+    """Named parameter tensors of one dtype in fixed insertion order. A
+    tensor is frozen when it does not require a gradient."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._tensors = {}
-        self.frozen = set()
 
     def add(self, name, array, frozen=False):
         """Add a tensor holding ``array`` cast to the store's dtype."""
@@ -172,8 +171,6 @@ class Params:
             raise ValueError(f"duplicate parameter {name}")
         t = ad.Tensor(np.asarray(array, dtype=self.dtype), requires_grad=not frozen)
         self._tensors[name] = t
-        if frozen:
-            self.frozen.add(name)
         return t
 
     def __getitem__(self, name):
@@ -183,7 +180,7 @@ class Params:
         return self._tensors.items()
 
     def trainable_items(self):
-        return [(n, t) for n, t in self._tensors.items() if n not in self.frozen]
+        return [(n, t) for n, t in self._tensors.items() if t.requires_grad]
 
     def zero_grads(self):
         for t in self._tensors.values():
@@ -320,7 +317,7 @@ def _mha(params, name, q_in, kv_in, heads, rows, key_mask):
     k = ad.split_heads(ad.matmul(kv_in, params[f"{name}.wk.w"]), heads, rows, n, t)
     v = ad.split_heads(_linear(params, f"{name}.wv", kv_in), heads, rows, n, t)
     dh = q.shape[-1]
-    logits = ad.scale(ad.matmul(q, ad.swap_last2(k)), 1.0 / np.sqrt(dh))
+    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     logits = ad.add(logits, ad.constant(key_mask))
     ctx = ad.merge_heads(ad.matmul(ad.softmax_lastdim(logits), v), rows)
     return _linear(params, f"{name}.wo", ctx)
@@ -976,7 +973,7 @@ def save_checkpoint(params, cfg, path, extra=None):
         for name, t in params.items():
             flat = np.ascontiguousarray(t.data, dtype=np.float64).reshape(-1)
             manifest.append({"name": name, "offset": offset, "shape": list(t.data.shape),
-                             "frozen": name in params.frozen})
+                             "frozen": not t.requires_grad})
             f.write(flat)
             offset += flat.size
     doc = {"config": asdict(cfg), "params": manifest, "extra": extra or {}}

@@ -4,8 +4,9 @@ metrics in all coordinate modes, and the constant-velocity baseline.
 Batches pad every sample to the configured horizon; padded steps carry
 zero loss. The observation count C is drawn per sample, either from a
 fixed ratio or uniformly from a ratio range (the any-time protocol).
-Metrics reduce per-sample values in sorted-id order, so evaluation is
-invariant to input order.
+Evaluation batches the samples in sorted-id order, ``EVAL_BATCH`` at a
+time, and reduces per-sample values in that order, so it is invariant to
+input order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import model as M
 from .geometry import BehindCameraError, normalize_pixel, project
 
 OBSERVATION_MODES = ("fixed", "random")
+EVAL_BATCH = 256  # samples per model call in evaluation, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -71,20 +73,24 @@ class MetricsRow:
         return ",".join(cells)
 
 
-def normalize(points, lo, hi):
-    """Affine map [lo, hi] -> [-1, 1] per axis."""
+def _norm_range(lo, hi):
+    """(lo, hi) as float64 arrays, refused unless lo < hi on every axis."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if np.any(hi <= lo):
         raise ValueError(f"degenerate normalization range: {lo} vs {hi}")
+    return lo, hi
+
+
+def normalize(points, lo, hi):
+    """Affine map [lo, hi] -> [-1, 1] per axis."""
+    lo, hi = _norm_range(lo, hi)
     return 2.0 * (np.asarray(points, dtype=np.float64) - lo) / (hi - lo) - 1.0
 
 
 def denormalize(points, lo, hi):
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if np.any(hi <= lo):
-        raise ValueError(f"degenerate normalization range: {lo} vs {hi}")
+    """Affine map [-1, 1] -> [lo, hi] per axis, the inverse of ``normalize``."""
+    lo, hi = _norm_range(lo, hi)
     return (np.asarray(points, dtype=np.float64) + 1.0) * (hi - lo) / 2.0 + lo
 
 
@@ -147,14 +153,14 @@ class Adam:
     The moments live in two flat arrays of the parameters' dtype, one
     element per trainable parameter element; ``m[name]`` and ``v[name]``
     are views of them. A step updates that flat range in chunks of
-    ``CHUNK`` elements, which may span several small tensors or part of a
-    large one: small tensors share each numpy call, and temporaries stay
-    small and in cache.
+    ``CHUNK_BYTES`` of moments each (16K float64 or 32K float32 elements),
+    which may span several small tensors or part of a large one: small
+    tensors share each numpy call, and temporaries stay small and in cache.
     ``save``/``load`` keep the moments and step count beside a model
     checkpoint, so a resumed run continues exactly where it stopped.
     """
 
-    CHUNK = 1 << 14
+    CHUNK_BYTES = 1 << 17
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params):
@@ -167,9 +173,10 @@ class Adam:
         spans = list(zip(items, bounds, bounds[1:]))
         self.m = {n: self._m[a:b].reshape(p.shape) for (n, p), a, b in spans}
         self.v = {n: self._v[a:b].reshape(p.shape) for (n, p), a, b in spans}
+        chunk = self.CHUNK_BYTES // self._m.itemsize
         self._chunks = []  # (lo, hi, [(tensor index, first, stop element)]) per chunk
-        for lo in range(0, bounds[-1], self.CHUNK):
-            hi = min(lo + self.CHUNK, bounds[-1])
+        for lo in range(0, bounds[-1], chunk):
+            hi = min(lo + chunk, bounds[-1])
             tensors = range(np.searchsorted(bounds, lo, side="right") - 1,
                             np.searchsorted(bounds, hi))
             self._chunks.append((lo, hi, [(i, max(lo, bounds[i]) - bounds[i],
@@ -247,10 +254,6 @@ def lr_at(epoch, cfg):
     return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def _epoch_rng(seed, epoch):
-    return np.random.default_rng([seed, epoch])
-
-
 def fit(params, cfg, samples, norm, train_cfg, loss_cfg=None, start_epoch=0, optimizer=None):
     """Train in place; returns (history, optimizer).
 
@@ -266,7 +269,7 @@ def fit(params, cfg, samples, norm, train_cfg, loss_cfg=None, start_epoch=0, opt
     history = []
     order0 = sorted(range(len(samples)), key=lambda i: samples[i].id)
     for epoch in range(start_epoch, train_cfg.epochs):
-        rng = _epoch_rng(train_cfg.seed, epoch)
+        rng = np.random.default_rng([train_cfg.seed, epoch])
         order = [order0[i] for i in rng.permutation(len(order0))]
         lr = lr_at(epoch, train_cfg)
         tot_sum = loc_sum = velo_sum = 0.0
@@ -316,22 +319,6 @@ def decode_prediction(mean, sample, cfg, norm):
     return pred, sample.points_global
 
 
-def _forecast_batch(params, cfg, samples, norm, ratio, batch_size=256):
-    """Run the model over samples at one observation ratio; returns a list
-    of per-sample (sample, observed, mean ndarray)."""
-    fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
-    results = []
-    for lo in range(0, len(samples), batch_size):
-        chunk = samples[lo : lo + batch_size]
-        observed = np.array([observation_count(s.horizon, fixed) for s in chunk])
-        frames, points, obs, lengths, _ = assemble_batch(chunk, cfg, norm, observed)
-        out = M.forward_batch(params, cfg, frames, points, obs, lengths)
-        mean = out["mean"].data
-        for i, s in enumerate(chunk):
-            results.append((s, int(obs[i]), mean[i, : s.horizon]))
-    return results
-
-
 def _future_errors(pred, gt, observed):
     """(ADE, FDE) over the steps after the first ``observed``."""
     d = np.linalg.norm(pred[observed:] - gt[observed:], axis=-1)
@@ -367,17 +354,25 @@ def score(cases, split, ratio, model):
                       **{k: float(np.mean(v)) if v else None for k, v in per.items()})
 
 
-def forecast_cases(params, cfg, samples, norm, ratio, batch_size=256):
+def forecast_cases(params, cfg, samples, norm, ratio):
     """The model's decoded forecasts at a fixed observation ratio, as
     (sample, observed, pred, gt) cases in sorted-id order (see
-    ``decode_prediction`` for their space)."""
+    ``decode_prediction`` for their space). The model runs on
+    ``EVAL_BATCH`` samples at a time."""
+    fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
     samples = sorted(samples, key=lambda s: s.id)
-    return [(s, observed, *decode_prediction(mean, s, cfg, norm))
-            for s, observed, mean in _forecast_batch(params, cfg, samples, norm, ratio,
-                                                     batch_size)]
+    cases = []
+    for lo in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[lo : lo + EVAL_BATCH]
+        observed = np.array([observation_count(s.horizon, fixed) for s in chunk])
+        frames, points, obs, lengths, _ = assemble_batch(chunk, cfg, norm, observed)
+        mean = M.forward_batch(params, cfg, frames, points, obs, lengths)["mean"].data
+        cases.extend((s, int(c), *decode_prediction(m[: s.horizon], s, cfg, norm))
+                     for s, c, m in zip(chunk, obs, mean))
+    return cases
 
 
-def evaluate(params, cfg, samples, norm, ratio, split="test", batch_size=256):
+def evaluate(params, cfg, samples, norm, ratio, split="test"):
     """ADE/FDE over future steps at a fixed observation ratio.
 
     3D metrics are meters in the world frame; 2D metrics are normalized
@@ -386,21 +381,19 @@ def evaluate(params, cfg, samples, norm, ratio, split="test", batch_size=256):
     """
     if not samples:
         raise ValueError(f"no samples in split {split!r}")
-    return score(forecast_cases(params, cfg, samples, norm, ratio, batch_size),
-                 split, ratio, "model")
+    return score(forecast_cases(params, cfg, samples, norm, ratio), split, ratio, "model")
 
 
-def constant_velocity_baseline(sample, observed, track=None):
-    """Extrapolate the last observed step's velocity: p_{C+k} = p_C + k (p_C - p_{C-1}),
-    over ``track`` (one row per step; the sample's world points by default)."""
+def constant_velocity_baseline(track, observed):
+    """Extrapolate the last observed step's velocity over ``track`` (one row
+    per step): p_{C+k} = p_C + k (p_C - p_{C-1}) for C = ``observed``."""
     if observed < 2:
         raise ValueError("constant-velocity baseline needs at least 2 observed steps")
-    if observed >= sample.horizon:
+    if observed >= len(track):
         raise ValueError("nothing to forecast")
-    pts = sample.points_global if track is None else track
-    v = pts[observed - 1] - pts[observed - 2]
-    k = np.arange(1, sample.horizon - observed + 1)[:, None]
-    return pts[observed - 1] + k * v
+    v = track[observed - 1] - track[observed - 2]
+    k = np.arange(1, len(track) - observed + 1)[:, None]
+    return track[observed - 1] + k * v
 
 
 def evaluate_baseline(samples, ratio, split="test", image_plane=False):
@@ -419,6 +412,6 @@ def evaluate_baseline(samples, ratio, split="test", image_plane=False):
             continue
         tracks = [s.points_global, image_track(s)] if image_plane else [s.points_global]
         for gt in tracks:
-            pred = np.concatenate([gt[:observed], constant_velocity_baseline(s, observed, gt)])
+            pred = np.concatenate([gt[:observed], constant_velocity_baseline(gt, observed)])
             cases.append((s, observed, pred, gt))
     return score(cases, split, ratio, "cv-baseline")

@@ -107,8 +107,9 @@ class TestLayerNorm:
 
     def test_already_standardized(self):
         x = ad.Tensor([1.0, -1.0])
-        out = ad.layer_norm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), eps=1e-14)
-        np.testing.assert_allclose(out.data, [1.0, -1.0], atol=1e-6)
+        out = ad.layer_norm(x, ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
+        expected = np.array([1.0, -1.0]) / np.sqrt(1.0 + ad.LAYER_NORM_EPS)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-15)
 
     def test_grad_vs_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -252,7 +253,7 @@ class TestPrimitiveGradients:
         "transpose": lambda x: ad.transpose(x, (1, 0)),
         "slice": lambda x: ad.slice_axis(x, 1, 1, 3),
         "huber": lambda x: ad.huber(x, 0.5),
-        "mean": lambda x: ad.mean(x, axis=1, keepdims=True),
+        "mean": ad.mean,
     }
 
     @staticmethod
@@ -449,6 +450,14 @@ class TestCheckGradients:
         report = ad.check_gradients(lambda: ad.reduce_sum(ad.mul(x, x)), {"x": x})
         lines = report.lines()
         assert len(lines) == 1 and "max_rel_err" in lines[0]
+
+    @pytest.mark.parametrize("kw", [dict(step=0.0), dict(step=-1e-4),
+                                    dict(max_checks_per_tensor=0),
+                                    dict(max_checks_per_tensor=-1)])
+    def test_refuses_a_check_that_checks_nothing(self, kw):
+        x = ad.Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ValueError):
+            ad.check_gradients(lambda: ad.reduce_sum(ad.mul(x, x)), {"x": x}, **kw)
 
     def test_subsampling_is_deterministic(self):
         x = ad.Tensor(np.linspace(0.1, 1.0, 50), requires_grad=True)

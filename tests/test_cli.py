@@ -58,10 +58,15 @@ def test_gradcheck_builds_float64_whatever_the_preset(monkeypatch):
     assert seen == dict.fromkeys(cli.MODEL_PRESETS, {np.dtype(np.float64)})
 
 
-@pytest.mark.parametrize("observed", ["0", "8"])
-def test_gradcheck_observed_out_of_range_refused(observed, capsys):
-    assert cli.main(["gradcheck", "--observed", observed]) == 2
-    assert "--observed must be in [1, 7]" in capsys.readouterr().err
+@pytest.mark.parametrize("flag, value", [("--observed", "0"), ("--observed", "8"),
+                                         ("--max-checks", "0"), ("--max-checks", "-1"),
+                                         ("--step", "0"), ("--step", "-1e-4")])
+def test_bad_gradcheck_flags_are_usage_errors(flag, value, capsys):
+    assert cli.main(["gradcheck", f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    if flag == "--observed":
+        assert "--observed must be in [1, 7]" in err
 
 
 def test_resume_is_exact(dataset, tmp_path):
@@ -191,6 +196,8 @@ def test_bad_ratios_are_usage_errors(dataset, trained, tmp_path, capsys, command
     (["--split", "10,5,5"], "not four counts"),
     (["--split", "10,x,3,2"], "--split"),
     (["--split", "10,5,4,2"], "do not sum to n=20"),
+    (["--frame", "0"], "focal lengths must be positive"),
+    (["--frame", "-8"], "focal lengths must be positive"),
 ])
 def test_bad_gen_options_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "data"
@@ -253,6 +260,29 @@ def test_eval_dump_reuses_the_scored_forecasts(tmp_path, monkeypatch):
         kept = sorted(s.id for s in datagen.split_samples(samples, manifest, split)[:3])
         expected += [(split, ratio, i) for ratio in (0.3, 0.6) for i in kept]
     assert [(r["split"], r["ratio"], r["id"]) for r in rows] == expected
+
+
+def test_eval_dump_creates_its_directory(dataset, trained, tmp_path):
+    out, dump = tmp_path / "m.csv", tmp_path / "new" / "d.json"
+    assert cli.main(["eval", "--ckpt", str(trained), "--data", str(dataset),
+                     "--out", str(out), "--dump", str(dump), "--dump-limit", "1"]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    assert [r["split"] for r in json.loads(dump.read_text())] == ["test_seen", "test_unseen"]
+
+
+def test_repair_report_creates_its_directory(dataset, tmp_path):
+    report = tmp_path / "new" / "r.csv"
+    assert cli.main(["repair", "--data", str(dataset), "--out", str(tmp_path / "fixed"),
+                     "--report", str(report)]) == 0
+    assert report.read_text().startswith("track_id,n_valid,n_repaired,rmse\n")
+
+
+def test_negative_dump_limit_refused_before_writing(dataset, trained, tmp_path, capsys):
+    out, dump = tmp_path / "m.csv", tmp_path / "d.json"
+    assert cli.main(["eval", "--ckpt", str(trained), "--data", str(dataset),
+                     "--out", str(out), "--dump", str(dump), "--dump-limit", "-1"]) == 2
+    assert "--dump-limit" in capsys.readouterr().err
+    assert not out.exists() and not dump.exists()
 
 
 def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatch):

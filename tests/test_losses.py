@@ -40,7 +40,8 @@ def aleatoric1(alpha, p_hat, p, cfg):
 
 def weights1(depths):
     """depth_stability_weights of one trajectory: the N=1 case."""
-    return depth_stability_weights(np.asarray(depths, dtype=np.float64)[None, :])[0]
+    z = np.asarray(depths, dtype=np.float64)[None, :]
+    return depth_stability_weights(z, np.ones(z.shape, bool))[0]
 
 
 def drau1(p_hat, alpha, beta, p, cfg=SQ):

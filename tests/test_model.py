@@ -64,16 +64,18 @@ class TestParams:
                     "desk-2d": (ModelConfig.desk(coordinate_mode="2d"), 101781, 324)}
         for name, (cfg, trainable, frozen) in expected.items():
             params = M.init_params(cfg, seed=1)
-            sizes = {n: t.size for n, t in params.items()}
-            assert sum(v for n, v in sizes.items() if n not in params.frozen) == trainable, name
-            assert sum(sizes[n] for n in params.frozen) == frozen, name
+            total = sum(t.size for _, t in params.items())
+            trained = sum(t.size for _, t in params.trainable_items())
+            assert (trained, total - trained) == (trainable, frozen), name
 
     def test_frozen_set(self):
         cfg = ModelConfig.tiny()
         params = M.init_params(cfg, seed=0)
-        assert params.frozen == {"enc.conv1.k", "enc.conv2.k"}
-        for name in params.frozen:
-            assert not params[name].requires_grad
+        trainable = dict(params.trainable_items())
+        assert {n for n, _ in params.items()} - trainable.keys() == {"enc.conv1.k", "enc.conv2.k"}
+        # requires_grad is the one record of what trains: no second one to disagree
+        params["enc.conv1.k"].requires_grad = True
+        assert "enc.conv1.k" in dict(params.trainable_items())
 
     def test_same_seed_same_weights(self):
         cfg = ModelConfig.tiny()
@@ -89,7 +91,8 @@ class TestParams:
         M.save_checkpoint(params, cfg, path, extra={"epoch": 3})
         loaded, cfg2, extra = M.load_checkpoint(path)
         assert cfg2 == cfg and extra == {"epoch": 3}
-        assert loaded.frozen == params.frozen
+        assert ([n for n, _ in loaded.trainable_items()]
+                == [n for n, _ in params.trainable_items()])
         for (na, ta), (nb, tb) in zip(params.items(), loaded.items()):
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,6 +80,8 @@ class TestNormalize:
     def test_degenerate_range(self):
         with pytest.raises(ValueError):
             normalize(self.LO, self.LO, self.LO)
+        with pytest.raises(ValueError):
+            denormalize(self.LO, self.LO, self.LO)
 
 
 @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0), dict(lr=-1.0),
@@ -141,7 +144,8 @@ class TestAdamAndFit:
         cfg, samples, manifest, norm = tiny_setup
         train = split_samples(samples, manifest, "train")[:12]
         params = M.init_params(cfg, seed=0)
-        before = {n: params[n].data.tobytes() for n in params.frozen}
+        before = {n: t.data.tobytes() for n, t in params.items() if not t.requires_grad}
+        assert before
         fit(params, cfg, train, norm, TrainConfig(lr=1e-3, warmup_epochs=1, epochs=2,
                                                   batch_size=12, seed=0))
         for n, blob in before.items():
@@ -174,12 +178,13 @@ class TestAdamAndFit:
         assert params["enc.conv1.k"].grad is None
 
     @pytest.mark.parametrize("clip_norm", [None, 0.5])
-    @pytest.mark.parametrize("chunk", [Adam.CHUNK, 1000])
+    @pytest.mark.parametrize("chunk", [Adam.CHUNK_BYTES // 8, 1000])
     def test_adam_in_place_matches_allocating_update(self, clip_norm, chunk, monkeypatch):
         # the chunked in-place step against the per-tensor allocating form it
-        # replaced, bit for bit; 1000-element chunks split desk's larger
-        # tensors and pack its small ones
-        monkeypatch.setattr(Adam, "CHUNK", chunk)
+        # replaced, bit for bit; desk is float64, so the byte budget gives
+        # chunks of budget / 8 elements: the default one, and 1000-element
+        # chunks that split desk's larger tensors and pack its small ones
+        monkeypatch.setattr(Adam, "CHUNK_BYTES", chunk * 8)
         cfg = M.ModelConfig.desk()
         params = M.init_params(cfg, seed=0)
         ref = {n: p.data.copy() for n, p in params.trainable_items()}
@@ -280,21 +285,29 @@ def _fixed_camera_case(gt, pred, observed):
     return s, observed, pred, gt
 
 
-def _cv_forecasts(behind=()):
-    """A ``_forecast_batch`` stand-in returning constant-velocity forecasts as
-    normalized means; samples whose id is in ``behind`` get their future
-    mirrored behind the camera."""
-    def forecast(params, cfg, samples, norm, ratio, batch_size=256):
+def _stand_in(means):
+    """A ``forecast_cases`` stand-in: ``means(s, c, cfg, norm)`` gives each
+    sample's normalized per-step means, decoded as the model's are."""
+    def forecast(params, cfg, samples, norm, ratio):
         fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
         out = []
-        for s in samples:
+        for s in sorted(samples, key=lambda x: x.id):
             c = observation_count(s.horizon, fixed)
-            future = constant_velocity_baseline(s, c)
-            if s.id in behind:
-                future = future * [1.0, 1.0, -1.0]
-            out.append((s, c, normalize(np.concatenate([s.points_global[:c], future]), *norm)))
+            out.append((s, c, *T.decode_prediction(means(s, c, cfg, norm), s, cfg, norm)))
         return out
     return forecast
+
+
+def _cv_forecasts(behind=()):
+    """A ``forecast_cases`` stand-in returning constant-velocity forecasts;
+    samples whose id is in ``behind`` get their future mirrored behind the
+    camera."""
+    def means(s, c, cfg, norm):
+        future = constant_velocity_baseline(s.points_global, c)
+        if s.id in behind:
+            future = future * [1.0, 1.0, -1.0]
+        return normalize(np.concatenate([s.points_global[:c], future]), *norm)
+    return _stand_in(means)
 
 
 class TestMetrics:
@@ -319,7 +332,7 @@ class TestMetrics:
         # give the same numbers whichever evaluator reads them
         cfg, samples, manifest, norm = tiny_setup
         test = split_samples(samples, manifest, "test_seen")
-        monkeypatch.setattr(T, "_forecast_batch", _cv_forecasts())
+        monkeypatch.setattr(T, "forecast_cases", _cv_forecasts())
         model_row = evaluate(None, cfg, test, norm, ratio=0.6)
         cv_row = evaluate_baseline(test, ratio=0.6)
         assert cv_row.model == "cv-baseline"
@@ -334,17 +347,11 @@ class TestMetrics:
         cfg = M.ModelConfig.tiny(horizon=10, coordinate_mode="2d")
         test = split_samples(samples, manifest, "test_seen")
 
-        def forecast(params, cfg_, chunk, norm_, ratio, batch_size=256):
-            fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
-            out = []
-            for s in chunk:
-                c = observation_count(s.horizon, fixed)
-                uv = T.image_track(s)
-                track = np.concatenate([uv[:c], constant_velocity_baseline(s, c, uv)])
-                out.append((s, c, 2.0 * track - 1.0))
-            return out
+        def means(s, c, cfg_, norm_):
+            uv = T.image_track(s)
+            return 2.0 * np.concatenate([uv[:c], constant_velocity_baseline(uv, c)]) - 1.0
 
-        monkeypatch.setattr(T, "_forecast_batch", forecast)
+        monkeypatch.setattr(T, "forecast_cases", _stand_in(means))
         model_row = evaluate(None, cfg, test, norm, ratio=0.6)
         cv_row = evaluate_baseline(test, ratio=0.6, image_plane=True)
         for key in ("ade2d", "fde2d"):
@@ -368,7 +375,7 @@ class TestMetrics:
     def test_behind_camera_drops_out_of_2d_only(self, tiny_setup, monkeypatch):
         cfg, samples, manifest, norm = tiny_setup
         test = sorted(split_samples(samples, manifest, "test_seen"), key=lambda s: s.id)
-        monkeypatch.setattr(T, "_forecast_batch", _cv_forecasts(behind={test[0].id}))
+        monkeypatch.setattr(T, "forecast_cases", _cv_forecasts(behind={test[0].id}))
         row = evaluate(None, cfg, test, norm, ratio=0.6)
         rest = evaluate(None, cfg, test[1:], norm, ratio=0.6)
         assert row.ade2d_from3d == rest.ade2d_from3d and row.fde2d_from3d == rest.fde2d_from3d
@@ -379,12 +386,8 @@ class TestMetrics:
         cfg, samples, manifest, norm = tiny_setup
         test = split_samples(samples, manifest, "test_seen")
 
-        def perfect(params, cfg_, chunk, norm_, ratio, batch_size=256):
-            fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
-            return [(s, observation_count(s.horizon, fixed),
-                     T.sample_targets(s, cfg_, norm_)) for s in chunk]
-
-        monkeypatch.setattr(T, "_forecast_batch", perfect)
+        perfect = _stand_in(lambda s, c, cfg_, norm_: T.sample_targets(s, cfg_, norm_))
+        monkeypatch.setattr(T, "forecast_cases", perfect)
         row = evaluate(None, cfg, test, norm, ratio=0.6)
         assert row.ade3d == pytest.approx(0.0, abs=1e-12)
         assert row.fde3d == pytest.approx(0.0, abs=1e-12)
@@ -407,18 +410,24 @@ class TestMetrics:
         test = split_samples(samples, manifest, "test_seen")
         params = M.init_params(cfg, seed=0)
         shuffled = data.draw(st.permutations(test), label="order")
-        batch_size = data.draw(st.sampled_from([3, 256]), label="batch_size")
-        assert (evaluate(params, cfg, shuffled, norm, 0.5, batch_size=batch_size)
-                == evaluate(params, cfg, test, norm, 0.5, batch_size=batch_size))
+        batch = data.draw(st.sampled_from([3, T.EVAL_BATCH]), label="eval batch")
+        # patched in the body: hypothesis refuses function-scoped fixtures
+        with mock.patch.object(T, "EVAL_BATCH", batch):
+            assert (evaluate(params, cfg, shuffled, norm, 0.5)
+                    == evaluate(params, cfg, test, norm, 0.5))
 
     def test_normalization_is_metric_transparent(self, tiny_setup):
         cfg, samples, manifest, norm = tiny_setup
         test = split_samples(samples, manifest, "test_seen")
         params = M.init_params(cfg, seed=1)
         row = evaluate(params, cfg, test, norm, 0.6)
+        test = sorted(test, key=lambda x: x.id)
+        fixed = TrainConfig(observation_ratio=0.6)
+        counts = [observation_count(s.horizon, fixed) for s in test]
+        frames, points, obs, lengths, _ = T.assemble_batch(test, cfg, norm, counts)
+        means = M.forward_batch(params, cfg, frames, points, obs, lengths)["mean"].data
         ades = []
-        for s, observed, mean in T._forecast_batch(params, cfg, sorted(test, key=lambda x: x.id),
-                                                   norm, 0.6):
+        for s, observed, mean in zip(test, counts, means):
             pred = denormalize(mean, *norm)
             d = np.linalg.norm(pred[observed:s.horizon] - s.points_global[observed:s.horizon],
                                axis=-1)
@@ -443,25 +452,17 @@ class TestConstantVelocityBaseline:
         return gen_sample(spec, "lin0")
 
     def test_forced_extrapolation(self):
-        class S:
-            points_global = np.array([[0.0, 0, 0], [1.0, 0, 0], [9.0, 9, 9], [9.0, 9, 9]])
-            horizon = 4
-        pred = constant_velocity_baseline(S(), observed=2)
+        track = np.array([[0.0, 0, 0], [1.0, 0, 0], [9.0, 9, 9], [9.0, 9, 9]])
+        pred = constant_velocity_baseline(track, observed=2)
         np.testing.assert_array_equal(pred, [[2.0, 0, 0], [3.0, 0, 0]])
 
     def test_static_observation(self):
-        class S:
-            points_global = np.tile([0.5, 0.5, 0.5], (5, 1))
-            horizon = 5
-        pred = constant_velocity_baseline(S(), observed=2)
+        pred = constant_velocity_baseline(np.tile([0.5, 0.5, 0.5], (5, 1)), observed=2)
         np.testing.assert_array_equal(pred, np.tile([0.5, 0.5, 0.5], (3, 1)))
 
     def test_needs_two_observed(self):
-        class S:
-            points_global = np.zeros((4, 3))
-            horizon = 4
         with pytest.raises(ValueError):
-            constant_velocity_baseline(S(), observed=1)
+            constant_velocity_baseline(np.zeros((4, 3)), observed=1)
 
     def test_exact_on_linear_trajectories(self):
         s = self._linear_sample(t=8)

@@ -52,13 +52,13 @@ def reference_transition(params, cfg, h, observed, horizon):
             k_s = ad.concat([k_s, k_new], axis=2)
             v_s = ad.concat([v_s, v_new], axis=2)
         q = split_heads(M._linear(params, "trans.self.wq", z_prev), heads)
-        logits = ad.scale(ad.matmul(q, ad.swap_last2(k_s)), 1.0 / np.sqrt(dh))
+        logits = ad.scale(ad.matmul(q, ad.transpose(k_s, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         attn = merge_heads(ad.matmul(ad.softmax_lastdim(logits), v_s))
         attn = M._linear(params, "trans.self.wo", attn)
         wbar = M._layer_norm(params, "trans.ln_wbar", ad.concat([z_prev, attn], axis=2))
 
         qc = split_heads(M._linear(params, "trans.cross.wq", wbar), heads)
-        logits = ad.scale(ad.matmul(qc, ad.swap_last2(k_h)), 1.0 / np.sqrt(dh))
+        logits = ad.scale(ad.matmul(qc, ad.transpose(k_h, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         ctx = merge_heads(ad.matmul(ad.softmax_lastdim(ad.add(logits, ad.constant(hmask))), v_h))
         ctx = M._linear(params, "trans.cross.wo", ctx)
         what = M._layer_norm(params, "trans.ln_what", ad.concat([wbar, ctx], axis=2))
