@@ -38,6 +38,7 @@ shared read-only across threads running independent graphs.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,10 +82,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def grad_or_zeros(self):
         if self.grad is None:
@@ -656,30 +653,14 @@ def embed_border(frames, prompt, pad):
 # gradient checking
 
 
+@dataclass(frozen=True)
 class GradCheckEntry:
-    __slots__ = ("name", "max_rel_err", "n_checked", "passed")
+    """An input's worst analytic vs central-difference relative gradient error."""
 
-    def __init__(self, name, max_rel_err, n_checked, passed):
-        self.name = name
-        self.max_rel_err = max_rel_err
-        self.n_checked = n_checked
-        self.passed = passed
-
-
-class GradCheckReport:
-    """Per-tensor relative errors of analytic vs central-difference grads."""
-
-    def __init__(self, entries, tolerance):
-        self.entries = entries
-        self.tolerance = tolerance
-        self.passed = all(e.passed for e in entries)
-
-    def lines(self):
-        out = []
-        for e in self.entries:
-            status = "pass" if e.passed else "FAIL"
-            out.append(f"{status}  {e.name:32s} max_rel_err={e.max_rel_err:.3e} checked={e.n_checked}")
-        return out
+    name: str
+    max_rel_err: float
+    n_checked: int
+    passed: bool
 
 
 def check_gradients(build, inputs, step=1e-6, tolerance=1e-5, max_checks_per_tensor=None, seed=0):
@@ -690,7 +671,8 @@ def check_gradients(build, inputs, step=1e-6, tolerance=1e-5, max_checks_per_ten
     maps name -> Tensor, each float64: central differences at float32
     precision measure rounding, not the gradient. When
     ``max_checks_per_tensor`` is set (>= 1), a seeded subsample of
-    coordinates is probed in each tensor; otherwise all.
+    coordinates is probed in each tensor; otherwise all. Returns one
+    ``GradCheckEntry`` per input, in input order.
     """
     if step <= 0:
         raise ValueError("check_gradients: step must be > 0")
@@ -730,4 +712,4 @@ def check_gradients(build, inputs, step=1e-6, tolerance=1e-5, max_checks_per_ten
             rel = abs(g_ad[i] - g_fd) / max(1e-8, abs(g_ad[i]) + abs(g_fd))
             worst = max(worst, rel)
         entries.append(GradCheckEntry(name, worst, len(idx), worst <= tolerance))
-    return GradCheckReport(entries, tolerance)
+    return entries

@@ -9,13 +9,15 @@ reproducible.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Exit 2
 covers bad flags; a config key or value that its section (model, train,
-loss, gen options, the ``gen --frame`` intrinsics) refuses; observation
-ratios that do not parse, fall outside (0, 1) or give an empty range; a
-negative ``eval --dump-limit``; a ``gradcheck --max-checks`` below 1 or
-``--step`` not above 0; a missing dataset, manifest, checkpoint or
-optimizer state; and a ``--resume`` whose model, train or loss config
-differs from the checkpoint's. Bad values are refused before a command
-writes anything, and every output's directory is created as needed.
+loss, gen options, ``gen --frame`` intrinsics, ``forecast --ratio``)
+refuses; observation ratios that do not parse, fall outside (0, 1) or
+give an empty range; a negative ``eval --dump-limit``; a ``gradcheck
+--max-checks`` below 1 or ``--step`` not above 0; a missing dataset,
+manifest, checkpoint or optimizer state; an empty split, or a sample
+``trainer.check_sample`` refuses, that a command would feed the model;
+and a ``--resume`` whose model, train or loss config differs from the
+checkpoint's. Bad values are refused before a command writes anything,
+and every output's directory is created as needed.
 """
 
 import os
@@ -97,6 +99,17 @@ def _load_splits(data_dir, splits):
             for split in splits], manifest
 
 
+def _check_feed(samples, cfg, split):
+    """Refuse a split with no samples, or a sample the model cannot take."""
+    if not samples:
+        raise ConfigError(f"no samples in split {split!r}")
+    try:
+        for s in samples:
+            trainer.check_sample(s, cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _write_json(path, doc):
     """Write ``doc`` as indented JSON with sorted keys, creating its directory."""
     path = Path(path)
@@ -113,8 +126,6 @@ def _norm_from(doc):
 
 def _open_checkpoint(path):
     """(params, cfg, extra, norm) of the checkpoint at base path ``path``."""
-    if not Path(path).with_suffix(".json").exists():
-        raise ConfigError(f"missing checkpoint: {path}")
     params, cfg, extra = model.load_checkpoint(path)
     return params, cfg, extra, _norm_from(extra)
 
@@ -239,6 +250,7 @@ def cmd_train(args):
     else:
         params = model.init_params(cfg, seed=train_cfg.seed)
 
+    _check_feed(train_samples, cfg, "train")
     new_rows, optimizer = trainer.fit(params, cfg, train_samples, norm, train_cfg, loss_cfg,
                                       start_epoch=start_epoch, optimizer=optimizer)
     history.extend(new_rows)
@@ -281,8 +293,7 @@ def cmd_eval(args):
     rows = []
     dumps = []
     for split, samples in zip(splits, _load_splits(args.data, splits)[0]):
-        if not samples:
-            raise ValueError(f"no samples in split {split!r}")
+        _check_feed(samples, cfg, split)
         dumped = {s.id for s in samples[: args.dump_limit]} if args.dump else set()
         for ratio in ratios:
             cases = trainer.forecast_cases(params, cfg, samples, norm, ratio)
@@ -314,15 +325,15 @@ def _trajectory_doc(s, observed, pred, gt):
 
 
 def cmd_forecast(args):
-    if not 0 < args.ratio < 1:
-        raise ConfigError(f"--ratio takes an observation ratio in (0, 1), got {args.ratio:g}")
+    fixed = _section(trainer.TrainConfig, "--ratio",
+                     {"observation_mode": "fixed", "observation_ratio": args.ratio})
     params, cfg, _, norm = _open_checkpoint(args.ckpt)
-    fixed = trainer.TrainConfig(observation_mode="fixed", observation_ratio=args.ratio)
     (samples,), _ = _load_splits(args.data, ["all"])
     by_id = {s.id: s for s in samples}
     if args.id not in by_id:
         raise ConfigError(f"sample {args.id!r} not in dataset")
     s = by_id[args.id]
+    _check_feed([s], cfg, "all")
     observed = trainer.observation_count(s.horizon, fixed)
     frames, points, obs, lengths, _ = trainer.assemble_batch([s], cfg, norm, [observed])
     fc = model.forecast(params, cfg, frames[0, : s.horizon], points[0, : s.horizon], observed)
@@ -364,14 +375,16 @@ def cmd_gradcheck(args):
         return losses.total_batch(out, points, observed, valid, loss_cfg)[0]
 
     inputs = dict(params.trainable_items())
-    report = ad.check_gradients(build, inputs, step=args.step, tolerance=args.tolerance,
-                                max_checks_per_tensor=args.max_checks, seed=args.seed)
-    for line in report.lines():
-        print(line)
-    worst = max(e.max_rel_err for e in report.entries)
-    print(f"{'PASS' if report.passed else 'FAIL'}: worst relative error {worst:.3e} "
+    entries = ad.check_gradients(build, inputs, step=args.step, tolerance=args.tolerance,
+                                 max_checks_per_tensor=args.max_checks, seed=args.seed)
+    for e in entries:
+        print(f"{'pass' if e.passed else 'FAIL'}  {e.name:32s} max_rel_err={e.max_rel_err:.3e} "
+              f"checked={e.n_checked}")
+    passed = all(e.passed for e in entries)
+    worst = max(e.max_rel_err for e in entries)
+    print(f"{'PASS' if passed else 'FAIL'}: worst relative error {worst:.3e} "
           f"(tolerance {args.tolerance:g})")
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +470,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen" and args.n < 1:
-        parser.error("--n must be >= 1")
     try:
         return args.fn(args)
     except (ConfigError, FileNotFoundError) as e:

@@ -98,6 +98,8 @@ class GenOptions:
                              "(train, val, test_seen, test_unseen)")
 
     def resolve_splits(self, n):
+        if n < 1:
+            raise ValueError("n must be >= 1")
         if self.split_counts is not None:
             counts = tuple(int(c) for c in self.split_counts)
             if sum(counts) != n:
@@ -294,8 +296,6 @@ def gen_dataset(n, master_seed, options=None):
     Per-sample seeds mix the master seed with the sample index, so any
     subset of samples regenerates identically regardless of order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     opts = options or GenOptions()
     n_train, n_val, n_seen_test, n_unseen = opts.resolve_splits(n)
     n_seen = n_train + n_val + n_seen_test

@@ -84,10 +84,15 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "enc_channels", tuple(self.enc_channels))  # JSON gives lists
+        small = [k for k in ("d_obs", "d_z", "heads", "mlp_ratio", "frame_h", "frame_w",
+                             "traj_hidden", "vis_hidden", "head_hidden") if getattr(self, k) < 1]
+        small += ["enc_channels"] if min(self.enc_channels) < 1 else []
+        if small:
+            raise ValueError(f"{', '.join(small)} must be >= 1")
+        if self.blocks < 0 or self.prompt_width < 0:
+            raise ValueError("blocks and prompt_width must be >= 0")
         if self.d_obs % self.heads or self.d_z % self.heads:
             raise ValueError(f"d_obs={self.d_obs} and d_z={self.d_z} must divide heads={self.heads}")
-        if self.prompt_width < 0:
-            raise ValueError("prompt_width must be >= 0")
         if self.coordinate_mode not in COORDINATE_MODES:
             raise ValueError(f"coordinate_mode must be one of {COORDINATE_MODES}")
         if self.compute_dtype not in COMPUTE_DTYPES:
@@ -161,7 +166,7 @@ class Params:
     """Named parameter tensors of one dtype in fixed insertion order. A
     tensor is frozen when it does not require a gradient."""
 
-    def __init__(self, dtype=np.float64):
+    def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
         self._tensors = {}
 
@@ -285,7 +290,7 @@ def init_params(cfg, seed=0):
 
 
 @functools.lru_cache(maxsize=64)
-def positional_encoding(horizon, d, dtype=np.float64):
+def positional_encoding(horizon, d, dtype):
     """The (horizon, d) sin/cos table in ``dtype``, built once per shape and
     dtype, and read-only."""
     pos = np.arange(horizon)[:, None]
@@ -323,7 +328,7 @@ def _mha(params, name, q_in, kv_in, heads, rows, key_mask):
     return _linear(params, f"{name}.wo", ctx)
 
 
-def _key_mask(observed, heads, t_query, t_key, dtype=np.float64):
+def _key_mask(observed, heads, t_query, t_key, dtype):
     """(N,h,Tq,Tk) additive mask in ``dtype``: 0 where key < per-sample
     observed count."""
     n = observed.shape[0]
@@ -339,16 +344,11 @@ def observed_cells(observed):
 
 
 def encode_frames(params, cfg, frames):
-    """Prompted frozen encoder plus learnable head: (...,H,W) grayscale
-    frames -> (...,d_obs)."""
-    frames = np.asarray(frames, dtype=cfg.dtype)
-    h, w = cfg.frame_h, cfg.frame_w
-    lead = frames.shape[:-2]
-    if frames.shape[-2:] != (h, w):
-        raise ad.ShapeError(f"frames {frames.shape[-2:]} do not match configured {(h, w)}")
-    x = frozen_encoder(params, cfg, frames.reshape(-1, h, w))
-    x = _mlp2(params, "vis", x)
-    return ad.reshape(x, lead + (cfg.d_obs,))
+    """Prompted frozen encoder plus learnable head: (R,H,W) packed grayscale
+    frames in the compute dtype -> (R,d_obs)."""
+    if frames.shape[1:] != (cfg.frame_h, cfg.frame_w):
+        raise ad.ShapeError(f"frames {frames.shape} are not (R, {cfg.frame_h}, {cfg.frame_w})")
+    return _mlp2(params, "vis", frozen_encoder(params, cfg, frames))
 
 
 def frozen_encoder(params, cfg, frames):
@@ -493,11 +493,11 @@ class _FrameEncoder:
 
 
 def embed_points(params, cfg, points):
-    """Two-layer MLP point embedding; accepts (.., point_dim) tensor or array."""
-    x = points if isinstance(points, ad.Tensor) else ad.constant(np.asarray(points, dtype=cfg.dtype))
-    if x.shape[-1] != cfg.point_dim:
-        raise ad.ShapeError(f"points width {x.shape[-1]} != {cfg.point_dim}")
-    return _mlp2(params, "traj", x)
+    """Two-layer MLP point embedding: (R,point_dim) packed points in the
+    compute dtype -> (R,d_obs)."""
+    if points.shape[1:] != (cfg.point_dim,):
+        raise ad.ShapeError(f"points {points.shape} are not (R, {cfg.point_dim})")
+    return _mlp2(params, "traj", ad.constant(points))
 
 
 def temporal_encode(params, cfg, x, observed, branch):

@@ -39,10 +39,12 @@ class TrainConfig:
     clip_norm: float = 10.0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.warmup_epochs < 0:
+            raise ValueError("epochs and batch_size must be >= 1, and warmup_epochs >= 0")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
+        if not isinstance(self.clip_norm, (int, float)) or not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be a number > 0, got {self.clip_norm!r}")
         if self.observation_mode not in OBSERVATION_MODES:
             raise ValueError(f"observation_mode must be one of {OBSERVATION_MODES}")
         if not 0 < self.observation_ratio < 1:
@@ -122,24 +124,31 @@ def image_track(sample):
     return normalize_pixel(project(sample.points_local, sample.intrinsics), sample.intrinsics)
 
 
+def check_sample(s, cfg):
+    """Refuse a sample the model cannot take: frames of another size, more
+    steps than the horizon, or a step without depth, whose z=0 sentinel
+    would be lifted through the pose chain into a wrong world point."""
+    if s.frames.shape[1:] != (cfg.frame_h, cfg.frame_w):
+        raise ValueError(f"sample {s.id} has {'x'.join(map(str, s.frames.shape[1:]))} frames; "
+                         f"the model takes {cfg.frame_h}x{cfg.frame_w}")
+    if s.horizon > cfg.horizon:
+        raise ValueError(f"sample {s.id} longer ({s.horizon}) than horizon {cfg.horizon}")
+    missing = s.horizon - int(np.count_nonzero(s.valid_depth))
+    if missing:
+        raise ValueError(f"sample {s.id} has {missing} steps without depth; "
+                         "run `reachcast repair` on the dataset first")
+
+
 def assemble_batch(samples, cfg, norm, observed):
     """Pad samples to the horizon; returns (frames, points, C, lengths, valid),
-    frames and points in the model's compute dtype.
-
-    Refuses samples with depth-less steps: their z=0 sentinel would be
-    lifted through the pose chain into wrong world points.
-    """
+    frames and points in the model's compute dtype. Each sample must pass
+    ``check_sample``."""
     n, t = len(samples), cfg.horizon
     frames = np.zeros((n, t, cfg.frame_h, cfg.frame_w), dtype=cfg.dtype)
     points = np.zeros((n, t, cfg.point_dim), dtype=cfg.dtype)
     lengths = np.zeros(n, dtype=np.int64)
     for i, s in enumerate(samples):
-        if s.horizon > t:
-            raise ValueError(f"sample {s.id} longer ({s.horizon}) than horizon {t}")
-        missing = s.horizon - int(np.count_nonzero(s.valid_depth))
-        if missing:
-            raise ValueError(f"sample {s.id} has {missing} steps without depth; "
-                             "run `reachcast repair` on the dataset first")
+        check_sample(s, cfg)
         frames[i, : s.horizon] = s.frames
         points[i, : s.horizon] = sample_targets(s, cfg, norm)
         lengths[i] = s.horizon
@@ -182,17 +191,14 @@ class Adam:
             self._chunks.append((lo, hi, [(i, max(lo, bounds[i]) - bounds[i],
                                            min(hi, bounds[i + 1]) - bounds[i]) for i in tensors]))
 
-    def step(self, lr, clip_norm=None):
+    def step(self, lr, clip_norm):
         """One update from the parameters' gradients, clipped to a global
         norm of ``clip_norm``. The moments and parameters are updated in
         place, with each element's arithmetic that of the per-tensor form."""
         items = self.params.trainable_items()
         grads = [p.grad_or_zeros().reshape(-1) for _, p in items]
-        scale = None
-        if clip_norm is not None:
-            total = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
-            if total > clip_norm:
-                scale = clip_norm / total
+        total = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
+        scale = clip_norm / total if total > clip_norm else None
         self.t += 1
         b1c = 1.0 - self.BETA1**self.t
         b2c = 1.0 - self.BETA2**self.t

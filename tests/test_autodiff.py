@@ -396,8 +396,8 @@ class TestPackedRows:
             back = ad.merge_heads(ad.tanh(heads), self.ROWS)
             return ad.reduce_sum(ad.mul(ad.scatter_rows(back, self.ROWS, n, t), w))
 
-        report = ad.check_gradients(build, {"x": x}, step=1e-6, tolerance=1e-6)
-        assert report.passed, "\n".join(report.lines())
+        entries = ad.check_gradients(build, {"x": x}, step=1e-6, tolerance=1e-6)
+        assert all(e.passed for e in entries), entries
 
     def test_scatter_passes_back_only_its_rows(self):
         n, t = self.N, self.T
@@ -417,8 +417,10 @@ class TestCheckGradients:
         def build():
             return ad.reduce_sum(ad.tanh(ad.matmul(a, b)))
 
-        report = ad.check_gradients(build, {"a": a, "b": b}, step=1e-6, tolerance=1e-6)
-        assert report.passed
+        entries = ad.check_gradients(build, {"a": a, "b": b}, step=1e-6, tolerance=1e-6)
+        # one entry per input, in input order, every coordinate probed
+        assert [(e.name, e.n_checked, e.passed) for e in entries] == [("a", 9, True),
+                                                                      ("b", 9, True)]
 
     def test_constant_function_passes(self):
         x = ad.Tensor(np.ones(3), requires_grad=True)
@@ -427,8 +429,7 @@ class TestCheckGradients:
         def build():
             return ad.reduce_sum(ad.mul(c, c))
 
-        report = ad.check_gradients(build, {"x": x}, tolerance=1e-6)
-        assert report.passed
+        assert ad.check_gradients(build, {"x": x}, tolerance=1e-6)[0].passed
 
     def test_corrupted_backward_rule_fails(self):
         x = ad.Tensor(np.ones(3) * 0.7, requires_grad=True)
@@ -442,14 +443,7 @@ class TestCheckGradients:
         def build():
             return ad.reduce_sum(bad_square(x))
 
-        report = ad.check_gradients(build, {"x": x}, tolerance=1e-6)
-        assert not report.passed
-
-    def test_report_lines_format(self):
-        x = ad.Tensor(np.ones(2), requires_grad=True)
-        report = ad.check_gradients(lambda: ad.reduce_sum(ad.mul(x, x)), {"x": x})
-        lines = report.lines()
-        assert len(lines) == 1 and "max_rel_err" in lines[0]
+        assert not ad.check_gradients(build, {"x": x}, tolerance=1e-6)[0].passed
 
     @pytest.mark.parametrize("kw", [dict(step=0.0), dict(step=-1e-4),
                                     dict(max_checks_per_tensor=0),
@@ -464,8 +458,8 @@ class TestCheckGradients:
         build = lambda: ad.reduce_sum(ad.mul(x, x))
         r1 = ad.check_gradients(build, {"x": x}, max_checks_per_tensor=5, seed=9)
         r2 = ad.check_gradients(build, {"x": x}, max_checks_per_tensor=5, seed=9)
-        assert r1.entries[0].max_rel_err == r2.entries[0].max_rel_err
-        assert r1.entries[0].n_checked == 5
+        assert r1 == r2
+        assert r1[0].n_checked == 5
 
 
 class TestCustom:
@@ -561,7 +555,7 @@ class TestDtypes:
             inputs = [ad.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
             with ad.Graph() as g:
                 out = op(*inputs)
-                w = ad.constant(np.linspace(-1, 1, out.size).reshape(out.shape).astype(dtype))
+                w = ad.constant(np.linspace(-1, 1, out.data.size).reshape(out.shape).astype(dtype))
                 g.backward(ad.reduce_sum(ad.mul(out, w)))
             assert out.data.dtype == dtype
             assert all(t.grad.dtype == dtype for t in inputs)

@@ -40,8 +40,14 @@ def test_blas_pinned_before_numpy_loads():
     assert conftest.BLAS_ENV == dict.fromkeys(conftest.BLAS_THREAD_VARS, "1")
 
 
-def test_gradcheck_passes():
+def test_gradcheck_passes(capsys):
     assert cli.main(["gradcheck"]) == 0
+    *lines, verdict = capsys.readouterr().out.splitlines()
+    # one line per trainable tensor of the tiny model, then the verdict
+    names = [n for n, _ in model.init_params(model.ModelConfig.tiny()).trainable_items()]
+    assert [line.split()[:2] for line in lines] == [["pass", n] for n in names]
+    assert all("max_rel_err=" in line and "checked=" in line for line in lines)
+    assert verdict.startswith("PASS: worst relative error ")
 
 
 def test_gradcheck_builds_float64_whatever_the_preset(monkeypatch):
@@ -50,7 +56,7 @@ def test_gradcheck_builds_float64_whatever_the_preset(monkeypatch):
 
     def record(build, inputs, **kwargs):
         seen[preset] = {t.data.dtype for t in inputs.values()}
-        return ad.GradCheckReport([ad.GradCheckEntry("w", 0.0, 1, True)], 1e-3)
+        return [ad.GradCheckEntry("w", 0.0, 1, True)]
 
     monkeypatch.setattr(ad, "check_gradients", record)
     for preset in cli.MODEL_PRESETS:
@@ -126,12 +132,31 @@ def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
     assert "differs from the checkpoint's in lr" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--batch-size", "0"),
-                                         ("--lr", "-1")])
-def test_bad_train_values_refused_before_writing(dataset, tmp_path, capsys, flag, value):
-    out = tmp_path / "run"
-    assert cli.main(_train_argv(dataset, out, 2, flag, value)) == 2
-    assert "bad train config" in capsys.readouterr().err
+@pytest.mark.parametrize("flags, config, message", [
+    pytest.param(["--epochs", "0"], {}, "bad train config", id="--epochs-0"),
+    pytest.param(["--batch-size", "0"], {}, "bad train config", id="--batch-size-0"),
+    pytest.param(["--lr", "-1"], {}, "bad train config", id="--lr--1"),
+    # a negative clip norm climbs the loss, 0 freezes training, null turns clipping off
+    pytest.param([], {"train": {"clip_norm": -1.0}}, "clip_norm must be a number > 0",
+                 id="clip_norm--1"),
+    pytest.param([], {"train": {"clip_norm": 0}}, "clip_norm must be a number > 0",
+                 id="clip_norm-0"),
+    pytest.param([], {"train": {"clip_norm": None}}, "clip_norm must be a number > 0",
+                 id="clip_norm-null"),
+    pytest.param([], {"train": {"warmup_epochs": -1}}, "warmup_epochs >= 0", id="warmup--1"),
+    pytest.param([], {"model": {"heads": 0}}, "heads must be >= 1", id="heads-0"),
+    pytest.param([], {"model": {"d_z": 0}}, "d_z must be >= 1", id="d_z-0"),
+    pytest.param([], {"model": {"enc_channels": [0, 4]}}, "enc_channels must be >= 1",
+                 id="enc_channels-0"),
+    pytest.param([], {"model": {"blocks": -1}}, "blocks and prompt_width must be >= 0",
+                 id="blocks--1"),
+])
+def test_bad_train_values_refused_before_writing(dataset, tmp_path, capsys, flags, config,
+                                                 message):
+    out, path = tmp_path / "run", tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(_train_argv(dataset, out, 2, "--config", str(path), *flags)) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -198,10 +223,38 @@ def test_bad_ratios_are_usage_errors(dataset, trained, tmp_path, capsys, command
     (["--split", "10,5,4,2"], "do not sum to n=20"),
     (["--frame", "0"], "focal lengths must be positive"),
     (["--frame", "-8"], "focal lengths must be positive"),
+    (["--n", "0", "--split", "0,0,0,0"], "n must be >= 1"),
 ])
 def test_bad_gen_options_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "data"
     assert cli.main(["gen", "--n", "20", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gen_flags, command, extra, message", [
+    (["--frame", "16"], "train", [], "has 16x16 frames; the model takes 8x8"),
+    (["--frame", "16"], "eval", [], "has 16x16 frames; the model takes 8x8"),
+    (["--frame", "16"], "forecast", ["--id", "s00000"], "has 16x16 frames; the model takes 8x8"),
+    (["--split", "4,0,2,2"], "eval", ["--splits", "val"], "no samples in split 'val'"),
+    (["--t-min", "9", "--t-max", "10"], "train", [], "than horizon 8"),
+    (["--t-min", "9", "--t-max", "10"], "eval", [], "than horizon 8"),
+    (["--split", "0,4,2,2"], "train", [], "no samples in split 'train'"),
+    # desk takes these 16x16 frames and 16 steps, but not the missing depths
+    (["--frame", "16", "--t-min", "14", "--t-max", "16", "--dropout", "0.3"], "train",
+     ["--preset", "desk"], "steps without depth; run `reachcast repair`"),
+], ids=["frame-train", "frame-eval", "frame-forecast", "empty-val", "long-train", "long-eval",
+        "empty-train", "depthless-train"])
+def test_data_the_model_cannot_take_refused_before_writing(trained, tmp_path, capsys, gen_flags,
+                                                           command, extra, message):
+    data, out = tmp_path / "data", tmp_path / "out"
+    assert cli.main(["gen", "--n", "8", "--seed", "1", "--out", str(data), "--frame", "8",
+                     "--t-min", "6", "--t-max", "8", "--split", "4,2,1,1", *gen_flags]) == 0
+    if command == "train":
+        argv = _train_argv(data, out, 1, *extra)
+    else:
+        argv = [command, "--ckpt", str(trained), "--data", str(data), "--out", str(out), *extra]
+    assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -37,7 +37,7 @@ def reference_emission(params, cfg, z, o_t, observed):
     prev_mean = ad.slice_axis(mean_blk, 1, m0, m0 + 1)
     for i in range(m0 + 1, t):
         z_i = ad.slice_axis(z, 1, i, i + 1)
-        re = M._linear(params, "emit.reembed", M.embed_points(params, cfg, prev_mean))
+        re = M._linear(params, "emit.reembed", M._mlp2(params, "traj", prev_mean))
         if i <= t_enc:
             sel = (i <= observed).astype(np.float64)  # encoder feature through step C
             sel_d = np.broadcast_to(sel[:, None, None], (n, 1, cfg.d_obs)).copy()

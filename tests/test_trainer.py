@@ -174,10 +174,10 @@ class TestAdamAndFit:
         opt = Adam(params)
         for _, p in params.trainable_items():
             p.grad = np.ones_like(p.data)
-        opt.step(lr=0.1)
+        opt.step(lr=0.1, clip_norm=10.0)
         assert params["enc.conv1.k"].grad is None
 
-    @pytest.mark.parametrize("clip_norm", [None, 0.5])
+    @pytest.mark.parametrize("clip_norm", [pytest.param(1e3, id="unclipped"), 0.5])
     @pytest.mark.parametrize("chunk", [Adam.CHUNK_BYTES // 8, 1000])
     def test_adam_in_place_matches_allocating_update(self, clip_norm, chunk, monkeypatch):
         # the chunked in-place step against the per-tensor allocating form it
@@ -201,9 +201,9 @@ class TestAdamAndFit:
             for n, p in params.trainable_items():
                 p.grad = grads[n].copy()
             opt.step(lr=1e-3 * t, clip_norm=clip_norm)
-            if clip_norm is not None:
-                total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-                assert total > clip_norm
+            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            assert (total > clip_norm) == (clip_norm == 0.5)  # 1e3 lies above the norm
+            if total > clip_norm:
                 grads = {n: g * (clip_norm / total) for n, g in grads.items()}
             for n, g in grads.items():
                 m[n] = 0.9 * m[n] + (1 - 0.9) * g
@@ -221,7 +221,7 @@ class TestAdamAndFit:
         opt = Adam(params)
         for _, p in params.trainable_items():
             p.grad = np.ones_like(p.data)
-        opt.step(lr=0.1)
+        opt.step(lr=0.1, clip_norm=10.0)
         opt.save(tmp_path / "adam", cfg)
         back = Adam.load(params, tmp_path / "adam")
         assert back.t == 1 and back.m.keys() == opt.m.keys()

@@ -30,8 +30,8 @@ def merge_heads(x):
 def reference_transition(params, cfg, h, observed, horizon):
     n, t_enc, dz = h.shape
     t = int(horizon)
-    pe = M.positional_encoding(t, dz)
-    hmask = M._key_mask(observed, cfg.heads, 1, t_enc)
+    pe = M.positional_encoding(t, dz, cfg.dtype)
+    hmask = M._key_mask(observed, cfg.heads, 1, t_enc, cfg.dtype)
     heads = cfg.heads
     dh = dz // heads
     k_h = split_heads(ad.matmul(h, params["trans.cross.wk.w"]), heads)
