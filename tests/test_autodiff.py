@@ -5,6 +5,7 @@ engine's backward rules, by re-running the forward pass with perturbed
 numpy inputs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -444,6 +445,15 @@ class TestCheckGradients:
             return ad.reduce_sum(bad_square(x))
 
         assert not ad.check_gradients(build, {"x": x}, tolerance=1e-6)[0].passed
+
+    def test_report_lines_format(self):
+        # one frozen entry per input, holding every field a gradcheck report line prints
+        x = ad.Tensor(np.ones(2), requires_grad=True)
+        (entry,) = ad.check_gradients(lambda: ad.reduce_sum(ad.mul(x, x)), {"x": x})
+        assert (entry.name, entry.n_checked, entry.passed) == ("x", 2, True)
+        assert isinstance(entry.max_rel_err, float) and 0.0 <= entry.max_rel_err < 1e-5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.passed = False
 
     @pytest.mark.parametrize("kw", [dict(step=0.0), dict(step=-1e-4),
                                     dict(max_checks_per_tensor=0),
