@@ -13,7 +13,8 @@ loss, gen options, ``gen --frame`` intrinsics, ``forecast --ratio``)
 refuses; observation ratios that do not parse, fall outside (0, 1) or
 give an empty range; a negative ``eval --dump-limit``; a ``gradcheck
 --max-checks`` below 1 or ``--step`` not above 0; a missing dataset,
-manifest, checkpoint or optimizer state; an empty split, or a sample
+frames file (``data.frames.f64`` beside ``data.jsonl``), manifest,
+checkpoint or optimizer state; an empty split, or a sample
 ``trainer.check_sample`` refuses, that a command would feed the model;
 and a ``--resume`` whose model, train or loss config differs from the
 checkpoint's. Bad values are refused before a command writes anything,
@@ -153,7 +154,8 @@ def cmd_gen(args):
         raise ConfigError(f"bad gen config: {e}") from e
     samples, manifest = datagen.gen_dataset(args.n, args.seed, options)
     data_path, manifest_path = datagen.write_dataset(samples, manifest, Path(args.out))
-    print(f"wrote {len(samples)} samples to {data_path} (+ {manifest_path.name})")
+    print(f"wrote {len(samples)} samples to {data_path} (+ its frames file and "
+          f"{manifest_path.name})")
     return 0
 
 

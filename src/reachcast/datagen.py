@@ -6,18 +6,33 @@ local camera coordinates, and low-resolution grayscale frames with a
 Gaussian blob rendered where the hand projects. Scenes name target zones;
 the seen/unseen split never shares a scene tag.
 
-Wire format: one JSON object per line with keys
-{id, scene, T, intrinsics:{fx,fy,ox,oy,w,h}, poses:[[16 doubles]...],
- points_local:[[x,y,z]...], valid_depth:[bool...], frames:[[floats]...]}
-plus a manifest {n, seed, splits:{train,val,test_seen,test_unseen},
-norm:{min:[3],max:[3]}}. Global points are not serialized; readers
-recompute them through the pose chain. Missing depth is stored as a zero
-sentinel with its validity flag cleared.
+Wire format 2 (``FORMAT``): a dataset directory holds ``data.jsonl``, its
+frames file and ``manifest.json``.
+
+- ``data.jsonl`` has one JSON object per sample, with every field but the
+  pixels: {format, id, scene, T, intrinsics:{fx,fy,ox,oy,w,h},
+  poses:[[16 doubles]...], points_local:[[x,y,z]...], valid_depth:[bool...],
+  frames_at}. ``format`` is 2 and ``frames_at`` is the element (not byte)
+  offset of the sample's first pixel in the frames file.
+- The frames file sits beside the data file, named from its path
+  (``data.jsonl`` -> ``data.frames.f64``). It is raw little-endian float64
+  with no header: the samples in line order, each one's frames in C order
+  as (T, H, W), with H and W the intrinsics' h and w. A short file, or
+  values after the last sample's, is a ParseError.
+- The manifest is {n, seed, splits:{train,val,test_seen,test_unseen},
+  norm:{min:[3],max:[3]}}.
+
+The reader takes format 2 only. A format-1 line (frames inline as a
+``frames`` list, no ``format`` key) is a ParseError that says to re-run
+``reachcast gen``. Global points are not serialized; readers recompute them
+through the pose chain. Missing depth is stored as a zero sentinel with its
+validity flag cleared.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -332,8 +347,18 @@ def gen_dataset(n, master_seed, options=None):
 # wire format
 
 
-def _sample_to_json(s):
+FORMAT = 2
+FRAMES_DTYPE = np.dtype("<f8")
+
+
+def _frames_path(data_path):
+    """The frames file beside a data file: data.jsonl -> data.frames.f64."""
+    return data_path.with_suffix(".frames.f64")
+
+
+def _sample_to_json(s, frames_at):
     return {
+        "format": FORMAT,
         "id": s.id,
         "scene": s.scene,
         "T": int(s.horizon),
@@ -341,13 +366,20 @@ def _sample_to_json(s):
         "poses": s.poses.to_flat(),
         "points_local": s.points_local.tolist(),
         "valid_depth": [bool(v) for v in s.valid_depth],
-        "frames": s.frames.reshape(s.horizon, -1).tolist(),
+        "frames_at": frames_at,
     }
 
 
-def _sample_from_json(doc, line_no):
+def _sample_from_json(doc, line_no, frames_file, frames_at, frames_size):
+    """One sample from its line and its frames, which start at element
+    ``frames_at`` of the open frames file of ``frames_size`` bytes."""
+    if not isinstance(doc, dict):
+        raise ParseError(line_no, "not a JSON object")
+    if doc.get("format", 1) != FORMAT:
+        raise ValueError(f"wire format {doc.get('format', 1)!r}, not {FORMAT}; "
+                         "re-run `reachcast gen` to write the dataset again")
     required = ("id", "scene", "T", "intrinsics", "poses", "points_local",
-                "valid_depth", "frames")
+                "valid_depth", "frames_at")
     for key in required:
         if key not in doc:
             raise ParseError(line_no, f"missing key {key!r}")
@@ -356,10 +388,17 @@ def _sample_from_json(doc, line_no):
     chain = PoseChain.from_flat(doc["poses"])
     local = np.asarray(doc["points_local"], dtype=np.float64)
     valid = np.asarray(doc["valid_depth"], dtype=bool)
-    h, w = int(intr.height), int(intr.width)
-    frames = np.asarray(doc["frames"], dtype=np.float64).reshape(t, h, w)
     if local.shape != (t, 3) or len(chain) != t or valid.shape != (t,):
         raise ParseError(line_no, f"inconsistent lengths for sample {doc['id']!r}")
+    if doc["frames_at"] != frames_at:
+        raise ValueError(f"frames_at is {doc['frames_at']!r}, but the frames before "
+                         f"this sample end at {frames_at}")
+    frames = np.empty((t, int(intr.height), int(intr.width)), dtype=FRAMES_DTYPE)
+    missing = frames_at * FRAMES_DTYPE.itemsize + frames.nbytes - frames_size
+    if missing > 0:
+        raise ValueError(f"frames file {frames_file.name} ends {missing} bytes "
+                         "before this sample's frames do")
+    frames_file.readinto(frames)
     world = chain.local_to_global(local, np.arange(1, t + 1))
     return TrajectorySample(
         id=doc["id"], scene=doc["scene"], frames=frames, points_local=local,
@@ -368,17 +407,27 @@ def _sample_from_json(doc, line_no):
 
 
 def write_dataset(samples, manifest, out_dir):
-    """Write data.jsonl plus manifest.json; byte-stable for fixed inputs."""
+    """Write data.jsonl, its frames file and manifest.json; byte-stable for
+    fixed inputs. Returns the paths of data.jsonl and manifest.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "data.jsonl", "w") as f:
+    data_path = out / "data.jsonl"
+    frames_at = 0
+    with open(data_path, "w") as f, open(_frames_path(data_path), "wb") as frames_file:
         for s in samples:
-            f.write(json.dumps(_sample_to_json(s), separators=(",", ":")))
+            frames = np.ascontiguousarray(s.frames, dtype=FRAMES_DTYPE)
+            shape = (s.horizon, int(s.intrinsics.height), int(s.intrinsics.width))
+            if frames.shape != shape:
+                raise ValueError(f"sample {s.id}: frames of shape {frames.shape} are not "
+                                 f"(T, h, w) = {shape}")
+            f.write(json.dumps(_sample_to_json(s, frames_at), separators=(",", ":")))
             f.write("\n")
+            frames_file.write(frames.data)
+            frames_at += frames.size
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
-    return out / "data.jsonl", out / "manifest.json"
+    return data_path, out / "manifest.json"
 
 
 def _dataset_paths(path):
@@ -402,12 +451,21 @@ def read_manifest(path):
 def read_dataset(path):
     """Read a dataset directory (or a bare data.jsonl); returns (samples, manifest).
 
-    Global points are recomputed from the stored local points and pose
-    chains. Malformed lines raise ParseError with their line number.
+    Every sample is read before this returns, into its own frames array, so
+    a dataset can be rewritten in place from what it returns. Global points
+    are recomputed from the stored local points and pose chains. Malformed
+    lines, and a frames file that does not hold exactly the lines' frames,
+    raise ParseError with a line number. A missing frames file raises
+    FileNotFoundError, unless the data file is empty.
     """
     data_path = _dataset_paths(path)[0]
+    frames_path = _frames_path(data_path)
+    if os.path.getsize(data_path) == 0 and not frames_path.exists():
+        return [], read_manifest(path)
     samples = []
-    with open(data_path) as f:
+    frames_at = last_line = 0
+    with open(data_path) as f, open(frames_path, "rb") as frames_file:
+        frames_size = os.fstat(frames_file.fileno()).st_size
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -416,12 +474,19 @@ def read_dataset(path):
             except json.JSONDecodeError as e:
                 raise ParseError(line_no, f"invalid JSON: {e}") from e
             try:
-                samples.append(_sample_from_json(doc, line_no))
+                sample = _sample_from_json(doc, line_no, frames_file, frames_at, frames_size)
             except ParseError:
                 raise
             except (ValueError, TypeError, KeyError) as e:
-                sid = doc.get("id") if isinstance(doc, dict) else None
-                raise ParseError(line_no, f"sample {sid!r}: {e}") from e
+                raise ParseError(line_no, f"sample {doc.get('id')!r}: {e}") from e
+            samples.append(sample)
+            frames_at += sample.frames.size
+            last_line = line_no
+    extra = frames_size - frames_at * FRAMES_DTYPE.itemsize
+    if extra:
+        sid = samples[-1].id if samples else None
+        raise ParseError(max(last_line, 1), f"sample {sid!r}: frames file {frames_path} has "
+                                            f"{extra} bytes after the last sample's frames")
     return samples, read_manifest(path)
 
 

@@ -84,6 +84,8 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "enc_channels", tuple(self.enc_channels))  # JSON gives lists
+        if len(self.enc_channels) != 2:
+            raise ValueError(f"enc_channels must name 2 channel counts, got {self.enc_channels}")
         small = [k for k in ("d_obs", "d_z", "heads", "mlp_ratio", "frame_h", "frame_w",
                              "traj_hidden", "vis_hidden", "head_hidden") if getattr(self, k) < 1]
         small += ["enc_channels"] if min(self.enc_channels) < 1 else []

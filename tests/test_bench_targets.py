@@ -22,11 +22,10 @@ def test_every_traced_attribute_exists(monkeypatch):
     assert not missing, f"traced attributes missing: {missing}"
 
 
-def test_data_checks_hold_on_a_desk_shard(monkeypatch, tmp_path):
+def _check_shard(monkeypatch, tmp_path, workload, seed):
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     session = importlib.import_module("session")
-    w = dataclasses.replace(session.WORKLOADS["train-desk"], shard=4)
-    seed = 1001
+    w = dataclasses.replace(session.WORKLOADS[workload], shard=4)
     raw, repaired = tmp_path / "raw", tmp_path / "repaired"
     assert cli.main(w.gen_argv(w.shard, seed, raw)) == 0
     assert cli.main(["repair", "--data", str(raw), "--out", str(repaired)]) == 0
@@ -34,3 +33,12 @@ def test_data_checks_hold_on_a_desk_shard(monkeypatch, tmp_path):
     wrong = session.check_data(w, seed, raw, datagen.read_dataset(repaired)[0], rec)
     assert rec.failures == []
     assert wrong > 0  # the raw set's dropout sentinels lift to wrong world points
+
+
+def test_data_checks_hold_on_a_desk_shard(monkeypatch, tmp_path):
+    _check_shard(monkeypatch, tmp_path, "train-desk", 1001)
+
+
+def test_data_checks_hold_on_a_paper_shard(monkeypatch, tmp_path):
+    # 64x64 frames and 32 to 40 steps, the benchmark's largest samples
+    _check_shard(monkeypatch, tmp_path, "train-paper", 2001)

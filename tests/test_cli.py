@@ -1,4 +1,5 @@
 import json
+import shutil
 import sys
 
 import numpy as np
@@ -148,6 +149,10 @@ def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
     pytest.param([], {"model": {"d_z": 0}}, "d_z must be >= 1", id="d_z-0"),
     pytest.param([], {"model": {"enc_channels": [0, 4]}}, "enc_channels must be >= 1",
                  id="enc_channels-0"),
+    pytest.param([], {"model": {"enc_channels": [2, 4, 8]}},
+                 "enc_channels must name 2 channel counts", id="enc_channels-3-long"),
+    pytest.param([], {"model": {"enc_channels": [4]}},
+                 "enc_channels must name 2 channel counts", id="enc_channels-1-long"),
     pytest.param([], {"model": {"blocks": -1}}, "blocks and prompt_width must be >= 0",
                  id="blocks--1"),
 ])
@@ -328,6 +333,35 @@ def test_repair_report_creates_its_directory(dataset, tmp_path):
     assert cli.main(["repair", "--data", str(dataset), "--out", str(tmp_path / "fixed"),
                      "--report", str(report)]) == 0
     assert report.read_text().startswith("track_id,n_valid,n_repaired,rmse\n")
+
+
+@pytest.mark.parametrize("command", ["repair", "train", "eval"])
+def test_missing_frames_file_is_a_usage_error(dataset, trained, tmp_path, capsys, command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    for name in ("data.jsonl", "manifest.json"):
+        shutil.copy(dataset / name, data / name)
+    argv = {"repair": ["repair", "--data", str(data), "--out", str(out)],
+            "train": _train_argv(data, out, 1),
+            "eval": ["eval", "--ckpt", str(trained), "--data", str(data), "--out", str(out)]}
+    assert cli.main(argv[command]) == 2
+    assert str(data / "data.frames.f64") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repair_in_place_matches_a_fresh_repair(tmp_path):
+    # repair reads the whole dataset before it rewrites it
+    here, raw, fresh = tmp_path / "here", tmp_path / "raw", tmp_path / "fresh"
+    assert cli.main(["gen", "--n", "8", "--seed", "4", "--out", str(here),
+                     "--dropout", "0.3"]) == 0
+    shutil.copytree(here, raw)
+    assert cli.main(["repair", "--data", str(here), "--out", str(here)]) == 0
+    assert cli.main(["repair", "--data", str(raw), "--out", str(fresh)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in here.iterdir())
+    for name in names:
+        assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (here / "data.jsonl").read_bytes() != (raw / "data.jsonl").read_bytes()
 
 
 def test_negative_dump_limit_refused_before_writing(dataset, trained, tmp_path, capsys):

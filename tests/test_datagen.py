@@ -20,7 +20,10 @@ from reachcast.datagen import (
     split_samples,
     write_dataset,
 )
-from reachcast.geometry import PoseChain, project
+from reachcast.geometry import CameraIntrinsics, PoseChain, project
+
+# non-square frames (12 rows, 20 columns), so a swapped H and W shows
+WIDE_INTRINSICS = CameraIntrinsics(fx=16.0, fy=16.0, ox=10.0, oy=6.0, width=20, height=12)
 
 
 def reference_small_rotation(omega):
@@ -199,8 +202,8 @@ class TestGenDataset:
         for run in ("a", "b"):
             samples, manifest = gen_dataset(12, master_seed=3)
             write_dataset(samples, manifest, tmp_path / run)
-        assert (tmp_path / "a/data.jsonl").read_bytes() == (tmp_path / "b/data.jsonl").read_bytes()
-        assert (tmp_path / "a/manifest.json").read_bytes() == (tmp_path / "b/manifest.json").read_bytes()
+        for name in ("data.jsonl", "data.frames.f64", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_norm_covers_all_points(self):
         samples, manifest = gen_dataset(12, master_seed=3)
@@ -237,11 +240,13 @@ class TestWireFormat:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 6),
-           dropout=st.sampled_from([0.0, 0.3, 0.9]))
-    def test_round_trip_property(self, tmp_path_factory, seed, n, dropout):
+           dropout=st.sampled_from([0.0, 0.3, 0.9]),
+           intrinsics=st.sampled_from([DESK_INTRINSICS, WIDE_INTRINSICS]))
+    def test_round_trip_property(self, tmp_path_factory, seed, n, dropout, intrinsics):
         # every stored field reads back exactly, depth-dropout sentinels included
         samples, manifest = gen_dataset(n, seed, GenOptions(t_min=11, t_max=14,
                                                             depth_dropout=dropout,
+                                                            intrinsics=intrinsics,
                                                             split_counts=(n, 0, 0, 0)))
         out = tmp_path_factory.mktemp("wire")
         write_dataset(samples, manifest, out)
@@ -253,6 +258,7 @@ class TestWireFormat:
             np.testing.assert_array_equal(a.points_local, b.points_local)
             np.testing.assert_array_equal(a.valid_depth, b.valid_depth)
             np.testing.assert_array_equal(a.frames, b.frames)
+            assert b.frames.shape == a.frames.shape and b.frames.flags.owndata
             assert len(a.poses) == len(b.poses)
             for pa, pb in zip(a.poses.poses, b.poses.poses):
                 np.testing.assert_array_equal(pa.matrix, pb.matrix)
@@ -288,7 +294,7 @@ class TestWireFormat:
 
 
     @staticmethod
-    def _corrupt(doc, case):
+    def _corrupt(doc, case, frames_path):
         if case == "15-value pose":
             doc["poses"][1] = doc["poses"][1][:15]
         elif case == "15-value poses":
@@ -303,8 +309,10 @@ class TestWireFormat:
             doc["poses"][2][3] = float("inf")
         elif case == "2-wide point":
             doc["points_local"][4] = doc["points_local"][4][:2]
-        elif case == "short frame row":
-            doc["frames"][5] = doc["frames"][5][:-1]
+        elif case == "short frame row":  # the frames file ends inside frame 5
+            pixels = int(doc["intrinsics"]["h"]) * int(doc["intrinsics"]["w"])
+            end = (doc["frames_at"] + 6 * pixels - 1) * 8
+            frames_path.write_bytes(frames_path.read_bytes()[:end])
         elif case == "null T":
             doc["T"] = None
 
@@ -318,7 +326,7 @@ class TestWireFormat:
         write_dataset(samples, manifest, tmp_path)
         lines = (tmp_path / "data.jsonl").read_text().splitlines()
         doc = json.loads(lines[1])
-        self._corrupt(doc, case)
+        self._corrupt(doc, case, tmp_path / "data.frames.f64")
         lines[1] = json.dumps(doc)
         (tmp_path / "data.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="^line 2: sample 's00001'") as err:
@@ -326,6 +334,84 @@ class TestWireFormat:
         assert err.value.line_no == 2
         if case in ("non-rigid pose", "bad bottom row", "nan rotation", "inf translation"):
             assert "pose at step 3 " in str(err.value)
+
+    @staticmethod
+    def _three_samples(path):
+        """Write three samples to ``path``; returns their decoded lines."""
+        import json
+        samples, manifest = gen_dataset(3, master_seed=2, options=GenOptions(split_counts=(1, 1, 1, 0)))
+        write_dataset(samples, manifest, path)
+        return [json.loads(line) for line in (path / "data.jsonl").read_text().splitlines()]
+
+    def test_missing_frames_file_is_named(self, tmp_path):
+        self._three_samples(tmp_path)
+        (tmp_path / "data.frames.f64").unlink()
+        with pytest.raises(FileNotFoundError, match="data.frames.f64"):
+            read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("keep, line", [
+        pytest.param(lambda total, starts: total - 8, 3, id="one value short"),
+        pytest.param(lambda total, starts: total - 1, 3, id="one byte short"),
+        pytest.param(lambda total, starts: starts[1] + 8, 2, id="ends in line 2"),
+        pytest.param(lambda total, starts: 0, 1, id="empty"),
+    ])
+    def test_short_frames_file_names_the_first_sample_it_breaks(self, tmp_path, keep, line):
+        docs = self._three_samples(tmp_path)
+        frames = tmp_path / "data.frames.f64"
+        data = frames.read_bytes()
+        frames.write_bytes(data[: keep(len(data), [d["frames_at"] * 8 for d in docs])])
+        with pytest.raises(ParseError, match=f"^line {line}: sample 's0000{line - 1}': "
+                                             "frames file .* ends") as err:
+            read_dataset(tmp_path)
+        assert err.value.line_no == line
+
+    @pytest.mark.parametrize("extra", [8, 3])
+    def test_trailing_frames_bytes_name_the_last_sample(self, tmp_path, extra):
+        self._three_samples(tmp_path)
+        with open(tmp_path / "data.frames.f64", "ab") as f:
+            f.write(b"\0" * extra)
+        with pytest.raises(ParseError, match=f"^line 3: sample 's00002': frames file .* has "
+                                             f"{extra} bytes after the last sample's frames"):
+            read_dataset(tmp_path)
+
+    def test_lines_out_of_frames_order_refused(self, tmp_path):
+        self._three_samples(tmp_path)
+        lines = (tmp_path / "data.jsonl").read_text().splitlines()
+        lines[0], lines[1] = lines[1], lines[0]
+        (tmp_path / "data.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 1: sample 's00001': frames_at is"):
+            read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("case", ["format 1", "format 3"])
+    def test_other_wire_formats_refused(self, tmp_path, case):
+        import json
+        docs = self._three_samples(tmp_path)
+        samples = read_dataset(tmp_path)[0]
+        doc = docs[1]
+        if case == "format 1":  # the old line: frames inline, no format or frames_at
+            del doc["format"], doc["frames_at"]
+            doc["frames"] = samples[1].frames.reshape(samples[1].horizon, -1).tolist()
+        else:
+            doc["format"] = 3
+        lines = [json.dumps(d) for d in docs]
+        (tmp_path / "data.jsonl").write_text("\n".join(lines) + "\n")
+        version = case.split()[1]
+        with pytest.raises(ParseError, match=f"^line 2: sample 's00001': wire format {version}, "
+                                             "not 2; re-run `reachcast gen`"):
+            read_dataset(tmp_path)
+
+    def test_frames_that_disagree_with_the_intrinsics_are_not_written(self, tmp_path):
+        samples, manifest = gen_dataset(2, master_seed=2, options=GenOptions(split_counts=(1, 0, 1, 0)))
+        bad = dataclasses.replace(samples[1], frames=samples[1].frames[:, :8, :])
+        with pytest.raises(ValueError, match=r"sample s00001: frames of shape \(\d+, 8, 16\)"):
+            write_dataset([samples[0], bad], manifest, tmp_path)
+
+    def test_line_that_is_not_an_object_refused(self, tmp_path):
+        self._three_samples(tmp_path)
+        with open(tmp_path / "data.jsonl", "a") as f:
+            f.write("[1, 2]\n")
+        with pytest.raises(ParseError, match="^line 4: not a JSON object"):
+            read_dataset(tmp_path)
 
 
 class TestSeedMixing:
