@@ -7,7 +7,9 @@ parameter is found by a coarse log-grid scan followed by golden-section
 refinement. The grid's exact (damped) linear solves run as one stacked
 solve per track; each refinement candidate and the final fit get their own.
 Time is normalized to [0, 1] before fitting to keep the cubic terms
-conditioned.
+conditioned. The refinement is scipy's bounded ``minimize_scalar``; scipy
+loads on the first fit, so only ``repair`` needs it and every other
+command starts without it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 MIN_VALID_POINTS = 10
 GRID_SIZE = 200
@@ -96,6 +97,8 @@ def fit_depth_model(times, depths, valid):
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, GRID_SIZE - 1)]
     if lo < hi:
+        from scipy import optimize  # loaded here: only repair fits, and scipy is slow to import
+
         res = optimize.minimize_scalar(
             lambda a6: _linear_solve(tau, z, a6)[1], bounds=(lo, hi), method="bounded",
             options={"xatol": 1e-10},

@@ -14,11 +14,12 @@ refuses; observation ratios that do not parse, fall outside (0, 1) or
 give an empty range; a negative ``eval --dump-limit``; a ``gradcheck
 --max-checks`` below 1 or ``--step`` not above 0; a missing dataset,
 frames file (``data.frames.f64`` beside ``data.jsonl``), manifest,
-checkpoint or optimizer state; an empty split, or a sample
-``trainer.check_sample`` refuses, that a command would feed the model;
-and a ``--resume`` whose model, train or loss config differs from the
-checkpoint's. Bad values are refused before a command writes anything,
-and every output's directory is created as needed.
+checkpoint or optimizer state; a malformed dataset, a line or frames
+file that ``datagen.ParseError`` names by line and sample; an empty
+split, or a sample ``trainer.check_sample`` refuses, that a command would
+feed the model; and a ``--resume`` whose model, train or loss config
+differs from the checkpoint's. Bad values are refused before a command
+writes anything, and every output's directory is created as needed.
 """
 
 import os
@@ -474,7 +475,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, FileNotFoundError, datagen.ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

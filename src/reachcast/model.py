@@ -45,7 +45,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from . import autodiff as ad
 
@@ -404,17 +403,17 @@ def _patch_index(h, w, c):
 
 
 @functools.lru_cache(maxsize=16)
-def _border_plan(hp, wp, pad, dtype):
+def _border_plan(hp, wp, pad):
     """The prompt's backward on an (hp, wp) padded frame, as index plans.
 
     Returns (border, b1, b2, col2im2, col2im1): the border mask; the flat
     indices of the conv1 outputs whose window reads a border pixel (b1) and
     of the conv2 outputs whose window reads one of those (b2); and the two
-    col2im sums as sparse 0/1 matrices in ``dtype``. col2im2 maps conv2's
-    patch rows (b2 row, tap) to b1 rows, and col2im1 maps conv1's patch
-    rows (b1 row, tap) to the border pixels in prompt order; a tap is
-    di * 3 + dj, the column order of ``ad.conv2d``'s kernel. The cached
-    plan is shared by every caller and must not be modified.
+    col2im sums as ``_col2im`` plans. col2im2 maps conv2's patch rows (b2
+    row, tap) to b1 rows, and col2im1 maps conv1's patch rows (b1 row, tap)
+    to the border pixels in prompt order; a tap is di * 3 + dj, the column
+    order of ``ad.conv2d``'s kernel. The cached plan is shared by every
+    caller and is read-only.
     """
     border = np.ones((hp, wp), dtype=bool)
     border[pad : hp - pad, pad : wp - pad] = False
@@ -431,9 +430,14 @@ def _border_plan(hp, wp, pad, dtype):
         patches = _patch_index(*in_mask.shape, 1).reshape(-1, 9)
         target = rank[patches[out_mask.reshape(-1)]]  # (outputs, 9)
         cols = np.flatnonzero(target >= 0)
-        data = np.ones(len(cols), dtype=dtype)
-        return sparse.csr_array((data, (target.reshape(-1)[cols], cols)),
-                                shape=(np.count_nonzero(in_mask), target.size))
+        rows = target.reshape(-1)[cols]
+        order = np.argsort(rows, kind="stable")  # by row, each row's columns ascending
+        rows, cols = rows[order], cols[order]
+        k = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place within its row
+        plan = tuple((rows[k == r], cols[k == r]) for r in range(k.max(initial=-1) + 1))
+        for a in sum(plan, ()):
+            a.setflags(write=False)
+        return np.count_nonzero(in_mask), plan
 
     m1 = reach(border)
     m2 = reach(m1)
@@ -441,6 +445,23 @@ def _border_plan(hp, wp, pad, dtype):
     for a in (border, b1, b2):
         a.setflags(write=False)
     return border, b1, b2, col2im(m2, m1), col2im(m1, border)
+
+
+def _col2im(plan, x):
+    """Sums the rows of ``x`` into a (size,) + x.shape[1:] array by a
+    ``_border_plan`` col2im plan (size, ((rows, cols), ...)).
+
+    Each output row sums its entries from zero in ascending column order,
+    one pass per place k within a row (rows are unique within a pass).
+    That is the order of a CSR matrix product, so the result is bit for
+    bit the one a 0/1 CSR matrix of the same entries gives; that reference
+    is kept in tests/test_frame_encoder.py.
+    """
+    size, plan = plan
+    out = np.zeros((size,) + x.shape[1:], dtype=x.dtype)
+    for rows, cols in plan:
+        out[rows] += x[cols]
+    return out
 
 
 class _FrameEncoder:
@@ -457,7 +478,7 @@ class _FrameEncoder:
     def __init__(self, k1, k2, prompt, frames, pad, save):
         n, h, w = frames.shape
         hp, wp = h + 2 * pad, w + 2 * pad
-        self.plan = _border_plan(hp, wp, pad, frames.dtype)
+        self.plan = _border_plan(hp, wp, pad)
         border = self.plan[0]
         self.k1, self.k2 = k1, k2
         xp = np.empty((n, hp, wp, 1), dtype=frames.dtype)
@@ -477,9 +498,9 @@ class _FrameEncoder:
         """The prompt's gradient, through the b2 and b1 outputs only.
 
         Rows are output positions and columns (channel, frame), so each
-        col2im is one sparse product over every frame at once. The map from
-        conv1 output to border pixel is linear and shared by every frame,
-        so the frames are summed before it.
+        col2im sums every frame at once. The map from conv1 output to
+        border pixel is linear and shared by every frame, so the frames are
+        summed before it.
         """
         _, b1, b2, col2im2, col2im1 = self.plan
         n, _, c2 = self.a2.shape
@@ -488,10 +509,10 @@ class _FrameEncoder:
         dy2 = np.take(g.reshape(n, c2, -1), b2, axis=2).transpose(2, 1, 0) * (1.0 - a2 * a2)
         k2 = self.k2.reshape(c2, c1, 9).transpose(2, 1, 0).reshape(9 * c1, c2)
         dcols2 = k2 @ dy2  # (b2, tap x c1, frame)
-        da1 = (col2im2 @ dcols2.reshape(len(b2) * 9, c1 * n)).reshape(len(b1), c1, n)
+        da1 = _col2im(col2im2, dcols2.reshape(len(b2) * 9, c1 * n)).reshape(len(b1), c1, n)
         dy1 = np.einsum("qcn,nqc->qc", da1, 1.0 - self.a1 * self.a1)  # summed over frames
         dcols1 = dy1 @ self.k1.reshape(c1, 9)
-        return ((col2im1 @ dcols1.reshape(-1)).reshape(self.prompt_shape),)
+        return (_col2im(col2im1, dcols1.reshape(-1)).reshape(self.prompt_shape),)
 
 
 def embed_points(params, cfg, points):
@@ -991,7 +1012,8 @@ def load_checkpoint(path):
     with open(base.with_suffix(".json")) as f:
         doc = json.load(f)
     cfg = ModelConfig(**doc["config"])
-    raw = np.frombuffer(open(base.with_suffix(".bin"), "rb").read(), dtype=np.float64)
+    with open(base.with_suffix(".bin"), "rb") as f:
+        raw = np.frombuffer(f.read(), dtype=np.float64)
     params = Params(cfg.dtype)
     for entry in doc["params"]:
         size = int(np.prod(entry["shape"])) if entry["shape"] else 1

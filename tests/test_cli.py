@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,17 +338,35 @@ def test_repair_report_creates_its_directory(dataset, tmp_path):
     assert report.read_text().startswith("track_id,n_valid,n_repaired,rmse\n")
 
 
+def _read_argv(command, data, out, ckpt):
+    """A command that reads the dataset ``data`` and writes only under ``out``."""
+    return {"repair": ["repair", "--data", str(data), "--out", str(out)],
+            "train": _train_argv(data, out, 1),
+            "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]}[command]
+
+
 @pytest.mark.parametrize("command", ["repair", "train", "eval"])
 def test_missing_frames_file_is_a_usage_error(dataset, trained, tmp_path, capsys, command):
     data, out = tmp_path / "data", tmp_path / "out"
     data.mkdir()
     for name in ("data.jsonl", "manifest.json"):
         shutil.copy(dataset / name, data / name)
-    argv = {"repair": ["repair", "--data", str(data), "--out", str(out)],
-            "train": _train_argv(data, out, 1),
-            "eval": ["eval", "--ckpt", str(trained), "--data", str(data), "--out", str(out)]}
-    assert cli.main(argv[command]) == 2
+    assert cli.main(_read_argv(command, data, out, trained)) == 2
     assert str(data / "data.frames.f64") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["repair", "train", "eval"])
+def test_malformed_dataset_is_a_usage_error(dataset, trained, tmp_path, capsys, command):
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(dataset, data)
+    frames = data / "data.frames.f64"
+    frames.write_bytes(frames.read_bytes()[:-8])
+    lines = (data / "data.jsonl").read_text().splitlines()
+    last = json.loads(lines[-1])["id"]
+    assert cli.main(_read_argv(command, data, out, trained)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {len(lines)}: sample {last!r}" in err
     assert not out.exists()
 
 
@@ -423,3 +444,56 @@ def test_cv_rows_of_a_2d_checkpoint_fill_the_image_plane(dataset, tmp_path):
                                          0.6, split="test_seen", image_plane=True)
     assert cv_line == expected.as_csv()
     assert all(cv_row[k] != "" for k in trainer.MetricsRow.METRICS)
+
+
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this reachcast; returns stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_imports_only_stdlib_numpy_and_reachcast():
+    # every command but repair starts without scipy, which takes longer to load than numpy
+    code = ("import sys; before = set(sys.modules); import reachcast.cli; "
+            "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
+    loaded = set(_python(code).split())
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "reachcast"}
+
+
+COMMANDS_THEN_REPAIR = """
+import json, sys
+from reachcast import cli
+
+def run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0, argv
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+data, run_dir, raw = (sys.argv[1] + "/" + name for name in ("data", "run", "raw"))
+run("gen", "--n", 8, "--seed", 5, "--out", data, "--frame", 8, "--t-min", 6, "--t-max", 8,
+    "--split", "4,2,1,1")
+run("train", "--preset", "tiny", "--data", data, "--out", run_dir, "--epochs", 1,
+    "--batch-size", 4)
+run("eval", "--ckpt", run_dir + "/ckpt", "--data", data, "--baseline", "cv",
+    "--out", run_dir + "/metrics.csv")
+run("forecast", "--ckpt", run_dir + "/ckpt", "--data", data, "--id", "s00000",
+    "--out", run_dir + "/forecast.json")
+run("gradcheck", "--max-checks", 1)
+before = scipy_loaded()
+# tracks long enough to fit, so repair fits at least one depth curve
+run("gen", "--n", 2, "--seed", 5, "--out", raw, "--frame", 8, "--t-min", 20, "--t-max", 24,
+    "--dropout", 0.3, "--split", "1,1,0,0")
+run("repair", "--data", raw, "--out", raw + "-repaired")
+print(json.dumps({"before_repair": before, "after_repair": scipy_loaded()}))
+"""
+
+
+def test_only_repair_loads_scipy(tmp_path):
+    # the commands print to the same stdout; the JSON line comes last
+    loaded = json.loads(_python(COMMANDS_THEN_REPAIR, str(tmp_path)).splitlines()[-1])
+    assert loaded["before_repair"] == []
+    assert "scipy.optimize" in loaded["after_repair"]

@@ -132,6 +132,35 @@ class TestFusedMatchesReference:
         assert len(g) == 1
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_col2im_sums_match_a_csr_product(name, dtype):
+    # scipy's CSR product sums each row from zero in ascending column order;
+    # the numpy plans must give its bytes, so the prompt gradient is unchanged
+    from scipy import sparse
+
+    cfg = PRESETS[name]()
+    border, b1, b2, col2im2, col2im1 = M._border_plan(*cfg.padded_hw(), cfg.prompt_width)
+    assert col2im2[0] == len(b1) and col2im1[0] == np.count_nonzero(border)
+    for a in (border, b1, b2) + sum(col2im2[1] + col2im1[1], ()):
+        assert not a.flags.writeable
+    rng = np.random.default_rng(81)
+    for plan, n_cols in ((col2im2, 9 * len(b2)), (col2im1, 9 * len(b1))):
+        size, passes = plan
+        rows = np.concatenate([r for r, _ in passes])
+        cols = np.concatenate([c for _, c in passes])
+        assert len(np.unique(cols)) == len(cols)  # each patch entry reads one cell
+        ref = sparse.csr_array((np.ones(len(cols), dtype=dtype), (rows, cols)),
+                               shape=(size, n_cols))
+        for shape in ((n_cols,), (n_cols, 6)):
+            x = rng.standard_normal(shape).astype(dtype)
+            x[rng.random(shape) < 0.5] = -0.0  # a row of -0.0 alone must sum to +0.0
+            out, expected = M._col2im(plan, x), ref @ x
+            assert out.dtype == expected.dtype == dtype
+            assert out.shape == expected.shape == (size,) + shape[1:]
+            assert out.tobytes() == expected.tobytes()
+
+
 def test_zero_prompt_width():
     cfg = ModelConfig.tiny(prompt_width=0)
     params = _model(cfg)

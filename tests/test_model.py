@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ class TestParams:
         for (na, ta), (nb, tb) in zip(params.items(), loaded.items()):
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
+
+    def test_checkpoint_load_closes_its_files(self, tmp_path, tiny):
+        cfg, params = tiny
+        path = tmp_path / "ckpt"
+        M.save_checkpoint(params, cfg, path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            M.load_checkpoint(path)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestFrameEncoder:
