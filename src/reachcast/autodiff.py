@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_POINTWISE_KINDS = ("tanh", "softplus", "neg-exp")
+_POINTWISE_KINDS = ("tanh", "neg-exp")
 LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 _state = threading.local()
@@ -521,18 +521,11 @@ def layer_norm(x, gain, bias):
     return _record(out, (x, gain, bias), bwd)
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def pointwise(x, kind):
-    """Elementwise map; one of tanh | softplus | neg-exp."""
+    """Elementwise map; one of tanh | neg-exp."""
     if kind == "tanh":
         out = np.tanh(x.data)
         dfn = lambda: 1.0 - out * out
-    elif kind == "softplus":
-        out = np.logaddexp(0.0, x.data)
-        dfn = lambda: _sigmoid(x.data)
     elif kind == "neg-exp":
         out = np.exp(-x.data)
         dfn = lambda: -out
@@ -547,10 +540,6 @@ def pointwise(x, kind):
 
 def tanh(x):
     return pointwise(x, "tanh")
-
-
-def softplus(x):
-    return pointwise(x, "softplus")
 
 
 def neg_exp(x):

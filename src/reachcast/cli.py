@@ -11,15 +11,19 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Exit 2
 covers bad flags; a config key or value that its section (model, train,
 loss, gen options, ``gen --frame`` intrinsics, ``forecast --ratio``)
 refuses; observation ratios that do not parse, fall outside (0, 1) or
-give an empty range; a negative ``eval --dump-limit``; a ``gradcheck
---max-checks`` below 1 or ``--step`` not above 0; a missing dataset,
-frames file (``data.frames.f64`` beside ``data.jsonl``), manifest,
-checkpoint or optimizer state; a malformed dataset, a line or frames
-file that ``datagen.ParseError`` names by line and sample; an empty
-split, or a sample ``trainer.check_sample`` refuses, that a command would
-feed the model; and a ``--resume`` whose model, train or loss config
-differs from the checkpoint's. Bad values are refused before a command
-writes anything, and every output's directory is created as needed.
+give an empty range or one that is not a whole number of 0.1 steps; a
+negative ``eval --dump-limit``; a ``gradcheck --max-checks`` below 1 or
+``--step`` not above 0; a dataset that is not a directory holding
+``data.jsonl``, its frames file ``data.frames.f64`` and ``manifest.json``;
+a missing checkpoint or optimizer state, or one that
+``model.CheckpointError`` refuses (a ``.bin`` that is not the size its
+``.json`` names, a config ``ModelConfig`` refuses, or optimizer moments
+that do not match the model); a malformed dataset, a line or frames file
+that ``datagen.ParseError`` names by line and sample; an empty split, or
+a sample ``trainer.check_sample`` refuses, that a command would feed the
+model; and a ``--resume`` whose model, train or loss config differs from
+the checkpoint's. Bad values are refused before a command writes
+anything, and every output's directory is created as needed.
 """
 
 import os
@@ -90,8 +94,6 @@ def _load_splits(data_dir, splits):
     every sample) and the manifest. Split names the manifest does not
     define are refused before the samples are read."""
     manifest = datagen.read_manifest(data_dir)
-    if manifest is None:
-        raise ConfigError(f"dataset {data_dir} has no manifest.json")
     unknown = [s for s in splits if s != "all" and s not in manifest["splits"]]
     if unknown:
         raise ConfigError(f"unknown split {', '.join(map(repr, unknown))}; dataset {data_dir} "
@@ -270,7 +272,8 @@ def cmd_train(args):
 
 
 def _parse_ratios(text):
-    """'0.6', '0.3,0.6', or the range '0.1..0.9' in steps of 0.1; each in (0, 1)."""
+    """'0.6', '0.3,0.6', or the range '0.1..0.9', a whole number of 0.1
+    steps; each in (0, 1)."""
     span = ".." in text
     try:
         values = [float(v) for v in text.split(".." if span else ",")]
@@ -278,7 +281,10 @@ def _parse_ratios(text):
         raise ConfigError(f"--ratios: cannot read {text!r}") from None
     if span and len(values) == 2 and 0 < values[0] <= values[1] < 1:
         lo, hi = values
-        values = [round(lo + 0.1 * i, 10) for i in range(int(round((hi - lo) / 0.1)) + 1)]
+        steps = (hi - lo) / 0.1
+        if abs(steps - round(steps)) > 1e-9:
+            raise ConfigError(f"--ratios: {text!r} is not a whole number of 0.1 steps")
+        values = [round(lo + 0.1 * i, 10) for i in range(round(steps) + 1)]
     elif span:
         raise ConfigError(f"--ratios: {text!r} is not a range lo..hi with 0 < lo <= hi < 1")
     if not all(0 < v < 1 for v in values):
@@ -475,7 +481,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, datagen.ParseError) as e:
+    except (ConfigError, FileNotFoundError, NotADirectoryError, datagen.ParseError,
+            model.CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

@@ -6,8 +6,9 @@ local camera coordinates, and low-resolution grayscale frames with a
 Gaussian blob rendered where the hand projects. Scenes name target zones;
 the seen/unseen split never shares a scene tag.
 
-Wire format 2 (``FORMAT``): a dataset directory holds ``data.jsonl``, its
-frames file and ``manifest.json``.
+Wire format 2 (``FORMAT``): a dataset is a directory that holds all three
+of ``data.jsonl``, its frames file and ``manifest.json``; the reader
+refuses a dataset that lacks any of them.
 
 - ``data.jsonl`` has one JSON object per sample, with every field but the
   pixels: {format, id, scene, T, intrinsics:{fx,fy,ox,oy,w,h},
@@ -430,38 +431,26 @@ def write_dataset(samples, manifest, out_dir):
     return data_path, out / "manifest.json"
 
 
-def _dataset_paths(path):
-    """(data.jsonl, manifest.json) of a dataset directory or a bare data.jsonl."""
-    path = Path(path)
-    if path.is_dir():
-        return path / "data.jsonl", path / "manifest.json"
-    return path, path.parent / "manifest.json"
-
-
 def read_manifest(path):
-    """The manifest of a dataset directory (or a bare data.jsonl), or None
-    when it has none."""
-    manifest_path = _dataset_paths(path)[1]
-    if not manifest_path.exists():
-        return None
-    with open(manifest_path) as f:
+    """The manifest of the dataset directory ``path``."""
+    with open(Path(path) / "manifest.json") as f:
         return json.load(f)
 
 
 def read_dataset(path):
-    """Read a dataset directory (or a bare data.jsonl); returns (samples, manifest).
+    """Read the dataset directory ``path``; returns (samples, manifest).
 
     Every sample is read before this returns, into its own frames array, so
     a dataset can be rewritten in place from what it returns. Global points
     are recomputed from the stored local points and pose chains. Malformed
     lines, and a frames file that does not hold exactly the lines' frames,
-    raise ParseError with a line number. A missing frames file raises
-    FileNotFoundError, unless the data file is empty.
+    raise ParseError with a line number. A missing manifest, data file or
+    frames file raises FileNotFoundError, the manifest's before any sample
+    is read.
     """
-    data_path = _dataset_paths(path)[0]
+    manifest = read_manifest(path)
+    data_path = Path(path) / "data.jsonl"
     frames_path = _frames_path(data_path)
-    if os.path.getsize(data_path) == 0 and not frames_path.exists():
-        return [], read_manifest(path)
     samples = []
     frames_at = last_line = 0
     with open(data_path) as f, open(frames_path, "rb") as frames_file:
@@ -487,7 +476,7 @@ def read_dataset(path):
         sid = samples[-1].id if samples else None
         raise ParseError(max(last_line, 1), f"sample {sid!r}: frames file {frames_path} has "
                                             f"{extra} bytes after the last sample's frames")
-    return samples, read_manifest(path)
+    return samples, manifest
 
 
 def split_samples(samples, manifest, split):

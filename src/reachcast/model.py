@@ -49,15 +49,17 @@ import numpy as np
 from . import autodiff as ad
 
 MASK_LOGIT = -1e9
-COORDINATE_MODES = ("global-3d", "local-3d", "2d")
+COORDINATE_MODES = ("global-3d", "2d")
 COMPUTE_DTYPES = ("float64", "float32")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model sizes and the dtype the model computes in.
+    """Model sizes, the target frame and the dtype the model computes in.
 
-    The bare defaults are the paper's sizes; ``paper()`` is them computing
+    ``coordinate_mode`` names one of two frames: ``global-3d`` forecasts
+    world-frame points, ``2d`` the hand's image-plane projection. The bare
+    defaults are the paper's sizes; ``paper()`` is them computing
     in float32 (parameters, activations, gradients and Adam moments), and
     ``desk()`` and ``tiny()`` are smaller models computing in float64.
     Checkpoints store float64 on disk whatever the compute dtype, which
@@ -1005,18 +1007,31 @@ def save_checkpoint(params, cfg, path, extra=None):
         f.write("\n")
 
 
+class CheckpointError(ValueError):
+    """A checkpoint whose config ``ModelConfig`` refuses, whose ``.bin`` is
+    not 8 bytes per value its ``.json`` names, or (optimizer state) whose
+    tensors do not match the model's."""
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, cfg, extra), the params in the
-    config's compute dtype."""
+    config's compute dtype. A refused checkpoint raises CheckpointError."""
     base = Path(path)
     with open(base.with_suffix(".json")) as f:
         doc = json.load(f)
-    cfg = ModelConfig(**doc["config"])
+    try:
+        cfg = ModelConfig(**doc["config"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint {base}: {e}") from None
+    sizes = [int(np.prod(entry["shape"])) for entry in doc["params"]]
     with open(base.with_suffix(".bin"), "rb") as f:
-        raw = np.frombuffer(f.read(), dtype=np.float64)
+        buf = f.read()
+    if len(buf) != 8 * sum(sizes):
+        raise CheckpointError(f"checkpoint {base}: {base.with_suffix('.bin')} holds {len(buf)} "
+                              f"bytes, not the {8 * sum(sizes)} of its {sum(sizes)} values")
+    raw = np.frombuffer(buf, dtype=np.float64)
     params = Params(cfg.dtype)
-    for entry in doc["params"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
+    for entry, size in zip(doc["params"], sizes):
         data = np.array(raw[entry["offset"] : entry["offset"] + size].reshape(entry["shape"]),
                         dtype=cfg.dtype)
         params.add(entry["name"], data, frozen=entry["frozen"])

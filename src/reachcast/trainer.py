@@ -1,5 +1,5 @@
 """Training and evaluation: normalization, the optimization loop, ADE/FDE
-metrics in all coordinate modes, and the constant-velocity baseline.
+metrics in both coordinate modes, and the constant-velocity baseline.
 
 Batches pad every sample to the configured horizon; padded steps carry
 zero loss. The observation count C is drawn per sample, either from a
@@ -111,11 +111,8 @@ def observation_count(horizon, cfg, rng=None):
 
 def sample_targets(sample, cfg, norm):
     """Per-step model targets in [-1, 1] for the configured coordinate mode."""
-    lo, hi = norm
     if cfg.coordinate_mode == "global-3d":
-        return normalize(sample.points_global, lo, hi)
-    if cfg.coordinate_mode == "local-3d":
-        return normalize(sample.points_local, lo, hi)
+        return normalize(sample.points_global, *norm)
     return 2.0 * image_track(sample) - 1.0
 
 
@@ -242,7 +239,8 @@ class Adam:
         store, _, extra = M.load_checkpoint(path)
         expected = {f"{k}.{n}": p.shape for n, p in params.trainable_items() for k in "mv"}
         if {n: t.shape for n, t in store.items()} != expected:
-            raise ValueError(f"optimizer state at {path} does not match the model's parameters")
+            raise M.CheckpointError(f"checkpoint {path}: optimizer state does not match the "
+                                    "model's parameters")
         opt = cls(params)
         for n in opt.m:
             opt.m[n][...] = store[f"m.{n}"].data
@@ -312,17 +310,13 @@ def decode_prediction(mean, sample, cfg, norm):
     """Map the model's normalized per-step means for one sample into the
     space its metrics use; returns (pred, gt) over the sample's steps.
 
-    3D modes give world-frame meters (local-3d predictions are carried to
-    the world frame through the sample's poses); 2d mode gives normalized
-    frame units in [0, 1], all in float64 whatever the compute dtype.
+    global-3d gives world-frame meters and 2d normalized frame units in
+    [0, 1], both in float64 whatever the compute dtype.
     """
     mean = np.asarray(mean, dtype=np.float64)
     if cfg.coordinate_mode == "2d":
         return (mean + 1.0) / 2.0, (sample_targets(sample, cfg, norm) + 1.0) / 2.0
-    pred = denormalize(mean, *norm)
-    if cfg.coordinate_mode == "local-3d":
-        pred = sample.poses.local_to_global(pred, np.arange(1, sample.horizon + 1))
-    return pred, sample.points_global
+    return denormalize(mean, *norm), sample.points_global
 
 
 def _future_errors(pred, gt, observed):
@@ -382,7 +376,7 @@ def evaluate(params, cfg, samples, norm, ratio, split="test"):
     """ADE/FDE over future steps at a fixed observation ratio.
 
     3D metrics are meters in the world frame; 2D metrics are normalized
-    frame units. 3D-mode models also report projected 2D metrics; 2d-mode
+    frame units. global-3d models also report projected 2D metrics; 2d
     models report image-plane metrics only.
     """
     if not samples:

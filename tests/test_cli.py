@@ -158,6 +158,8 @@ def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
                  "enc_channels must name 2 channel counts", id="enc_channels-1-long"),
     pytest.param([], {"model": {"blocks": -1}}, "blocks and prompt_width must be >= 0",
                  id="blocks--1"),
+    pytest.param([], {"model": {"coordinate_mode": "local-3d"}},
+                 "coordinate_mode must be one of ('global-3d', '2d')", id="local-3d"),
 ])
 def test_bad_train_values_refused_before_writing(dataset, tmp_path, capsys, flags, config,
                                                  message):
@@ -203,6 +205,59 @@ def test_resume_without_optimizer_state_refused(dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+def _cut_8_bytes(base):
+    path = base.with_suffix(".bin")
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _pad_16_bytes(base):
+    with open(base.with_suffix(".bin"), "ab") as f:
+        f.write(b"\0" * 16)
+
+
+def _name_local_3d(base):
+    path = base.with_suffix(".json")
+    doc = json.loads(path.read_text())
+    doc["config"]["coordinate_mode"] = "local-3d"
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("command, name", [("eval", "ckpt"), ("forecast", "ckpt"),
+                                           ("train", "ckpt"), ("train", "ckpt_adam")])
+@pytest.mark.parametrize("spoil, message", [
+    (_cut_8_bytes, "bytes, not the"), (_pad_16_bytes, "bytes, not the"),
+    (_name_local_3d, "coordinate_mode must be one of ('global-3d', '2d')")],
+    ids=["short", "padded", "local-3d"])
+def test_refused_checkpoint_is_a_usage_error(dataset, trained, tmp_path, capsys, command, name,
+                                             spoil, message):
+    run, out = tmp_path / "run", tmp_path / "out"
+    shutil.copytree(trained.parent, run)
+    spoil(run / name)
+    files = {p: p.read_bytes() for p in run.iterdir()}
+    if command == "train":
+        argv = _train_argv(dataset, out, 2, "--resume", str(run / "ckpt"))
+    else:
+        argv = [command, "--ckpt", str(run / "ckpt"), "--data", str(dataset), "--out", str(out)]
+        argv += ["--id", "s00000"] if command == "forecast" else []
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {run / name}: ") and message in err
+    assert not out.exists()
+    assert {p: p.read_bytes() for p in run.iterdir()} == files
+
+
+def test_resume_with_another_models_optimizer_state_refused(dataset, trained, tmp_path, capsys):
+    run, out = tmp_path / "run", tmp_path / "out"
+    shutil.copytree(trained.parent, run)
+    doc = json.loads((run / "ckpt_adam.json").read_text())
+    doc["params"][0]["name"] = "m.other"
+    (run / "ckpt_adam.json").write_text(json.dumps(doc))
+    assert cli.main(_train_argv(dataset, out, 2, "--resume", str(run / "ckpt"))) == 2
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {run / 'ckpt_adam'}: optimizer "
+                                              "state does not match")
+    assert not out.exists()
+
+
 def test_ratio_ranges_parse():
     assert cli._parse_ratios("0.1..0.9") == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     assert cli._parse_ratios("0.3,0.6") == [0.3, 0.6]
@@ -212,7 +267,10 @@ def test_ratio_ranges_parse():
 @pytest.mark.parametrize("command, flag, value", [
     ("eval", "--ratios", "abc"), ("eval", "--ratios", "1.5"), ("eval", "--ratios", "0"),
     ("eval", "--ratios", "0.9..0.1"), ("eval", "--ratios", "0.1..0.5..0.9"),
-    ("eval", "--ratios", "0.5..0.96"),  # the 0.1 steps would reach 1.0
+    ("eval", "--ratios", "0.5..0.96"),  # 4.6 steps of 0.1, not a whole number
+    # rounded to whole steps, 7.5, 5.5 and 4.99 steps would end past hi (0.95, 0.95, 0.501)
+    ("eval", "--ratios", "0.15..0.9"), ("eval", "--ratios", "0.35..0.9"),
+    ("eval", "--ratios", "1e-3..0.5"),
     ("forecast", "--ratio", "1.2"), ("forecast", "--ratio", "0")])
 def test_bad_ratios_are_usage_errors(dataset, trained, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
@@ -345,14 +403,26 @@ def _read_argv(command, data, out, ckpt):
             "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]}[command]
 
 
-@pytest.mark.parametrize("command", ["repair", "train", "eval"])
-def test_missing_frames_file_is_a_usage_error(dataset, trained, tmp_path, capsys, command):
+@pytest.mark.parametrize("command, missing", [
+    *(pytest.param(c, "data.frames.f64", id=c) for c in ("repair", "train", "eval")),
+    *(pytest.param(c, "manifest.json", id=f"{c}-manifest") for c in ("repair", "train", "eval"))])
+def test_missing_frames_file_is_a_usage_error(dataset, trained, tmp_path, capsys, command,
+                                              missing):
     data, out = tmp_path / "data", tmp_path / "out"
-    data.mkdir()
-    for name in ("data.jsonl", "manifest.json"):
-        shutil.copy(dataset / name, data / name)
+    shutil.copytree(dataset, data)
+    (data / missing).unlink()
     assert cli.main(_read_argv(command, data, out, trained)) == 2
-    assert str(data / "data.frames.f64") in capsys.readouterr().err
+    assert str(data / missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["repair", "train", "eval"])
+def test_data_file_in_place_of_a_dataset_is_a_usage_error(dataset, trained, tmp_path, capsys,
+                                                          command):
+    # a dataset is its directory, which holds the manifest, not the data file alone
+    out = tmp_path / "out"
+    assert cli.main(_read_argv(command, dataset / "data.jsonl", out, trained)) == 2
+    assert str(dataset / "data.jsonl") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -393,11 +463,9 @@ def test_negative_dump_limit_refused_before_writing(dataset, trained, tmp_path, 
     assert not out.exists() and not dump.exists()
 
 
-def test_local3d_predictions_are_global_everywhere(dataset, tmp_path, monkeypatch):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"model": {"preset": "tiny", "coordinate_mode": "local-3d"}}))
-    _train(dataset, tmp_path / "run", 1, "--config", str(config))
-    ckpt = str(tmp_path / "run" / "ckpt")
+def test_dump_and_forecast_match_the_scored_predictions(dataset, trained, tmp_path,
+                                                        monkeypatch):
+    ckpt = str(trained)
 
     scored = []
     score = trainer.score

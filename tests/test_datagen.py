@@ -267,9 +267,11 @@ class TestWireFormat:
                                        atol=1e-9)
 
     def test_empty_file(self, tmp_path):
-        (tmp_path / "data.jsonl").write_text("")
-        samples, manifest = read_dataset(tmp_path)
-        assert samples == [] and manifest is None
+        # no samples still make all three files, and they read back
+        manifest = gen_dataset(4, master_seed=0)[1]
+        write_dataset([], manifest, tmp_path)
+        assert (tmp_path / "data.jsonl").read_bytes() == b""
+        assert read_dataset(tmp_path) == ([], manifest)
 
     def test_truncated_line_reports_number(self, tmp_path):
         samples, manifest = gen_dataset(3, master_seed=2, options=GenOptions(split_counts=(1, 1, 1, 0)))

@@ -15,12 +15,18 @@ from reachcast import model as M
 from reachcast.model import ModelConfig
 
 
+def softplus(x):
+    """Taped log(1 + e^x), with the logistic derivative the fused emission uses."""
+    sigmoid = 0.5 * (1.0 + np.tanh(0.5 * x.data))
+    return ad.custom(np.logaddexp(0.0, x.data), (x,), lambda g: (g * sigmoid,))
+
+
 def reference_heads(params, cfg, z_t, prev_traj_feature):
     """Mean, alpha and beta of (N,k,d_z) latents and (N,k,d_obs) features."""
     inp = ad.concat([z_t, prev_traj_feature], axis=2)
     mean = ad.tanh(M._mlp2(params, "emit.mean", inp))
-    alpha = ad.softplus(M._mlp2(params, "emit.alpha", inp))
-    beta = ad.softplus(M._mlp2(params, "emit.beta", inp)) if cfg.point_dim == 3 else None
+    alpha = softplus(M._mlp2(params, "emit.alpha", inp))
+    beta = softplus(M._mlp2(params, "emit.beta", inp)) if cfg.point_dim == 3 else None
     return mean, alpha, beta
 
 

@@ -1,0 +1,71 @@
+"""Write every deterministic artifact of a fixed reachcast pipeline to OUT.
+
+    PYTHONPATH=src python3 tools/artifacts.py OUT
+
+Each command runs as ``python -m reachcast`` in its own process, so the
+``reachcast`` it runs is whichever one ``PYTHONPATH`` selects. Two trees
+that should compute the same thing are compared by running this once with
+each tree's ``src/`` and then ``diff -r`` of the two OUT directories.
+
+The pipeline:
+
+- ``gen --n 60 --seed 0 --dropout 0.3``, then ``repair`` (its report too);
+- for each of the global-3d and 2d coordinate modes, on the desk preset:
+  ``train --epochs 3 --seed 0 --observation-mode random --batch-size 32``,
+  ``eval --ratios 0.1..0.9 --baseline cv --dump`` and
+  ``forecast --id s00050``;
+- one paper-preset training step on a 4-sample set of 64x64 frames and
+  32 to 40 steps;
+- the standard output of ``gradcheck`` (``gradcheck.txt``).
+
+OUT must not exist yet, so no file of an earlier run is compared.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+
+def reachcast(*argv, stdout=subprocess.DEVNULL):
+    """Run one ``reachcast`` command in a fresh interpreter; raise on failure."""
+    argv = [str(a) for a in argv]
+    done = subprocess.run([sys.executable, "-m", "reachcast", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True)
+    if done.returncode:
+        raise SystemExit(f"reachcast {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout
+
+
+def main():
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: PYTHONPATH=src python3 tools/artifacts.py OUT")
+    out = Path(sys.argv[1])
+    if out.exists():
+        raise SystemExit(f"{out} exists; name a new directory")
+    out.mkdir(parents=True)
+    raw, data = out / "raw", out / "data"
+    reachcast("gen", "--n", 60, "--seed", 0, "--dropout", 0.3, "--out", raw)
+    reachcast("repair", "--data", raw, "--out", data)
+    for mode in ("global-3d", "2d"):
+        run = out / mode
+        run.mkdir()
+        config = run / "run.json"
+        config.write_text(json.dumps({"model": {"preset": "desk", "coordinate_mode": mode}}))
+        reachcast("train", "--config", config, "--data", data, "--out", run, "--epochs", 3,
+                  "--seed", 0, "--observation-mode", "random", "--batch-size", 32)
+        reachcast("eval", "--ckpt", run / "ckpt", "--data", data, "--ratios", "0.1..0.9",
+                  "--baseline", "cv", "--out", run / "metrics.csv", "--dump", run / "dump.json")
+        reachcast("forecast", "--ckpt", run / "ckpt", "--data", data, "--id", "s00050",
+                  "--out", run / "forecast.json")
+    paper_data, paper = out / "paper-data", out / "paper"
+    reachcast("gen", "--n", 4, "--seed", 0, "--frame", 64, "--t-min", 32, "--t-max", 40,
+              "--out", paper_data)
+    reachcast("train", "--preset", "paper", "--data", paper_data, "--out", paper,
+              "--epochs", 1, "--seed", 0, "--batch-size", 4)
+    (out / "gradcheck.txt").write_text(reachcast("gradcheck", stdout=subprocess.PIPE))
+    print(f"wrote the artifacts to {out}")
+
+
+if __name__ == "__main__":
+    main()
