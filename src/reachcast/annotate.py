@@ -94,18 +94,16 @@ def fit_depth_model(times, depths, valid):
     sses = _linear_solve(tau, z, grid)[1]
     best = int(np.argmin(sses))
 
+    # the grid increases strictly, so the clamped neighbours bracket a range
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, GRID_SIZE - 1)]
-    if lo < hi:
-        from scipy import optimize  # loaded here: only repair fits, and scipy is slow to import
+    from scipy import optimize  # loaded here: only repair fits, and scipy is slow to import
 
-        res = optimize.minimize_scalar(
-            lambda a6: _linear_solve(tau, z, a6)[1], bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        a6 = float(res.x) if res.fun <= sses[best] else float(grid[best])
-    else:
-        a6 = float(grid[best])
+    res = optimize.minimize_scalar(
+        lambda a6: _linear_solve(tau, z, a6)[1], bounds=(lo, hi), method="bounded",
+        options={"xatol": 1e-10},
+    )
+    a6 = float(res.x) if res.fun <= sses[best] else float(grid[best])
 
     coef, sse = _linear_solve(tau, z, a6)
     rmse = float(np.sqrt(sse / n_valid))

@@ -1,21 +1,22 @@
 """Command-line entry point: gen, repair, train, eval, forecast, gradcheck.
 
 Config-file-first: ``--config run.json`` supplies {model, train, loss,
-data, out, seed}; command-line flags win over the file. Unknown config
-keys are rejected by name. Every command is deterministic given its
-config and seed; artifacts carry no timestamps. BLAS thread pools are
-pinned to one thread before numpy loads so runs are single-threaded and
-reproducible.
+data, out}; command-line flags win over the file, and the training seed
+is ``train.seed`` or ``--seed``. Unknown config keys are rejected by
+name. Every command is deterministic given its config and seed;
+artifacts carry no timestamps. BLAS thread pools are pinned to one thread
+before numpy loads so runs are single-threaded and reproducible.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Exit 2
-covers bad flags; a config key or value that its section (model, train,
-loss, gen options, ``gen --frame`` intrinsics, ``forecast --ratio``)
-refuses; observation ratios that do not parse, fall outside (0, 1) or
-give an empty range or one that is not a whole number of 0.1 steps; a
-negative ``eval --dump-limit``; a ``gradcheck --max-checks`` below 1 or
-``--step`` not above 0; a dataset that is not a directory holding
-``data.jsonl``, its frames file ``data.frames.f64`` and ``manifest.json``;
-a missing checkpoint or optimizer state, or one that
+covers bad flags; a run config, manifest, checkpoint or optimizer-state
+``.json`` that is not a JSON object; a config key or value that its
+section (model, train, loss, gen options, ``gen --frame`` intrinsics,
+``forecast --ratio``) refuses; observation ratios that do not parse,
+fall outside (0, 1) or give an empty range or one that is not a whole
+number of 0.1 steps; a negative ``eval --dump-limit``; a ``gradcheck
+--max-checks`` below 1 or ``--step`` not above 0; a dataset that is not a
+directory holding ``data.jsonl``, its frames file ``data.frames.f64`` and
+``manifest.json``; a missing checkpoint or optimizer state, or one that
 ``model.CheckpointError`` refuses (a ``.bin`` that is not the size its
 ``.json`` names, a config ``ModelConfig`` refuses, or optimizer moments
 that do not match the model); a malformed dataset, a line or frames file
@@ -50,10 +51,7 @@ class ConfigError(ValueError):
 MODEL_PRESETS = {"paper": model.ModelConfig.paper, "desk": model.ModelConfig.desk,
                  "tiny": model.ModelConfig.tiny}
 # `gen` flags and the GenOptions fields they set, which document them
-GEN_FLAGS = {"--t-min": "t_min", "--t-max": "t_max", "--dropout": "depth_dropout",
-             "--noise": "pixel_noise", "--profile": "profile", "--rot-amp": "rot_amplitude",
-             "--trans-amp": "trans_amplitude", "--bow": "bow_scale",
-             "--start-jitter": "start_jitter", "--target-jitter": "target_jitter"}
+GEN_FLAGS = {"--t-min": "t_min", "--t-max": "t_max", "--dropout": "depth_dropout"}
 
 
 def _section(cls, label, doc, overrides=None):
@@ -82,10 +80,15 @@ def load_run_config(path):
     doc = {}
     if path:
         with open(path) as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"config {path} is not valid JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         for key in doc:
-            if key not in ("model", "train", "loss", "data", "out", "seed"):
-                raise ConfigError(f"unknown config key: {key!r}")
+            if key not in ("model", "train", "loss", "data", "out"):
+                raise ConfigError(f"unknown config key {key!r} in {path}")
     return doc
 
 
@@ -192,17 +195,12 @@ def cmd_repair(args):
     return 0
 
 
-def _read_history_csv(path):
-    rows = []
-    for line in Path(path).read_text().splitlines()[1:]:
-        e, t, l, v = line.split(",")
-        rows.append((int(e), float(t), float(l), float(v)))
-    return rows
-
-
-def _write_history_csv(path, rows):
+def _write_history_csv(path, earlier, rows):
+    """The loss curve: the ``earlier`` curve's lines as they are, then ``rows``."""
     with open(path, "w") as f:
         f.write("epoch,total,location,velocity\n")
+        for line in earlier:
+            f.write(line + "\n")
         for e, t, l, v in rows:
             f.write(f"{e},{t:.9g},{l:.9g},{v:.9g}\n")
 
@@ -222,8 +220,7 @@ def cmd_train(args):
 
     cfg = _section(model.ModelConfig, "model", doc.get("model", {}), {"preset": args.preset})
     overrides = {"epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-                 "seed": args.seed if args.seed is not None else doc.get("seed"),
-                 "observation_mode": args.observation_mode,
+                 "seed": args.seed, "observation_mode": args.observation_mode,
                  "observation_ratio": args.observation_ratio}
     train_cfg = _section(trainer.TrainConfig, "train", doc.get("train", {}), overrides)
     loss_cfg = _section(losses.LossConfig, "loss", doc.get("loss", {}))
@@ -232,7 +229,7 @@ def cmd_train(args):
     norm = _norm_from(manifest)
 
     start_epoch = 0
-    history = []
+    earlier = []
     optimizer = None
     if args.resume:
         params, saved_cfg, extra, norm = _open_checkpoint(args.resume)
@@ -249,24 +246,23 @@ def cmd_train(args):
                               f"--epochs {train_cfg.epochs} leaves nothing to train")
         curve = Path(args.resume).parent / "loss_curve.csv"
         if curve.exists():
-            history = _read_history_csv(curve)
+            earlier = curve.read_text().splitlines()[1:]
         optimizer = trainer.Adam.load(params, _adam_path(args.resume))
         print(f"resuming at epoch {start_epoch + 1}")
     else:
         params = model.init_params(cfg, seed=train_cfg.seed)
 
     _check_feed(train_samples, cfg, "train")
-    new_rows, optimizer = trainer.fit(params, cfg, train_samples, norm, train_cfg, loss_cfg,
-                                      start_epoch=start_epoch, optimizer=optimizer)
-    history.extend(new_rows)
+    rows, optimizer = trainer.fit(params, cfg, train_samples, norm, train_cfg, loss_cfg,
+                                  start_epoch=start_epoch, optimizer=optimizer)
     extra = {"epoch": train_cfg.epochs,
              "norm": {"min": norm[0].tolist(), "max": norm[1].tolist()},
              "train": dataclasses.asdict(train_cfg),
              "loss": dataclasses.asdict(loss_cfg)}
     model.save_checkpoint(params, cfg, out / "ckpt", extra=extra)
     optimizer.save(_adam_path(out / "ckpt"), cfg)
-    _write_history_csv(out / "loss_curve.csv", history)
-    final = history[-1]
+    _write_history_csv(out / "loss_curve.csv", earlier, rows)
+    final = rows[-1]
     print(f"trained to epoch {final[0]}; final loss {final[1]:.6f}; checkpoint: {out / 'ckpt'}")
     return 0
 
@@ -416,7 +412,6 @@ def build_parser():
     for flag, field in GEN_FLAGS.items():
         default = getattr(defaults, field)
         p.add_argument(flag, dest=field, type=type(default), default=default,
-                       choices=datagen.PROFILES if field == "profile" else None,
                        help=f"GenOptions.{field}")
     p.add_argument("--frame", type=int, default=int(defaults.intrinsics.width),
                    help="square frame side in pixels")

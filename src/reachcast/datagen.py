@@ -1,10 +1,15 @@
 """Synthetic egocentric-reach scenario generator and the dataset wire format.
 
-Each sample is one desk-scale reach: a smooth hand path in the world frame
-(the first camera frame), a slowly drifting camera pose chain, per-step
-local camera coordinates, and low-resolution grayscale frames with a
-Gaussian blob rendered where the hand projects. Scenes name target zones;
-the seen/unseen split never shares a scene tag.
+Each sample is one desk-scale reach: a minimum-jerk hand path in the world
+frame (the first camera frame), arced sideways by up to ``BOW_SCALE`` of
+its length, a camera pose chain drifting by ``ROT_AMPLITUDE`` radians and
+``TRANS_AMPLITUDE`` meters per step, per-step local camera coordinates,
+and low-resolution grayscale frames with a Gaussian blob of std
+``BLOB_SIGMA`` pixels rendered where the hand projects, plus Gaussian
+noise of std ``PIXEL_NOISE``. Starts and targets are drawn within
+``START_JITTER`` and ``TARGET_JITTER`` meters of their centers. These are
+fixed for every dataset; ``GenOptions`` holds what a dataset may set.
+Scenes name target zones; the seen/unseen split never shares a scene tag.
 
 Wire format 2 (``FORMAT``): a dataset is a directory that holds all three
 of ``data.jsonl``, its frames file and ``manifest.json``; the reader
@@ -58,13 +63,18 @@ TARGET_ZONES = {
 SCENES_SEEN = ("desk_left", "desk_right", "shelf_low", "shelf_high", "drawer", "keyboard")
 SCENES_UNSEEN = ("lamp", "monitor")
 
-PROFILES = ("min-jerk", "linear")
 NORM_MARGIN = 0.05  # keep normalized targets inside the open tanh range
 BLOB_SIGMA = 1.2  # pixels
+PIXEL_NOISE = 0.05
+ROT_AMPLITUDE = 0.004    # radians per step
+TRANS_AMPLITUDE = 0.003  # meters per step
+BOW_SCALE = 0.3  # peak arc as a fraction of the reach length
+START_JITTER = 0.03
+TARGET_JITTER = 0.04
 
 
 class ParseError(ValueError):
-    """Malformed dataset line; carries the 1-based line number."""
+    """Malformed dataset line or manifest; carries the 1-based line number."""
 
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
@@ -89,14 +99,7 @@ class GenOptions:
 
     t_min: int = 12
     t_max: int = 16
-    rot_amplitude: float = 0.004     # radians per step
-    trans_amplitude: float = 0.003   # meters per step
-    pixel_noise: float = 0.05
     depth_dropout: float = 0.0
-    profile: str = "min-jerk"
-    bow_scale: float = 0.3  # peak arc as a fraction of the reach length
-    start_jitter: float = 0.03
-    target_jitter: float = 0.04
     intrinsics: CameraIntrinsics = DESK_INTRINSICS
     split_counts: tuple | None = None  # (train, val, test_seen, test_unseen)
 
@@ -106,8 +109,6 @@ class GenOptions:
                              f"t_max={self.t_max}")
         if not 0.0 <= self.depth_dropout <= 1.0:
             raise ValueError("depth_dropout must be a probability")
-        if self.profile not in PROFILES:
-            raise ValueError(f"profile must be one of {PROFILES}")
         counts = self.split_counts
         if counts is not None and (len(counts) != 4 or min(counts) < 0):
             raise ValueError(f"split counts {tuple(counts)} are not four counts >= 0 "
@@ -168,16 +169,14 @@ class TrajectorySample:
             raise ValueError("frame/point/validity lengths differ")
 
 
-def reach_path(start, target, steps, profile):
-    """Positions from start to target over `steps` points along a profile
-    in PROFILES: minimum jerk, or constant speed ("linear")."""
+def reach_path(start, target, steps):
+    """Positions from start to target over `steps` points of minimum jerk."""
     if steps < 2:
         raise ValueError("need at least 2 steps")
     s0 = np.asarray(start, dtype=np.float64)
     s1 = np.asarray(target, dtype=np.float64)
     tau = np.arange(steps, dtype=np.float64)[:, None] / (steps - 1)
-    if profile == "min-jerk":
-        tau = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
+    tau = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
     return s0 + (s1 - s0) * tau
 
 
@@ -205,53 +204,48 @@ def _small_rotations(omega):
     return u @ vt
 
 
-def gen_camera_path(spec, steps, rng):
+def gen_camera_path(steps, rng):
     """Per-step camera motion: identity first pose, then smooth small
     rotations/translations, orthonormalized per step."""
-    opts = spec.opts
-    rots = _smooth_noise(rng, steps) * opts.rot_amplitude
-    trans = _smooth_noise(rng, steps) * opts.trans_amplitude
+    rots = _smooth_noise(rng, steps) * ROT_AMPLITUDE
+    trans = _smooth_noise(rng, steps) * TRANS_AMPLITUDE
     poses = np.tile(np.eye(4), (steps, 1, 1))
-    if opts.rot_amplitude != 0 or opts.trans_amplitude != 0:
-        poses[1:, :3, :3] = _small_rotations(rots[1:])
-        poses[1:, :3, 3] = trans[1:]
+    poses[1:, :3, :3] = _small_rotations(rots[1:])
+    poses[1:, :3, 3] = trans[1:]
     return PoseChain(poses)
 
 
-def render_frame(p_local, intrinsics, size, noise, rng):
-    """Grayscale frame with a Gaussian blob of std ``BLOB_SIGMA`` pixels at
-    the projected hand position."""
-    h, w = size
-    uv = project(p_local, intrinsics)
+def render_frame(points_local, intrinsics, rng):
+    """(T, H, W) grayscale frames of the (T, 3) local hand points: a
+    Gaussian blob of std ``BLOB_SIGMA`` pixels at each projected point,
+    plus noise of std ``PIXEL_NOISE``, drawn from ``rng`` frame by frame."""
+    h, w = int(intrinsics.height), int(intrinsics.width)
+    uv = project(points_local, intrinsics)[:, :, None, None]
     cols = np.arange(w, dtype=np.float64)[None, :]
     rows = np.arange(h, dtype=np.float64)[:, None]
-    blob = np.exp(-((cols - uv[0]) ** 2 + (rows - uv[1]) ** 2) / (2 * BLOB_SIGMA**2))
-    frame = blob + noise * rng.standard_normal((h, w)) if noise else blob
-    return np.round(np.clip(frame, 0.0, 1.0), 6)
+    blob = np.exp(-((cols - uv[:, 0]) ** 2 + (rows - uv[:, 1]) ** 2) / (2 * BLOB_SIGMA**2))
+    frames = blob + PIXEL_NOISE * rng.standard_normal(blob.shape)
+    return np.round(np.clip(frames, 0.0, 1.0), 6)
 
 
 def gen_sample(spec, sample_id):
     """Synthesize one TrajectorySample from its spec (self-seeded)."""
     rng = np.random.default_rng([spec.seed, 1])  # distinct stream from sample_spec's
     steps, opts = spec.duration, spec.opts
-    world = reach_path(spec.start, spec.target, steps, opts.profile)
-    if spec.bow and spec.bow_dir is not None:
+    world = reach_path(spec.start, spec.target, steps)
+    if spec.bow_dir is not None:
         # arc the reach sideways, peaking late (obstacle-clearing shape); the
         # progress-shaping keeps endpoint velocities at zero
         span = np.linalg.norm(spec.target - spec.start)
         progress = np.linalg.norm(world - spec.start, axis=1) / (span if span else 1.0)
         arc = np.sin(np.pi * np.clip(progress, 0, 1) ** 1.5)
         world = world + spec.bow * arc[:, None] * spec.bow_dir
-    chain = gen_camera_path(spec, steps, rng)
+    chain = gen_camera_path(steps, rng)
 
     local = chain.global_to_local(world, np.arange(1, steps + 1))
     if np.any(local[:, 2] <= 0):
         raise ValueError(f"sample {sample_id}: hand behind camera; check scene geometry")
-    size = (int(opts.intrinsics.height), int(opts.intrinsics.width))
-    frames = np.stack([
-        render_frame(local[t], opts.intrinsics, size, opts.pixel_noise, rng)
-        for t in range(steps)
-    ])
+    frames = render_frame(local, opts.intrinsics, rng)
 
     valid = np.ones(steps, dtype=bool)
     if opts.depth_dropout > 0:
@@ -287,21 +281,18 @@ def sample_spec(opts, seed, scene):
     """Draw one sample's SceneSpec from its own seed (start, target, length, arc)."""
     rng = np.random.default_rng(seed)
     duration = int(rng.integers(opts.t_min, opts.t_max + 1))
-    start = START_CENTER + rng.uniform(-opts.start_jitter, opts.start_jitter, 3)
-    target = np.asarray(TARGET_ZONES[scene]) + rng.uniform(-opts.target_jitter,
-                                                           opts.target_jitter, 3)
-    bow = 0.0
-    bow_dir = None
-    if opts.profile == "min-jerk" and opts.bow_scale > 0:
-        reach = target - start
-        span = np.linalg.norm(reach)
-        hint, amp = _scene_arc_basis(scene)
-        hint = hint + 0.15 * rng.standard_normal(3)  # per-sample wobble
-        raw = np.cross(reach, np.cross(hint, reach))  # project into the plane normal to the reach
-        norm = np.linalg.norm(raw)
-        if span > 0 and norm > 1e-9:
-            bow_dir = raw / norm
-            bow = opts.bow_scale * span * amp * rng.uniform(0.85, 1.15)
+    start = START_CENTER + rng.uniform(-START_JITTER, START_JITTER, 3)
+    target = np.asarray(TARGET_ZONES[scene]) + rng.uniform(-TARGET_JITTER, TARGET_JITTER, 3)
+    reach = target - start
+    span = np.linalg.norm(reach)
+    hint, amp = _scene_arc_basis(scene)
+    hint = hint + 0.15 * rng.standard_normal(3)  # per-sample wobble
+    raw = np.cross(reach, np.cross(hint, reach))  # project into the plane normal to the reach
+    norm = np.linalg.norm(raw)
+    bow, bow_dir = 0.0, None
+    if norm > 1e-9:  # so span > 0 too
+        bow_dir = raw / norm
+        bow = BOW_SCALE * span * amp * rng.uniform(0.85, 1.15)
     return SceneSpec(scene=scene, start=start, target=target, duration=duration,
                      bow=bow, bow_dir=bow_dir, seed=seed, opts=opts)
 
@@ -432,9 +423,16 @@ def write_dataset(samples, manifest, out_dir):
 
 
 def read_manifest(path):
-    """The manifest of the dataset directory ``path``."""
+    """The manifest of the dataset directory ``path``; one that is not a
+    JSON object raises ParseError naming it."""
     with open(Path(path) / "manifest.json") as f:
-        return json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(e.lineno, f"{f.name} is not valid JSON: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(1, f"{f.name} is not a JSON object")
+    return doc
 
 
 def read_dataset(path):

@@ -1008,9 +1008,10 @@ def save_checkpoint(params, cfg, path, extra=None):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint whose config ``ModelConfig`` refuses, whose ``.bin`` is
-    not 8 bytes per value its ``.json`` names, or (optimizer state) whose
-    tensors do not match the model's."""
+    """A checkpoint whose ``.json`` is not a JSON object, whose config
+    ``ModelConfig`` refuses, whose ``.bin`` is not 8 bytes per value its
+    ``.json`` names, or (optimizer state) whose tensors do not match the
+    model's."""
 
 
 def load_checkpoint(path):
@@ -1018,7 +1019,12 @@ def load_checkpoint(path):
     config's compute dtype. A refused checkpoint raises CheckpointError."""
     base = Path(path)
     with open(base.with_suffix(".json")) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise CheckpointError(f"checkpoint {base}: {f.name} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {base}: {f.name} is not a JSON object")
     try:
         cfg = ModelConfig(**doc["config"])
     except (TypeError, ValueError) as e:

@@ -170,6 +170,31 @@ def test_bad_train_values_refused_before_writing(dataset, tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{", "is not valid JSON"), ("[]", "is not a JSON object"),
+    # the training seed is train.seed; a top-level copy of it is unknown
+    ('{"seed": 3, "train": {"seed": 5}}', "unknown config key 'seed'")],
+    ids=["invalid-json", "json-list", "top-level-seed"])
+def test_bad_config_file_refused_before_writing(dataset, tmp_path, capsys, text, message):
+    out, path = tmp_path / "run", tmp_path / "run.json"
+    path.write_text(text)
+    assert cli.main(_train_argv(dataset, out, 2, "--config", str(path))) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
+    assert not out.exists()
+
+
+def test_seed_flag_wins_over_train_seed(dataset, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"train": {"seed": 5}}))
+    base = ["train", "--preset", "tiny", "--data", str(dataset), "--epochs", "1",
+            "--batch-size", "4", "--config", str(path)]
+    for extra, seed in (([], 5), (["--seed", "3"], 3)):
+        out = tmp_path / f"seed{seed}"
+        assert cli.main([*base, "--out", str(out), *extra]) == 0
+        assert json.loads((out / "ckpt.json").read_text())["extra"]["train"]["seed"] == seed
+
+
 def test_resume_with_other_model_or_loss_config_refused(dataset, tmp_path, capsys):
     _train(dataset, tmp_path / "a", 2)
     ckpt = str(tmp_path / "a" / "ckpt")
@@ -215,6 +240,12 @@ def _pad_16_bytes(base):
         f.write(b"\0" * 16)
 
 
+def _json_text(text):
+    def spoil(base):
+        base.with_suffix(".json").write_text(text)
+    return spoil
+
+
 def _name_local_3d(base):
     path = base.with_suffix(".json")
     doc = json.loads(path.read_text())
@@ -226,8 +257,9 @@ def _name_local_3d(base):
                                            ("train", "ckpt"), ("train", "ckpt_adam")])
 @pytest.mark.parametrize("spoil, message", [
     (_cut_8_bytes, "bytes, not the"), (_pad_16_bytes, "bytes, not the"),
-    (_name_local_3d, "coordinate_mode must be one of ('global-3d', '2d')")],
-    ids=["short", "padded", "local-3d"])
+    (_name_local_3d, "coordinate_mode must be one of ('global-3d', '2d')"),
+    (_json_text("{"), ".json is not valid JSON"), (_json_text("[]"), ".json is not a JSON object")],
+    ids=["short", "padded", "local-3d", "invalid-json", "json-list"])
 def test_refused_checkpoint_is_a_usage_error(dataset, trained, tmp_path, capsys, command, name,
                                              spoil, message):
     run, out = tmp_path / "run", tmp_path / "out"
@@ -295,6 +327,19 @@ def test_bad_gen_options_are_usage_errors(tmp_path, capsys, flags, message):
     out = tmp_path / "data"
     assert cli.main(["gen", "--n", "20", "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--noise", "0.1"), ("--profile", "linear"), ("--rot-amp", "0"), ("--trans-amp", "0"),
+    ("--bow", "0"), ("--start-jitter", "0"), ("--target-jitter", "0")])
+def test_retired_gen_flags_are_usage_errors(tmp_path, capsys, flag, value):
+    # the generator's motion, arc, jitter and noise are fixed; gen sets the rest
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["gen", "--n", "20", "--out", str(out), flag, value])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -423,6 +468,20 @@ def test_data_file_in_place_of_a_dataset_is_a_usage_error(dataset, trained, tmp_
     out = tmp_path / "out"
     assert cli.main(_read_argv(command, dataset / "data.jsonl", out, trained)) == 2
     assert str(dataset / "data.jsonl") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [("{", "is not valid JSON"),
+                                           ("[]", "is not a JSON object")],
+                         ids=["invalid-json", "json-list"])
+@pytest.mark.parametrize("command", ["repair", "train", "eval"])
+def test_malformed_manifest_is_a_usage_error(dataset, trained, tmp_path, capsys, command, text,
+                                             message):
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(dataset, data)
+    (data / "manifest.json").write_text(text)
+    assert cli.main(_read_argv(command, data, out, trained)) == 2
+    assert f"{data / 'manifest.json'} {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,7 +10,15 @@ from reachcast import cli
 from reachcast import losses as L
 from reachcast import model as M
 from reachcast import trainer as T
-from reachcast.datagen import GenOptions, gen_dataset, read_dataset, split_samples, write_dataset
+from reachcast.datagen import (
+    DESK_INTRINSICS,
+    GenOptions,
+    TrajectorySample,
+    gen_dataset,
+    read_dataset,
+    split_samples,
+    write_dataset,
+)
 from reachcast.geometry import Pose, PoseChain
 from reachcast.trainer import (
     Adam,
@@ -443,13 +451,14 @@ class TestMetrics:
 
 class TestConstantVelocityBaseline:
     @staticmethod
-    def _linear_sample(u=np.array([1.0, 0.0, 0.0]), t=4):
-        from reachcast.datagen import SceneSpec, gen_sample
-        opts = GenOptions(rot_amplitude=0.0, trans_amplitude=0.0, pixel_noise=0.0,
-                          profile="linear")
-        spec = SceneSpec(scene="drawer", start=np.array([0.0, 0.02, 0.3]),
-                         target=np.array([0.06, 0.05, 0.45]), duration=t, seed=1, opts=opts)
-        return gen_sample(spec, "lin0")
+    def _linear_sample(t):
+        # a straight line at constant speed, seen by a camera that stays put
+        start, target = np.array([0.0, 0.02, 0.3]), np.array([0.06, 0.05, 0.45])
+        points = start + (target - start) * np.linspace(0.0, 1.0, t)[:, None]
+        return TrajectorySample(
+            id="lin0", scene="drawer", frames=np.zeros((t, 16, 16)), points_local=points,
+            points_global=points, poses=PoseChain(np.tile(np.eye(4), (t, 1, 1))),
+            intrinsics=DESK_INTRINSICS, valid_depth=np.ones(t, dtype=bool))
 
     def test_forced_extrapolation(self):
         track = np.array([[0.0, 0, 0], [1.0, 0, 0], [9.0, 9, 9], [9.0, 9, 9]])

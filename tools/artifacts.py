@@ -15,7 +15,8 @@ The pipeline:
   ``eval --ratios 0.1..0.9 --baseline cv --dump`` and
   ``forecast --id s00050``;
 - one paper-preset training step on a 4-sample set of 64x64 frames and
-  32 to 40 steps;
+  32 to 40 steps, generated with ``--dropout 0.3`` and repaired first, as
+  the benchmark's train-paper workload does;
 - the standard output of ``gradcheck`` (``gradcheck.txt``).
 
 OUT must not exist yet, so no file of an earlier run is compared.
@@ -58,9 +59,10 @@ def main():
                   "--baseline", "cv", "--out", run / "metrics.csv", "--dump", run / "dump.json")
         reachcast("forecast", "--ckpt", run / "ckpt", "--data", data, "--id", "s00050",
                   "--out", run / "forecast.json")
-    paper_data, paper = out / "paper-data", out / "paper"
+    paper_raw, paper_data, paper = out / "paper-raw", out / "paper-data", out / "paper"
     reachcast("gen", "--n", 4, "--seed", 0, "--frame", 64, "--t-min", 32, "--t-max", 40,
-              "--out", paper_data)
+              "--dropout", 0.3, "--out", paper_raw)
+    reachcast("repair", "--data", paper_raw, "--out", paper_data)
     reachcast("train", "--preset", "paper", "--data", paper_data, "--out", paper,
               "--epochs", 1, "--seed", 0, "--batch-size", 4)
     (out / "gradcheck.txt").write_text(reachcast("gradcheck", stdout=subprocess.PIPE))
