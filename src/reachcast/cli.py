@@ -9,22 +9,28 @@ before numpy loads so runs are single-threaded and reproducible.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Exit 2
 covers bad flags; a run config, manifest, checkpoint or optimizer-state
-``.json`` that is not a JSON object; a config key or value that its
-section (model, train, loss, gen options, ``gen --frame`` intrinsics,
-``forecast --ratio``) refuses; observation ratios that do not parse,
-fall outside (0, 1) or give an empty range or one that is not a whole
-number of 0.1 steps; a negative ``eval --dump-limit``; a ``gradcheck
---max-checks`` below 1 or ``--step`` not above 0; a dataset that is not a
-directory holding ``data.jsonl``, its frames file ``data.frames.f64`` and
-``manifest.json``; a missing checkpoint or optimizer state, or one that
-``model.CheckpointError`` refuses (a ``.bin`` that is not the size its
-``.json`` names, a config ``ModelConfig`` refuses, or optimizer moments
-that do not match the model); a malformed dataset, a line or frames file
-that ``datagen.ParseError`` names by line and sample; an empty split, or
-a sample ``trainer.check_sample`` refuses, that a command would feed the
-model; and a ``--resume`` whose model, train or loss config differs from
-the checkpoint's. Bad values are refused before a command writes
-anything, and every output's directory is created as needed.
+``.json`` that is not a JSON object; a run config whose ``model``,
+``train`` or ``loss`` is not an object, or whose ``data`` or ``out`` is
+not a string; a config key or value that its section (model, train,
+loss, gen options, ``gen --frame`` intrinsics, ``forecast --ratio``)
+refuses; observation ratios that do not parse, fall outside (0, 1) or
+give an empty range or one that is not a whole number of 0.1 steps; a
+negative ``eval --dump-limit``; a ``gradcheck --max-checks`` below 1 or
+``--step`` not above 0; a dataset that is not a directory holding
+``data.jsonl``, its frames file ``data.frames.f64`` and
+``manifest.json``; a manifest without a ``splits`` object of id lists,
+or (``train``) without a ``norm`` of 3 ``min`` values each below its
+``max``; a missing checkpoint or optimizer state, or one that
+``model.CheckpointError`` refuses (no config object, a config
+``ModelConfig`` refuses, a ``.bin`` that is not the size the config's
+parameter layout needs, or optimizer moments that do not match the
+model); a checkpoint whose extra has no such ``norm``; a malformed
+dataset, a line or frames file that ``datagen.ParseError`` names by line
+and sample; an empty split, or a sample ``trainer.check_sample``
+refuses, that a command would feed the model; and a ``--resume`` whose
+model, train or loss config differs from the checkpoint's. Bad values
+are refused before a command writes anything, and every output's
+directory is created as needed.
 """
 
 import os
@@ -52,6 +58,8 @@ MODEL_PRESETS = {"paper": model.ModelConfig.paper, "desk": model.ModelConfig.des
                  "tiny": model.ModelConfig.tiny}
 # `gen` flags and the GenOptions fields they set, which document them
 GEN_FLAGS = {"--t-min": "t_min", "--t-max": "t_max", "--dropout": "depth_dropout"}
+# the keys of a run config and the JSON type of each
+RUN_CONFIG_KEYS = {"model": dict, "train": dict, "loss": dict, "data": str, "out": str}
 
 
 def _section(cls, label, doc, overrides=None):
@@ -86,9 +94,12 @@ def load_run_config(path):
                 raise ConfigError(f"config {path} is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} is not a JSON object")
-        for key in doc:
-            if key not in ("model", "train", "loss", "data", "out"):
+        for key, value in doc.items():
+            if key not in RUN_CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
+            if not isinstance(value, RUN_CONFIG_KEYS[key]):
+                kind = "an object" if RUN_CONFIG_KEYS[key] is dict else "a string"
+                raise ConfigError(f"config {path}: {key!r} is not {kind}")
     return doc
 
 
@@ -97,7 +108,10 @@ def _load_splits(data_dir, splits):
     every sample) and the manifest. Split names the manifest does not
     define are refused before the samples are read."""
     manifest = datagen.read_manifest(data_dir)
-    unknown = [s for s in splits if s != "all" and s not in manifest["splits"]]
+    known = manifest.get("splits")
+    if not isinstance(known, dict) or not all(isinstance(v, list) for v in known.values()):
+        raise ConfigError(f"{Path(data_dir) / 'manifest.json'} has no 'splits' object of id lists")
+    unknown = [s for s in splits if s != "all" and s not in known]
     if unknown:
         raise ConfigError(f"unknown split {', '.join(map(repr, unknown))}; dataset {data_dir} "
                           f"has splits {', '.join(manifest['splits'])}")
@@ -126,15 +140,25 @@ def _write_json(path, doc):
         f.write("\n")
 
 
-def _norm_from(doc):
-    """The normalization range a dataset manifest or checkpoint records."""
-    return np.array(doc["norm"]["min"]), np.array(doc["norm"]["max"])
+def _norm_from(doc, source):
+    """The normalization range a dataset manifest or checkpoint extra
+    records: 3 ``min`` values each below its ``max``. ``source`` names the
+    file for the refusal of any other."""
+    try:
+        lo, hi = (np.array(doc["norm"][k], dtype=np.float64) for k in ("min", "max"))
+        ok = lo.shape == hi.shape == (3,) and np.all(lo < hi)
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{source} has no 'norm' of 3 'min' values each below its 'max'")
+    return lo, hi
 
 
 def _open_checkpoint(path):
     """(params, cfg, extra, norm) of the checkpoint at base path ``path``."""
     params, cfg, extra = model.load_checkpoint(path)
-    return params, cfg, extra, _norm_from(extra)
+    where = f"checkpoint {path}: {Path(path).with_suffix('.json')}"
+    return params, cfg, extra, _norm_from(extra, where)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +250,7 @@ def cmd_train(args):
     loss_cfg = _section(losses.LossConfig, "loss", doc.get("loss", {}))
 
     (train_samples,), manifest = _load_splits(data_dir, ["train"])
-    norm = _norm_from(manifest)
+    norm = _norm_from(manifest, Path(data_dir) / "manifest.json")
 
     start_epoch = 0
     earlier = []

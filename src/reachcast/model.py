@@ -35,13 +35,20 @@ backward is hand-written and sums in a different order:
 The taped compositions are kept as references in
 tests/test_frame_encoder.py, tests/test_transition.py and
 tests/test_emission.py.
+
+The config alone decides the parameters: ``param_layout(cfg)`` names each
+tensor and its shape in the one order that initialisation, the fused ops
+and checkpoints follow, and ``FROZEN`` names the backbone, whose two
+kernels take no gradient. A checkpoint is its config, its extra, and the
+float64 values of every tensor in layout order.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -167,17 +174,17 @@ class ForecastOutput:
 
 class Params:
     """Named parameter tensors of one dtype in fixed insertion order. A
-    tensor is frozen when it does not require a gradient."""
+    tensor requires a gradient unless its name is in ``FROZEN``."""
 
     def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
         self._tensors = {}
 
-    def add(self, name, array, frozen=False):
+    def add(self, name, array):
         """Add a tensor holding ``array`` cast to the store's dtype."""
         if name in self._tensors:
             raise ValueError(f"duplicate parameter {name}")
-        t = ad.Tensor(np.asarray(array, dtype=self.dtype), requires_grad=not frozen)
+        t = ad.Tensor(np.asarray(array, dtype=self.dtype), requires_grad=name not in FROZEN)
         self._tensors[name] = t
         return t
 
@@ -195,6 +202,62 @@ class Params:
             t.grad = None
 
 
+@functools.lru_cache(maxsize=16)
+def param_layout(cfg):
+    """Every parameter tensor of ``cfg`` as (name, shape), in the order
+    ``init_params`` creates them and a checkpoint stores them."""
+    c1, c2 = cfg.enc_channels
+    d, dz, hidden, pdim = cfg.d_obs, cfg.d_z, cfg.head_hidden, cfg.point_dim
+    layout = [("enc.conv1.k", (c1, 1, 3, 3)), ("enc.conv2.k", (c2, c1, 3, 3)),
+              ("prompt", (1, cfg.n_prompt_params()))]
+
+    def linear(name, d_in, d_out):
+        layout.extend([(f"{name}.w", (d_in, d_out)), (f"{name}.b", (d_out,))])
+
+    def layer_norm(name, n):
+        layout.extend([(f"{name}.g", (n,)), (f"{name}.b", (n,))])
+
+    def mha(name, d_q, d_kv, d_out):
+        linear(f"{name}.wq", d_q, d_out)
+        # no key bias: a uniform shift of every key cancels inside the softmax
+        layout.append((f"{name}.wk.w", (d_kv, d_out)))
+        linear(f"{name}.wv", d_kv, d_out)
+        linear(f"{name}.wo", d_out, d_out)
+
+    linear("vis.fc1", cfg.flat_dim(), cfg.vis_hidden)
+    linear("vis.fc2", cfg.vis_hidden, d)
+    linear("traj.fc1", pdim, cfg.traj_hidden)
+    linear("traj.fc2", cfg.traj_hidden, d)
+    for branch in ("enc_v", "enc_t"):
+        for b in range(cfg.blocks):
+            mha(f"{branch}.{b}.attn", d, d, d)
+            layer_norm(f"{branch}.{b}.ln1", d)
+            linear(f"{branch}.{b}.mlp.fc1", d, cfg.mlp_ratio * d)
+            linear(f"{branch}.{b}.mlp.fc2", cfg.mlp_ratio * d, d)
+            layer_norm(f"{branch}.{b}.ln2", d)
+    linear("trans.h.fc1", 2 * d, d)
+    linear("trans.h.fc2", d, dz)
+    layer_norm("trans.h.ln", dz)
+    mha("trans.self", dz, dz, dz)
+    layer_norm("trans.ln_wbar", 2 * dz)
+    mha("trans.cross", 2 * dz, dz, dz)
+    layer_norm("trans.ln_what", 3 * dz)
+    linear("trans.inner.fc1", 3 * dz, dz)
+    linear("trans.inner.fc2", dz, dz)
+    linear("trans.outer.fc1", 4 * dz, 2 * dz)
+    linear("trans.outer.fc2", 2 * dz, dz)
+    layer_norm("trans.ln_z", dz)
+    layout.append(("trans.z0", (dz,)))
+    linear("emit.reembed", d, d)
+    for head in ("mean", "alpha", "beta") if pdim == 3 else ("mean", "alpha"):
+        linear(f"emit.{head}.fc1", dz + d, hidden)
+        linear(f"emit.{head}.fc2", hidden, pdim if head == "mean" else 1)
+    linear("vel.fc1", dz, hidden)
+    layer_norm("vel.ln", hidden)
+    linear("vel.fc2", hidden, pdim)
+    return tuple(layout)
+
+
 _DRAW_BLOCK = 1 << 15  # weights drawn per call, so each draw stays in cache
 
 
@@ -209,82 +272,28 @@ def _glorot(rng, fan_in, fan_out, dtype):
     return w
 
 
-def _add_linear(params, rng, name, d_in, d_out):
-    params.add(f"{name}.w", _glorot(rng, d_in, d_out, params.dtype))
-    params.add(f"{name}.b", np.zeros(d_out))
-
-
-def _add_layer_norm(params, name, d):
-    params.add(f"{name}.g", np.ones(d))
-    params.add(f"{name}.b", np.zeros(d))
-
-
-def _add_mha(params, rng, name, d_q, d_kv, d):
-    _add_linear(params, rng, f"{name}.wq", d_q, d)
-    # no key bias: a uniform shift of every key cancels inside the softmax
-    params.add(f"{name}.wk.w", _glorot(rng, d_kv, d, params.dtype))
-    _add_linear(params, rng, f"{name}.wv", d_kv, d)
-    _add_linear(params, rng, f"{name}.wo", d, d)
-
-
-FROZEN_ENCODER_SEED = 7041  # shared "pretrained" backbone across all runs
+FROZEN = ("enc.conv1.k", "enc.conv2.k")  # the frozen "pretrained" backbone
+FROZEN_ENCODER_SEED = 7041  # its weights' seed, shared across all runs
 
 
 def init_params(cfg, seed=0):
-    """Build every learnable tensor for the given configuration. Weights
-    are drawn in float64 whatever the compute dtype and rounded once to it,
-    so every dtype starts from the same weights."""
+    """Build every tensor of ``param_layout(cfg)`` in its order: the
+    ``FROZEN`` kernels He-normal from the ``FROZEN_ENCODER_SEED`` stream,
+    ``.w`` Glorot-uniform and ``trans.z0`` normal(0, 0.1) from the ``seed``
+    stream, ``.g`` ones and the rest zeros. Weights are drawn in float64
+    and rounded once to the compute dtype, so every dtype starts alike."""
     rng = np.random.default_rng(seed)
     frozen_rng = np.random.default_rng(FROZEN_ENCODER_SEED)
     p = Params(cfg.dtype)
-    c1, c2 = cfg.enc_channels
-    pdim = cfg.point_dim
-
-    p.add("enc.conv1.k", frozen_rng.normal(0, np.sqrt(2.0 / 9), (c1, 1, 3, 3)), frozen=True)
-    p.add("enc.conv2.k", frozen_rng.normal(0, np.sqrt(2.0 / (c1 * 9)), (c2, c1, 3, 3)), frozen=True)
-    p.add("prompt", np.zeros((1, cfg.n_prompt_params())))
-
-    _add_linear(p, rng, "vis.fc1", cfg.flat_dim(), cfg.vis_hidden)
-    _add_linear(p, rng, "vis.fc2", cfg.vis_hidden, cfg.d_obs)
-    _add_linear(p, rng, "traj.fc1", pdim, cfg.traj_hidden)
-    _add_linear(p, rng, "traj.fc2", cfg.traj_hidden, cfg.d_obs)
-
-    for branch in ("enc_v", "enc_t"):
-        for b in range(cfg.blocks):
-            base = f"{branch}.{b}"
-            _add_mha(p, rng, f"{base}.attn", cfg.d_obs, cfg.d_obs, cfg.d_obs)
-            _add_layer_norm(p, f"{base}.ln1", cfg.d_obs)
-            _add_linear(p, rng, f"{base}.mlp.fc1", cfg.d_obs, cfg.mlp_ratio * cfg.d_obs)
-            _add_linear(p, rng, f"{base}.mlp.fc2", cfg.mlp_ratio * cfg.d_obs, cfg.d_obs)
-            _add_layer_norm(p, f"{base}.ln2", cfg.d_obs)
-
-    dz = cfg.d_z
-    _add_linear(p, rng, "trans.h.fc1", 2 * cfg.d_obs, cfg.d_obs)
-    _add_linear(p, rng, "trans.h.fc2", cfg.d_obs, dz)
-    _add_layer_norm(p, "trans.h.ln", dz)
-    _add_mha(p, rng, "trans.self", dz, dz, dz)
-    _add_layer_norm(p, "trans.ln_wbar", 2 * dz)
-    _add_mha(p, rng, "trans.cross", 2 * dz, dz, dz)
-    _add_layer_norm(p, "trans.ln_what", 3 * dz)
-    _add_linear(p, rng, "trans.inner.fc1", 3 * dz, dz)
-    _add_linear(p, rng, "trans.inner.fc2", dz, dz)
-    _add_linear(p, rng, "trans.outer.fc1", 4 * dz, 2 * dz)
-    _add_linear(p, rng, "trans.outer.fc2", 2 * dz, dz)
-    _add_layer_norm(p, "trans.ln_z", dz)
-    p.add("trans.z0", rng.normal(0, 0.1, dz))
-
-    _add_linear(p, rng, "emit.reembed", cfg.d_obs, cfg.d_obs)
-    d_in = dz + cfg.d_obs
-    _add_linear(p, rng, "emit.mean.fc1", d_in, cfg.head_hidden)
-    _add_linear(p, rng, "emit.mean.fc2", cfg.head_hidden, pdim)
-    _add_linear(p, rng, "emit.alpha.fc1", d_in, cfg.head_hidden)
-    _add_linear(p, rng, "emit.alpha.fc2", cfg.head_hidden, 1)
-    if pdim == 3:
-        _add_linear(p, rng, "emit.beta.fc1", d_in, cfg.head_hidden)
-        _add_linear(p, rng, "emit.beta.fc2", cfg.head_hidden, 1)
-    _add_linear(p, rng, "vel.fc1", dz, cfg.head_hidden)
-    _add_layer_norm(p, "vel.ln", cfg.head_hidden)
-    _add_linear(p, rng, "vel.fc2", cfg.head_hidden, pdim)
+    for name, shape in param_layout(cfg):
+        if name in FROZEN:  # fan-in: the input channels times the 3x3 taps
+            p.add(name, frozen_rng.normal(0, np.sqrt(2.0 / math.prod(shape[1:])), shape))
+        elif name.endswith(".w"):
+            p.add(name, _glorot(rng, *shape, p.dtype))
+        elif name == "trans.z0":
+            p.add(name, rng.normal(0, 0.1, shape))
+        else:
+            p.add(name, np.ones(shape) if name.endswith(".g") else np.zeros(shape))
     return p
 
 
@@ -360,14 +369,10 @@ def frozen_encoder(params, cfg, frames):
     ``embed_border -> conv2d -> tanh -> conv2d -> tanh -> reshape`` lays
     them out (channel-major per frame).
 
-    Only the prompt learns, so the backward computes the prompt's gradient
-    alone, through the conv outputs whose windows reach the border. A conv
-    kernel that requires a gradient is refused rather than left without one.
+    Only the prompt learns (the kernels are ``FROZEN``), so the backward
+    computes the prompt's gradient alone, through the conv outputs whose
+    windows reach the border.
     """
-    for name in ("enc.conv1.k", "enc.conv2.k"):
-        if params[name].requires_grad:
-            raise ad.GraphError(f"frozen_encoder: {name} requires a gradient, but the "
-                                "fused encoder computes only the prompt's")
     prompt = params["prompt"]
     enc = _FrameEncoder(params["enc.conv1.k"].data, params["enc.conv2.k"].data, prompt.data,
                         frames, cfg.prompt_width, save=ad.is_recording((prompt,)))
@@ -548,16 +553,14 @@ def temporal_encode(params, cfg, x, observed, branch):
     return u
 
 
-# Parameters of the fused transition, in the order of its gradients after h.
-_TRANSITION_PARAMS = (
-    "self.wq.w", "self.wq.b", "self.wk.w", "self.wv.w", "self.wv.b", "self.wo.w", "self.wo.b",
-    "ln_wbar.g", "ln_wbar.b",
-    "cross.wq.w", "cross.wq.b", "cross.wk.w", "cross.wv.w", "cross.wv.b", "cross.wo.w",
-    "cross.wo.b", "ln_what.g", "ln_what.b",
-    "inner.fc1.w", "inner.fc1.b", "inner.fc2.w", "inner.fc2.b",
-    "outer.fc1.w", "outer.fc1.b", "outer.fc2.w", "outer.fc2.b",
-    "ln_z.g", "ln_z.b", "z0",
-)
+@functools.lru_cache(maxsize=16)
+def _fused_params(cfg):
+    """The parameter names of the fused transition (``trans.*`` but the
+    ``trans.h`` input MLP) and of the fused emission (``emit.*``, and
+    ``traj.*``, which re-embeds each previous mean), in layout order."""
+    names = [n for n, _ in param_layout(cfg)]
+    return (tuple(n for n in names if n.startswith("trans.") and not n.startswith("trans.h.")),
+            tuple(n for n in names if n.startswith(("emit.", "traj."))))
 
 
 def transition(params, cfg, h, observed, horizon):
@@ -571,8 +574,9 @@ def transition(params, cfg, h, observed, horizon):
     """
     n, t_enc, dz = h.shape
     t = int(horizon)
-    inputs = (h,) + tuple(params[f"trans.{k}"] for k in _TRANSITION_PARAMS)
-    roll = _Rollout({k: params[f"trans.{k}"].data for k in _TRANSITION_PARAMS}, h.data,
+    names = _fused_params(cfg)[0]
+    inputs = (h,) + tuple(params[k] for k in names)
+    roll = _Rollout({k.removeprefix("trans."): params[k].data for k in names}, h.data,
                     _key_mask(observed, cfg.heads, 1, t_enc, cfg.dtype),
                     positional_encoding(t, dz, cfg.dtype),
                     cfg.heads, save=ad.is_recording(inputs))
@@ -644,7 +648,7 @@ class _Rollout:
 
     def backward(self, g):
         """BPTT over the saved steps: gradients of h, then of each parameter
-        in _TRANSITION_PARAMS order.
+        in the order of ``w``.
 
         Rows are (N,d) here: the backward has no bit-identity to keep, and
         2-D products are the cheaper ones. Weight gradients accumulate step
@@ -655,10 +659,10 @@ class _Rollout:
         n, t, dz = self.z.shape
         dh = dz // heads
         wqkv = np.concatenate([w["self.wq.w"], w["self.wk.w"], w["self.wv.w"]], axis=1)
-        grads = {k: np.zeros_like(w[k]) for k in _TRANSITION_PARAMS if k.endswith(".w")}
+        grads = {k: np.zeros_like(w[k]) for k in w if k.endswith(".w")}
         grads["self.wqkv.w"] = np.zeros_like(wqkv)
         dtype = self.z.dtype
-        rows = {k: np.zeros((n, w[k].shape[-1]), dtype=dtype) for k in _TRANSITION_PARAMS
+        rows = {k: np.zeros((n, w[k].shape[-1]), dtype=dtype) for k in w
                 if k.endswith((".b", ".g"))}
         rows["self.wqkv.b"] = np.zeros((n, 3 * dz), dtype=dtype)
         # Attention terms of every step, so that each key/value gradient is
@@ -742,16 +746,7 @@ class _Rollout:
         grads.update((k, v.sum(axis=0)) for k, v in rows.items())
         grads["z0"] = dz_.sum(axis=0)
         dh_in = (dkh @ w["cross.wk.w"].T + dvh @ w["cross.wv.w"].T).reshape(self.h.shape)
-        return (dh_in,) + tuple(grads[k] for k in _TRANSITION_PARAMS)
-
-
-def _emission_params(cfg):
-    """Parameters of the fused emission, in the order of its gradients after
-    z and o_t: the heads' two layers, then the re-embedding of the previous
-    mean (``embed_points`` followed by ``emit.reembed``)."""
-    heads = ("mean", "alpha", "beta") if cfg.point_dim == 3 else ("mean", "alpha")
-    return tuple(f"emit.{h}.{fc}.{k}" for h in heads for fc in ("fc1", "fc2") for k in "wb") + (
-        "emit.reembed.w", "emit.reembed.b", "traj.fc1.w", "traj.fc1.b", "traj.fc2.w", "traj.fc2.b")
+        return (dh_in,) + tuple(grads[k] for k in w)
 
 
 def emit(params, cfg, z, o_t, observed):
@@ -766,7 +761,7 @@ def emit(params, cfg, z, o_t, observed):
     is None in 2d mode. The forward runs in numpy; the backward is
     hand-written BPTT through the previous-mean recurrence.
     """
-    names = _emission_params(cfg)
+    names = _fused_params(cfg)[1]
     inputs = (z, o_t) + tuple(params[k] for k in names)
     em = _Emission({k: params[k].data for k in names}, z.data, o_t.data,
                    np.asarray(observed), save=ad.is_recording(inputs))
@@ -842,7 +837,7 @@ class _Emission:
 
     def backward(self, g):
         """BPTT over the saved steps: gradients of z, o_t, then of each
-        parameter in _emission_params order.
+        parameter in the order of ``w``.
 
         Rows are 2-D here: the backward has no bit-identity to keep. Alpha
         and beta do not feed the recurrence, so their gradients run for
@@ -988,57 +983,58 @@ def forecast(params, cfg, frames, points, observed_count):
 
 
 def save_checkpoint(params, cfg, path, extra=None):
-    """Write <path>.bin (flat doubles, whatever the compute dtype) and
-    <path>.json (manifest). Tensors are written one by one, so at most one
-    tensor's float64 copy is held."""
+    """Write <path>.json ({config, extra}) and <path>.bin, the float64
+    values of each tensor in store order (a model's: layout order), one
+    tensor at a time, so at most one tensor's float64 copy is held."""
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
-    manifest, offset = [], 0
     with open(base.with_suffix(".bin"), "wb") as f:
-        for name, t in params.items():
-            flat = np.ascontiguousarray(t.data, dtype=np.float64).reshape(-1)
-            manifest.append({"name": name, "offset": offset, "shape": list(t.data.shape),
-                             "frozen": not t.requires_grad})
-            f.write(flat)
-            offset += flat.size
-    doc = {"config": asdict(cfg), "params": manifest, "extra": extra or {}}
+        for _, t in params.items():
+            f.write(np.ascontiguousarray(t.data, dtype=np.float64))
     with open(base.with_suffix(".json"), "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
+        json.dump({"config": asdict(cfg), "extra": extra or {}}, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
 class CheckpointError(ValueError):
-    """A checkpoint whose ``.json`` is not a JSON object, whose config
-    ``ModelConfig`` refuses, whose ``.bin`` is not 8 bytes per value its
-    ``.json`` names, or (optimizer state) whose tensors do not match the
-    model's."""
+    """A checkpoint whose ``.json`` is not a JSON object with a ``config``
+    object that ``ModelConfig`` accepts (and an ``extra`` object, if any),
+    or whose ``.bin`` is not 8 bytes per value of the config's layout; or
+    an optimizer state whose moments do not match the model's trainable
+    tensors, or whose extra has no step count ``t``."""
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (params, cfg, extra), the params in the
-    config's compute dtype. A refused checkpoint raises CheckpointError."""
+def load_checkpoint(path, layout=param_layout):
+    """Read a checkpoint; returns (params, cfg, extra), the tensors of
+    ``layout(cfg)`` in the config's compute dtype. Any other field of the
+    ``.json``, such as the tensor list older writers added, is ignored. A
+    refused checkpoint raises CheckpointError."""
     base = Path(path)
     with open(base.with_suffix(".json")) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise CheckpointError(f"checkpoint {base}: {f.name} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"checkpoint {base}: {f.name} is not a JSON object")
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise CheckpointError(f"checkpoint {base}: {f.name} is not a JSON object with a "
+                              "config object")
+    extra = doc.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"checkpoint {base}: the extra of {f.name} is not an object")
     try:
         cfg = ModelConfig(**doc["config"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint {base}: {e}") from None
-    sizes = [int(np.prod(entry["shape"])) for entry in doc["params"]]
+    entries = layout(cfg)
+    bounds = np.cumsum([0] + [math.prod(shape) for _, shape in entries])
     with open(base.with_suffix(".bin"), "rb") as f:
         buf = f.read()
-    if len(buf) != 8 * sum(sizes):
+    if len(buf) != 8 * bounds[-1]:
         raise CheckpointError(f"checkpoint {base}: {base.with_suffix('.bin')} holds {len(buf)} "
-                              f"bytes, not the {8 * sum(sizes)} of its {sum(sizes)} values")
+                              f"bytes, not the {8 * bounds[-1]} of the {bounds[-1]} values its "
+                              "config lays out")
     raw = np.frombuffer(buf, dtype=np.float64)
     params = Params(cfg.dtype)
-    for entry, size in zip(doc["params"], sizes):
-        data = np.array(raw[entry["offset"] : entry["offset"] + size].reshape(entry["shape"]),
-                        dtype=cfg.dtype)
-        params.add(entry["name"], data, frozen=entry["frozen"])
-    return params, cfg, doc.get("extra", {})
+    for (name, shape), a, b in zip(entries, bounds, bounds[1:]):
+        params.add(name, np.array(raw[a:b].reshape(shape), dtype=cfg.dtype))
+    return params, cfg, extra

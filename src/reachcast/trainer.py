@@ -23,6 +23,8 @@ from .geometry import BehindCameraError, normalize_pixel, project
 
 OBSERVATION_MODES = ("fixed", "random")
 EVAL_BATCH = 256  # samples per model call in evaluation, which bounds its memory
+RATIO_RANGE = (0.1, 0.9)  # the any-time protocol: random-mode ratios are uniform on it
+CLIP_NORM = 10.0  # every training step clips the gradient to this global norm
 
 
 @dataclass(frozen=True)
@@ -33,24 +35,17 @@ class TrainConfig:
     batch_size: int = 128
     observation_mode: str = "fixed"
     observation_ratio: float = 0.6
-    ratio_low: float = 0.1
-    ratio_high: float = 0.9
     seed: int = 0
-    clip_norm: float = 10.0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.warmup_epochs < 0:
             raise ValueError("epochs and batch_size must be >= 1, and warmup_epochs >= 0")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
-        if not isinstance(self.clip_norm, (int, float)) or not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be a number > 0, got {self.clip_norm!r}")
         if self.observation_mode not in OBSERVATION_MODES:
             raise ValueError(f"observation_mode must be one of {OBSERVATION_MODES}")
         if not 0 < self.observation_ratio < 1:
             raise ValueError("observation_ratio must be in (0, 1)")
-        if not self.ratio_low < self.ratio_high:
-            raise ValueError("ratio_low must be < ratio_high")
 
 
 @dataclass
@@ -105,7 +100,7 @@ def observation_count(horizon, cfg, rng=None):
     else:
         if rng is None:
             raise ValueError("random observation mode needs an rng")
-        ratio = rng.uniform(cfg.ratio_low, cfg.ratio_high)
+        ratio = rng.uniform(*RATIO_RANGE)
     return int(np.clip(math.floor(ratio * horizon + 0.5), 1, horizon - 1))
 
 
@@ -236,17 +231,25 @@ class Adam:
     def load(cls, params, path):
         """Restore an optimizer written by ``save`` for the same parameters,
         its moments in their dtype."""
-        store, _, extra = M.load_checkpoint(path)
-        expected = {f"{k}.{n}": p.shape for n, p in params.trainable_items() for k in "mv"}
-        if {n: t.shape for n, t in store.items()} != expected:
+        opt = cls(params)
+        store, _, extra = M.load_checkpoint(path, layout=_moment_layout)
+        if [(n, t.shape) for n, t in store.items()] != [(f"{k}.{n}", m.shape)
+                                                        for n, m in opt.m.items() for k in "mv"]:
             raise M.CheckpointError(f"checkpoint {path}: optimizer state does not match the "
                                     "model's parameters")
-        opt = cls(params)
+        if type(extra.get("t")) is not int or extra["t"] < 0:
+            raise M.CheckpointError(f"checkpoint {path}: optimizer state has no step count t")
         for n in opt.m:
             opt.m[n][...] = store[f"m.{n}"].data
             opt.v[n][...] = store[f"v.{n}"].data
-        opt.t = int(extra["t"])
+        opt.t = extra["t"]
         return opt
+
+
+def _moment_layout(cfg):
+    """An optimizer state: the moments m and v of each trainable tensor, in layout order."""
+    return tuple((f"{k}.{n}", shape) for n, shape in M.param_layout(cfg) if n not in M.FROZEN
+                 for k in "mv")
 
 
 def lr_at(epoch, cfg):
@@ -287,7 +290,7 @@ def fit(params, cfg, samples, norm, train_cfg, loss_cfg=None, start_epoch=0, opt
                 out = M.forward_batch(params, cfg, frames, points, obs, lengths)
                 total, loc, velo = L.total_batch(out, points, obs, valid, loss_cfg)
                 g.backward(total)
-            opt.step(lr, clip_norm=train_cfg.clip_norm)
+            opt.step(lr, clip_norm=CLIP_NORM)
             n = len(chunk)
             tot_sum += float(total.data) * n
             loc_sum += float(loc.data) * n

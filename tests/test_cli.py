@@ -140,13 +140,17 @@ def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
     pytest.param(["--epochs", "0"], {}, "bad train config", id="--epochs-0"),
     pytest.param(["--batch-size", "0"], {}, "bad train config", id="--batch-size-0"),
     pytest.param(["--lr", "-1"], {}, "bad train config", id="--lr--1"),
-    # a negative clip norm climbs the loss, 0 freezes training, null turns clipping off
-    pytest.param([], {"train": {"clip_norm": -1.0}}, "clip_norm must be a number > 0",
+    # the clip norm and the random-mode ratio range are trainer constants, not settings
+    pytest.param([], {"train": {"clip_norm": -1.0}}, "unknown train config key: 'clip_norm'",
                  id="clip_norm--1"),
-    pytest.param([], {"train": {"clip_norm": 0}}, "clip_norm must be a number > 0",
+    pytest.param([], {"train": {"clip_norm": 0}}, "unknown train config key: 'clip_norm'",
                  id="clip_norm-0"),
-    pytest.param([], {"train": {"clip_norm": None}}, "clip_norm must be a number > 0",
+    pytest.param([], {"train": {"clip_norm": None}}, "unknown train config key: 'clip_norm'",
                  id="clip_norm-null"),
+    pytest.param([], {"train": {"ratio_low": 0.1}}, "unknown train config key: 'ratio_low'",
+                 id="ratio_low"),
+    pytest.param([], {"train": {"ratio_high": 0.9}}, "unknown train config key: 'ratio_high'",
+                 id="ratio_high"),
     pytest.param([], {"train": {"warmup_epochs": -1}}, "warmup_epochs >= 0", id="warmup--1"),
     pytest.param([], {"model": {"heads": 0}}, "heads must be >= 1", id="heads-0"),
     pytest.param([], {"model": {"d_z": 0}}, "d_z must be >= 1", id="d_z-0"),
@@ -173,8 +177,12 @@ def test_bad_train_values_refused_before_writing(dataset, tmp_path, capsys, flag
 @pytest.mark.parametrize("text, message", [
     ("{", "is not valid JSON"), ("[]", "is not a JSON object"),
     # the training seed is train.seed; a top-level copy of it is unknown
-    ('{"seed": 3, "train": {"seed": 5}}', "unknown config key 'seed'")],
-    ids=["invalid-json", "json-list", "top-level-seed"])
+    ('{"seed": 3, "train": {"seed": 5}}', "unknown config key 'seed'"),
+    ('{"train": []}', "'train' is not an object"),
+    ('{"model": "desk"}', "'model' is not an object"),
+    ('{"loss": 1}', "'loss' is not an object"), ('{"out": ["a"]}', "'out' is not a string")],
+    ids=["invalid-json", "json-list", "top-level-seed", "train-list", "model-string",
+         "loss-number", "out-list"])
 def test_bad_config_file_refused_before_writing(dataset, tmp_path, capsys, text, message):
     out, path = tmp_path / "run", tmp_path / "run.json"
     path.write_text(text)
@@ -246,6 +254,13 @@ def _json_text(text):
     return spoil
 
 
+def _drop_config(base):
+    path = base.with_suffix(".json")
+    doc = json.loads(path.read_text())
+    del doc["config"]
+    path.write_text(json.dumps(doc))
+
+
 def _name_local_3d(base):
     path = base.with_suffix(".json")
     doc = json.loads(path.read_text())
@@ -258,8 +273,10 @@ def _name_local_3d(base):
 @pytest.mark.parametrize("spoil, message", [
     (_cut_8_bytes, "bytes, not the"), (_pad_16_bytes, "bytes, not the"),
     (_name_local_3d, "coordinate_mode must be one of ('global-3d', '2d')"),
-    (_json_text("{"), ".json is not valid JSON"), (_json_text("[]"), ".json is not a JSON object")],
-    ids=["short", "padded", "local-3d", "invalid-json", "json-list"])
+    (_json_text("{"), ".json is not valid JSON"), (_json_text("[]"), ".json is not a JSON object"),
+    (_drop_config, ".json is not a JSON object with a config object"),
+    (_json_text('{"config": {}, "extra": []}'), "is not an object")],
+    ids=["short", "padded", "local-3d", "invalid-json", "json-list", "no-config", "extra-list"])
 def test_refused_checkpoint_is_a_usage_error(dataset, trained, tmp_path, capsys, command, name,
                                              spoil, message):
     run, out = tmp_path / "run", tmp_path / "out"
@@ -279,14 +296,66 @@ def test_refused_checkpoint_is_a_usage_error(dataset, trained, tmp_path, capsys,
 
 
 def test_resume_with_another_models_optimizer_state_refused(dataset, trained, tmp_path, capsys):
+    # a desk model's optimizer state beside the tiny checkpoint
     run, out = tmp_path / "run", tmp_path / "out"
     shutil.copytree(trained.parent, run)
-    doc = json.loads((run / "ckpt_adam.json").read_text())
-    doc["params"][0]["name"] = "m.other"
-    (run / "ckpt_adam.json").write_text(json.dumps(doc))
+    desk = model.ModelConfig.desk()
+    trainer.Adam(model.init_params(desk)).save(run / "ckpt_adam", desk)
     assert cli.main(_train_argv(dataset, out, 2, "--resume", str(run / "ckpt"))) == 2
     assert capsys.readouterr().err.startswith(f"error: checkpoint {run / 'ckpt_adam'}: optimizer "
                                               "state does not match")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, extra, message", [
+    ("eval", "ckpt", {}, "has no 'norm'"), ("forecast", "ckpt", {}, "has no 'norm'"),
+    ("train", "ckpt", {"epoch": 1}, "has no 'norm'"),
+    ("eval", "ckpt", {"norm": {"min": [0, 0, 0], "max": [1, 1]}}, "has no 'norm'"),
+    ("train", "ckpt_adam", {}, "has no step count t"),
+    ("train", "ckpt_adam", {"t": "1"}, "has no step count t")],
+    ids=["eval", "forecast", "train", "eval-2-max", "adam", "adam-t-string"])
+def test_checkpoint_extra_without_its_fields_refused(dataset, trained, tmp_path, capsys, command,
+                                                     name, extra, message):
+    run, out = tmp_path / "run", tmp_path / "out"
+    shutil.copytree(trained.parent, run)
+    doc = json.loads((run / name).with_suffix(".json").read_text())
+    (run / name).with_suffix(".json").write_text(json.dumps({**doc, "extra": extra}))
+    if command == "train":
+        argv = _train_argv(dataset, out, 2, "--resume", str(run / "ckpt"))
+    else:
+        argv = [command, "--ckpt", str(run / "ckpt"), "--data", str(dataset), "--out", str(out)]
+        argv += ["--id", "s00000"] if command == "forecast" else []
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {run / name}: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("train", lambda doc: doc.pop("splits"), "has no 'splits' object"),
+    ("eval", lambda doc: doc.pop("splits"), "has no 'splits' object"),
+    ("forecast", lambda doc: doc.update(splits={"train": 3}), "has no 'splits' object"),
+    ("train", lambda doc: doc.pop("norm"), "has no 'norm'"),
+    ("train", lambda doc: doc.update(norm={"min": [0, 0, 0], "max": [1, 0, 1]}),
+     "each below its 'max'")],
+    ids=["train-no-splits", "eval-no-splits", "forecast-split-number", "train-no-norm",
+         "train-norm-degenerate"])
+def test_manifest_without_its_fields_refused(dataset, trained, tmp_path, capsys, command, edit,
+                                             message):
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(dataset, data)
+    manifest = data / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    if command == "train":
+        argv = _train_argv(data, out, 1)
+    else:
+        argv = [command, "--ckpt", str(trained), "--data", str(data), "--out", str(out)]
+        argv += ["--id", "s00000"] if command == "forecast" else []
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest} has no ") and message in err
     assert not out.exists()
 
 

@@ -149,7 +149,7 @@ class TestFusedMatchesReference:
     def test_forward_without_tape_matches_taped(self, preset):
         cfg, params = preset
         z, o_t, observed, weights = _case(cfg, 3, seed=31)
-        names = M._emission_params(cfg)
+        names = M._fused_params(cfg)[1]
         inputs = (ad.constant(z), ad.constant(o_t)) + tuple(params[k] for k in names)
         untaped = M._Emission({k: params[k].data for k in names}, z, o_t, observed,
                               save=ad.is_recording(inputs))

@@ -172,11 +172,3 @@ def test_zero_prompt_width():
     assert g_f["prompt"].shape == (1, 0)
     np.testing.assert_array_equal(g_f["vis.fc1.w"], g_r["vis.fc1.w"])
 
-
-@pytest.mark.parametrize("kernel", ["enc.conv1.k", "enc.conv2.k"])
-def test_trainable_kernel_refused(kernel):
-    cfg = ModelConfig.tiny()
-    params = _model(cfg)
-    params[kernel].requires_grad = True
-    with pytest.raises(ad.GraphError, match=kernel):
-        M.frozen_encoder(params, cfg, _frames(cfg, (1,), seed=71))

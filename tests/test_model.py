@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from reachcast import autodiff as ad
 from reachcast import losses as L
 from reachcast import model as M
+from reachcast import trainer as T
 from reachcast.model import ModelConfig
 
 
@@ -106,6 +107,96 @@ class TestParams:
             warnings.simplefilter("always")
             M.load_checkpoint(path)
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("mode", M.COORDINATE_MODES)
+    @pytest.mark.parametrize("preset", ["tiny", "desk", "paper"])
+    def test_layout_is_what_init_builds(self, preset, mode):
+        cfg = getattr(ModelConfig, preset)(coordinate_mode=mode)
+        params = M.init_params(cfg, seed=0)
+        assert M.param_layout(cfg) == tuple((n, t.data.shape) for n, t in params.items())
+        assert {n for n, t in params.items() if not t.requires_grad} == set(M.FROZEN)
+
+    def test_checkpoint_json_holds_config_and_extra_only(self, tmp_path, tiny):
+        cfg, params = tiny
+        M.save_checkpoint(params, cfg, tmp_path / "ckpt", extra={"epoch": 1})
+        assert json.loads((tmp_path / "ckpt.json").read_text()).keys() == {"config", "extra"}
+
+
+def _add_tensor_list(path, store):
+    """Give the checkpoint at ``path`` the .json of the writer before the
+    parameter layout: every tensor of ``store``, as written, listed by
+    name, offset, shape and frozen flag. Returns that list."""
+    entries, offset = [], 0
+    for name, t in store.items():
+        entries.append({"name": name, "offset": offset, "shape": list(t.data.shape),
+                        "frozen": not t.requires_grad})
+        offset += t.data.size
+    json_path = path.with_suffix(".json")
+    doc = json.loads(json_path.read_text())
+    json_path.write_text(json.dumps({**doc, "params": entries}, indent=1, sort_keys=True) + "\n")
+    return entries
+
+
+def _stepped_tiny(seed):
+    """A tiny model and its optimizer after two steps on random gradients."""
+    cfg = ModelConfig.tiny()
+    params = M.init_params(cfg, seed=seed)
+    opt = T.Adam(params)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        for _, p in params.trainable_items():
+            p.grad = rng.standard_normal(p.data.shape)
+        opt.step(lr=1e-2, clip_norm=T.CLIP_NORM)
+    return cfg, params, opt
+
+
+def _assert_same_store(a, b):
+    assert [(n, t.requires_grad) for n, t in a.items()] == [(n, t.requires_grad)
+                                                            for n, t in b.items()]
+    for (n, ta), (_, tb) in zip(a.items(), b.items()):
+        assert ta.data.dtype == tb.data.dtype and ta.data.tobytes() == tb.data.tobytes(), n
+
+
+class TestCheckpointsWithATensorList:
+    """Checkpoints and optimizer states written before the parameter
+    layout: their .json also lists every tensor, and that list is ignored."""
+
+    def test_load_bit_identically(self, tmp_path):
+        cfg, params, opt = _stepped_tiny(seed=2)
+        M.save_checkpoint(params, cfg, tmp_path / "ckpt", extra={"epoch": 2})
+        _add_tensor_list(tmp_path / "ckpt", params)
+        loaded, cfg2, extra = M.load_checkpoint(tmp_path / "ckpt")
+        assert cfg2 == cfg and extra == {"epoch": 2}
+        _assert_same_store(params, loaded)
+        opt.save(tmp_path / "adam", cfg)
+        store = M.Params(params.dtype)
+        for n in opt.m:
+            store.add(f"m.{n}", opt.m[n])
+            store.add(f"v.{n}", opt.v[n])
+        _add_tensor_list(tmp_path / "adam", store)
+        back = T.Adam.load(loaded, tmp_path / "adam")
+        assert back.t == opt.t == 2 and back.m.keys() == opt.m.keys()
+        for n in opt.m:
+            assert back.m[n].tobytes() == opt.m[n].tobytes(), n
+            assert back.v[n].tobytes() == opt.v[n].tobytes(), n
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda entries: entries[5].update(offset=entries[5]["offset"] + 1),
+                     id="offset"),
+        pytest.param(lambda entries: entries[3].update(offset=entries[4]["offset"]),
+                     id="offset-of-another"),
+        pytest.param(lambda entries: entries[3].update(name="vis.fc1.x"), id="renamed"),
+        pytest.param(lambda entries: entries[0].update(frozen=False), id="kernel-not-frozen"),
+        pytest.param(lambda entries: entries[4].update(shape=[1]), id="shape")])
+    def test_edited_list_does_not_change_what_loads(self, tmp_path, tiny, edit):
+        cfg, params = tiny
+        path = tmp_path / "ckpt"
+        M.save_checkpoint(params, cfg, path)
+        entries = _add_tensor_list(path, params)
+        edit(entries)
+        doc = json.loads(path.with_suffix(".json").read_text())
+        path.with_suffix(".json").write_text(json.dumps({**doc, "params": entries}))
+        _assert_same_store(params, M.load_checkpoint(path)[0])
 
 
 class TestFrameEncoder:

@@ -110,7 +110,7 @@ class TestObservationCount:
         assert observation_count(10, TrainConfig(observation_ratio=0.99)) == 9
 
     def test_random_bounds_exhaustive(self):
-        cfg = TrainConfig(observation_mode="random", ratio_low=0.1, ratio_high=0.9)
+        cfg = TrainConfig(observation_mode="random")
         rng = np.random.default_rng(0)
         counts = {observation_count(10, cfg, rng) for _ in range(1000)}
         assert min(counts) >= 1 and max(counts) <= 9
