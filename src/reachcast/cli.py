@@ -24,13 +24,14 @@ or (``train``) without a ``norm`` of 3 ``min`` values each below its
 ``model.CheckpointError`` refuses (no config object, a config
 ``ModelConfig`` refuses, a ``.bin`` that is not the size the config's
 parameter layout needs, or optimizer moments that do not match the
-model); a checkpoint whose extra has no such ``norm``; a malformed
-dataset, a line or frames file that ``datagen.ParseError`` names by line
-and sample; an empty split, or a sample ``trainer.check_sample``
-refuses, that a command would feed the model; and a ``--resume`` whose
-model, train or loss config differs from the checkpoint's. Bad values
-are refused before a command writes anything, and every output's
-directory is created as needed.
+model); a checkpoint whose extra has no such ``norm`` or, for
+``--resume``, no ``train`` and ``loss`` objects and non-negative integer
+``epoch``; a malformed dataset, a line or frames file that
+``datagen.ParseError`` names by line and sample; an empty split, or a
+sample ``trainer.check_sample`` refuses, that a command would feed the
+model; and a ``--resume`` whose model, train or loss config differs
+from the checkpoint's. Bad values are refused before a command writes
+anything, and every output's directory is created as needed.
 """
 
 import os
@@ -154,11 +155,15 @@ def _norm_from(doc, source):
     return lo, hi
 
 
+def _checkpoint_json(path):
+    """How a refusal names the ``.json`` of the checkpoint at base path ``path``."""
+    return f"checkpoint {path}: {Path(path).with_suffix('.json')}"
+
+
 def _open_checkpoint(path):
     """(params, cfg, extra, norm) of the checkpoint at base path ``path``."""
     params, cfg, extra = model.load_checkpoint(path)
-    where = f"checkpoint {path}: {Path(path).with_suffix('.json')}"
-    return params, cfg, extra, _norm_from(extra, where)
+    return params, cfg, extra, _norm_from(extra, _checkpoint_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +247,15 @@ def cmd_train(args):
     if not data_dir:
         raise ConfigError("no dataset: pass --data or set 'data' in the config")
 
-    cfg = _section(model.ModelConfig, "model", doc.get("model", {}), {"preset": args.preset})
     overrides = {"epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
                  "seed": args.seed, "observation_mode": args.observation_mode,
                  "observation_ratio": args.observation_ratio}
-    train_cfg = _section(trainer.TrainConfig, "train", doc.get("train", {}), overrides)
-    loss_cfg = _section(losses.LossConfig, "loss", doc.get("loss", {}))
+    try:
+        cfg = _section(model.ModelConfig, "model", doc.get("model", {}), {"preset": args.preset})
+        train_cfg = _section(trainer.TrainConfig, "train", doc.get("train", {}), overrides)
+        loss_cfg = _section(losses.LossConfig, "loss", doc.get("loss", {}))
+    except ConfigError as e:  # flags or the config file: name the file, if there is one
+        raise ConfigError(f"config {args.config}: {e}" if args.config else str(e)) from None
 
     (train_samples,), manifest = _load_splits(data_dir, ["train"])
     norm = _norm_from(manifest, Path(data_dir) / "manifest.json")
@@ -257,14 +265,19 @@ def cmd_train(args):
     optimizer = None
     if args.resume:
         params, saved_cfg, extra, norm = _open_checkpoint(args.resume)
-        saved = {"model": dataclasses.asdict(saved_cfg), **extra}
+        saved = {"model": dataclasses.asdict(saved_cfg), "train": extra.get("train"),
+                 "loss": extra.get("loss")}
+        start_epoch = extra.get("epoch")
+        if (not isinstance(saved["train"], dict) or not isinstance(saved["loss"], dict)
+                or type(start_epoch) is not int or start_epoch < 0):
+            raise ConfigError(f"{_checkpoint_json(args.resume)} has no extra 'train' and 'loss' "
+                              "objects and non-negative integer 'epoch'")
         for label, section in (("model", cfg), ("train", train_cfg), ("loss", loss_cfg)):
             changed = [k for k, v in dataclasses.asdict(section).items()
-                       if k != "epochs" and saved.get(label, {}).get(k) != v]
+                       if k != "epochs" and saved[label].get(k) != v]
             if changed:
                 raise ConfigError(f"--resume: {label} config differs from the checkpoint's in "
                                   f"{', '.join(changed)}")
-        start_epoch = int(extra.get("epoch", 0))
         if train_cfg.epochs <= start_epoch:
             raise ConfigError(f"--resume: the checkpoint is at epoch {start_epoch}; "
                               f"--epochs {train_cfg.epochs} leaves nothing to train")

@@ -39,8 +39,8 @@ tests/test_emission.py.
 The config alone decides the parameters: ``param_layout(cfg)`` names each
 tensor and its shape in the one order that initialisation, the fused ops
 and checkpoints follow, and ``FROZEN`` names the backbone, whose two
-kernels take no gradient. A checkpoint is its config, its extra, and the
-float64 values of every tensor in layout order.
+kernels take no gradient. A checkpoint is its config, its extra, and its
+``Params`` store's flat array as float64.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +92,11 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "enc_channels", tuple(self.enc_channels))  # JSON gives lists
+        sizes = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"}
+        bad = [k for k, v in sizes.items() if type(v) is not int]  # 8.0 and True too
+        bad += ["enc_channels"] if any(type(c) is not int for c in self.enc_channels) else []
+        if bad:
+            raise ValueError(f"sizes must be integers: {', '.join(bad)}")
         if len(self.enc_channels) != 2:
             raise ValueError(f"enc_channels must name 2 channel counts, got {self.enc_channels}")
         small = [k for k in ("d_obs", "d_z", "heads", "mlp_ratio", "frame_h", "frame_w",
@@ -173,20 +178,21 @@ class ForecastOutput:
 
 
 class Params:
-    """Named parameter tensors of one dtype in fixed insertion order. A
-    tensor requires a gradient unless its name is in ``FROZEN``."""
+    """The tensors of a layout, (name, shape) pairs, as views of one zeroed
+    array ``flat``; ``spans[name]`` is a tensor's (first, stop) in it. Only
+    the store turns a layout into offsets. A tensor requires a gradient
+    unless its name is in ``FROZEN``."""
 
-    def __init__(self, dtype):
-        self.dtype = np.dtype(dtype)
-        self._tensors = {}
-
-    def add(self, name, array):
-        """Add a tensor holding ``array`` cast to the store's dtype."""
-        if name in self._tensors:
-            raise ValueError(f"duplicate parameter {name}")
-        t = ad.Tensor(np.asarray(array, dtype=self.dtype), requires_grad=name not in FROZEN)
-        self._tensors[name] = t
-        return t
+    def __init__(self, layout, dtype):
+        bounds = np.cumsum([0] + [math.prod(shape) for _, shape in layout]).tolist()
+        self.flat = np.zeros(bounds[-1], dtype=dtype)
+        self.spans, self._tensors = {}, {}
+        for (name, shape), lo, hi in zip(layout, bounds, bounds[1:]):
+            if name in self._tensors:
+                raise ValueError(f"duplicate parameter {name}")
+            self.spans[name] = (lo, hi)
+            self._tensors[name] = ad.Tensor(self.flat[lo:hi].reshape(shape),
+                                            requires_grad=name not in FROZEN)
 
     def __getitem__(self, name):
         return self._tensors[name]
@@ -258,18 +264,17 @@ def param_layout(cfg):
     return tuple(layout)
 
 
-_DRAW_BLOCK = 1 << 15  # weights drawn per call, so each draw stays in cache
+_BLOCK = 1 << 15  # values drawn or written per call, so each temporary stays in cache
 
 
-def _glorot(rng, fan_in, fan_out, dtype):
-    """Glorot-uniform weights: the float64 stream of one draw, rounded to
-    ``dtype``. Drawn in row blocks that are cast as they come."""
-    s = np.sqrt(6.0 / (fan_in + fan_out))
-    w = np.empty((fan_in, fan_out), dtype=dtype)
-    rows = max(1, _DRAW_BLOCK // fan_out)
-    for lo in range(0, fan_in, rows):
-        w[lo : lo + rows] = rng.uniform(-s, s, size=(min(rows, fan_in - lo), fan_out))
-    return w
+def _glorot(rng, w):
+    """Fill the (fan_in, fan_out) array ``w`` with Glorot-uniform weights:
+    the float64 stream of one draw, rounded to its dtype. Drawn in row
+    blocks that are cast into ``w`` as they come."""
+    s = np.sqrt(6.0 / sum(w.shape))
+    rows = max(1, _BLOCK // w.shape[1])
+    for lo in range(0, len(w), rows):
+        w[lo : lo + rows] = rng.uniform(-s, s, size=w[lo : lo + rows].shape)
 
 
 FROZEN = ("enc.conv1.k", "enc.conv2.k")  # the frozen "pretrained" backbone
@@ -277,23 +282,23 @@ FROZEN_ENCODER_SEED = 7041  # its weights' seed, shared across all runs
 
 
 def init_params(cfg, seed=0):
-    """Build every tensor of ``param_layout(cfg)`` in its order: the
+    """The store of ``param_layout(cfg)``, drawn into its views in order:
     ``FROZEN`` kernels He-normal from the ``FROZEN_ENCODER_SEED`` stream,
     ``.w`` Glorot-uniform and ``trans.z0`` normal(0, 0.1) from the ``seed``
-    stream, ``.g`` ones and the rest zeros. Weights are drawn in float64
-    and rounded once to the compute dtype, so every dtype starts alike."""
+    stream, ``.g`` ones, the rest zero. Weights are drawn in float64 and
+    rounded once to the compute dtype, so every dtype starts alike."""
     rng = np.random.default_rng(seed)
     frozen_rng = np.random.default_rng(FROZEN_ENCODER_SEED)
-    p = Params(cfg.dtype)
-    for name, shape in param_layout(cfg):
+    p = Params(param_layout(cfg), cfg.dtype)
+    for name, t in p.items():
         if name in FROZEN:  # fan-in: the input channels times the 3x3 taps
-            p.add(name, frozen_rng.normal(0, np.sqrt(2.0 / math.prod(shape[1:])), shape))
+            t.data[...] = frozen_rng.normal(0, np.sqrt(2.0 / math.prod(t.shape[1:])), t.shape)
         elif name.endswith(".w"):
-            p.add(name, _glorot(rng, *shape, p.dtype))
+            _glorot(rng, t.data)
         elif name == "trans.z0":
-            p.add(name, rng.normal(0, 0.1, shape))
-        else:
-            p.add(name, np.ones(shape) if name.endswith(".g") else np.zeros(shape))
+            t.data[...] = rng.normal(0, 0.1, t.shape)
+        elif name.endswith(".g"):
+            t.data[...] = 1.0
     return p
 
 
@@ -983,14 +988,15 @@ def forecast(params, cfg, frames, points, observed_count):
 
 
 def save_checkpoint(params, cfg, path, extra=None):
-    """Write <path>.json ({config, extra}) and <path>.bin, the float64
-    values of each tensor in store order (a model's: layout order), one
-    tensor at a time, so at most one tensor's float64 copy is held."""
+    """Write <path>.json ({config, extra}) and <path>.bin, the store's flat
+    array (or a dict's tensors in order) as little-endian float64, written
+    ``_BLOCK`` values at a time so that no full copy is held."""
     base = Path(path)
     base.parent.mkdir(parents=True, exist_ok=True)
     with open(base.with_suffix(".bin"), "wb") as f:
         for _, t in params.items():
-            f.write(np.ascontiguousarray(t.data, dtype=np.float64))
+            for lo in range(0, t.data.size, _BLOCK):
+                f.write(t.data.reshape(-1)[lo : lo + _BLOCK].astype("<f8"))
     with open(base.with_suffix(".json"), "w") as f:
         json.dump({"config": asdict(cfg), "extra": extra or {}}, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -1005,10 +1011,10 @@ class CheckpointError(ValueError):
 
 
 def load_checkpoint(path, layout=param_layout):
-    """Read a checkpoint; returns (params, cfg, extra), the tensors of
-    ``layout(cfg)`` in the config's compute dtype. Any other field of the
-    ``.json``, such as the tensor list older writers added, is ignored. A
-    refused checkpoint raises CheckpointError."""
+    """Read a checkpoint; returns (params, cfg, extra), params the store of
+    ``layout(cfg)`` in the config's compute dtype, holding the ``.bin``.
+    Any other field of the ``.json``, such as the tensor list older writers
+    added, is ignored. A refused checkpoint raises CheckpointError."""
     base = Path(path)
     with open(base.with_suffix(".json")) as f:
         try:
@@ -1025,16 +1031,11 @@ def load_checkpoint(path, layout=param_layout):
         cfg = ModelConfig(**doc["config"])
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint {base}: {e}") from None
-    entries = layout(cfg)
-    bounds = np.cumsum([0] + [math.prod(shape) for _, shape in entries])
-    with open(base.with_suffix(".bin"), "rb") as f:
-        buf = f.read()
-    if len(buf) != 8 * bounds[-1]:
+    params = Params(layout(cfg), cfg.dtype)
+    buf = base.with_suffix(".bin").read_bytes()
+    if len(buf) != 8 * params.flat.size:
         raise CheckpointError(f"checkpoint {base}: {base.with_suffix('.bin')} holds {len(buf)} "
-                              f"bytes, not the {8 * bounds[-1]} of the {bounds[-1]} values its "
-                              "config lays out")
-    raw = np.frombuffer(buf, dtype=np.float64)
-    params = Params(cfg.dtype)
-    for (name, shape), a, b in zip(entries, bounds, bounds[1:]):
-        params.add(name, np.array(raw[a:b].reshape(shape), dtype=cfg.dtype))
+                              f"bytes, not the {8 * params.flat.size} of the {params.flat.size} "
+                              "values its config lays out")
+    params.flat[...] = np.frombuffer(buf, dtype="<f8")
     return params, cfg, extra

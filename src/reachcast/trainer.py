@@ -149,16 +149,16 @@ def assemble_batch(samples, cfg, norm, observed):
 
 
 class Adam:
-    """Adaptive-moment optimizer over a parameter store's trainable tensors.
+    """Adaptive-moment optimizer over a parameter store's trainable tensors,
+    which must be one tail of its flat array (a ValueError if not).
 
-    The moments live in two flat arrays of the parameters' dtype, one
-    element per trainable parameter element; ``m[name]`` and ``v[name]``
-    are views of them. A step updates that flat range in chunks of
-    ``CHUNK_BYTES`` of moments each (16K float64 or 32K float32 elements),
-    which may span several small tensors or part of a large one: small
-    tensors share each numpy call, and temporaries stay small and in cache.
-    ``save``/``load`` keep the moments and step count beside a model
-    checkpoint, so a resumed run continues exactly where it stopped.
+    ``_tail`` views that tail, and the moments are two flat arrays laid out
+    like it (``m[name]`` and ``v[name]`` view them). A step walks the tail
+    in chunks of ``CHUNK_BYTES`` of moments, across tensor edges, so small
+    tensors share each numpy call and temporaries stay in cache; only the
+    per-tensor gradients are gathered. ``save``/``load`` keep the moments
+    and step count beside a model checkpoint, so a resumed run continues
+    exactly where it stopped.
     """
 
     CHUNK_BYTES = 1 << 17
@@ -167,13 +167,17 @@ class Adam:
     def __init__(self, params):
         self.params = params
         self.t = 0
-        items = params.trainable_items()
-        bounds = np.cumsum([0] + [p.data.size for _, p in items])
-        self._m = np.zeros(bounds[-1], dtype=params.dtype)
-        self._v = np.zeros(bounds[-1], dtype=params.dtype)
-        spans = list(zip(items, bounds, bounds[1:]))
-        self.m = {n: self._m[a:b].reshape(p.shape) for (n, p), a, b in spans}
-        self.v = {n: self._v[a:b].reshape(p.shape) for (n, p), a, b in spans}
+        names = [n for n, _ in params.trainable_items()]
+        bounds = [params.spans[n][0] for n in names] + [params.flat.size]
+        if [params.spans[n][1] for n in names] != bounds[1:]:
+            raise ValueError(f"the trainable tensors are not one tail of the store: {names}")
+        self._tail = params.flat[bounds[0] :]
+        bounds = np.array(bounds) - bounds[0]
+        self._m = np.zeros_like(self._tail)
+        self._v = np.zeros_like(self._tail)
+        spans = list(zip(names, bounds, bounds[1:]))
+        self.m = {n: self._m[a:b].reshape(params[n].shape) for n, a, b in spans}
+        self.v = {n: self._v[a:b].reshape(params[n].shape) for n, a, b in spans}
         chunk = self.CHUNK_BYTES // self._m.itemsize
         self._chunks = []  # (lo, hi, [(tensor index, first, stop element)]) per chunk
         for lo in range(0, bounds[-1], chunk):
@@ -187,8 +191,7 @@ class Adam:
         """One update from the parameters' gradients, clipped to a global
         norm of ``clip_norm``. The moments and parameters are updated in
         place, with each element's arithmetic that of the per-tensor form."""
-        items = self.params.trainable_items()
-        grads = [p.grad_or_zeros().reshape(-1) for _, p in items]
+        grads = [p.grad_or_zeros().reshape(-1) for _, p in self.params.trainable_items()]
         total = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
         scale = clip_norm / total if total > clip_norm else None
         self.t += 1
@@ -214,18 +217,12 @@ class Adam:
             np.sqrt(denom, out=denom)
             denom += self.EPS
             tmp /= denom
-            at = 0
-            for i, a, b in pieces:  # parameter arrays are contiguous: reshape is a view
-                items[i][1].data.reshape(-1)[a:b] -= tmp[at : at + b - a]
-                at += b - a
+            self._tail[lo:hi] -= tmp
 
     def save(self, path, cfg):
-        """Write the moments and step count in the checkpoint format at ``path``."""
-        store = M.Params(self._m.dtype)
-        for n in self.m:
-            store.add(f"m.{n}", self.m[n])
-            store.add(f"v.{n}", self.v[n])
-        M.save_checkpoint(store, cfg, path, extra={"t": self.t})
+        """Write the moments and step count at ``path``, laid out as ``_moment_layout``."""
+        moments = {f"{k}.{n}": ad.Tensor(getattr(self, k)[n]) for n in self.m for k in "mv"}
+        M.save_checkpoint(moments, cfg, path, extra={"t": self.t})
 
     @classmethod
     def load(cls, params, path):

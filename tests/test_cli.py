@@ -162,6 +162,11 @@ def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
                  "enc_channels must name 2 channel counts", id="enc_channels-1-long"),
     pytest.param([], {"model": {"blocks": -1}}, "blocks and prompt_width must be >= 0",
                  id="blocks--1"),
+    pytest.param([], {"model": {"d_obs": 8.0}}, "sizes must be integers: d_obs", id="d_obs-8.0"),
+    pytest.param([], {"model": {"enc_channels": [2.0, 4]}}, "sizes must be integers: enc_channels",
+                 id="enc_channels-float"),
+    pytest.param([], {"model": {"blocks": True}}, "sizes must be integers: blocks",
+                 id="blocks-true"),
     pytest.param([], {"model": {"coordinate_mode": "local-3d"}},
                  "coordinate_mode must be one of ('global-3d', '2d')", id="local-3d"),
 ])
@@ -170,7 +175,8 @@ def test_bad_train_values_refused_before_writing(dataset, tmp_path, capsys, flag
     out, path = tmp_path / "run", tmp_path / "run.json"
     path.write_text(json.dumps(config))
     assert cli.main(_train_argv(dataset, out, 2, "--config", str(path), *flags)) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.startswith(f"error: config {path}: ")
     assert not out.exists()
 
 
@@ -268,15 +274,24 @@ def _name_local_3d(base):
     path.write_text(json.dumps(doc))
 
 
+def _float_size(base):
+    path = base.with_suffix(".json")
+    doc = json.loads(path.read_text())
+    doc["config"]["d_obs"] = float(doc["config"]["d_obs"])
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("command, name", [("eval", "ckpt"), ("forecast", "ckpt"),
                                            ("train", "ckpt"), ("train", "ckpt_adam")])
 @pytest.mark.parametrize("spoil, message", [
     (_cut_8_bytes, "bytes, not the"), (_pad_16_bytes, "bytes, not the"),
     (_name_local_3d, "coordinate_mode must be one of ('global-3d', '2d')"),
+    (_float_size, "sizes must be integers: d_obs"),
     (_json_text("{"), ".json is not valid JSON"), (_json_text("[]"), ".json is not a JSON object"),
     (_drop_config, ".json is not a JSON object with a config object"),
     (_json_text('{"config": {}, "extra": []}'), "is not an object")],
-    ids=["short", "padded", "local-3d", "invalid-json", "json-list", "no-config", "extra-list"])
+    ids=["short", "padded", "local-3d", "float-size", "invalid-json", "json-list", "no-config",
+         "extra-list"])
 def test_refused_checkpoint_is_a_usage_error(dataset, trained, tmp_path, capsys, command, name,
                                              spoil, message):
     run, out = tmp_path / "run", tmp_path / "out"
@@ -329,6 +344,27 @@ def test_checkpoint_extra_without_its_fields_refused(dataset, trained, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {run / name}: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda extra: extra.update(train=[1]), lambda extra: extra.pop("loss"),
+    lambda extra: extra.update(loss="gamma"), lambda extra: extra.pop("epoch"),
+    lambda extra: extra.update(epoch="1"), lambda extra: extra.update(epoch=1.0),
+    lambda extra: extra.update(epoch=True), lambda extra: extra.update(epoch=-1)],
+    ids=["train-list", "no-loss", "loss-string", "no-epoch", "epoch-string", "epoch-float",
+         "epoch-true", "epoch-negative"])
+def test_resume_from_a_malformed_extra_refused(dataset, trained, tmp_path, capsys, edit):
+    run, out = tmp_path / "run", tmp_path / "out"
+    shutil.copytree(trained.parent, run)
+    doc = json.loads((run / "ckpt.json").read_text())
+    edit(doc["extra"])
+    (run / "ckpt.json").write_text(json.dumps(doc))
+    files = {p: p.read_bytes() for p in run.iterdir()}
+    assert cli.main(_train_argv(dataset, out, 2, "--resume", str(run / "ckpt"))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {run / 'ckpt'}: {run / 'ckpt.json'} has no extra")
+    assert not out.exists()
+    assert {p: p.read_bytes() for p in run.iterdir()} == files
 
 
 @pytest.mark.parametrize("command, edit, message", [

@@ -116,6 +116,27 @@ class TestParams:
         assert M.param_layout(cfg) == tuple((n, t.data.shape) for n, t in params.items())
         assert {n for n, t in params.items() if not t.requires_grad} == set(M.FROZEN)
 
+    @pytest.mark.parametrize("mode", M.COORDINATE_MODES)
+    @pytest.mark.parametrize("preset", ["tiny", "desk", "paper"])
+    def test_every_tensor_is_a_view_at_its_layout_offset(self, tmp_path, preset, mode):
+        cfg = getattr(ModelConfig, preset)(coordinate_mode=mode)
+        params = M.init_params(cfg, seed=0)
+        M.save_checkpoint(params, cfg, tmp_path / "ckpt")
+        for store in (params, M.load_checkpoint(tmp_path / "ckpt")[0]):
+            base = store.flat.__array_interface__["data"][0]
+            offset = 0
+            for (name, shape), (n, t) in zip(M.param_layout(cfg), store.items(), strict=True):
+                assert n == name and t.data.base is store.flat and t.data.flags.c_contiguous
+                assert t.data.__array_interface__["data"][0] == base + offset * t.data.itemsize
+                offset += t.data.size
+            assert offset == store.flat.size and store.flat.dtype == cfg.dtype
+
+    @pytest.mark.parametrize("dtype", M.COMPUTE_DTYPES)
+    def test_checkpoint_bin_is_the_store_as_float64(self, tmp_path, dtype):
+        cfg, params, _ = _stepped_tiny(seed=3, compute_dtype=dtype)
+        M.save_checkpoint(params, cfg, tmp_path / "ckpt")
+        assert (tmp_path / "ckpt.bin").read_bytes() == params.flat.astype("<f8").tobytes()
+
     def test_checkpoint_json_holds_config_and_extra_only(self, tmp_path, tiny):
         cfg, params = tiny
         M.save_checkpoint(params, cfg, tmp_path / "ckpt", extra={"epoch": 1})
@@ -137,15 +158,15 @@ def _add_tensor_list(path, store):
     return entries
 
 
-def _stepped_tiny(seed):
+def _stepped_tiny(seed, compute_dtype="float64"):
     """A tiny model and its optimizer after two steps on random gradients."""
-    cfg = ModelConfig.tiny()
+    cfg = ModelConfig.tiny(compute_dtype=compute_dtype)
     params = M.init_params(cfg, seed=seed)
     opt = T.Adam(params)
     rng = np.random.default_rng(seed)
     for _ in range(2):
         for _, p in params.trainable_items():
-            p.grad = rng.standard_normal(p.data.shape)
+            p.grad = rng.standard_normal(p.data.shape).astype(cfg.dtype)
         opt.step(lr=1e-2, clip_norm=T.CLIP_NORM)
     return cfg, params, opt
 
@@ -169,10 +190,10 @@ class TestCheckpointsWithATensorList:
         assert cfg2 == cfg and extra == {"epoch": 2}
         _assert_same_store(params, loaded)
         opt.save(tmp_path / "adam", cfg)
-        store = M.Params(params.dtype)
+        store = M.Params(T._moment_layout(cfg), cfg.dtype)
         for n in opt.m:
-            store.add(f"m.{n}", opt.m[n])
-            store.add(f"v.{n}", opt.v[n])
+            store[f"m.{n}"].data[...] = opt.m[n]
+            store[f"v.{n}"].data[...] = opt.v[n]
         _add_tensor_list(tmp_path / "adam", store)
         back = T.Adam.load(loaded, tmp_path / "adam")
         assert back.t == opt.t == 2 and back.m.keys() == opt.m.keys()
@@ -260,11 +281,11 @@ def attend(q, kv, observed, value_bias=None):
     grid cell a packed row. A value_bias replaces every value row with
     that constant."""
     n, t, d = kv.shape
-    params = M.Params(np.float64)
-    for proj in ("wq", "wv", "wo"):
-        params.add(f"a.{proj}.w", np.eye(d))
-        params.add(f"a.{proj}.b", np.zeros(d))
-    params.add("a.wk.w", np.eye(d))
+    layout = [(f"a.{proj}.{k}", (d, d) if k == "w" else (d,))
+              for proj in ("wq", "wv", "wo") for k in "wb"] + [("a.wk.w", (d, d))]
+    params = M.Params(layout, np.float64)  # biases start zero
+    for proj in ("wq", "wk", "wv", "wo"):
+        params[f"a.{proj}.w"].data[...] = np.eye(d)
     if value_bias is not None:
         params["a.wv.w"].data[...] = 0.0
         params["a.wv.b"].data[...] = value_bias

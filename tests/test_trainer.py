@@ -185,6 +185,25 @@ class TestAdamAndFit:
         opt.step(lr=0.1, clip_norm=10.0)
         assert params["enc.conv1.k"].grad is None
 
+    @pytest.mark.parametrize("name, requires_grad", [
+        ("enc.conv1.k", True), ("vis.fc1.w", False), ("vel.fc2.b", False)],
+        ids=["frozen-head-trains", "tail-tensor-frozen", "last-tensor-frozen"])
+    def test_adam_refuses_trainable_tensors_that_are_not_one_tail(self, name, requires_grad):
+        params = M.init_params(M.ModelConfig.tiny(), seed=0)
+        params[name].requires_grad = requires_grad
+        with pytest.raises(ValueError, match="trainable tensors are not one tail"):
+            Adam(params)
+
+    def test_adam_steps_the_tail_of_the_store(self):
+        store = M.Params([("enc.conv1.k", (2, 3)), ("a", (4,)), ("b", (2, 2))], np.float64)
+        assert [n for n, _ in store.trainable_items()] == ["a", "b"]
+        opt = Adam(store)
+        assert opt._tail.base is store.flat and opt._tail.size == 8
+        store["a"].grad, store["b"].grad = np.ones(4), np.ones((2, 2))
+        opt.step(lr=0.1, clip_norm=10.0)
+        np.testing.assert_array_equal(store.flat[:6], 0.0)
+        assert np.all(store.flat[6:] < 0)
+
     @pytest.mark.parametrize("clip_norm", [pytest.param(1e3, id="unclipped"), 0.5])
     @pytest.mark.parametrize("chunk", [Adam.CHUNK_BYTES // 8, 1000])
     def test_adam_in_place_matches_allocating_update(self, clip_norm, chunk, monkeypatch):
