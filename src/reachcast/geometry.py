@@ -65,6 +65,17 @@ def normalize_pixel(uv, intrinsics):
     return np.stack([uv[..., 0] / intrinsics.width, uv[..., 1] / intrinsics.height], axis=-1)
 
 
+def to_local(p, products):
+    """Lower world points into local frames: ``p[..., i, :]`` through the
+    cumulative pose product ``products[i]`` (see ``PoseChain``), which maps
+    that frame's local coordinates to the world frame. Each point is one
+    (1,3) @ (3,3) product, so a stack of any points and products, or a
+    leading axis of points sharing the products, is bit-identical to a loop
+    over them."""
+    p = np.asarray(p, dtype=np.float64) - products[..., :3, 3]
+    return (p[..., None, :] @ products[..., :3, :3])[..., 0, :]
+
+
 _BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 
 
@@ -122,8 +133,9 @@ class PoseChain:
 
     The poses are one read-only (T, 4, 4) array, validated as a whole;
     each ``poses[i].matrix`` is a view of its row. The products form one
-    (T+1, 4, 4) array: [0] is the identity, [t] = [t-1] @ M_t, and [t]
-    maps frame-t local coordinates to the world (first camera) frame.
+    read-only (T+1, 4, 4) array ``cumulative``: [0] is the identity,
+    [t] = [t-1] @ M_t, and [t] maps frame-t local coordinates to the world
+    (first camera) frame.
 
     Lifting and lowering take a 1-based step ``t``: one step for all
     points, or an array of steps, one per point (``p[i]`` at ``t[i]``).
@@ -143,7 +155,13 @@ class PoseChain:
         cum[0] = np.eye(4)
         for t in range(1, len(m) + 1):
             cum[t] = cum[t - 1] @ m[t - 1]
+        cum.setflags(write=False)
         self._cumulative = cum
+
+    @property
+    def cumulative(self):
+        """The (T+1, 4, 4) cumulative products; [t] lifts frame t to the world."""
+        return self._cumulative
 
     @property
     def poses(self):
@@ -169,9 +187,7 @@ class PoseChain:
 
     def global_to_local(self, p, t):
         """Inverse of local_to_global at the same steps."""
-        m = self._products(t)
-        p = np.asarray(p, dtype=np.float64) - m[..., :3, 3]
-        return (p[..., None, :] @ m[..., :3, :3])[..., 0, :]
+        return to_local(p, self._products(t))
 
     def to_flat(self):
         """One list of 16 row-major doubles per pose, the serialized form."""

@@ -6,7 +6,10 @@ zero loss. The observation count C is drawn per sample, either from a
 fixed ratio or uniformly from a ratio range (the any-time protocol).
 Evaluation batches the samples in sorted-id order, ``EVAL_BATCH`` at a
 time, and reduces per-sample values in that order, so it is invariant to
-input order.
+input order. ``score`` turns a split's forecasts, the model's or the
+constant-velocity baseline's, into one metrics row in array passes over
+all of its samples' steps at once: one lowering through the poses, one
+projection per camera and one distance pass per metric.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from . import model as M
-from .geometry import BehindCameraError, normalize_pixel, project
+from .geometry import normalize_pixel, project, to_local
 
 OBSERVATION_MODES = ("fixed", "random")
 EVAL_BATCH = 256  # samples per model call in evaluation, which bounds its memory
@@ -101,7 +104,7 @@ def observation_count(horizon, cfg, rng=None):
         if rng is None:
             raise ValueError("random observation mode needs an rng")
         ratio = rng.uniform(*RATIO_RANGE)
-    return int(np.clip(math.floor(ratio * horizon + 0.5), 1, horizon - 1))
+    return min(max(math.floor(ratio * horizon + 0.5), 1), horizon - 1)
 
 
 def sample_targets(sample, cfg, norm):
@@ -171,10 +174,12 @@ class Adam:
         bounds = [params.spans[n][0] for n in names] + [params.flat.size]
         if [params.spans[n][1] for n in names] != bounds[1:]:
             raise ValueError(f"the trainable tensors are not one tail of the store: {names}")
+        self._tensors = [params[n] for n in names]
         self._tail = params.flat[bounds[0] :]
         bounds = np.array(bounds) - bounds[0]
-        self._m = np.zeros_like(self._tail)
-        self._v = np.zeros_like(self._tail)
+        # np.zeros maps zeroed pages; zeros_like would write every byte
+        self._m = np.zeros(self._tail.shape, self._tail.dtype)
+        self._v = np.zeros(self._tail.shape, self._tail.dtype)
         spans = list(zip(names, bounds, bounds[1:]))
         self.m = {n: self._m[a:b].reshape(params[n].shape) for n, a, b in spans}
         self.v = {n: self._v[a:b].reshape(params[n].shape) for n, a, b in spans}
@@ -190,8 +195,15 @@ class Adam:
     def step(self, lr, clip_norm):
         """One update from the parameters' gradients, clipped to a global
         norm of ``clip_norm``. The moments and parameters are updated in
-        place, with each element's arithmetic that of the per-tensor form."""
-        grads = [p.grad_or_zeros().reshape(-1) for _, p in self.params.trainable_items()]
+        place, with each element's arithmetic that of the per-tensor form.
+        A ValueError if a tensor's ``requires_grad`` changed since the
+        optimizer was built, since its chunk plan covers the tensors then
+        trainable."""
+        flipped = [n for n, t in self.params.items() if t.requires_grad != (n in self.m)]
+        if flipped:
+            raise ValueError(f"requires_grad of {', '.join(flipped)} changed after the "
+                             "optimizer was built; build a new one")
+        grads = [t.grad_or_zeros().reshape(-1) for t in self._tensors]
         total = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
         scale = clip_norm / total if total > clip_norm else None
         self.t += 1
@@ -301,11 +313,6 @@ def fit(params, cfg, samples, norm, train_cfg, loss_cfg=None, start_epoch=0, opt
 # evaluation
 
 
-def _to_normalized_2d(points_global, sample):
-    local = sample.poses.global_to_local(points_global, np.arange(1, len(points_global) + 1))
-    return normalize_pixel(project(local, sample.intrinsics), sample.intrinsics)
-
-
 def decode_prediction(mean, sample, cfg, norm):
     """Map the model's normalized per-step means for one sample into the
     space its metrics use; returns (pred, gt) over the sample's steps.
@@ -319,10 +326,52 @@ def decode_prediction(mean, sample, cfg, norm):
     return denormalize(mean, *norm), sample.points_global
 
 
-def _future_errors(pred, gt, observed):
-    """(ADE, FDE) over the steps after the first ``observed``."""
-    d = np.linalg.norm(pred[observed:] - gt[observed:], axis=-1)
-    return float(d.mean()), float(d[-1])
+def _stacked(cases):
+    """The cases' pred and gt rows, each concatenated in case order, as one
+    (2, rows, dim) array."""
+    return np.stack([np.concatenate([c[i] for c in cases]) for i in (2, 3)])
+
+
+def _future_errors(cases, pred, gt):
+    """Each case's (ADE, FDE) over its steps after the first ``observed``,
+    as two lists in case order; ``pred`` and ``gt`` hold the cases' rows
+    concatenated. The distances are one array pass. Each ADE sums a
+    contiguous slice of them and divides by its length, which is what
+    ``mean`` of the case's own distances computes."""
+    lengths = np.array([len(c[2]) for c in cases])
+    ends = np.cumsum(lengths)
+    firsts = ends - lengths + [c[1] for c in cases]
+    d = np.linalg.norm(pred - gt, axis=-1)
+    sums = [np.add.reduce(d[a:b]) for a, b in zip(firsts.tolist(), ends.tolist())]
+    return (np.array(sums) / (ends - firsts)).tolist(), d[ends - 1].tolist()
+
+
+def _lowered_2d(cases, rows):
+    """3D cases' (2, rows, 3) stacked world rows in normalized frame units,
+    only for the cases in front of the camera; returns those cases and
+    their (2, rows, 2) stacked rows.
+
+    Every row is lowered through its sample's poses in one product. A case
+    with any lowered depth <= 0, in pred or in gt, is left out, and the
+    kept rows are projected once per distinct intrinsics."""
+    lengths = np.array([len(c[2]) for c in cases])
+    products = np.concatenate([s.poses.cumulative[1 : n + 1]
+                               for (s, *_), n in zip(cases, lengths.tolist())])
+    if len(products) != rows.shape[1]:
+        raise ValueError("a case has more steps than its sample's pose chain")
+    local = to_local(rows, products)
+    behind = (local[..., 2] <= 0).any(axis=0)
+    kept = ~np.logical_or.reduceat(behind, np.cumsum(lengths) - lengths)
+    seen = [c for c, k in zip(cases, kept.tolist()) if k]
+    local = local[:, np.repeat(kept, lengths)]
+    cameras = {}
+    camera = np.repeat([cameras.setdefault(s.intrinsics, len(cameras)) for s, *_ in seen],
+                       lengths[kept])
+    uv = np.empty(local.shape[:-1] + (2,))
+    for intrinsics, k in cameras.items():
+        mine = camera == k
+        uv[:, mine] = normalize_pixel(project(local[:, mine], intrinsics), intrinsics)
+    return seen, uv
 
 
 def score(cases, split, ratio, model):
@@ -330,26 +379,26 @@ def score(cases, split, ratio, model):
 
     pred and gt cover each sample's steps. 3D cases are world-frame meters;
     they score ADE/FDE in 3D and, lowered through the sample's poses and
-    projected, in normalized frame units. A case whose projection falls
-    behind the camera drops out of those 2D-from-3D metrics only. 2D cases
-    (2d-mode forecasts) are normalized frame units and score ade2d/fde2d.
+    projected, in normalized frame units. A case with a lowered point
+    behind the camera, in pred or in gt, drops out of those 2D-from-3D
+    metrics only. 2D cases (2d-mode forecasts) are normalized frame units
+    and score ade2d/fde2d.
+
+    Each metric is one pass over all its cases' rows at once, and averages
+    the per-case values in case order, so the row is bit-identical to
+    scoring the cases one at a time.
     """
     per = {k: [] for k in MetricsRow.METRICS}
-
-    def add(ade_key, fde_key, errors):
-        per[ade_key].append(errors[0])
-        per[fde_key].append(errors[1])
-
-    for s, observed, pred, gt in cases:
-        if pred.shape[-1] == 2:
-            add("ade2d", "fde2d", _future_errors(pred, gt, observed))
-            continue
-        add("ade3d", "fde3d", _future_errors(pred, gt, observed))
-        try:
-            uv = _to_normalized_2d(pred, s), _to_normalized_2d(gt, s)
-        except BehindCameraError:
-            continue
-        add("ade2d_from3d", "fde2d_from3d", _future_errors(*uv, observed))
+    flat = [c for c in cases if c[2].shape[-1] == 2]
+    world = [c for c in cases if c[2].shape[-1] != 2]
+    if flat:
+        per["ade2d"], per["fde2d"] = _future_errors(flat, *_stacked(flat))
+    if world:
+        rows = _stacked(world)
+        per["ade3d"], per["fde3d"] = _future_errors(world, *rows)
+        seen, uv = _lowered_2d(world, rows)
+        if seen:
+            per["ade2d_from3d"], per["fde2d_from3d"] = _future_errors(seen, *uv)
     return MetricsRow(split=split, ratio=ratio, model=model,
                       **{k: float(np.mean(v)) if v else None for k, v in per.items()})
 

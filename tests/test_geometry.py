@@ -10,6 +10,7 @@ from reachcast.geometry import (
     PoseChain,
     normalize_pixel,
     project,
+    to_local,
 )
 
 # Fixed-camera intrinsics of two head-mounted recording setups (EgoPAT3D, H2O).
@@ -112,6 +113,32 @@ class TestPose:
         m[0, 0] = 1.1
         with pytest.raises(ValueError):
             Pose(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.integers(1, 16), min_size=1, max_size=6))
+    def test_stacked_lowering_matches_each_chain(self, seed, lengths):
+        # the cumulative products of several chains, stacked, lower a leading
+        # axis of point sets in one product, bit for bit as each chain does
+        rng = np.random.default_rng(seed)
+        chains = [random_chain(rng, n) for n in lengths]
+        products = np.concatenate([c.cumulative[1:] for c in chains])
+        points = rng.standard_normal((2, len(products), 3))
+        lowered = to_local(points, products)
+        first = 0
+        for chain, n in zip(chains, lengths):
+            for side in range(2):
+                np.testing.assert_array_equal(
+                    lowered[side, first : first + n],
+                    chain.global_to_local(points[side, first : first + n], np.arange(1, n + 1)))
+            first += n
+
+    def test_cumulative_products_are_read_only(self):
+        chain = random_chain(np.random.default_rng(19), 3)
+        assert chain.cumulative.shape == (4, 4, 4)
+        np.testing.assert_array_equal(chain.cumulative[0], np.eye(4))
+        with pytest.raises(ValueError, match="read-only"):
+            chain.cumulative[1, 0, 3] = 1.0
 
     def test_flat_round_trip(self):
         rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,7 +20,14 @@ from reachcast.datagen import (
     split_samples,
     write_dataset,
 )
-from reachcast.geometry import Pose, PoseChain
+from reachcast.geometry import (
+    BehindCameraError,
+    CameraIntrinsics,
+    Pose,
+    PoseChain,
+    normalize_pixel,
+    project,
+)
 from reachcast.trainer import (
     Adam,
     MetricsRow,
@@ -194,6 +202,23 @@ class TestAdamAndFit:
         with pytest.raises(ValueError, match="trainable tensors are not one tail"):
             Adam(params)
 
+    @pytest.mark.parametrize("name, requires_grad", [
+        ("vis.fc1.w", False), ("enc.conv1.k", True)], ids=["frozen-later", "unfrozen-later"])
+    def test_adam_refuses_a_trainable_set_changed_after_construction(self, name,
+                                                                      requires_grad):
+        # the chunk plan covers the tensors trainable when Adam was built: a
+        # flag flipped afterwards is named, and nothing is updated
+        params = M.init_params(M.ModelConfig.tiny(), seed=0)
+        opt = Adam(params)
+        for _, p in params.trainable_items():
+            p.grad = np.ones_like(p.data)
+        before = params.flat.copy()
+        params[name].requires_grad = requires_grad
+        with pytest.raises(ValueError, match=rf"requires_grad of {name} changed"):
+            opt.step(lr=0.1, clip_norm=10.0)
+        np.testing.assert_array_equal(params.flat, before)
+        assert opt.t == 0
+
     def test_adam_steps_the_tail_of_the_store(self):
         store = M.Params([("enc.conv1.k", (2, 3)), ("a", (4,)), ("b", (2, 2))], np.float64)
         assert [n for n, _ in store.trainable_items()] == ["a", "b"]
@@ -305,6 +330,112 @@ class TestDepthValidity:
         assert np.isfinite(row.ade3d)
 
 
+def _score_case_by_case(cases, split, ratio, model):
+    """The scorer ``T.score`` replaced, kept as its reference: each case's
+    errors from its own rows, lowered and projected one case at a time."""
+    per = {k: [] for k in MetricsRow.METRICS}
+
+    def add(ade_key, fde_key, pred, gt, observed):
+        d = np.linalg.norm(pred[observed:] - gt[observed:], axis=-1)
+        per[ade_key].append(float(d.mean()))
+        per[fde_key].append(float(d[-1]))
+
+    def to_2d(points, s):
+        local = s.poses.global_to_local(points, np.arange(1, len(points) + 1))
+        return normalize_pixel(project(local, s.intrinsics), s.intrinsics)
+
+    for s, observed, pred, gt in cases:
+        if pred.shape[-1] == 2:
+            add("ade2d", "fde2d", pred, gt, observed)
+            continue
+        add("ade3d", "fde3d", pred, gt, observed)
+        try:
+            uv = to_2d(pred, s), to_2d(gt, s)
+        except BehindCameraError:
+            continue
+        add("ade2d_from3d", "fde2d_from3d", *uv, observed)
+    return MetricsRow(split=split, ratio=ratio, model=model,
+                      **{k: float(np.mean(v)) if v else None for k, v in per.items()})
+
+
+SCORE_CAMERAS = (CameraIntrinsics(fx=8.0, fy=8.0, ox=4.0, oy=4.0, width=8, height=8),
+                 CameraIntrinsics(fx=40.0, fy=36.0, ox=31.5, oy=30.0, width=64, height=60))
+
+
+def _random_case(rng, kind, t, observed, camera):
+    """A scorer case of ``kind``: "2d" rows, or world rows on a random
+    moving camera, in front of it or with one step behind it on the
+    "pred" or "gt" side (a negative local depth)."""
+    s = SimpleNamespace(id="r", intrinsics=SCORE_CAMERAS[camera])
+    if kind == "2d":
+        gt = rng.uniform(0.0, 1.0, (t, 2))
+        return s, observed, gt + rng.normal(0.0, 0.05, (t, 2)), gt
+    poses = []
+    for _ in range(t):
+        q, r = np.linalg.qr(np.eye(3) + rng.normal(0.0, 0.1, (3, 3)))
+        pose = np.eye(4)
+        pose[:3, :3] = q * np.sign(np.diag(r))
+        pose[:3, 3] = rng.normal(0.0, 0.05, 3)
+        poses.append(pose)
+    s.poses = PoseChain(poses)
+    steps = np.arange(1, t + 1)
+    local = {side: rng.uniform([-0.3, -0.3, 0.3], [0.3, 0.3, 1.5], (t, 3))
+             for side in ("pred", "gt")}
+    if kind in local:
+        local[kind][rng.integers(t), 2] = -rng.uniform(0.01, 1.0)
+    pred, gt = (s.poses.local_to_global(local[side], steps) for side in ("pred", "gt"))
+    return s, observed, pred, gt
+
+
+SCORE_KINDS = ("2d", "3d", "pred", "gt")
+
+
+@st.composite
+def _score_cases(draw):
+    """A list of random scorer cases of mixed kinds, lengths and cameras."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    cases = []
+    for _ in range(draw(st.integers(1, 8), label="cases")):
+        t = draw(st.integers(2, 14))
+        cases.append(_random_case(rng, draw(st.sampled_from(SCORE_KINDS)), t,
+                                  draw(st.integers(1, t - 1)), draw(st.integers(0, 1))))
+    return cases
+
+
+class TestScoreMatchesCaseByCase:
+    @settings(max_examples=150, deadline=None)
+    @given(cases=_score_cases())
+    def test_random_cases_bit_identical(self, cases):
+        # the array passes over all cases give each row, and each case's own
+        # row, bit for bit as the per-case reference does; any warning is an
+        # error (a behind-camera row must not reach the division), but only
+        # around the scorer, so hypothesis can still report a failure
+        for subset in [cases] + [[c] for c in cases]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                row = T.score(subset, "test", 0.5, "model")
+            assert repr(row) == repr(_score_case_by_case(subset, "test", 0.5, "model"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_behind_camera_case_drops_out_of_2d_only(self, side):
+        rng = np.random.default_rng(5)
+        front = [_random_case(rng, "3d", 9, 4, k % 2) for k in range(3)]
+        behind = _random_case(rng, side, 9, 4, 1)
+        row = T.score(front[:1] + [behind] + front[1:], "test", 0.5, "model")
+        rest = T.score(front, "test", 0.5, "model")
+        assert (row.ade2d_from3d, row.fde2d_from3d) == (rest.ade2d_from3d, rest.fde2d_from3d)
+        assert row.ade3d != rest.ade3d
+        alone = T.score([behind], "test", 0.5, "model")
+        assert alone.ade2d_from3d is None and alone.ade3d is not None
+
+    def test_case_longer_than_its_pose_chain_refused(self):
+        s, observed, pred, gt = _random_case(np.random.default_rng(1), "3d", 6, 3, 0)
+        long = np.concatenate([pred, pred[-1:]]), np.concatenate([gt, gt[-1:]])
+        with pytest.raises(ValueError, match="more steps than its sample's pose chain"):
+            T.score([(s, observed, *long)], "test", 0.5, "model")
+
+
 def _fixed_camera_case(gt, pred, observed):
     """A scorer case on a camera that never moves (world frame = every local frame)."""
     s = SimpleNamespace(id="a", poses=PoseChain([Pose.identity()] * len(gt)),
@@ -399,6 +530,7 @@ class TestMetrics:
         empty = evaluate_baseline(short, 0.15)
         assert all(getattr(empty, k) is None for k in MetricsRow.METRICS)
 
+    @pytest.mark.filterwarnings("error")
     def test_behind_camera_drops_out_of_2d_only(self, tiny_setup, monkeypatch):
         cfg, samples, manifest, norm = tiny_setup
         test = sorted(split_samples(samples, manifest, "test_seen"), key=lambda s: s.id)

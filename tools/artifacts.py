@@ -16,7 +16,8 @@ The pipeline:
   ``forecast --id s00050``;
 - one paper-preset training step on a 4-sample set of 64x64 frames and
   32 to 40 steps, generated with ``--dropout 0.3`` and repaired first, as
-  the benchmark's train-paper workload does;
+  the benchmark's train-paper workload does, then ``eval --splits all
+  --ratios 0.1..0.9 --baseline cv`` of that float32 checkpoint;
 - the standard output of ``gradcheck`` (``gradcheck.txt``).
 
 OUT must not exist yet, so no file of an earlier run is compared.
@@ -65,6 +66,8 @@ def main():
     reachcast("repair", "--data", paper_raw, "--out", paper_data)
     reachcast("train", "--preset", "paper", "--data", paper_data, "--out", paper,
               "--epochs", 1, "--seed", 0, "--batch-size", 4)
+    reachcast("eval", "--ckpt", paper / "ckpt", "--data", paper_data, "--splits", "all",
+              "--ratios", "0.1..0.9", "--baseline", "cv", "--out", paper / "metrics.csv")
     (out / "gradcheck.txt").write_text(reachcast("gradcheck", stdout=subprocess.PIPE))
     print(f"wrote the artifacts to {out}")
 
