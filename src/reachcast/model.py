@@ -18,19 +18,26 @@ Three stages are fused tape ops, each one ``ad.custom`` record rather
 than a chain of taped ops: the frozen frame encoder (``frozen_encoder``),
 the state transition (``transition``) and the autoregressive emission
 (``emit``), whose every step after the observed prefix reads the
-re-embedded previous mean. Each forward runs in numpy and repeats the
-arithmetic of the taped composition op for op, with the same operand
-shapes and BLAS calls, so its output is bit-identical to it, and each
-backward is hand-written and sums in a different order:
+re-embedded previous mean. Each forward runs in numpy, and each backward
+is hand-written and sums in a different order from the taped composition:
 
-- the frame encoder's forward is bit-identical on every preset and
-  dtype. Its backward computes only the prompt's gradient, which agrees
-  with the taped ``embed_border``/``conv2d`` composition to rtol 1e-9 and
-  atol 1e-12 in float64 and to 2e-6 of the largest entry in float32;
-- the transition's forward is bit-identical on ``desk`` and within 1e-12
-  elsewhere, the emission's on ``tiny`` and ``desk``, 3D and 2d. Their
-  backwards are back-propagation through time, and their gradients agree
-  with the taped composition to rtol 1e-9 and atol 1e-12.
+- the frame encoder's forward repeats the arithmetic of the taped
+  composition op for op, with the same operand shapes and BLAS calls, so
+  it is bit-identical on every preset and dtype. Its backward computes
+  only the prompt's gradient, which agrees with the taped
+  ``embed_border``/``conv2d`` composition to rtol 1e-9 and atol 1e-12 in
+  float64 and to 2e-6 of the largest entry in float32;
+- the emission's forward repeats it op for op too, and is bit-identical
+  on ``tiny`` and ``desk``, 3D and 2d;
+- the transition's forward does not: it runs on (N,d) rows, with one
+  product per step for the self-attention query, key and value, and
+  queries pre-scaled by 1/sqrt(d_h). It agrees with the taped composition
+  to 1e-12 in float64. In float32 it stays within 1e-5 of the float64
+  forward at the same weights, and its gradients within 2e-5 of each
+  tensor's largest float64 entry;
+- the transition's and the emission's backwards are back-propagation
+  through time, and their gradients agree with the taped composition to
+  rtol 1e-9 and atol 1e-12.
 
 The taped compositions are kept as references in
 tests/test_frame_encoder.py, tests/test_transition.py and
@@ -574,8 +581,9 @@ def transition(params, cfg, h, observed, horizon):
     h: (N,T_enc,d_z) encoded observations (keys masked to < observed);
     returns z: (N,horizon,d_z). Each step attends over its own latent
     history (seeded with the learnable initial latent) and over the
-    observation encoding. The forward runs in numpy on a preallocated
-    self-attention K/V cache; the backward is hand-written BPTT.
+    observation encoding. The forward runs in numpy on (N,d) rows and a
+    preallocated self-attention K/V cache; the backward is hand-written
+    BPTT.
     """
     n, t_enc, dz = h.shape
     t = int(horizon)
@@ -595,161 +603,232 @@ def _split(x, heads):
 
 
 def _merge(x):
-    """(N,heads,T,dh) array -> (N,T,heads*dh)."""
+    """(N,heads,T,dh) array -> (N*T, heads*dh) rows."""
     n, heads, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(n, t, heads * dh)
+    return x.transpose(0, 2, 1, 3).reshape(n * t, heads * dh)
+
+
+def _layer_norm_into(x, gain, bias, mean_col, out, xhat, inv):
+    """The layer norm of ``ad.layer_norm_fwd`` over the rows x, written into
+    out (which may be x), xhat and inv. Each row mean is one product with
+    ``mean_col``, a (d,1) column of 1/d, so it rounds differently."""
+    np.subtract(x, x @ mean_col, out=xhat)
+    np.power(np.square(xhat) @ mean_col + ad.LAYER_NORM_EPS, -0.5, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain, out=out)
+    out += bias
+
+
+def _softmax_inplace(x):
+    """``ad.softmax_fwd`` over the last axis of x, in place."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
 
 
 class _Rollout:
     """Numpy forward and hand-written backward of the transition.
 
-    Every step mirrors the taped composition op for op, with the same
-    (N,1,d) operand shapes, so the forward is bit-identical to it. Step i
-    writes the self-attention key/value of its input latent z_i into slot
-    i of (N,heads,T,dh) caches and attends over slots 0..i. Activations
-    are kept per step only when ``save`` is set (a tape will replay them).
+    Rows are (N,d). Built once per call: the self-attention query, key and
+    value weights joined into one (d_z, 3 d_z) matrix with a zero key
+    bias; both queries' weights and biases pre-scaled by 1/sqrt(d_h); the
+    cross-attention keys pre-transposed; and a (T,d_z) table of
+    ``outer.fc2.b`` plus the positional encoding. So a step makes one
+    Q/K/V product, and biases and tanh run in place on preallocated
+    buffers: [z, attn] feeds ``ln_wbar``, whose output w̄ and the cross
+    projection fill the first 3 d_z columns of [ŵ, inner], where
+    ``ln_what`` normalizes them in place. Step i writes the key and value
+    of its input latent z_i into slot i of the caches and attends over
+    slots 0..i. Each activation goes into slot s of its array's step
+    axis: with ``save`` (a tape will replay the op) the axis has T slots
+    and s = i, without it one slot and s = 0, so both run the same code.
     Every buffer, forward and backward, has the dtype of h.
     """
 
     def __init__(self, w, h, hmask, pe, heads, save):
-        n, _, dz = h.shape
+        n, t_enc, dz = h.shape
         t = pe.shape[0]
         dh = dz // heads
-        self.w, self.h, self.heads = w, h, heads
-        self.scale = float(1.0 / np.sqrt(dh))
+        dtype = h.dtype
+        scale = float(1.0 / np.sqrt(dh))
+        self.w, self.h, self.heads, self.scale = w, h, heads, scale
+        self.wqkv = np.concatenate([w["self.wq.w"] * scale, w["self.wk.w"], w["self.wv.w"]],
+                                   axis=1)
+        bqkv = np.concatenate([w["self.wq.b"] * scale, np.zeros(dz, dtype), w["self.wv.b"]])
+        self.wcq = w["cross.wq.w"] * scale
+        bcq = w["cross.wq.b"] * scale
         self.kh = _split(h @ w["cross.wk.w"], heads)
+        kh_t = np.ascontiguousarray(np.swapaxes(self.kh, -1, -2))
         self.vh = _split(h @ w["cross.wv.w"] + w["cross.wv.b"], heads)
-        self.k = np.empty((n, heads, t, dh), dtype=h.dtype)
-        self.v = np.empty_like(self.k)
-        self.z = np.empty((n, t, dz), dtype=h.dtype)
-        self.saved = []
-        z_prev = np.broadcast_to(w["z0"], (n, 1, dz)).copy()
+        feats_bias = w["outer.fc2.b"] + pe
+        self.kt = np.empty((n, heads, dh, t), dtype=dtype)  # self-attention keys, transposed
+        self.v = np.empty((n, heads, t, dh), dtype=dtype)
+        self.z = np.empty((n, t, dz), dtype=dtype)
+        slots = t if save else 1
+
+        def per_step(*shape):
+            return np.empty((slots, n) + shape, dtype=dtype)
+
+        self.qkv, self.qc = per_step(3 * dz), per_step(dz)
+        self.ps = np.zeros((n, heads, slots, t), dtype=dtype)  # by sample and head, as read back
+        self.pc = per_step(heads, t_enc)
+        self.ctx, self.ctxc = per_step(dz), per_step(dz)
+        self.x1, self.x2, self.x3 = per_step(2 * dz), per_step(3 * dz), per_step(dz)
+        self.inv1, self.inv2, self.inv3 = per_step(1), per_step(1), per_step(1)
+        self.u, self.a1, self.a2 = per_step(4 * dz), per_step(dz), per_step(2 * dz)
+        mean_col = {k: np.full((k, 1), 1.0 / k, dtype=dtype) for k in (dz, 2 * dz, 3 * dz)}
+        cat1 = np.empty((n, 2 * dz), dtype=dtype)  # [z_i, attn]
+        cat1[:, :dz] = w["z0"]
+        feats = np.empty((n, dz), dtype=dtype)
         for i in range(t):
-            self.k[:, :, i] = (z_prev @ w["self.wk.w"]).reshape(n, heads, dh)
-            self.v[:, :, i] = (z_prev @ w["self.wv.w"] + w["self.wv.b"]).reshape(n, heads, dh)
-            q = (z_prev @ w["self.wq.w"] + w["self.wq.b"]).reshape(n, heads, 1, dh)
-            ps = ad.softmax_fwd((q @ np.swapaxes(self.k[:, :, : i + 1], -1, -2)) * self.scale)
-            ctx = (ps @ self.v[:, :, : i + 1]).reshape(n, 1, dz)
-            attn = ctx @ w["self.wo.w"] + w["self.wo.b"]
-            wbar, xhat1, inv1 = ad.layer_norm_fwd(np.concatenate([z_prev, attn], axis=2),
-                                                  w["ln_wbar.g"], w["ln_wbar.b"])
-            qc = (wbar @ w["cross.wq.w"] + w["cross.wq.b"]).reshape(n, heads, 1, dh)
-            pc = ad.softmax_fwd((qc @ np.swapaxes(self.kh, -1, -2)) * self.scale + hmask)
-            ctxc = (pc @ self.vh).reshape(n, 1, dz)
-            cproj = ctxc @ w["cross.wo.w"] + w["cross.wo.b"]
-            what, xhat2, inv2 = ad.layer_norm_fwd(np.concatenate([wbar, cproj], axis=2),
-                                                  w["ln_what.g"], w["ln_what.b"])
-            a1 = np.tanh(what @ w["inner.fc1.w"] + w["inner.fc1.b"])
-            u = np.concatenate([what, a1 @ w["inner.fc2.w"] + w["inner.fc2.b"]], axis=2)
-            a2 = np.tanh(u @ w["outer.fc1.w"] + w["outer.fc1.b"])
-            feats = a2 @ w["outer.fc2.w"] + w["outer.fc2.b"]
-            z_next, xhat3, inv3 = ad.layer_norm_fwd(feats + pe[i], w["ln_z.g"], w["ln_z.b"])
-            if save:
-                self.saved.append(dict(zin=z_prev, q=q, ps=ps, ctx=ctx, xhat1=xhat1, inv1=inv1,
-                                       wbar=wbar, qc=qc, pc=pc, ctxc=ctxc, xhat2=xhat2,
-                                       inv2=inv2, u=u, a1=a1, a2=a2, xhat3=xhat3, inv3=inv3))
-            self.z[:, i] = z_next[:, 0]
-            z_prev = z_next
+            s = i if save else 0
+            qkv = np.matmul(cat1[:, :dz], self.wqkv, out=self.qkv[s])
+            qkv += bqkv
+            self.kt[:, :, :, i] = qkv[:, dz : 2 * dz].reshape(n, heads, dh)
+            self.v[:, :, i] = qkv[:, 2 * dz :].reshape(n, heads, dh)
+            ps = self.ps[:, :, s, None, : i + 1]
+            np.matmul(qkv[:, :dz].reshape(n, heads, 1, dh), self.kt[..., : i + 1], out=ps)
+            _softmax_inplace(ps)
+            np.matmul(ps, self.v[:, :, : i + 1], out=self.ctx[s].reshape(n, heads, 1, dh))
+            attn = np.matmul(self.ctx[s], w["self.wo.w"], out=cat1[:, dz:])
+            attn += w["self.wo.b"]
+            u = self.u[s]  # [w̄, cross-proj, inner], then [ŵ, inner]
+            _layer_norm_into(cat1, w["ln_wbar.g"], w["ln_wbar.b"], mean_col[2 * dz],
+                             u[:, : 2 * dz], self.x1[s], self.inv1[s])
+            qc = np.matmul(u[:, : 2 * dz], self.wcq, out=self.qc[s])
+            qc += bcq
+            pc = self.pc[s, :, :, None]
+            np.matmul(qc.reshape(n, heads, 1, dh), kh_t, out=pc)
+            pc += hmask
+            _softmax_inplace(pc)
+            np.matmul(pc, self.vh, out=self.ctxc[s].reshape(n, heads, 1, dh))
+            cproj = np.matmul(self.ctxc[s], w["cross.wo.w"], out=u[:, 2 * dz : 3 * dz])
+            cproj += w["cross.wo.b"]
+            what = u[:, : 3 * dz]
+            _layer_norm_into(what, w["ln_what.g"], w["ln_what.b"], mean_col[3 * dz], what,
+                             self.x2[s], self.inv2[s])
+            a1 = np.matmul(what, w["inner.fc1.w"], out=self.a1[s])
+            a1 += w["inner.fc1.b"]
+            np.tanh(a1, out=a1)
+            inner = np.matmul(a1, w["inner.fc2.w"], out=u[:, 3 * dz :])
+            inner += w["inner.fc2.b"]
+            a2 = np.matmul(u, w["outer.fc1.w"], out=self.a2[s])
+            a2 += w["outer.fc1.b"]
+            np.tanh(a2, out=a2)
+            np.matmul(a2, w["outer.fc2.w"], out=feats)
+            feats += feats_bias[i]
+            _layer_norm_into(feats, w["ln_z.g"], w["ln_z.b"], mean_col[dz], cat1[:, :dz],
+                             self.x3[s], self.inv3[s])
+            self.z[:, i] = cat1[:, :dz]
 
     def backward(self, g):
         """BPTT over the saved steps: gradients of h, then of each parameter
         in the order of ``w``.
 
-        Rows are (N,d) here: the backward has no bit-identity to keep, and
-        2-D products are the cheaper ones. Weight gradients accumulate step
-        by step while the step's activations are still in cache; bias and
-        layer-norm terms accumulate per sample and are summed once.
+        The loop carries only the recurrence, from the last step back, and
+        writes each step's row gradients into (T,N,·) arrays. After it,
+        every weight gradient is one product over all T·N rows and every
+        bias and gain gradient one sum. A self-attention key/value slot is
+        complete once the loop reaches the step that wrote it, so its
+        gradient is one product over the steps that read it.
         """
         w, heads, scale = self.w, self.heads, self.scale
         n, t, dz = self.z.shape
         dh = dz // heads
-        wqkv = np.concatenate([w["self.wq.w"], w["self.wk.w"], w["self.wv.w"]], axis=1)
-        grads = {k: np.zeros_like(w[k]) for k in w if k.endswith(".w")}
-        grads["self.wqkv.w"] = np.zeros_like(wqkv)
         dtype = self.z.dtype
-        rows = {k: np.zeros((n, w[k].shape[-1]), dtype=dtype) for k in w
-                if k.endswith((".b", ".g"))}
-        rows["self.wqkv.b"] = np.zeros((n, 3 * dz), dtype=dtype)
-        # Attention terms of every step, so that each key/value gradient is
-        # one product over the steps that read it: row i holds step i's
-        # weights, query, d(logits) and d(context); self-attention rows are
-        # zero past slot i.
-        ps = np.zeros((n, heads, t, t), dtype=dtype)
-        q = np.empty((n, heads, t, dh), dtype=dtype)
-        for i, f in enumerate(self.saved):
-            ps[:, :, i, : i + 1] = f["ps"][:, :, 0]
-            q[:, :, i] = f["q"][:, :, 0]
-        dlog = np.zeros_like(ps)
-        dctx = np.empty_like(q)
-        pc = np.concatenate([f["pc"] for f in self.saved], axis=2)
-        qc = np.concatenate([f["qc"] for f in self.saved], axis=2)
-        dlogc = np.empty_like(pc)
-        dctxc = np.empty_like(q)
 
-        def linear(name, x, dy):
-            grads[f"{name}.w"] += x.T @ dy
-            rows[f"{name}.b"] += dy
+        def per_step(width):
+            return np.empty((t, n, width), dtype=dtype)
 
-        def norm(name, xhat, dy):
-            rows[f"{name}.g"] += dy * xhat
-            rows[f"{name}.b"] += dy
+        def by_head(a):  # (T,N,d) step rows -> (N,heads,T,dh) view
+            return a.reshape(t, n, heads, dh).transpose(1, 2, 0, 3)
 
+        dout, dfeats, dinner, da1, dcproj, dctxc, dqc, dattn, dctx = (per_step(dz)
+                                                                     for _ in range(9))
+        da2, dwbar = per_step(2 * dz), per_step(2 * dz)
+        dwhat, dqkv = per_step(3 * dz), per_step(3 * dz)
+        du = np.empty((n, 4 * dz), dtype=dtype)  # the step's, reused
+        dlogc = np.empty_like(self.pc)
+        ps, dlog = self.ps, np.zeros_like(self.ps)  # row j: step j's weights and d(logits)
+        q, dctx_h = by_head(self.qkv[..., :dz]), by_head(dctx)
+        k, v_t = np.swapaxes(self.kt, -1, -2), np.swapaxes(self.v, -1, -2)
+        vh_t = np.swapaxes(self.vh, -1, -2)
         dz_ = 0.0  # gradient of z_{i+1} from step i+1: residual, query, cache slot
         for i in reversed(range(t)):
-            f = self.saved[i]
-            dout = g[:, i] + dz_
-            xhat3 = f["xhat3"][:, 0]
-            norm("ln_z", xhat3, dout)
-            dfeats = ad.layer_norm_bwd(dout, w["ln_z.g"], xhat3, f["inv3"][:, 0])
-            a2, a1, u = f["a2"][:, 0], f["a1"][:, 0], f["u"][:, 0]
-            linear("outer.fc2", a2, dfeats)
-            da2 = (dfeats @ w["outer.fc2.w"].T) * (1.0 - a2 * a2)
-            linear("outer.fc1", u, da2)
-            du = da2 @ w["outer.fc1.w"].T
-            dinner = du[:, 3 * dz :]
-            linear("inner.fc2", a1, dinner)
-            da1 = (dinner @ w["inner.fc2.w"].T) * (1.0 - a1 * a1)
-            linear("inner.fc1", u[:, : 3 * dz], da1)
-            dwhat = du[:, : 3 * dz] + da1 @ w["inner.fc1.w"].T
-            xhat2 = f["xhat2"][:, 0]
-            norm("ln_what", xhat2, dwhat)
-            dcat2 = ad.layer_norm_bwd(dwhat, w["ln_what.g"], xhat2, f["inv2"][:, 0])
-            dcproj = dcat2[:, 2 * dz :]
-            linear("cross.wo", f["ctxc"][:, 0], dcproj)
-            dctxc[:, :, i] = (dcproj @ w["cross.wo.w"].T).reshape(n, heads, dh)
-            dlogc[:, :, i] = ad.softmax_bwd(dctxc[:, :, i, None] @ np.swapaxes(self.vh, -1, -2),
-                                            f["pc"])[:, :, 0] * scale
-            dqc = (dlogc[:, :, i, None] @ self.kh).reshape(n, dz)
-            linear("cross.wq", f["wbar"][:, 0], dqc)
-            dwbar = dcat2[:, : 2 * dz] + dqc @ w["cross.wq.w"].T
-            xhat1 = f["xhat1"][:, 0]
-            norm("ln_wbar", xhat1, dwbar)
-            dcat1 = ad.layer_norm_bwd(dwbar, w["ln_wbar.g"], xhat1, f["inv1"][:, 0])
-            dattn = dcat1[:, dz:]
-            linear("self.wo", f["ctx"][:, 0], dattn)
-            dctx[:, :, i] = (dattn @ w["self.wo.w"].T).reshape(n, heads, dh)
-            v_t = np.swapaxes(self.v[:, :, : i + 1], -1, -2)
-            dlog_i = ad.softmax_bwd(dctx[:, :, i, None] @ v_t, f["ps"]) * scale
+            np.add(g[:, i], dz_, out=dout[i])
+            dfeats[i] = ad.layer_norm_bwd(dout[i], w["ln_z.g"], self.x3[i], self.inv3[i])
+            np.matmul(dfeats[i], w["outer.fc2.w"].T, out=da2[i])
+            da2[i] *= 1.0 - self.a2[i] * self.a2[i]
+            np.matmul(da2[i], w["outer.fc1.w"].T, out=du)
+            dinner[i] = du[:, 3 * dz :]
+            np.matmul(dinner[i], w["inner.fc2.w"].T, out=da1[i])
+            da1[i] *= 1.0 - self.a1[i] * self.a1[i]
+            np.matmul(da1[i], w["inner.fc1.w"].T, out=dwhat[i])
+            dwhat[i] += du[:, : 3 * dz]
+            dcat2 = ad.layer_norm_bwd(dwhat[i], w["ln_what.g"], self.x2[i], self.inv2[i])
+            dcproj[i] = dcat2[:, 2 * dz :]
+            np.matmul(dcproj[i], w["cross.wo.w"].T, out=dctxc[i])
+            dlogc[i] = ad.softmax_bwd(dctxc[i].reshape(n, heads, 1, dh) @ vh_t,
+                                      self.pc[i, :, :, None])[:, :, 0]
+            np.matmul(dlogc[i, :, :, None], self.kh, out=dqc[i].reshape(n, heads, 1, dh))
+            np.matmul(dqc[i], self.wcq.T, out=dwbar[i])
+            dwbar[i] += dcat2[:, : 2 * dz]
+            dcat1 = ad.layer_norm_bwd(dwbar[i], w["ln_wbar.g"], self.x1[i], self.inv1[i])
+            dattn[i] = dcat1[:, dz:]
+            np.matmul(dattn[i], w["self.wo.w"].T, out=dctx[i])
+            dlog_i = ad.softmax_bwd(dctx_h[:, :, i, None] @ v_t[..., : i + 1],
+                                    ps[:, :, i, None, : i + 1])
             dlog[:, :, i, : i + 1] = dlog_i[:, :, 0]
             # slot i (holding z_i) is complete: its readers are steps i..t-1
+            dq = dlog_i @ k[:, :, : i + 1]
             dk = np.swapaxes(dlog[:, :, i:, i, None], -1, -2) @ q[:, :, i:]
-            dv = np.swapaxes(ps[:, :, i:, i, None], -1, -2) @ dctx[:, :, i:]
-            dqkv = np.concatenate([(dlog_i @ self.k[:, :, : i + 1]).reshape(n, dz),
-                                   dk.reshape(n, dz), dv.reshape(n, dz)], axis=1)
-            linear("self.wqkv", f["zin"][:, 0], dqkv)
-            dz_ = dcat1[:, :dz] + dqkv @ wqkv.T
+            dv = np.swapaxes(ps[:, :, i:, i, None], -1, -2) @ dctx_h[:, :, i:]
+            for j, part in enumerate((dq, dk, dv)):
+                dqkv[i, :, j * dz : (j + 1) * dz] = part.reshape(n, dz)
+            dz_ = dcat1[:, :dz] + dqkv[i] @ self.wqkv.T
 
-        dkh = _merge(np.swapaxes(dlogc, -1, -2) @ qc).reshape(-1, dz)
-        dvh = _merge(np.swapaxes(pc, -1, -2) @ dctxc).reshape(-1, dz)
-        h = self.h.reshape(-1, dz)
-        grads["cross.wk.w"] += h.T @ dkh
-        grads["cross.wv.w"] += h.T @ dvh
-        rows["cross.wv.b"] = dvh
-        for k, name in enumerate(("self.wq", "self.wk", "self.wv")):
-            grads[f"{name}.w"] = grads["self.wqkv.w"][:, k * dz : (k + 1) * dz]
-            rows[f"{name}.b"] = rows["self.wqkv.b"][:, k * dz : (k + 1) * dz]
-        grads.update((k, v.sum(axis=0)) for k, v in rows.items())
+        def rows(a):
+            return a.reshape(-1, a.shape[-1])
+
+        grads = {}
+
+        def linear(name, x, dy):
+            grads[f"{name}.w"] = rows(x).T @ rows(dy)
+            grads[f"{name}.b"] = rows(dy).sum(axis=0)
+
+        def norm(name, xhat, dy):  # dy is spent: it becomes dy * xhat
+            grads[f"{name}.b"] = rows(dy).sum(axis=0)
+            dy *= xhat
+            grads[f"{name}.g"] = rows(dy).sum(axis=0)
+
+        zin = np.empty((t, n, dz), dtype=dtype)  # each step's input latent
+        zin[0] = w["z0"]
+        zin[1:] = self.z[:, :-1].transpose(1, 0, 2)
+        linear("self.wqkv", zin, dqkv)
+        dw, db = grads.pop("self.wqkv.w"), grads.pop("self.wqkv.b")
+        grads["self.wq.w"], grads["self.wq.b"] = dw[:, :dz] * scale, db[:dz] * scale
+        grads["self.wk.w"] = dw[:, dz : 2 * dz]
+        grads["self.wv.w"], grads["self.wv.b"] = dw[:, 2 * dz :], db[2 * dz :]
+        linear("self.wo", self.ctx, dattn)
+        linear("cross.wq", self.x1, dqc)  # its input is w̄ = x̂1 * g + b
+        grads["cross.wq.w"] = (grads["cross.wq.w"] * w["ln_wbar.g"][:, None]
+                               + np.outer(w["ln_wbar.b"], grads["cross.wq.b"])) * scale
+        grads["cross.wq.b"] *= scale
+        norm("ln_wbar", self.x1, dwbar)
+        linear("cross.wo", self.ctxc, dcproj)
+        norm("ln_what", self.x2, dwhat)
+        linear("inner.fc1", self.u[..., : 3 * dz], da1)
+        linear("inner.fc2", self.a1, dinner)
+        linear("outer.fc1", self.u, da2)
+        linear("outer.fc2", self.a2, dfeats)
+        norm("ln_z", self.x3, dout)
         grads["z0"] = dz_.sum(axis=0)
+        dkh = _merge(dlogc.transpose(1, 2, 3, 0) @ by_head(self.qc))
+        dvh = _merge(self.pc.transpose(1, 2, 3, 0) @ by_head(dctxc))
+        h = self.h.reshape(-1, dz)
+        grads["cross.wk.w"] = h.T @ dkh
+        grads["cross.wv.w"] = h.T @ dvh
+        grads["cross.wv.b"] = dvh.sum(axis=0)
         dh_in = (dkh @ w["cross.wk.w"].T + dvh @ w["cross.wv.w"].T).reshape(self.h.shape)
         return (dh_in,) + tuple(grads[k] for k in w)
 

@@ -3,12 +3,16 @@
 ``reference_transition`` builds the state transition from taped
 primitives, one record per op and step, with the self-attention K/V grown
 by ``concat``. The fused ``model.transition`` must reproduce its forward
-(bit for bit on ``desk``) and its gradients for ``h`` and every
-``trans.*`` parameter.
+to 1e-12 and its gradients for ``h`` and every ``trans.*`` parameter to
+rtol 1e-9 and atol 1e-12. In float32 it must stay within 1e-5 of the
+float64 forward at the same weights, and its gradients within 2e-5 of
+each tensor's largest float64 entry.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachcast import autodiff as ad
 from reachcast import model as M
@@ -107,15 +111,13 @@ def _grads(fn, params, cfg, h_np, observed, weight):
 class TestFusedMatchesReference:
     @pytest.mark.parametrize("n", [1, 3])
     def test_forward(self, preset, n):
-        name, cfg, params = preset
+        _, cfg, params = preset
         h_np, observed, _ = _case(cfg, n, seed=10 + n)
         fused = M.transition(params, cfg, ad.constant(h_np), observed, horizon=cfg.horizon).data
         ref = reference_transition(params, cfg, ad.constant(h_np), observed,
                                    horizon=cfg.horizon).data
         assert fused.shape == (n, cfg.horizon, cfg.d_z)
         assert np.max(np.abs(fused - ref)) <= 1e-12
-        if name == "desk":
-            np.testing.assert_array_equal(fused, ref)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_gradients(self, preset, n):
@@ -143,3 +145,66 @@ class TestFusedMatchesReference:
             M.transition(params, cfg, ad.Tensor(h_np, requires_grad=True), observed,
                          horizon=cfg.horizon)
         assert len(g) == 1
+
+
+_PARAMS = {}
+
+
+def _preset_params(name, **overrides):
+    """The preset's config and its seed-3 weights, built once per session.
+    Biases, gains and ``trans.z0`` are redrawn away from their initial
+    zeros and ones, so that no term of the transition vanishes."""
+    key = (name, tuple(sorted(overrides.items())))
+    if key not in _PARAMS:
+        cfg = PRESETS[name](**overrides)
+        params = M.init_params(cfg, seed=3)
+        rng = np.random.default_rng(4)
+        for pname, t in params.items():
+            if pname.endswith((".b", ".g", ".z0")):
+                t.data[...] = float(pname.endswith(".g")) + rng.normal(0, 0.3, t.shape)
+        _PARAMS[key] = cfg, params
+    return _PARAMS[key]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_random_cases_match_reference_and_ignore_rows_past_c(data):
+    name = data.draw(st.sampled_from(sorted(PRESETS)), label="preset")
+    cfg, params = _preset_params(name)
+    n = data.draw(st.integers(1, 5), label="n")
+    observed = np.array(data.draw(st.lists(st.integers(1, cfg.horizon - 1), min_size=n,
+                                           max_size=n), label="C"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    h_np = rng.standard_normal((n, int(observed.max()), cfg.d_z))
+    weight = rng.standard_normal((n, cfg.horizon, cfg.d_z))
+
+    z_f, g_f = _grads(M.transition, params, cfg, h_np, observed, weight)
+    z_r, g_r = _grads(reference_transition, params, cfg, h_np, observed, weight)
+    assert np.max(np.abs(z_f - z_r)) <= 1e-12
+    for key in g_r:
+        np.testing.assert_allclose(g_f[key], g_r[key], rtol=1e-9, atol=1e-12, err_msg=key)
+
+    moved = h_np.copy()
+    for i, c in enumerate(observed):
+        moved[i, c:] = rng.uniform(-1e3, 1e3, moved[i, c:].shape)
+    z_m = M.transition(params, cfg, ad.constant(moved), observed, horizon=cfg.horizon).data
+    np.testing.assert_array_equal(z_m, z_f)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_float32_agrees_with_float64_at_the_same_weights(name):
+    # measured on this case: forward within 1.4e-6 (tiny 1.1e-6), gradients
+    # within 1.4e-6 of each tensor's largest entry; margins of 7x or more
+    cfg32, p32 = _preset_params(name, compute_dtype="float32")
+    cfg64 = PRESETS[name]()
+    p64 = M.Params(M.param_layout(cfg64), np.float64)
+    for (_, a), (_, b) in zip(p32.items(), p64.items()):
+        b.data[...] = a.data
+    h_np, observed, weight = _case(cfg64, 4, seed=51)
+    h_np = h_np.astype(np.float32)
+    z32, g32 = _grads(M.transition, p32, cfg32, h_np, observed, weight.astype(np.float32))
+    z64, g64 = _grads(M.transition, p64, cfg64, h_np.astype(np.float64), observed, weight)
+    assert z32.dtype == np.float32 and g32["h"].dtype == np.float32
+    assert np.max(np.abs(z32 - z64)) <= 1e-5
+    for key in g64:
+        assert np.max(np.abs(g32[key] - g64[key])) <= 2e-5 * np.max(np.abs(g64[key])), key
