@@ -15,21 +15,24 @@ rather than promoting a float32 graph to float64.
 Besides the built-in ops, ``custom(out_data, inputs, backward)`` records
 an op whose forward the caller has already run in numpy and whose
 backward it writes by hand: ``backward(g)`` returns one gradient (or None)
-per input, and the engine validates and accumulates them. A long
-recurrence fused this way costs one tape record instead of dozens per
-step. Callers use ``is_recording(inputs)`` to save activations for the
-backward only when a tape will replay it. The numpy kernels of softmax
-and layer norm are public so fused ops compute them exactly as the taped
-ops do; layer norm's epsilon is one constant, ``LAYER_NORM_EPS``, for
-both.
-
-``conv2d`` and ``embed_border`` are the taped form of the prompted frame
-encoder. The model runs that encoder as one fused op; these two stay as
-its tested reference and as names the benchmark's tracer wraps.
+per input, and the engine validates and accumulates them without a copy.
+So a backward hands over arrays it does not keep: fresh ones, or views of
+fresh ones, sharing memory with no other entry. A long recurrence fused
+this way costs one tape record instead of dozens per step. Callers use
+``is_recording(inputs)`` to save activations for the backward only when a
+tape will replay it. The numpy kernels of softmax and layer norm, and the
+row moves to and from the padded grid (``unpack_rows``, ``pack_rows``),
+are public so fused ops compute them exactly as the taped ops do; layer
+norm's epsilon is one constant, ``LAYER_NORM_EPS``, for both.
 
 Ragged batches keep one packed row per real step, so row-wise ops skip
-padding; ``scatter_rows``, ``split_heads`` and ``merge_heads`` move rows
-to and from the padded (N, T) grid that attention runs on.
+padding; ``scatter_rows`` moves rows to the padded (N, T) grid.
+
+The model runs its frame encoder, temporal encoders, transition and
+emission as fused ops. ``conv2d``, ``embed_border``, ``split_heads``,
+``merge_heads``, ``softmax_lastdim`` and ``transpose`` now serve only the
+taped references of those ops in the tests and the benchmark's tracer,
+which wraps them by name.
 
 A graph and its tensors belong to one thread; weight tensors may be
 shared read-only across threads running independent graphs.
@@ -177,7 +180,10 @@ def custom(out_data, inputs, backward):
     and dtype, or None for no contribution. ``out_data`` must have the
     inputs' dtype. The engine checks the count, shapes and dtypes,
     skips None entries and inputs that need no gradient, and accumulates
-    the rest (copying on first use, so entries may alias saved arrays).
+    the rest without a copy: an input's first gradient becomes its
+    ``grad``, and later ones add into it. So each entry must be an array
+    the backward does not keep, fresh or a view of a fresh one, that
+    shares no memory with another entry, ``g`` or a saved activation.
     ``backward`` runs at most once per ``Graph.backward`` and only when the
     output received a gradient.
     """
@@ -194,7 +200,7 @@ def custom(out_data, inputs, backward):
                 raise ShapeError(f"custom: gradient {gt.shape} does not match input {t.data.shape}")
             if gt.dtype != t.data.dtype:
                 raise DTypeError(f"custom: gradient {gt.dtype} does not match input {t.data.dtype}")
-            _accum(t, gt)
+            _accum_new(t, gt)
 
     return _record(out_data, inputs, bwd)
 
@@ -332,7 +338,7 @@ def transpose(a, axes):
     return _record(a.data.transpose(axes), (a,), bwd)
 
 
-def _unpack(a, rows, shape):
+def unpack_rows(a, rows, shape):
     """(R, D) rows -> an array of ``shape`` (n, t, ...) holding row r at flat
     grid index rows[r] and zero where no row lands; a view when R = n*t."""
     if len(rows) == shape[0] * shape[1]:
@@ -342,8 +348,9 @@ def _unpack(a, rows, shape):
     return out.reshape(shape)
 
 
-def _pack(a, rows):
-    """(n, t, ...) -> the (R, D) rows at flat grid indices ``rows``; inverse of _unpack."""
+def pack_rows(a, rows):
+    """(n, t, ...) -> the (R, D) rows at flat grid indices ``rows``; the
+    inverse of ``unpack_rows``."""
     flat = a.reshape(a.shape[0] * a.shape[1], -1)
     return flat if len(rows) == len(flat) else flat[rows]
 
@@ -354,10 +361,10 @@ def scatter_rows(x, rows, n, t):
     ``rows`` holds each row's flat index into the n*t grid, sample-major;
     grid cells that no row fills are zero and pass no gradient back.
     """
-    out = _unpack(x.data, rows, (n, t, x.data.shape[1]))
+    out = unpack_rows(x.data, rows, (n, t, x.data.shape[1]))
 
     def bwd(g):
-        _accum(x, _pack(g, rows))
+        _accum(x, pack_rows(g, rows))
 
     return _record(out, (x,), bwd)
 
@@ -369,10 +376,11 @@ def split_heads(x, heads, rows, n, t):
     if d % heads:
         raise ShapeError(f"split_heads: {d} not divisible by {heads}")
     dh = d // heads
-    out = np.ascontiguousarray(_unpack(x.data, rows, (n, t, heads, dh)).transpose(0, 2, 1, 3))
+    grid = unpack_rows(x.data, rows, (n, t, heads, dh))
+    out = np.ascontiguousarray(grid.transpose(0, 2, 1, 3))
 
     def bwd(g):
-        _accum_new(x, _pack(np.ascontiguousarray(g.transpose(0, 2, 1, 3)), rows))
+        _accum_new(x, pack_rows(np.ascontiguousarray(g.transpose(0, 2, 1, 3)), rows))
 
     return _record(out, (x,), bwd)
 
@@ -381,10 +389,11 @@ def merge_heads(x, rows):
     """(N, heads, T, dh) -> packed rows (R, heads*dh) in one op: the inverse of
     ``split_heads``, keeping only the grid cells listed in ``rows``."""
     n, h, t, dh = x.data.shape
-    out = _pack(np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)), rows)
+    out = pack_rows(np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)), rows)
 
     def bwd(g):
-        _accum_new(x, np.ascontiguousarray(_unpack(g, rows, (n, t, h, dh)).transpose(0, 2, 1, 3)))
+        grid = unpack_rows(g, rows, (n, t, h, dh))
+        _accum_new(x, np.ascontiguousarray(grid.transpose(0, 2, 1, 3)))
 
     return _record(out, (x,), bwd)
 

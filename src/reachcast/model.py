@@ -14,12 +14,13 @@ where empty cells are zero and keys past C carry an additive -1e9 logit,
 which underflows to exact zero weight, so forecasts are exactly
 independent of future inputs.
 
-Three stages are fused tape ops, each one ``ad.custom`` record rather
+Four stages are fused tape ops, each one ``ad.custom`` record rather
 than a chain of taped ops: the frozen frame encoder (``frozen_encoder``),
-the state transition (``transition``) and the autoregressive emission
-(``emit``), whose every step after the observed prefix reads the
-re-embedded previous mean. Each forward runs in numpy, and each backward
-is hand-written and sums in a different order from the taped composition:
+each branch's temporal encoder (``temporal_encode``), the state
+transition (``transition``) and the autoregressive emission (``emit``),
+whose every step after the observed prefix reads the re-embedded previous
+mean. Each forward runs in numpy, and each backward is hand-written and
+sums in a different order from the taped composition:
 
 - the frame encoder's forward repeats the arithmetic of the taped
   composition op for op, with the same operand shapes and BLAS calls, so
@@ -27,6 +28,10 @@ is hand-written and sums in a different order from the taped composition:
   only the prompt's gradient, which agrees with the taped
   ``embed_border``/``conv2d`` composition to rtol 1e-9 and atol 1e-12 in
   float64 and to 2e-6 of the largest entry in float32;
+- the temporal encoder's forward repeats it op for op too, and is
+  bit-identical on every preset and dtype. Its gradients of the input
+  rows and of every tensor of the branch agree with the taped composition
+  to rtol 1e-9 and atol 1e-12 in float64;
 - the emission's forward repeats it op for op too, and is bit-identical
   on ``tiny`` and ``desk``, 3D and 2d;
 - the transition's forward does not: it runs on (N,d) rows, with one
@@ -40,8 +45,8 @@ is hand-written and sums in a different order from the taped composition:
   rtol 1e-9 and atol 1e-12.
 
 The taped compositions are kept as references in
-tests/test_frame_encoder.py, tests/test_transition.py and
-tests/test_emission.py.
+tests/test_frame_encoder.py, tests/test_temporal_encoder.py,
+tests/test_transition.py and tests/test_emission.py.
 
 The config alone decides the parameters: ``param_layout(cfg)`` names each
 tensor and its shape in the one order that initialisation, the fused ops
@@ -337,28 +342,12 @@ def _layer_norm(params, name, x):
     return ad.layer_norm(x, params[f"{name}.g"], params[f"{name}.b"])
 
 
-def _mha(params, name, q_in, kv_in, heads, rows, key_mask):
-    """Multi-head attention over packed rows: q_in and kv_in are (R,d) rows
-    at the flat indices ``rows`` of the (N,T) grid of the additive
-    (N,h,T,T) key_mask. Attention runs on that grid; the output is (R,d)."""
-    n, _, t, _ = key_mask.shape
-    q = ad.split_heads(_linear(params, f"{name}.wq", q_in), heads, rows, n, t)
-    k = ad.split_heads(ad.matmul(kv_in, params[f"{name}.wk.w"]), heads, rows, n, t)
-    v = ad.split_heads(_linear(params, f"{name}.wv", kv_in), heads, rows, n, t)
-    dh = q.shape[-1]
-    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    logits = ad.add(logits, ad.constant(key_mask))
-    ctx = ad.merge_heads(ad.matmul(ad.softmax_lastdim(logits), v), rows)
-    return _linear(params, f"{name}.wo", ctx)
-
-
-def _key_mask(observed, heads, t_query, t_key, dtype):
-    """(N,h,Tq,Tk) additive mask in ``dtype``: 0 where key < per-sample
-    observed count."""
-    n = observed.shape[0]
-    cols = np.arange(t_key)
-    m = np.where(cols[None, :] < observed[:, None], 0.0, MASK_LOGIT).astype(dtype, copy=False)
-    return np.broadcast_to(m[:, None, None, :], (n, heads, t_query, t_key)).copy()
+def _key_mask(observed, t_key, dtype):
+    """(N,1,1,Tk) additive mask in ``dtype``, which broadcasts over heads
+    and queries: 0 where key < the sample's observed count, else
+    ``MASK_LOGIT``."""
+    m = np.where(np.arange(t_key) < observed[:, None], 0.0, MASK_LOGIT).astype(dtype, copy=False)
+    return m[:, None, None, :]
 
 
 def observed_cells(observed):
@@ -543,36 +532,37 @@ def embed_points(params, cfg, points):
 
 
 def temporal_encode(params, cfg, x, observed, branch):
-    """Stack of masked post-norm encoder blocks over one branch.
+    """Stack of masked post-norm encoder blocks over one branch, as one
+    taped op.
 
     x: (R,d_obs) packed embeddings, one row per observed step in the order
     of ``observed_cells`` (R = sum of C); observed: (N,) ints. Each row gets
     the sinusoidal position of its step. Every row-wise op runs on the R
     rows only; attention scatters them onto the (N, max C) grid, where keys
-    past each sample's C are masked. Returns (R,d_obs).
+    past each sample's C are masked. Returns (R,d_obs). The forward runs in
+    numpy; the backward is hand-written.
     """
-    samples, steps = observed_cells(observed)
-    t = int(observed.max())
-    rows = samples * t + steps
-    u = ad.add(x, ad.constant(positional_encoding(t, x.shape[-1], cfg.dtype).take(steps, axis=0)))
-    mask = _key_mask(observed, cfg.heads, t, t, cfg.dtype)
-    for b in range(cfg.blocks):
-        base = f"{branch}.{b}"
-        attn = _mha(params, f"{base}.attn", u, u, cfg.heads, rows, mask)
-        u = _layer_norm(params, f"{base}.ln1", ad.add(u, attn))
-        m = _mlp2(params, f"{base}.mlp", u)
-        u = _layer_norm(params, f"{base}.ln2", ad.add(u, m))
-    return u
+    names = _fused_params(cfg)[branch]
+    inputs = (x,) + tuple(params[k] for k in names)
+    enc = _Encoder({k.removeprefix(f"{branch}."): params[k].data for k in names}, x.data,
+                   observed, positional_encoding(int(observed.max()), cfg.d_obs, cfg.dtype),
+                   cfg.heads, cfg.blocks, save=ad.is_recording(inputs))
+    return ad.custom(enc.out, inputs, enc.backward)
 
 
 @functools.lru_cache(maxsize=16)
 def _fused_params(cfg):
-    """The parameter names of the fused transition (``trans.*`` but the
-    ``trans.h`` input MLP) and of the fused emission (``emit.*``, and
-    ``traj.*``, which re-embeds each previous mean), in layout order."""
+    """The parameter names of each fused op that has weights, in layout
+    order, by the op's name: ``enc_v`` and ``enc_t`` (each branch's
+    blocks), ``trans`` (``trans.*`` but the ``trans.h`` input MLP) and
+    ``emit`` (``emit.*``, and ``traj.*``, which re-embeds each previous
+    mean)."""
     names = [n for n, _ in param_layout(cfg)]
-    return (tuple(n for n in names if n.startswith("trans.") and not n.startswith("trans.h.")),
-            tuple(n for n in names if n.startswith(("emit.", "traj."))))
+    return {"enc_v": tuple(n for n in names if n.startswith("enc_v.")),
+            "enc_t": tuple(n for n in names if n.startswith("enc_t.")),
+            "trans": tuple(n for n in names if n.startswith("trans.")
+                           and not n.startswith("trans.h.")),
+            "emit": tuple(n for n in names if n.startswith(("emit.", "traj.")))}
 
 
 def transition(params, cfg, h, observed, horizon):
@@ -587,10 +577,10 @@ def transition(params, cfg, h, observed, horizon):
     """
     n, t_enc, dz = h.shape
     t = int(horizon)
-    names = _fused_params(cfg)[0]
+    names = _fused_params(cfg)["trans"]
     inputs = (h,) + tuple(params[k] for k in names)
     roll = _Rollout({k.removeprefix("trans."): params[k].data for k in names}, h.data,
-                    _key_mask(observed, cfg.heads, 1, t_enc, cfg.dtype),
+                    _key_mask(observed, t_enc, cfg.dtype),
                     positional_encoding(t, dz, cfg.dtype),
                     cfg.heads, save=ad.is_recording(inputs))
     return ad.custom(roll.z, inputs, roll.backward)
@@ -624,6 +614,113 @@ def _softmax_inplace(x):
     x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
+
+
+class _Encoder:
+    """Numpy forward and hand-written backward of one branch's block stack.
+
+    The forward repeats the taped composition op for op, so its output is
+    bit-identical to it. Row-wise ops run on the R packed rows. Each head's
+    queries, keys and values are (N, heads, max C, d_h) strided views of
+    rows laid on the grid, zero at cells no row fills; BLAS multiplies them
+    bit for bit as it does the contiguous copies of ``ad.split_heads``. The
+    logits are scaled in place and take the key mask broadcast from
+    (N,1,1,max C). Each block's activations are kept only when ``save`` is
+    set (a tape will replay them). Every buffer, forward and backward, has
+    the dtype of x.
+    """
+
+    def __init__(self, w, x, observed, pe, heads, blocks, save):
+        samples, steps = observed_cells(observed)
+        n, t, d = len(observed), pe.shape[0], x.shape[1]
+        self.w, self.rows, self.grid = w, samples * t + steps, (n, heads, t, d // heads)
+        # a Python float, as ad.scale makes it: a numpy float64 scalar would
+        # round float32 logits differently
+        self.scale = scale = float(1.0 / np.sqrt(d // heads))
+        mask = _key_mask(observed, t, x.dtype)
+
+        def affine(a, name):
+            y = a @ w[f"{name}.w"]
+            y += w[f"{name}.b"]
+            return y
+
+        self.saved = []
+        u = x + pe.take(steps, axis=0)
+        for b in range(blocks):
+            q = self._heads(affine(u, f"{b}.attn.wq"))
+            k = self._heads(u @ w[f"{b}.attn.wk.w"])
+            v = self._heads(affine(u, f"{b}.attn.wv"))
+            p = q @ np.swapaxes(k, -1, -2)
+            p *= scale
+            p += mask
+            _softmax_inplace(p)
+            ctx = self._rows(p @ v)
+            pre = affine(ctx, f"{b}.attn.wo")
+            pre += u
+            u1, xhat1, inv1 = ad.layer_norm_fwd(pre, w[f"{b}.ln1.g"], w[f"{b}.ln1.b"])
+            hid = affine(u1, f"{b}.mlp.fc1")
+            np.tanh(hid, out=hid)
+            pre = affine(hid, f"{b}.mlp.fc2")
+            pre += u1
+            out, xhat2, inv2 = ad.layer_norm_fwd(pre, w[f"{b}.ln2.g"], w[f"{b}.ln2.b"])
+            if save:
+                self.saved.append((u, q, k, v, p, ctx, xhat1, inv1, u1, hid, xhat2, inv2))
+            u = out
+        self.out = u
+
+    def _heads(self, a):
+        """(R,d) rows -> (N,heads,T,d_h), a view of them when every cell is
+        observed and otherwise of a copy that is zero at cells no row fills."""
+        n, heads, t, dh = self.grid
+        return ad.unpack_rows(a, self.rows, (n, t, heads, dh)).transpose(0, 2, 1, 3)
+
+    def _rows(self, a):
+        """(N,heads,T,d_h) grid -> its (R,d) rows, the inverse of ``_heads``."""
+        return ad.pack_rows(a.transpose(0, 2, 1, 3), self.rows)
+
+    def backward(self, g):
+        """Gradients of x, then of each parameter in the order of ``w``.
+
+        From the last block back; each weight gradient is one product over
+        all R rows, and each bias and gain gradient one sum.
+        """
+        w, scale = self.w, self.scale
+        grads = {}
+
+        def linear(name, x, dy):
+            grads[f"{name}.w"] = x.T @ dy
+            grads[f"{name}.b"] = dy.sum(axis=0)
+
+        def norm(name, xhat, inv, dy):  # returns the input's gradient
+            grads[f"{name}.g"] = (dy * xhat).sum(axis=0)
+            grads[f"{name}.b"] = dy.sum(axis=0)
+            return ad.layer_norm_bwd(dy, w[f"{name}.g"], xhat, inv)
+
+        du = g.copy()  # handed over as x's gradient when there are no blocks
+        for b in reversed(range(len(self.saved))):
+            u, q, k, v, p, ctx, xhat1, inv1, u1, hid, xhat2, inv2 = self.saved[b]
+            dpre = norm(f"{b}.ln2", xhat2, inv2, du)
+            linear(f"{b}.mlp.fc2", hid, dpre)
+            dhid = dpre @ w[f"{b}.mlp.fc2.w"].T
+            dhid *= 1.0 - hid * hid
+            linear(f"{b}.mlp.fc1", u1, dhid)
+            du1 = dhid @ w[f"{b}.mlp.fc1.w"].T
+            du1 += dpre
+            dpre = norm(f"{b}.ln1", xhat1, inv1, du1)
+            linear(f"{b}.attn.wo", ctx, dpre)
+            dctx = self._heads(dpre @ w[f"{b}.attn.wo.w"].T)
+            dlog = ad.softmax_bwd(dctx @ np.swapaxes(v, -1, -2), p)
+            dlog *= scale
+            dq = self._rows(dlog @ k)
+            dk = self._rows(np.swapaxes(dlog, -1, -2) @ q)
+            dv = self._rows(np.swapaxes(p, -1, -2) @ dctx)
+            linear(f"{b}.attn.wq", u, dq)
+            grads[f"{b}.attn.wk.w"] = u.T @ dk
+            linear(f"{b}.attn.wv", u, dv)
+            du = dpre
+            for name, dy in (("wq", dq), ("wk", dk), ("wv", dv)):
+                du += dy @ w[f"{b}.attn.{name}.w"].T
+        return (du,) + tuple(grads[k] for k in w)
 
 
 class _Rollout:
@@ -845,7 +942,7 @@ def emit(params, cfg, z, o_t, observed):
     is None in 2d mode. The forward runs in numpy; the backward is
     hand-written BPTT through the previous-mean recurrence.
     """
-    names = _fused_params(cfg)[1]
+    names = _fused_params(cfg)["emit"]
     inputs = (z, o_t) + tuple(params[k] for k in names)
     em = _Emission({k: params[k].data for k in names}, z.data, o_t.data,
                    np.asarray(observed), save=ad.is_recording(inputs))

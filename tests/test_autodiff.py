@@ -507,6 +507,26 @@ class TestCustom:
             with pytest.raises(ad.ShapeError):
                 g.backward(ad.reduce_sum(out))
 
+    def test_first_gradient_handed_over_then_accumulated(self):
+        # the input's first gradient is the backward's own array, not a
+        # copy; a second use of the same input adds into it
+        a = ad.Tensor(np.ones(3), requires_grad=True)
+        handed = []
+
+        def use(s):
+            def backward(g):
+                handed.append(g * s)
+                return (handed[-1],)
+
+            return ad.custom(a.data * s, (a,), backward)
+
+        with ad.Graph() as g:
+            g.backward(ad.reduce_sum(ad.add(use(2.0), use(3.0))))
+        first, second = handed  # the tape replays the second use first
+        assert a.grad is first
+        np.testing.assert_array_equal(a.grad, [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(second, [2.0, 2.0, 2.0])
+
     def test_not_recorded_without_tape(self):
         a = ad.Tensor(np.ones(3), requires_grad=True)
         assert not ad.is_recording((a,))

@@ -275,48 +275,55 @@ class TestEmbedPoint:
         np.testing.assert_array_equal(out, 0.0)
 
 
-def attend(q, kv, observed, value_bias=None):
-    """``_mha`` with one head, identity projections and the per-sample key
-    mask: masked scaled dot-product attention over (N, T, d) inputs, every
-    grid cell a packed row. A value_bias replaces every value row with
-    that constant."""
-    n, t, d = kv.shape
-    layout = [(f"a.{proj}.{k}", (d, d) if k == "w" else (d,))
-              for proj in ("wq", "wv", "wo") for k in "wb"] + [("a.wk.w", (d, d))]
-    params = M.Params(layout, np.float64)  # biases start zero
+def encode_one_head(x, observed, value=None):
+    """``temporal_encode`` with one block and one head, identity attention
+    projections and a zero MLP, so that each output row is
+    ``ln_ln(u + a)``: u the input row plus its position, a its attention
+    output. ``value`` makes every value row that constant. Returns the
+    output and u."""
+    d = x.shape[1]
+    cfg = ModelConfig.tiny(d_obs=d, blocks=1, heads=1)
+    params = M.init_params(cfg, seed=0)  # biases start zero and gains one
     for proj in ("wq", "wk", "wv", "wo"):
-        params[f"a.{proj}.w"].data[...] = np.eye(d)
-    if value_bias is not None:
-        params["a.wv.w"].data[...] = 0.0
-        params["a.wv.b"].data[...] = value_bias
-    mask = M._key_mask(np.asarray(observed), 1, t, t, np.float64)
-    out = M._mha(params, "a", ad.constant(q.reshape(n * t, d)), ad.constant(kv.reshape(n * t, d)),
-                 1, np.arange(n * t), mask)
-    return out.data.reshape(n, t, d)
+        params[f"enc_v.0.attn.{proj}.w"].data[...] = np.eye(d)
+    for fc in ("fc1", "fc2"):
+        params[f"enc_v.0.mlp.{fc}.w"].data[...] = 0.0
+    if value is not None:
+        params["enc_v.0.attn.wv.w"].data[...] = 0.0
+        params["enc_v.0.attn.wv.b"].data[...] = value
+    observed = np.asarray(observed)
+    out = M.temporal_encode(params, cfg, ad.constant(x), observed, "enc_v").data
+    steps = M.observed_cells(observed)[1]
+    return out, x + M.positional_encoding(int(observed.max()), d, cfg.dtype)[steps]
+
+
+def ln_ln(v):
+    """The block's two layer norms at unit gain and zero bias."""
+    ones, zeros = np.ones(v.shape[-1]), np.zeros(v.shape[-1])
+    for _ in range(2):
+        v = ad.layer_norm_fwd(v, ones, zeros)[0]
+    return v
 
 
 class TestMaskedAttention:
     def test_masked_position_has_no_influence(self):
-        rng = np.random.default_rng(0)
-        q = rng.standard_normal((2, 2, 4))
-        kv = rng.standard_normal((2, 2, 4))
-        base = attend(q, kv, [1, 2])
-        kv2 = kv.copy()
-        kv2[:, 1] += 100.0
-        moved = attend(q, kv2, [1, 2])
-        np.testing.assert_array_equal(base[0], moved[0])
-        assert np.max(np.abs(base[1] - moved[1])) > 0
+        # C = [1, 2]: sample 0's key at step 1 is an empty, masked grid cell,
+        # so its one query attends to its own key alone and reads back its
+        # own value exactly; sample 1's second key is live
+        x = np.random.default_rng(0).standard_normal((3, 4))
+        out, u = encode_one_head(x, [1, 2])
+        np.testing.assert_array_equal(out[0], ln_ln(u[0] + u[0]))
+        assert np.max(np.abs(out[1] - ln_ln(u[1] + u[1]))) > 1e-3
 
     def test_equal_values_give_value(self):
-        rng = np.random.default_rng(1)
-        q = rng.standard_normal((1, 3, 4))
-        kv = rng.standard_normal((1, 3, 4))
-        out = attend(q, kv, [3], value_bias=[1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_allclose(out[0], np.tile([1.0, 2.0, 3.0, 4.0], (3, 1)), atol=1e-12)
+        x = np.random.default_rng(1).standard_normal((3, 4))
+        value = np.array([1.0, 2.0, 3.0, 4.0])
+        out, u = encode_one_head(x, [3], value=value)
+        np.testing.assert_allclose(out, ln_ln(u + value), atol=1e-12)
 
     def test_single_key_returns_value(self):
-        np.testing.assert_array_equal(attend(np.array([[[0.7]]]), np.array([[[-0.3]]]), [1]),
-                                      [[[-0.3]]])
+        out, u = encode_one_head(np.array([[0.7, -0.3, 0.2, 1.1]]), [1])
+        np.testing.assert_array_equal(out, ln_ln(u + u))
 
     def test_count_out_of_range(self, tiny):
         cfg, params = tiny

@@ -35,8 +35,8 @@ def reference_transition(params, cfg, h, observed, horizon):
     n, t_enc, dz = h.shape
     t = int(horizon)
     pe = M.positional_encoding(t, dz, cfg.dtype)
-    hmask = M._key_mask(observed, cfg.heads, 1, t_enc, cfg.dtype)
     heads = cfg.heads
+    hmask = np.broadcast_to(M._key_mask(observed, t_enc, cfg.dtype), (n, heads, 1, t_enc)).copy()
     dh = dz // heads
     k_h = split_heads(ad.matmul(h, params["trans.cross.wk.w"]), heads)
     v_h = split_heads(M._linear(params, "trans.cross.wv", h), heads)
