@@ -30,12 +30,16 @@ padding; ``scatter_rows`` moves rows to the padded (N, T) grid.
 
 The model runs its frame encoder, temporal encoders, transition and
 emission as fused ops. ``conv2d``, ``embed_border``, ``split_heads``,
-``merge_heads``, ``softmax_lastdim`` and ``transpose`` now serve only the
-taped references of those ops in the tests and the benchmark's tracer,
-which wraps them by name.
+``merge_heads``, ``softmax_lastdim``, ``transpose`` and ``concat`` now
+serve only the taped references of those ops in the tests and the
+benchmark's tracer, which wraps them by name.
 
 A graph and its tensors belong to one thread; weight tensors may be
-shared read-only across threads running independent graphs.
+shared read-only across threads running independent graphs. A fused op
+may run part of its numpy work on a helper thread, forward or backward,
+as the temporal encoders do; the helper reads and writes arrays only and
+never touches the tape, so ``is_recording`` is asked on the op's own
+thread.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ independent of future inputs.
 
 Four stages are fused tape ops, each one ``ad.custom`` record rather
 than a chain of taped ops: the frozen frame encoder (``frozen_encoder``),
-each branch's temporal encoder (``temporal_encode``), the state
+the temporal encoders of both branches (``temporal_encode``), the state
 transition (``transition``) and the autoregressive emission (``emit``),
 whose every step after the observed prefix reads the re-embedded previous
 mean. Each forward runs in numpy, and each backward is hand-written and
@@ -44,6 +44,17 @@ sums in a different order from the taped composition:
   through time, and their gradients agree with the taped composition to
   rtol 1e-9 and atol 1e-12.
 
+The two temporal-encoder branches share no data. When a branch's
+multiply-adds, about R * blocks * (4 + 2 mlp_ratio) * d_obs^2 in the
+forward and twice that in the backward, reach ``PARALLEL_MIN_MACS``, the
+trajectory branch runs on a helper thread while the visual branch runs
+on the caller; numpy releases the interpreter lock inside each product.
+The gate is a property of the input: every paper-sized call with R >= 2
+is threaded, and desk calls stay serial below about 340 rows (170 in the
+backward), where Python call overhead and lock hand-offs make two threads
+slower. BLAS stays on one thread and every product keeps its shapes, so
+both paths are bit-identical.
+
 The taped compositions are kept as references in
 tests/test_frame_encoder.py, tests/test_temporal_encoder.py,
 tests/test_transition.py and tests/test_emission.py.
@@ -60,6 +71,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -70,6 +82,9 @@ from . import autodiff as ad
 MASK_LOGIT = -1e9
 COORDINATE_MODES = ("global-3d", "2d")
 COMPUTE_DTYPES = ("float64", "float32")
+# a temporal-encoder branch with at least this many multiply-adds runs on a
+# helper thread beside the other (see temporal_encode)
+PARALLEL_MIN_MACS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -531,23 +546,75 @@ def embed_points(params, cfg, points):
     return _mlp2(params, "traj", ad.constant(points))
 
 
-def temporal_encode(params, cfg, x, observed, branch):
-    """Stack of masked post-norm encoder blocks over one branch, as one
+def temporal_encode(params, cfg, x, observed):
+    """Both branches' stacks of masked post-norm encoder blocks, as one
     taped op.
 
-    x: (R,d_obs) packed embeddings, one row per observed step in the order
-    of ``observed_cells`` (R = sum of C); observed: (N,) ints. Each row gets
+    x: (x_v, x_t), the visual and trajectory branches' (R,d_obs) packed
+    embeddings, one row per observed step in the order of
+    ``observed_cells`` (R = sum of C); observed: (N,) ints. Each row gets
     the sinusoidal position of its step. Every row-wise op runs on the R
     rows only; attention scatters them onto the (N, max C) grid, where keys
-    past each sample's C are masked. Returns (R,d_obs). The forward runs in
-    numpy; the backward is hand-written.
+    past each sample's C are masked. Returns the (R, 2 d_obs) rows
+    ``[o_v | o_t]``. Each branch's forward runs in numpy and its backward
+    is hand-written (``_Encoder``).
+
+    The branches share no data, so when a branch's multiply-adds reach
+    ``PARALLEL_MIN_MACS`` (twice its forward's count in the backward) the
+    trajectory branch runs on a helper thread while the visual branch runs
+    on the caller. Every GEMM keeps its one-threaded BLAS kernel and its
+    shapes, so the result is bit-identical either way.
     """
-    names = _fused_params(cfg)[branch]
-    inputs = (x,) + tuple(params[k] for k in names)
-    enc = _Encoder({k.removeprefix(f"{branch}."): params[k].data for k in names}, x.data,
-                   observed, positional_encoding(int(observed.max()), cfg.d_obs, cfg.dtype),
-                   cfg.heads, cfg.blocks, save=ad.is_recording(inputs))
-    return ad.custom(enc.out, inputs, enc.backward)
+    names = _fused_params(cfg)
+    inputs = tuple(x) + tuple(params[k] for k in names["enc_v"] + names["enc_t"])
+    save = ad.is_recording(inputs)  # thread-local: decided here, not on the helper
+    pe = positional_encoding(int(observed.max()), cfg.d_obs, cfg.dtype)
+    macs = int(observed.sum()) * cfg.blocks * (4 + 2 * cfg.mlp_ratio) * cfg.d_obs ** 2
+
+    def encoder(branch, rows):
+        w = {k.removeprefix(f"{branch}."): params[k].data for k in names[branch]}
+        return lambda: _Encoder(w, rows.data, observed, pe, cfg.heads, cfg.blocks, save)
+
+    enc_v, enc_t = _both(encoder("enc_v", x[0]), encoder("enc_t", x[1]),
+                         macs >= PARALLEL_MIN_MACS)
+
+    def backward(g):
+        d = cfg.d_obs
+        (dx_v, *g_v), (dx_t, *g_t) = _both(lambda: enc_v.backward(g[:, :d]),
+                                           lambda: enc_t.backward(g[:, d:]),
+                                           2 * macs >= PARALLEL_MIN_MACS)
+        return (dx_v, dx_t, *g_v, *g_t)
+
+    return ad.custom(np.concatenate([enc_v.out, enc_t.out], axis=1), inputs, backward)
+
+
+def _both(first, second, threaded):
+    """``(first(), second())``, calling ``second`` on a helper thread when
+    ``threaded``.
+
+    The helper runs numpy only and never records on or reads the tape. The
+    caller always joins it, and an exception raised on it is raised again
+    on the caller.
+    """
+    if not threaded:
+        return first(), second()
+    got = {}
+
+    def helper():
+        try:
+            got["value"] = second()
+        except BaseException as exc:  # raised again on the caller, below
+            got["error"] = exc
+
+    thread = threading.Thread(target=helper, name="reachcast-encoder")
+    thread.start()
+    try:
+        value = first()
+    finally:
+        thread.join()
+    if "error" in got:
+        raise got["error"]
+    return value, got["value"]
 
 
 @functools.lru_cache(maxsize=16)
@@ -682,7 +749,9 @@ class _Encoder:
         """Gradients of x, then of each parameter in the order of ``w``.
 
         From the last block back; each weight gradient is one product over
-        all R rows, and each bias and gain gradient one sum.
+        all R rows, and each bias and gain gradient one sum. g may be a
+        column view of the paired op's gradient: it is copied first, so
+        every gradient handed over is fresh.
         """
         w, scale = self.w, self.scale
         grads = {}
@@ -1108,6 +1177,14 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     rows. The transition and the emission then run once each over the
     whole horizon. Returns dict of graph tensors: mean (N,T,pd),
     alpha/beta (N,T,1), beta None in 2d mode, velocity (N,T,pd).
+
+    A sample's outputs can differ in the last bits with the batch it rides
+    in: encoded alone, a sample with C=1 makes one-row products, which
+    BLAS runs as a gemv, and a batch whose max C reaches 8 changes the
+    association of numpy's pairwise softmax sums over the padded keys. So
+    a batched forecast and ``forecast`` of the same sample need not be
+    byte-equal. Running the encoder branches on two threads adds nothing
+    to this: both paths give the same bits.
     """
     frames = np.asarray(frames, dtype=cfg.dtype)
     points = np.asarray(points, dtype=cfg.dtype)
@@ -1130,12 +1207,10 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
             return a[:, :t_enc].reshape((len(rows),) + a.shape[2:])
         return a[samples, steps]
 
-    o_v = temporal_encode(params, cfg, encode_frames(params, cfg, observed_rows(frames)),
-                          observed, "enc_v")
-    o_t = temporal_encode(params, cfg, embed_points(params, cfg, observed_rows(points)),
-                          observed, "enc_t")
-
-    o = ad.concat([o_v, o_t], axis=1)
+    o = temporal_encode(params, cfg, (encode_frames(params, cfg, observed_rows(frames)),
+                                      embed_points(params, cfg, observed_rows(points))),
+                        observed)
+    o_t = ad.slice_axis(o, 1, cfg.d_obs, 2 * cfg.d_obs)
     pe_z = positional_encoding(t, cfg.d_z, cfg.dtype).take(steps, axis=0)
     h = _layer_norm(params, "trans.h.ln", ad.add(_mlp2(params, "trans.h", o), ad.constant(pe_z)))
 
@@ -1148,7 +1223,11 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
 def forecast(params, cfg, frames, points, observed_count):
     """Single-sample inference. frames (T,H,W), points (T,point_dim)
     with at least the first C entries filled; returns a ForecastOutput
-    covering the sample's full horizon."""
+    covering the sample's full horizon.
+
+    This is ``forward_batch`` at N=1, so it can differ in the last bits
+    from the same sample's row of a batched forecast (see there), with or
+    without the encoder's helper thread."""
     out = forward_batch(params, cfg, np.asarray(frames)[None], np.asarray(points)[None],
                         np.array([observed_count]))
     return ForecastOutput(

@@ -407,7 +407,10 @@ def forecast_cases(params, cfg, samples, norm, ratio):
     """The model's decoded forecasts at a fixed observation ratio, as
     (sample, observed, pred, gt) cases in sorted-id order (see
     ``decode_prediction`` for their space). The model runs on
-    ``EVAL_BATCH`` samples at a time."""
+    ``EVAL_BATCH`` samples at a time, so a case can differ in the last
+    bits from ``model.forecast`` of the same sample: a sample's outputs
+    depend on the batch it rides in (see ``model.forward_batch``), and the
+    encoder's helper thread adds nothing to that."""
     fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
     samples = sorted(samples, key=lambda s: s.id)
     cases = []

@@ -275,6 +275,13 @@ class TestEmbedPoint:
         np.testing.assert_array_equal(out, 0.0)
 
 
+def encode(params, cfg, x, observed, branch):
+    """``branch``'s half of the paired ``temporal_encode`` of x fed to both
+    branches."""
+    half = slice(0, cfg.d_obs) if branch == "enc_v" else slice(cfg.d_obs, None)
+    return M.temporal_encode(params, cfg, (x, x), observed).data[:, half]
+
+
 def encode_one_head(x, observed, value=None):
     """``temporal_encode`` with one block and one head, identity attention
     projections and a zero MLP, so that each output row is
@@ -292,7 +299,7 @@ def encode_one_head(x, observed, value=None):
         params["enc_v.0.attn.wv.w"].data[...] = 0.0
         params["enc_v.0.attn.wv.b"].data[...] = value
     observed = np.asarray(observed)
-    out = M.temporal_encode(params, cfg, ad.constant(x), observed, "enc_v").data
+    out = encode(params, cfg, ad.constant(x), observed, "enc_v")
     steps = M.observed_cells(observed)[1]
     return out, x + M.positional_encoding(int(observed.max()), d, cfg.dtype)[steps]
 
@@ -341,28 +348,45 @@ class TestTemporalEncode:
         rng = np.random.default_rng(3)
         obs = np.array([5, 7])
         x = rng.standard_normal((obs.sum(), cfg.d_obs))
-        base = M.temporal_encode(params, cfg, ad.constant(x), obs, "enc_v").data
+        base = encode(params, cfg, ad.constant(x), obs, "enc_v")
         bounds = np.cumsum([0, *obs])
         for i in range(len(obs)):
             rows = slice(bounds[i], bounds[i + 1])
-            alone = M.temporal_encode(params, cfg, ad.constant(x[rows]), obs[i : i + 1], "enc_v")
-            np.testing.assert_array_equal(base[rows], alone.data)
+            alone = encode(params, cfg, ad.constant(x[rows]), obs[i : i + 1], "enc_v")
+            np.testing.assert_array_equal(base[rows], alone)
 
     def test_output_width(self, desk):
         cfg, params = desk
         x = ad.constant(np.zeros((6, cfg.d_obs)))
-        out = M.temporal_encode(params, cfg, x, np.array([4, 2]), "enc_t")
-        assert out.shape == (6, cfg.d_obs)
+        out = M.temporal_encode(params, cfg, (x, x), np.array([4, 2]))
+        assert out.shape == (6, 2 * cfg.d_obs)
 
     def test_zero_blocks_degenerates_to_input_plus_pe(self):
         cfg = ModelConfig.tiny(blocks=0)
         params = M.init_params(cfg, seed=0)
         obs = np.array([4, 2])
         x = np.random.default_rng(0).standard_normal((6, cfg.d_obs))
-        out = M.temporal_encode(params, cfg, ad.constant(x), obs, "enc_v").data
+        out = encode(params, cfg, ad.constant(x), obs, "enc_v")
         _, steps = M.observed_cells(obs)
         pe = M.positional_encoding(4, cfg.d_obs, cfg.dtype)
         np.testing.assert_array_equal(out, x + pe[steps])
+
+
+    def test_emission_reads_the_trajectory_half(self, desk, monkeypatch):
+        cfg, params = desk
+        frames, points, obs = random_batch(cfg, 2, seed=5, observed=[3, 6])
+        seen, emit = {}, M.emit
+
+        def spy(params, cfg, z, o_t, observed):
+            seen["o_t"] = o_t.data
+            return emit(params, cfg, z, o_t, observed)
+
+        monkeypatch.setattr(M, "emit", spy)
+        M.forward_batch(params, cfg, frames, points, obs)
+        x = (M.encode_frames(params, cfg, pack(frames, obs)),
+             M.embed_points(params, cfg, pack(points, obs)))
+        o = M.temporal_encode(params, cfg, x, obs).data
+        np.testing.assert_array_equal(seen["o_t"][M.observed_cells(obs)], o[:, cfg.d_obs:])
 
 
 class TestPositionalEncoding:
@@ -536,13 +560,15 @@ class TestForecast:
         x_t1 = M.embed_points(params, cfg, pack(points, obs)).data
         x_t2 = M.embed_points(params, cfg, pack(points, obs)).data
         np.testing.assert_array_equal(x_t1, x_t2)
-        o1 = M.temporal_encode(params, cfg, ad.constant(x_t1), obs, "enc_t").data
         # scaling pixels only affects the visual branch
-        v1 = M.encode_frames(params, cfg, pack(frames, obs)).data
-        v2 = M.encode_frames(params, cfg, pack(frames, obs) * 0.5).data
-        assert np.any(v1 != v2)
-        o2 = M.temporal_encode(params, cfg, ad.constant(x_t2), obs, "enc_t").data
-        np.testing.assert_array_equal(o1, o2)
+        v1 = M.encode_frames(params, cfg, pack(frames, obs))
+        v2 = M.encode_frames(params, cfg, pack(frames, obs) * 0.5)
+        assert np.any(v1.data != v2.data)
+        o1 = M.temporal_encode(params, cfg, (v1, ad.constant(x_t1)), obs).data
+        o2 = M.temporal_encode(params, cfg, (v2, ad.constant(x_t2)), obs).data
+        d = cfg.d_obs
+        assert np.any(o1[:, :d] != o2[:, :d])
+        np.testing.assert_array_equal(o1[:, d:], o2[:, d:])
 
 
 class TestGradientFlow:
