@@ -39,7 +39,9 @@ shared read-only across threads running independent graphs. A fused op
 may run part of its numpy work on a helper thread, forward or backward,
 as the temporal encoders do; the helper reads and writes arrays only and
 never touches the tape, so ``is_recording`` is asked on the op's own
-thread.
+thread. The optimizer, which runs after the tape is done, may do the
+same with the gradients it reads: ``trainer.Adam.step`` updates one half
+of the parameters on a helper thread.
 """
 
 from __future__ import annotations

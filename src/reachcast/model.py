@@ -590,7 +590,9 @@ def temporal_encode(params, cfg, x, observed):
 
 def _both(first, second, threaded):
     """``(first(), second())``, calling ``second`` on a helper thread when
-    ``threaded``.
+    ``threaded``. The one thread helper of the package: the temporal
+    encoders' branches use it, and so does ``trainer.Adam.step``, which
+    splits its update into two halves after the tape is done.
 
     The helper runs numpy only and never records on or reads the tape. The
     caller always joins it, and an exception raised on it is raised again
@@ -606,7 +608,7 @@ def _both(first, second, threaded):
         except BaseException as exc:  # raised again on the caller, below
             got["error"] = exc
 
-    thread = threading.Thread(target=helper, name="reachcast-encoder")
+    thread = threading.Thread(target=helper, name="reachcast-helper")
     thread.start()
     try:
         value = first()

@@ -9,7 +9,13 @@ time, and reduces per-sample values in that order, so it is invariant to
 input order. ``score`` turns a split's forecasts, the model's or the
 constant-velocity baseline's, into one metrics row in array passes over
 all of its samples' steps at once: one lowering through the poses, one
-projection per camera and one distance pass per metric.
+projection per camera and one distance pass per metric. A case whose
+lowered depth, in pred or gt, is below ``NEAR_PLANE`` drops out of the
+2D-from-3D metrics.
+
+``Adam`` steps the store's trainable tail in chunks. On a large tail it
+runs half of each step on ``model._both``'s helper thread, after the tape
+is done, with the same bits as a serial step.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ OBSERVATION_MODES = ("fixed", "random")
 EVAL_BATCH = 256  # samples per model call in evaluation, which bounds its memory
 RATIO_RANGE = (0.1, 0.9)  # the any-time protocol: random-mode ratios are uniform on it
 CLIP_NORM = 10.0  # every training step clips the gradient to this global norm
+# meters: a lowered depth below this projects to a huge pixel, so the case
+# drops out of the 2D-from-3D metrics as one behind the camera does
+NEAR_PLANE = 0.01
 
 
 @dataclass(frozen=True)
@@ -158,13 +167,23 @@ class Adam:
     ``_tail`` views that tail, and the moments are two flat arrays laid out
     like it (``m[name]`` and ``v[name]`` view them). A step walks the tail
     in chunks of ``CHUNK_BYTES`` of moments, across tensor edges, so small
-    tensors share each numpy call and temporaries stay in cache; only the
-    per-tensor gradients are gathered. ``save``/``load`` keep the moments
+    tensors share each numpy call and temporaries stay in cache. A chunk
+    inside one tensor reads a view of its gradient; only a chunk across
+    tensor edges gathers its pieces. ``save``/``load`` keep the moments
     and step count beside a model checkpoint, so a resumed run continues
     exactly where it stopped.
+
+    When the tail holds at least ``PARALLEL_MIN_BYTES`` (a property of the
+    store: the paper preset's 49 MB float32 tail, not desk's 0.85 MB), a
+    step runs its first half of the chunks on the caller and its second
+    half on ``model._both``'s helper thread, and splits the clip norm's
+    per-tensor dot products the same way; the dots are summed in tensor
+    order and every element's arithmetic is the same, so both paths give
+    the same bits.
     """
 
-    CHUNK_BYTES = 1 << 17
+    CHUNK_BYTES = 1 << 18
+    PARALLEL_MIN_BYTES = 1 << 22
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params):
@@ -191,6 +210,10 @@ class Adam:
                             np.searchsorted(bounds, hi))
             self._chunks.append((lo, hi, [(i, max(lo, bounds[i]) - bounds[i],
                                            min(hi, bounds[i + 1]) - bounds[i]) for i in tensors]))
+        # where the helper thread's halves begin: the chunks by count, the
+        # tensors (for the clip norm) by elements
+        self._half_chunk = len(self._chunks) // 2
+        self._half_tensor = int(np.searchsorted(bounds, bounds[-1] // 2))
 
     def step(self, lr, clip_norm):
         """One update from the parameters' gradients, clipped to a global
@@ -204,15 +227,29 @@ class Adam:
             raise ValueError(f"requires_grad of {', '.join(flipped)} changed after the "
                              "optimizer was built; build a new one")
         grads = [t.grad_or_zeros().reshape(-1) for t in self._tensors]
-        total = math.sqrt(sum(float(np.dot(g, g)) for g in grads))
+        threaded = self._tail.nbytes >= self.PARALLEL_MIN_BYTES
+        k = self._half_tensor
+        dots = M._both(lambda: [float(np.dot(g, g)) for g in grads[:k]],
+                       lambda: [float(np.dot(g, g)) for g in grads[k:]], threaded)
+        total = math.sqrt(sum(dots[0] + dots[1]))
         scale = clip_norm / total if total > clip_norm else None
         self.t += 1
         b1c = 1.0 - self.BETA1**self.t
         b2c = 1.0 - self.BETA2**self.t
-        for lo, hi, pieces in self._chunks:
-            g = np.concatenate([grads[i][a:b] for i, a, b in pieces])
+        c = self._half_chunk
+        M._both(lambda: self._update(self._chunks[:c], grads, scale, lr, b1c, b2c),
+                lambda: self._update(self._chunks[c:], grads, scale, lr, b1c, b2c), threaded)
+
+    def _update(self, chunks, grads, scale, lr, b1c, b2c):
+        """Step the moments and parameters of ``chunks`` in place."""
+        for lo, hi, pieces in chunks:
+            if len(pieces) == 1:
+                (i, a, b), = pieces
+                g = grads[i][a:b]  # a view: scaled below into a fresh array, never in place
+            else:
+                g = np.concatenate([grads[i][a:b] for i, a, b in pieces])
             if scale is not None:
-                g *= scale
+                g = g * scale
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
             # p -= lr (m / b1c) / (sqrt(v / b2c) + eps), op for op
             m, v = self._m[lo:hi], self._v[lo:hi]
@@ -352,15 +389,17 @@ def _lowered_2d(cases, rows):
     their (2, rows, 2) stacked rows.
 
     Every row is lowered through its sample's poses in one product. A case
-    with any lowered depth <= 0, in pred or in gt, is left out, and the
-    kept rows are projected once per distinct intrinsics."""
+    with any lowered depth below ``NEAR_PLANE``, in pred or in gt, is left
+    out (behind the camera, or so near its plane that one pixel would
+    dominate the mean), and the kept rows are projected once per distinct
+    intrinsics."""
     lengths = np.array([len(c[2]) for c in cases])
     products = np.concatenate([s.poses.cumulative[1 : n + 1]
                                for (s, *_), n in zip(cases, lengths.tolist())])
     if len(products) != rows.shape[1]:
         raise ValueError("a case has more steps than its sample's pose chain")
     local = to_local(rows, products)
-    behind = (local[..., 2] <= 0).any(axis=0)
+    behind = (local[..., 2] < NEAR_PLANE).any(axis=0)
     kept = ~np.logical_or.reduceat(behind, np.cumsum(lengths) - lengths)
     seen = [c for c, k in zip(cases, kept.tolist()) if k]
     local = local[:, np.repeat(kept, lengths)]
@@ -380,9 +419,9 @@ def score(cases, split, ratio, model):
     pred and gt cover each sample's steps. 3D cases are world-frame meters;
     they score ADE/FDE in 3D and, lowered through the sample's poses and
     projected, in normalized frame units. A case with a lowered point
-    behind the camera, in pred or in gt, drops out of those 2D-from-3D
-    metrics only. 2D cases (2d-mode forecasts) are normalized frame units
-    and score ade2d/fde2d.
+    behind the camera or nearer its plane than ``NEAR_PLANE``, in pred or
+    in gt, drops out of those 2D-from-3D metrics only. 2D cases (2d-mode
+    forecasts) are normalized frame units and score ade2d/fde2d.
 
     Each metric is one pass over all its cases' rows at once, and averages
     the per-case values in case order, so the row is bit-identical to

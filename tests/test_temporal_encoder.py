@@ -334,7 +334,7 @@ class TestHelperThread:
         observed[-1] += 1
         x = np.random.default_rng(72).standard_normal((2, r + 1, cfg.d_obs))
         _pair_grads(params, cfg, x, observed, np.ones((r + 1, 2 * cfg.d_obs)))
-        assert started == ["reachcast-encoder"]
+        assert started == ["reachcast-helper"]
 
     def test_desk_forecast_starts_no_thread(self, monkeypatch):
         cfg, params = _preset_params("desk")

@@ -1,3 +1,6 @@
+import math
+import sys
+import threading
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -51,6 +54,15 @@ def tiny_setup():
     samples, manifest = gen_dataset(40, master_seed=21, options=opts)
     norm = (np.array(manifest["norm"]["min"]), np.array(manifest["norm"]["max"]))
     return cfg, samples, manifest, norm
+
+
+def _counting_thread(started):
+    """A ``threading.Thread`` that appends its name to ``started`` on start."""
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+    return Counting
 
 
 def _tiny_intrinsics():
@@ -230,7 +242,7 @@ class TestAdamAndFit:
         assert np.all(store.flat[6:] < 0)
 
     @pytest.mark.parametrize("clip_norm", [pytest.param(1e3, id="unclipped"), 0.5])
-    @pytest.mark.parametrize("chunk", [Adam.CHUNK_BYTES // 8, 1000])
+    @pytest.mark.parametrize("chunk", [pytest.param(Adam.CHUNK_BYTES // 8, id="default"), 1000])
     def test_adam_in_place_matches_allocating_update(self, clip_norm, chunk, monkeypatch):
         # the chunked in-place step against the per-tensor allocating form it
         # replaced, bit for bit; desk is float64, so the byte budget gives
@@ -266,6 +278,66 @@ class TestAdamAndFit:
             np.testing.assert_array_equal(p.data, ref[n], err_msg=n)
             np.testing.assert_array_equal(opt.m[n], m[n], err_msg=n)
             np.testing.assert_array_equal(opt.v[n], v[n], err_msg=n)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("clip_norm", [pytest.param(1e3, id="unclipped"), 0.5])
+    @pytest.mark.parametrize("chunk", [None, 1000], ids=["default-chunk", "1000-chunk"])
+    def test_adam_threaded_and_serial_steps_byte_equal(self, dtype, clip_norm, chunk,
+                                                        monkeypatch):
+        # the gate forced both ways on a desk store in float64 and in the
+        # paper's float32; 1000-element chunks split desk's larger tensors
+        # (read as views) and pack its small ones (gathered). A short switch
+        # interval interleaves the two threads' numpy calls finely.
+        cfg = M.ModelConfig.desk(compute_dtype=dtype)
+        if chunk:
+            monkeypatch.setattr(Adam, "CHUNK_BYTES", chunk * cfg.dtype.itemsize)
+        rng = np.random.default_rng(8)
+        shapes = {n: p.data.shape for n, p in M.init_params(cfg, seed=0).trainable_items()}
+        grads = [{n: (rng.standard_normal(s) * 0.1).astype(dtype) for n, s in shapes.items()}
+                 for _ in range(3)]
+        assert all((np.sqrt(sum(float(np.sum(x.astype(np.float64) ** 2)) for x in g.values()))
+                    > clip_norm) == (clip_norm == 0.5) for g in grads)
+        started = []
+        monkeypatch.setattr(threading, "Thread", _counting_thread(started))
+        states = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for gate in (0, np.inf):  # threaded, then serial
+                monkeypatch.setattr(Adam, "PARALLEL_MIN_BYTES", gate)
+                params = M.init_params(cfg, seed=0)
+                opt = Adam(params)
+                kinds = {len(pieces) > 1 for *_, pieces in opt._chunks}
+                assert kinds == ({True, False} if chunk else {True})
+                assert 0 < opt._half_chunk < len(opt._chunks)
+                for g in grads:
+                    for n, p in params.trainable_items():
+                        p.grad = g[n]
+                    opt.step(lr=1e-3, clip_norm=clip_norm)
+                states.append([params.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(),
+                               opt.t])
+        finally:
+            sys.setswitchinterval(interval)
+        assert started == ["reachcast-helper"] * 2 * len(grads)  # the norm and the update
+        assert states[0] == states[1]
+
+    def test_desk_adam_step_starts_no_thread(self, monkeypatch):
+        # the gate is a property of the store: desk's tail stays serial and
+        # the paper preset's is threaded
+        paper = M.ModelConfig.paper()
+        paper_tail = sum(math.prod(s) for n, s in M.param_layout(paper) if n not in M.FROZEN)
+        assert paper_tail * paper.dtype.itemsize >= Adam.PARALLEL_MIN_BYTES
+        params = M.init_params(M.ModelConfig.desk(), seed=0)
+        opt = Adam(params)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        for _, p in params.trainable_items():
+            p.grad = np.ones_like(p.data)
+        opt.step(lr=0.1, clip_norm=10.0)
+        assert opt.t == 1
 
     def test_adam_state_rejected_for_other_model(self, tiny_setup, tmp_path):
         cfg = tiny_setup[0]
@@ -342,6 +414,8 @@ def _score_case_by_case(cases, split, ratio, model):
 
     def to_2d(points, s):
         local = s.poses.global_to_local(points, np.arange(1, len(points) + 1))
+        if np.any(local[:, 2] < T.NEAR_PLANE):
+            raise BehindCameraError("nearer than the near plane")
         return normalize_pixel(project(local, s.intrinsics), s.intrinsics)
 
     for s, observed, pred, gt in cases:
@@ -364,8 +438,10 @@ SCORE_CAMERAS = (CameraIntrinsics(fx=8.0, fy=8.0, ox=4.0, oy=4.0, width=8, heigh
 
 def _random_case(rng, kind, t, observed, camera):
     """A scorer case of ``kind``: "2d" rows, or world rows on a random
-    moving camera, in front of it or with one step behind it on the
-    "pred" or "gt" side (a negative local depth)."""
+    moving camera, in front of it, with one step behind it on the "pred"
+    or "gt" side (a negative local depth), or with one "near" gt step
+    lifted from local depth 0, which lowers back to a depth of rounding
+    size of either sign."""
     s = SimpleNamespace(id="r", intrinsics=SCORE_CAMERAS[camera])
     if kind == "2d":
         gt = rng.uniform(0.0, 1.0, (t, 2))
@@ -383,11 +459,13 @@ def _random_case(rng, kind, t, observed, camera):
              for side in ("pred", "gt")}
     if kind in local:
         local[kind][rng.integers(t), 2] = -rng.uniform(0.01, 1.0)
+    if kind == "near":
+        local["gt"][rng.integers(t), 2] = 0.0
     pred, gt = (s.poses.local_to_global(local[side], steps) for side in ("pred", "gt"))
     return s, observed, pred, gt
 
 
-SCORE_KINDS = ("2d", "3d", "pred", "gt")
+SCORE_KINDS = ("2d", "3d", "pred", "gt", "near")
 
 
 @st.composite
@@ -428,6 +506,22 @@ class TestScoreMatchesCaseByCase:
         assert row.ade3d != rest.ade3d
         alone = T.score([behind], "test", 0.5, "model")
         assert alone.ade2d_from3d is None and alone.ade3d is not None
+
+    @pytest.mark.filterwarnings("error")
+    def test_near_plane_case_drops_out_of_2d_only(self):
+        # the near gt step lowers back to a hair in front of the camera; with
+        # only depths <= 0 dropped, it projected to a pixel that made this
+        # 4-case row read 1.0e15 instead of 0.36
+        rng = np.random.default_rng(0)
+        front = [_random_case(rng, "3d", 9, 4, k % 2) for k in range(3)]
+        near = _random_case(rng, "near", 9, 4, 1)
+        s, _, _, gt = near
+        assert 0 < s.poses.global_to_local(gt, np.arange(1, 10))[:, 2].min() < T.NEAR_PLANE
+        row = T.score(front[:1] + [near] + front[1:], "test", 0.5, "model")
+        rest = T.score(front, "test", 0.5, "model")
+        assert (row.ade2d_from3d, row.fde2d_from3d) == (rest.ade2d_from3d, rest.fde2d_from3d)
+        assert row.ade2d_from3d < 1 and row.ade3d != rest.ade3d
+        assert T.score([near], "test", 0.5, "model").ade2d_from3d is None
 
     def test_case_longer_than_its_pose_chain_refused(self):
         s, observed, pred, gt = _random_case(np.random.default_rng(1), "3d", 6, 3, 0)
