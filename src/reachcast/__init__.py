@@ -1,6 +1,6 @@
 """Egocentric 3D hand-reach trajectory forecasting at desk scale.
 
-Subpackages:
+Modules:
 
 - ``autodiff``   dense tensors, one dtype per graph, with reverse-mode differentiation
 - ``geometry``   pinhole projection and camera pose chains

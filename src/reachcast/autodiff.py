@@ -20,13 +20,17 @@ So a backward hands over arrays it does not keep: fresh ones, or views of
 fresh ones, sharing memory with no other entry. A long recurrence fused
 this way costs one tape record instead of dozens per step. Callers use
 ``is_recording(inputs)`` to save activations for the backward only when a
-tape will replay it. The numpy kernels of softmax and layer norm, and the
-row moves to and from the padded grid (``unpack_rows``, ``pack_rows``),
-are public so fused ops compute them exactly as the taped ops do; layer
-norm's epsilon is one constant, ``LAYER_NORM_EPS``, for both.
+tape will replay it. The numpy kernels of softmax (in place) and layer
+norm, and the row moves to and from the padded grid (``unpack_rows``,
+``pack_rows``), are public so fused ops compute them exactly as the taped
+ops do; layer norm's epsilon is one constant, ``LAYER_NORM_EPS``, for
+both.
 
 Ragged batches keep one packed row per real step, so row-wise ops skip
-padding; ``scatter_rows`` moves rows to the padded (N, T) grid.
+padding. ``unpack_rows`` lays rows on the padded (N, T) grid and
+``pack_rows`` takes them back; both always return a new array, so a row
+move never aliases its input. The fused ops use them inside their numpy
+forward and backward, so no taped op moves rows to the grid.
 
 The model runs its frame encoder, temporal encoders, transition and
 emission as fused ops. ``conv2d``, ``embed_border``, ``split_heads``,
@@ -345,39 +349,23 @@ def transpose(a, axes):
 
 
 def unpack_rows(a, rows, shape):
-    """(R, D) rows -> an array of ``shape`` (n, t, ...) holding row r at flat
-    grid index rows[r] and zero where no row lands; a view when R = n*t."""
-    if len(rows) == shape[0] * shape[1]:
-        return a.reshape(shape)
+    """(R, D) rows -> a new array of ``shape`` (n, t, ...) holding row r at
+    flat grid index rows[r] and zero where no row lands."""
     out = np.zeros((shape[0] * shape[1], a.shape[1]), dtype=a.dtype)
     out[rows] = a
     return out.reshape(shape)
 
 
 def pack_rows(a, rows):
-    """(n, t, ...) -> the (R, D) rows at flat grid indices ``rows``; the
-    inverse of ``unpack_rows``."""
-    flat = a.reshape(a.shape[0] * a.shape[1], -1)
-    return flat if len(rows) == len(flat) else flat[rows]
-
-
-def scatter_rows(x, rows, n, t):
-    """Packed rows (R, D) -> (n, t, D) in one op.
-
-    ``rows`` holds each row's flat index into the n*t grid, sample-major;
-    grid cells that no row fills are zero and pass no gradient back.
-    """
-    out = unpack_rows(x.data, rows, (n, t, x.data.shape[1]))
-
-    def bwd(g):
-        _accum(x, pack_rows(g, rows))
-
-    return _record(out, (x,), bwd)
+    """(n, t, ...) -> a new (R, D) array of the rows at flat grid indices
+    ``rows``; the inverse of ``unpack_rows``."""
+    return a.reshape(a.shape[0] * a.shape[1], -1)[rows]
 
 
 def split_heads(x, heads, rows, n, t):
-    """Packed rows (R, D) -> (n, heads, t, D/heads) in one op, scattering the
-    rows as ``scatter_rows`` does (zero at cells no row fills)."""
+    """Packed rows (R, D) -> (n, heads, t, D/heads) in one op, laying row r
+    at flat grid index rows[r] as ``unpack_rows`` does (zero at cells no
+    row fills)."""
     _, d = x.data.shape
     if d % heads:
         raise ShapeError(f"split_heads: {d} not divisible by {heads}")
@@ -469,10 +457,12 @@ def mean(a):
 
 
 def softmax_fwd(x):
-    """Row-wise softmax of an array over its last axis, max-subtracted."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of an array over its last axis, max-subtracted, in
+    place: x is overwritten and returned."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def softmax_bwd(g, s):
@@ -509,7 +499,7 @@ def softmax_lastdim(x):
     """Row-wise softmax over the last axis, stabilized by max subtraction."""
     if x.data.shape[-1] < 1:
         raise ShapeError("softmax_lastdim: last extent must be >= 1")
-    s = softmax_fwd(x.data)
+    s = softmax_fwd(x.data.copy())
 
     def bwd(g):
         _accum_new(x, softmax_bwd(g, s))

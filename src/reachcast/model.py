@@ -9,10 +9,13 @@ frozen encoder runs unchanged, and only the border and a small MLP head
 receive gradients. Observed steps are the first C of the horizon, and C
 differs per sample. The frame, point and temporal encoders run on packed
 rows, one per observed step (sum of C rows, not N x max C): inputs past
-C are never read. Attention scatters the rows onto the (N, max C) grid,
-where empty cells are zero and keys past C carry an additive -1e9 logit,
-which underflows to exact zero weight, so forecasts are exactly
-independent of future inputs.
+C are never read. The transition and the emission take the temporal
+encoder's packed rows too. Inside each of the three fused ops, the rows
+are laid on the (N, max C) grid at ``grid_rows`` with ``ad.unpack_rows``,
+and their gradients come back with ``ad.pack_rows``. Empty cells are
+zero, and attention keys past C carry an additive -1e9 logit, which
+underflows to exact zero weight, so forecasts are exactly independent
+of future inputs.
 
 Four stages are fused tape ops, each one ``ad.custom`` record rather
 than a chain of taped ops: the frozen frame encoder (``frozen_encoder``),
@@ -371,6 +374,14 @@ def observed_cells(observed):
     return np.nonzero(np.arange(observed.max()) < observed[:, None])
 
 
+def grid_rows(observed):
+    """Each packed row's flat index into the (N, max C) grid, samples *
+    max C + steps of ``observed_cells``: where the fused ops'
+    ``ad.unpack_rows`` and ``ad.pack_rows`` move their rows."""
+    samples, steps = observed_cells(observed)
+    return samples * int(observed.max()) + steps
+
+
 def encode_frames(params, cfg, frames):
     """Prompted frozen encoder plus learnable head: (R,H,W) packed grayscale
     frames in the compute dtype -> (R,d_obs)."""
@@ -554,8 +565,8 @@ def temporal_encode(params, cfg, x, observed):
     embeddings, one row per observed step in the order of
     ``observed_cells`` (R = sum of C); observed: (N,) ints. Each row gets
     the sinusoidal position of its step. Every row-wise op runs on the R
-    rows only; attention scatters them onto the (N, max C) grid, where keys
-    past each sample's C are masked. Returns the (R, 2 d_obs) rows
+    rows only; attention lays them on the (N, max C) grid, where keys past
+    each sample's C are masked. Returns the (R, 2 d_obs) rows
     ``[o_v | o_t]``. Each branch's forward runs in numpy and its backward
     is hand-written (``_Encoder``).
 
@@ -637,20 +648,19 @@ def _fused_params(cfg):
 def transition(params, cfg, h, observed, horizon):
     """Recursive latent rollout over the full horizon, as one taped op.
 
-    h: (N,T_enc,d_z) encoded observations (keys masked to < observed);
-    returns z: (N,horizon,d_z). Each step attends over its own latent
-    history (seeded with the learnable initial latent) and over the
-    observation encoding. The forward runs in numpy on (N,d) rows and a
+    h: (R,d_z) encoded observations, one packed row per observed step in
+    the order of ``observed_cells``; observed: (N,) ints. Returns z:
+    (N,horizon,d_z). Each step attends over its own latent history (seeded
+    with the learnable initial latent) and over the observation encoding,
+    whose rows the op lays on the (N, max C) grid, with keys past each
+    sample's C masked. The forward runs in numpy on (N,d) rows and a
     preallocated self-attention K/V cache; the backward is hand-written
     BPTT.
     """
-    n, t_enc, dz = h.shape
-    t = int(horizon)
     names = _fused_params(cfg)["trans"]
     inputs = (h,) + tuple(params[k] for k in names)
-    roll = _Rollout({k.removeprefix("trans."): params[k].data for k in names}, h.data,
-                    _key_mask(observed, t_enc, cfg.dtype),
-                    positional_encoding(t, dz, cfg.dtype),
+    roll = _Rollout({k.removeprefix("trans."): params[k].data for k in names}, h.data, observed,
+                    positional_encoding(int(horizon), cfg.d_z, cfg.dtype),
                     cfg.heads, save=ad.is_recording(inputs))
     return ad.custom(roll.z, inputs, roll.backward)
 
@@ -678,11 +688,23 @@ def _layer_norm_into(x, gain, bias, mean_col, out, xhat, inv):
     out += bias
 
 
-def _softmax_inplace(x):
-    """``ad.softmax_fwd`` over the last axis of x, in place."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+def _linear_grads(grads, name, x, dy):
+    """Set ``grads`` of the weight and bias of layer ``name`` from its inputs
+    x and output gradients dy, each one product or sum over all rows of the
+    leading axes."""
+    x, dy = x.reshape(-1, x.shape[-1]), dy.reshape(-1, dy.shape[-1])
+    grads[f"{name}.w"] = x.T @ dy
+    grads[f"{name}.b"] = dy.sum(axis=0)
+
+
+def _norm_grads(grads, name, xhat, dy):
+    """Set ``grads`` of the gain and bias of layer norm ``name`` from its
+    standardized input xhat and output gradients dy. dy is spent: it
+    becomes dy * xhat."""
+    dy = dy.reshape(-1, dy.shape[-1])
+    grads[f"{name}.b"] = dy.sum(axis=0)
+    dy *= xhat.reshape(dy.shape)
+    grads[f"{name}.g"] = dy.sum(axis=0)
 
 
 class _Encoder:
@@ -700,9 +722,8 @@ class _Encoder:
     """
 
     def __init__(self, w, x, observed, pe, heads, blocks, save):
-        samples, steps = observed_cells(observed)
         n, t, d = len(observed), pe.shape[0], x.shape[1]
-        self.w, self.rows, self.grid = w, samples * t + steps, (n, heads, t, d // heads)
+        self.w, self.rows, self.grid = w, grid_rows(observed), (n, heads, t, d // heads)
         # a Python float, as ad.scale makes it: a numpy float64 scalar would
         # round float32 logits differently
         self.scale = scale = float(1.0 / np.sqrt(d // heads))
@@ -714,7 +735,7 @@ class _Encoder:
             return y
 
         self.saved = []
-        u = x + pe.take(steps, axis=0)
+        u = x + pe.take(self.rows % t, axis=0)  # each row's step
         for b in range(blocks):
             q = self._heads(affine(u, f"{b}.attn.wq"))
             k = self._heads(u @ w[f"{b}.attn.wk.w"])
@@ -722,7 +743,7 @@ class _Encoder:
             p = q @ np.swapaxes(k, -1, -2)
             p *= scale
             p += mask
-            _softmax_inplace(p)
+            ad.softmax_fwd(p)
             ctx = self._rows(p @ v)
             pre = affine(ctx, f"{b}.attn.wo")
             pre += u
@@ -738,8 +759,8 @@ class _Encoder:
         self.out = u
 
     def _heads(self, a):
-        """(R,d) rows -> (N,heads,T,d_h), a view of them when every cell is
-        observed and otherwise of a copy that is zero at cells no row fills."""
+        """(R,d) rows -> (N,heads,T,d_h), a view of their copy on the grid,
+        zero at cells no row fills."""
         n, heads, t, dh = self.grid
         return ad.unpack_rows(a, self.rows, (n, t, heads, dh)).transpose(0, 2, 1, 3)
 
@@ -757,37 +778,29 @@ class _Encoder:
         """
         w, scale = self.w, self.scale
         grads = {}
-
-        def linear(name, x, dy):
-            grads[f"{name}.w"] = x.T @ dy
-            grads[f"{name}.b"] = dy.sum(axis=0)
-
-        def norm(name, xhat, inv, dy):  # returns the input's gradient
-            grads[f"{name}.g"] = (dy * xhat).sum(axis=0)
-            grads[f"{name}.b"] = dy.sum(axis=0)
-            return ad.layer_norm_bwd(dy, w[f"{name}.g"], xhat, inv)
-
         du = g.copy()  # handed over as x's gradient when there are no blocks
         for b in reversed(range(len(self.saved))):
             u, q, k, v, p, ctx, xhat1, inv1, u1, hid, xhat2, inv2 = self.saved[b]
-            dpre = norm(f"{b}.ln2", xhat2, inv2, du)
-            linear(f"{b}.mlp.fc2", hid, dpre)
+            dpre = ad.layer_norm_bwd(du, w[f"{b}.ln2.g"], xhat2, inv2)
+            _norm_grads(grads, f"{b}.ln2", xhat2, du)
+            _linear_grads(grads, f"{b}.mlp.fc2", hid, dpre)
             dhid = dpre @ w[f"{b}.mlp.fc2.w"].T
             dhid *= 1.0 - hid * hid
-            linear(f"{b}.mlp.fc1", u1, dhid)
+            _linear_grads(grads, f"{b}.mlp.fc1", u1, dhid)
             du1 = dhid @ w[f"{b}.mlp.fc1.w"].T
             du1 += dpre
-            dpre = norm(f"{b}.ln1", xhat1, inv1, du1)
-            linear(f"{b}.attn.wo", ctx, dpre)
+            dpre = ad.layer_norm_bwd(du1, w[f"{b}.ln1.g"], xhat1, inv1)
+            _norm_grads(grads, f"{b}.ln1", xhat1, du1)
+            _linear_grads(grads, f"{b}.attn.wo", ctx, dpre)
             dctx = self._heads(dpre @ w[f"{b}.attn.wo.w"].T)
             dlog = ad.softmax_bwd(dctx @ np.swapaxes(v, -1, -2), p)
             dlog *= scale
             dq = self._rows(dlog @ k)
             dk = self._rows(np.swapaxes(dlog, -1, -2) @ q)
             dv = self._rows(np.swapaxes(p, -1, -2) @ dctx)
-            linear(f"{b}.attn.wq", u, dq)
+            _linear_grads(grads, f"{b}.attn.wq", u, dq)
             grads[f"{b}.attn.wk.w"] = u.T @ dk
-            linear(f"{b}.attn.wv", u, dv)
+            _linear_grads(grads, f"{b}.attn.wv", u, dv)
             du = dpre
             for name, dy in (("wq", dq), ("wk", dk), ("wv", dv)):
                 du += dy @ w[f"{b}.attn.{name}.w"].T
@@ -797,11 +810,13 @@ class _Encoder:
 class _Rollout:
     """Numpy forward and hand-written backward of the transition.
 
-    Rows are (N,d). Built once per call: the self-attention query, key and
-    value weights joined into one (d_z, 3 d_z) matrix with a zero key
-    bias; both queries' weights and biases pre-scaled by 1/sqrt(d_h); the
-    cross-attention keys pre-transposed; and a (T,d_z) table of
-    ``outer.fc2.b`` plus the positional encoding. So a step makes one
+    Rows are (N,d). Built once per call: the encoded observations' packed
+    rows laid on the (N, max C) grid, zero past each sample's C, and their
+    key mask; the self-attention query, key and value weights joined into
+    one (d_z, 3 d_z) matrix with a zero key bias; both queries' weights
+    and biases pre-scaled by 1/sqrt(d_h); the cross-attention keys
+    pre-transposed; and a (T,d_z) table of ``outer.fc2.b`` plus the
+    positional encoding. So a step makes one
     Q/K/V product, and biases and tanh run in place on preallocated
     buffers: [z, attn] feeds ``ln_wbar``, whose output w̄ and the cross
     projection fill the first 3 d_z columns of [ŵ, inner], where
@@ -813,12 +828,15 @@ class _Rollout:
     Every buffer, forward and backward, has the dtype of h.
     """
 
-    def __init__(self, w, h, hmask, pe, heads, save):
-        n, t_enc, dz = h.shape
+    def __init__(self, w, h, observed, pe, heads, save):
+        n, t_enc, dz = len(observed), int(observed.max()), h.shape[1]
         t = pe.shape[0]
         dh = dz // heads
         dtype = h.dtype
         scale = float(1.0 / np.sqrt(dh))
+        self.rows = grid_rows(observed)
+        h = ad.unpack_rows(h, self.rows, (n, t_enc, dz))
+        hmask = _key_mask(observed, t_enc, dtype)
         self.w, self.h, self.heads, self.scale = w, h, heads, scale
         self.wqkv = np.concatenate([w["self.wq.w"] * scale, w["self.wk.w"], w["self.wv.w"]],
                                    axis=1)
@@ -856,7 +874,7 @@ class _Rollout:
             self.v[:, :, i] = qkv[:, 2 * dz :].reshape(n, heads, dh)
             ps = self.ps[:, :, s, None, : i + 1]
             np.matmul(qkv[:, :dz].reshape(n, heads, 1, dh), self.kt[..., : i + 1], out=ps)
-            _softmax_inplace(ps)
+            ad.softmax_fwd(ps)
             np.matmul(ps, self.v[:, :, : i + 1], out=self.ctx[s].reshape(n, heads, 1, dh))
             attn = np.matmul(self.ctx[s], w["self.wo.w"], out=cat1[:, dz:])
             attn += w["self.wo.b"]
@@ -868,7 +886,7 @@ class _Rollout:
             pc = self.pc[s, :, :, None]
             np.matmul(qc.reshape(n, heads, 1, dh), kh_t, out=pc)
             pc += hmask
-            _softmax_inplace(pc)
+            ad.softmax_fwd(pc)
             np.matmul(pc, self.vh, out=self.ctxc[s].reshape(n, heads, 1, dh))
             cproj = np.matmul(self.ctxc[s], w["cross.wo.w"], out=u[:, 2 * dz : 3 * dz])
             cproj += w["cross.wo.b"]
@@ -890,8 +908,8 @@ class _Rollout:
             self.z[:, i] = cat1[:, :dz]
 
     def backward(self, g):
-        """BPTT over the saved steps: gradients of h, then of each parameter
-        in the order of ``w``.
+        """BPTT over the saved steps: gradients of h's packed rows, then of
+        each parameter in the order of ``w``.
 
         The loop carries only the recurrence, from the last step back, and
         writes each step's row gradients into (T,N,·) arrays. After it,
@@ -955,63 +973,49 @@ class _Rollout:
                 dqkv[i, :, j * dz : (j + 1) * dz] = part.reshape(n, dz)
             dz_ = dcat1[:, :dz] + dqkv[i] @ self.wqkv.T
 
-        def rows(a):
-            return a.reshape(-1, a.shape[-1])
-
         grads = {}
-
-        def linear(name, x, dy):
-            grads[f"{name}.w"] = rows(x).T @ rows(dy)
-            grads[f"{name}.b"] = rows(dy).sum(axis=0)
-
-        def norm(name, xhat, dy):  # dy is spent: it becomes dy * xhat
-            grads[f"{name}.b"] = rows(dy).sum(axis=0)
-            dy *= xhat
-            grads[f"{name}.g"] = rows(dy).sum(axis=0)
-
         zin = np.empty((t, n, dz), dtype=dtype)  # each step's input latent
         zin[0] = w["z0"]
         zin[1:] = self.z[:, :-1].transpose(1, 0, 2)
-        linear("self.wqkv", zin, dqkv)
+        _linear_grads(grads, "self.wqkv", zin, dqkv)
         dw, db = grads.pop("self.wqkv.w"), grads.pop("self.wqkv.b")
         grads["self.wq.w"], grads["self.wq.b"] = dw[:, :dz] * scale, db[:dz] * scale
         grads["self.wk.w"] = dw[:, dz : 2 * dz]
         grads["self.wv.w"], grads["self.wv.b"] = dw[:, 2 * dz :], db[2 * dz :]
-        linear("self.wo", self.ctx, dattn)
-        linear("cross.wq", self.x1, dqc)  # its input is w̄ = x̂1 * g + b
+        _linear_grads(grads, "self.wo", self.ctx, dattn)
+        _linear_grads(grads, "cross.wq", self.x1, dqc)  # its input is w̄ = x̂1 * g + b
         grads["cross.wq.w"] = (grads["cross.wq.w"] * w["ln_wbar.g"][:, None]
                                + np.outer(w["ln_wbar.b"], grads["cross.wq.b"])) * scale
         grads["cross.wq.b"] *= scale
-        norm("ln_wbar", self.x1, dwbar)
-        linear("cross.wo", self.ctxc, dcproj)
-        norm("ln_what", self.x2, dwhat)
-        linear("inner.fc1", self.u[..., : 3 * dz], da1)
-        linear("inner.fc2", self.a1, dinner)
-        linear("outer.fc1", self.u, da2)
-        linear("outer.fc2", self.a2, dfeats)
-        norm("ln_z", self.x3, dout)
+        _norm_grads(grads, "ln_wbar", self.x1, dwbar)
+        _linear_grads(grads, "cross.wo", self.ctxc, dcproj)
+        _norm_grads(grads, "ln_what", self.x2, dwhat)
+        _linear_grads(grads, "inner.fc1", self.u[..., : 3 * dz], da1)
+        _linear_grads(grads, "inner.fc2", self.a1, dinner)
+        _linear_grads(grads, "outer.fc1", self.u, da2)
+        _linear_grads(grads, "outer.fc2", self.a2, dfeats)
+        _norm_grads(grads, "ln_z", self.x3, dout)
         grads["z0"] = dz_.sum(axis=0)
         dkh = _merge(dlogc.transpose(1, 2, 3, 0) @ by_head(self.qc))
         dvh = _merge(self.pc.transpose(1, 2, 3, 0) @ by_head(dctxc))
-        h = self.h.reshape(-1, dz)
-        grads["cross.wk.w"] = h.T @ dkh
-        grads["cross.wv.w"] = h.T @ dvh
-        grads["cross.wv.b"] = dvh.sum(axis=0)
-        dh_in = (dkh @ w["cross.wk.w"].T + dvh @ w["cross.wv.w"].T).reshape(self.h.shape)
-        return (dh_in,) + tuple(grads[k] for k in w)
+        grads["cross.wk.w"] = self.h.reshape(-1, dz).T @ dkh
+        _linear_grads(grads, "cross.wv", self.h, dvh)
+        dh = dkh @ w["cross.wk.w"].T + dvh @ w["cross.wv.w"].T
+        return (ad.pack_rows(dh.reshape(self.h.shape), self.rows),) + tuple(grads[k] for k in w)
 
 
 def emit(params, cfg, z, o_t, observed):
     """Probabilistic emission over the whole horizon, as one taped op.
 
-    z: (N,T,d_z) latents; o_t: (N,max C,d_obs) trajectory-encoder features,
-    zero past each sample's C; observed: (N,) ints. Step i reads z_i and a
-    previous-trajectory feature: zero at step 0, the encoder feature of
-    step i-1 through step C, and after that the previous predicted mean,
-    re-embedded by ``embed_points`` and ``emit.reembed``. Returns mean
-    (N,T,point_dim) under tanh and alpha, beta (N,T,1) under softplus; beta
-    is None in 2d mode. The forward runs in numpy; the backward is
-    hand-written BPTT through the previous-mean recurrence.
+    z: (N,T,d_z) latents; o_t: (R,d_obs) trajectory-encoder features, one
+    packed row per observed step in the order of ``observed_cells``, which
+    the op lays on the (N, max C) grid; observed: (N,) ints. Step i reads
+    z_i and a previous-trajectory feature: zero at step 0, the encoder
+    feature of step i-1 through step C, and after that the previous
+    predicted mean, re-embedded by ``embed_points`` and ``emit.reembed``.
+    Returns mean (N,T,point_dim) under tanh and alpha, beta (N,T,1) under
+    softplus; beta is None in 2d mode. The forward runs in numpy; the
+    backward is hand-written BPTT through the previous-mean recurrence.
     """
     names = _fused_params(cfg)["emit"]
     inputs = (z, o_t) + tuple(params[k] for k in names)
@@ -1026,10 +1030,11 @@ def emit(params, cfg, z, o_t, observed):
 class _Emission:
     """Numpy forward and hand-written backward of the emission.
 
-    The forward mirrors the taped composition op for op: steps 0..min C
-    run as one (N, min C + 1, d) block, since every sample reads encoder
-    features there, and each later step runs on (N,1,d) operands, so the
-    output is bit-identical to it. ``out`` packs mean, alpha and beta
+    The encoder features' packed rows are laid on the (N, max C) grid,
+    zero past each sample's C. The forward mirrors the taped composition
+    op for op: steps 0..min C run as one (N, min C + 1, d) block, since
+    every sample reads encoder features there, and each later step runs on
+    (N,1,d) operands, so the output is bit-identical to it. ``out`` packs mean, alpha and beta
     (N,T,point_dim+2; +1 without beta). Activations are kept per step only
     when ``save`` is set (a tape will replay them); the backward stacks
     them over the horizon. Every buffer, forward and backward, has the
@@ -1038,7 +1043,9 @@ class _Emission:
 
     def __init__(self, w, z, o, observed, save):
         n, t, dz = z.shape
-        d = o.shape[2]
+        d = o.shape[1]
+        self.rows = grid_rows(observed)
+        o = ad.unpack_rows(o, self.rows, (n, int(observed.max()), d))
         heads = [h for h in ("mean", "alpha", "beta") if f"emit.{h}.fc1.w" in w]
         pd = w["emit.mean.fc2.w"].shape[1]
         m0 = int(observed.min())  # steps 0..m0 lie in every sample's observed prefix
@@ -1088,8 +1095,8 @@ class _Emission:
             self.saved = saved
 
     def backward(self, g):
-        """BPTT over the saved steps: gradients of z, o_t, then of each
-        parameter in the order of ``w``.
+        """BPTT over the saved steps: gradients of z, of o_t's packed rows,
+        then of each parameter in the order of ``w``.
 
         Rows are 2-D here: the backward has no bit-identity to keep. Alpha
         and beta do not feed the recurrence, so their gradients run for
@@ -1146,20 +1153,15 @@ class _Emission:
         do[:, :m0] = dinp[:, 1 : m0 + 1, dz:]
 
         grads = {}
-
-        def linear(name, x, dy):
-            grads[f"{name}.w"] = rows(x).T @ rows(dy)
-            grads[f"{name}.b"] = rows(dy).sum(axis=0)
-
-        linear("emit.mean.fc2", hm, dpm)
-        linear("emit.mean.fc1", act["inp"], dhm)
+        _linear_grads(grads, "emit.mean.fc2", hm, dpm)
+        _linear_grads(grads, "emit.mean.fc1", act["inp"], dhm)
         for h in heads[1:]:
-            linear(f"emit.{h}.fc2", act[h], dpre[h])
-            linear(f"emit.{h}.fc1", act["inp"], dhid[h])
-        linear("emit.reembed", act["e2"], dre)
-        linear("traj.fc2", act["e1"], rows(dre) @ w["emit.reembed.w"].T)
-        linear("traj.fc1", mean[:, m0 : t - 1], d1)
-        return (dinp[..., :dz], do) + tuple(grads[k] for k in w)
+            _linear_grads(grads, f"emit.{h}.fc2", act[h], dpre[h])
+            _linear_grads(grads, f"emit.{h}.fc1", act["inp"], dhid[h])
+        _linear_grads(grads, "emit.reembed", act["e2"], dre)
+        _linear_grads(grads, "traj.fc2", act["e1"], rows(dre) @ w["emit.reembed.w"].T)
+        _linear_grads(grads, "traj.fc1", mean[:, m0 : t - 1], d1)
+        return (dinp[..., :dz], ad.pack_rows(do, self.rows)) + tuple(grads[k] for k in w)
 
 
 def velocity_head(params, cfg, z):
@@ -1176,8 +1178,10 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     inputs padded to the horizon, cast to the compute dtype (no copy when
     they have it); observed (N,) int gives each sample's C.
     Only the C observed steps of each sample reach the encoders, as packed
-    rows. The transition and the emission then run once each over the
-    whole horizon. Returns dict of graph tensors: mean (N,T,pd),
+    rows (R = sum of C rows, sample-major; a copy of the inputs), so inputs
+    past each sample's C are never read. The transition and the emission
+    take the encoders' packed rows and run once each over the whole
+    horizon. Returns dict of graph tensors: mean (N,T,pd),
     alpha/beta (N,T,1), beta None in 2d mode, velocity (N,T,pd).
 
     A sample's outputs can differ in the last bits with the batch it rides
@@ -1191,33 +1195,18 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     frames = np.asarray(frames, dtype=cfg.dtype)
     points = np.asarray(points, dtype=cfg.dtype)
     observed = np.asarray(observed, dtype=np.int64)
-    n, t = points.shape[:2]
+    t = points.shape[1]
     if np.any(observed < 1) or np.any(observed >= (lengths if lengths is not None else t)):
         raise ValueError("observed counts must satisfy 1 <= C < T")
 
-    # The encoders see only observed steps, packed into one row each
-    # (R = sum of C rows, sample-major); inputs past each sample's C are
-    # never read. Their outputs are scattered onto the (N, max C) grid,
-    # zero past C, for the transition and the emission, which mask those
-    # cells out (attention keys) or select around them.
-    t_enc = int(observed.max())
-    samples, steps = observed_cells(observed)
-    rows = samples * t_enc + steps
-
-    def observed_rows(a):  # (N,T,...) -> (R,...), a view when every cell is observed
-        if len(rows) == n * t_enc:
-            return a[:, :t_enc].reshape((len(rows),) + a.shape[2:])
-        return a[samples, steps]
-
-    o = temporal_encode(params, cfg, (encode_frames(params, cfg, observed_rows(frames)),
-                                      embed_points(params, cfg, observed_rows(points))),
-                        observed)
+    cells = observed_cells(observed)
+    o = temporal_encode(params, cfg, (encode_frames(params, cfg, frames[cells]),
+                                      embed_points(params, cfg, points[cells])), observed)
     o_t = ad.slice_axis(o, 1, cfg.d_obs, 2 * cfg.d_obs)
-    pe_z = positional_encoding(t, cfg.d_z, cfg.dtype).take(steps, axis=0)
+    pe_z = positional_encoding(t, cfg.d_z, cfg.dtype).take(cells[1], axis=0)
     h = _layer_norm(params, "trans.h.ln", ad.add(_mlp2(params, "trans.h", o), ad.constant(pe_z)))
-
-    z = transition(params, cfg, ad.scatter_rows(h, rows, n, t_enc), observed, horizon=t)
-    mean, alpha, beta = emit(params, cfg, z, ad.scatter_rows(o_t, rows, n, t_enc), observed)
+    z = transition(params, cfg, h, observed, horizon=t)
+    mean, alpha, beta = emit(params, cfg, z, o_t, observed)
     return {"mean": mean, "alpha": alpha, "beta": beta,
             "velocity": velocity_head(params, cfg, z)}
 

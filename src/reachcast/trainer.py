@@ -37,6 +37,13 @@ CLIP_NORM = 10.0  # every training step clips the gradient to this global norm
 # meters: a lowered depth below this projects to a huge pixel, so the case
 # drops out of the 2D-from-3D metrics as one behind the camera does
 NEAR_PLANE = 0.01
+# 2d targets normalize the frame padded by this much of its size on each
+# side, so that a hand projecting just outside the frame still maps inside
+# the mean head's tanh range. Measured on gen_dataset(2000, 0): 64x64
+# frames with 32-40 steps project from -0.061 to 1.074 of the frame, and
+# desk's 16x16 frames from 0.026 to 0.985; 0.25 maps both inside +-0.77.
+IMAGE_MARGIN = 0.25
+IMAGE_BOX = (np.full(2, -IMAGE_MARGIN), np.full(2, 1.0 + IMAGE_MARGIN))
 
 
 @dataclass(frozen=True)
@@ -117,10 +124,11 @@ def observation_count(horizon, cfg, rng=None):
 
 
 def sample_targets(sample, cfg, norm):
-    """Per-step model targets in [-1, 1] for the configured coordinate mode."""
+    """Per-step model targets in [-1, 1] for the configured coordinate mode:
+    world points over ``norm``, or the image track over ``IMAGE_BOX``."""
     if cfg.coordinate_mode == "global-3d":
         return normalize(sample.points_global, *norm)
-    return 2.0 * image_track(sample) - 1.0
+    return normalize(image_track(sample), *IMAGE_BOX)
 
 
 def image_track(sample):
@@ -130,8 +138,10 @@ def image_track(sample):
 
 def check_sample(s, cfg):
     """Refuse a sample the model cannot take: frames of another size, more
-    steps than the horizon, or a step without depth, whose z=0 sentinel
-    would be lifted through the pose chain into a wrong world point."""
+    steps than the horizon, a step without depth, whose z=0 sentinel
+    would be lifted through the pose chain into a wrong world point, or, in
+    2d mode, a step projecting outside ``IMAGE_BOX``, whose target the mean
+    head could not reach (it is refused, never clipped)."""
     if s.frames.shape[1:] != (cfg.frame_h, cfg.frame_w):
         raise ValueError(f"sample {s.id} has {'x'.join(map(str, s.frames.shape[1:]))} frames; "
                          f"the model takes {cfg.frame_h}x{cfg.frame_w}")
@@ -141,6 +151,13 @@ def check_sample(s, cfg):
     if missing:
         raise ValueError(f"sample {s.id} has {missing} steps without depth; "
                          "run `reachcast repair` on the dataset first")
+    if cfg.coordinate_mode == "2d":
+        uv = image_track(s)
+        outside = np.count_nonzero(((uv < IMAGE_BOX[0]) | (uv > IMAGE_BOX[1])).any(axis=1))
+        if outside:
+            raise ValueError(f"sample {s.id} has {outside} steps projecting outside the "
+                             f"frame padded by {IMAGE_MARGIN:g} of its size, the range of "
+                             "2d targets")
 
 
 def assemble_batch(samples, cfg, norm, observed):
@@ -354,12 +371,11 @@ def decode_prediction(mean, sample, cfg, norm):
     """Map the model's normalized per-step means for one sample into the
     space its metrics use; returns (pred, gt) over the sample's steps.
 
-    global-3d gives world-frame meters and 2d normalized frame units in
-    [0, 1], both in float64 whatever the compute dtype.
+    global-3d gives world-frame meters and 2d normalized frame units (0 to
+    1 inside the frame), both in float64 whatever the compute dtype.
     """
-    mean = np.asarray(mean, dtype=np.float64)
     if cfg.coordinate_mode == "2d":
-        return (mean + 1.0) / 2.0, (sample_targets(sample, cfg, norm) + 1.0) / 2.0
+        return denormalize(mean, *IMAGE_BOX), image_track(sample)
     return denormalize(mean, *norm), sample.points_global
 
 

@@ -339,8 +339,9 @@ class TestPrimitiveGradients:
 
 
 class TestPackedRows:
-    """split_heads / merge_heads / scatter_rows over packed rows: row r of the
-    (R, D) input lands in cell rows[r] of a sample-major (n, t) grid."""
+    """unpack_rows / pack_rows and split_heads / merge_heads over packed rows:
+    row r of the (R, D) input lands in cell rows[r] of a sample-major (n, t)
+    grid."""
 
     N, T, HEADS, D = 3, 4, 2, 6
     ROWS = np.array([0, 1, 2, 4, 8, 9, 10, 11])  # counts 3, 1, 4 of t = 4
@@ -356,14 +357,13 @@ class TestPackedRows:
         split = ad.split_heads(ad.constant(x), h, rows, n, t).data
         np.testing.assert_array_equal(split, x.reshape(n, t, h, d // h).transpose(0, 2, 1, 3))
         np.testing.assert_array_equal(ad.merge_heads(ad.constant(split), rows).data, x)
-        np.testing.assert_array_equal(ad.scatter_rows(ad.constant(x), rows, n, t).data,
-                                      x.reshape(n, t, d))
+        np.testing.assert_array_equal(ad.unpack_rows(x, rows, (n, t, d)), x.reshape(n, t, d))
 
     def test_dropped_cells_are_zero_and_rows_round_trip(self):
         n, t, h = self.N, self.T, self.HEADS
         x = self._x(self.ROWS, seed=1)
         split = ad.split_heads(ad.constant(x), h, self.ROWS, n, t).data
-        grid = ad.scatter_rows(ad.constant(x), self.ROWS, n, t).data
+        grid = ad.unpack_rows(x, self.ROWS, (n, t, self.D))
         samples, steps = self.DROPPED
         np.testing.assert_array_equal(split[samples, :, steps], 0.0)
         np.testing.assert_array_equal(grid[samples, steps], 0.0)
@@ -375,24 +375,29 @@ class TestPackedRows:
         rng = np.random.default_rng(2)
         x = ad.Tensor(self._x(self.ROWS, seed=3), requires_grad=True)
         mix = ad.constant(rng.standard_normal((n, h, t, t)))
-        w = ad.constant(rng.standard_normal((n, t, self.D)))
+        w = ad.constant(rng.standard_normal((len(self.ROWS), self.D)))
 
         def build():
             # attention-like mixing across the grid, so dropped cells are read
             heads = ad.matmul(mix, ad.split_heads(x, h, self.ROWS, n, t))
             back = ad.merge_heads(ad.tanh(heads), self.ROWS)
-            return ad.reduce_sum(ad.mul(ad.scatter_rows(back, self.ROWS, n, t), w))
+            return ad.reduce_sum(ad.mul(back, w))
 
         entries = ad.check_gradients(build, {"x": x}, step=1e-6, tolerance=1e-6)
         assert all(e.passed for e in entries), entries
 
-    def test_scatter_passes_back_only_its_rows(self):
-        n, t = self.N, self.T
-        x = ad.Tensor(self._x(self.ROWS), requires_grad=True)
-        w = np.random.default_rng(4).standard_normal((n, t, self.D))
-        with ad.Graph() as g:
-            g.backward(ad.reduce_sum(ad.mul(ad.scatter_rows(x, self.ROWS, n, t), ad.constant(w))))
-        np.testing.assert_array_equal(x.grad, w.reshape(n * t, -1)[self.ROWS])
+    @pytest.mark.parametrize("cells", ["some", "every"])
+    def test_unpack_and_pack_copy_and_round_trip(self, cells):
+        # a fused op hands pack_rows' result over as a gradient, so neither
+        # may alias its input, not even when every cell holds a row
+        n, t, d = self.N, self.T, self.D
+        rows = self.ROWS if cells == "some" else np.arange(n * t)
+        x = self._x(rows, seed=5)
+        grid = ad.unpack_rows(x, rows, (n, t, d))
+        back = ad.pack_rows(grid, rows)
+        assert not np.shares_memory(grid, x) and not np.shares_memory(back, grid)
+        np.testing.assert_array_equal(back, x)
+        np.testing.assert_array_equal(ad.unpack_rows(back, rows, (n, t, d)), grid)
 
 
 class TestCheckGradients:
@@ -553,7 +558,6 @@ class TestDtypes:
                                 ((2, 1, 6, 6), (2, 1, 3, 3), (1, 28))),
         "split+merge_heads": (lambda x: ad.merge_heads(
             ad.split_heads(x, 2, TestDtypes.ROWS, 2, 3), TestDtypes.ROWS), ((5, 4),)),
-        "scatter_rows": (lambda x: ad.scatter_rows(x, TestDtypes.ROWS, 2, 3), ((5, 4),)),
     }
 
     def test_float32_kept_and_other_dtypes_become_float64(self):

@@ -475,6 +475,21 @@ def test_data_the_model_cannot_take_refused_before_writing(trained, tmp_path, ca
     assert not out.exists()
 
 
+def test_2d_train_refuses_a_track_outside_its_target_range(dataset, tmp_path, capsys):
+    # a step projecting past the padded frame is refused with a usage error,
+    # never clipped into range
+    samples, manifest = datagen.read_dataset(dataset)
+    s = samples[0]
+    s.points_local[:, 0] += 2.0 * s.points_local[:, 2]  # two frame widths to the right
+    datagen.write_dataset(samples, manifest, tmp_path / "data")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"model": {"preset": "tiny", "coordinate_mode": "2d"}}))
+    out = tmp_path / "out"
+    assert cli.main(_train_argv(tmp_path / "data", out, 1, "--config", str(config))) == 2
+    assert f"sample {s.id} has {s.horizon} steps projecting outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_command_writes_where_its_flags_say(dataset, trained, tmp_path, monkeypatch):
     # no environment variable redirects the outputs
     monkeypatch.setenv("REACHCAST_OUT", str(tmp_path / "elsewhere"))

@@ -2,9 +2,12 @@
 
 ``reference_emission`` builds the emission from taped primitives: steps
 0..min C as one block, then one autoregressive step at a time, each
-re-embedding the previous predicted mean. The fused ``model.emit`` must
-reproduce its forward bit for bit and its gradients for ``z``, ``o_t`` and
-every ``emit.*`` and ``traj.*`` parameter.
+re-embedding the previous predicted mean, over the (N, max C, d_obs) grid
+of trajectory features. The fused ``model.emit`` takes that grid's packed
+rows at the observed steps. It must reproduce the reference's forward bit
+for bit and its gradients for ``z``, ``o_t`` and every ``emit.*`` and
+``traj.*`` parameter. The reference is fed garbage past each sample's C,
+which it must ignore.
 """
 
 import numpy as np
@@ -83,9 +86,14 @@ def preset(request):
     return cfg, params
 
 
+def pack(x, observed):
+    """The packed rows of an (N, max C, ...) grid at each sample's observed steps."""
+    return x[M.observed_cells(np.asarray(observed))]
+
+
 def _case(cfg, n, seed, observed=None):
-    """Latents z, trajectory features o_t (zero past C), mixed counts and
-    per-output loss weights for n samples."""
+    """Latents z, trajectory features o_t as a grid (garbage past C), mixed
+    counts and per-output loss weights for n samples."""
     rng = np.random.default_rng(seed)
     if observed is None:
         observed = rng.integers(1, cfg.horizon, size=n)
@@ -95,7 +103,8 @@ def _case(cfg, n, seed, observed=None):
     t_enc = int(observed.max())
     z = rng.standard_normal((n, cfg.horizon, cfg.d_z))
     o_t = rng.standard_normal((n, t_enc, cfg.d_obs))
-    o_t[np.arange(t_enc)[None, :] >= observed[:, None]] = 0.0
+    past = np.arange(t_enc)[None, :] >= observed[:, None]
+    o_t[past] = rng.uniform(-1e3, 1e3, (np.count_nonzero(past), cfg.d_obs))
     weights = [rng.standard_normal((n, cfg.horizon, k)) for k in (cfg.point_dim, 1, 1)]
     return z, o_t, observed, weights
 
@@ -131,7 +140,7 @@ class TestFusedMatchesReference:
     def test_forward_bit_identical(self, preset, n, spec):
         cfg, params = preset
         z, o_t, observed, _ = _case(cfg, n, seed=10 + n, observed=_observed(cfg, spec))
-        fused = M.emit(params, cfg, ad.constant(z), ad.constant(o_t), observed)
+        fused = M.emit(params, cfg, ad.constant(z), ad.constant(pack(o_t, observed)), observed)
         ref = reference_emission(params, cfg, ad.constant(z), ad.constant(o_t), observed)
         assert fused[0].shape == (n, cfg.horizon, cfg.point_dim)
         assert (fused[2] is None) == (cfg.point_dim == 2)
@@ -143,11 +152,13 @@ class TestFusedMatchesReference:
     def test_gradients(self, preset, n, spec):
         cfg, params = preset
         z, o_t, observed, weights = _case(cfg, n, seed=20 + n, observed=_observed(cfg, spec))
-        out_f, g_f = _run(M.emit, params, cfg, z, o_t, observed, weights)
+        out_f, g_f = _run(M.emit, params, cfg, z, pack(o_t, observed), observed, weights)
         out_r, g_r = _run(reference_emission, params, cfg, z, o_t, observed, weights)
         for f, r in zip(out_f, out_r):
             np.testing.assert_array_equal(f, r)
         assert set(g_f) == set(g_r)
+        g_grid, g_r["o_t"] = g_r["o_t"], pack(g_r["o_t"], observed)
+        assert np.count_nonzero(g_grid) == np.count_nonzero(g_r["o_t"])  # zero past C
         for key in g_r:
             np.testing.assert_allclose(g_f[key], g_r[key], rtol=1e-9, atol=1e-12, err_msg=key)
         assert np.any(g_f["o_t"] != 0) and np.any(g_f["z"] != 0)
@@ -157,6 +168,7 @@ class TestFusedMatchesReference:
     def test_forward_without_tape_matches_taped(self, preset):
         cfg, params = preset
         z, o_t, observed, weights = _case(cfg, 3, seed=31)
+        o_t = pack(o_t, observed)
         names = M._fused_params(cfg)["emit"]
         inputs = (ad.constant(z), ad.constant(o_t)) + tuple(params[k] for k in names)
         untaped = M._Emission({k: params[k].data for k in names}, z, o_t, observed,
@@ -174,6 +186,6 @@ class TestFusedMatchesReference:
         cfg, params = preset
         z, o_t, observed, _ = _case(cfg, 2, seed=41)
         with ad.Graph() as g:
-            out = M.emit(params, cfg, ad.Tensor(z, requires_grad=True), ad.constant(o_t),
-                         observed)
+            out = M.emit(params, cfg, ad.Tensor(z, requires_grad=True),
+                         ad.constant(pack(o_t, observed)), observed)
         assert len(g) == 1 + sum(x is not None for x in out)

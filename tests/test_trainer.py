@@ -376,6 +376,43 @@ class TestAdamAndFit:
         assert {pred.dtype for _, _, pred, _ in cases} == {np.dtype(np.float64)}
 
 
+class TestImageTargets:
+    CFG = M.ModelConfig(coordinate_mode="2d")  # 64x64 frames, horizon 40
+
+    @pytest.fixture(scope="class")
+    def paper_geometry(self):
+        """Tracks at the paper's 64x64 geometry, 32 to 40 steps, some of
+        whose steps project just outside the frame."""
+        opts = GenOptions(t_min=32, t_max=40, intrinsics=CameraIntrinsics(
+            fx=64.0, fy=64.0, ox=32.0, oy=32.0, width=64, height=64))
+        return gen_dataset(100, 2, opts)[0]
+
+    def test_tracks_outside_the_frame_land_inside_the_tanh_range(self, paper_geometry):
+        # an unpadded [0, 1] -> [-1, 1] map sent one of these steps to -1.047
+        uv = np.concatenate([T.image_track(s) for s in paper_geometry])
+        assert uv.min() < -0.02
+        for s in paper_geometry:
+            T.check_sample(s, self.CFG)
+            assert np.all(np.abs(T.sample_targets(s, self.CFG, None)) < 1), s.id
+
+    def test_targets_decode_to_the_image_track(self, paper_geometry):
+        s = paper_geometry[0]
+        pred, gt = T.decode_prediction(T.sample_targets(s, self.CFG, None), s, self.CFG, None)
+        np.testing.assert_array_equal(gt, T.image_track(s))
+        np.testing.assert_allclose(pred, gt, rtol=0, atol=1e-15)
+
+    def test_step_outside_the_box_refused_not_clipped(self, paper_geometry):
+        s = paper_geometry[0]
+        far = s.points_local.copy()
+        far[-1, 0] += 2.0 * far[-1, 2]  # the last step two frame widths to the right
+        moved = TrajectorySample(s.id, s.scene, s.frames, far, s.points_global, s.poses,
+                                 s.intrinsics, s.valid_depth)
+        T.check_sample(moved, M.ModelConfig())  # global-3d reads no projection
+        with pytest.raises(ValueError, match=rf"sample {s.id} has 1 steps projecting outside "
+                                             r"the frame padded by 0.25"):
+            T.check_sample(moved, self.CFG)
+
+
 class TestDepthValidity:
     def test_depthless_samples_refused_until_repaired(self, tmp_path):
         cfg = M.ModelConfig.tiny(horizon=16)  # gen drops depth only on tracks over 10 steps
@@ -601,7 +638,8 @@ class TestMetrics:
 
         def means(s, c, cfg_, norm_):
             uv = T.image_track(s)
-            return 2.0 * np.concatenate([uv[:c], constant_velocity_baseline(uv, c)]) - 1.0
+            return normalize(np.concatenate([uv[:c], constant_velocity_baseline(uv, c)]),
+                             *T.IMAGE_BOX)
 
         monkeypatch.setattr(T, "forecast_cases", _stand_in(means))
         model_row = evaluate(None, cfg, test, norm, ratio=0.6)

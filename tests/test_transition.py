@@ -2,9 +2,11 @@
 
 ``reference_transition`` builds the state transition from taped
 primitives, one record per op and step, with the self-attention K/V grown
-by ``concat``. The fused ``model.transition`` must reproduce its forward
-to 1e-12 and its gradients for ``h`` and every ``trans.*`` parameter to
-rtol 1e-9 and atol 1e-12. In float32 it must stay within 1e-5 of the
+by ``concat``, over the (N, max C, d_z) grid of encoded observations. The
+fused ``model.transition`` takes that grid's packed rows at the observed
+steps. It must reproduce the reference's forward to 1e-12 and its
+gradients for ``h`` and every ``trans.*`` parameter to rtol 1e-9 and
+atol 1e-12. In float32 it must stay within 1e-5 of the
 float64 forward at the same weights, and its gradients within 2e-5 of
 each tensor's largest float64 entry.
 """
@@ -84,8 +86,14 @@ def preset(request):
     return request.param, cfg, M.init_params(cfg, seed=3)
 
 
+def pack(x, observed):
+    """The packed rows of an (N, max C, ...) grid at each sample's observed steps."""
+    return x[M.observed_cells(np.asarray(observed))]
+
+
 def _case(cfg, n, seed):
-    """Encoder output h and mixed observed counts for n samples."""
+    """Encoder output h as a grid, random past each sample's C too, and
+    mixed observed counts for n samples."""
     rng = np.random.default_rng(seed)
     observed = rng.integers(1, cfg.horizon, size=n)
     if n > 1:
@@ -108,12 +116,30 @@ def _grads(fn, params, cfg, h_np, observed, weight):
     return z.data, grads
 
 
+def _fused_grads(params, cfg, h_np, observed, weight):
+    """``_grads`` of the fused op fed the packed rows of the grid h_np."""
+    return _grads(M.transition, params, cfg, pack(h_np, observed), observed, weight)
+
+
+def assert_grads_match(g_f, g_r, observed):
+    """The fused op's gradients match the reference's: h's rows match the
+    reference's grid at the observed steps, which is zero past each C."""
+    cells = M.observed_cells(observed)
+    unobserved = np.ones(g_r["h"].shape[:2], bool)
+    unobserved[cells] = False
+    assert not np.any(g_r["h"][unobserved])
+    for key in g_r:
+        ref = g_r[key][cells] if key == "h" else g_r[key]
+        np.testing.assert_allclose(g_f[key], ref, rtol=1e-9, atol=1e-12, err_msg=key)
+
+
 class TestFusedMatchesReference:
     @pytest.mark.parametrize("n", [1, 3])
     def test_forward(self, preset, n):
         _, cfg, params = preset
         h_np, observed, _ = _case(cfg, n, seed=10 + n)
-        fused = M.transition(params, cfg, ad.constant(h_np), observed, horizon=cfg.horizon).data
+        fused = M.transition(params, cfg, ad.constant(pack(h_np, observed)), observed,
+                             horizon=cfg.horizon).data
         ref = reference_transition(params, cfg, ad.constant(h_np), observed,
                                    horizon=cfg.horizon).data
         assert fused.shape == (n, cfg.horizon, cfg.d_z)
@@ -123,18 +149,18 @@ class TestFusedMatchesReference:
     def test_gradients(self, preset, n):
         _, cfg, params = preset
         h_np, observed, weight = _case(cfg, n, seed=20 + n)
-        z_f, g_f = _grads(M.transition, params, cfg, h_np, observed, weight)
+        z_f, g_f = _fused_grads(params, cfg, h_np, observed, weight)
         z_r, g_r = _grads(reference_transition, params, cfg, h_np, observed, weight)
         assert np.max(np.abs(z_f - z_r)) <= 1e-12
-        for key in g_r:
-            np.testing.assert_allclose(g_f[key], g_r[key], rtol=1e-9, atol=1e-12, err_msg=key)
+        assert_grads_match(g_f, g_r, observed)
         assert np.any(g_f["trans.z0"] != 0) and np.any(g_f["h"] != 0)
 
     def test_forward_without_tape_matches_taped(self, preset):
         _, cfg, params = preset
         h_np, observed, weight = _case(cfg, 3, seed=31)
-        untaped = M.transition(params, cfg, ad.constant(h_np), observed, horizon=cfg.horizon)
-        taped, _ = _grads(M.transition, params, cfg, h_np, observed, weight)
+        untaped = M.transition(params, cfg, ad.constant(pack(h_np, observed)), observed,
+                               horizon=cfg.horizon)
+        taped, _ = _fused_grads(params, cfg, h_np, observed, weight)
         assert not untaped.requires_grad
         np.testing.assert_array_equal(untaped.data, taped)
 
@@ -142,8 +168,8 @@ class TestFusedMatchesReference:
         _, cfg, params = preset
         h_np, observed, _ = _case(cfg, 2, seed=41)
         with ad.Graph() as g:
-            M.transition(params, cfg, ad.Tensor(h_np, requires_grad=True), observed,
-                         horizon=cfg.horizon)
+            M.transition(params, cfg, ad.Tensor(pack(h_np, observed), requires_grad=True),
+                         observed, horizon=cfg.horizon)
         assert len(g) == 1
 
 
@@ -178,17 +204,18 @@ def test_random_cases_match_reference_and_ignore_rows_past_c(data):
     h_np = rng.standard_normal((n, int(observed.max()), cfg.d_z))
     weight = rng.standard_normal((n, cfg.horizon, cfg.d_z))
 
-    z_f, g_f = _grads(M.transition, params, cfg, h_np, observed, weight)
+    z_f, g_f = _fused_grads(params, cfg, h_np, observed, weight)
     z_r, g_r = _grads(reference_transition, params, cfg, h_np, observed, weight)
     assert np.max(np.abs(z_f - z_r)) <= 1e-12
-    for key in g_r:
-        np.testing.assert_allclose(g_f[key], g_r[key], rtol=1e-9, atol=1e-12, err_msg=key)
+    assert_grads_match(g_f, g_r, observed)
 
+    # the fused op never sees the grid past C; the reference must ignore it
     moved = h_np.copy()
     for i, c in enumerate(observed):
         moved[i, c:] = rng.uniform(-1e3, 1e3, moved[i, c:].shape)
-    z_m = M.transition(params, cfg, ad.constant(moved), observed, horizon=cfg.horizon).data
-    np.testing.assert_array_equal(z_m, z_f)
+    z_m = reference_transition(params, cfg, ad.constant(moved), observed,
+                               horizon=cfg.horizon).data
+    np.testing.assert_array_equal(z_m, z_r)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -202,8 +229,8 @@ def test_float32_agrees_with_float64_at_the_same_weights(name):
         b.data[...] = a.data
     h_np, observed, weight = _case(cfg64, 4, seed=51)
     h_np = h_np.astype(np.float32)
-    z32, g32 = _grads(M.transition, p32, cfg32, h_np, observed, weight.astype(np.float32))
-    z64, g64 = _grads(M.transition, p64, cfg64, h_np.astype(np.float64), observed, weight)
+    z32, g32 = _fused_grads(p32, cfg32, h_np, observed, weight.astype(np.float32))
+    z64, g64 = _fused_grads(p64, cfg64, h_np.astype(np.float64), observed, weight)
     assert z32.dtype == np.float32 and g32["h"].dtype == np.float32
     assert np.max(np.abs(z32 - z64)) <= 1e-5
     for key in g64:
