@@ -32,16 +32,17 @@ padding. ``unpack_rows`` lays rows on the padded (N, T) grid and
 move never aliases its input. The fused ops use them inside their numpy
 forward and backward, so no taped op moves rows to the grid.
 
-The model runs its frame encoder, temporal encoders, transition and
-emission as fused ops. ``conv2d``, ``embed_border``, ``split_heads``,
-``merge_heads``, ``softmax_lastdim``, ``transpose`` and ``concat`` now
-serve only the taped references of those ops in the tests and the
-benchmark's tracer, which wraps them by name.
+The model runs its visual branch (the frame encoder and its MLP),
+temporal encoders, transition and emission as fused ops. ``conv2d``,
+``embed_border``, ``split_heads``, ``merge_heads``, ``softmax_lastdim``,
+``transpose`` and ``concat`` now serve only the taped references of those
+ops in the tests and the benchmark's tracer, which wraps them by name.
 
 A graph and its tensors belong to one thread; weight tensors may be
 shared read-only across threads running independent graphs. A fused op
 may run part of its numpy work on a helper thread, forward or backward,
-as the temporal encoders do; the helper reads and writes arrays only and
+as the temporal encoders (one branch each) and the frame encoder (one
+half of the frames each) do; the helper reads and writes arrays only and
 never touches the tape, so ``is_recording`` is asked on the op's own
 thread. The optimizer, which runs after the tape is done, may do the
 same with the gradients it reads: ``trainer.Adam.step`` updates one half

@@ -18,17 +18,19 @@ underflows to exact zero weight, so forecasts are exactly independent
 of future inputs.
 
 Four stages are fused tape ops, each one ``ad.custom`` record rather
-than a chain of taped ops: the frozen frame encoder (``frozen_encoder``),
-the temporal encoders of both branches (``temporal_encode``), the state
-transition (``transition``) and the autoregressive emission (``emit``),
-whose every step after the observed prefix reads the re-embedded previous
-mean. Each forward runs in numpy, and each backward is hand-written and
-sums in a different order from the taped composition:
+than a chain of taped ops: the visual branch, the frozen frame encoder
+and its ``vis`` MLP (``encode_frames``), the temporal encoders of both
+branches (``temporal_encode``), the state transition (``transition``)
+and the autoregressive emission (``emit``), whose every step after the
+observed prefix reads the re-embedded previous mean. Each forward runs
+in numpy, and each backward is hand-written and sums in a different
+order from the taped composition:
 
-- the frame encoder's forward repeats the arithmetic of the taped
+- the visual branch's forward repeats the arithmetic of the taped
   composition op for op, with the same operand shapes and BLAS calls, so
-  it is bit-identical on every preset and dtype. Its backward computes
-  only the prompt's gradient, which agrees with the taped
+  it is bit-identical on every preset and dtype. Its backward forms the
+  MLP's gradients with the taped backwards' products and sums, so they
+  are bit-identical too. The prompt's gradient agrees with the taped
   ``embed_border``/``conv2d`` composition to rtol 1e-9 and atol 1e-12 in
   float64 and to 2e-6 of the largest entry in float32;
 - the temporal encoder's forward repeats it op for op too, and is
@@ -47,16 +49,25 @@ sums in a different order from the taped composition:
   through time, and their gradients agree with the taped composition to
   rtol 1e-9 and atol 1e-12.
 
-The two temporal-encoder branches share no data. When a branch's
-multiply-adds, about R * blocks * (4 + 2 mlp_ratio) * d_obs^2 in the
-forward and twice that in the backward, reach ``PARALLEL_MIN_MACS``, the
-trajectory branch runs on a helper thread while the visual branch runs
-on the caller; numpy releases the interpreter lock inside each product.
-The gate is a property of the input: every paper-sized call with R >= 2
-is threaded, and desk calls stay serial below about 340 rows (170 in the
-backward), where Python call overhead and lock hand-offs make two threads
-slower. BLAS stays on one thread and every product keeps its shapes, so
-both paths are bit-identical.
+Two fused ops split their work with a helper thread (``_both``); numpy
+releases the interpreter lock inside each product. The gates are
+properties of the input, and BLAS stays on one thread, so each threaded
+path gives the bits of the serial one.
+
+- The two temporal-encoder branches share no data. When a branch's
+  multiply-adds, about R * blocks * (4 + 2 mlp_ratio) * d_obs^2 in the
+  forward and twice that in the backward, reach ``PARALLEL_MIN_MACS``,
+  the trajectory branch runs on the helper thread while the visual branch
+  runs on the caller. Every paper-sized call with R >= 2 is threaded, and
+  desk calls stay serial below about 340 rows (170 in the backward),
+  where Python call overhead and lock hand-offs make two threads slower.
+  Every product keeps its shapes.
+- The visual branch is row-wise. When its fc1 makes at least
+  ``PARALLEL_MIN_MACS`` multiply-adds (R * flat_dim * vis_hidden) and each
+  half of the frames gets at least ``PARALLEL_MIN_ROWS`` rows, the second
+  half runs on the helper thread, forward and backward. Fewer rows take
+  BLAS's one-row and small-matrix kernels, whose bits differ. Paper splits
+  from R = 16, and desk (below about 1000 rows) never does.
 
 The taped compositions are kept as references in
 tests/test_frame_encoder.py, tests/test_temporal_encoder.py,
@@ -86,8 +97,17 @@ MASK_LOGIT = -1e9
 COORDINATE_MODES = ("global-3d", "2d")
 COMPUTE_DTYPES = ("float64", "float32")
 # a temporal-encoder branch with at least this many multiply-adds runs on a
-# helper thread beside the other (see temporal_encode)
+# helper thread beside the other (see temporal_encode), and so does the
+# second half of the frames whose fc1 makes this many (see encode_frames)
 PARALLEL_MIN_MACS = 1 << 23
+# each half of a row split keeps at least this many rows: fewer take BLAS's
+# one-row and small-matrix kernels, whose bits differ
+PARALLEL_MIN_ROWS = 8
+
+
+def _conv_out(size):
+    """The output extent of a 3x3, stride-2 valid convolution over ``size``."""
+    return (size - 3) // 2 + 1
 
 
 @dataclass(frozen=True)
@@ -159,9 +179,7 @@ class ModelConfig:
         return self.frame_h + 2 * self.prompt_width, self.frame_w + 2 * self.prompt_width
 
     def conv_out_hw(self):
-        h, w = self.padded_hw()
-        h1, w1 = (h - 3) // 2 + 1, (w - 3) // 2 + 1
-        return (h1 - 3) // 2 + 1, (w1 - 3) // 2 + 1
+        return tuple(_conv_out(_conv_out(size)) for size in self.padded_hw())
 
     def flat_dim(self):
         h2, w2 = self.conv_out_hw()
@@ -383,27 +401,71 @@ def grid_rows(observed):
 
 
 def encode_frames(params, cfg, frames):
-    """Prompted frozen encoder plus learnable head: (R,H,W) packed grayscale
-    frames in the compute dtype -> (R,d_obs)."""
+    """The visual branch as one taped op: (R,H,W) packed grayscale frames
+    in the compute dtype -> (R,d_obs) features, through the prompted frozen
+    backbone (``_FrameEncoder``) and the ``vis`` MLP, fc1 -> tanh -> fc2.
+
+    The head runs op for op as ``ad.affine`` and ``ad.tanh`` compute it,
+    and the hand-written backward forms each gradient with the products
+    and sums of the taped ops' backwards, so the output and the ``vis``
+    gradients are bit-identical to the taped composition. The features'
+    gradient goes on to the prompt's backward.
+
+    Above the gate (see the module docstring), the second half of the
+    frames runs on a helper thread: in the forward, its convolutions and
+    head; in the backward, fc1's input gradient for its rows and weight
+    gradient for half of the features, each part written into its slice
+    of one output. fc2's gradients and the biases are computed once, on
+    the caller.
+    """
     if frames.shape[1:] != (cfg.frame_h, cfg.frame_w):
         raise ad.ShapeError(f"frames {frames.shape} are not (R, {cfg.frame_h}, {cfg.frame_w})")
-    return _mlp2(params, "vis", frozen_encoder(params, cfg, frames))
+    inputs = tuple(params[k] for k in ("prompt", "vis.fc1.w", "vis.fc1.b", "vis.fc2.w",
+                                       "vis.fc2.b"))
+    prompt, w1, b1, w2, b2 = (t.data for t in inputs)
+    enc = _FrameEncoder(params["enc.conv1.k"].data, params["enc.conv2.k"].data, prompt, frames,
+                        cfg.prompt_width, save=ad.is_recording(inputs))  # asked on the caller
+    r = len(frames)
+    hid = np.empty((r, cfg.vis_hidden), dtype=frames.dtype)
+    out = np.empty((r, cfg.d_obs), dtype=frames.dtype)
+    half, mid = r // 2, len(w1) // 2  # the row and the feature splits
+    threaded = (r * cfg.flat_dim() * cfg.vis_hidden >= PARALLEL_MIN_MACS
+                and half >= PARALLEL_MIN_ROWS)
 
+    def forward(rows):
+        def run():
+            enc.encode(rows)
+            h = np.matmul(enc.out[rows], w1, out=hid[rows])
+            h += b1
+            np.tanh(h, out=h)
+            y = np.matmul(h, w2, out=out[rows])
+            y += b2
+        return run
 
-def frozen_encoder(params, cfg, frames):
-    """The prompted frozen backbone as one taped op: (R,H,W) frames ->
-    (R, flat_dim) features, laid out as the taped composition
-    ``embed_border -> conv2d -> tanh -> conv2d -> tanh -> reshape`` lays
-    them out (channel-major per frame).
+    if threaded:
+        _both(forward(slice(0, half)), forward(slice(half, r)), True)
+    else:
+        forward(slice(0, r))()
 
-    Only the prompt learns (the kernels are ``FROZEN``), so the backward
-    computes the prompt's gradient alone, through the conv outputs whose
-    windows reach the border.
-    """
-    prompt = params["prompt"]
-    enc = _FrameEncoder(params["enc.conv1.k"].data, params["enc.conv2.k"].data, prompt.data,
-                        frames, cfg.prompt_width, save=ad.is_recording((prompt,)))
-    return ad.custom(enc.out, (prompt,), enc.backward)
+    def backward(g):
+        dhid = g @ w2.T
+        dw2, db2 = hid.T @ g, g.sum(axis=0)
+        dhid *= 1.0 - hid * hid
+        dx, dw1 = np.empty_like(enc.out), np.empty_like(w1)
+
+        def fc1(rows, feats):  # the input gradient's rows, the weight gradient's feats
+            def run():
+                np.matmul(dhid[rows], w1.T, out=dx[rows])
+                np.matmul(enc.out[:, feats].T, dhid, out=dw1[feats])
+            return run
+
+        if threaded:
+            _both(fc1(slice(0, half), slice(0, mid)), fc1(slice(half, r), slice(mid, None)), True)
+        else:
+            fc1(slice(0, r), slice(0, None))()
+        return enc.backward(dx) + (dw1, dhid.sum(axis=0), dw2, db2)
+
+    return ad.custom(out, inputs, backward)
 
 
 def _conv_tanh(x, k):
@@ -413,7 +475,7 @@ def _conv_tanh(x, k):
     order, by the same kernel matrix; the matrix is one gather through a
     cached index and is freed before the tanh, which runs in place."""
     n, h, w, c = x.shape
-    oh, ow = (h - 3) // 2 + 1, (w - 3) // 2 + 1
+    oh, ow = _conv_out(h), _conv_out(w)
     cols = np.take(x.reshape(n, -1), _patch_index(h, w, c), axis=1)
     y = cols.reshape(n * oh * ow, 9 * c) @ k.reshape(k.shape[0], -1).T
     del cols
@@ -427,7 +489,7 @@ def _patch_index(h, w, c):
     (c, di, dj). One ``np.take`` through it copies whole patches at once,
     where a copy from a strided window view moves 3 values per inner loop.
     The cached index is shared and read-only."""
-    oh, ow = (h - 3) // 2 + 1, (w - 3) // 2 + 1
+    oh, ow = _conv_out(h), _conv_out(w)
     d = np.arange(3)
     i = 2 * np.arange(oh)[:, None, None, None, None] + d[:, None]  # (oh, 1, 1, di, 1)
     j = 2 * np.arange(ow)[:, None, None, None] + d  # (ow, 1, 1, dj)
@@ -499,34 +561,49 @@ def _col2im(plan, x):
 
 
 class _FrameEncoder:
-    """Numpy forward and prompt-only backward of the frozen encoder.
+    """Numpy forward and prompt-only backward of the frozen encoder over
+    (n,H,W) frames.
 
-    The forward builds the same im2col matrices as ``ad.conv2d`` and runs
-    the same GEMMs on them, so its output is bit-identical to the taped
-    composition; activations stay channels-last between the convolutions.
-    The two tanh activations, at the b1 and b2 outputs only, are kept only
-    when ``save`` is set (a tape will replay them). Every buffer has the
-    dtype of the frames.
+    ``encode(rows)`` runs the forward of a slice of the frames and writes
+    their rows of ``out``, (n, flat_dim) features laid out as the taped
+    composition ``embed_border -> conv2d -> tanh -> conv2d -> tanh ->
+    reshape`` lays them out (channel-major per frame); two threads may
+    encode disjoint slices. It builds the same im2col matrices as
+    ``ad.conv2d`` and runs the same GEMMs on them, so its output is
+    bit-identical to the taped composition; activations stay channels-last
+    between the convolutions. The two tanh activations, at the b1 and b2
+    outputs only, are kept only when ``save`` is set (a tape will replay
+    them). Every buffer has the dtype of the frames.
     """
 
     def __init__(self, k1, k2, prompt, frames, pad, save):
         n, h, w = frames.shape
-        hp, wp = h + 2 * pad, w + 2 * pad
-        self.plan = _border_plan(hp, wp, pad)
-        border = self.plan[0]
-        self.k1, self.k2 = k1, k2
-        xp = np.empty((n, hp, wp, 1), dtype=frames.dtype)
-        xp[:, border, 0] = prompt[0]
-        xp[:, pad : hp - pad, pad : wp - pad, 0] = frames
-        a1 = _conv_tanh(xp, k1)
-        del xp  # each large temporary is freed as soon as it is read
-        a2 = _conv_tanh(a1, k2)
-        a1, a2 = a1.reshape(n, -1, a1.shape[3]), a2.reshape(n, -1, a2.shape[3])
-        self.out = np.ascontiguousarray(a2.transpose(0, 2, 1)).reshape(n, -1)
+        self.frames, self.pad, self.prompt, self.k1, self.k2 = frames, pad, prompt, k1, k2
+        self.plan = _border_plan(h + 2 * pad, w + 2 * pad, pad)
+        _, b1, b2 = self.plan[:3]
+        h2, w2 = (_conv_out(_conv_out(size + 2 * pad)) for size in (h, w))
+        self.out = np.empty((n, len(k2) * h2 * w2), dtype=frames.dtype)
         if save:  # the backward reads only the outputs that reach the border
+            self.a1 = np.empty((n, len(b1), len(k1)), dtype=frames.dtype)
+            self.a2 = np.empty((n, len(b2), len(k2)), dtype=frames.dtype)
+        self.save = save
+
+    def encode(self, rows):
+        """The forward of the frames at the slice ``rows``, written into
+        those rows of ``out`` (and of the saved activations)."""
+        frames, pad = self.frames[rows], self.pad
+        n, h, w = frames.shape
+        xp = np.empty((n, h + 2 * pad, w + 2 * pad, 1), dtype=frames.dtype)
+        xp[:, self.plan[0], 0] = self.prompt[0]
+        xp[:, pad : pad + h, pad : pad + w, 0] = frames
+        a1 = _conv_tanh(xp, self.k1)
+        del xp  # each large temporary is freed as soon as it is read
+        a2 = _conv_tanh(a1, self.k2)
+        a1, a2 = a1.reshape(n, -1, a1.shape[3]), a2.reshape(n, -1, a2.shape[3])
+        self.out[rows].reshape(n, a2.shape[2], -1)[...] = a2.transpose(0, 2, 1)
+        if self.save:
             _, b1, b2 = self.plan[:3]
-            self.a1, self.a2 = np.take(a1, b1, axis=1), np.take(a2, b2, axis=1)
-        self.prompt_shape = prompt.shape
+            self.a1[rows], self.a2[rows] = a1[:, b1], a2[:, b2]
 
     def backward(self, g):
         """The prompt's gradient, through the b2 and b1 outputs only.
@@ -546,7 +623,7 @@ class _FrameEncoder:
         da1 = _col2im(col2im2, dcols2.reshape(len(b2) * 9, c1 * n)).reshape(len(b1), c1, n)
         dy1 = np.einsum("qcn,nqc->qc", da1, 1.0 - self.a1 * self.a1)  # summed over frames
         dcols1 = dy1 @ self.k1.reshape(c1, 9)
-        return (_col2im(col2im1, dcols1.reshape(-1)).reshape(self.prompt_shape),)
+        return (_col2im(col2im1, dcols1.reshape(-1)).reshape(self.prompt.shape),)
 
 
 def embed_points(params, cfg, points):
@@ -601,9 +678,10 @@ def temporal_encode(params, cfg, x, observed):
 
 def _both(first, second, threaded):
     """``(first(), second())``, calling ``second`` on a helper thread when
-    ``threaded``. The one thread helper of the package: the temporal
-    encoders' branches use it, and so does ``trainer.Adam.step``, which
-    splits its update into two halves after the tape is done.
+    ``threaded``. The one thread helper of the package, with three users:
+    the temporal encoders' two branches, the visual branch's two halves of
+    the frames (``encode_frames``), and ``trainer.Adam.step``, which splits
+    its update into two halves after the tape is done.
 
     The helper runs numpy only and never records on or reads the tape. The
     caller always joins it, and an exception raised on it is raised again

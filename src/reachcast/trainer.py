@@ -123,12 +123,14 @@ def observation_count(horizon, cfg, rng=None):
     return min(max(math.floor(ratio * horizon + 0.5), 1), horizon - 1)
 
 
-def sample_targets(sample, cfg, norm):
+def sample_targets(sample, cfg, norm, track=None):
     """Per-step model targets in [-1, 1] for the configured coordinate mode:
-    world points over ``norm``, or the image track over ``IMAGE_BOX``."""
+    world points over ``norm``, or the image track over ``IMAGE_BOX``.
+    ``track`` is the sample's ``image_track`` when the caller has it
+    already (``check_sample`` returns it), so it is not projected again."""
     if cfg.coordinate_mode == "global-3d":
         return normalize(sample.points_global, *norm)
-    return normalize(image_track(sample), *IMAGE_BOX)
+    return normalize(image_track(sample) if track is None else track, *IMAGE_BOX)
 
 
 def image_track(sample):
@@ -141,7 +143,8 @@ def check_sample(s, cfg):
     steps than the horizon, a step without depth, whose z=0 sentinel
     would be lifted through the pose chain into a wrong world point, or, in
     2d mode, a step projecting outside ``IMAGE_BOX``, whose target the mean
-    head could not reach (it is refused, never clipped)."""
+    head could not reach (it is refused, never clipped). Returns the image
+    track the 2d check projected, None in global-3d."""
     if s.frames.shape[1:] != (cfg.frame_h, cfg.frame_w):
         raise ValueError(f"sample {s.id} has {'x'.join(map(str, s.frames.shape[1:]))} frames; "
                          f"the model takes {cfg.frame_h}x{cfg.frame_w}")
@@ -158,20 +161,23 @@ def check_sample(s, cfg):
             raise ValueError(f"sample {s.id} has {outside} steps projecting outside the "
                              f"frame padded by {IMAGE_MARGIN:g} of its size, the range of "
                              "2d targets")
+        return uv
+    return None
 
 
 def assemble_batch(samples, cfg, norm, observed):
     """Pad samples to the horizon; returns (frames, points, C, lengths, valid),
     frames and points in the model's compute dtype. Each sample must pass
-    ``check_sample``."""
+    ``check_sample``; a 2d track is projected once, for the check and the
+    targets."""
     n, t = len(samples), cfg.horizon
     frames = np.zeros((n, t, cfg.frame_h, cfg.frame_w), dtype=cfg.dtype)
     points = np.zeros((n, t, cfg.point_dim), dtype=cfg.dtype)
     lengths = np.zeros(n, dtype=np.int64)
     for i, s in enumerate(samples):
-        check_sample(s, cfg)
+        track = check_sample(s, cfg)
         frames[i, : s.horizon] = s.frames
-        points[i, : s.horizon] = sample_targets(s, cfg, norm)
+        points[i, : s.horizon] = sample_targets(s, cfg, norm, track)
         lengths[i] = s.horizon
     valid = np.arange(t)[None, :] < lengths[:, None]
     return frames, points, np.asarray(observed, dtype=np.int64), lengths, valid

@@ -1,12 +1,19 @@
-"""The fused frozen encoder against its taped composition.
+"""The fused visual branch against its taped composition.
 
 ``reference_encoder`` builds the prompted backbone from taped primitives,
-``embed_border -> conv2d -> tanh -> conv2d -> tanh -> reshape``. The fused
-``model.frozen_encoder`` must reproduce its forward bit for bit, and its
+``embed_border -> conv2d -> tanh -> conv2d -> tanh -> reshape``, and
+``reference_encode_frames`` adds the ``vis`` MLP as taped ``affine``,
+``tanh`` and ``affine`` ops. ``model._FrameEncoder`` must reproduce the
+backbone's forward bit for bit. The fused ``model.encode_frames`` must
+reproduce the whole forward and the ``vis`` gradients bit for bit, and the
 prompt gradient within rtol 1e-9 / atol 1e-12 in float64; in float32 the
-gradients agree to 2e-6 of the largest entry. Through ``encode_frames`` the
-head's gradients are bit-identical, since the head reads identical features.
+prompt gradients agree to 2e-6 of the largest entry. Running the second
+half of the frames on a helper thread must change no output and no
+gradient by a single bit.
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +78,15 @@ def _assert_prompt_close(fused, ref, dtype):
         assert np.max(np.abs(fused - ref)) <= 2e-6 * np.max(np.abs(ref))
 
 
+def _backbone(params, cfg, frames, save=False):
+    """The fused backbone's (R, flat_dim) features of all frames, and its
+    encoder object."""
+    enc = M._FrameEncoder(params["enc.conv1.k"].data, params["enc.conv2.k"].data,
+                          params["prompt"].data, frames, cfg.prompt_width, save)
+    enc.encode(slice(0, len(frames)))
+    return enc.out, enc
+
+
 def _unread_border(cfg):
     """Mask over the prompt's entries of the border pixels that no output
     reads: conv2 reads conv1 rows 0..2 h2 and conv1 row r reads pixel rows
@@ -90,11 +106,14 @@ class TestFusedMatchesReference:
     def test_forward_is_bit_identical(self, preset, n):
         _, cfg, params = preset
         frames = _frames(cfg, (n,), seed=10 + n)
-        fused = M.frozen_encoder(params, cfg, frames).data
+        fused, _ = _backbone(params, cfg, frames)
         ref = reference_encoder(params, cfg, frames).data
         assert fused.shape == (n, cfg.flat_dim()) and fused.dtype == cfg.dtype
         assert fused.flags.c_contiguous
         np.testing.assert_array_equal(fused, ref)
+        out = M.encode_frames(params, cfg, frames).data
+        assert out.shape == (n, cfg.d_obs) and out.dtype == cfg.dtype
+        np.testing.assert_array_equal(out, reference_encode_frames(params, cfg, frames).data)
 
     def test_gradients(self, preset):
         _, cfg, params = preset
@@ -112,7 +131,7 @@ class TestFusedMatchesReference:
         _, cfg, params = preset
         unread = _unread_border(cfg)
         assert unread.any()
-        _, grads = _grads(M.frozen_encoder, params, cfg, _frames(cfg, (4,), seed=31), seed=32)
+        _, grads = _grads(M.encode_frames, params, cfg, _frames(cfg, (4,), seed=31), seed=32)
         prompt = grads["prompt"][0]
         assert np.all(prompt[unread] == 0.0)
         assert np.all(prompt[~unread] != 0.0)
@@ -120,16 +139,112 @@ class TestFusedMatchesReference:
     def test_forward_without_tape_matches_taped(self, preset):
         _, cfg, params = preset
         frames = _frames(cfg, (3,), seed=41)
-        untaped = M.frozen_encoder(params, cfg, frames)
-        taped, _ = _grads(M.frozen_encoder, params, cfg, frames, seed=42)
+        untaped = M.encode_frames(params, cfg, frames)
+        taped, _ = _grads(M.encode_frames, params, cfg, frames, seed=42)
         assert not untaped.requires_grad
         np.testing.assert_array_equal(untaped.data, taped)
+        saved = _backbone(params, cfg, frames, save=True)[1]
+        assert hasattr(saved, "a1") and not hasattr(_backbone(params, cfg, frames)[1], "a1")
 
     def test_one_tape_record(self, preset):
         _, cfg, params = preset
         with ad.Graph() as g:
-            M.frozen_encoder(params, cfg, _frames(cfg, (2,), seed=51))
+            M.encode_frames(params, cfg, _frames(cfg, (2,), seed=51))
         assert len(g) == 1
+
+    def test_no_record_when_nothing_requires_a_gradient(self, preset):
+        _, cfg, params = preset
+        inputs = [params[k] for k in ("prompt", "vis.fc1.w", "vis.fc1.b", "vis.fc2.w",
+                                      "vis.fc2.b")]
+        try:
+            for t in inputs:
+                t.requires_grad = False
+            with ad.Graph() as g:
+                out = M.encode_frames(params, cfg, _frames(cfg, (2,), seed=52))
+        finally:
+            for t in inputs:
+                t.requires_grad = True
+        assert len(g) == 0 and not out.requires_grad
+
+
+def _counting_thread(started):
+    """A ``threading.Thread`` that appends its name to ``started`` on start."""
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+    return Counted
+
+
+def _visual_grads(params, cfg, frames, weight):
+    """Output bytes and the bytes of every visual-branch gradient for a
+    weighted sum of the output."""
+    params.zero_grads()
+    with ad.Graph() as g:
+        out = M.encode_frames(params, cfg, frames)
+        g.backward(ad.reduce_sum(ad.mul(out, ad.constant(weight))))
+    grads = {name: params[name].grad.tobytes()
+             for name in ("prompt", "vis.fc1.w", "vis.fc1.b", "vis.fc2.w", "vis.fc2.b")}
+    params.zero_grads()
+    return out.data.tobytes(), grads
+
+
+# (preset, the patched gate's constants or None for the module's, the gate's
+# edge: the least R that splits). desk's 8-row halves make small products,
+# where BLAS's kernels change the bits, so its forced edge sits at 48 rows.
+GATES = [("paper", None, 16), ("desk", {"PARALLEL_MIN_MACS": 0, "PARALLEL_MIN_ROWS": 24}, 48),
+         ("tiny", {"PARALLEL_MIN_MACS": 0}, 16)]
+
+
+class Boom(RuntimeError):
+    """Raised by a patched half of the frames."""
+
+
+class TestHelperThread:
+    @pytest.mark.parametrize("name, gate, edge", GATES, ids=[g[0] for g in GATES])
+    def test_threaded_and_serial_are_byte_equal_at_the_gate(self, monkeypatch, name, gate, edge):
+        cfg = PRESETS[name]()
+        params = _model(cfg)
+        for key, value in (gate or {}).items():
+            monkeypatch.setattr(M, key, value)
+        if gate is None:  # the module's gate: its edge is where fc1's work and the halves allow
+            per_row = cfg.flat_dim() * cfg.vis_hidden
+            assert edge == max(-(-M.PARALLEL_MIN_MACS // per_row), 2 * M.PARALLEL_MIN_ROWS)
+        rng = np.random.default_rng(91)
+        for r, threads in ((edge - 1, 0), (edge, 2), (edge + 1, 2), (2 * edge + 7, 2)):
+            frames = _frames(cfg, (r,), seed=r)
+            weight = rng.standard_normal((r, cfg.d_obs)).astype(cfg.dtype)
+            started = []
+            with monkeypatch.context() as mp:
+                mp.setattr(threading, "Thread", _counting_thread(started))
+                split = _visual_grads(params, cfg, frames, weight)
+            assert started == ["reachcast-helper"] * threads, r  # the forward and the backward
+            with monkeypatch.context() as mp:
+                mp.setattr(M, "PARALLEL_MIN_ROWS", float("inf"))
+                serial = _visual_grads(params, cfg, frames, weight)
+            assert split[0] == serial[0], r
+            for key in serial[1]:
+                assert split[1][key] == serial[1][key], (r, key)
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_an_exception_reaches_the_caller_and_the_helper_is_joined(self, monkeypatch, where):
+        cfg = PRESETS["tiny"]()
+        params = _model(cfg)
+        caller = threading.current_thread()
+        original = M._FrameEncoder.encode
+
+        def patched(self, rows):
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise Boom(where)
+            time.sleep(0.1)  # still running when the other half raises
+            return original(self, rows)
+
+        monkeypatch.setattr(M, "PARALLEL_MIN_MACS", 0)
+        monkeypatch.setattr(M._FrameEncoder, "encode", patched)
+        before = threading.active_count()
+        with pytest.raises(Boom, match=where):
+            M.encode_frames(params, cfg, _frames(cfg, (16,), seed=93))
+        assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -401,6 +401,22 @@ class TestImageTargets:
         np.testing.assert_array_equal(gt, T.image_track(s))
         np.testing.assert_allclose(pred, gt, rtol=0, atol=1e-15)
 
+    def test_assemble_batch_projects_each_track_once(self, paper_geometry, monkeypatch):
+        # the box check's projection is the one the targets are made from
+        samples = paper_geometry[:5]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(T, "project", counted)
+        _, points, _, lengths, _ = T.assemble_batch(samples, self.CFG, None, [3] * len(samples))
+        assert len(calls) == len(samples)
+        monkeypatch.undo()
+        for s, row, t in zip(samples, points, lengths):
+            np.testing.assert_array_equal(row[:t], T.sample_targets(s, self.CFG, None))
+
     def test_step_outside_the_box_refused_not_clipped(self, paper_geometry):
         s = paper_geometry[0]
         far = s.points_local.copy()

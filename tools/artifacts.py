@@ -14,12 +14,18 @@ The pipeline:
   ``train --epochs 3 --seed 0 --observation-mode random --batch-size 32``,
   ``eval --ratios 0.1..0.9 --baseline cv --dump`` and
   ``forecast --id s00050``;
-- two paper-preset training steps (``--epochs 2`` of one 4-sample batch)
+- two paper-preset training steps (``--epochs 2``, ``--batch-size 4``)
   on a 4-sample set of 64x64 frames and 32 to 40 steps, generated with
   ``--dropout 0.3`` and repaired first, as the benchmark's train-paper
   workload does, so the checkpoint and optimizer state cover the threaded
   optimizer step from non-zero moments, then ``eval --splits all
-  --ratios 0.1..0.9 --baseline cv`` of that float32 checkpoint;
+  --ratios 0.1..0.9 --baseline cv`` of that float32 checkpoint. The set's
+  one training sample observes 19 steps, so each step's R = 19 frame rows
+  cross both thread gates of the model: the temporal encoders' branches
+  and the visual branch's two halves (from R = 16) run on two threads,
+  forward and backward. So CI's byte-stability diff covers the threaded
+  paths. The eval's batches have R = 15 (ratio 0.1, the visual branch
+  serial) to 133;
 - the standard output of ``gradcheck`` (``gradcheck.txt``).
 
 OUT must not exist yet, so no file of an earlier run is compared.
