@@ -32,21 +32,18 @@ padding. ``unpack_rows`` lays rows on the padded (N, T) grid and
 move never aliases its input. The fused ops use them inside their numpy
 forward and backward, so no taped op moves rows to the grid.
 
-The model runs its visual branch (the frame encoder and its MLP),
-temporal encoders, transition and emission as fused ops. ``conv2d``,
-``embed_border``, ``split_heads``, ``merge_heads``, ``softmax_lastdim``,
-``transpose`` and ``concat`` now serve only the taped references of those
-ops in the tests and the benchmark's tracer, which wraps them by name.
+``conv2d``, ``embed_border``, ``split_heads``, ``merge_heads``,
+``softmax_lastdim``, ``transpose`` and ``concat`` serve the taped
+references of the fused ops in the tests and the benchmark's tracer,
+which wraps them by name.
 
 A graph and its tensors belong to one thread; weight tensors may be
-shared read-only across threads running independent graphs. A fused op
-may run part of its numpy work on a helper thread, forward or backward,
-as the temporal encoders (one branch each) and the frame encoder (one
-half of the frames each) do; the helper reads and writes arrays only and
-never touches the tape, so ``is_recording`` is asked on the op's own
-thread. The optimizer, which runs after the tape is done, may do the
-same with the gradients it reads: ``trainer.Adam.step`` updates one half
-of the parameters on a helper thread.
+shared read-only across threads running independent graphs. ``both``
+runs two calls at once, the second on a helper thread. The helper reads
+and writes numpy arrays only and never records on or reads the tape, so
+``is_recording`` is asked on the caller. Numpy releases the interpreter
+lock inside each product, and BLAS stays on one thread, so a split whose
+parts keep their BLAS kernels gives the bits of the serial run.
 """
 
 from __future__ import annotations
@@ -214,6 +211,34 @@ def custom(out_data, inputs, backward):
             _accum_new(t, gt)
 
     return _record(out_data, inputs, bwd)
+
+
+def both(first, second, threaded):
+    """``(first(), second())``, calling ``second`` on a helper thread named
+    ``reachcast-helper`` when ``threaded``. The package's one thread helper;
+    see the module docstring for what the helper may touch. The caller
+    always joins it, and an exception raised on it is raised again on the
+    caller.
+    """
+    if not threaded:
+        return first(), second()
+    got = {}
+
+    def helper():
+        try:
+            got["value"] = second()
+        except BaseException as exc:  # raised again on the caller, below
+            got["error"] = exc
+
+    thread = threading.Thread(target=helper, name="reachcast-helper")
+    thread.start()
+    try:
+        value = first()
+    finally:
+        thread.join()
+    if "error" in got:
+        raise got["error"]
+    return value, got["value"]
 
 
 def _reduce_to_shape(g, shape):

@@ -18,56 +18,21 @@ underflows to exact zero weight, so forecasts are exactly independent
 of future inputs.
 
 Four stages are fused tape ops, each one ``ad.custom`` record rather
-than a chain of taped ops: the visual branch, the frozen frame encoder
-and its ``vis`` MLP (``encode_frames``), the temporal encoders of both
-branches (``temporal_encode``), the state transition (``transition``)
-and the autoregressive emission (``emit``), whose every step after the
-observed prefix reads the re-embedded previous mean. Each forward runs
-in numpy, and each backward is hand-written and sums in a different
-order from the taped composition:
+than a chain of taped ops, with its forward in numpy and its backward
+written by hand: the visual branch, the frozen frame encoder and its
+``vis`` MLP (``encode_frames``, ``_Visual``); the temporal encoders of
+both branches (``temporal_encode``, ``_Encoder``); the state transition
+(``transition``, ``_Rollout``); and the autoregressive emission (``emit``,
+``_Emission``), whose every step after the observed prefix reads the
+re-embedded previous mean. Each op's docstring states how closely it
+agrees with its taped composition, and ``_fused_params`` names its
+weights.
 
-- the visual branch's forward repeats the arithmetic of the taped
-  composition op for op, with the same operand shapes and BLAS calls, so
-  it is bit-identical on every preset and dtype. Its backward forms the
-  MLP's gradients with the taped backwards' products and sums, so they
-  are bit-identical too. The prompt's gradient agrees with the taped
-  ``embed_border``/``conv2d`` composition to rtol 1e-9 and atol 1e-12 in
-  float64 and to 2e-6 of the largest entry in float32;
-- the temporal encoder's forward repeats it op for op too, and is
-  bit-identical on every preset and dtype. Its gradients of the input
-  rows and of every tensor of the branch agree with the taped composition
-  to rtol 1e-9 and atol 1e-12 in float64;
-- the emission's forward repeats it op for op too, and is bit-identical
-  on ``tiny`` and ``desk``, 3D and 2d;
-- the transition's forward does not: it runs on (N,d) rows, with one
-  product per step for the self-attention query, key and value, and
-  queries pre-scaled by 1/sqrt(d_h). It agrees with the taped composition
-  to 1e-12 in float64. In float32 it stays within 1e-5 of the float64
-  forward at the same weights, and its gradients within 2e-5 of each
-  tensor's largest float64 entry;
-- the transition's and the emission's backwards are back-propagation
-  through time, and their gradients agree with the taped composition to
-  rtol 1e-9 and atol 1e-12.
-
-Two fused ops split their work with a helper thread (``_both``); numpy
-releases the interpreter lock inside each product. The gates are
-properties of the input, and BLAS stays on one thread, so each threaded
-path gives the bits of the serial one.
-
-- The two temporal-encoder branches share no data. When a branch's
-  multiply-adds, about R * blocks * (4 + 2 mlp_ratio) * d_obs^2 in the
-  forward and twice that in the backward, reach ``PARALLEL_MIN_MACS``,
-  the trajectory branch runs on the helper thread while the visual branch
-  runs on the caller. Every paper-sized call with R >= 2 is threaded, and
-  desk calls stay serial below about 340 rows (170 in the backward),
-  where Python call overhead and lock hand-offs make two threads slower.
-  Every product keeps its shapes.
-- The visual branch is row-wise. When its fc1 makes at least
-  ``PARALLEL_MIN_MACS`` multiply-adds (R * flat_dim * vis_hidden) and each
-  half of the frames gets at least ``PARALLEL_MIN_ROWS`` rows, the second
-  half runs on the helper thread, forward and backward. Fewer rows take
-  BLAS's one-row and small-matrix kernels, whose bits differ. Paper splits
-  from R = 16, and desk (below about 1000 rows) never does.
+The visual branch and the temporal encoders may split their work over
+two threads (``ad.both``). Each op decides that from its input against
+``PARALLEL_MIN_MACS`` (and ``PARALLEL_MIN_ROWS`` for a row split), and
+every product keeps its shapes or its BLAS kernel, so a threaded call
+gives the bits of the serial one.
 
 The taped compositions are kept as references in
 tests/test_frame_encoder.py, tests/test_temporal_encoder.py,
@@ -85,7 +50,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -98,7 +62,7 @@ COORDINATE_MODES = ("global-3d", "2d")
 COMPUTE_DTYPES = ("float64", "float32")
 # a temporal-encoder branch with at least this many multiply-adds runs on a
 # helper thread beside the other (see temporal_encode), and so does the
-# second half of the frames whose fc1 makes this many (see encode_frames)
+# second half of the frames whose fc1 makes this many (see _Visual)
 PARALLEL_MIN_MACS = 1 << 23
 # each half of a row split keeps at least this many rows: fewer take BLAS's
 # one-row and small-matrix kernels, whose bits differ
@@ -403,69 +367,15 @@ def grid_rows(observed):
 def encode_frames(params, cfg, frames):
     """The visual branch as one taped op: (R,H,W) packed grayscale frames
     in the compute dtype -> (R,d_obs) features, through the prompted frozen
-    backbone (``_FrameEncoder``) and the ``vis`` MLP, fc1 -> tanh -> fc2.
-
-    The head runs op for op as ``ad.affine`` and ``ad.tanh`` compute it,
-    and the hand-written backward forms each gradient with the products
-    and sums of the taped ops' backwards, so the output and the ``vis``
-    gradients are bit-identical to the taped composition. The features'
-    gradient goes on to the prompt's backward.
-
-    Above the gate (see the module docstring), the second half of the
-    frames runs on a helper thread: in the forward, its convolutions and
-    head; in the backward, fc1's input gradient for its rows and weight
-    gradient for half of the features, each part written into its slice
-    of one output. fc2's gradients and the biases are computed once, on
-    the caller.
+    backbone and the ``vis`` MLP, fc1 -> tanh -> fc2 (``_Visual``).
     """
     if frames.shape[1:] != (cfg.frame_h, cfg.frame_w):
         raise ad.ShapeError(f"frames {frames.shape} are not (R, {cfg.frame_h}, {cfg.frame_w})")
-    inputs = tuple(params[k] for k in ("prompt", "vis.fc1.w", "vis.fc1.b", "vis.fc2.w",
-                                       "vis.fc2.b"))
-    prompt, w1, b1, w2, b2 = (t.data for t in inputs)
-    enc = _FrameEncoder(params["enc.conv1.k"].data, params["enc.conv2.k"].data, prompt, frames,
-                        cfg.prompt_width, save=ad.is_recording(inputs))  # asked on the caller
-    r = len(frames)
-    hid = np.empty((r, cfg.vis_hidden), dtype=frames.dtype)
-    out = np.empty((r, cfg.d_obs), dtype=frames.dtype)
-    half, mid = r // 2, len(w1) // 2  # the row and the feature splits
-    threaded = (r * cfg.flat_dim() * cfg.vis_hidden >= PARALLEL_MIN_MACS
-                and half >= PARALLEL_MIN_ROWS)
-
-    def forward(rows):
-        def run():
-            enc.encode(rows)
-            h = np.matmul(enc.out[rows], w1, out=hid[rows])
-            h += b1
-            np.tanh(h, out=h)
-            y = np.matmul(h, w2, out=out[rows])
-            y += b2
-        return run
-
-    if threaded:
-        _both(forward(slice(0, half)), forward(slice(half, r)), True)
-    else:
-        forward(slice(0, r))()
-
-    def backward(g):
-        dhid = g @ w2.T
-        dw2, db2 = hid.T @ g, g.sum(axis=0)
-        dhid *= 1.0 - hid * hid
-        dx, dw1 = np.empty_like(enc.out), np.empty_like(w1)
-
-        def fc1(rows, feats):  # the input gradient's rows, the weight gradient's feats
-            def run():
-                np.matmul(dhid[rows], w1.T, out=dx[rows])
-                np.matmul(enc.out[:, feats].T, dhid, out=dw1[feats])
-            return run
-
-        if threaded:
-            _both(fc1(slice(0, half), slice(0, mid)), fc1(slice(half, r), slice(mid, None)), True)
-        else:
-            fc1(slice(0, r), slice(0, None))()
-        return enc.backward(dx) + (dw1, dhid.sum(axis=0), dw2, db2)
-
-    return ad.custom(out, inputs, backward)
+    names = _fused_params(cfg)["vis"]
+    inputs = tuple(params[k] for k in names)
+    vis = _Visual({k: params[k].data for k in names + FROZEN}, frames, cfg.prompt_width,
+                  save=ad.is_recording(inputs))
+    return ad.custom(vis.out, inputs, vis.backward)
 
 
 def _conv_tanh(x, k):
@@ -560,70 +470,127 @@ def _col2im(plan, x):
     return out
 
 
-class _FrameEncoder:
-    """Numpy forward and prompt-only backward of the frozen encoder over
-    (n,H,W) frames.
+class _Visual:
+    """Numpy forward and hand-written backward of the visual branch over
+    (R,H,W) frames: the prompted frozen backbone, then the ``vis`` MLP.
 
-    ``encode(rows)`` runs the forward of a slice of the frames and writes
-    their rows of ``out``, (n, flat_dim) features laid out as the taped
+    ``w`` holds the ``vis`` inputs and the ``FROZEN`` kernels by name. The
+    forward writes (R, flat_dim) ``feats``, laid out as the taped
     composition ``embed_border -> conv2d -> tanh -> conv2d -> tanh ->
-    reshape`` lays them out (channel-major per frame); two threads may
-    encode disjoint slices. It builds the same im2col matrices as
-    ``ad.conv2d`` and runs the same GEMMs on them, so its output is
-    bit-identical to the taped composition; activations stay channels-last
-    between the convolutions. The two tanh activations, at the b1 and b2
-    outputs only, are kept only when ``save`` is set (a tape will replay
-    them). Every buffer has the dtype of the frames.
+    reshape`` lays them out (channel-major per frame), then ``hid`` and
+    ``out``. It builds the same im2col matrices as ``ad.conv2d`` and runs
+    the same GEMMs on them, and the head runs op for op as ``ad.affine``
+    and ``ad.tanh`` compute it (``x @ w + b``, ``np.tanh``), so ``out`` is
+    bit-identical to the taped composition on every preset and dtype;
+    activations stay channels-last between the convolutions. The two tanh
+    activations, at the b1 and b2 outputs of ``_border_plan`` only, are
+    kept only when ``save`` is set (a tape will replay them). Every buffer
+    has the dtype of the frames.
+
+    The backward forms the MLP's gradients with the taped backwards'
+    products and sums, so they are bit-identical too. The prompt's
+    gradient agrees with the taped ``embed_border``/``conv2d`` composition
+    to rtol 1e-9 and atol 1e-12 in float64 and to 2e-6 of the largest
+    entry in float32.
+
+    The op is row-wise. When fc1 makes at least ``PARALLEL_MIN_MACS``
+    multiply-adds (R * flat_dim * vis_hidden) and each half of the frames
+    gets at least ``PARALLEL_MIN_ROWS`` rows, the two halves of the frames
+    run on two threads (``ad.both``), forward and backward; below the gate
+    the whole set runs as one call, since halves of fewer rows take BLAS's
+    one-row and small-matrix kernels, whose bits differ. Paper splits from
+    R = 16, and desk (below about 1000 rows) never does.
     """
 
-    def __init__(self, k1, k2, prompt, frames, pad, save):
-        n, h, w = frames.shape
-        self.frames, self.pad, self.prompt, self.k1, self.k2 = frames, pad, prompt, k1, k2
-        self.plan = _border_plan(h + 2 * pad, w + 2 * pad, pad)
+    def __init__(self, w, frames, pad, save):
+        r, h, wd = frames.shape
+        self.w, self.frames, self.pad, self.save = w, frames, pad, save
+        self.plan = _border_plan(h + 2 * pad, wd + 2 * pad, pad)
         _, b1, b2 = self.plan[:3]
-        h2, w2 = (_conv_out(_conv_out(size + 2 * pad)) for size in (h, w))
-        self.out = np.empty((n, len(k2) * h2 * w2), dtype=frames.dtype)
+        w1 = w["vis.fc1.w"]
+        self.feats = np.empty((r, len(w1)), dtype=frames.dtype)
+        self.hid = np.empty((r, w1.shape[1]), dtype=frames.dtype)
+        self.out = np.empty((r, w["vis.fc2.w"].shape[1]), dtype=frames.dtype)
         if save:  # the backward reads only the outputs that reach the border
-            self.a1 = np.empty((n, len(b1), len(k1)), dtype=frames.dtype)
-            self.a2 = np.empty((n, len(b2), len(k2)), dtype=frames.dtype)
-        self.save = save
+            self.a1 = np.empty((r, len(b1), len(w["enc.conv1.k"])), dtype=frames.dtype)
+            self.a2 = np.empty((r, len(b2), len(w["enc.conv2.k"])), dtype=frames.dtype)
+        self.threaded = r * w1.size >= PARALLEL_MIN_MACS and r // 2 >= PARALLEL_MIN_ROWS
+        if self.threaded:
+            ad.both(lambda: self._forward(slice(0, r // 2)),
+                    lambda: self._forward(slice(r // 2, r)), True)
+        else:
+            self._forward(slice(0, r))
 
-    def encode(self, rows):
+    def _forward(self, rows):
         """The forward of the frames at the slice ``rows``, written into
-        those rows of ``out`` (and of the saved activations)."""
-        frames, pad = self.frames[rows], self.pad
-        n, h, w = frames.shape
-        xp = np.empty((n, h + 2 * pad, w + 2 * pad, 1), dtype=frames.dtype)
-        xp[:, self.plan[0], 0] = self.prompt[0]
-        xp[:, pad : pad + h, pad : pad + w, 0] = frames
-        a1 = _conv_tanh(xp, self.k1)
+        those rows of ``feats``, ``hid`` and ``out`` (and of the saved
+        activations)."""
+        w, pad = self.w, self.pad
+        frames = self.frames[rows]
+        n, h, wd = frames.shape
+        xp = np.empty((n, h + 2 * pad, wd + 2 * pad, 1), dtype=frames.dtype)
+        xp[:, self.plan[0], 0] = w["prompt"][0]
+        xp[:, pad : pad + h, pad : pad + wd, 0] = frames
+        a1 = _conv_tanh(xp, w["enc.conv1.k"])
         del xp  # each large temporary is freed as soon as it is read
-        a2 = _conv_tanh(a1, self.k2)
+        a2 = _conv_tanh(a1, w["enc.conv2.k"])
         a1, a2 = a1.reshape(n, -1, a1.shape[3]), a2.reshape(n, -1, a2.shape[3])
-        self.out[rows].reshape(n, a2.shape[2], -1)[...] = a2.transpose(0, 2, 1)
+        self.feats[rows].reshape(n, a2.shape[2], -1)[...] = a2.transpose(0, 2, 1)
         if self.save:
             _, b1, b2 = self.plan[:3]
             self.a1[rows], self.a2[rows] = a1[:, b1], a2[:, b2]
+        del a1, a2
+        x = np.matmul(self.feats[rows], w["vis.fc1.w"], out=self.hid[rows])
+        x += w["vis.fc1.b"]
+        np.tanh(x, out=x)
+        y = np.matmul(x, w["vis.fc2.w"], out=self.out[rows])
+        y += w["vis.fc2.b"]
+
+    def _fc1_grads(self, dhid, dx, dw1, rows, feats):
+        """fc1's input gradient at the frames ``rows`` and its weight
+        gradient at the features ``feats``, written into those rows of dx
+        and dw1."""
+        np.matmul(dhid[rows], self.w["vis.fc1.w"].T, out=dx[rows])
+        np.matmul(self.feats[:, feats].T, dhid, out=dw1[feats])
 
     def backward(self, g):
-        """The prompt's gradient, through the b2 and b1 outputs only.
+        """Gradients of the ``vis`` inputs in the order of ``w``.
 
-        Rows are output positions and columns (channel, frame), so each
-        col2im sums every frame at once. The map from conv1 output to
-        border pixel is linear and shared by every frame, so the frames are
-        summed before it.
+        fc2's gradients, the tanh derivative and both bias gradients are
+        formed once, on the caller. Above the gate, each thread forms fc1's
+        input gradient for its half of the frames and its weight gradient
+        for half of the features. The prompt's gradient runs through the b2
+        and b1 outputs only: rows are output positions and columns
+        (channel, frame), so each col2im sums every frame at once, and the
+        map from conv1 output to border pixel is linear and shared by every
+        frame, so the frames are summed before it.
         """
+        w, grads = self.w, {}
+        dhid = g @ w["vis.fc2.w"].T
+        _linear_grads(grads, "vis.fc2", self.hid, g)
+        dhid *= 1.0 - self.hid * self.hid
+        dx, dw1 = np.empty_like(self.feats), np.empty_like(w["vis.fc1.w"])
+        if self.threaded:
+            half, mid = len(dx) // 2, len(dw1) // 2
+            ad.both(lambda: self._fc1_grads(dhid, dx, dw1, slice(0, half), slice(0, mid)),
+                    lambda: self._fc1_grads(dhid, dx, dw1, slice(half, None), slice(mid, None)),
+                    True)
+        else:
+            self._fc1_grads(dhid, dx, dw1, slice(None), slice(None))
+        grads["vis.fc1.w"], grads["vis.fc1.b"] = dw1, dhid.sum(axis=0)
+
         _, b1, b2, col2im2, col2im1 = self.plan
         n, _, c2 = self.a2.shape
         c1 = self.a1.shape[2]
         a2 = self.a2.transpose(1, 2, 0)  # (b2, c2, frame)
-        dy2 = np.take(g.reshape(n, c2, -1), b2, axis=2).transpose(2, 1, 0) * (1.0 - a2 * a2)
-        k2 = self.k2.reshape(c2, c1, 9).transpose(2, 1, 0).reshape(9 * c1, c2)
+        dy2 = np.take(dx.reshape(n, c2, -1), b2, axis=2).transpose(2, 1, 0) * (1.0 - a2 * a2)
+        k2 = w["enc.conv2.k"].reshape(c2, c1, 9).transpose(2, 1, 0).reshape(9 * c1, c2)
         dcols2 = k2 @ dy2  # (b2, tap x c1, frame)
         da1 = _col2im(col2im2, dcols2.reshape(len(b2) * 9, c1 * n)).reshape(len(b1), c1, n)
         dy1 = np.einsum("qcn,nqc->qc", da1, 1.0 - self.a1 * self.a1)  # summed over frames
-        dcols1 = dy1 @ self.k1.reshape(c1, 9)
-        return (_col2im(col2im1, dcols1.reshape(-1)).reshape(self.prompt.shape),)
+        dcols1 = dy1 @ w["enc.conv1.k"].reshape(c1, 9)
+        grads["prompt"] = _col2im(col2im1, dcols1.reshape(-1)).reshape(w["prompt"].shape)
+        return tuple(grads[k] for k in w if k not in FROZEN)
 
 
 def embed_points(params, cfg, points):
@@ -647,76 +614,47 @@ def temporal_encode(params, cfg, x, observed):
     ``[o_v | o_t]``. Each branch's forward runs in numpy and its backward
     is hand-written (``_Encoder``).
 
-    The branches share no data, so when a branch's multiply-adds reach
-    ``PARALLEL_MIN_MACS`` (twice its forward's count in the backward) the
-    trajectory branch runs on a helper thread while the visual branch runs
-    on the caller. Every GEMM keeps its one-threaded BLAS kernel and its
-    shapes, so the result is bit-identical either way.
+    The branches share no data, so when a branch's multiply-adds, about
+    R * blocks * (4 + 2 mlp_ratio) * d_obs^2, reach ``PARALLEL_MIN_MACS``
+    (twice its forward's count in the backward) the trajectory branch runs
+    on a helper thread while the visual branch runs on the caller. Every
+    paper-sized call with R >= 2 is threaded, and desk calls stay serial
+    below about 340 rows (170 in the backward), where Python call overhead
+    and lock hand-offs make two threads slower. Every GEMM keeps its
+    one-threaded BLAS kernel and its shapes, so the result is bit-identical
+    either way.
     """
     names = _fused_params(cfg)
     inputs = tuple(x) + tuple(params[k] for k in names["enc_v"] + names["enc_t"])
     save = ad.is_recording(inputs)  # thread-local: decided here, not on the helper
     pe = positional_encoding(int(observed.max()), cfg.d_obs, cfg.dtype)
     macs = int(observed.sum()) * cfg.blocks * (4 + 2 * cfg.mlp_ratio) * cfg.d_obs ** 2
-
-    def encoder(branch, rows):
-        w = {k.removeprefix(f"{branch}."): params[k].data for k in names[branch]}
-        return lambda: _Encoder(w, rows.data, observed, pe, cfg.heads, cfg.blocks, save)
-
-    enc_v, enc_t = _both(encoder("enc_v", x[0]), encoder("enc_t", x[1]),
-                         macs >= PARALLEL_MIN_MACS)
+    branches = [functools.partial(_Encoder, {k.removeprefix(f"{b}."): params[k].data
+                                             for k in names[b]},
+                                  rows.data, observed, pe, cfg.heads, cfg.blocks, save)
+                for b, rows in zip(("enc_v", "enc_t"), x)]
+    enc_v, enc_t = ad.both(*branches, macs >= PARALLEL_MIN_MACS)
 
     def backward(g):
         d = cfg.d_obs
-        (dx_v, *g_v), (dx_t, *g_t) = _both(lambda: enc_v.backward(g[:, :d]),
-                                           lambda: enc_t.backward(g[:, d:]),
-                                           2 * macs >= PARALLEL_MIN_MACS)
+        (dx_v, *g_v), (dx_t, *g_t) = ad.both(lambda: enc_v.backward(g[:, :d]),
+                                             lambda: enc_t.backward(g[:, d:]),
+                                             2 * macs >= PARALLEL_MIN_MACS)
         return (dx_v, dx_t, *g_v, *g_t)
 
     return ad.custom(np.concatenate([enc_v.out, enc_t.out], axis=1), inputs, backward)
 
 
-def _both(first, second, threaded):
-    """``(first(), second())``, calling ``second`` on a helper thread when
-    ``threaded``. The one thread helper of the package, with three users:
-    the temporal encoders' two branches, the visual branch's two halves of
-    the frames (``encode_frames``), and ``trainer.Adam.step``, which splits
-    its update into two halves after the tape is done.
-
-    The helper runs numpy only and never records on or reads the tape. The
-    caller always joins it, and an exception raised on it is raised again
-    on the caller.
-    """
-    if not threaded:
-        return first(), second()
-    got = {}
-
-    def helper():
-        try:
-            got["value"] = second()
-        except BaseException as exc:  # raised again on the caller, below
-            got["error"] = exc
-
-    thread = threading.Thread(target=helper, name="reachcast-helper")
-    thread.start()
-    try:
-        value = first()
-    finally:
-        thread.join()
-    if "error" in got:
-        raise got["error"]
-    return value, got["value"]
-
-
 @functools.lru_cache(maxsize=16)
 def _fused_params(cfg):
     """The parameter names of each fused op that has weights, in layout
-    order, by the op's name: ``enc_v`` and ``enc_t`` (each branch's
-    blocks), ``trans`` (``trans.*`` but the ``trans.h`` input MLP) and
-    ``emit`` (``emit.*``, and ``traj.*``, which re-embeds each previous
-    mean)."""
+    order, by the op's name: ``vis`` (``prompt`` and the ``vis`` MLP),
+    ``enc_v`` and ``enc_t`` (each branch's blocks), ``trans`` (``trans.*``
+    but the ``trans.h`` input MLP) and ``emit`` (``emit.*``, and
+    ``traj.*``, which re-embeds each previous mean)."""
     names = [n for n, _ in param_layout(cfg)]
-    return {"enc_v": tuple(n for n in names if n.startswith("enc_v.")),
+    return {"vis": tuple(n for n in names if n == "prompt" or n.startswith("vis.")),
+            "enc_v": tuple(n for n in names if n.startswith("enc_v.")),
             "enc_t": tuple(n for n in names if n.startswith("enc_t.")),
             "trans": tuple(n for n in names if n.startswith("trans.")
                            and not n.startswith("trans.h.")),
@@ -789,7 +727,9 @@ class _Encoder:
     """Numpy forward and hand-written backward of one branch's block stack.
 
     The forward repeats the taped composition op for op, so its output is
-    bit-identical to it. Row-wise ops run on the R packed rows. Each head's
+    bit-identical to it on every preset and dtype; the gradients of the
+    input rows and of every tensor agree with the taped composition to
+    rtol 1e-9 and atol 1e-12 in float64. Row-wise ops run on the R packed rows. Each head's
     queries, keys and values are (N, heads, max C, d_h) strided views of
     rows laid on the grid, zero at cells no row fills; BLAS multiplies them
     bit for bit as it does the contiguous copies of ``ad.split_heads``. The
@@ -887,6 +827,13 @@ class _Encoder:
 
 class _Rollout:
     """Numpy forward and hand-written backward of the transition.
+
+    Unlike the other fused ops, the forward does not repeat the taped
+    composition op for op: it agrees with it to 1e-12 in float64. In
+    float32 it stays within 1e-5 of the float64 forward at the same
+    weights, and its gradients within 2e-5 of each tensor's largest
+    float64 entry. The backward is BPTT, and its gradients agree with the
+    taped composition to rtol 1e-9 and atol 1e-12.
 
     Rows are (N,d). Built once per call: the encoded observations' packed
     rows laid on the (N, max C) grid, zero past each sample's C, and their
@@ -1112,8 +1059,10 @@ class _Emission:
     zero past each sample's C. The forward mirrors the taped composition
     op for op: steps 0..min C run as one (N, min C + 1, d) block, since
     every sample reads encoder features there, and each later step runs on
-    (N,1,d) operands, so the output is bit-identical to it. ``out`` packs mean, alpha and beta
-    (N,T,point_dim+2; +1 without beta). Activations are kept per step only
+    (N,1,d) operands, so the output is bit-identical to it on ``tiny`` and
+    ``desk``, 3D and 2d. The backward is BPTT, and its gradients agree with
+    the taped composition to rtol 1e-9 and atol 1e-12. ``out`` packs mean,
+    alpha and beta (N,T,point_dim+2; +1 without beta). Activations are kept per step only
     when ``save`` is set (a tape will replay them); the backward stacks
     them over the horizon. Every buffer, forward and backward, has the
     dtype of z.
@@ -1267,8 +1216,8 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     BLAS runs as a gemv, and a batch whose max C reaches 8 changes the
     association of numpy's pairwise softmax sums over the padded keys. So
     a batched forecast and ``forecast`` of the same sample need not be
-    byte-equal. Running the encoder branches on two threads adds nothing
-    to this: both paths give the same bits.
+    byte-equal. The helper thread adds nothing to this: a threaded call
+    gives the bits of the serial one.
     """
     frames = np.asarray(frames, dtype=cfg.dtype)
     points = np.asarray(points, dtype=cfg.dtype)
@@ -1294,9 +1243,8 @@ def forecast(params, cfg, frames, points, observed_count):
     with at least the first C entries filled; returns a ForecastOutput
     covering the sample's full horizon.
 
-    This is ``forward_batch`` at N=1, so it can differ in the last bits
-    from the same sample's row of a batched forecast (see there), with or
-    without the encoder's helper thread."""
+    This is ``forward_batch`` at N=1, whose docstring says how it can
+    differ in the last bits from a batched forecast."""
     out = forward_batch(params, cfg, np.asarray(frames)[None], np.asarray(points)[None],
                         np.array([observed_count]))
     return ForecastOutput(

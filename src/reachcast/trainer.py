@@ -13,9 +13,8 @@ projection per camera and one distance pass per metric. A case whose
 lowered depth, in pred or gt, is below ``NEAR_PLANE`` drops out of the
 2D-from-3D metrics.
 
-``Adam`` steps the store's trainable tail in chunks. On a large tail it
-runs half of each step on ``model._both``'s helper thread, after the tape
-is done, with the same bits as a serial step.
+``Adam`` steps the store's trainable tail in chunks, on two threads when
+the tail is large (see there).
 """
 
 from __future__ import annotations
@@ -199,7 +198,7 @@ class Adam:
     When the tail holds at least ``PARALLEL_MIN_BYTES`` (a property of the
     store: the paper preset's 49 MB float32 tail, not desk's 0.85 MB), a
     step runs its first half of the chunks on the caller and its second
-    half on ``model._both``'s helper thread, and splits the clip norm's
+    half on ``ad.both``'s helper thread, and splits the clip norm's
     per-tensor dot products the same way; the dots are summed in tensor
     order and every element's arithmetic is the same, so both paths give
     the same bits.
@@ -252,7 +251,7 @@ class Adam:
         grads = [t.grad_or_zeros().reshape(-1) for t in self._tensors]
         threaded = self._tail.nbytes >= self.PARALLEL_MIN_BYTES
         k = self._half_tensor
-        dots = M._both(lambda: [float(np.dot(g, g)) for g in grads[:k]],
+        dots = ad.both(lambda: [float(np.dot(g, g)) for g in grads[:k]],
                        lambda: [float(np.dot(g, g)) for g in grads[k:]], threaded)
         total = math.sqrt(sum(dots[0] + dots[1]))
         scale = clip_norm / total if total > clip_norm else None
@@ -260,7 +259,7 @@ class Adam:
         b1c = 1.0 - self.BETA1**self.t
         b2c = 1.0 - self.BETA2**self.t
         c = self._half_chunk
-        M._both(lambda: self._update(self._chunks[:c], grads, scale, lr, b1c, b2c),
+        ad.both(lambda: self._update(self._chunks[:c], grads, scale, lr, b1c, b2c),
                 lambda: self._update(self._chunks[c:], grads, scale, lr, b1c, b2c), threaded)
 
     def _update(self, chunks, grads, scale, lr, b1c, b2c):
@@ -469,9 +468,8 @@ def forecast_cases(params, cfg, samples, norm, ratio):
     (sample, observed, pred, gt) cases in sorted-id order (see
     ``decode_prediction`` for their space). The model runs on
     ``EVAL_BATCH`` samples at a time, so a case can differ in the last
-    bits from ``model.forecast`` of the same sample: a sample's outputs
-    depend on the batch it rides in (see ``model.forward_batch``), and the
-    encoder's helper thread adds nothing to that."""
+    bits from ``model.forecast`` of the same sample (see
+    ``model.forward_batch``)."""
     fixed = TrainConfig(observation_mode="fixed", observation_ratio=ratio)
     samples = sorted(samples, key=lambda s: s.id)
     cases = []

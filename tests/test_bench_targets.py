@@ -1,10 +1,15 @@
 """The benchmark reaches into the package by name: the traced run wraps
 attributes, and the data checks read sample fields. A deleted or renamed
 name, or a changed field type, fails here rather than in a benchmark run,
-where an error outside the checks ends the run without a result line."""
+where an error outside the checks ends the run without a result line. The
+benchmark command itself runs once, on train-desk, so a failing output
+check fails here too."""
 
 import dataclasses
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from reachcast import cli, datagen
@@ -42,3 +47,16 @@ def test_data_checks_hold_on_a_desk_shard(monkeypatch, tmp_path):
 def test_data_checks_hold_on_a_paper_shard(monkeypatch, tmp_path):
     # 64x64 frames and 32 to 40 steps, the benchmark's largest samples
     _check_shard(monkeypatch, tmp_path, "train-paper", 2001)
+
+
+def test_the_benchmark_command_passes_its_checks_on_train_desk():
+    # the benchmark's own checks (the tiny gradcheck, the data round trip,
+    # the falling loss, the masking probe, forecasts inside [-1, 1]) run
+    # only in a full command, and any failed check makes it exit 1
+    root = BENCH_DIR.parent
+    done = subprocess.run([sys.executable, "reachbench/run.py", "--workload", "train-desk",
+                           "--seed", "1", "--seconds", "0", "--trace", "0"],
+                          cwd=root, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

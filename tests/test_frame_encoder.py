@@ -3,8 +3,8 @@
 ``reference_encoder`` builds the prompted backbone from taped primitives,
 ``embed_border -> conv2d -> tanh -> conv2d -> tanh -> reshape``, and
 ``reference_encode_frames`` adds the ``vis`` MLP as taped ``affine``,
-``tanh`` and ``affine`` ops. ``model._FrameEncoder`` must reproduce the
-backbone's forward bit for bit. The fused ``model.encode_frames`` must
+``tanh`` and ``affine`` ops. ``model._Visual``'s features must reproduce
+the backbone's forward bit for bit. The fused ``model.encode_frames`` must
 reproduce the whole forward and the ``vis`` gradients bit for bit, and the
 prompt gradient within rtol 1e-9 / atol 1e-12 in float64; in float32 the
 prompt gradients agree to 2e-6 of the largest entry. Running the second
@@ -80,11 +80,10 @@ def _assert_prompt_close(fused, ref, dtype):
 
 def _backbone(params, cfg, frames, save=False):
     """The fused backbone's (R, flat_dim) features of all frames, and its
-    encoder object."""
-    enc = M._FrameEncoder(params["enc.conv1.k"].data, params["enc.conv2.k"].data,
-                          params["prompt"].data, frames, cfg.prompt_width, save)
-    enc.encode(slice(0, len(frames)))
-    return enc.out, enc
+    op object."""
+    vis = M._Visual({k: params[k].data for k in M._fused_params(cfg)["vis"] + M.FROZEN},
+                    frames, cfg.prompt_width, save)
+    return vis.feats, vis
 
 
 def _unread_border(cfg):
@@ -154,8 +153,9 @@ class TestFusedMatchesReference:
 
     def test_no_record_when_nothing_requires_a_gradient(self, preset):
         _, cfg, params = preset
-        inputs = [params[k] for k in ("prompt", "vis.fc1.w", "vis.fc1.b", "vis.fc2.w",
-                                      "vis.fc2.b")]
+        names = M._fused_params(cfg)["vis"]  # the op's inputs, in its backward's order
+        assert names == ("prompt", "vis.fc1.w", "vis.fc1.b", "vis.fc2.w", "vis.fc2.b")
+        inputs = [params[k] for k in names]
         try:
             for t in inputs:
                 t.requires_grad = False
@@ -231,7 +231,7 @@ class TestHelperThread:
         cfg = PRESETS["tiny"]()
         params = _model(cfg)
         caller = threading.current_thread()
-        original = M._FrameEncoder.encode
+        original = M._Visual._forward
 
         def patched(self, rows):
             if (threading.current_thread() is caller) == (where == "caller"):
@@ -240,7 +240,7 @@ class TestHelperThread:
             return original(self, rows)
 
         monkeypatch.setattr(M, "PARALLEL_MIN_MACS", 0)
-        monkeypatch.setattr(M._FrameEncoder, "encode", patched)
+        monkeypatch.setattr(M._Visual, "_forward", patched)
         before = threading.active_count()
         with pytest.raises(Boom, match=where):
             M.encode_frames(params, cfg, _frames(cfg, (16,), seed=93))

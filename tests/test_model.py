@@ -636,6 +636,44 @@ def test_desk_training_step_tape_budget(desk):
     assert len(g) <= 59
 
 
+# (config, observed counts or None for random_batch's default). The paper
+# case's R = 42 frame rows cross both thread gates, forward and backward.
+OWNERSHIP_CASES = {"tiny": (ModelConfig.tiny, None), "desk": (ModelConfig.desk, None),
+                   "desk-2d": (lambda: ModelConfig.desk(coordinate_mode="2d"), None),
+                   "paper": (lambda: ModelConfig.paper(horizon=24), [20, 2, 20])}
+
+
+@pytest.mark.parametrize("name", sorted(OWNERSHIP_CASES))
+def test_fused_backwards_hand_over_arrays_they_share_with_nothing(monkeypatch, name):
+    # ad.custom accumulates each gradient a backward returns without a copy,
+    # so none may share memory with another, with g, or with an input's data
+    make, observed = OWNERSHIP_CASES[name]
+    cfg = make()
+    params = M.init_params(cfg, seed=0)
+    records, custom = [], ad.custom
+
+    def capture(out_data, inputs, backward):
+        records.append((out_data, tuple(inputs), backward))
+        return custom(out_data, inputs, backward)
+
+    monkeypatch.setattr(ad, "custom", capture)
+    frames, points, obs = random_batch(cfg, 3, seed=37, observed=observed)
+    with ad.Graph():
+        M.forward_batch(params, cfg, frames, points, obs)
+    ops = [backward.__qualname__ for _, _, backward in records]
+    assert ops == ["_Visual.backward", "temporal_encode.<locals>.backward",
+                   "_Rollout.backward", "_Emission.backward"]
+    rng = np.random.default_rng(38)
+    for op, (out, inputs, backward) in zip(ops, records):
+        g = rng.standard_normal(out.shape).astype(cfg.dtype)
+        grads = backward(g)
+        assert len(grads) == len(inputs) and all(a is not None for a in grads), op
+        for i, a in enumerate(grads):
+            assert not np.shares_memory(a, g), (op, i)
+            assert not any(np.shares_memory(a, t.data) for t in inputs), (op, i)
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1 :]), (op, i)
+
+
 @pytest.fixture(scope="module", params=["tiny", "desk"])
 def float32_pair(request):
     """A float32 model and a float64 model holding the same (rounded) weights."""
