@@ -1,23 +1,23 @@
 """Command-line entry point: gen, repair, train, eval, forecast, gradcheck.
 
-Config-file-first: ``--config run.json`` supplies {model, train, loss,
-data, out}; command-line flags win over the file, and the training seed
-is ``train.seed`` or ``--seed``. Unknown config keys are rejected by
-name. Every command is deterministic given its config and seed;
+Config-file-first: ``--config run.json`` supplies the {model, train,
+loss} sections; command-line flags win over the file, and the training
+seed is ``train.seed`` or ``--seed``. Paths come only from flags: a run
+reads ``--data`` and writes ``--out``. Unknown config keys are rejected
+by name. Every command is deterministic given its config and seed;
 artifacts carry no timestamps. BLAS thread pools are pinned to one thread
 before numpy loads so runs are single-threaded and reproducible.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Exit 2
 covers bad flags; a run config, manifest, checkpoint or optimizer-state
 ``.json`` that is not a JSON object; a run config whose ``model``,
-``train`` or ``loss`` is not an object, or whose ``data`` or ``out`` is
-not a string; a config key or value that its section (model, train,
-loss, gen options, ``gen --frame`` intrinsics, ``forecast --ratio``)
-refuses; observation ratios that do not parse, fall outside (0, 1) or
-give an empty range or one that is not a whole number of 0.1 steps; a
-negative ``eval --dump-limit``; a ``gradcheck --max-checks`` below 1 or
-``--step`` not above 0; a dataset that is not a directory holding
-``data.jsonl``, its frames file ``data.frames.f64`` and
+``train`` or ``loss`` is not an object; a config key or value that its
+section (model, train, loss, gen options, ``gen --frame`` intrinsics,
+``forecast --ratio``) refuses; observation ratios that do not parse,
+fall outside (0, 1) or give an empty range or one that is not a whole
+number of 0.1 steps; a negative ``eval --dump-limit``; a
+``gradcheck --max-checks`` below 1; a dataset that is not a directory
+holding ``data.jsonl``, its frames file ``data.frames.f64`` and
 ``manifest.json``; a manifest without a ``splits`` object of id lists,
 or (``train``) without a ``norm`` of 3 ``min`` values each below its
 ``max``; a missing checkpoint or optimizer state, or one that
@@ -59,8 +59,10 @@ MODEL_PRESETS = {"paper": model.ModelConfig.paper, "desk": model.ModelConfig.des
                  "tiny": model.ModelConfig.tiny}
 # `gen` flags and the GenOptions fields they set, which document them
 GEN_FLAGS = {"--t-min": "t_min", "--t-max": "t_max", "--dropout": "depth_dropout"}
-# the keys of a run config and the JSON type of each
-RUN_CONFIG_KEYS = {"model": dict, "train": dict, "loss": dict, "data": str, "out": str}
+# the sections of a run config, each a JSON object
+RUN_CONFIG_KEYS = ("model", "train", "loss")
+# gradcheck's finite-difference step, its pass tolerance and its seed
+GRADCHECK_STEP, GRADCHECK_TOLERANCE, GRADCHECK_SEED = 1e-4, 1e-3, 0
 
 
 def _section(cls, label, doc, overrides=None):
@@ -98,9 +100,8 @@ def load_run_config(path):
         for key, value in doc.items():
             if key not in RUN_CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
-            if not isinstance(value, RUN_CONFIG_KEYS[key]):
-                kind = "an object" if RUN_CONFIG_KEYS[key] is dict else "a string"
-                raise ConfigError(f"config {path}: {key!r} is not {kind}")
+            if not isinstance(value, dict):
+                raise ConfigError(f"config {path}: {key!r} is not an object")
     return doc
 
 
@@ -242,14 +243,9 @@ def _adam_path(ckpt):
 
 def cmd_train(args):
     doc = load_run_config(args.config)
-    out = Path(args.out or doc.get("out") or "run")
-    data_dir = args.data or doc.get("data")
-    if not data_dir:
-        raise ConfigError("no dataset: pass --data or set 'data' in the config")
-
+    out = Path(args.out)
     overrides = {"epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
-                 "seed": args.seed, "observation_mode": args.observation_mode,
-                 "observation_ratio": args.observation_ratio}
+                 "seed": args.seed, "observation_mode": args.observation_mode}
     try:
         cfg = _section(model.ModelConfig, "model", doc.get("model", {}), {"preset": args.preset})
         train_cfg = _section(trainer.TrainConfig, "train", doc.get("train", {}), overrides)
@@ -257,8 +253,8 @@ def cmd_train(args):
     except ConfigError as e:  # flags or the config file: name the file, if there is one
         raise ConfigError(f"config {args.config}: {e}" if args.config else str(e)) from None
 
-    (train_samples,), manifest = _load_splits(data_dir, ["train"])
-    norm = _norm_from(manifest, Path(data_dir) / "manifest.json")
+    (train_samples,), manifest = _load_splits(args.data, ["train"])
+    norm = _norm_from(manifest, Path(args.data) / "manifest.json")
 
     start_epoch = 0
     earlier = []
@@ -394,8 +390,6 @@ def cmd_forecast(args):
 def cmd_gradcheck(args):
     if args.max_checks < 1:
         raise ConfigError(f"--max-checks takes a count >= 1, got {args.max_checks}")
-    if args.step <= 0:
-        raise ConfigError(f"--step must be > 0, got {args.step:g}")
     # float64 whatever the preset: finite differences need it
     cfg = _section(model.ModelConfig, "model", {"preset": args.preset, "horizon": args.horizon,
                                                 "frame_h": args.frame, "frame_w": args.frame,
@@ -403,8 +397,8 @@ def cmd_gradcheck(args):
     if not 1 <= args.observed < cfg.horizon:
         raise ConfigError(f"--observed must be in [1, {cfg.horizon - 1}] for horizon "
                           f"{cfg.horizon}, got {args.observed}")
-    params = model.init_params(cfg, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
+    params = model.init_params(cfg, seed=GRADCHECK_SEED)
+    rng = np.random.default_rng(GRADCHECK_SEED)
     n, t = 2, cfg.horizon
     frames = rng.uniform(0, 1, (n, t, cfg.frame_h, cfg.frame_w))
     points = rng.uniform(-0.8, 0.8, (n, t, cfg.point_dim))
@@ -417,15 +411,16 @@ def cmd_gradcheck(args):
         return losses.total_batch(out, points, observed, valid, loss_cfg)[0]
 
     inputs = dict(params.trainable_items())
-    entries = ad.check_gradients(build, inputs, step=args.step, tolerance=args.tolerance,
-                                 max_checks_per_tensor=args.max_checks, seed=args.seed)
+    entries = ad.check_gradients(build, inputs, step=GRADCHECK_STEP,
+                                 tolerance=GRADCHECK_TOLERANCE,
+                                 max_checks_per_tensor=args.max_checks, seed=GRADCHECK_SEED)
     for e in entries:
         print(f"{'pass' if e.passed else 'FAIL'}  {e.name:32s} max_rel_err={e.max_rel_err:.3e} "
               f"checked={e.n_checked}")
     passed = all(e.passed for e in entries)
     worst = max(e.max_rel_err for e in entries)
     print(f"{'PASS' if passed else 'FAIL'}: worst relative error {worst:.3e} "
-          f"(tolerance {args.tolerance:g})")
+          f"(tolerance {GRADCHECK_TOLERANCE:g})")
     return 0 if passed else 1
 
 
@@ -463,15 +458,14 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a forecaster")
     p.add_argument("--config", help="run-config JSON")
-    p.add_argument("--data")
-    p.add_argument("--out")
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", default="run")
     p.add_argument("--preset", choices=sorted(MODEL_PRESETS))
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--observation-mode", choices=trainer.OBSERVATION_MODES)
-    p.add_argument("--observation-ratio", type=float)
     p.add_argument("--resume", help="checkpoint base path to continue from")
     p.set_defaults(fn=cmd_train)
 
@@ -500,10 +494,7 @@ def build_parser():
     p.add_argument("--horizon", type=int, default=8)
     p.add_argument("--frame", type=int, default=8)
     p.add_argument("--observed", type=int, default=5)
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-3)
     p.add_argument("--max-checks", type=int, default=6, help="FD probes per tensor")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)
     return parser
 

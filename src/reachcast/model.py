@@ -10,12 +10,13 @@ receive gradients. Observed steps are the first C of the horizon, and C
 differs per sample. The frame, point and temporal encoders run on packed
 rows, one per observed step (sum of C rows, not N x max C): inputs past
 C are never read. The transition and the emission take the temporal
-encoder's packed rows too. Inside each of the three fused ops, the rows
-are laid on the (N, max C) grid at ``grid_rows`` with ``ad.unpack_rows``,
-and their gradients come back with ``ad.pack_rows``. Empty cells are
-zero, and attention keys past C carry an additive -1e9 logit, which
-underflows to exact zero weight, so forecasts are exactly independent
-of future inputs.
+encoder's packed rows too, and the emission reads only their trajectory
+half. Inside each of the three fused ops, the rows are laid on the
+(N, max C) grid at ``grid_rows`` with ``ad.unpack_rows``, and their
+gradients come back with ``ad.pack_rows``. Empty cells are zero, and
+attention keys past C carry an additive -1e9 logit, which underflows to
+exact zero weight, so forecasts are exactly independent of future
+inputs.
 
 Four stages are fused tape ops, each one ``ad.custom`` record rather
 than a chain of taped ops, with its forward in numpy and its backward
@@ -1029,12 +1030,13 @@ class _Rollout:
         return (ad.pack_rows(dh.reshape(self.h.shape), self.rows),) + tuple(grads[k] for k in w)
 
 
-def emit(params, cfg, z, o_t, observed):
+def emit(params, cfg, z, o, observed):
     """Probabilistic emission over the whole horizon, as one taped op.
 
-    z: (N,T,d_z) latents; o_t: (R,d_obs) trajectory-encoder features, one
-    packed row per observed step in the order of ``observed_cells``, which
-    the op lays on the (N, max C) grid; observed: (N,) ints. Step i reads
+    z: (N,T,d_z) latents; o: the temporal op's (R, 2 d_obs) rows, one per
+    observed step in the order of ``observed_cells``, whose trajectory
+    half (columns d_obs:) the op lays on the (N, max C) grid; the visual
+    half is not read. observed: (N,) ints. Step i reads
     z_i and a previous-trajectory feature: zero at step 0, the encoder
     feature of step i-1 through step C, and after that the previous
     predicted mean, re-embedded by ``embed_points`` and ``emit.reembed``.
@@ -1043,8 +1045,8 @@ def emit(params, cfg, z, o_t, observed):
     backward is hand-written BPTT through the previous-mean recurrence.
     """
     names = _fused_params(cfg)["emit"]
-    inputs = (z, o_t) + tuple(params[k] for k in names)
-    em = _Emission({k: params[k].data for k in names}, z.data, o_t.data,
+    inputs = (z, o) + tuple(params[k] for k in names)
+    em = _Emission({k: params[k].data for k in names}, z.data, o.data,
                    np.asarray(observed), save=ad.is_recording(inputs))
     out = ad.custom(em.out, inputs, em.backward)
     pd = cfg.point_dim
@@ -1055,24 +1057,25 @@ def emit(params, cfg, z, o_t, observed):
 class _Emission:
     """Numpy forward and hand-written backward of the emission.
 
-    The encoder features' packed rows are laid on the (N, max C) grid,
-    zero past each sample's C. The forward mirrors the taped composition
-    op for op: steps 0..min C run as one (N, min C + 1, d) block, since
-    every sample reads encoder features there, and each later step runs on
-    (N,1,d) operands, so the output is bit-identical to it on ``tiny`` and
-    ``desk``, 3D and 2d. The backward is BPTT, and its gradients agree with
-    the taped composition to rtol 1e-9 and atol 1e-12. ``out`` packs mean,
-    alpha and beta (N,T,point_dim+2; +1 without beta). Activations are kept per step only
-    when ``save`` is set (a tape will replay them); the backward stacks
-    them over the horizon. Every buffer, forward and backward, has the
-    dtype of z.
+    The trajectory half of the temporal op's rows is laid on the
+    (N, max C) grid, zero past each sample's C. The forward mirrors the
+    taped composition op for op: steps 0..min C run as one
+    (N, min C + 1, d) block, since every sample reads encoder features
+    there, and each later step runs on (N,1,d) operands, so the output is
+    bit-identical to it on ``tiny`` and ``desk``, 3D and 2d. The backward
+    is BPTT, and its gradients agree with the taped composition to rtol
+    1e-9 and atol 1e-12; the visual half of the rows gets exact zero.
+    ``out`` packs mean, alpha and beta (N,T,point_dim+2; +1 without beta).
+    Activations are kept per step only when ``save`` is set (a tape will
+    replay them); the backward stacks them over the horizon. Every
+    buffer, forward and backward, has the dtype of z.
     """
 
     def __init__(self, w, z, o, observed, save):
         n, t, dz = z.shape
-        d = o.shape[1]
+        d = o.shape[1] // 2
         self.rows = grid_rows(observed)
-        o = ad.unpack_rows(o, self.rows, (n, int(observed.max()), d))
+        o = ad.unpack_rows(o[:, d:], self.rows, (n, int(observed.max()), d))
         heads = [h for h in ("mean", "alpha", "beta") if f"emit.{h}.fc1.w" in w]
         pd = w["emit.mean.fc2.w"].shape[1]
         m0 = int(observed.min())  # steps 0..m0 lie in every sample's observed prefix
@@ -1122,8 +1125,9 @@ class _Emission:
             self.saved = saved
 
     def backward(self, g):
-        """BPTT over the saved steps: gradients of z, of o_t's packed rows,
-        then of each parameter in the order of ``w``.
+        """BPTT over the saved steps: gradients of z, of the rows o (exact
+        zero in their visual half), then of each parameter in the order of
+        ``w``.
 
         Rows are 2-D here: the backward has no bit-identity to keep. Alpha
         and beta do not feed the recurrence, so their gradients run for
@@ -1135,7 +1139,8 @@ class _Emission:
         w, pd, m0, heads = self.w, self.pd, self.m0, self.heads
         act = {k: np.concatenate(v, axis=1) for k, v in self.saved.items()}
         n, t, d_in = act["inp"].shape
-        dz = d_in - act["e2"].shape[2]
+        d = act["e2"].shape[2]
+        dz = d_in - d
         mean = self.out[..., :pd]
 
         def rows(a):
@@ -1156,11 +1161,11 @@ class _Emission:
         e1_act = 1.0 - act["e1"] ** 2
         dpm = np.empty_like(mean)
         dhm = np.empty_like(hm)
-        dre = np.empty((n, t - m0 - 1, d_in - dz), dtype=mean.dtype)
+        dre = np.empty((n, t - m0 - 1, d), dtype=mean.dtype)
         d1 = np.empty_like(e1_act)
         t_enc = len(self.sel)
         keep_re = 1.0 - self.sel
-        do = np.zeros((n, t_enc, d_in - dz), dtype=mean.dtype)
+        do = np.zeros((n, t_enc, 2 * d), dtype=mean.dtype)  # visual half stays zero
         carry = 0.0  # gradient of mean_i from step i+1's re-embedding
         for i in range(t - 1, m0, -1):
             j = i - m0 - 1
@@ -1168,7 +1173,7 @@ class _Emission:
             dhm[:, i] = (dpm[:, i] @ w2m_t) * dhm_act[:, i]
             dfeat = dinp[:, i, dz:] + dhm[:, i] @ w1m_feat_t
             if i <= t_enc:
-                do[:, i - 1] = dfeat * self.sel[i - 1]
+                do[:, i - 1, d:] = dfeat * self.sel[i - 1]
                 dfeat = dfeat * keep_re[i - 1]
             dre[:, j] = dfeat
             d1[:, j] = (dfeat @ re_t) * e1_act[:, j]
@@ -1177,7 +1182,7 @@ class _Emission:
         dpm[:, m0] += carry * dmean_act[:, m0]
         dhm[:, : m0 + 1] = (dpm[:, : m0 + 1] @ w2m_t) * dhm_act[:, : m0 + 1]
         dinp += (rows(dhm) @ w["emit.mean.fc1.w"].T).reshape(n, t, d_in)
-        do[:, :m0] = dinp[:, 1 : m0 + 1, dz:]
+        do[:, :m0, d:] = dinp[:, 1 : m0 + 1, dz:]
 
         grads = {}
         _linear_grads(grads, "emit.mean.fc2", hm, dpm)
@@ -1207,9 +1212,10 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     Only the C observed steps of each sample reach the encoders, as packed
     rows (R = sum of C rows, sample-major; a copy of the inputs), so inputs
     past each sample's C are never read. The transition and the emission
-    take the encoders' packed rows and run once each over the whole
-    horizon. Returns dict of graph tensors: mean (N,T,pd),
-    alpha/beta (N,T,1), beta None in 2d mode, velocity (N,T,pd).
+    take the temporal op's packed rows, the emission reading their
+    trajectory half, and run once each over the whole horizon. Returns
+    dict of graph tensors: mean (N,T,pd), alpha/beta (N,T,1), beta None
+    in 2d mode, velocity (N,T,pd).
 
     A sample's outputs can differ in the last bits with the batch it rides
     in: encoded alone, a sample with C=1 makes one-row products, which
@@ -1229,11 +1235,10 @@ def forward_batch(params, cfg, frames, points, observed, lengths=None):
     cells = observed_cells(observed)
     o = temporal_encode(params, cfg, (encode_frames(params, cfg, frames[cells]),
                                       embed_points(params, cfg, points[cells])), observed)
-    o_t = ad.slice_axis(o, 1, cfg.d_obs, 2 * cfg.d_obs)
     pe_z = positional_encoding(t, cfg.d_z, cfg.dtype).take(cells[1], axis=0)
     h = _layer_norm(params, "trans.h.ln", ad.add(_mlp2(params, "trans.h", o), ad.constant(pe_z)))
     z = transition(params, cfg, h, observed, horizon=t)
-    mean, alpha, beta = emit(params, cfg, z, o_t, observed)
+    mean, alpha, beta = emit(params, cfg, z, o, observed)
     return {"mean": mean, "alpha": alpha, "beta": beta,
             "velocity": velocity_head(params, cfg, z)}
 

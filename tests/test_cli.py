@@ -69,8 +69,7 @@ def test_gradcheck_builds_float64_whatever_the_preset(monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value", [("--observed", "0"), ("--observed", "8"),
-                                         ("--max-checks", "0"), ("--max-checks", "-1"),
-                                         ("--step", "0"), ("--step", "-1e-4")])
+                                         ("--max-checks", "0"), ("--max-checks", "-1")])
 def test_bad_gradcheck_flags_are_usage_errors(flag, value, capsys):
     assert cli.main(["gradcheck", f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
@@ -186,9 +185,11 @@ def test_bad_train_values_refused_before_writing(dataset, tmp_path, capsys, flag
     ('{"seed": 3, "train": {"seed": 5}}', "unknown config key 'seed'"),
     ('{"train": []}', "'train' is not an object"),
     ('{"model": "desk"}', "'model' is not an object"),
-    ('{"loss": 1}', "'loss' is not an object"), ('{"out": ["a"]}', "'out' is not a string")],
+    ('{"loss": 1}', "'loss' is not an object"),
+    # paths come only from --data and --out
+    ('{"data": "d"}', "unknown config key 'data'"), ('{"out": "o"}', "unknown config key 'out'")],
     ids=["invalid-json", "json-list", "top-level-seed", "train-list", "model-string",
-         "loss-number", "out-list"])
+         "loss-number", "data-key", "out-key"])
 def test_bad_config_file_refused_before_writing(dataset, tmp_path, capsys, text, message):
     out, path = tmp_path / "run", tmp_path / "run.json"
     path.write_text(text)
@@ -196,6 +197,29 @@ def test_bad_config_file_refused_before_writing(dataset, tmp_path, capsys, text,
     err = capsys.readouterr().err
     assert message in err and str(path) in err
     assert not out.exists()
+
+
+def test_train_without_data_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["train", "--preset", "tiny", "--epochs", "1"])
+    assert exit_.value.code == 2
+    assert "--data" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["gradcheck", "--step", "1e-4"],
+                                  ["gradcheck", "--tolerance", "1e-3"],
+                                  ["gradcheck", "--seed", "0"],
+                                  ["train", "--data", "d", "--observation-ratio", "0.6"]],
+                         ids=["step", "tolerance", "gradcheck-seed", "observation-ratio"])
+def test_retired_flags_are_usage_errors(capsys, argv):
+    # gradcheck's step, tolerance and seed are constants; the observation
+    # ratio is set as train.observation_ratio in the run config
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_seed_flag_wins_over_train_seed(dataset, tmp_path):

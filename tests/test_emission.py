@@ -3,10 +3,12 @@
 ``reference_emission`` builds the emission from taped primitives: steps
 0..min C as one block, then one autoregressive step at a time, each
 re-embedding the previous predicted mean, over the (N, max C, d_obs) grid
-of trajectory features. The fused ``model.emit`` takes that grid's packed
-rows at the observed steps. It must reproduce the reference's forward bit
-for bit and its gradients for ``z``, ``o_t`` and every ``emit.*`` and
-``traj.*`` parameter. The reference is fed garbage past each sample's C,
+of trajectory features. The fused ``model.emit`` takes the temporal op's
+(R, 2 d_obs) rows, the grid's packed rows at the observed steps in their
+trajectory half and noise in their visual half. It must reproduce the
+reference's forward bit for bit and its gradients for ``z``, ``o_t`` and
+every ``emit.*`` and ``traj.*`` parameter, and give the visual half an
+exact zero gradient. The reference is fed garbage past each sample's C,
 which it must ignore.
 """
 
@@ -91,6 +93,13 @@ def pack(x, observed):
     return x[M.observed_cells(np.asarray(observed))]
 
 
+def rows(o_t, observed):
+    """The temporal op's rows: noise in the visual half (columns :d_obs)
+    and ``o_t``'s packed grid in the trajectory half."""
+    traj = pack(o_t, observed)
+    return np.concatenate([np.random.default_rng(2).standard_normal(traj.shape), traj], axis=1)
+
+
 def _case(cfg, n, seed, observed=None):
     """Latents z, trajectory features o_t as a grid (garbage past C), mixed
     counts and per-output loss weights for n samples."""
@@ -140,7 +149,7 @@ class TestFusedMatchesReference:
     def test_forward_bit_identical(self, preset, n, spec):
         cfg, params = preset
         z, o_t, observed, _ = _case(cfg, n, seed=10 + n, observed=_observed(cfg, spec))
-        fused = M.emit(params, cfg, ad.constant(z), ad.constant(pack(o_t, observed)), observed)
+        fused = M.emit(params, cfg, ad.constant(z), ad.constant(rows(o_t, observed)), observed)
         ref = reference_emission(params, cfg, ad.constant(z), ad.constant(o_t), observed)
         assert fused[0].shape == (n, cfg.horizon, cfg.point_dim)
         assert (fused[2] is None) == (cfg.point_dim == 2)
@@ -152,11 +161,12 @@ class TestFusedMatchesReference:
     def test_gradients(self, preset, n, spec):
         cfg, params = preset
         z, o_t, observed, weights = _case(cfg, n, seed=20 + n, observed=_observed(cfg, spec))
-        out_f, g_f = _run(M.emit, params, cfg, z, pack(o_t, observed), observed, weights)
+        out_f, g_f = _run(M.emit, params, cfg, z, rows(o_t, observed), observed, weights)
         out_r, g_r = _run(reference_emission, params, cfg, z, o_t, observed, weights)
         for f, r in zip(out_f, out_r):
             np.testing.assert_array_equal(f, r)
         assert set(g_f) == set(g_r)
+        g_f["o_t"] = g_f["o_t"][:, cfg.d_obs :]
         g_grid, g_r["o_t"] = g_r["o_t"], pack(g_r["o_t"], observed)
         assert np.count_nonzero(g_grid) == np.count_nonzero(g_r["o_t"])  # zero past C
         for key in g_r:
@@ -165,10 +175,19 @@ class TestFusedMatchesReference:
         if int(observed.min()) < cfg.horizon - 1:  # some step re-embeds its previous mean
             assert np.any(g_f["traj.fc1.w"] != 0) and np.any(g_f["emit.reembed.w"] != 0)
 
+    @pytest.mark.parametrize("n,spec", CASES)
+    def test_visual_half_gets_exact_zero_gradient(self, preset, n, spec):
+        cfg, params = preset
+        z, o_t, observed, weights = _case(cfg, n, seed=50 + n, observed=_observed(cfg, spec))
+        _, g = _run(M.emit, params, cfg, z, rows(o_t, observed), observed, weights)
+        assert g["o_t"].shape == (int(np.sum(observed)), 2 * cfg.d_obs)
+        assert not np.any(g["o_t"][:, : cfg.d_obs])
+        assert np.any(g["o_t"][:, cfg.d_obs :])
+
     def test_forward_without_tape_matches_taped(self, preset):
         cfg, params = preset
         z, o_t, observed, weights = _case(cfg, 3, seed=31)
-        o_t = pack(o_t, observed)
+        o_t = rows(o_t, observed)
         names = M._fused_params(cfg)["emit"]
         inputs = (ad.constant(z), ad.constant(o_t)) + tuple(params[k] for k in names)
         untaped = M._Emission({k: params[k].data for k in names}, z, o_t, observed,
@@ -187,5 +206,5 @@ class TestFusedMatchesReference:
         z, o_t, observed, _ = _case(cfg, 2, seed=41)
         with ad.Graph() as g:
             out = M.emit(params, cfg, ad.Tensor(z, requires_grad=True),
-                         ad.constant(pack(o_t, observed)), observed)
+                         ad.constant(rows(o_t, observed)), observed)
         assert len(g) == 1 + sum(x is not None for x in out)

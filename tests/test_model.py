@@ -373,20 +373,27 @@ class TestTemporalEncode:
 
 
     def test_emission_reads_the_trajectory_half(self, desk, monkeypatch):
+        # forward_batch hands the emission the temporal op's full rows, and
+        # the emission's outputs do not move with their visual half
         cfg, params = desk
         frames, points, obs = random_batch(cfg, 2, seed=5, observed=[3, 6])
         seen, emit = {}, M.emit
 
-        def spy(params, cfg, z, o_t, observed):
-            seen["o_t"] = o_t.data
-            return emit(params, cfg, z, o_t, observed)
+        def spy(params, cfg, z, o, observed):
+            seen["z"], seen["o"] = z, o.data
+            return emit(params, cfg, z, o, observed)
 
         monkeypatch.setattr(M, "emit", spy)
         M.forward_batch(params, cfg, frames, points, obs)
         x = (M.encode_frames(params, cfg, pack(frames, obs)),
              M.embed_points(params, cfg, pack(points, obs)))
         o = M.temporal_encode(params, cfg, x, obs).data
-        np.testing.assert_array_equal(seen["o_t"], o[:, cfg.d_obs:])
+        np.testing.assert_array_equal(seen["o"], o)
+        other = o.copy()
+        other[:, : cfg.d_obs] = np.random.default_rng(6).standard_normal((len(o), cfg.d_obs))
+        for a, b in zip(emit(params, cfg, seen["z"], ad.constant(o), obs),
+                        emit(params, cfg, seen["z"], ad.constant(other), obs)):
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestPositionalEncoding:
@@ -432,8 +439,8 @@ class TestEmitAndVelocity:
             params = M.init_params(cfg, seed=seed)
             rng = np.random.default_rng(seed)
             z = ad.constant(rng.standard_normal((2, cfg.horizon, cfg.d_z)) * 3)
-            feat = ad.constant(rng.standard_normal((7, cfg.d_obs)) * 3)  # C = 2 and 5
-            mean, alpha, beta = M.emit(params, cfg, z, feat, np.array([2, 5]))
+            o = ad.constant(rng.standard_normal((7, 2 * cfg.d_obs)) * 3)  # C = 2 and 5
+            mean, alpha, beta = M.emit(params, cfg, z, o, np.array([2, 5]))
             assert np.all(alpha.data >= 0) and np.all(beta.data >= 0)
             assert np.all(np.abs(mean.data) < 1.0)
 
@@ -619,12 +626,13 @@ class TestGradientFlow:
 
 
 def test_desk_training_step_tape_budget(desk):
-    # one fixed desk step (C from 2 to 13) may not grow past its 59 tape records.
-    # The model makes 21: one ad.custom record each for the visual branch (the
+    # one fixed desk step (C from 2 to 13) may not grow past its 58 tape records.
+    # The model makes 20: one ad.custom record each for the visual branch (the
     # frozen frame encoder and its MLP), both temporal encoders, the transition
     # and the emission, which read the encoders' packed rows with no record
-    # between; the small MLPs and layer norms around them; and one slice for o_t
-    # and one per emission output. The loss makes the other 38.
+    # between (the emission takes the temporal op's rows whole); the small MLPs
+    # and layer norms around them; and one slice per emission output. The loss
+    # makes the other 38.
     cfg, params = desk
     observed = np.random.default_rng(0).integers(2, 14, size=32)
     assert (observed.min(), observed.max()) == (2, 13)
@@ -633,7 +641,7 @@ def test_desk_training_step_tape_budget(desk):
     with ad.Graph() as g:
         out = M.forward_batch(params, cfg, frames, points, obs)
         total, _, _ = L.total_batch(out, points, obs, valid, L.LossConfig())
-    assert len(g) <= 59
+    assert len(g) <= 58
 
 
 # (config, observed counts or None for random_batch's default). The paper
