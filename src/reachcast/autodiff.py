@@ -32,10 +32,11 @@ padding. ``unpack_rows`` lays rows on the padded (N, T) grid and
 move never aliases its input. The fused ops use them inside their numpy
 forward and backward, so no taped op moves rows to the grid.
 
-``conv2d``, ``embed_border``, ``split_heads``, ``merge_heads``,
-``softmax_lastdim``, ``transpose`` and ``concat`` serve the taped
-references of the fused ops in the tests and the benchmark's tracer,
-which wraps them by name.
+``add_bias``, ``reshape``, ``transpose``, ``concat``, ``conv2d``,
+``embed_border``, ``split_heads``, ``merge_heads`` and
+``softmax_lastdim`` serve only the tests, among them the taped
+references of the fused ops, and the benchmark's tracer, which wraps
+them by name; no code in ``src/`` calls them.
 
 A graph and its tensors belong to one thread; weight tensors may be
 shared read-only across threads running independent graphs. ``both``

@@ -4,18 +4,24 @@ Config-file-first: ``--config run.json`` supplies the {model, train,
 loss} sections; command-line flags win over the file, and the training
 seed is ``train.seed`` or ``--seed``. Paths come only from flags: a run
 reads ``--data`` and writes ``--out``. Unknown config keys are rejected
-by name. Every command is deterministic given its config and seed;
-artifacts carry no timestamps. BLAS thread pools are pinned to one thread
-before numpy loads so runs are single-threaded and reproducible.
+by name. ``eval`` writes a constant-velocity baseline row after each
+model row, and ``repair`` writes its report, ``repair_report.csv``,
+beside the repaired data. Every command is deterministic given its
+config and seed; artifacts carry no timestamps. BLAS thread pools are
+pinned to one thread before numpy loads so runs are single-threaded and
+reproducible.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error. Exit 2
-covers bad flags; a run config, manifest, checkpoint or optimizer-state
-``.json`` that is not a JSON object; a run config whose ``model``,
-``train`` or ``loss`` is not an object; a config key or value that its
-section (model, train, loss, gen options, ``gen --frame`` intrinsics,
-``forecast --ratio``) refuses; observation ratios that do not parse,
-fall outside (0, 1) or give an empty range or one that is not a whole
-number of 0.1 steps; a negative ``eval --dump-limit``; a
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+``main`` returns each of them, argparse's usage errors included; only
+``--help`` exits through ``SystemExit``. Exit 2 covers bad flags (an
+unknown flag, a missing flag or command, a value of the wrong type or
+outside its choices); a run config, manifest, checkpoint or
+optimizer-state ``.json`` that is not a JSON object; a run config whose
+``model``, ``train`` or ``loss`` is not an object; a config key or value
+that its section (model, train, loss, gen options, ``gen --frame``
+intrinsics, ``forecast --ratio``) refuses; observation ratios that do
+not parse, fall outside (0, 1) or give an empty range or one that is not
+a whole number of 0.1 steps; a negative ``eval --dump-limit``; a
 ``gradcheck --max-checks`` below 1; a dataset that is not a directory
 holding ``data.jsonl``, its frames file ``data.frames.f64`` and
 ``manifest.json``; a manifest without a ``splits`` object of id lists,
@@ -53,6 +59,14 @@ from . import autodiff as ad
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ConfigErrors; its subparsers are
+    ``_Parser``s too, since argparse makes them with ``type(self)``."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 MODEL_PRESETS = {"paper": model.ModelConfig.paper, "desk": model.ModelConfig.desk,
@@ -133,13 +147,17 @@ def _check_feed(samples, cfg, split):
         raise ConfigError(str(e)) from None
 
 
-def _write_json(path, doc):
-    """Write ``doc`` as indented JSON with sorted keys, creating its directory."""
+def _write_lines(path, lines):
+    """Write each of ``lines`` and a newline to ``path``, creating its directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.writelines(line + "\n" for line in lines)
+
+
+def _write_json(path, doc):
+    """Write ``doc`` as indented JSON with sorted keys."""
+    _write_lines(path, [json.dumps(doc, indent=1, sort_keys=True)])
 
 
 def _norm_from(doc, source):
@@ -211,28 +229,14 @@ def cmd_repair(args):
         rows.append(row)
         repaired_samples.append(dataclasses.replace(s, points_local=points, valid_depth=valid))
     datagen.write_dataset(repaired_samples, manifest, out)
-    report = Path(args.report) if args.report else out / "repair_report.csv"
-    report.parent.mkdir(parents=True, exist_ok=True)
-    with open(report, "w") as f:
-        f.write("track_id,n_valid,n_repaired,rmse\n")
-        for row in rows:
-            f.write(row.as_csv() + "\n")
+    report = out / "repair_report.csv"
+    _write_lines(report, ["track_id,n_valid,n_repaired,rmse", *(row.as_csv() for row in rows)])
     n_repaired = sum(r.n_repaired for r in rows)
     print(f"repaired {n_repaired} depth entries across {len(samples)} tracks; report: {report}")
     if skipped:
         print(f"warning: skipped {skipped} tracks with fewer than "
               f"{annotate.MIN_VALID_POINTS} valid points", file=sys.stderr)
     return 0
-
-
-def _write_history_csv(path, earlier, rows):
-    """The loss curve: the ``earlier`` curve's lines as they are, then ``rows``."""
-    with open(path, "w") as f:
-        f.write("epoch,total,location,velocity\n")
-        for line in earlier:
-            f.write(line + "\n")
-        for e, t, l, v in rows:
-            f.write(f"{e},{t:.9g},{l:.9g},{v:.9g}\n")
 
 
 def _adam_path(ckpt):
@@ -294,7 +298,9 @@ def cmd_train(args):
              "loss": dataclasses.asdict(loss_cfg)}
     model.save_checkpoint(params, cfg, out / "ckpt", extra=extra)
     optimizer.save(_adam_path(out / "ckpt"), cfg)
-    _write_history_csv(out / "loss_curve.csv", earlier, rows)
+    # the loss curve: the resumed checkpoint's lines as they are, then this run's
+    _write_lines(out / "loss_curve.csv", ["epoch,total,location,velocity", *earlier,
+                                          *(f"{e},{t:.9g},{l:.9g},{v:.9g}" for e, t, l, v in rows)])
     final = rows[-1]
     print(f"trained to epoch {final[0]}; final loss {final[1]:.6f}; checkpoint: {out / 'ckpt'}")
     return 0
@@ -335,19 +341,13 @@ def cmd_eval(args):
         dumped = {s.id for s in samples[: args.dump_limit]} if args.dump else set()
         for ratio in ratios:
             cases = trainer.forecast_cases(params, cfg, samples, norm, ratio)
-            rows.append(trainer.score(cases, split, ratio, "model"))
-            if args.baseline == "cv":
-                rows.append(trainer.evaluate_baseline(samples, ratio, split=split,
-                                                      image_plane=cfg.coordinate_mode == "2d"))
+            rows += [trainer.score(cases, split, ratio, "model"),
+                     trainer.evaluate_baseline(samples, ratio, split=split,
+                                               image_plane=cfg.coordinate_mode == "2d")]
             dumps.extend({**_trajectory_doc(s, observed, pred, gt), "split": split, "ratio": ratio}
                          for s, observed, pred, gt in cases if s.id in dumped)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
-        f.write(trainer.MetricsRow.CSV_HEADER + "\n")
-        for row in rows:
-            f.write(row.as_csv() + "\n")
-    print(f"wrote {len(rows)} metric rows to {out}")
+    _write_lines(args.out, [trainer.MetricsRow.CSV_HEADER, *(row.as_csv() for row in rows)])
+    print(f"wrote {len(rows)} metric rows to {args.out}")
     if args.dump:
         _write_json(args.dump, dumps)
         print(f"wrote {len(dumps)} trajectory dumps to {args.dump}")
@@ -429,7 +429,7 @@ def cmd_gradcheck(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reachcast",
         description="Egocentric 3D reach-trajectory forecasting: synthetic data, "
                     "depth repair, training, and ADE/FDE evaluation.",
@@ -450,10 +450,10 @@ def build_parser():
     p.add_argument("--split", help="counts train,val,test_seen,test_unseen")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("repair", help="repair missing depths via least-squares fitting")
+    p = sub.add_parser("repair", help="repair missing depths via least-squares fitting; "
+                                      "the report is <out>/repair_report.csv")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--report", help="report CSV path (default <out>/repair_report.csv)")
     p.set_defaults(fn=cmd_repair)
 
     p = sub.add_parser("train", help="train a forecaster")
@@ -469,13 +469,12 @@ def build_parser():
     p.add_argument("--resume", help="checkpoint base path to continue from")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="ADE/FDE metrics over splits and ratios")
+    p = sub.add_parser("eval", help="ADE/FDE metrics of the model and the constant-velocity "
+                                    "baseline over splits and ratios")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--splits", default="test_seen,test_unseen")
     p.add_argument("--ratios", default="0.6", help="'0.6', '0.3,0.6', or '0.1..0.9'")
-    p.add_argument("--baseline", choices=["cv"],
-                   help="add constant-velocity rows (in 2d mode, also in the image plane)")
     p.add_argument("--out", default="metrics.csv")
     p.add_argument("--dump", help="write per-sample trajectory JSON here")
     p.add_argument("--dump-limit", type=int, default=8)
@@ -500,9 +499,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, FileNotFoundError, NotADirectoryError, datagen.ParseError,
             model.CheckpointError) as e:

@@ -201,25 +201,41 @@ def test_bad_config_file_refused_before_writing(dataset, tmp_path, capsys, text,
 
 def test_train_without_data_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(["train", "--preset", "tiny", "--epochs", "1"])
-    assert exit_.value.code == 2
-    assert "--data" in capsys.readouterr().err
+    assert cli.main(["train", "--preset", "tiny", "--epochs", "1"]) == 2
+    assert "the following arguments are required: --data" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["gradcheck", "--step", "1e-4"],
                                   ["gradcheck", "--tolerance", "1e-3"],
                                   ["gradcheck", "--seed", "0"],
-                                  ["train", "--data", "d", "--observation-ratio", "0.6"]],
-                         ids=["step", "tolerance", "gradcheck-seed", "observation-ratio"])
-def test_retired_flags_are_usage_errors(capsys, argv):
+                                  ["train", "--data", "d", "--observation-ratio", "0.6"],
+                                  ["eval", "--ckpt", "c", "--data", "d", "--baseline", "cv"],
+                                  ["repair", "--data", "d", "--out", "o", "--report", "r.csv"]],
+                         ids=["step", "tolerance", "gradcheck-seed", "observation-ratio",
+                              "eval-baseline", "repair-report"])
+def test_retired_flags_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     # gradcheck's step, tolerance and seed are constants; the observation
-    # ratio is set as train.observation_ratio in the run config
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(argv)
-    assert exit_.value.code == 2
+    # ratio is set as train.observation_ratio in the run config; eval always
+    # writes the CV rows, and repair always writes <out>/repair_report.csv
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--n", "x", "--out", "o"], "reachcast gen: argument --n: invalid int value: 'x'"),
+    (["train", "--data", "d", "--preset", "huge"],
+     "reachcast train: argument --preset: invalid choice: 'huge'"),
+    ([], "reachcast: the following arguments are required: command")],
+    ids=["bad-int", "bad-choice", "no-command"])
+def test_argparse_errors_return_2(tmp_path, capsys, monkeypatch, argv, message):
+    # argparse's usage errors come back from main like every other, not as SystemExit
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not any(tmp_path.iterdir())
 
 
 def test_seed_flag_wins_over_train_seed(dataset, tmp_path):
@@ -465,9 +481,7 @@ def test_bad_gen_options_are_usage_errors(tmp_path, capsys, flags, message):
 def test_retired_gen_flags_are_usage_errors(tmp_path, capsys, flag, value):
     # the generator's motion, arc, jitter and noise are fixed; gen sets the rest
     out = tmp_path / "data"
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(["gen", "--n", "20", "--out", str(out), flag, value])
-    assert exit_.value.code == 2
+    assert cli.main(["gen", "--n", "20", "--out", str(out), flag, value]) == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -537,7 +551,8 @@ def test_eval_reads_the_dataset_once(dataset, tmp_path, monkeypatch):
     assert cli.main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt"), "--data", str(dataset),
                      "--splits", "test_seen,test_unseen", "--out", str(tmp_path / "m.csv")]) == 0
     assert len(reads) == 1
-    assert len((tmp_path / "m.csv").read_text().splitlines()) == 3
+    # the header, then a model row and its CV row per split
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 5
 
 
 def test_eval_dump_reuses_the_scored_forecasts(tmp_path, monkeypatch):
@@ -574,15 +589,17 @@ def test_eval_dump_creates_its_directory(dataset, trained, tmp_path):
     out, dump = tmp_path / "m.csv", tmp_path / "new" / "d.json"
     assert cli.main(["eval", "--ckpt", str(trained), "--data", str(dataset),
                      "--out", str(out), "--dump", str(dump), "--dump-limit", "1"]) == 0
-    assert len(out.read_text().splitlines()) == 3
+    assert len(out.read_text().splitlines()) == 5
     assert [r["split"] for r in json.loads(dump.read_text())] == ["test_seen", "test_unseen"]
 
 
 def test_repair_report_creates_its_directory(dataset, tmp_path):
-    report = tmp_path / "new" / "r.csv"
-    assert cli.main(["repair", "--data", str(dataset), "--out", str(tmp_path / "fixed"),
-                     "--report", str(report)]) == 0
-    assert report.read_text().startswith("track_id,n_valid,n_repaired,rmse\n")
+    # the report lands beside the repaired data, under a new --out
+    out = tmp_path / "new" / "fixed"
+    assert cli.main(["repair", "--data", str(dataset), "--out", str(out)]) == 0
+    lines = (out / "repair_report.csv").read_text().splitlines()
+    assert lines[0] == "track_id,n_valid,n_repaired,rmse"
+    assert len(lines) == 1 + len(datagen.read_dataset(out)[0])
 
 
 def _read_argv(command, data, out, ckpt):
@@ -673,10 +690,11 @@ def test_dump_and_forecast_match_the_scored_predictions(dataset, trained, tmp_pa
     scored = []
     score = trainer.score
 
-    def record(cases, *args):
+    def record(cases, split, ratio, model):
         cases = list(cases)
-        scored.extend((pred.copy(), observed) for _, observed, pred, _ in cases)
-        return score(cases, *args)
+        if model == "model":  # eval scores the CV cases through score too
+            scored.extend((pred.copy(), observed) for _, observed, pred, _ in cases)
+        return score(cases, split, ratio, model)
 
     monkeypatch.setattr(trainer, "score", record)
     dump = tmp_path / "dump.json"
@@ -703,8 +721,7 @@ def test_cv_rows_of_a_2d_checkpoint_fill_the_image_plane(dataset, tmp_path):
     _train(dataset, tmp_path / "run", 1, "--config", str(config))
     out = tmp_path / "m.csv"
     assert cli.main(["eval", "--ckpt", str(tmp_path / "run" / "ckpt"), "--data", str(dataset),
-                     "--splits", "test_seen", "--ratios", "0.6", "--baseline", "cv",
-                     "--out", str(out)]) == 0
+                     "--splits", "test_seen", "--ratios", "0.6", "--out", str(out)]) == 0
     header, model_line, cv_line = out.read_text().splitlines()
     model_row = dict(zip(header.split(","), model_line.split(",")))
     cv_row = dict(zip(header.split(","), cv_line.split(",")))
@@ -749,8 +766,7 @@ run("gen", "--n", 8, "--seed", 5, "--out", data, "--frame", 8, "--t-min", 6, "--
     "--split", "4,2,1,1")
 run("train", "--preset", "tiny", "--data", data, "--out", run_dir, "--epochs", 1,
     "--batch-size", 4)
-run("eval", "--ckpt", run_dir + "/ckpt", "--data", data, "--baseline", "cv",
-    "--out", run_dir + "/metrics.csv")
+run("eval", "--ckpt", run_dir + "/ckpt", "--data", data, "--out", run_dir + "/metrics.csv")
 run("forecast", "--ckpt", run_dir + "/ckpt", "--data", data, "--id", "s00000",
     "--out", run_dir + "/forecast.json")
 run("gradcheck", "--max-checks", 1)

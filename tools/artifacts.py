@@ -12,16 +12,16 @@ The pipeline:
 - ``gen --n 60 --seed 0 --dropout 0.3``, then ``repair`` (its report too);
 - for each of the global-3d and 2d coordinate modes, on the desk preset:
   ``train --epochs 3 --seed 0 --observation-mode random --batch-size 32``,
-  ``eval --ratios 0.1..0.9 --baseline cv --dump`` and
-  ``forecast --id s00050``;
+  ``eval --ratios 0.1..0.9 --dump`` (model and constant-velocity rows)
+  and ``forecast --id s00050``;
 - two paper-preset training steps (``--epochs 2``, ``--batch-size 4``)
   on a 4-sample set of 64x64 frames and 32 to 40 steps, generated with
   ``--dropout 0.3`` and repaired first, as the benchmark's train-paper
   workload does, so the checkpoint and optimizer state cover the threaded
   optimizer step from non-zero moments, then ``eval --splits all
-  --ratios 0.1..0.9 --baseline cv`` of that float32 checkpoint. The set's
-  one training sample observes 19 steps, so each step's R = 19 frame rows
-  cross both thread gates of the model: the temporal encoders' branches
+  --ratios 0.1..0.9`` of that float32 checkpoint. The set's one training
+  sample observes 19 steps, so each step's R = 19 frame rows cross both
+  thread gates of the model: the temporal encoders' branches
   and the visual branch's two halves (from R = 16) run on two threads,
   forward and backward. So CI's byte-stability diff covers the threaded
   paths. The eval's batches have R = 15 (ratio 0.1, the visual branch
@@ -65,7 +65,7 @@ def main():
         reachcast("train", "--config", config, "--data", data, "--out", run, "--epochs", 3,
                   "--seed", 0, "--observation-mode", "random", "--batch-size", 32)
         reachcast("eval", "--ckpt", run / "ckpt", "--data", data, "--ratios", "0.1..0.9",
-                  "--baseline", "cv", "--out", run / "metrics.csv", "--dump", run / "dump.json")
+                  "--out", run / "metrics.csv", "--dump", run / "dump.json")
         reachcast("forecast", "--ckpt", run / "ckpt", "--data", data, "--id", "s00050",
                   "--out", run / "forecast.json")
     paper_raw, paper_data, paper = out / "paper-raw", out / "paper-data", out / "paper"
@@ -75,7 +75,7 @@ def main():
     reachcast("train", "--preset", "paper", "--data", paper_data, "--out", paper,
               "--epochs", 2, "--seed", 0, "--batch-size", 4)
     reachcast("eval", "--ckpt", paper / "ckpt", "--data", paper_data, "--splits", "all",
-              "--ratios", "0.1..0.9", "--baseline", "cv", "--out", paper / "metrics.csv")
+              "--ratios", "0.1..0.9", "--out", paper / "metrics.csv")
     (out / "gradcheck.txt").write_text(reachcast("gradcheck", stdout=subprocess.PIPE))
     print(f"wrote the artifacts to {out}")
 
