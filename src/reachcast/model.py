@@ -547,19 +547,22 @@ class _Visual:
         y = np.matmul(x, w["vis.fc2.w"], out=self.out[rows])
         y += w["vis.fc2.b"]
 
-    def _fc1_grads(self, dhid, dx, dw1, rows, feats):
-        """fc1's input gradient at the frames ``rows`` and its weight
-        gradient at the features ``feats``, written into those rows of dx
-        and dw1."""
-        np.matmul(dhid[rows], self.w["vis.fc1.w"].T, out=dx[rows])
+    def _fc1_grads(self, dhid, w1_border, dx, dw1, rows, feats):
+        """fc1's input gradient at the frames ``rows`` in the feature
+        columns whose fc1 weights are ``w1_border``, and its weight gradient
+        at the features ``feats``, written into those rows of dx and dw1."""
+        np.matmul(dhid[rows], w1_border.T, out=dx[rows])
         np.matmul(self.feats[:, feats].T, dhid, out=dw1[feats])
 
     def backward(self, g):
         """Gradients of the ``vis`` inputs in the order of ``w``.
 
         fc2's gradients, the tanh derivative and both bias gradients are
-        formed once, on the caller. Above the gate, each thread forms fc1's
-        input gradient for its half of the frames and its weight gradient
+        formed once, on the caller. fc1's input gradient is formed only in
+        the feature columns of the b2 outputs (channel-major, b2 ascending),
+        the only ones the prompt's gradient reads; each of its entries is
+        the bits of the full product's. Above the gate, each thread forms
+        that gradient for its half of the frames and fc1's weight gradient
         for half of the features. The prompt's gradient runs through the b2
         and b1 outputs only: rows are output positions and columns
         (channel, frame), so each col2im sums every frame at once, and the
@@ -570,21 +573,24 @@ class _Visual:
         dhid = g @ w["vis.fc2.w"].T
         _linear_grads(grads, "vis.fc2", self.hid, g)
         dhid *= 1.0 - self.hid * self.hid
-        dx, dw1 = np.empty_like(self.feats), np.empty_like(w["vis.fc1.w"])
-        if self.threaded:
-            half, mid = len(dx) // 2, len(dw1) // 2
-            ad.both(lambda: self._fc1_grads(dhid, dx, dw1, slice(0, half), slice(0, mid)),
-                    lambda: self._fc1_grads(dhid, dx, dw1, slice(half, None), slice(mid, None)),
-                    True)
-        else:
-            self._fc1_grads(dhid, dx, dw1, slice(None), slice(None))
-        grads["vis.fc1.w"], grads["vis.fc1.b"] = dw1, dhid.sum(axis=0)
-
         _, b1, b2, col2im2, col2im1 = self.plan
         n, _, c2 = self.a2.shape
+        w1 = w["vis.fc1.w"]
+        w1_border = w1[(np.arange(c2)[:, None] * (len(w1) // c2) + b2).reshape(-1)]
+        dx, dw1 = np.empty((n, len(w1_border)), dtype=self.feats.dtype), np.empty_like(w1)
+        if self.threaded:
+            half, mid = n // 2, len(dw1) // 2
+            ad.both(lambda: self._fc1_grads(dhid, w1_border, dx, dw1, slice(0, half),
+                                            slice(0, mid)),
+                    lambda: self._fc1_grads(dhid, w1_border, dx, dw1, slice(half, None),
+                                            slice(mid, None)), True)
+        else:
+            self._fc1_grads(dhid, w1_border, dx, dw1, slice(None), slice(None))
+        grads["vis.fc1.w"], grads["vis.fc1.b"] = dw1, dhid.sum(axis=0)
+
         c1 = self.a1.shape[2]
         a2 = self.a2.transpose(1, 2, 0)  # (b2, c2, frame)
-        dy2 = np.take(dx.reshape(n, c2, -1), b2, axis=2).transpose(2, 1, 0) * (1.0 - a2 * a2)
+        dy2 = dx.reshape(n, c2, len(b2)).transpose(2, 1, 0) * (1.0 - a2 * a2)
         k2 = w["enc.conv2.k"].reshape(c2, c1, 9).transpose(2, 1, 0).reshape(9 * c1, c2)
         dcols2 = k2 @ dy2  # (b2, tap x c1, frame)
         da1 = _col2im(col2im2, dcols2.reshape(len(b2) * 9, c1 * n)).reshape(len(b1), c1, n)

@@ -239,11 +239,12 @@ class Adam:
 
     def step(self, lr, clip_norm):
         """One update from the parameters' gradients, clipped to a global
-        norm of ``clip_norm``. The moments and parameters are updated in
-        place, with each element's arithmetic that of the per-tensor form.
-        A ValueError if a tensor's ``requires_grad`` changed since the
-        optimizer was built, since its chunk plan covers the tensors then
-        trainable."""
+        norm of ``clip_norm``; returns that norm before clipping, the square
+        root of the per-tensor dot products summed in tensor order. The
+        moments and parameters are updated in place, with each element's
+        arithmetic that of the per-tensor form. A ValueError if a tensor's
+        ``requires_grad`` changed since the optimizer was built, since its
+        chunk plan covers the tensors then trainable."""
         flipped = [n for n, t in self.params.items() if t.requires_grad != (n in self.m)]
         if flipped:
             raise ValueError(f"requires_grad of {', '.join(flipped)} changed after the "
@@ -261,6 +262,7 @@ class Adam:
         c = self._half_chunk
         ad.both(lambda: self._update(self._chunks[:c], grads, scale, lr, b1c, b2c),
                 lambda: self._update(self._chunks[c:], grads, scale, lr, b1c, b2c), threaded)
+        return total
 
     def _update(self, chunks, grads, scale, lr, b1c, b2c):
         """Step the moments and parameters of ``chunks`` in place."""

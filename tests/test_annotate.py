@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachcast import annotate
@@ -32,11 +32,13 @@ def planted_track(n=30, noise=0.0, invalid_idx=(), seed=0):
     return times, z_obs, valid, curve.evaluate(times)
 
 
-def reference_linear_solve(tau, z, a6):
-    """The per-candidate solve: a loop over a6 when it is an array."""
+def reference_linear_solve(basis, z, a6):
+    """The per-candidate solve, its design matrix built afresh from the
+    basis's tau column: a loop over a6 when it is an array."""
     if np.ndim(a6):
-        out = [reference_linear_solve(tau, z, f) for f in a6]
+        out = [reference_linear_solve(basis, z, f) for f in a6]
         return np.array([c for c, _ in out]), np.array([e for _, e in out])
+    tau = np.ascontiguousarray(basis[:, 2])
     b = np.stack([tau**3, tau**2, tau, np.ones_like(tau), np.sin(a6 * tau)], axis=1)
     gram = b.T @ b + annotate.RIDGE * np.eye(5)
     coef = np.linalg.solve(gram, b.T @ z)
@@ -64,16 +66,79 @@ class TestStackedSolve:
     @given(track=random_tracks())
     def test_matches_per_candidate_solves_bit_for_bit(self, track):
         times, z, valid = track
-        tau = times[valid] / times[-1]
+        basis = annotate._basis(times[valid] / times[-1])
         grid = np.geomspace(1e-3, np.pi * (len(times) - 1), annotate.GRID_SIZE)
-        coef, sse = annotate._linear_solve(tau, z[valid], grid)
-        ref_coef, ref_sse = reference_linear_solve(tau, z[valid], grid)
+        coef, sse = annotate._linear_solve(basis, z[valid], grid)
+        ref_coef, ref_sse = reference_linear_solve(basis, z[valid], grid)
         np.testing.assert_array_equal(sse, ref_sse)
         np.testing.assert_array_equal(coef, ref_coef)
+        for a6 in grid[[0, 77, -1]]:  # one frequency fills the basis's own sine column
+            one = annotate._linear_solve(basis, z[valid], a6)
+            ref = reference_linear_solve(basis, z[valid], a6)
+            np.testing.assert_array_equal(one[0], ref[0])
+            assert one[1] == ref[1]
         with mock.patch.object(annotate, "_linear_solve", reference_linear_solve):
             ref = fit_depth_model(times, z, valid)
         curve = fit_depth_model(times, z, valid)
         assert curve.coeffs == ref.coeffs and curve.rmse == ref.rmse
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestBoundedMin:
+    """``_bounded_min`` against scipy's bounded ``minimize_scalar``, the
+    method it reimplements: the same objective evaluations in the same
+    order, so the same x and f(x), bit for bit."""
+
+    @staticmethod
+    def _assert_matches_scipy(f, lo, hi):
+        from scipy import optimize  # the reference only: reachcast itself runs without scipy
+
+        seen, ref_seen = [], []
+        x, fx = annotate._bounded_min(lambda a: seen.append(a) or f(a), lo, hi, annotate.XATOL)
+        res = optimize.minimize_scalar(lambda a: ref_seen.append(a) or f(a), bounds=(lo, hi),
+                                       method="bounded", options={"xatol": annotate.XATOL})
+        assert [_bits(a) for a in seen] == [_bits(a) for a in ref_seen]
+        assert (_bits(x), _bits(fx)) == (_bits(res.x), _bits(res.fun))
+        return seen
+
+    @settings(max_examples=40, deadline=None)
+    @given(track=random_tracks())
+    def test_depth_fit_objective_and_bracket(self, track):
+        # the bracket and objective as fit_depth_model builds them
+        times, z, valid = track
+        basis = annotate._basis(times[valid] / times[-1])
+        grid = np.geomspace(1e-3, np.pi * (len(times) - 1), annotate.GRID_SIZE)
+        best = int(np.argmin(annotate._linear_solve(basis, z[valid], grid)[1]))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, annotate.GRID_SIZE - 1)]
+        self._assert_matches_scipy(lambda a6: annotate._linear_solve(basis, z[valid], a6)[1],
+                                   lo, hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3),
+           where=st.sampled_from(["inside", "below", "above"]), place=st.floats(0, 1),
+           scale=st.floats(1e-3, 1e3))
+    def test_quadratic_minimum_inside_and_at_each_edge(self, lo, width, where, place, scale):
+        hi = lo + width
+        c = {"inside": lo + place * width, "below": lo - place * width - 1.0,
+             "above": hi + place * width + 1.0}[where]
+        seen = self._assert_matches_scipy(lambda x: scale * (x - c) ** 2, lo, hi)
+        assert lo <= min(seen) and max(seen) <= hi
+
+    @pytest.mark.parametrize("value", [0.0, 2.5])
+    def test_flat_function(self, value):
+        self._assert_matches_scipy(lambda x: value, 0.3, 7.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(0, 10), step=st.floats(1e-4, 1))
+    @example(c=3.658475912380166, step=0.10961664172677729)  # ties f(w), with f(x) lower
+    @example(c=2.6358525305973126, step=0.00039756488130836146)  # ties f(v) too
+    def test_stepped_function_ties(self, c, step):
+        # a staircase |x - c|: its values tie, so the bookkeeping of the
+        # second-best and previous points on a tie must be scipy's too
+        self._assert_matches_scipy(lambda x: step * math.floor(abs(x - c) / step), 0.0, 10.0)
 
 
 class TestFitDepthModel:

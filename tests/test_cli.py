@@ -744,22 +744,20 @@ def _python(code, *args):
 
 
 def test_cli_imports_only_stdlib_numpy_and_reachcast():
-    # every command but repair starts without scipy, which takes longer to load than numpy
+    # no command needs scipy, which takes longer to load than numpy
     code = ("import sys; before = set(sys.modules); import reachcast.cli; "
             "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
     loaded = set(_python(code).split())
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "reachcast"}
 
 
-COMMANDS_THEN_REPAIR = """
+EVERY_COMMAND_WITHOUT_SCIPY = """
 import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from reachcast import cli
 
 def run(*argv):
     assert cli.main([str(a) for a in argv]) == 0, argv
-
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 data, run_dir, raw = (sys.argv[1] + "/" + name for name in ("data", "run", "raw"))
 run("gen", "--n", 8, "--seed", 5, "--out", data, "--frame", 8, "--t-min", 6, "--t-max", 8,
@@ -770,17 +768,19 @@ run("eval", "--ckpt", run_dir + "/ckpt", "--data", data, "--out", run_dir + "/me
 run("forecast", "--ckpt", run_dir + "/ckpt", "--data", data, "--id", "s00000",
     "--out", run_dir + "/forecast.json")
 run("gradcheck", "--max-checks", 1)
-before = scipy_loaded()
-# tracks long enough to fit, so repair fits at least one depth curve
+# tracks long enough to fit, so repair fits depth curves
 run("gen", "--n", 2, "--seed", 5, "--out", raw, "--frame", 8, "--t-min", 20, "--t-max", 24,
     "--dropout", 0.3, "--split", "1,1,0,0")
 run("repair", "--data", raw, "--out", raw + "-repaired")
-print(json.dumps({"before_repair": before, "after_repair": scipy_loaded()}))
+print(json.dumps(sorted(m for m, mod in sys.modules.items()
+                        if m.split(".")[0] == "scipy" and mod is not None)))
 """
 
 
-def test_only_repair_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # the commands print to the same stdout; the JSON line comes last
-    loaded = json.loads(_python(COMMANDS_THEN_REPAIR, str(tmp_path)).splitlines()[-1])
-    assert loaded["before_repair"] == []
-    assert "scipy.optimize" in loaded["after_repair"]
+    loaded = json.loads(_python(EVERY_COMMAND_WITHOUT_SCIPY, str(tmp_path)).splitlines()[-1])
+    assert loaded == []
+    header, *rows = (tmp_path / "raw-repaired" / "repair_report.csv").read_text().splitlines()
+    assert header.split(",")[2:] == ["n_repaired", "rmse"]
+    assert all(int(r.split(",")[2]) > 0 and r.split(",")[3] for r in rows) and len(rows) == 2

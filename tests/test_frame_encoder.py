@@ -9,7 +9,8 @@ reproduce the whole forward and the ``vis`` gradients bit for bit, and the
 prompt gradient within rtol 1e-9 / atol 1e-12 in float64; in float32 the
 prompt gradients agree to 2e-6 of the largest entry. Running the second
 half of the frames on a helper thread must change no output and no
-gradient by a single bit.
+gradient by a single bit, and neither must forming fc1's input gradient
+only in the feature columns the prompt's gradient reads.
 """
 
 import threading
@@ -245,6 +246,38 @@ class TestHelperThread:
         with pytest.raises(Boom, match=where):
             M.encode_frames(params, cfg, _frames(cfg, (16,), seed=93))
         assert threading.active_count() == before
+
+
+def _full_then_border_columns(self, dhid, w1_border, dx, dw1, rows, feats):
+    """``_Visual._fc1_grads`` forming fc1's whole input gradient at
+    ``rows`` and keeping its b2 columns, channel-major."""
+    b2, c2 = self.plan[2], self.a2.shape[2]
+    full = dhid[rows] @ self.w["vis.fc1.w"].T
+    dx[rows] = full.reshape(len(full), c2, -1)[:, :, b2].reshape(len(full), -1)
+    np.matmul(self.feats[:, feats].T, dhid, out=dw1[feats])
+
+
+# (preset, dtype, R): paper from R = 16 splits the frames over two threads
+BORDER_COLUMN_CASES = ([("paper", "float32", r) for r in (8, 16, 18, 40, 75, 85, 143, 170)]
+                       + [("paper", "float64", r) for r in (8, 40, 170)]
+                       + [("desk", "float64", r) for r in (6, 40)])
+
+
+@pytest.mark.parametrize("name, dtype, r", BORDER_COLUMN_CASES,
+                         ids=[f"{n}-{d}-{r}" for n, d, r in BORDER_COLUMN_CASES])
+def test_border_columns_of_fc1_input_gradient_are_the_full_products_bits(monkeypatch, name,
+                                                                          dtype, r):
+    # the backward multiplies by fc1's weights at the b2 columns only; every
+    # gradient must keep the bytes of taking those columns of the full product
+    cfg = {"paper": ModelConfig.paper, "desk": ModelConfig.desk}[name](compute_dtype=dtype)
+    params = _model(cfg)
+    vis = _backbone(params, cfg, _frames(cfg, (r,), seed=r), save=True)[1]
+    g = np.random.default_rng(r).standard_normal((r, cfg.d_obs)).astype(cfg.dtype)
+    fused = vis.backward(g)
+    monkeypatch.setattr(M._Visual, "_fc1_grads", _full_then_border_columns)
+    full = vis.backward(g)
+    assert vis.threaded == (name == "paper" and r >= 16)
+    assert [x.tobytes() for x in fused] == [x.tobytes() for x in full]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -264,7 +264,10 @@ class TestAdamAndFit:
             grads = {n: rng.standard_normal(a.shape) * 0.1 for n, a in ref.items()}
             for n, p in params.trainable_items():
                 p.grad = grads[n].copy()
-            opt.step(lr=1e-3 * t, clip_norm=clip_norm)
+            norm = opt.step(lr=1e-3 * t, clip_norm=clip_norm)
+            # the pre-clip norm the step returns: per-tensor dots summed in tensor order
+            assert norm == math.sqrt(sum(float(np.dot(g.ravel(), g.ravel()))
+                                         for g in grads.values()))
             total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             assert (total > clip_norm) == (clip_norm == 0.5)  # 1e3 lies above the norm
             if total > clip_norm:
@@ -310,12 +313,13 @@ class TestAdamAndFit:
                 kinds = {len(pieces) > 1 for *_, pieces in opt._chunks}
                 assert kinds == ({True, False} if chunk else {True})
                 assert 0 < opt._half_chunk < len(opt._chunks)
+                norms = []
                 for g in grads:
                     for n, p in params.trainable_items():
                         p.grad = g[n]
-                    opt.step(lr=1e-3, clip_norm=clip_norm)
+                    norms.append(opt.step(lr=1e-3, clip_norm=clip_norm))
                 states.append([params.flat.tobytes(), opt._m.tobytes(), opt._v.tobytes(),
-                               opt.t])
+                               opt.t, norms])
         finally:
             sys.setswitchinterval(interval)
         assert started == ["reachcast-helper"] * 2 * len(grads)  # the norm and the update
