@@ -21,7 +21,8 @@ optimizer-state ``.json`` that is not a JSON object; a run config whose
 that its section (model, train, loss, gen options, ``gen --frame``
 intrinsics, ``forecast --ratio``) refuses; observation ratios that do
 not parse, fall outside (0, 1) or give an empty range or one that is not
-a whole number of 0.1 steps; a negative ``eval --dump-limit``; a
+a whole number of 0.1 steps; an ``eval --splits`` or ``--ratios`` that
+names a split or a ratio twice; a negative ``eval --dump-limit``; a
 ``gradcheck --max-checks`` below 1; a dataset that is not a directory
 holding ``data.jsonl``, its frames file ``data.frames.f64`` and
 ``manifest.json``; a manifest without a ``splits`` object of id lists,
@@ -324,6 +325,8 @@ def _parse_ratios(text):
         raise ConfigError(f"--ratios: {text!r} is not a range lo..hi with 0 < lo <= hi < 1")
     if not all(0 < v < 1 for v in values):
         raise ConfigError(f"--ratios takes observation ratios in (0, 1), got {text!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"--ratios names a ratio twice: {text!r}")
     return values
 
 
@@ -333,6 +336,8 @@ def cmd_eval(args):
     params, cfg, _, norm = _open_checkpoint(args.ckpt)
     ratios = _parse_ratios(args.ratios)
     splits = args.splits.split(",")
+    if len(set(splits)) < len(splits):
+        raise ConfigError(f"--splits names a split twice: {args.splits!r}")
 
     rows = []
     dumps = []

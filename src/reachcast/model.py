@@ -33,7 +33,9 @@ The visual branch and the temporal encoders may split their work over
 two threads (``ad.both``). Each op decides that from its input against
 ``PARALLEL_MIN_MACS`` (and ``PARALLEL_MIN_ROWS`` for a row split), and
 every product keeps its shapes or its BLAS kernel, so a threaded call
-gives the bits of the serial one.
+gives the bits of the serial one. The visual branch also runs its
+convolutions over chunks of ``CONV_CHUNK`` frames, which keeps their im2col
+matrices in cache; no chunk is small enough for BLAS to change its bits.
 
 The taped compositions are kept as references in
 tests/test_frame_encoder.py, tests/test_temporal_encoder.py,
@@ -68,6 +70,9 @@ PARALLEL_MIN_MACS = 1 << 23
 # each half of a row split keeps at least this many rows: fewer take BLAS's
 # one-row and small-matrix kernels, whose bits differ
 PARALLEL_MIN_ROWS = 8
+# the visual branch convolves a call's (or a thread's) frames in chunks of
+# this many, so each chunk's im2col matrix stays in cache (see _Visual)
+CONV_CHUNK = 32
 
 
 def _conv_out(size):
@@ -370,8 +375,9 @@ def encode_frames(params, cfg, frames):
     in the compute dtype -> (R,d_obs) features, through the prompted frozen
     backbone and the ``vis`` MLP, fc1 -> tanh -> fc2 (``_Visual``).
     """
-    if frames.shape[1:] != (cfg.frame_h, cfg.frame_w):
-        raise ad.ShapeError(f"frames {frames.shape} are not (R, {cfg.frame_h}, {cfg.frame_w})")
+    if frames.shape[1:] != (cfg.frame_h, cfg.frame_w) or len(frames) == 0:
+        raise ad.ShapeError(f"frames {frames.shape} are not (R, {cfg.frame_h}, {cfg.frame_w}) "
+                            f"with R >= 1")
     names = _fused_params(cfg)["vis"]
     inputs = tuple(params[k] for k in names)
     vis = _Visual({k: params[k].data for k in names + FROZEN}, frames, cfg.prompt_width,
@@ -384,7 +390,13 @@ def _conv_tanh(x, k):
     (N,H,W,C) with k (O,C,3,3), channels-last (N,OH,OW,O). It multiplies
     the im2col matrix of ``ad.conv2d``, patch rows in (c, di, dj) column
     order, by the same kernel matrix; the matrix is one gather through a
-    cached index and is freed before the tanh, which runs in place."""
+    cached index and is freed before the tanh, which runs in place.
+
+    A frame's bits depend on how many frames share the call only for small
+    calls: on desk, in float64 and in float32, a call of 9 or fewer frames
+    differs from the same rows of a larger call, and 10 or more match
+    (OpenBLAS 0.3.31 on one thread, Intel Xeon). ``_Visual`` never passes
+    it fewer than ``CONV_CHUNK`` frames unless it has no more."""
     n, h, w, c = x.shape
     oh, ow = _conv_out(h), _conv_out(w)
     cols = np.take(x.reshape(n, -1), _patch_index(h, w, c), axis=1)
@@ -501,6 +513,18 @@ class _Visual:
     the whole set runs as one call, since halves of fewer rows take BLAS's
     one-row and small-matrix kernels, whose bits differ. Paper splits from
     R = 16, and desk (below about 1000 rows) never does.
+
+    The backbone of a call's frames, or of one thread's half, runs in
+    chunks: below 2 * ``CONV_CHUNK`` frames as one call, and from there in
+    chunks of ``CONV_CHUNK`` frames with the remainder joining the last, so
+    each convolution call sees ``CONV_CHUNK`` to 2 * ``CONV_CHUNK`` - 1
+    frames. Each chunk writes its rows of ``feats`` and of the saved
+    activations in place. The chunks keep the im2col matrices and
+    activations in cache, where a whole call's are megabytes (desk's conv1
+    matrix is 1.6 MB at R = 270). The floor of 32 frames keeps every call
+    well above the 9 frames or fewer at which ``_conv_tanh``'s bits depend
+    on the call's size, so chunking changes no bit. fc1 and fc2 stay one
+    product over the call's, or the thread's, rows.
     """
 
     def __init__(self, w, frames, pad, save):
@@ -525,6 +549,23 @@ class _Visual:
     def _forward(self, rows):
         """The forward of the frames at the slice ``rows``, written into
         those rows of ``feats``, ``hid`` and ``out`` (and of the saved
+        activations): the backbone chunk by chunk, then the MLP over all
+        of ``rows``."""
+        w = self.w
+        n = rows.stop - rows.start
+        chunks = n // CONV_CHUNK if n >= 2 * CONV_CHUNK else 1  # the remainder joins the last
+        cuts = [rows.start + i * CONV_CHUNK for i in range(1, chunks)]
+        for start, stop in zip([rows.start, *cuts], [*cuts, rows.stop]):
+            self._backbone(slice(start, stop))
+        x = np.matmul(self.feats[rows], w["vis.fc1.w"], out=self.hid[rows])
+        x += w["vis.fc1.b"]
+        np.tanh(x, out=x)
+        y = np.matmul(x, w["vis.fc2.w"], out=self.out[rows])
+        y += w["vis.fc2.b"]
+
+    def _backbone(self, rows):
+        """The prompted backbone over the frames at the slice ``rows``,
+        written into those rows of ``feats`` (and of the saved
         activations)."""
         w, pad = self.w, self.pad
         frames = self.frames[rows]
@@ -540,12 +581,6 @@ class _Visual:
         if self.save:
             _, b1, b2 = self.plan[:3]
             self.a1[rows], self.a2[rows] = a1[:, b1], a2[:, b2]
-        del a1, a2
-        x = np.matmul(self.feats[rows], w["vis.fc1.w"], out=self.hid[rows])
-        x += w["vis.fc1.b"]
-        np.tanh(x, out=x)
-        y = np.matmul(x, w["vis.fc2.w"], out=self.out[rows])
-        y += w["vis.fc2.b"]
 
     def _fc1_grads(self, dhid, w1_border, dx, dw1, rows, feats):
         """fc1's input gradient at the frames ``rows`` in the feature

@@ -683,6 +683,19 @@ def test_negative_dump_limit_refused_before_writing(dataset, trained, tmp_path, 
     assert not out.exists() and not dump.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--splits", "train,train"), ("--splits", "test_seen,train,test_seen"),
+    ("--ratios", "0.3,0.3"), ("--ratios", "0.3,0.6,0.30")])
+def test_a_split_or_ratio_named_twice_is_refused_before_writing(dataset, trained, tmp_path,
+                                                                capsys, flag, value):
+    # each would write its model and CV rows twice
+    out, dump = tmp_path / "m.csv", tmp_path / "d.json"
+    assert cli.main(["eval", "--ckpt", str(trained), "--data", str(dataset),
+                     "--out", str(out), "--dump", str(dump), flag, value]) == 2
+    assert f"error: {flag} names a" in capsys.readouterr().err
+    assert not out.exists() and not dump.exists()
+
+
 def test_dump_and_forecast_match_the_scored_predictions(dataset, trained, tmp_path,
                                                         monkeypatch):
     ckpt = str(trained)

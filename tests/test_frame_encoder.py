@@ -9,8 +9,9 @@ reproduce the whole forward and the ``vis`` gradients bit for bit, and the
 prompt gradient within rtol 1e-9 / atol 1e-12 in float64; in float32 the
 prompt gradients agree to 2e-6 of the largest entry. Running the second
 half of the frames on a helper thread must change no output and no
-gradient by a single bit, and neither must forming fc1's input gradient
-only in the feature columns the prompt's gradient reads.
+gradient by a single bit, and neither must running the convolutions in
+chunks of ``CONV_CHUNK`` frames, nor forming fc1's input gradient only in
+the feature columns the prompt's gradient reads.
 """
 
 import threading
@@ -212,7 +213,9 @@ class TestHelperThread:
             per_row = cfg.flat_dim() * cfg.vis_hidden
             assert edge == max(-(-M.PARALLEL_MIN_MACS // per_row), 2 * M.PARALLEL_MIN_ROWS)
         rng = np.random.default_rng(91)
-        for r, threads in ((edge - 1, 0), (edge, 2), (edge + 1, 2), (2 * edge + 7, 2)):
+        # the last R gives each half more than two chunks' worth of frames
+        for r, threads in ((edge - 1, 0), (edge, 2), (edge + 1, 2), (2 * edge + 7, 2),
+                           (4 * M.CONV_CHUNK + 7, 2)):
             frames = _frames(cfg, (r,), seed=r)
             weight = rng.standard_normal((r, cfg.d_obs)).astype(cfg.dtype)
             started = []
@@ -246,6 +249,75 @@ class TestHelperThread:
         with pytest.raises(Boom, match=where):
             M.encode_frames(params, cfg, _frames(cfg, (16,), seed=93))
         assert threading.active_count() == before
+
+
+# (preset, dtype, R): R from 63 to 65 sits at the first chunk edge, 2 *
+# CONV_CHUNK; paper's R = 174 gives each thread 87 frames, two chunks
+CHUNK_CASES = [(name, dtype, r) for name, dtype in (("tiny", "float64"), ("desk", "float64"),
+                                                    ("desk", "float32"), ("paper", "float32"))
+               for r in (63, 64, 65, 101, 290)] + [("paper", "float32", 174)]
+
+
+def _chunk_case(name, dtype, r):
+    cfg = PRESETS[name](compute_dtype=dtype)
+    return cfg, _model(cfg), _frames(cfg, (r,), seed=r)
+
+
+@pytest.mark.parametrize("name, dtype, r", CHUNK_CASES,
+                         ids=[f"{n}-{d}-{r}" for n, d, r in CHUNK_CASES])
+class TestConvChunks:
+    def test_forward_is_the_references_bits(self, name, dtype, r):
+        cfg, params, frames = _chunk_case(name, dtype, r)
+        np.testing.assert_array_equal(_backbone(params, cfg, frames)[0],
+                                      reference_encoder(params, cfg, frames).data)
+        np.testing.assert_array_equal(M.encode_frames(params, cfg, frames).data,
+                                      reference_encode_frames(params, cfg, frames).data)
+
+    def test_saved_activations_and_gradients_are_the_unchunked_bits(self, monkeypatch, name,
+                                                                    dtype, r):
+        cfg, params, frames = _chunk_case(name, dtype, r)
+        weight = np.random.default_rng(r).standard_normal((r, cfg.d_obs)).astype(cfg.dtype)
+        runs = []
+        for chunk in (M.CONV_CHUNK, float("inf")):
+            with monkeypatch.context() as mp:
+                mp.setattr(M, "CONV_CHUNK", chunk)
+                vis = _backbone(params, cfg, frames, save=True)[1]
+                runs.append((vis.a1.tobytes(), vis.a2.tobytes(),
+                             _visual_grads(params, cfg, frames, weight)))
+        assert runs[0] == runs[1]
+
+
+# (preset, R, the frames each convolution call's segment holds: the whole
+# set, or each thread's half above paper's gate)
+CHUNK_RULE_CASES = [("desk", r, [r]) for r in (1, 31, 63, 64, 65, 95, 96, 127, 290)] + [
+    ("paper", 16, [8, 8]), ("paper", 126, [63, 63]), ("paper", 128, [64, 64]),
+    ("paper", 174, [87, 87])]
+
+
+@pytest.mark.parametrize("name, r, segments", CHUNK_RULE_CASES,
+                         ids=[f"{n}-{r}" for n, r, _ in CHUNK_RULE_CASES])
+def test_each_convolution_call_sees_a_whole_segment_or_a_chunk(monkeypatch, name, r, segments):
+    # fewer than 2 * CONV_CHUNK frames run whole; more are cut into calls of
+    # CONV_CHUNK to 2 * CONV_CHUNK - 1 frames, above BLAS's small-call sizes
+    cfg = PRESETS[name]()
+    params = _model(cfg)
+    calls = {"enc.conv1.k": [], "enc.conv2.k": []}
+    conv_tanh = M._conv_tanh
+
+    def spy(x, k):
+        calls["enc.conv1.k" if k is params["enc.conv1.k"].data else "enc.conv2.k"].append(len(x))
+        return conv_tanh(x, k)
+
+    monkeypatch.setattr(M, "_conv_tanh", spy)
+    M.encode_frames(params, cfg, _frames(cfg, (r,), seed=r))
+    chunk = M.CONV_CHUNK
+    for sizes in calls.values():
+        assert sum(sizes) == r
+        if max(segments) < 2 * chunk:
+            assert sorted(sizes) == sorted(segments)
+        else:
+            assert len(sizes) == sum(n // chunk for n in segments)
+            assert all(chunk <= n < 2 * chunk for n in sizes), sizes
 
 
 def _full_then_border_columns(self, dhid, w1_border, dx, dw1, rows, feats):

@@ -241,8 +241,13 @@ class TestFrameEncoder:
 
     def test_size_mismatch_rejected(self, desk):
         cfg, params = desk
-        with pytest.raises(ad.ShapeError):
+        with pytest.raises(ad.ShapeError, match=r"frames \(16, 8, 8\) are not \(R, 16, 16\)"):
             M.encode_frames(params, cfg, np.zeros((cfg.horizon, 8, 8)))
+
+    def test_empty_frame_set_rejected(self, desk):
+        cfg, params = desk
+        with pytest.raises(ad.ShapeError, match=r"frames \(0, 16, 16\) are not .* R >= 1"):
+            M.encode_frames(params, cfg, np.zeros((0, 16, 16)))
 
     def test_frozen_encoder_gets_no_gradient(self, desk):
         cfg, params = desk
