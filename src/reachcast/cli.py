@@ -48,6 +48,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -433,7 +434,11 @@ def cmd_gradcheck(args):
 # parser
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built on first use and then shared: ``main`` looks
+    each command's ``cmd_<command>`` up by name when it runs, so a patched
+    one runs too."""
     parser = _Parser(
         prog="reachcast",
         description="Egocentric 3D reach-trajectory forecasting: synthetic data, "
@@ -453,13 +458,11 @@ def build_parser():
     p.add_argument("--frame", type=int, default=int(defaults.intrinsics.width),
                    help="square frame side in pixels")
     p.add_argument("--split", help="counts train,val,test_seen,test_unseen")
-    p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("repair", help="repair missing depths via least-squares fitting; "
                                       "the report is <out>/repair_report.csv")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_repair)
 
     p = sub.add_parser("train", help="train a forecaster")
     p.add_argument("--config", help="run-config JSON")
@@ -472,7 +475,6 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--observation-mode", choices=trainer.OBSERVATION_MODES)
     p.add_argument("--resume", help="checkpoint base path to continue from")
-    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="ADE/FDE metrics of the model and the constant-velocity "
                                     "baseline over splits and ratios")
@@ -483,7 +485,6 @@ def build_parser():
     p.add_argument("--out", default="metrics.csv")
     p.add_argument("--dump", help="write per-sample trajectory JSON here")
     p.add_argument("--dump-limit", type=int, default=8)
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("forecast", help="forecast one sample and dump JSON")
     p.add_argument("--ckpt", required=True)
@@ -491,7 +492,6 @@ def build_parser():
     p.add_argument("--id", required=True)
     p.add_argument("--ratio", type=float, default=0.6)
     p.add_argument("--out", default="forecast.json")
-    p.set_defaults(fn=cmd_forecast)
 
     p = sub.add_parser("gradcheck", help="verify model gradients by finite differences")
     p.add_argument("--preset", choices=sorted(MODEL_PRESETS), default="tiny")
@@ -499,14 +499,13 @@ def build_parser():
     p.add_argument("--frame", type=int, default=8)
     p.add_argument("--observed", type=int, default=5)
     p.add_argument("--max-checks", type=int, default=6, help="FD probes per tensor")
-    p.set_defaults(fn=cmd_gradcheck)
     return parser
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, FileNotFoundError, NotADirectoryError, datagen.ParseError,
             model.CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)

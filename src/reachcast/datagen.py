@@ -19,7 +19,9 @@ refuses a dataset that lacks any of them.
   pixels: {format, id, scene, T, intrinsics:{fx,fy,ox,oy,w,h},
   poses:[[16 doubles]...], points_local:[[x,y,z]...], valid_depth:[bool...],
   frames_at}. ``format`` is 2 and ``frames_at`` is the element (not byte)
-  offset of the sample's first pixel in the frames file.
+  offset of the sample's first pixel in the frames file. ``T`` is a JSON
+  integer, ``w`` and ``h`` are integral (16 or 16.0), and every
+  ``valid_depth`` entry is a JSON boolean; anything else is a ParseError.
 - The frames file sits beside the data file, named from its path
   (``data.jsonl`` -> ``data.frames.f64``). It is raw little-endian float64
   with no header: the samples in line order, each one's frames in C order
@@ -33,6 +35,12 @@ The reader takes format 2 only. A format-1 line (frames inline as a
 ``reachcast gen``. Global points are not serialized; readers recompute them
 through the pose chain. Missing depth is stored as a zero sentinel with its
 validity flag cleared.
+
+``read_dataset`` reads in two passes: the lines in file order (decode,
+checks, frames), then every pose chain in one ``PoseChain.stack`` and every
+global point in one product. The error it raises is still the first in
+file order: a bad pose wins over any later line's error, and over a later
+check of its own line.
 """
 
 from __future__ import annotations
@@ -45,7 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, PoseChain, project
+from .geometry import (CameraIntrinsics, PoseChain, PoseError, poses_from_flat, project,
+                       to_global)
 
 DESK_INTRINSICS = CameraIntrinsics(fx=16.0, fy=16.0, ox=8.0, oy=8.0, width=16, height=16)
 
@@ -362,9 +371,21 @@ def _sample_to_json(s, frames_at):
     }
 
 
-def _sample_from_json(doc, line_no, frames_file, frames_at, frames_size):
-    """One sample from its line and its frames, which start at element
-    ``frames_at`` of the open frames file of ``frames_size`` bytes."""
+def _whole(x):
+    """Whether ``x`` is a JSON number with an integral value (16 or 16.0)."""
+    return type(x) in (int, float) and float(x).is_integer()
+
+
+def _line_fields(doc, line_no, frames_file, frames_at, frames_size, pending):
+    """Pass 1 of ``read_dataset`` for one decoded line: every check but the
+    rigidity of its poses, and the read of its frames, which start at
+    element ``frames_at`` of the open frames file of ``frames_size`` bytes.
+
+    The line's (T, 4, 4) poses go onto ``pending`` with its line number and
+    id as soon as their shape is checked, so a later failure on this line
+    still lets a bad pose win, as it would have in file order. Returns the
+    sample's fields other than its chain and global points.
+    """
     if not isinstance(doc, dict):
         raise ParseError(line_no, "not a JSON object")
     if doc.get("format", 1) != FORMAT:
@@ -375,12 +396,21 @@ def _sample_from_json(doc, line_no, frames_file, frames_at, frames_size):
     for key in required:
         if key not in doc:
             raise ParseError(line_no, f"missing key {key!r}")
-    t = int(doc["T"])
+    t = doc["T"]
+    if type(t) is not int:
+        raise ValueError(f"T must be a JSON integer, got {t!r}")
     intr = CameraIntrinsics.from_dict(doc["intrinsics"])
-    chain = PoseChain.from_flat(doc["poses"])
+    if not (_whole(intr.width) and _whole(intr.height)):
+        raise ValueError(f"intrinsics w and h must be integral, got w={intr.width!r}, "
+                         f"h={intr.height!r}")
+    poses = poses_from_flat(doc["poses"])
+    pending.append((line_no, doc["id"], poses))
     local = np.asarray(doc["points_local"], dtype=np.float64)
-    valid = np.asarray(doc["valid_depth"], dtype=bool)
-    if local.shape != (t, 3) or len(chain) != t or valid.shape != (t,):
+    flags = doc["valid_depth"]
+    if not isinstance(flags, list) or any(type(v) is not bool for v in flags):
+        raise ValueError("valid_depth must be a list of JSON booleans")
+    valid = np.array(flags, dtype=bool)
+    if local.shape != (t, 3) or len(poses) != t or valid.shape != (t,):
         raise ParseError(line_no, f"inconsistent lengths for sample {doc['id']!r}")
     if doc["frames_at"] != frames_at:
         raise ValueError(f"frames_at is {doc['frames_at']!r}, but the frames before "
@@ -391,11 +421,19 @@ def _sample_from_json(doc, line_no, frames_file, frames_at, frames_size):
         raise ValueError(f"frames file {frames_file.name} ends {missing} bytes "
                          "before this sample's frames do")
     frames_file.readinto(frames)
-    world = chain.local_to_global(local, np.arange(1, t + 1))
-    return TrajectorySample(
-        id=doc["id"], scene=doc["scene"], frames=frames, points_local=local,
-        points_global=world, poses=chain, intrinsics=intr, valid_depth=valid,
-    )
+    return dict(id=doc["id"], scene=doc["scene"], frames=frames, points_local=local,
+                intrinsics=intr, valid_depth=valid)
+
+
+def _chains(pending):
+    """Pass 2's pose chains of the ``pending`` (line_no, id, poses) entries,
+    in one ``PoseChain.stack``; the first bad pose in file order raises the
+    ParseError of its line."""
+    try:
+        return PoseChain.stack([poses for _, _, poses in pending])
+    except PoseError as e:
+        line_no, sid, _ = pending[e.chain]
+        raise ParseError(line_no, f"sample {sid!r}: {e}") from e
 
 
 def write_dataset(samples, manifest, out_dir):
@@ -439,42 +477,60 @@ def read_dataset(path):
     """Read the dataset directory ``path``; returns (samples, manifest).
 
     Every sample is read before this returns, into its own frames array, so
-    a dataset can be rewritten in place from what it returns. Global points
-    are recomputed from the stored local points and pose chains. Malformed
-    lines, and a frames file that does not hold exactly the lines' frames,
-    raise ParseError with a line number. A missing manifest, data file or
-    frames file raises FileNotFoundError, the manifest's before any sample
-    is read.
+    a dataset can be rewritten in place from what it returns. It reads in
+    two passes. Pass 1 goes through the lines in file order: it decodes
+    each, checks everything but the rigidity of its poses, and reads its
+    frames. Pass 2 builds every pose chain with one ``PoseChain.stack`` and
+    recomputes every sample's global points from its stored local points
+    in one product. Malformed lines, and a frames file that does not hold
+    exactly the lines' frames, raise ParseError with a line number, and the
+    error raised is the first in file order: when pass 1 fails on a line,
+    the poses of the lines before it, and of that line if their shape was
+    read, are checked first, and a bad pose among them wins. A missing
+    manifest, data file or frames file raises FileNotFoundError, the
+    manifest's before any sample is read.
     """
     manifest = read_manifest(path)
     data_path = Path(path) / "data.jsonl"
     frames_path = _frames_path(data_path)
-    samples = []
+    fields, pending = [], []
     frames_at = last_line = 0
     with open(data_path) as f, open(frames_path, "rb") as frames_file:
         frames_size = os.fstat(frames_file.fileno()).st_size
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(line_no, f"invalid JSON: {e}") from e
-            try:
-                sample = _sample_from_json(doc, line_no, frames_file, frames_at, frames_size)
-            except ParseError:
-                raise
-            except (ValueError, TypeError, KeyError) as e:
-                raise ParseError(line_no, f"sample {doc.get('id')!r}: {e}") from e
-            samples.append(sample)
-            frames_at += sample.frames.size
-            last_line = line_no
+        try:
+            for line_no, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ParseError(line_no, f"invalid JSON: {e}") from e
+                try:
+                    sample = _line_fields(doc, line_no, frames_file, frames_at, frames_size,
+                                          pending)
+                except ParseError:
+                    raise
+                except (ValueError, TypeError, KeyError) as e:
+                    raise ParseError(line_no, f"sample {doc.get('id')!r}: {e}") from e
+                fields.append(sample)
+                frames_at += sample["frames"].size
+                last_line = line_no
+        except ParseError:
+            _chains(pending)
+            raise
+    chains = _chains(pending)
     extra = frames_size - frames_at * FRAMES_DTYPE.itemsize
     if extra:
-        sid = samples[-1].id if samples else None
+        sid = fields[-1]["id"] if fields else None
         raise ParseError(max(last_line, 1), f"sample {sid!r}: frames file {frames_path} has "
                                             f"{extra} bytes after the last sample's frames")
-    return samples, manifest
+    if not fields:
+        return [], manifest
+    local = np.concatenate([s["points_local"] for s in fields])
+    world = to_global(local, np.concatenate([c.cumulative[1:] for c in chains]))
+    ends = np.cumsum([len(c) for c in chains])
+    return [TrajectorySample(**s, points_global=w, poses=c)
+            for s, w, c in zip(fields, np.split(world, ends[:-1]), chains)], manifest
 
 
 def split_samples(samples, manifest, split):

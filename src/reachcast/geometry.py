@@ -76,15 +76,36 @@ def to_local(p, products):
     return (p[..., None, :] @ products[..., :3, :3])[..., 0, :]
 
 
+def to_global(p, products):
+    """Lift local points into the world frame, the inverse of ``to_local``:
+    ``p[..., i, :]`` through ``products[i]``, one (1,3) @ (3,3) product per
+    point, so any stack of points and products is bit-identical to a loop
+    over them."""
+    p = np.asarray(p, dtype=np.float64)[..., None, :]
+    return (p @ np.swapaxes(products[..., :3, :3], -1, -2))[..., 0, :] + products[..., :3, 3]
+
+
 _BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
 
 
-def _checked_poses(m, tol=1e-6):
+class PoseError(ValueError):
+    """A pose that is not a rigid transform. ``chain`` is the 0-based index,
+    among the stacks checked together (see ``PoseChain.stack``), of the
+    chain that holds it."""
+
+    def __init__(self, message, chain=0):
+        super().__init__(message)
+        self.chain = chain
+
+
+def _checked_poses(m, tol=1e-6, starts=(0,)):
     """Validate a (T, 4, 4) stack of rigid transforms and make it read-only.
 
     Each pose must be finite, have the bottom row [0, 0, 0, 1] and an
-    orthonormal rotation block, both within ``tol``. The error names the
-    first failing 1-based step.
+    orthonormal rotation block, both within ``tol``. The stack may be the
+    concatenation of several chains whose first rows are the ascending
+    ``starts``; the PoseError names the first failing pose by its chain
+    and its 1-based step in that chain.
     """
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise ValueError(f"poses must be a stack of 4x4 matrices, got shape {m.shape}")
@@ -95,14 +116,15 @@ def _checked_poses(m, tol=1e-6):
         ortho = (np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)) <= tol).all(axis=(1, 2))
     bad = np.flatnonzero(~(finite & bottom & ortho))
     if len(bad):
-        i = bad[0]
+        i = int(bad[0])
         if not finite[i]:
             reason = "has a non-finite entry"
         elif not bottom[i]:
             reason = f"bottom row must be [0,0,0,1], got {m[i, 3]}"
         else:
             reason = f"rotation block is not orthonormal within {tol:g}"
-        raise ValueError(f"pose at step {i + 1} {reason}")
+        chain = int(np.searchsorted(starts, i, side="right")) - 1
+        raise PoseError(f"pose at step {i - int(starts[chain]) + 1} {reason}", chain)
     m.setflags(write=False)
     return m
 
@@ -137,6 +159,12 @@ class PoseChain:
     [t] = [t-1] @ M_t, and [t] maps frame-t local coordinates to the world
     (first camera) frame.
 
+    ``stack`` builds many chains at once: one check of all their poses, and
+    step t's products of every chain at least t long as one stacked
+    product, in lock step over t. Each product is the same 4x4 BLAS product
+    a chain built alone forms, so the bytes do not depend on the company a
+    chain is built in. ``PoseChain(poses)`` is its one-chain case.
+
     Lifting and lowering take a 1-based step ``t``: one step for all
     points, or an array of steps, one per point (``p[i]`` at ``t[i]``).
     Each point is one (1,3) @ (3,3) product either way, so a whole
@@ -147,16 +175,30 @@ class PoseChain:
 
     def __init__(self, poses):
         """``poses``: Pose objects or 4x4 arrays, or one (T, 4, 4) array."""
-        m = _checked_poses(np.array([p.matrix if isinstance(p, Pose) else p for p in poses],
-                                    dtype=np.float64))
-        self._matrices = m
+        if not isinstance(poses, np.ndarray):
+            poses = [p.matrix if isinstance(p, Pose) else p for p in poses]
+        m = np.array(poses, dtype=np.float64)
+        ((self._matrices, self._cumulative),) = _chain_arrays(m, [len(m)])
         self._poses = None
-        cum = np.empty((len(m) + 1, 4, 4))
-        cum[0] = np.eye(4)
-        for t in range(1, len(m) + 1):
-            cum[t] = cum[t - 1] @ m[t - 1]
-        cum.setflags(write=False)
-        self._cumulative = cum
+
+    @classmethod
+    def stack(cls, stacks):
+        """One chain per (T_i, 4, 4) array of the list ``stacks``, built in
+        one pass (see the class docstring). A pose that fails the check
+        raises a PoseError naming its chain's index and its step there."""
+        stacks = [np.asarray(m, dtype=np.float64) for m in stacks]
+        for i, m in enumerate(stacks):
+            if m.ndim != 3 or m.shape[1:] != (4, 4):
+                raise PoseError(f"poses must be a stack of 4x4 matrices, got shape {m.shape}", i)
+        if not stacks:
+            return []
+        chains = []
+        for matrices, cumulative in _chain_arrays(np.concatenate(stacks),
+                                                  [len(m) for m in stacks]):
+            chain = object.__new__(cls)
+            chain._matrices, chain._cumulative, chain._poses = matrices, cumulative, None
+            chains.append(chain)
+        return chains
 
     @property
     def cumulative(self):
@@ -181,9 +223,7 @@ class PoseChain:
 
     def local_to_global(self, p, t):
         """Carry frame-t local points into the world frame."""
-        m = self._products(t)
-        p = np.asarray(p, dtype=np.float64)[..., None, :]
-        return (p @ np.swapaxes(m[..., :3, :3], -1, -2))[..., 0, :] + m[..., :3, 3]
+        return to_global(p, self._products(t))
 
     def global_to_local(self, p, t):
         """Inverse of local_to_global at the same steps."""
@@ -195,7 +235,49 @@ class PoseChain:
 
     @classmethod
     def from_flat(cls, rows):
-        m = np.asarray(rows, dtype=np.float64)
-        if m.ndim != 2 or m.shape[1] != 16:
-            raise ValueError(f"poses must be rows of 16 values, got shape {m.shape}")
-        return cls(m.reshape(-1, 4, 4))
+        return cls(poses_from_flat(rows))
+
+
+def poses_from_flat(rows):
+    """The (T, 4, 4) poses of the serialized rows of 16 doubles."""
+    m = np.asarray(rows, dtype=np.float64)
+    if m.ndim != 2 or m.shape[1] != 16:
+        raise ValueError(f"poses must be rows of 16 values, got shape {m.shape}")
+    return m.reshape(-1, 4, 4)
+
+
+def _chain_arrays(flat, lengths):
+    """Check the concatenated poses ``flat`` of chains of ``lengths`` and
+    return each chain's (matrices, cumulative) pair of read-only views.
+
+    The products of all chains are one (k, T_max+1, 4, 4) array, filled in
+    lock step: the chains sorted by length, longest first, step t is one
+    stacked matmul over the chains at least t long. A lone chain takes a
+    2-D ``np.dot`` per step instead; both form each product with the same
+    4x4 BLAS call, so the bytes are the same.
+    """
+    starts = np.cumsum(lengths) - lengths
+    _checked_poses(flat, starts=starts)
+    if len(lengths) == 1:
+        cum = np.empty((len(flat) + 1, 4, 4))
+        cum[0] = np.eye(4)
+        rows = list(cum)
+        for a, m, out in zip(rows, flat, rows[1:]):
+            np.dot(a, m, out=out)
+        cum.setflags(write=False)
+        return [(flat, cum)]
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    t_max = int(lengths[order[0]])
+    # row r of `padded` is chain order[r]'s poses, its last pose repeated past its end
+    padded = flat[starts[order, None] + np.minimum(np.arange(t_max), lengths[order, None] - 1)]
+    cum = np.empty((len(lengths), t_max + 1, 4, 4))
+    cum[:, 0] = np.eye(4)
+    live = np.searchsorted(-lengths[order], -np.arange(1, t_max + 1), side="right")
+    for t, n in enumerate(live.tolist(), start=1):
+        np.matmul(cum[:n, t - 1], padded[:n, t - 1], out=cum[:n, t])
+    cum.setflags(write=False)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return [(flat[a : a + n], cum[r, : n + 1])
+            for a, n, r in zip(starts.tolist(), lengths.tolist(), rank.tolist())]

@@ -238,6 +238,34 @@ def test_argparse_errors_return_2(tmp_path, capsys, monkeypatch, argv, message):
     assert not any(tmp_path.iterdir())
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main builds the parser once per process: calls after a usage error or
+    # --help parse as the first did, and a patched cmd_* is the one that runs
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "--n", "4", "--seed", "2", "--frame", "8", "--t-min", "6", "--t-max", "8",
+            "--split", "1,1,1,1", "--out"]
+    assert cli.main(argv + ["a"]) == 0
+    parser = cli.build_parser()
+    capsys.readouterr()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["gen", "--help"])
+        assert exit_.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--t-min" in helps[0]
+    assert cli.main(["gen", "--n", "x", "--out", "o"]) == 2
+    assert "argument --n: invalid int value: 'x'" in capsys.readouterr().err
+    assert cli.main(argv + ["b"]) == 0
+    assert cli.build_parser() is parser
+    for name in ("data.jsonl", "data.frames.f64", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_repair", lambda args: seen.append((args.data, args.out)) or 0)
+    assert cli.main(["repair", "--data", "a", "--out", "c"]) == 0
+    assert seen == [("a", "c")] and not (tmp_path / "c").exists()
+
+
 def test_seed_flag_wins_over_train_seed(dataset, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"train": {"seed": 5}}))

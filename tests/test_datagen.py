@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,104 @@ from reachcast.geometry import CameraIntrinsics, PoseChain, project
 
 # non-square frames (12 rows, 20 columns), so a swapped H and W shows
 WIDE_INTRINSICS = CameraIntrinsics(fx=16.0, fy=16.0, ox=10.0, oy=6.0, width=20, height=12)
+
+
+def reference_sample(doc, line_no, frames_file, frames_at, frames_size):
+    """One line's sample, read and checked on its own: its chain built and
+    its points lifted before the next line is read."""
+    if not isinstance(doc, dict):
+        raise ParseError(line_no, "not a JSON object")
+    if doc.get("format", 1) != dg.FORMAT:
+        raise ValueError(f"wire format {doc.get('format', 1)!r}, not {dg.FORMAT}; "
+                         "re-run `reachcast gen` to write the dataset again")
+    for key in ("id", "scene", "T", "intrinsics", "poses", "points_local", "valid_depth",
+                "frames_at"):
+        if key not in doc:
+            raise ParseError(line_no, f"missing key {key!r}")
+    t = doc["T"]
+    if type(t) is not int:
+        raise ValueError(f"T must be a JSON integer, got {t!r}")
+    intr = CameraIntrinsics.from_dict(doc["intrinsics"])
+    if not all(type(x) in (int, float) and float(x).is_integer()
+               for x in (intr.width, intr.height)):
+        raise ValueError(f"intrinsics w and h must be integral, got w={intr.width!r}, "
+                         f"h={intr.height!r}")
+    chain = PoseChain.from_flat(doc["poses"])
+    local = np.asarray(doc["points_local"], dtype=np.float64)
+    flags = doc["valid_depth"]
+    if not isinstance(flags, list) or not all(type(v) is bool for v in flags):
+        raise ValueError("valid_depth must be a list of JSON booleans")
+    valid = np.array(flags, dtype=bool)
+    if local.shape != (t, 3) or len(chain) != t or valid.shape != (t,):
+        raise ParseError(line_no, f"inconsistent lengths for sample {doc['id']!r}")
+    if doc["frames_at"] != frames_at:
+        raise ValueError(f"frames_at is {doc['frames_at']!r}, but the frames before "
+                         f"this sample end at {frames_at}")
+    frames = np.empty((t, int(intr.height), int(intr.width)), dtype="<f8")
+    missing = frames_at * 8 + frames.nbytes - frames_size
+    if missing > 0:
+        raise ValueError(f"frames file {frames_file.name} ends {missing} bytes "
+                         "before this sample's frames do")
+    frames_file.readinto(frames)
+    return dg.TrajectorySample(
+        id=doc["id"], scene=doc["scene"], frames=frames, points_local=local,
+        points_global=chain.local_to_global(local, np.arange(1, t + 1)), poses=chain,
+        intrinsics=intr, valid_depth=valid)
+
+
+def reference_read_dataset(path):
+    """``read_dataset`` a sample at a time, in file order."""
+    manifest = dg.read_manifest(path)
+    data_path = Path(path) / "data.jsonl"
+    frames_path = data_path.with_suffix(".frames.f64")
+    samples, frames_at, last_line = [], 0, 0
+    with open(data_path) as f, open(frames_path, "rb") as frames_file:
+        frames_size = os.fstat(frames_file.fileno()).st_size
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(line_no, f"invalid JSON: {e}") from e
+            try:
+                sample = reference_sample(doc, line_no, frames_file, frames_at, frames_size)
+            except ParseError:
+                raise
+            except (ValueError, TypeError, KeyError) as e:
+                raise ParseError(line_no, f"sample {doc.get('id')!r}: {e}") from e
+            samples.append(sample)
+            frames_at += sample.frames.size
+            last_line = line_no
+    extra = frames_size - frames_at * 8
+    if extra:
+        sid = samples[-1].id if samples else None
+        raise ParseError(max(last_line, 1), f"sample {sid!r}: frames file {frames_path} has "
+                                            f"{extra} bytes after the last sample's frames")
+    return samples, manifest
+
+
+def assert_same_samples(got, want):
+    """Field for field and byte for byte."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.id, a.scene, a.intrinsics, a.horizon) == (b.id, b.scene, b.intrinsics,
+                                                             b.horizon)
+        for x, y in ((a.frames, b.frames), (a.points_local, b.points_local),
+                     (a.points_global, b.points_global), (a.valid_depth, b.valid_depth),
+                     (a.poses.cumulative, b.poses.cumulative),
+                     (np.array([p.matrix for p in a.poses.poses]),
+                      np.array([p.matrix for p in b.poses.poses]))):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+            assert x.tobytes() == y.tobytes()
+        assert a.frames.flags.owndata and not a.poses.cumulative.flags.writeable
+
+
+def read_error(reader, path):
+    """The ParseError ``reader`` raises on the dataset at ``path``."""
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    return err.value
 
 
 def reference_small_rotation(omega):
@@ -308,7 +410,6 @@ class TestWireFormat:
             read_dataset(tmp_path)
 
     def test_missing_key_reports_number(self, tmp_path):
-        import json
         samples, manifest = gen_dataset(2, master_seed=2, options=GenOptions(split_counts=(1, 0, 1, 0)))
         write_dataset(samples, manifest, tmp_path)
         lines = (tmp_path / "data.jsonl").read_text().splitlines()
@@ -348,7 +449,6 @@ class TestWireFormat:
         "nan rotation", "inf translation", "2-wide point", "short frame row", "null T",
     ])
     def test_malformed_sample_reports_line_and_id(self, tmp_path, case):
-        import json
         samples, manifest = gen_dataset(3, master_seed=2, options=GenOptions(split_counts=(1, 1, 1, 0)))
         write_dataset(samples, manifest, tmp_path)
         lines = (tmp_path / "data.jsonl").read_text().splitlines()
@@ -365,7 +465,6 @@ class TestWireFormat:
     @staticmethod
     def _three_samples(path):
         """Write three samples to ``path``; returns their decoded lines."""
-        import json
         samples, manifest = gen_dataset(3, master_seed=2, options=GenOptions(split_counts=(1, 1, 1, 0)))
         write_dataset(samples, manifest, path)
         return [json.loads(line) for line in (path / "data.jsonl").read_text().splitlines()]
@@ -411,7 +510,6 @@ class TestWireFormat:
 
     @pytest.mark.parametrize("case", ["format 1", "format 3"])
     def test_other_wire_formats_refused(self, tmp_path, case):
-        import json
         docs = self._three_samples(tmp_path)
         samples = read_dataset(tmp_path)[0]
         doc = docs[1]
@@ -439,6 +537,130 @@ class TestWireFormat:
             f.write("[1, 2]\n")
         with pytest.raises(ParseError, match="^line 4: not a JSON object"):
             read_dataset(tmp_path)
+
+
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    def test_read_is_the_sample_at_a_time_read(self, tmp_path, preset):
+        # two passes give what reading each line on its own gives, bit for bit
+        size, (t_min, t_max), n = {"desk": (16, (12, 16), 16), "paper": (64, (32, 40), 6)}[preset]
+        side = float(size)
+        intrinsics = CameraIntrinsics(fx=side, fy=side, ox=side / 2, oy=side / 2,
+                                      width=side, height=side)
+        opts = GenOptions(t_min=t_min, t_max=t_max, depth_dropout=0.3, intrinsics=intrinsics,
+                          split_counts=(n, 0, 0, 0))
+        write_dataset(*gen_dataset(n, 17, opts), tmp_path)
+        got, manifest = read_dataset(tmp_path)
+        want, manifest2 = reference_read_dataset(tmp_path)
+        assert manifest == manifest2
+        assert_same_samples(got, want)
+
+    @pytest.mark.parametrize("case", [
+        "15-value pose", "15-value poses", "non-rigid pose", "bad bottom row",
+        "nan rotation", "inf translation", "2-wide point", "short frame row", "null T",
+    ])
+    def test_malformed_sample_keeps_its_message(self, tmp_path, case):
+        docs = self._three_samples(tmp_path)
+        self._corrupt(docs[1], case, tmp_path / "data.frames.f64")
+        (tmp_path / "data.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+        got = read_error(read_dataset, tmp_path)
+        want = read_error(reference_read_dataset, tmp_path)
+        assert (got.line_no, str(got)) == (want.line_no, str(want))
+
+    def test_pose_message_is_pinned(self, tmp_path):
+        docs = self._three_samples(tmp_path)
+        self._corrupt(docs[1], "non-rigid pose", None)
+        (tmp_path / "data.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+        assert str(read_error(read_dataset, tmp_path)) == (
+            "line 2: sample 's00001': pose at step 3 rotation block is not orthonormal "
+            "within 1e-06")
+
+    @pytest.mark.parametrize("edit, line, message", [
+        pytest.param(lambda lines: (lines[1].update(bad=True), lines[2].update(json=True)), 2,
+                     "pose at step 3", id="bad pose before bad JSON"),
+        pytest.param(lambda lines: (lines[2].update(bad=True), lines[1].update(json=True)), 2,
+                     "invalid JSON", id="bad JSON before bad pose"),
+        pytest.param(lambda lines: (lines[0].update(bad=True), lines[2].update(bad=True)), 1,
+                     "pose at step 3", id="first of two bad poses"),
+        pytest.param(lambda lines: lines[1].update(bad=True, point=True), 2, "pose at step 3",
+                     id="bad pose before a bad point on its line"),
+        pytest.param(lambda lines: lines[1].update(shape=True, point=True), 2,
+                     "poses must be rows of 16", id="bad pose shape before a bad point"),
+        pytest.param(lambda lines: lines[2].update(bad=True, short=True), 3, "pose at step 3",
+                     id="bad pose before its line's short frames"),
+        pytest.param(lambda lines: (lines[2].update(bad=True), lines[1].update(short=True)), 2,
+                     "frames file .* ends", id="short frames before a later bad pose"),
+        pytest.param(lambda lines: lines[2].update(bad=True, trailing=True), 3,
+                     "pose at step 3", id="bad pose before trailing frames"),
+        pytest.param(lambda lines: (lines[0].update(bad=True), lines[2].update(T=1.5)), 1,
+                     "pose at step 3", id="bad pose before a bad T"),
+    ])
+    def test_first_error_in_file_order_wins(self, tmp_path, edit, line, message):
+        docs = self._three_samples(tmp_path)
+        frames = tmp_path / "data.frames.f64"
+        faults = [{} for _ in docs]
+        edit(faults)
+        texts = []
+        for doc, fault in zip(docs, faults):
+            if fault.get("bad"):
+                doc["poses"][2][0] = 1.5
+            if fault.get("shape"):
+                doc["poses"] = [row[:15] for row in doc["poses"]]
+            if fault.get("point"):
+                doc["points_local"][4] = doc["points_local"][4][:2]
+            if "T" in fault:
+                doc["T"] = fault["T"]
+            if fault.get("short"):
+                frames.write_bytes(frames.read_bytes()[: (doc["frames_at"] + 5) * 8])
+            if fault.get("trailing"):
+                frames.write_bytes(frames.read_bytes() + b"\0" * 8)
+            texts.append(json.dumps(doc)[:-9] if fault.get("json") else json.dumps(doc))
+        (tmp_path / "data.jsonl").write_text("".join(t + "\n" for t in texts))
+        got = read_error(read_dataset, tmp_path)
+        want = read_error(reference_read_dataset, tmp_path)
+        assert (got.line_no, str(got)) == (want.line_no, str(want))
+        assert got.line_no == line
+        assert re.match(f"line {line}: (sample 's0000{line - 1}': )?{message}", str(got))
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(lambda n: ["false"] * (n - 1) + ["true"], id="strings"),
+        pytest.param(lambda n: [0.5] * n, id="fractions"),
+        pytest.param(lambda n: [1] * n, id="ones"),
+        pytest.param(lambda n: [True] * (n - 1) + [None], id="null"),
+        pytest.param(lambda n: "true" * n, id="string"),
+    ])
+    def test_valid_depth_must_be_booleans(self, tmp_path, flags):
+        docs = self._three_samples(tmp_path)
+        docs[1]["valid_depth"] = flags(docs[1]["T"])
+        (tmp_path / "data.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+        with pytest.raises(ParseError, match="^line 2: sample 's00001': valid_depth must be "
+                                             "a list of JSON booleans$"):
+            read_dataset(tmp_path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("T", 15.5, "T must be a JSON integer, got 15.5"),
+        ("T", "15", "T must be a JSON integer, got '15'"),
+        ("T", True, "T must be a JSON integer, got True"),
+        ("T", 15.0, "T must be a JSON integer, got 15.0"),
+        ("w", 16.4, "intrinsics w and h must be integral, got w=16.4, h=16"),
+        ("h", 15.5, "intrinsics w and h must be integral, got w=16, h=15.5"),
+        ("h", True, "intrinsics w and h must be integral, got w=16, h=True"),
+    ])
+    def test_sizes_must_be_integral(self, tmp_path, field, value, message):
+        docs = self._three_samples(tmp_path)
+        (docs[1] if field == "T" else docs[1]["intrinsics"])[field] = value
+        (tmp_path / "data.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+        with pytest.raises(ParseError, match=f"^line 2: sample 's00001': {re.escape(message)}$"):
+            read_dataset(tmp_path)
+
+    def test_integral_float_sizes_read(self, tmp_path):
+        # the writer's float sides (16.0) are whole numbers, so they read
+        samples, manifest = gen_dataset(2, 3, GenOptions(intrinsics=dataclasses.replace(
+            DESK_INTRINSICS, width=16.0, height=12.0), split_counts=(2, 0, 0, 0)))
+        write_dataset(samples, manifest, tmp_path)
+        assert '"w":16.0,"h":12.0' in (tmp_path / "data.jsonl").read_text()
+        got, _ = read_dataset(tmp_path)
+        assert [s.frames.shape[1:] for s in got] == [(12, 16), (12, 16)]
+        assert_same_samples(got, reference_read_dataset(tmp_path)[0])
 
 
 class TestSeedMixing:

@@ -8,6 +8,7 @@ from reachcast.geometry import (
     CameraIntrinsics,
     Pose,
     PoseChain,
+    PoseError,
     normalize_pixel,
     project,
     to_local,
@@ -270,3 +271,90 @@ class TestPoseChain:
             PoseChain(m)
         with pytest.raises(ValueError, match=f"pose at step {k} "):
             PoseChain.from_flat(m.reshape(length, 16).tolist())
+
+
+def reference_cumulative(m):
+    """The cumulative products of one (T, 4, 4) stack, a step at a time."""
+    cum = np.empty((len(m) + 1, 4, 4))
+    cum[0] = np.eye(4)
+    for t in range(1, len(m) + 1):
+        cum[t] = cum[t - 1] @ m[t - 1]
+    return cum
+
+
+def random_poses(rng, n):
+    """A (n, 4, 4) stack of random rigid transforms, translations of any scale."""
+    m = np.tile(np.eye(4), (n, 1, 1))
+    for i in range(n):
+        m[i, :3, :3] = random_rotation(rng)
+        m[i, :3, 3] = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 2)
+    return m
+
+
+class TestPoseChainStack:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lengths=st.lists(st.sampled_from([1, 2, 3, 14, 15, 40]) | st.integers(1, 40),
+                            max_size=12))
+    def test_stack_is_each_chain_built_alone(self, seed, lengths):
+        # mixed and repeated lengths, or none: each stacked chain has the
+        # bytes of the chain built on its own and of the step-at-a-time loop
+        rng = np.random.default_rng(seed)
+        stacks = [random_poses(rng, n) for n in lengths]
+        chains = PoseChain.stack(stacks)
+        assert len(chains) == len(stacks)
+        for m, chain in zip(stacks, chains):
+            alone = PoseChain(m)
+            assert len(chain) == len(m)
+            for got in (chain, alone):
+                assert got.cumulative.shape == (len(m) + 1, 4, 4)
+                assert got.cumulative.tobytes() == reference_cumulative(m).tobytes()
+                assert np.array([p.matrix for p in got.poses]).tobytes() == m.tobytes()
+                assert not got.cumulative.flags.writeable
+                assert all(not p.matrix.flags.writeable for p in got.poses)
+
+    def test_stack_copies_its_inputs_and_takes_empty_chains(self):
+        rng = np.random.default_rng(23)
+        stacks = [random_poses(rng, 3), np.empty((0, 4, 4)), random_poses(rng, 5)]
+        short, empty, long = PoseChain.stack(stacks)
+        assert stacks[0].flags.writeable and stacks[2].flags.writeable
+        assert len(empty) == 0 and empty.cumulative.tobytes() == np.eye(4).tobytes()
+        assert long.cumulative.tobytes() == reference_cumulative(stacks[2]).tobytes()
+        assert short.cumulative.tobytes() == reference_cumulative(stacks[0]).tobytes()
+        assert PoseChain.stack([]) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data(),
+           lengths=st.lists(st.integers(1, 16), min_size=1, max_size=6),
+           fault=st.sampled_from(["nan", "skew", "bottom"]))
+    def test_bad_pose_names_its_chain_and_its_step(self, seed, data, lengths, fault):
+        j = data.draw(st.integers(0, len(lengths) - 1))
+        k = data.draw(st.integers(1, lengths[j]))
+        stacks = [random_poses(np.random.default_rng([seed, i]), n)
+                  for i, n in enumerate(lengths)]
+        m = stacks[j]
+        if fault == "nan":
+            m[k - 1, 2, 0] = np.nan
+        elif fault == "skew":
+            m[k - 1, 1, 1] += 1e-4
+        else:
+            m[k - 1, 3, 2] = 1e-4
+        with pytest.raises(PoseError, match=f"^pose at step {k} ") as err:
+            PoseChain.stack(stacks)
+        assert err.value.chain == j
+        with pytest.raises(PoseError, match=f"^pose at step {k} "):
+            PoseChain(m)
+
+    def test_first_bad_chain_wins(self):
+        rng = np.random.default_rng(29)
+        stacks = [random_poses(rng, n) for n in (4, 6, 2)]
+        stacks[1][5, 0, 0] = 2.0
+        stacks[2][0, 0, 3] = np.inf
+        with pytest.raises(PoseError, match="^pose at step 6 rotation block") as err:
+            PoseChain.stack(stacks)
+        assert err.value.chain == 1
+
+    def test_shape_is_checked_per_chain(self):
+        with pytest.raises(PoseError, match=r"got shape \(3, 4\)") as err:
+            PoseChain.stack([np.eye(4)[None], np.eye(4)[:3]])
+        assert err.value.chain == 1
