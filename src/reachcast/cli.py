@@ -24,20 +24,21 @@ not parse, fall outside (0, 1) or give an empty range or one that is not
 a whole number of 0.1 steps; an ``eval --splits`` or ``--ratios`` that
 names a split or a ratio twice; a negative ``eval --dump-limit``; a
 ``gradcheck --max-checks`` below 1; a dataset that is not a directory
-holding ``data.jsonl``, its frames file ``data.frames.f64`` and
-``manifest.json``; a manifest without a ``splits`` object of id lists,
-or (``train``) without a ``norm`` of 3 ``min`` values each below its
-``max``; a missing checkpoint or optimizer state, or one that
+holding ``data.jsonl``, its sidecar ``data.f64`` and ``manifest.json``;
+a manifest without a ``splits`` object of id lists, or (``train``)
+without a ``norm`` of 3 ``min`` values each below its ``max``; a
+missing checkpoint or optimizer state, or one that
 ``model.CheckpointError`` refuses (no config object, a config
 ``ModelConfig`` refuses, a ``.bin`` that is not the size the config's
 parameter layout needs, or optimizer moments that do not match the
 model); a checkpoint whose extra has no such ``norm`` or, for
 ``--resume``, no ``train`` and ``loss`` objects and non-negative integer
-``epoch``; a malformed dataset, a line or frames file that
-``datagen.ParseError`` names by line and sample; an empty split, or a
-sample ``trainer.check_sample`` refuses, that a command would feed the
-model; and a ``--resume`` whose model, train or loss config differs
-from the checkpoint's. Bad values are refused before a command writes
+``epoch``; a malformed dataset, a line or sidecar that
+``datagen.ParseError`` names by line and sample, a dataset of an older
+wire format among them; an empty split, or a sample
+``trainer.check_sample`` refuses, that a command would feed the model;
+and a ``--resume`` whose model, train or loss config differs from the
+checkpoint's. Bad values are refused before a command writes
 anything, and every output's directory is created as needed.
 """
 
@@ -210,7 +211,7 @@ def cmd_gen(args):
         raise ConfigError(f"bad gen config: {e}") from e
     samples, manifest = datagen.gen_dataset(args.n, args.seed, options)
     data_path, manifest_path = datagen.write_dataset(samples, manifest, Path(args.out))
-    print(f"wrote {len(samples)} samples to {data_path} (+ its frames file and "
+    print(f"wrote {len(samples)} samples to {data_path} (+ its sidecar data.f64 and "
           f"{manifest_path.name})")
     return 0
 

@@ -11,50 +11,56 @@ noise of std ``PIXEL_NOISE``. Starts and targets are drawn within
 fixed for every dataset; ``GenOptions`` holds what a dataset may set.
 Scenes name target zones; the seen/unseen split never shares a scene tag.
 
-Wire format 2 (``FORMAT``): a dataset is a directory that holds all three
-of ``data.jsonl``, its frames file and ``manifest.json``; the reader
-refuses a dataset that lacks any of them.
+Wire format 3 (``FORMAT``): a dataset is a directory that holds all three
+of ``data.jsonl``, its sidecar ``data.f64`` and ``manifest.json``; the
+reader refuses a dataset that lacks any of them.
 
-- ``data.jsonl`` has one JSON object per sample, with every field but the
-  pixels: {format, id, scene, T, intrinsics:{fx,fy,ox,oy,w,h},
-  poses:[[16 doubles]...], points_local:[[x,y,z]...], valid_depth:[bool...],
-  frames_at}. ``format`` is 2 and ``frames_at`` is the element (not byte)
-  offset of the sample's first pixel in the frames file. ``T`` is a JSON
-  integer, ``w`` and ``h`` are integral (16 or 16.0), and every
-  ``valid_depth`` entry is a JSON boolean; anything else is a ParseError.
-- The frames file sits beside the data file, named from its path
-  (``data.jsonl`` -> ``data.frames.f64``). It is raw little-endian float64
-  with no header: the samples in line order, each one's frames in C order
-  as (T, H, W), with H and W the intrinsics' h and w. A short file, or
-  values after the last sample's, is a ParseError.
+- ``data.jsonl`` has one JSON object per sample, its header:
+  {format, id, scene, T, intrinsics:{fx,fy,ox,oy,w,h}, at}. ``format`` is
+  3, ``T`` is a JSON integer of at least 1, ``w`` and ``h`` are integral
+  (16 or 16.0), and ``at`` is the JSON integer element (not byte) offset of
+  the sample's record in the sidecar, where the records before it end.
+  Anything else is a ParseError.
+- The sidecar sits beside the data file, named from its path
+  (``data.jsonl`` -> ``data.f64``). It is raw little-endian float64 with no
+  header: one record per sample, in line order. A record is the sample's
+  poses (T, 4, 4), its ``points_local`` (T, 3), its ``valid_depth`` (T,)
+  stored as exactly 0.0 or 1.0, and its frames (T, H, W), each in C order,
+  with H and W the intrinsics' h and w. A sidecar that ends inside a
+  record, values after the last record, or a flag of any other value
+  is a ParseError.
 - The manifest is {n, seed, splits:{train,val,test_seen,test_unseen},
   norm:{min:[3],max:[3]}}.
 
-The reader takes format 2 only. A format-1 line (frames inline as a
-``frames`` list, no ``format`` key) is a ParseError that says to re-run
-``reachcast gen``. Global points are not serialized; readers recompute them
-through the pose chain. Missing depth is stored as a zero sentinel with its
-validity flag cleared.
+The reader takes format 3 only. A line of format 1 (no ``format`` key,
+frames inline) or format 2 (poses, points and flags inline, frames in
+``data.frames.f64``) is a ParseError that says to re-run ``reachcast gen``.
+The lines are checked before the sidecar is opened, so an older dataset,
+which has no ``data.f64``, gets that message and not a missing file. Every
+float64 keeps its bits through a write and a read. Global points are not
+serialized; readers recompute them through the pose chain. Missing depth is
+stored as a zero sentinel with its validity flag cleared.
 
-``read_dataset`` reads in two passes: the lines in file order (decode,
-checks, frames), then every pose chain in one ``PoseChain.stack`` and every
-global point in one product. The error it raises is still the first in
-file order: a bad pose wins over any later line's error, and over a later
-check of its own line.
+``read_dataset`` reads in two passes: the lines in file order (decode and
+checks), then each record into an array of its own, every pose chain in
+one ``PoseChain.stack`` and every global point in one product. The error
+it raises is still the first in file order: a bad pose or flag wins over
+any later sample's error.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, PoseChain, PoseError, poses_from_flat, project,
-                       to_global)
+from .geometry import CameraIntrinsics, PoseChain, PoseError, project, to_global
 
 DESK_INTRINSICS = CameraIntrinsics(fx=16.0, fy=16.0, ox=8.0, oy=8.0, width=16, height=16)
 
@@ -348,27 +354,34 @@ def gen_dataset(n, master_seed, options=None):
 # wire format
 
 
-FORMAT = 2
-FRAMES_DTYPE = np.dtype("<f8")
+FORMAT = 3
+WIRE_DTYPE = np.dtype("<f8")
+# a record's values per step before its frames: a pose, a local point, a flag
+_STEP_VALUES = 16 + 3 + 1
 
 
-def _frames_path(data_path):
-    """The frames file beside a data file: data.jsonl -> data.frames.f64."""
-    return data_path.with_suffix(".frames.f64")
+def _sidecar_path(data_path):
+    """The sidecar beside a data file: data.jsonl -> data.f64."""
+    return data_path.with_suffix(".f64")
 
 
-def _sample_to_json(s, frames_at):
-    return {
-        "format": FORMAT,
-        "id": s.id,
-        "scene": s.scene,
-        "T": int(s.horizon),
-        "intrinsics": s.intrinsics.to_dict(),
-        "poses": s.poses.to_flat(),
-        "points_local": s.points_local.tolist(),
-        "valid_depth": [bool(v) for v in s.valid_depth],
-        "frames_at": frames_at,
-    }
+def _record(s):
+    """The pieces of sample ``s``'s sidecar record, in their order, each a
+    C-contiguous WIRE_DTYPE array; a piece whose shape does not follow from
+    the sample's T and intrinsics is a ValueError."""
+    t, h, w = s.horizon, int(s.intrinsics.height), int(s.intrinsics.width)
+    pieces = (("poses", s.poses.matrices, "(T, 4, 4)", (t, 4, 4)),
+              ("points_local", s.points_local, "(T, 3)", (t, 3)),
+              ("valid_depth", np.asarray(s.valid_depth, dtype=bool), "(T,)", (t,)),
+              ("frames", s.frames, "(T, h, w)", (t, h, w)))
+    record = []
+    for name, x, label, shape in pieces:
+        x = np.ascontiguousarray(x, dtype=WIRE_DTYPE)
+        if x.shape != shape:
+            raise ValueError(f"sample {s.id}: {name} of shape {x.shape} are not "
+                             f"{label} = {shape}")
+        record.append(x)
+    return record
 
 
 def _whole(x):
@@ -376,84 +389,90 @@ def _whole(x):
     return type(x) in (int, float) and float(x).is_integer()
 
 
-def _line_fields(doc, line_no, frames_file, frames_at, frames_size, pending):
-    """Pass 1 of ``read_dataset`` for one decoded line: every check but the
-    rigidity of its poses, and the read of its frames, which start at
-    element ``frames_at`` of the open frames file of ``frames_size`` bytes.
-
-    The line's (T, 4, 4) poses go onto ``pending`` with its line number and
-    id as soon as their shape is checked, so a later failure on this line
-    still lets a bad pose win, as it would have in file order. Returns the
-    sample's fields other than its chain and global points.
-    """
+def _head(doc, line_no, at):
+    """The checks of one decoded line, whose record should start at element
+    ``at`` of the sidecar; returns its (id, scene, T, intrinsics)."""
     if not isinstance(doc, dict):
         raise ParseError(line_no, "not a JSON object")
     if doc.get("format", 1) != FORMAT:
         raise ValueError(f"wire format {doc.get('format', 1)!r}, not {FORMAT}; "
                          "re-run `reachcast gen` to write the dataset again")
-    required = ("id", "scene", "T", "intrinsics", "poses", "points_local",
-                "valid_depth", "frames_at")
-    for key in required:
+    for key in ("id", "scene", "T", "intrinsics", "at"):
         if key not in doc:
             raise ParseError(line_no, f"missing key {key!r}")
     t = doc["T"]
     if type(t) is not int:
         raise ValueError(f"T must be a JSON integer, got {t!r}")
+    if t < 1:
+        raise ValueError(f"T must be at least 1, got {t}")
     intr = CameraIntrinsics.from_dict(doc["intrinsics"])
     if not (_whole(intr.width) and _whole(intr.height)):
         raise ValueError(f"intrinsics w and h must be integral, got w={intr.width!r}, "
                          f"h={intr.height!r}")
-    poses = poses_from_flat(doc["poses"])
-    pending.append((line_no, doc["id"], poses))
-    local = np.asarray(doc["points_local"], dtype=np.float64)
-    flags = doc["valid_depth"]
-    if not isinstance(flags, list) or any(type(v) is not bool for v in flags):
-        raise ValueError("valid_depth must be a list of JSON booleans")
-    valid = np.array(flags, dtype=bool)
-    if local.shape != (t, 3) or len(poses) != t or valid.shape != (t,):
-        raise ParseError(line_no, f"inconsistent lengths for sample {doc['id']!r}")
-    if doc["frames_at"] != frames_at:
-        raise ValueError(f"frames_at is {doc['frames_at']!r}, but the frames before "
-                         f"this sample end at {frames_at}")
-    frames = np.empty((t, int(intr.height), int(intr.width)), dtype=FRAMES_DTYPE)
-    missing = frames_at * FRAMES_DTYPE.itemsize + frames.nbytes - frames_size
-    if missing > 0:
-        raise ValueError(f"frames file {frames_file.name} ends {missing} bytes "
-                         "before this sample's frames do")
-    frames_file.readinto(frames)
-    return dict(id=doc["id"], scene=doc["scene"], frames=frames, points_local=local,
-                intrinsics=intr, valid_depth=valid)
+    if type(doc["at"]) is not int or doc["at"] != at:
+        raise ValueError(f"at is {doc['at']!r}, but the records before this sample end at {at}")
+    return doc["id"], doc["scene"], t, intr
 
 
-def _chains(pending):
-    """Pass 2's pose chains of the ``pending`` (line_no, id, poses) entries,
-    in one ``PoseChain.stack``; the first bad pose in file order raises the
-    ParseError of its line."""
-    try:
-        return PoseChain.stack([poses for _, _, poses in pending])
-    except PoseError as e:
-        line_no, sid, _ = pending[e.chain]
-        raise ParseError(line_no, f"sample {sid!r}: {e}") from e
+class _Head(NamedTuple):
+    """A checked line: its sample's record is sidecar elements [at, end)."""
+
+    line_no: int
+    id: str
+    scene: str
+    t: int
+    intrinsics: CameraIntrinsics
+    at: int
+    end: int
+
+
+def _heads(data_path):
+    """Pass 1 of ``read_dataset``: each line of ``data_path`` decoded and
+    checked, in file order, up to the first that fails. Returns the
+    ``_Head`` of each line before it, and the ParseError it raised, or
+    None."""
+    heads, at = [], 0
+    with open(data_path) as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                return heads, ParseError(line_no, f"invalid JSON: {e}")
+            try:
+                sid, scene, t, intr = _head(doc, line_no, at)
+            except ParseError as e:
+                return heads, e
+            except (ValueError, TypeError, KeyError) as e:
+                return heads, ParseError(line_no, f"sample {doc.get('id')!r}: {e}")
+            end = at + t * (_STEP_VALUES + int(intr.height) * int(intr.width))
+            heads.append(_Head(line_no, sid, scene, t, intr, at, end))
+            at = end
+    return heads, None
 
 
 def write_dataset(samples, manifest, out_dir):
-    """Write data.jsonl, its frames file and manifest.json; byte-stable for
-    fixed inputs. Returns the paths of data.jsonl and manifest.json."""
+    """Write data.jsonl, its sidecar data.f64 and manifest.json; byte-stable
+    for fixed inputs. Returns the paths of data.jsonl and manifest.json.
+
+    Each line and each piece of each record goes out with its own write,
+    so the writer holds no more than the samples do.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "data.jsonl"
-    frames_at = 0
-    with open(data_path, "w") as f, open(_frames_path(data_path), "wb") as frames_file:
+    at = 0
+    with open(data_path, "w") as f, open(_sidecar_path(data_path), "wb") as sidecar:
         for s in samples:
-            frames = np.ascontiguousarray(s.frames, dtype=FRAMES_DTYPE)
-            shape = (s.horizon, int(s.intrinsics.height), int(s.intrinsics.width))
-            if frames.shape != shape:
-                raise ValueError(f"sample {s.id}: frames of shape {frames.shape} are not "
-                                 f"(T, h, w) = {shape}")
-            f.write(json.dumps(_sample_to_json(s, frames_at), separators=(",", ":")))
+            record = _record(s)
+            f.write(json.dumps({"format": FORMAT, "id": s.id, "scene": s.scene,
+                                "T": int(s.horizon), "intrinsics": s.intrinsics.to_dict(),
+                                "at": at}, separators=(",", ":")))
             f.write("\n")
-            frames_file.write(frames.data)
-            frames_at += frames.size
+            for piece in record:
+                sidecar.write(piece.data)
+                at += piece.size
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
@@ -476,61 +495,84 @@ def read_manifest(path):
 def read_dataset(path):
     """Read the dataset directory ``path``; returns (samples, manifest).
 
-    Every sample is read before this returns, into its own frames array, so
-    a dataset can be rewritten in place from what it returns. It reads in
-    two passes. Pass 1 goes through the lines in file order: it decodes
-    each, checks everything but the rigidity of its poses, and reads its
-    frames. Pass 2 builds every pose chain with one ``PoseChain.stack`` and
-    recomputes every sample's global points from its stored local points
-    in one product. Malformed lines, and a frames file that does not hold
-    exactly the lines' frames, raise ParseError with a line number, and the
-    error raised is the first in file order: when pass 1 fails on a line,
-    the poses of the lines before it, and of that line if their shape was
-    read, are checked first, and a bad pose among them wins. A missing
-    manifest, data file or frames file raises FileNotFoundError, the
-    manifest's before any sample is read.
+    Pass 1 decodes and checks the lines in file order; it does not open
+    the sidecar, so a line of another wire format is refused before a
+    missing ``data.f64`` is noticed. Then each sample's record is read into
+    an array of its own, not a memory map, so a dataset can be rewritten in
+    place from what this returns, and a sample that is kept holds no other
+    sample's record. Its local points and frames are read-only views of
+    that array; its flags and global points are read-only arrays of their
+    own. Pass 2 builds every pose chain with one ``PoseChain.stack``, checks
+    every flag at once, and lifts every local point to the world frame with
+    one ``to_global``.
+
+    Malformed lines, and a sidecar that does not hold exactly the lines'
+    records, raise ParseError with a line number. The error raised is the
+    first in file order: a sample's line checks come before its record, a
+    record that the sidecar cuts short is refused before its contents are
+    checked, and its poses are checked before its flags. So a bad pose or
+    flag in an earlier record wins over a later line's error. A missing
+    manifest, data file or sidecar raises FileNotFoundError, the
+    manifest's before any line is read.
     """
     manifest = read_manifest(path)
     data_path = Path(path) / "data.jsonl"
-    frames_path = _frames_path(data_path)
-    fields, pending = [], []
-    frames_at = last_line = 0
-    with open(data_path) as f, open(frames_path, "rb") as frames_file:
-        frames_size = os.fstat(frames_file.fileno()).st_size
-        try:
-            for line_no, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ParseError(line_no, f"invalid JSON: {e}") from e
-                try:
-                    sample = _line_fields(doc, line_no, frames_file, frames_at, frames_size,
-                                          pending)
-                except ParseError:
-                    raise
-                except (ValueError, TypeError, KeyError) as e:
-                    raise ParseError(line_no, f"sample {doc.get('id')!r}: {e}") from e
-                fields.append(sample)
-                frames_at += sample["frames"].size
-                last_line = line_no
-        except ParseError:
-            _chains(pending)
-            raise
-    chains = _chains(pending)
-    extra = frames_size - frames_at * FRAMES_DTYPE.itemsize
+    heads, failure = _heads(data_path)
+    if failure is not None and not heads:
+        raise failure
+    sidecar_path = _sidecar_path(data_path)
+    poses, local, flags, frames = [], [], [], []
+    with open(sidecar_path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        whole = bisect.bisect_right([h.end for h in heads], size // WIRE_DTYPE.itemsize)
+        if whole < len(heads):
+            h = heads[whole]
+            failure = ParseError(h.line_no, f"sample {h.id!r}: sidecar {sidecar_path} ends "
+                                            f"{h.end * WIRE_DTYPE.itemsize - size} bytes "
+                                            "before this sample's record does")
+            heads = heads[:whole]
+        for h in heads:
+            t = h.t
+            record = np.empty(h.end - h.at, dtype=WIRE_DTYPE)
+            f.readinto(record)
+            record.setflags(write=False)
+            poses.append(record[: 16 * t].reshape(t, 4, 4))
+            local.append(record[16 * t : 19 * t].reshape(t, 3))
+            flags.append(record[19 * t : 20 * t])
+            frames.append(record[20 * t :].reshape(t, int(h.intrinsics.height),
+                                                   int(h.intrinsics.width)))
+    all_flags = np.concatenate(flags) if heads else np.empty(0)
+    bad = np.flatnonzero((all_flags != 0.0) & (all_flags != 1.0))
+    steps = np.cumsum([h.t for h in heads])
+    bad_sample = int(np.searchsorted(steps, bad[0], side="right")) if len(bad) else len(heads)
+    try:
+        chains = PoseChain.stack(poses[: bad_sample + 1])
+    except PoseError as e:
+        h = heads[e.chain]
+        raise ParseError(h.line_no, f"sample {h.id!r}: {e}") from e
+    if len(bad):
+        h = heads[bad_sample]
+        step = int(bad[0] - (steps[bad_sample] - h.t)) + 1
+        raise ParseError(h.line_no, f"sample {h.id!r}: valid_depth must be 0.0 or 1.0, got "
+                                    f"{float(all_flags[bad[0]])!r} at step {step}")
+    if failure is not None:
+        raise failure
+    extra = size - (heads[-1].end if heads else 0) * WIRE_DTYPE.itemsize
     if extra:
-        sid = fields[-1]["id"] if fields else None
-        raise ParseError(max(last_line, 1), f"sample {sid!r}: frames file {frames_path} has "
-                                            f"{extra} bytes after the last sample's frames")
-    if not fields:
+        line_no, sid = (heads[-1].line_no, heads[-1].id) if heads else (1, None)
+        raise ParseError(line_no, f"sample {sid!r}: sidecar {sidecar_path} has {extra} bytes "
+                                  "after the last sample's record")
+    if not heads:
         return [], manifest
-    local = np.concatenate([s["points_local"] for s in fields])
-    world = to_global(local, np.concatenate([c.cumulative[1:] for c in chains]))
-    ends = np.cumsum([len(c) for c in chains])
-    return [TrajectorySample(**s, points_global=w, poses=c)
-            for s, w, c in zip(fields, np.split(world, ends[:-1]), chains)], manifest
+    valid = all_flags == 1.0
+    world = to_global(np.concatenate(local), np.concatenate([c.cumulative[1:] for c in chains]))
+    valid.setflags(write=False)
+    world.setflags(write=False)
+    cuts = steps[:-1]
+    return [TrajectorySample(id=h.id, scene=h.scene, frames=fr, points_local=loc,
+                             points_global=w, poses=c, intrinsics=h.intrinsics, valid_depth=v)
+            for h, fr, loc, w, c, v in zip(heads, frames, local, np.split(world, cuts), chains,
+                                           np.split(valid, cuts))], manifest
 
 
 def split_samples(samples, manifest, split):

@@ -153,11 +153,11 @@ class Pose:
 class PoseChain:
     """Ordered per-frame poses M_1..M_T with cached cumulative products.
 
-    The poses are one read-only (T, 4, 4) array, validated as a whole;
-    each ``poses[i].matrix`` is a view of its row. The products form one
-    read-only (T+1, 4, 4) array ``cumulative``: [0] is the identity,
-    [t] = [t-1] @ M_t, and [t] maps frame-t local coordinates to the world
-    (first camera) frame.
+    The poses are one read-only (T, 4, 4) array ``matrices``, validated as
+    a whole; each ``poses[i].matrix`` is a view of its row. The products
+    form one read-only (T+1, 4, 4) array ``cumulative``: [0] is the
+    identity, [t] = [t-1] @ M_t, and [t] maps frame-t local coordinates to
+    the world (first camera) frame.
 
     ``stack`` builds many chains at once: one check of all their poses, and
     step t's products of every chain at least t long as one stacked
@@ -201,6 +201,11 @@ class PoseChain:
         return chains
 
     @property
+    def matrices(self):
+        """The read-only (T, 4, 4) poses M_1..M_T."""
+        return self._matrices
+
+    @property
     def cumulative(self):
         """The (T+1, 4, 4) cumulative products; [t] lifts frame t to the world."""
         return self._cumulative
@@ -228,22 +233,6 @@ class PoseChain:
     def global_to_local(self, p, t):
         """Inverse of local_to_global at the same steps."""
         return to_local(p, self._products(t))
-
-    def to_flat(self):
-        """One list of 16 row-major doubles per pose, the serialized form."""
-        return self._matrices.reshape(len(self), 16).tolist()
-
-    @classmethod
-    def from_flat(cls, rows):
-        return cls(poses_from_flat(rows))
-
-
-def poses_from_flat(rows):
-    """The (T, 4, 4) poses of the serialized rows of 16 doubles."""
-    m = np.asarray(rows, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != 16:
-        raise ValueError(f"poses must be rows of 16 values, got shape {m.shape}")
-    return m.reshape(-1, 4, 4)
 
 
 def _chain_arrays(flat, lengths):

@@ -27,6 +27,20 @@ def test_every_traced_attribute_exists(monkeypatch):
     assert not missing, f"traced attributes missing: {missing}"
 
 
+def test_byte_counters_find_the_dataset_files(monkeypatch, tmp_path):
+    # the traced read and write count data.jsonl's bytes through the paths
+    # write_dataset returns and the directory read_dataset takes
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    layers = importlib.import_module("layers")
+    samples, manifest = datagen.gen_dataset(3, 1, datagen.GenOptions(split_counts=(3, 0, 0, 0)))
+    written = datagen.write_dataset(samples, manifest, tmp_path)
+    size = (tmp_path / "data.jsonl").stat().st_size
+    assert size > 0
+    assert layers._written((samples, manifest, tmp_path), {}, written) == size
+    assert layers._read((tmp_path,), {}, datagen.read_dataset(tmp_path)) == size
+    assert layers._read((str(tmp_path),), {}, None) == size
+
+
 def _check_shard(monkeypatch, tmp_path, workload, seed):
     monkeypatch.syspath_prepend(str(BENCH_DIR))
     session = importlib.import_module("session")

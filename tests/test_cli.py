@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -258,7 +259,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     assert "argument --n: invalid int value: 'x'" in capsys.readouterr().err
     assert cli.main(argv + ["b"]) == 0
     assert cli.build_parser() is parser
-    for name in ("data.jsonl", "data.frames.f64", "manifest.json"):
+    for name in ("data.jsonl", "data.f64", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     seen = []
     monkeypatch.setattr(cli, "cmd_repair", lambda args: seen.append((args.data, args.out)) or 0)
@@ -546,7 +547,9 @@ def test_2d_train_refuses_a_track_outside_its_target_range(dataset, tmp_path, ca
     # never clipped into range
     samples, manifest = datagen.read_dataset(dataset)
     s = samples[0]
-    s.points_local[:, 0] += 2.0 * s.points_local[:, 2]  # two frame widths to the right
+    moved = s.points_local.copy()
+    moved[:, 0] += 2.0 * moved[:, 2]  # two frame widths to the right
+    samples[0] = dataclasses.replace(s, points_local=moved)
     datagen.write_dataset(samples, manifest, tmp_path / "data")
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"model": {"preset": "tiny", "coordinate_mode": "2d"}}))
@@ -638,9 +641,9 @@ def _read_argv(command, data, out, ckpt):
 
 
 @pytest.mark.parametrize("command, missing", [
-    *(pytest.param(c, "data.frames.f64", id=c) for c in ("repair", "train", "eval")),
+    *(pytest.param(c, "data.f64", id=c) for c in ("repair", "train", "eval")),
     *(pytest.param(c, "manifest.json", id=f"{c}-manifest") for c in ("repair", "train", "eval"))])
-def test_missing_frames_file_is_a_usage_error(dataset, trained, tmp_path, capsys, command,
+def test_missing_sidecar_is_a_usage_error(dataset, trained, tmp_path, capsys, command,
                                               missing):
     data, out = tmp_path / "data", tmp_path / "out"
     shutil.copytree(dataset, data)
@@ -678,13 +681,31 @@ def test_malformed_manifest_is_a_usage_error(dataset, trained, tmp_path, capsys,
 def test_malformed_dataset_is_a_usage_error(dataset, trained, tmp_path, capsys, command):
     data, out = tmp_path / "data", tmp_path / "out"
     shutil.copytree(dataset, data)
-    frames = data / "data.frames.f64"
-    frames.write_bytes(frames.read_bytes()[:-8])
+    sidecar = data / "data.f64"
+    sidecar.write_bytes(sidecar.read_bytes()[:-8])
     lines = (data / "data.jsonl").read_text().splitlines()
     last = json.loads(lines[-1])["id"]
     assert cli.main(_read_argv(command, data, out, trained)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"line {len(lines)}: sample {last!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["repair", "train", "eval"])
+def test_older_wire_format_is_a_usage_error(dataset, trained, tmp_path, capsys, command):
+    # a format-2 dataset has its frames in data.frames.f64 and no data.f64;
+    # its lines are refused by format before the sidecar is looked for
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(dataset, data)
+    (data / "data.f64").rename(data / "data.frames.f64")
+    docs = [json.loads(line) for line in (data / "data.jsonl").read_text().splitlines()]
+    for doc in docs:
+        doc["format"], doc["frames_at"] = 2, doc.pop("at")
+    (data / "data.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+    assert cli.main(_read_argv(command, data, out, trained)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 1: sample {docs[0]['id']!r}: wire format 2, not 3; "
+                          "re-run `reachcast gen`"), err
     assert not out.exists()
 
 
@@ -700,7 +721,7 @@ def test_repair_in_place_matches_a_fresh_repair(tmp_path):
     assert names == sorted(p.name for p in here.iterdir())
     for name in names:
         assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
-    assert (here / "data.jsonl").read_bytes() != (raw / "data.jsonl").read_bytes()
+    assert (here / "data.f64").read_bytes() != (raw / "data.f64").read_bytes()
 
 
 def test_negative_dump_limit_refused_before_writing(dataset, trained, tmp_path, capsys):

@@ -141,10 +141,10 @@ class TestPose:
         with pytest.raises(ValueError, match="read-only"):
             chain.cumulative[1, 0, 3] = 1.0
 
-    def test_flat_round_trip(self):
+    def test_array_round_trip(self):
         rng = np.random.default_rng(0)
         p = Pose(rigid(random_rotation(rng), rng.standard_normal(3)))
-        p2 = PoseChain.from_flat(PoseChain([p]).to_flat()).poses[0]
+        p2 = PoseChain(PoseChain([p]).matrices).poses[0]
         np.testing.assert_array_equal(p.matrix, p2.matrix)
 
     @pytest.mark.parametrize("entry", [(0, 1), (2, 3)])
@@ -237,19 +237,21 @@ class TestPoseChain:
             np.testing.assert_array_equal(lowered[i], chain.global_to_local(p[i], int(t)))
         assert np.max(np.abs(chain.global_to_local(lifted, steps) - p)) < 1e-9
 
-    def test_flat_round_trip(self):
+    def test_array_round_trip(self):
         rng = np.random.default_rng(13)
         chain = random_chain(rng, 5)
-        chain2 = PoseChain.from_flat(chain.to_flat())
+        chain2 = PoseChain(chain.matrices)
         for a, b in zip(chain.poses, chain2.poses):
             np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_pose_views_are_stored_rows_and_read_only(self):
-        rows = random_chain(np.random.default_rng(17), 5).to_flat()
-        chain = PoseChain.from_flat(rows)
-        for pose, row in zip(chain.poses, rows):
+        m = np.array([p.matrix for p in random_chain(np.random.default_rng(17), 5).poses])
+        chain = PoseChain(m)
+        assert chain.matrices.shape == (5, 4, 4) and not chain.matrices.flags.writeable
+        np.testing.assert_array_equal(chain.matrices, m)
+        for pose, row in zip(chain.poses, m):
             assert pose.matrix.shape == (4, 4)
-            np.testing.assert_array_equal(pose.matrix.reshape(-1), row)
+            np.testing.assert_array_equal(pose.matrix, row)
             with pytest.raises(ValueError, match="read-only"):
                 pose.matrix[0, 3] = 1.0
 
@@ -270,7 +272,7 @@ class TestPoseChain:
         with pytest.raises(ValueError, match=f"pose at step {k} "):
             PoseChain(m)
         with pytest.raises(ValueError, match=f"pose at step {k} "):
-            PoseChain.from_flat(m.reshape(length, 16).tolist())
+            PoseChain(list(m))
 
 
 def reference_cumulative(m):

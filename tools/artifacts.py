@@ -7,6 +7,14 @@ Each command runs as ``python -m reachcast`` in its own process, so the
 that should compute the same thing are compared by running this once with
 each tree's ``src/`` and then ``diff -r`` of the two OUT directories.
 
+The dataset directories (``raw/``, ``data/``, ``paper-raw/`` and
+``paper-data/``) hold files of the wire format their tree writes. So CI's
+report-only comparison against a base that writes wire format 2 lists
+them as differing or only on one side, by design: format 3 keeps the
+poses, points and flags in ``data.f64`` beside the frames, where format 2
+had them in ``data.jsonl`` and the frames alone in ``data.frames.f64``.
+Every other file keeps its bytes across that change.
+
 The pipeline:
 
 - ``gen --n 60 --seed 0 --dropout 0.3``, then ``repair`` (its report too);

@@ -9,8 +9,8 @@ difference over the file's numbers:
 
 - ``.csv``: every cell that parses as a number;
 - ``.json`` and ``.jsonl``: every JSON number, by position in the document;
-- ``.bin`` and ``.f64`` (checkpoints, frames): the raw little-endian float64
-  values;
+- ``.bin`` and ``.f64`` (checkpoints, dataset sidecars): the raw
+  little-endian float64 values;
 - any other file: every number in its text, as a regular expression finds
   them.
 
