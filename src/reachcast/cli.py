@@ -22,9 +22,11 @@ that its section (model, train, loss, gen options, ``gen --frame``
 intrinsics, ``forecast --ratio``) refuses; observation ratios that do
 not parse, fall outside (0, 1) or give an empty range or one that is not
 a whole number of 0.1 steps; an ``eval --splits`` or ``--ratios`` that
-names a split or a ratio twice; a negative ``eval --dump-limit``; a
-``gradcheck --max-checks`` below 1; a dataset that is not a directory
-holding ``data.jsonl``, its sidecar ``data.f64`` and ``manifest.json``;
+names a split or a ratio twice; a ``gen --seed`` outside [0, 2**44) or
+a ``gen --n`` above 2**20, which the per-sample seeds cannot tell apart;
+a negative ``eval --dump-limit``; a ``gradcheck --max-checks`` below 1;
+a dataset that is not a directory holding ``data.jsonl``, its sidecar
+``data.f64`` and ``manifest.json``;
 a manifest without a ``splits`` object of id lists, or (``train``)
 without a ``norm`` of 3 ``min`` values each below its ``max``; a
 missing checkpoint or optimizer state, or one that
@@ -193,6 +195,10 @@ def _open_checkpoint(path):
 
 
 def cmd_gen(args):
+    if not 0 <= args.seed < 2**datagen.SEED_BITS:
+        raise ConfigError(f"--seed must be in [0, 2**{datagen.SEED_BITS}), got {args.seed}")
+    if args.n > 2**datagen.INDEX_BITS:
+        raise ConfigError(f"--n must be at most 2**{datagen.INDEX_BITS}, got {args.n}")
     split_counts = None
     if args.split:
         try:

@@ -11,6 +11,27 @@ noise of std ``PIXEL_NOISE``. Starts and targets are drawn within
 fixed for every dataset; ``GenOptions`` holds what a dataset may set.
 Scenes name target zones; the seen/unseen split never shares a scene tag.
 
+Sample i draws from two streams of its own, seeded from ``mix_seed(master
+seed, i)``: the spec stream ``default_rng(seed)`` and the path stream
+``default_rng([seed, 1])``. Each draws in a fixed order, one sample at a
+time:
+
+- spec: the duration T, the start jitter (3), the target jitter (3), the
+  arc hint's wobble (3), then the bow's size factor, drawn only where the
+  arc is defined (the hint is not parallel to the reach);
+- path: the rotation noise (T, 3), the translation noise (T, 3), the frame
+  noise (T, H, W), then the depth dropout (T), drawn only when
+  ``depth_dropout`` > 0.
+
+``gen_dataset`` runs the arithmetic between the draws in lock step over
+all samples, in stages: the specs' vector math on (n, 3) arrays, the hand
+paths, the camera paths (one stacked rotation fit and one
+``PoseChain.stack``), the lowering of every point into its camera frame
+(one ``to_local``) and its projection (one ``project``). Then each sample
+renders its frames into an array of its own and draws its dropout. Every
+value is formed by the operation that would form it for the sample alone,
+so a sample's bytes do not depend on the dataset around it.
+
 Wire format 3 (``FORMAT``): a dataset is a directory that holds all three
 of ``data.jsonl``, its sidecar ``data.f64`` and ``manifest.json``; the
 reader refuses a dataset that lacks any of them.
@@ -60,7 +81,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, PoseChain, PoseError, project, to_global
+from .geometry import CameraIntrinsics, PoseChain, PoseError, project, to_global, to_local
 
 DESK_INTRINSICS = CameraIntrinsics(fx=16.0, fy=16.0, ox=8.0, oy=8.0, width=16, height=16)
 
@@ -104,8 +125,18 @@ def splitmix64(x):
     return x ^ (x >> 31)
 
 
+SEED_BITS, INDEX_BITS = 44, 20  # the 64 bits mix_seed packs a seed and an index into
+
+
 def mix_seed(master_seed, index):
-    return splitmix64((int(master_seed) << 20) ^ int(index))
+    """Sample ``index``'s seed under ``master_seed``: splitmix64 of the pair
+    packed as ``(master_seed << INDEX_BITS) ^ index``. A seed in [0,
+    2**SEED_BITS) and an index in [0, 2**INDEX_BITS) fill disjoint bits, so
+    distinct pairs pack differently; anything else is a ValueError."""
+    if not (0 <= master_seed < 2**SEED_BITS and 0 <= index < 2**INDEX_BITS):
+        raise ValueError(f"master seed {master_seed} and sample index {index} are not in "
+                         f"[0, 2**{SEED_BITS}) and [0, 2**{INDEX_BITS})")
+    return splitmix64((int(master_seed) << INDEX_BITS) ^ int(index))
 
 
 @dataclass(frozen=True)
@@ -146,24 +177,6 @@ class GenOptions:
         return n_train, n_val, n_seen_test, n_unseen
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    """One reach clip's own draws, plus the dataset options it renders with."""
-
-    scene: str
-    start: np.ndarray
-    target: np.ndarray
-    duration: int
-    opts: GenOptions
-    bow: float = 0.0                 # peak lateral arc displacement (m)
-    bow_dir: np.ndarray | None = None  # unit vector orthogonal to the reach
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.duration < 2:
-            raise ValueError("duration must be >= 2")
-
-
 @dataclass
 class TrajectorySample:
     """One clip: frames, local/global points, poses, validity flags."""
@@ -184,23 +197,23 @@ class TrajectorySample:
             raise ValueError("frame/point/validity lengths differ")
 
 
-def reach_path(start, target, steps):
-    """Positions from start to target over `steps` points of minimum jerk."""
+def min_jerk(steps):
+    """Progress from 0 to 1 over ``steps`` points of minimum jerk, as a
+    (steps, 1) column; a reach from s0 to s1 is ``s0 + (s1 - s0) * min_jerk``."""
     if steps < 2:
         raise ValueError("need at least 2 steps")
-    s0 = np.asarray(start, dtype=np.float64)
-    s1 = np.asarray(target, dtype=np.float64)
     tau = np.arange(steps, dtype=np.float64)[:, None] / (steps - 1)
-    tau = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
-    return s0 + (s1 - s0) * tau
+    return 10 * tau**3 - 15 * tau**4 + 6 * tau**5
 
 
-def _smooth_noise(rng, steps):
-    raw = rng.standard_normal((steps, 3))
+def _smooth_noise(rng, out):
+    """Fill the (T, 3) ``out`` with one (T, 3) draw of ``rng``, each column
+    smoothed by a 5-step moving average."""
+    raw = rng.standard_normal(out.shape)
     kernel = np.ones(5) / 5
-    # "same" keeps max(steps, 5) rows; only the first `steps` are steps
-    smooth = [np.convolve(raw[:, i], kernel, mode="same")[:steps] for i in range(3)]
-    return np.stack(smooth, axis=1)
+    for i in range(3):
+        # "same" keeps max(T, 5) values; only the first T are steps
+        out[:, i] = np.convolve(raw[:, i], kernel, mode="same")[: len(out)]
 
 
 def _small_rotations(omega):
@@ -219,66 +232,32 @@ def _small_rotations(omega):
     return u @ vt
 
 
-def gen_camera_path(steps, rng):
-    """Per-step camera motion: identity first pose, then smooth small
-    rotations/translations, orthonormalized per step."""
-    rots = _smooth_noise(rng, steps) * ROT_AMPLITUDE
-    trans = _smooth_noise(rng, steps) * TRANS_AMPLITUDE
-    poses = np.tile(np.eye(4), (steps, 1, 1))
-    poses[1:, :3, :3] = _small_rotations(rots[1:])
-    poses[1:, :3, 3] = trans[1:]
-    return PoseChain(poses)
+def _norms(x):
+    """The Euclidean norm of each row of the (n, 3) ``x``. Each is the dot
+    product ``np.linalg.norm`` takes of a lone vector, one (1,3) @ (3,1)
+    product per row, so its bits do not depend on the rows beside it."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
-def render_frame(points_local, intrinsics, rng):
-    """(T, H, W) grayscale frames of the (T, 3) local hand points: a
-    Gaussian blob of std ``BLOB_SIGMA`` pixels at each projected point,
-    plus noise of std ``PIXEL_NOISE``, drawn from ``rng`` frame by frame."""
+def render_frame(uv, intrinsics, rng):
+    """(T, H, W) grayscale frames of one sample whose hand projects to the
+    (T, 2) pixel coordinates ``uv``: a Gaussian blob of std ``BLOB_SIGMA``
+    pixels at each point, plus noise of std ``PIXEL_NOISE`` from one
+    (T, H, W) draw of ``rng``, clipped to [0, 1] and rounded to 6 decimals.
+    The frames are formed in place in one array of their own."""
     h, w = int(intrinsics.height), int(intrinsics.width)
-    uv = project(points_local, intrinsics)[:, :, None, None]
+    uv = uv[:, :, None, None]
     cols = np.arange(w, dtype=np.float64)[None, :]
     rows = np.arange(h, dtype=np.float64)[:, None]
-    blob = np.exp(-((cols - uv[:, 0]) ** 2 + (rows - uv[:, 1]) ** 2) / (2 * BLOB_SIGMA**2))
-    frames = blob + PIXEL_NOISE * rng.standard_normal(blob.shape)
-    return np.round(np.clip(frames, 0.0, 1.0), 6)
-
-
-def gen_sample(spec, sample_id):
-    """Synthesize one TrajectorySample from its spec (self-seeded)."""
-    rng = np.random.default_rng([spec.seed, 1])  # distinct stream from sample_spec's
-    steps, opts = spec.duration, spec.opts
-    world = reach_path(spec.start, spec.target, steps)
-    if spec.bow_dir is not None:
-        # arc the reach sideways, peaking late (obstacle-clearing shape); the
-        # progress-shaping keeps endpoint velocities at zero
-        span = np.linalg.norm(spec.target - spec.start)
-        progress = np.linalg.norm(world - spec.start, axis=1) / (span if span else 1.0)
-        arc = np.sin(np.pi * np.clip(progress, 0, 1) ** 1.5)
-        world = world + spec.bow * arc[:, None] * spec.bow_dir
-    chain = gen_camera_path(steps, rng)
-
-    local = chain.global_to_local(world, np.arange(1, steps + 1))
-    if np.any(local[:, 2] <= 0):
-        raise ValueError(f"sample {sample_id}: hand behind camera; check scene geometry")
-    frames = render_frame(local, opts.intrinsics, rng)
-
-    valid = np.ones(steps, dtype=bool)
-    if opts.depth_dropout > 0:
-        drop = rng.random(steps) < opts.depth_dropout
-        allowed = max(steps - 10, 0)  # keep the repair fit feasible
-        if drop.sum() > allowed:
-            on = np.flatnonzero(drop)
-            drop[:] = False
-            drop[on[:allowed]] = True
-        valid = ~drop
-    stored_local = local.copy()
-    stored_local[~valid, 2] = 0.0
-
-    return TrajectorySample(
-        id=sample_id, scene=spec.scene, frames=frames,
-        points_local=stored_local, points_global=world,
-        poses=chain, intrinsics=opts.intrinsics, valid_depth=valid,
-    )
+    frames = np.add((cols - uv[:, 0]) ** 2, (rows - uv[:, 1]) ** 2, out=np.empty((len(uv), h, w)))
+    np.negative(frames, out=frames)
+    frames /= 2 * BLOB_SIGMA**2
+    np.exp(frames, out=frames)
+    noise = rng.standard_normal(frames.shape)
+    noise *= PIXEL_NOISE
+    frames += noise
+    np.clip(frames, 0.0, 1.0, out=frames)
+    return np.round(frames, 6, out=frames)
 
 
 def _scene_arc_basis(scene):
@@ -292,50 +271,98 @@ def _scene_arc_basis(scene):
     return hint / np.linalg.norm(hint), rng.uniform(0.6, 1.0)
 
 
-def sample_spec(opts, seed, scene):
-    """Draw one sample's SceneSpec from its own seed (start, target, length, arc)."""
-    rng = np.random.default_rng(seed)
-    duration = int(rng.integers(opts.t_min, opts.t_max + 1))
-    start = START_CENTER + rng.uniform(-START_JITTER, START_JITTER, 3)
-    target = np.asarray(TARGET_ZONES[scene]) + rng.uniform(-TARGET_JITTER, TARGET_JITTER, 3)
-    reach = target - start
-    span = np.linalg.norm(reach)
-    hint, amp = _scene_arc_basis(scene)
-    hint = hint + 0.15 * rng.standard_normal(3)  # per-sample wobble
-    raw = np.cross(reach, np.cross(hint, reach))  # project into the plane normal to the reach
-    norm = np.linalg.norm(raw)
-    bow, bow_dir = 0.0, None
-    if norm > 1e-9:  # so span > 0 too
-        bow_dir = raw / norm
-        bow = BOW_SCALE * span * amp * rng.uniform(0.85, 1.15)
-    return SceneSpec(scene=scene, start=start, target=target, duration=duration,
-                     bow=bow, bow_dir=bow_dir, seed=seed, opts=opts)
-
-
 def gen_dataset(n, master_seed, options=None):
     """Generate n samples plus the split/normalization manifest.
 
-    Per-sample seeds mix the master seed with the sample index, so any
-    subset of samples regenerates identically regardless of order.
+    Sample i's seed mixes the master seed with i, and its scene follows
+    from i and the splits. Its two streams draw in the fixed order of the
+    module docstring, a sample at a time; the arithmetic runs in lock step
+    over all samples, each value formed as it would be for the sample
+    alone. So a sample has the same bytes whatever dataset it is generated
+    in. A hand point behind the camera raises the ValueError of the first
+    such sample in index order, before any frame is rendered.
     """
     opts = options or GenOptions()
     n_train, n_val, n_seen_test, n_unseen = opts.resolve_splits(n)
     n_seen = n_train + n_val + n_seen_test
+    scenes = [SCENES_SEEN[i % len(SCENES_SEEN)] if i < n_seen
+              else SCENES_UNSEEN[(i - n_seen) % len(SCENES_UNSEEN)] for i in range(n)]
+    seeds = [mix_seed(master_seed, i) for i in range(n)]
 
-    samples = []
-    for i in range(n):
-        if i < n_seen:
-            scene = SCENES_SEEN[i % len(SCENES_SEEN)]
-        else:
-            scene = SCENES_UNSEEN[(i - n_seen) % len(SCENES_UNSEEN)]
-        spec = sample_spec(opts, mix_seed(master_seed, i), scene)
-        samples.append(gen_sample(spec, f"s{i:05d}"))
+    # the spec: each stream's draws, then the vector math on (n, 3) arrays
+    spec_rngs = [np.random.default_rng(seed) for seed in seeds]
+    steps = np.empty(n, dtype=np.int64)
+    draws = np.empty((3, n, 3))  # start jitter, target jitter, hint wobble
+    for i, rng in enumerate(spec_rngs):
+        steps[i] = rng.integers(opts.t_min, opts.t_max + 1)
+        draws[0, i] = rng.uniform(-START_JITTER, START_JITTER, 3)
+        draws[1, i] = rng.uniform(-TARGET_JITTER, TARGET_JITTER, 3)
+        draws[2, i] = rng.standard_normal(3)
+    start = START_CENTER + draws[0]
+    target = np.array([TARGET_ZONES[s] for s in scenes]) + draws[1]
+    reach = target - start
+    span = _norms(reach)
+    basis = {s: _scene_arc_basis(s) for s in dict.fromkeys(scenes)}
+    hint = np.array([basis[s][0] for s in scenes]) + 0.15 * draws[2]
+    raw = np.cross(reach, np.cross(hint, reach))  # into the plane normal to the reach
+    norm = _norms(raw)
+    arced = norm > 1e-9  # so span > 0 too
+    bow_draw = [rng.uniform(0.85, 1.15) for rng, ok in zip(spec_rngs, arced) if ok]
+    bow_dir = raw[arced] / norm[arced, None]
+    bow = BOW_SCALE * span[arced] * np.array([basis[s][1] for s in scenes])[arced] * bow_draw
 
+    # the hand path in the world frame, arced sideways, peaking late
+    # (obstacle-clearing shape); the progress-shaping keeps endpoint
+    # velocities at zero
+    first = np.cumsum(steps) - steps  # each sample's first row
+    own = [slice(a, a + t) for a, t in zip(first.tolist(), steps.tolist())]  # and its rows
+    taus = {t: min_jerk(t) for t in np.unique(steps).tolist()}
+    world = (np.repeat(start, steps, axis=0)
+             + np.repeat(reach, steps, axis=0) * np.concatenate([taus[t] for t in steps.tolist()]))
+    rows = np.repeat(arced, steps)
+    arc_steps = steps[arced]
+    progress = (np.linalg.norm(world[rows] - np.repeat(start[arced], arc_steps, axis=0), axis=1)
+                / np.repeat(span[arced], arc_steps))
+    arc = np.sin(np.pi * np.clip(progress, 0, 1) ** 1.5)
+    world[rows] += ((np.repeat(bow, arc_steps) * arc)[:, None]
+                    * np.repeat(bow_dir, arc_steps, axis=0))
+
+    # the camera paths: identity first poses, then smooth small rotations
+    # and translations, orthonormalized per step
+    path_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]
+    rots, trans = np.empty((2, len(world), 3))
+    for rng, r in zip(path_rngs, own):
+        _smooth_noise(rng, rots[r])
+        _smooth_noise(rng, trans[r])
+    later = np.arange(len(world)) != np.repeat(first, steps)  # every row but a sample's first
+    poses = np.tile(np.eye(4), (len(world), 1, 1))
+    poses[later, :3, :3] = _small_rotations(rots[later] * ROT_AMPLITUDE)
+    poses[later, :3, 3] = trans[later] * TRANS_AMPLITUDE
+    chains = PoseChain.stack([poses[r] for r in own])
+
+    local = to_local(world, np.concatenate([c.cumulative[1:] for c in chains]))
+    behind = np.flatnonzero(local[:, 2] <= 0)
+    if len(behind):
+        i = int(np.searchsorted(first, behind[0], side="right")) - 1
+        raise ValueError(f"sample s{i:05d}: hand behind camera; check scene geometry")
+    uv = project(local, opts.intrinsics)
+
+    # the frames and the depth dropout, a sample at a time
+    frames = [render_frame(uv[r], opts.intrinsics, rng) for rng, r in zip(path_rngs, own)]
+    valid = np.ones(len(world), dtype=bool)
+    if opts.depth_dropout > 0:
+        for rng, r, t in zip(path_rngs, own, steps.tolist()):
+            drop = np.flatnonzero(rng.random(t) < opts.depth_dropout)
+            valid[r.start + drop[: max(t - 10, 0)]] = False  # keep the repair fit feasible
+    local[~valid, 2] = 0.0
+
+    samples = [TrajectorySample(id=f"s{i:05d}", scene=scene, frames=fr, points_local=local[r],
+                                points_global=world[r], poses=chain, intrinsics=opts.intrinsics,
+                                valid_depth=valid[r])
+               for i, (scene, fr, r, chain) in enumerate(zip(scenes, frames, own, chains))]
     ids = [s.id for s in samples]
-    all_global = np.concatenate([s.points_global for s in samples])
-    span = all_global.max(axis=0) - all_global.min(axis=0)
-    lo = all_global.min(axis=0) - NORM_MARGIN * span
-    hi = all_global.max(axis=0) + NORM_MARGIN * span
+    lo, hi = world.min(axis=0), world.max(axis=0)
+    margin = NORM_MARGIN * (hi - lo)
     manifest = {
         "n": n,
         "seed": int(master_seed),
@@ -345,7 +372,7 @@ def gen_dataset(n, master_seed, options=None):
             "test_seen": ids[n_train + n_val : n_seen],
             "test_unseen": ids[n_seen:],
         },
-        "norm": {"min": lo.tolist(), "max": hi.tolist()},
+        "norm": {"min": (lo - margin).tolist(), "max": (hi + margin).tolist()},
     }
     return samples, manifest
 

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError(f"observation_mode must be one of {OBSERVATION_MODES}")
         if not 0 < self.observation_ratio < 1:
             raise ValueError("observation_ratio must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -140,6 +140,7 @@ def test_resume_with_other_train_config_refused(dataset, tmp_path, capsys):
     pytest.param(["--epochs", "0"], {}, "bad train config", id="--epochs-0"),
     pytest.param(["--batch-size", "0"], {}, "bad train config", id="--batch-size-0"),
     pytest.param(["--lr", "-1"], {}, "bad train config", id="--lr--1"),
+    pytest.param(["--seed", "-1"], {}, "seed must be >= 0, got -1", id="--seed--1"),
     # the clip norm and the random-mode ratio range are trainer constants, not settings
     pytest.param([], {"train": {"clip_norm": -1.0}}, "unknown train config key: 'clip_norm'",
                  id="clip_norm--1"),
@@ -502,6 +503,27 @@ def test_bad_gen_options_are_usage_errors(tmp_path, capsys, flags, message):
     assert cli.main(["gen", "--n", "20", "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", str(2**44)], "--seed must be in [0, 2**44), got 17592186044416"),
+    (["--seed", "-1"], "--seed must be in [0, 2**44), got -1"),
+    (["--n", str(2**20 + 1)], "--n must be at most 2**20, got 1048577"),
+])
+def test_gen_seed_and_n_that_would_alias_are_usage_errors(tmp_path, capsys, monkeypatch, flags,
+                                                          message):
+    # refused before any sample is generated
+    monkeypatch.setattr(datagen, "gen_dataset", None)
+    out = tmp_path / "data"
+    assert cli.main(["gen", "--n", "20", "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_takes_the_largest_seed(tmp_path):
+    assert cli.main(["gen", "--n", "4", "--seed", str(2**44 - 1), "--frame", "8",
+                     "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["seed"] == 2**44 - 1
 
 
 @pytest.mark.parametrize("flag, value", [

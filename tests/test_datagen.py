@@ -4,22 +4,21 @@ import json
 import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachcast import cli
 from reachcast import datagen as dg
 from reachcast.datagen import (
     DESK_INTRINSICS,
     GenOptions,
     ParseError,
-    SceneSpec,
-    gen_camera_path,
     gen_dataset,
-    gen_sample,
-    reach_path,
+    min_jerk,
     read_dataset,
     render_frame,
     split_samples,
@@ -141,8 +140,9 @@ def sample_arrays(s):
             s.poses.cumulative)
 
 
-def assert_same_samples(got, want):
-    """Field for field and byte for byte; ``got``'s arrays are read-only."""
+def assert_same_samples(got, want, read_only=True):
+    """Field for field and byte for byte; ``got``'s arrays are read-only
+    unless ``read_only`` is False."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.id, a.scene, a.intrinsics, a.horizon) == (b.id, b.scene, b.intrinsics,
@@ -150,7 +150,7 @@ def assert_same_samples(got, want):
         for x, y in zip(sample_arrays(a), sample_arrays(b)):
             assert (x.dtype, x.shape) == (y.dtype, y.shape)
             assert x.tobytes() == y.tobytes()
-            assert not x.flags.writeable
+            assert not (read_only and x.flags.writeable)
 
 
 def read_error(reader, path):
@@ -209,57 +209,160 @@ def reference_frame(p, intrinsics, rng):
     return np.round(np.clip(blob + dg.PIXEL_NOISE * rng.standard_normal((h, w)), 0.0, 1.0), 6)
 
 
-def make_spec(**kw):
-    """A drawer reach; keywords that are not SceneSpec fields set its GenOptions."""
-    base = dict(scene="drawer", start=np.array([0.0, 0.05, 0.30]),
-                target=np.array([0.05, 0.1, 0.45]), duration=12, seed=3)
-    spec_fields = {f.name for f in dataclasses.fields(SceneSpec)}
-    base.update({k: v for k, v in kw.items() if k in spec_fields})
-    opts = GenOptions(**{k: v for k, v in kw.items() if k not in spec_fields})
-    return SceneSpec(**base, opts=opts)
+# ---------------------------------------------------------------------------
+# the generator a sample at a time, which gen_dataset must equal byte for byte
+
+
+def reference_sample_spec(opts, seed, scene):
+    """Sample ``seed``'s spec, drawn from its spec stream and computed alone:
+    start, target, duration and arc."""
+    rng = np.random.default_rng(seed)
+    duration = int(rng.integers(opts.t_min, opts.t_max + 1))
+    start = dg.START_CENTER + rng.uniform(-dg.START_JITTER, dg.START_JITTER, 3)
+    target = np.asarray(dg.TARGET_ZONES[scene]) + rng.uniform(-dg.TARGET_JITTER,
+                                                              dg.TARGET_JITTER, 3)
+    reach = target - start
+    span = np.linalg.norm(reach)
+    hint, amp = dg._scene_arc_basis(scene)
+    hint = hint + 0.15 * rng.standard_normal(3)
+    raw = np.cross(reach, np.cross(hint, reach))
+    norm = np.linalg.norm(raw)
+    bow, bow_dir = 0.0, None
+    if norm > 1e-9:
+        bow_dir = raw / norm
+        bow = dg.BOW_SCALE * span * amp * rng.uniform(0.85, 1.15)
+    return SimpleNamespace(scene=scene, start=start, target=target, duration=duration,
+                           bow=bow, bow_dir=bow_dir, seed=seed, opts=opts)
+
+
+def reference_smooth_noise(rng, steps):
+    """A (steps, 3) draw of ``rng``, each column a 5-step moving average."""
+    raw = rng.standard_normal((steps, 3))
+    kernel = np.ones(5) / 5
+    smooth = [np.convolve(raw[:, i], kernel, mode="same")[:steps] for i in range(3)]
+    return np.stack(smooth, axis=1)
+
+
+def reference_camera_path(steps, rng):
+    """One sample's camera path: an identity first pose, then smooth small
+    rotations and translations, orthonormalized per step."""
+    rots = reference_smooth_noise(rng, steps) * dg.ROT_AMPLITUDE
+    trans = reference_smooth_noise(rng, steps) * dg.TRANS_AMPLITUDE
+    poses = np.tile(np.eye(4), (steps, 1, 1))
+    poses[1:, :3, :3] = dg._small_rotations(rots[1:])
+    poses[1:, :3, 3] = trans[1:]
+    return PoseChain(poses)
+
+
+def reference_render_frame(points_local, intrinsics, rng):
+    """One sample's frames from its local points, projected here."""
+    h, w = int(intrinsics.height), int(intrinsics.width)
+    uv = project(points_local, intrinsics)[:, :, None, None]
+    cols = np.arange(w, dtype=np.float64)[None, :]
+    rows = np.arange(h, dtype=np.float64)[:, None]
+    blob = np.exp(-((cols - uv[:, 0]) ** 2 + (rows - uv[:, 1]) ** 2) / (2 * dg.BLOB_SIGMA**2))
+    frames = blob + dg.PIXEL_NOISE * rng.standard_normal(blob.shape)
+    return np.round(np.clip(frames, 0.0, 1.0), 6)
+
+
+def reference_gen_sample(spec, sample_id):
+    """One sample from its spec, its path stream drawn and used alone."""
+    rng = np.random.default_rng([spec.seed, 1])
+    steps, opts = spec.duration, spec.opts
+    tau = np.arange(steps, dtype=np.float64)[:, None] / (steps - 1)
+    tau = 10 * tau**3 - 15 * tau**4 + 6 * tau**5
+    world = spec.start + (spec.target - spec.start) * tau
+    if spec.bow_dir is not None:
+        span = np.linalg.norm(spec.target - spec.start)
+        progress = np.linalg.norm(world - spec.start, axis=1) / (span if span else 1.0)
+        arc = np.sin(np.pi * np.clip(progress, 0, 1) ** 1.5)
+        world = world + spec.bow * arc[:, None] * spec.bow_dir
+    chain = reference_camera_path(steps, rng)
+    local = chain.global_to_local(world, np.arange(1, steps + 1))
+    if np.any(local[:, 2] <= 0):
+        raise ValueError(f"sample {sample_id}: hand behind camera; check scene geometry")
+    frames = reference_render_frame(local, opts.intrinsics, rng)
+    valid = np.ones(steps, dtype=bool)
+    if opts.depth_dropout > 0:
+        drop = rng.random(steps) < opts.depth_dropout
+        allowed = max(steps - 10, 0)
+        if drop.sum() > allowed:
+            on = np.flatnonzero(drop)
+            drop[:] = False
+            drop[on[:allowed]] = True
+        valid = ~drop
+    stored_local = local.copy()
+    stored_local[~valid, 2] = 0.0
+    return dg.TrajectorySample(id=sample_id, scene=spec.scene, frames=frames,
+                               points_local=stored_local, points_global=world, poses=chain,
+                               intrinsics=opts.intrinsics, valid_depth=valid)
+
+
+def reference_gen_dataset(n, master_seed, options=None):
+    """``gen_dataset`` a sample at a time, in index order."""
+    opts = options or GenOptions()
+    n_train, n_val, n_seen_test, n_unseen = opts.resolve_splits(n)
+    n_seen = n_train + n_val + n_seen_test
+    samples = []
+    for i in range(n):
+        if i < n_seen:
+            scene = dg.SCENES_SEEN[i % len(dg.SCENES_SEEN)]
+        else:
+            scene = dg.SCENES_UNSEEN[(i - n_seen) % len(dg.SCENES_UNSEEN)]
+        spec = reference_sample_spec(opts, dg.mix_seed(master_seed, i), scene)
+        samples.append(reference_gen_sample(spec, f"s{i:05d}"))
+    ids = [s.id for s in samples]
+    all_global = np.concatenate([s.points_global for s in samples])
+    span = all_global.max(axis=0) - all_global.min(axis=0)
+    lo = all_global.min(axis=0) - dg.NORM_MARGIN * span
+    hi = all_global.max(axis=0) + dg.NORM_MARGIN * span
+    return samples, {
+        "n": n,
+        "seed": int(master_seed),
+        "splits": {"train": ids[:n_train], "val": ids[n_train : n_train + n_val],
+                   "test_seen": ids[n_train + n_val : n_seen], "test_unseen": ids[n_seen:]},
+        "norm": {"min": lo.tolist(), "max": hi.tolist()},
+    }
+
+
+def all_train(n, **kw):
+    """GenOptions of ``kw`` whose n samples all go to the train split."""
+    return GenOptions(**kw, split_counts=(n, 0, 0, 0))
 
 
 class TestMinJerk:
     def test_boundaries(self):
-        pts = reach_path([0, 0, 0], [1, 2, 3], 11)
-        np.testing.assert_array_equal(pts[0], [0, 0, 0])
-        np.testing.assert_allclose(pts[-1], [1, 2, 3], atol=1e-12)
+        tau = min_jerk(11)
+        assert tau.shape == (11, 1)
+        assert tau[0, 0] == 0.0
+        np.testing.assert_allclose(tau[-1, 0], 1.0, atol=1e-12)
 
     def test_midpoint_symmetry(self):
-        pts = reach_path([0, 0, 0], [1, 0, 0], 11)
-        np.testing.assert_allclose(pts[5], [0.5, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(min_jerk(11)[5, 0], 0.5, atol=1e-12)
 
     def test_endpoint_velocity_smaller_than_mid(self):
-        pts = reach_path([0, 0, 0], [1, 0, 0], 41)
-        speed = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        speed = np.diff(min_jerk(41)[:, 0])
         assert speed[-1] < speed[len(speed) // 2]
         assert speed[0] < speed[len(speed) // 2]
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            reach_path([0, 0, 0], [1, 0, 0], 1)
+            min_jerk(1)
 
 
 class TestCameraPath:
-    def test_seeded_reproducibility(self):
-        a = gen_camera_path(10, np.random.default_rng(5))
-        b = gen_camera_path(10, np.random.default_rng(5))
-        for pa, pb in zip(a.poses, b.poses):
-            np.testing.assert_array_equal(pa.matrix, pb.matrix)
-
     def test_first_pose_is_identity(self):
-        chain = gen_camera_path(6, np.random.default_rng(1))
-        np.testing.assert_array_equal(chain.poses[0].matrix, np.eye(4))
+        for s in gen_dataset(6, 1, all_train(6))[0]:
+            np.testing.assert_array_equal(s.poses.poses[0].matrix, np.eye(4))
 
     def test_orthonormal_at_64_steps(self):
         # the lifted unit axes, taken from the lifted origin, are each
         # step's cumulative rotation: it must stay orthonormal
-        chain = gen_camera_path(64, np.random.default_rng(7))
-        basis = np.tile(np.vstack([np.zeros(3), np.eye(3)]), (64, 1))
-        img = chain.local_to_global(basis, np.repeat(np.arange(1, 65), 4)).reshape(64, 4, 3)
-        axes = img[:, 1:] - img[:, :1]
-        assert np.max(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3))) < 1e-9
-
+        for s in gen_dataset(2, 7, all_train(2, t_min=64, t_max=64))[0]:
+            basis = np.tile(np.vstack([np.zeros(3), np.eye(3)]), (64, 1))
+            img = s.poses.local_to_global(basis, np.repeat(np.arange(1, 65), 4)).reshape(64, 4, 3)
+            axes = img[:, 1:] - img[:, :1]
+            assert np.max(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3))) < 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 64),
@@ -269,15 +372,15 @@ class TestCameraPath:
         # each step is the per-step rotation bit for bit, and the written
         # chain reads back through the stacked validity check; amplitudes
         # above the generator's go through its rotation builder directly
-        omega = dg._smooth_noise(np.random.default_rng(seed), steps) * rot
+        path = np.random.default_rng([dg.mix_seed(seed, 0), 1])  # sample 0's path stream
+        omega = reference_smooth_noise(path, steps) * rot
         poses = np.tile(np.eye(4), (steps, 1, 1))
         poses[1:, :3, :3] = dg._small_rotations(omega[1:])
-        poses[1:, :3, 3] = dg._smooth_noise(np.random.default_rng(seed + 1), steps)[1:] * trans
+        poses[1:, :3, 3] = reference_smooth_noise(path, steps)[1:] * trans
         chains = [PoseChain(poses)]
         if rot == dg.ROT_AMPLITUDE:
-            generated = gen_camera_path(steps, np.random.default_rng(seed))
-            np.testing.assert_array_equal(
-                np.stack([q.matrix[:3, :3] for q in generated.poses]), poses[:, :3, :3])
+            generated = gen_dataset(1, seed, all_train(1, t_min=steps, t_max=steps))[0][0].poses
+            np.testing.assert_array_equal(generated.matrices[:, :3, :3], poses[:, :3, :3])
             chains.append(generated)
         for chain in chains:
             again = PoseChain.stack([chain.matrices])[0]
@@ -297,25 +400,25 @@ def _hand_points(n, seed):
 class TestRenderFrame:
     def test_blob_argmax_at_projection(self, monkeypatch):
         monkeypatch.setattr(dg, "PIXEL_NOISE", 0.0)
-        p = _hand_points(20, 0)
-        frames = render_frame(p, DESK_INTRINSICS, np.random.default_rng(1))
+        uv = project(_hand_points(20, 0), DESK_INTRINSICS)
+        frames = render_frame(uv, DESK_INTRINSICS, np.random.default_rng(1))
         assert frames.shape == (20, 16, 16)
-        for frame, (u, v) in zip(frames, project(p, DESK_INTRINSICS)):
+        for frame, (u, v) in zip(frames, uv):
             row, col = np.unravel_index(np.argmax(frame), frame.shape)
             assert (row, col) == (int(np.floor(v + 0.5)), int(np.floor(u + 0.5)))
 
     def test_pure_noise_carries_no_position_signal(self, monkeypatch):
         monkeypatch.setattr(dg, "PIXEL_NOISE", 1000.0)
-        p = np.array([[-0.08, 0.0, 0.35], [0.08, 0.0, 0.35]])
-        noise_a = render_frame(p[:1], DESK_INTRINSICS, np.random.default_rng(9))
-        noise_b = render_frame(p[1:], DESK_INTRINSICS, np.random.default_rng(9))
+        uv = project(np.array([[-0.08, 0.0, 0.35], [0.08, 0.0, 0.35]]), DESK_INTRINSICS)
+        noise_a = render_frame(uv[:1], DESK_INTRINSICS, np.random.default_rng(9))
+        noise_b = render_frame(uv[1:], DESK_INTRINSICS, np.random.default_rng(9))
         # at overwhelming noise amplitude the clipped frames coincide
         assert np.mean(noise_a == noise_b) > 0.95
 
     def test_fixed_seed_reproducible(self):
-        p = np.array([[0.0, 0.0, 0.4], [0.01, 0.02, 0.45]])
-        a = render_frame(p, DESK_INTRINSICS, np.random.default_rng(11))
-        b = render_frame(p, DESK_INTRINSICS, np.random.default_rng(11))
+        uv = project(np.array([[0.0, 0.0, 0.4], [0.01, 0.02, 0.45]]), DESK_INTRINSICS)
+        a = render_frame(uv, DESK_INTRINSICS, np.random.default_rng(11))
+        b = render_frame(uv, DESK_INTRINSICS, np.random.default_rng(11))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("intrinsics", [DESK_INTRINSICS, WIDE_INTRINSICS],
@@ -325,33 +428,34 @@ class TestRenderFrame:
         # sample's frames and the draws after them are those of a loop
         p = _hand_points(9, 3)
         whole, steps = np.random.default_rng(4), np.random.default_rng(4)
-        frames = render_frame(p, intrinsics, whole)
+        frames = render_frame(project(p, intrinsics), intrinsics, whole)
         looped = np.stack([reference_frame(q, intrinsics, steps) for q in p])
         np.testing.assert_array_equal(frames, looped)
         np.testing.assert_array_equal(whole.random(4), steps.random(4))
 
 
-class TestGenSample:
+class TestGeneratedSamples:
     def test_local_global_consistency(self):
-        s = gen_sample(make_spec(), "s0")
-        for t in range(s.horizon):
-            back = s.poses.local_to_global(s.points_local[t], t + 1)
-            assert np.max(np.abs(back - s.points_global[t])) < 1e-9
+        for s in gen_dataset(6, 3, all_train(6))[0]:
+            for t in range(s.horizon):
+                back = s.poses.local_to_global(s.points_local[t], t + 1)
+                assert np.max(np.abs(back - s.points_global[t])) < 1e-9
 
     def test_dropout_flags_and_sentinel(self):
-        s = gen_sample(make_spec(duration=24, depth_dropout=0.3, seed=5), "s0")
-        assert not s.valid_depth.all()
-        np.testing.assert_array_equal(s.points_local[~s.valid_depth, 2], 0.0)
-        assert s.valid_depth.sum() >= 10
-
-    def test_dropout_never_starves_repair(self):
-        for seed in range(10):
-            s = gen_sample(make_spec(duration=12, depth_dropout=0.9, seed=seed), "s0")
+        samples, _ = gen_dataset(6, 5, all_train(6, t_min=24, t_max=24, depth_dropout=0.3))
+        assert not all(s.valid_depth.all() for s in samples)
+        for s in samples:
+            np.testing.assert_array_equal(s.points_local[~s.valid_depth, 2], 0.0)
             assert s.valid_depth.sum() >= 10
 
+    def test_dropout_never_starves_repair(self):
+        # ten steps keep their depth, or all of a shorter sample's steps
+        for s in gen_dataset(40, 0, all_train(40, t_min=2, t_max=24, depth_dropout=0.9))[0]:
+            assert s.valid_depth.sum() >= min(s.horizon, 10)
+
     def test_frames_in_unit_range(self):
-        s = gen_sample(make_spec(), "s0")
-        assert s.frames.min() >= 0.0 and s.frames.max() <= 1.0
+        for s in gen_dataset(6, 3, all_train(6))[0]:
+            assert s.frames.min() >= 0.0 and s.frames.max() <= 1.0
 
 
 class TestGenDataset:
@@ -397,6 +501,62 @@ class TestGenDataset:
         hi = np.array(manifest["norm"]["max"])
         for s in samples:
             assert np.all(s.points_global > lo) and np.all(s.points_global < hi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**44 - 1), n=st.integers(1, 14),
+           t=st.lists(st.integers(2, 40), min_size=2, max_size=2).map(sorted),
+           intrinsics=st.sampled_from([DESK_INTRINSICS, WIDE_INTRINSICS,
+                                       CameraIntrinsics(8.0, 8.0, 4.0, 4.0, 8, 8)]),
+           dropout=st.sampled_from([0.0, 0.3, 0.9]), data=st.data())
+    def test_lock_step_is_the_sample_at_a_time_generator(self, seed, n, t, intrinsics, dropout,
+                                                         data):
+        # every field, the cumulative products and the manifest, byte for
+        # byte, over mixed lengths, frame sizes, dropout and splits
+        ends = sorted(data.draw(st.lists(st.integers(0, n), min_size=3, max_size=3)))
+        counts = (ends[0], ends[1] - ends[0], ends[2] - ends[1], n - ends[2])
+        if n >= 4 and data.draw(st.booleans()):
+            counts = None  # the default split, which needs n >= 4
+        opts = GenOptions(t_min=t[0], t_max=t[1], depth_dropout=dropout, intrinsics=intrinsics,
+                          split_counts=counts)
+        got, manifest = gen_dataset(n, seed, opts)
+        want, manifest2 = reference_gen_dataset(n, seed, opts)
+        assert_same_samples(got, want, read_only=False)
+        assert json.dumps(manifest) == json.dumps(manifest2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**44 - 1), sizes=st.lists(st.integers(1, 12), min_size=2,
+                                                          max_size=3),
+           t=st.lists(st.integers(2, 40), min_size=2, max_size=2).map(sorted),
+           dropout=st.sampled_from([0.0, 0.3]))
+    def test_a_sample_does_not_depend_on_its_company(self, seed, sizes, t, dropout):
+        # sample i has the same bytes in every dataset of the seed that
+        # gives it the same scene, and generated alone
+        kw = dict(t_min=t[0], t_max=t[1], depth_dropout=dropout)
+        sets = [gen_dataset(m, seed, all_train(m, **kw))[0] for m in sizes]
+        k = min(sizes)
+        for other in sets[1:]:
+            assert_same_samples(other[:k], sets[0][:k], read_only=False)
+        i = k - 1
+        spec = reference_sample_spec(GenOptions(**kw), dg.mix_seed(seed, i),
+                                     dg.SCENES_SEEN[i % len(dg.SCENES_SEEN)])
+        assert_same_samples(sets[0][i : i + 1], [reference_gen_sample(spec, f"s{i:05d}")],
+                            read_only=False)
+
+    def test_hand_behind_the_camera_names_the_first_sample(self, monkeypatch, tmp_path,
+                                                           capsys):
+        # two zones behind the camera: samples 1 and 4 reach into them, and
+        # sample 1's message wins; gen writes nothing
+        monkeypatch.setattr(dg, "TARGET_ZONES", {**dg.TARGET_ZONES,
+                                                 "desk_right": (0.14, 0.05, -0.45),
+                                                 "drawer": (0.0, 0.12, -0.40)})
+        message = "sample s00001: hand behind camera; check scene geometry"
+        for gen in (gen_dataset, reference_gen_dataset):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                gen(12, 3)
+        out = tmp_path / "data"
+        assert cli.main(["gen", "--n", "12", "--seed", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"runtime error: ValueError: {message}\n"
+        assert not out.exists()
 
     def test_geometry_audit_every_sample(self):
         samples, _ = gen_dataset(16, master_seed=9)
@@ -486,8 +646,8 @@ class TestWireFormat:
         for i, (t, intrinsics, dropout, seed) in enumerate(draws):
             opts = GenOptions(t_min=max(t, 2), t_max=max(t, 2), depth_dropout=dropout,
                               intrinsics=intrinsics)
-            spec = dg.sample_spec(opts, seed, dg.SCENES_SEEN[i % len(dg.SCENES_SEEN)])
-            samples.append(first_steps(gen_sample(spec, f"s{i:05d}"), t))
+            spec = reference_sample_spec(opts, seed, dg.SCENES_SEEN[i % len(dg.SCENES_SEEN)])
+            samples.append(first_steps(reference_gen_sample(spec, f"s{i:05d}"), t))
         manifest = {"n": len(samples), "seed": 0}
         first, again = tmp_path_factory.mktemp("first"), tmp_path_factory.mktemp("again")
         write_dataset(samples, manifest, first)
@@ -833,12 +993,20 @@ class TestSeedMixing:
     def test_mix_is_master_sensitive(self):
         assert dg.mix_seed(1, 0) != dg.mix_seed(2, 0)
 
-    def test_subset_regeneration_matches(self):
-        # generating sample i alone must equal sample i from the full run
-        samples, _ = gen_dataset(8, master_seed=11)
-        i = 5
-        scene = dg.SCENES_SEEN[i % len(dg.SCENES_SEEN)]
-        spec = dg.sample_spec(GenOptions(), dg.mix_seed(11, i), scene)
-        solo = gen_sample(spec, f"s{i:05d}")
-        np.testing.assert_array_equal(solo.frames, samples[i].frames)
-        np.testing.assert_array_equal(solo.points_local, samples[i].points_local)
+    def test_in_range_mixes_keep_their_values(self):
+        assert [dg.mix_seed(0, 0), dg.mix_seed(7, 5), dg.mix_seed(2**44 - 1, 2**20 - 1)] == [
+            16294208416658607535, 1852689602677019634, 16490336266968443936]
+
+    @pytest.mark.parametrize("seed, index", [(2**44, 0), (-1, 0), (0, 2**20), (0, -1)])
+    def test_pairs_that_would_alias_refused(self, seed, index):
+        # (2**44 << 20) ^ i wraps to i in 64 bits, seed 0's mix, and -1
+        # wraps to the mix of 2**44 - 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"master seed {seed} and sample index {index} are not in [0, 2**44) and "
+                "[0, 2**20)")):
+            dg.mix_seed(seed, index)
+
+    @pytest.mark.parametrize("seed", [2**44, -1])
+    def test_dataset_of_a_seed_out_of_range_refused(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"master seed {seed} and sample index 0")):
+            gen_dataset(4, seed)

@@ -113,7 +113,7 @@ class TestNormalize:
 
 
 @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0), dict(lr=-1.0),
-                                dict(lr=0.0)])
+                                dict(lr=0.0), dict(seed=-1)])
 def test_train_config_refuses_bad_values(kw):
     with pytest.raises(ValueError):
         TrainConfig(**kw)

@@ -7,17 +7,19 @@ Each command runs as ``python -m reachcast`` in its own process, so the
 that should compute the same thing are compared by running this once with
 each tree's ``src/`` and then ``diff -r`` of the two OUT directories.
 
-The dataset directories (``raw/``, ``data/``, ``paper-raw/`` and
-``paper-data/``) hold files of the wire format their tree writes. So CI's
-report-only comparison against a base that writes wire format 2 lists
-them as differing or only on one side, by design: format 3 keeps the
-poses, points and flags in ``data.f64`` beside the frames, where format 2
-had them in ``data.jsonl`` and the frames alone in ``data.frames.f64``.
-Every other file keeps its bytes across that change.
+The dataset directories (``raw/``, ``data/``, ``mixed/``, ``paper-raw/``
+and ``paper-data/``) hold files of the wire format their tree writes, so a
+comparison against a base of another wire format lists them as differing
+or only on one side. A set that the base's own ``tools/artifacts.py`` does
+not write shows as only on the head's side.
 
 The pipeline:
 
 - ``gen --n 60 --seed 0 --dropout 0.3``, then ``repair`` (its report too);
+- ``gen --n 40 --seed 3 --t-min 2 --t-max 40 --frame 8 --dropout 0.9``
+  (``mixed/``): lengths from 2 to 40 steps in one dataset, so the
+  generator's lock-step stages stack chains of unequal length, and most
+  samples keep only the 10 valid depths the dropout cap leaves;
 - for each of the global-3d and 2d coordinate modes, on the desk preset:
   ``train --epochs 3 --seed 0 --observation-mode random --batch-size 32``,
   ``eval --ratios 0.1..0.9 --dump`` (model and constant-velocity rows)
@@ -65,6 +67,8 @@ def main():
     raw, data = out / "raw", out / "data"
     reachcast("gen", "--n", 60, "--seed", 0, "--dropout", 0.3, "--out", raw)
     reachcast("repair", "--data", raw, "--out", data)
+    reachcast("gen", "--n", 40, "--seed", 3, "--t-min", 2, "--t-max", 40, "--frame", 8,
+              "--dropout", 0.9, "--out", out / "mixed")
     for mode in ("global-3d", "2d"):
         run = out / mode
         run.mkdir()
